@@ -3,33 +3,25 @@
 The engine runs a three-stage pipeline over cache-sized blocks of objects:
 feature values are quantized to one-byte border counts, quantiles become
 per-tree leaf indices through branch-free bit composition, and leaf values
-are fetched and summed under one of several lane-parallel strategies,
-including a binary16 leaf-precision trade-off.  A scalar traversal oracle,
-deviation metrics and a benchmark CLI round out the package.
+are fetched and summed in binary64 or in the binary16 leaf-precision
+trade-off.  A scalar traversal oracle, deviation metrics and a benchmark CLI
+round out the package.
 """
 
-from .accumulate import (
-    Accumulator,
-    LeafStrategy,
-    accumulate_gather,
-    accumulate_naive,
-    accumulate_naive16,
-    accumulate_permute16,
-    accumulate_permute64,
-    permute_group_count,
-)
 from .evaluate import (
     BLOCK_SIZES,
     EvalConfig,
     Evaluator,
+    LeafStrategy,
     ModelTables,
     TailPlan,
     TailPolicy,
+    VectorWidth,
     apply_tail_policy,
     evaluate,
+    permute_group_count,
     plan_blocks,
 )
-from .indexer import LeafIndexVector, compute_leaf_indices, condition_bits
 from .model import (
     LeafBank,
     LeafPrecision,
@@ -50,7 +42,6 @@ from .quantize import (
     FeatureMatrix,
     Layout,
     QuantizedBlock,
-    VectorWidth,
     quantize_block,
     quantize_value,
 )
@@ -66,7 +57,6 @@ from .synthetic import SyntheticSpec, Xoshiro256StarStar, generate_feature_matri
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accumulator",
     "BLOCK_SIZES",
     "DeviationMetrics",
     "EvalConfig",
@@ -75,7 +65,6 @@ __all__ = [
     "FloatFeatureBorders",
     "Layout",
     "LeafBank",
-    "LeafIndexVector",
     "LeafPrecision",
     "LeafStrategy",
     "ModelFormatError",
@@ -89,16 +78,9 @@ __all__ = [
     "TailPolicy",
     "VectorWidth",
     "Xoshiro256StarStar",
-    "accumulate_gather",
-    "accumulate_naive",
-    "accumulate_naive16",
-    "accumulate_permute16",
-    "accumulate_permute64",
     "apply_tail_policy",
     "build_leaf_bank",
     "classification_flip_count",
-    "compute_leaf_indices",
-    "condition_bits",
     "deserialize_model",
     "deviation_metrics",
     "evaluate",

@@ -22,17 +22,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accumulate import LeafStrategy
-from .evaluate import BLOCK_SIZES, EvalConfig, Evaluator, ModelTables, TailPolicy, plan_blocks, apply_tail_policy
+from .evaluate import (
+    BLOCK_SIZES,
+    EvalConfig,
+    Evaluator,
+    LeafStrategy,
+    ModelTables,
+    TailPolicy,
+    VectorWidth,
+    apply_tail_policy,
+    plan_blocks,
+)
 from .model import LeafPrecision, ObliviousModel
 from .oracle import evaluate_scalar
-from .quantize import FeatureMatrix, Layout, VectorWidth
+from .quantize import FeatureMatrix, Layout
 from .serialize import load_model
 from .synthetic import SyntheticSpec, generate_feature_matrix, generate_synthetic_model
-
-# Relative tolerances for oracle verification, per leaf-precision family.
-TOL_BINARY64 = 1e-12
-TOL_BINARY16 = 1e-6
 
 PRESETS = {
     # Small enough that the full matrix runs in minutes on a laptop core.
@@ -75,8 +80,6 @@ class BenchCase:
 class CaseResult:
     case: BenchCase
     verified: bool
-    skipped: bool = False
-    skip_reason: str = ""
     mean_s: float = float("nan")
     std_s: float = float("nan")
     d: float = float("nan")
@@ -91,7 +94,7 @@ class BenchReport:
 
     @property
     def all_verified(self) -> bool:
-        return all(r.verified for r in self.rows if not r.skipped)
+        return all(r.verified for r in self.rows)
 
 
 @dataclass
@@ -126,15 +129,9 @@ def _host_metadata() -> dict:
     }
 
 
-def _family_tolerance(config: EvalConfig) -> float:
-    if config.strategy.precision is LeafPrecision.BINARY64:
-        return TOL_BINARY64
-    return TOL_BINARY16
-
-
-def _verify(preds: np.ndarray, oracle: np.ndarray, tol: float) -> bool:
-    scale = np.maximum(np.abs(oracle), np.abs(preds))
-    return bool(np.all(np.abs(preds - oracle) <= tol * scale))
+def _verify(preds: np.ndarray, oracle: np.ndarray) -> bool:
+    """Bit equality with the oracle of the case's leaf-precision family."""
+    return np.array_equal(preds.view(np.uint64), oracle.view(np.uint64))
 
 
 # One timing sample must span several ticks of the process CPU clock, which
@@ -214,16 +211,11 @@ def run_matrix(
     for case in cases:
         if log:
             log(f"case {case.case_id} ...")
-        if not case.config.width.is_supported():
-            rows.append(
-                CaseResult(case, verified=False, skipped=True, skip_reason="width unsupported")
-            )
-            continue
         evaluator = Evaluator(tables, case.config)
         matrix = inputs.matrix(case.batch_size, case.layout)
         oracle = inputs.oracle(model, case.batch_size, case.config.strategy.precision)
         preds = evaluator.predict(matrix)  # verification run doubles as warmup
-        verified = _verify(preds, oracle, _family_tolerance(case.config))
+        verified = _verify(preds, oracle)
         result = CaseResult(case, verified=verified)
         if verified:
             result.mean_s, result.std_s, result.inner = _time_case(
@@ -235,7 +227,7 @@ def run_matrix(
     base_row = next(r for r in rows if r.case.case_id == baseline_id)
     base_time = base_row.mean_s
     for row in rows:
-        if not row.skipped and row.verified and base_time > 0:
+        if row.verified and base_time > 0:
             row.d = (row.mean_s - base_time) / base_time
 
     metadata = _host_metadata()
@@ -300,7 +292,6 @@ def run_batch_sweep(
     tables = ModelTables(model)
     evaluator = Evaluator(tables, config)
     inputs = _BatchInputs(model.n_features, data_seed)
-    tol = _family_tolerance(config)
 
     rows = []
     for batch in batch_sizes:
@@ -309,7 +300,7 @@ def run_batch_sweep(
         matrix = inputs.matrix(batch, layout)
         oracle = inputs.oracle(model, batch, config.strategy.precision)
         preds = evaluator.predict(matrix)
-        verified = _verify(preds, oracle, tol)
+        verified = _verify(preds, oracle)
         mean_s = std_s = float("nan")
         if verified:
             mean_s, std_s, _ = _time_case(evaluator, matrix, repetitions)
@@ -346,8 +337,18 @@ def run_batch_sweep(
 # Report formatting
 
 
-def _meta_lines(metadata: dict) -> list[str]:
-    return [f"# {key}: {value}" for key, value in metadata.items()]
+def format_table(columns, rows: list[list[str]], metadata: dict, fmt: str) -> str:
+    """Metadata as ``# key: value`` lines, then the rows as csv or markdown."""
+    lines = [f"# {key}: {value}" for key, value in metadata.items()]
+    table = [list(columns), *rows]
+    if fmt == "csv":
+        lines += [",".join(cells) for cells in table]
+    else:
+        widths = [max(len(cells[i]) for cells in table) for i in range(len(columns))]
+        padded = ["| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
+                  for cells in table]
+        lines += [padded[0], "|" + "|".join("-" * (w + 2) for w in widths) + "|", *padded[1:]]
+    return "\n".join(lines) + "\n"
 
 
 _MATRIX_COLUMNS = (
@@ -370,9 +371,7 @@ _MATRIX_COLUMNS = (
 def _matrix_cells(row: CaseResult) -> list[str]:
     case = row.case
     cfg = case.config
-    if row.skipped:
-        timing = ["", "skipped", "", "", ""]
-    elif not row.verified:
+    if not row.verified:
         timing = ["", "", "", "", "FAIL"]
     else:
         timing = [
@@ -395,23 +394,11 @@ def _matrix_cells(row: CaseResult) -> list[str]:
     ]
 
 
-def format_matrix_csv(report: BenchReport) -> str:
-    lines = _meta_lines(report.metadata)
-    lines.append(",".join(_MATRIX_COLUMNS))
-    for row in report.rows:
-        lines.append(",".join(_matrix_cells(row)))
-    return "\n".join(lines) + "\n"
-
-
-def format_matrix_markdown(report: BenchReport) -> str:
-    table = [list(_MATRIX_COLUMNS)] + [_matrix_cells(r) for r in report.rows]
-    widths = [max(len(r[i]) for r in table) for i in range(len(_MATRIX_COLUMNS))]
-    lines = _meta_lines(report.metadata)
-    lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(table[0], widths)) + " |")
-    lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    for row in table[1:]:
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
-    return "\n".join(lines) + "\n"
+def format_matrix(report: BenchReport, fmt: str) -> str:
+    """The matrix report as csv or markdown."""
+    return format_table(
+        _MATRIX_COLUMNS, [_matrix_cells(r) for r in report.rows], report.metadata, fmt
+    )
 
 
 _SWEEP_COLUMNS = ("batch", "mean_ms", "std_ms", "blocks", "vector_groups", "tail_objects", "verified")
@@ -429,23 +416,11 @@ def _sweep_cells(row: SweepRow) -> list[str]:
     ]
 
 
-def format_sweep_csv(report: SweepReport) -> str:
-    lines = _meta_lines(report.metadata)
-    lines.append(",".join(_SWEEP_COLUMNS))
-    for row in report.rows:
-        lines.append(",".join(_sweep_cells(row)))
-    return "\n".join(lines) + "\n"
-
-
-def format_sweep_markdown(report: SweepReport) -> str:
-    table = [list(_SWEEP_COLUMNS)] + [_sweep_cells(r) for r in report.rows]
-    widths = [max(len(r[i]) for r in table) for i in range(len(_SWEEP_COLUMNS))]
-    lines = _meta_lines(report.metadata)
-    lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(table[0], widths)) + " |")
-    lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    for row in table[1:]:
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
-    return "\n".join(lines) + "\n"
+def format_sweep(report: SweepReport, fmt: str) -> str:
+    """The sweep report as csv or markdown."""
+    return format_table(
+        _SWEEP_COLUMNS, [_sweep_cells(r) for r in report.rows], report.metadata, fmt
+    )
 
 
 def format_sweep_tsv(report: SweepReport) -> str:
@@ -526,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--width",
         choices=list(_WIDTH_FLAGS) + ["auto", "all"],
         default="auto",
-        help="vector width; auto picks the widest supported (default: auto)",
+        help="vector width; auto picks 512 (default: auto)",
     )
     parser.add_argument(
         "--tail",
@@ -563,7 +538,7 @@ def _select_widths(strategy: LeafStrategy, width_flag: str) -> list[VectorWidth]
     if width_flag == "all":
         return [w for w in VectorWidth if strategy.allows_width(w)]
     if width_flag == "auto":
-        return [VectorWidth.widest_supported()]
+        return [VectorWidth.W512]
     return [_WIDTH_FLAGS[width_flag]]
 
 
@@ -641,12 +616,10 @@ def main(argv: list[str] | None = None) -> int:
             )
             report.metadata["model"] = source
             ok = ok and report.all_verified
-            if args.format == "csv":
-                pieces.append(format_sweep_csv(report))
-            elif args.format == "tsv":
+            if args.format == "tsv":
                 pieces.append(format_sweep_tsv(report))
             else:
-                pieces.append(format_sweep_markdown(report))
+                pieces.append(format_sweep(report, args.format))
         text = "\n".join(pieces)
     else:
         cases = build_cases(args)
@@ -658,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
         report.metadata["model"] = source
         ok = report.all_verified
-        text = format_matrix_csv(report) if args.format == "csv" else format_matrix_markdown(report)
+        text = format_matrix(report, args.format)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

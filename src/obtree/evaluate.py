@@ -1,34 +1,99 @@
 """Orchestration of the three-stage pipeline over blocks and batches.
 
 A batch is split into cache-sized blocks; each block is quantized, then every
-tree's leaf indices are computed and its leaf values accumulated, and the
-scale/bias transform finalizes the block's predictions.  Per-tree
+tree's leaf index is computed and its leaf value fetched and folded into the
+per-object sums, and the scale/bias transform finalizes the block's
+predictions.  Stages 2 and 3 run fused, as array operations over a
+(trees x objects) panel covering all of a block's live objects.  Per-tree
 contributions are summed in tree order with a strict left fold, so results do
-not depend on the block plan, the input layout, the lane width, or the tail
-policy (the binary64 strategy family is bit-identical end to end).
+not depend on the block plan or the input layout.
 
-The hot path fuses the per-tree loop of stages 2 and 3 into array operations
-over a (trees x objects) panel; the per-tree kernels in ``indexer`` and
-``accumulate`` define the same semantics one tree at a time and the test
-suite holds both paths equal.
+The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  This
+engine is numpy, so a strategy selects only its leaf-precision family: every
+binary64 strategy runs the indexed load from the binary64 bank, every
+binary16 strategy the indexed load from the binary16 bank, widened to
+binary32.  Lane width and tail policy are kept in the configuration for
+validation and block planning; they change neither what runs nor the bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .accumulate import LeafStrategy, PERMUTE16_LANES, PERMUTE64_LANES
 from .model import LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank, require_valid
-from .quantize import FeatureMatrix, QuantizedBlock, VectorWidth, quantize_block
+from .quantize import FeatureMatrix, QuantizedBlock, quantize_block
+
+
+class VectorWidth(Enum):
+    SCALAR = "scalar"
+    W128 = "w128"
+    W256 = "w256"
+    W512 = "w512"
+
+    @property
+    def byte_lanes(self) -> int:
+        return _BYTE_LANES[self]
+
+
+_BYTE_LANES = {
+    VectorWidth.SCALAR: 1,
+    VectorWidth.W128: 16,
+    VectorWidth.W256: 32,
+    VectorWidth.W512: 64,
+}
+
+PERMUTE64_LANES = 8    # binary64 lanes in one 512-bit vector
+PERMUTE16_LANES = 32   # binary16 lanes in one 512-bit vector
+
+
+class LeafStrategy(Enum):
+    """The paper's leaf-load strategies.
+
+    NAIVE and GATHER load binary64 leaves by index, PERMUTE64 selects them
+    from register-resident 8-lane vectors; PERMUTE16 and NAIVE16 do the same
+    on 32-lane binary16 vectors and plain binary16 loads.  Here each selects
+    only its ``precision``; width rules and object groups are kept so that
+    configurations validate and plan as the paper's kernels would.
+    """
+
+    NAIVE = "naive"
+    GATHER = "gather"
+    PERMUTE64 = "permute64"
+    PERMUTE16 = "permute16"
+    NAIVE16 = "naive16"
+
+    @property
+    def precision(self) -> LeafPrecision:
+        if self in (LeafStrategy.PERMUTE16, LeafStrategy.NAIVE16):
+            return LeafPrecision.BINARY16
+        return LeafPrecision.BINARY64
+
+    def allows_width(self, width: VectorWidth) -> bool:
+        if self is LeafStrategy.GATHER:
+            return width in (VectorWidth.W256, VectorWidth.W512)
+        if self in (LeafStrategy.PERMUTE64, LeafStrategy.PERMUTE16):
+            return width is VectorWidth.W512
+        return True
+
+    def object_group(self, width: VectorWidth) -> int:
+        """Object-group size the strategy works in, for tail planning."""
+        if self is LeafStrategy.PERMUTE64:
+            return PERMUTE64_LANES
+        if self is LeafStrategy.PERMUTE16:
+            return PERMUTE16_LANES
+        return width.byte_lanes
+
+
+def permute_group_count(depth: int, lanes: int) -> int:
+    """Number of source vectors needed to hold all 2**depth leaves."""
+    return max(1, (1 << depth) // lanes)
+
 
 BLOCK_SIZES = (64, 128, 256, 512)
 
-# Padding rows in a quantized block are all zero, so a padded object's split
-# conditions are all false: its leaf index is 0 and its (discarded)
-# contribution is leaf[0], which is always a finite value.
 _SENTINEL_ORDINAL = 255  # quantiles are <= 254, so this condition is never true
 
 
@@ -39,12 +104,13 @@ class TailPolicy(Enum):
 
 @dataclass(frozen=True)
 class TailPlan:
-    """How one block's live objects map onto vector groups.
+    """How one block's live objects map onto a vector kernel's groups.
 
     SCALAR_TAIL runs whole groups through the vector path and the remainder
-    through the scalar path.  PADDED_GROUP rounds up to whole groups; the
-    padded lanes are computed on zero quantile rows and discarded at
-    write-back.  Both cover every live object exactly once.
+    through the scalar path.  PADDED_GROUP rounds up to whole groups and
+    discards the padded lanes at write-back.  The numpy engine computes all
+    live objects of a block in one pass under either policy; the plan is
+    what the benchmark reports.
     """
 
     policy: TailPolicy
@@ -53,21 +119,6 @@ class TailPlan:
     vector_groups: int
     scalar_remainder: int
     padded_lanes: int
-
-    @property
-    def cover(self) -> int:
-        """Number of object slots stages 2 and 3 compute for this block."""
-        return self.live + self.padded_lanes
-
-    def segments(self) -> list[tuple[int, int]]:
-        """Column ranges to execute, vector part first."""
-        vector_cover = self.vector_groups * self.group_size
-        out = []
-        if vector_cover:
-            out.append((0, vector_cover))
-        if self.scalar_remainder:
-            out.append((vector_cover, self.live))
-        return out
 
 
 def apply_tail_policy(policy: TailPolicy, group_size: int, live: int) -> TailPlan:
@@ -106,7 +157,7 @@ def plan_blocks(n_objects: int, block_size: int) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class EvalConfig:
     block_size: int = 128
-    width: VectorWidth = field(default_factory=VectorWidth.widest_supported)
+    width: VectorWidth = VectorWidth.W512
     strategy: LeafStrategy = LeafStrategy.NAIVE
     tail_policy: TailPolicy = TailPolicy.SCALAR_TAIL
 
@@ -117,8 +168,6 @@ class EvalConfig:
     def validate(self) -> None:
         if self.block_size not in BLOCK_SIZES:
             raise ValueError(f"block size must be one of {BLOCK_SIZES}")
-        if not self.width.is_supported():
-            raise ValueError(f"vector width {self.width.value} not supported on this host")
         if not self.strategy.allows_width(self.width):
             raise ValueError(
                 f"strategy {self.strategy.value} is incompatible with width {self.width.value}"
@@ -208,43 +257,19 @@ def _leaf_index_panel(tables: ModelTables, quantiles: np.ndarray) -> np.ndarray:
 
 
 def _fold_block_segment(
-    tables: ModelTables,
-    bank: LeafBank,
-    strategy: LeafStrategy,
-    quantiles: np.ndarray,
-    acc: np.ndarray,
+    tables: ModelTables, bank: LeafBank, quantiles: np.ndarray, acc: np.ndarray
 ) -> None:
-    """Run stages 2 and 3 for all trees over one column segment of a block."""
+    """Run stages 2 and 3 for all trees over the columns of ``quantiles``.
+
+    The leaf load is the bank's indexed load in its own precision; binary16
+    leaves widen to binary32 before the fold.
+    """
     if tables.n_trees == 0:
         return
     idx = _leaf_index_panel(tables, quantiles)
-    offsets = bank.offsets[:, None]
-    flat = bank.values
-
-    if strategy in (LeafStrategy.NAIVE, LeafStrategy.GATHER):
-        contrib = flat[offsets + idx]
-    elif strategy is LeafStrategy.NAIVE16:
-        contrib = flat[offsets + idx].astype(np.float32)
-    elif strategy is LeafStrategy.PERMUTE64:
-        hi = idx >> np.uint8(3)
-        lo = idx & np.uint8(7)
-        n_vectors = int(bank.padded_lengths.max()) // PERMUTE64_LANES
-        contrib = np.zeros(idx.shape, dtype=np.float64)
-        for g in range(n_vectors):
-            selected = flat[offsets + g * PERMUTE64_LANES + lo]
-            contrib = np.where(hi == g, selected, contrib)
-    elif strategy is LeafStrategy.PERMUTE16:
-        hi = idx >> np.uint8(5)
-        lo = idx & np.uint8(31)
-        n_vectors = int(bank.padded_lengths.max()) // PERMUTE16_LANES
-        merged = np.zeros(idx.shape, dtype=np.float16)
-        for g in range(n_vectors):
-            selected = flat[offsets + g * PERMUTE16_LANES + lo]
-            merged = np.where(hi == g, selected, merged)
-        contrib = merged.astype(np.float32)
-    else:
-        raise AssertionError(f"unhandled strategy {strategy}")
-
+    contrib = bank.values[bank.offsets[:, None] + idx]
+    if bank.precision is LeafPrecision.BINARY16:
+        contrib = contrib.astype(np.float32)
     _fold_rows(contrib, acc)
 
 
@@ -278,25 +303,15 @@ class Evaluator:
         if n == 0:
             return out
 
-        wide_family = cfg.strategy.precision is LeafPrecision.BINARY64
-        group = cfg.object_group
+        sum_dtype = np.float64 if self.bank.precision is LeafPrecision.BINARY64 else np.float32
         qblock = QuantizedBlock(model.n_features, cfg.block_size)
 
         for begin, end in plan_blocks(n, cfg.block_size):
             live = end - begin
-            plan = apply_tail_policy(cfg.tail_policy, group, live)
-            quantize_block(matrix, (begin, end), self.tables.borders, cfg.width, qblock)
-            acc = np.zeros(plan.cover, dtype=np.float64 if wide_family else np.float32)
-            for s0, s1 in plan.segments():
-                _fold_block_segment(
-                    self.tables,
-                    self.bank,
-                    cfg.strategy,
-                    qblock.quantiles[:, s0:s1],
-                    acc[s0:s1],
-                )
-            sums = acc[:live] if wide_family else acc[:live].astype(np.float64)
-            out[begin:end] = sums * model.scale + model.bias
+            quantize_block(matrix, (begin, end), self.tables.borders, qblock)
+            acc = np.zeros(live, dtype=sum_dtype)
+            _fold_block_segment(self.tables, self.bank, qblock.quantiles[:, :live], acc)
+            out[begin:end] = acc.astype(np.float64, copy=False) * model.scale + model.bias
         return out
 
 

@@ -13,6 +13,7 @@ read-only), so models can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,10 +21,6 @@ import numpy as np
 
 MAX_BORDERS = 254   # quantiles must fit one byte with every comparison representable
 MAX_DEPTH = 8       # leaf indices must fit one byte
-
-# Flat leaf-value storage keeps this many zero elements after the last table so
-# permute kernels may read a full vector group past any tree's padded table.
-_BANK_TAIL_PAD = 256
 
 
 class LeafPrecision(Enum):
@@ -138,6 +135,10 @@ def validate_model(model: ObliviousModel) -> list[str]:
 
     if model.n_features == 0:
         errors.append("model: at least one float feature is required")
+    for name in ("scale", "bias"):
+        value = getattr(model, name)
+        if not math.isfinite(value):
+            errors.append(f"model: {name} must be finite, got {value!r}")
 
     for i, ff in enumerate(model.float_features):
         where = f"float_features[{i}]"
@@ -157,7 +158,9 @@ def validate_model(model: ObliviousModel) -> list[str]:
             continue
         if len(tree.splits) != tree.depth:
             errors.append(f"{where}: {len(tree.splits)} splits for depth {tree.depth}")
-        if tree.leaf_values.size != 1 << tree.depth:
+        if tree.leaf_values.ndim != 1:
+            errors.append(f"{where}: leaf values must be 1-D, got shape {tree.leaf_values.shape}")
+        elif tree.leaf_values.size != 1 << tree.depth:
             errors.append(
                 f"{where}: {tree.leaf_values.size} leaf values, expected {1 << tree.depth}"
             )
@@ -248,7 +251,7 @@ def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank
         padded[t] = -(-tree.leaf_values.size // group) * group
         pos += int(padded[t])
 
-    values = aligned_zeros(pos + _BANK_TAIL_PAD, dtype)
+    values = aligned_zeros(pos, dtype)
     max_abs = 0.0
     saturated = 0
     for t, tree in enumerate(model.trees):

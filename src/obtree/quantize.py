@@ -5,11 +5,6 @@ borders the value strictly exceeds.  Borders are compared exhaustively (the
 border count is small and the comparisons vectorize); a binary search would
 reintroduce data-dependent branching for no win at these sizes.  NaN crosses
 nothing and quantizes to 0, so NaN fails every split.
-
-Lane widths are emulated: kernels are expressed as elementwise array
-operations, so every width is available on every host and all widths produce
-byte-identical output.  The width still matters to the engine - it selects
-the object-group size that block planning and tail policies work in.
 """
 
 from __future__ import annotations
@@ -29,38 +24,15 @@ class Layout(Enum):
     FEATURE_MAJOR = "feature-major"
 
 
-class VectorWidth(Enum):
-    SCALAR = "scalar"
-    W128 = "w128"
-    W256 = "w256"
-    W512 = "w512"
-
-    @property
-    def byte_lanes(self) -> int:
-        return _BYTE_LANES[self]
-
-    def is_supported(self) -> bool:
-        # Emulated lane groups: every width works on every host.
-        return True
-
-    @classmethod
-    def widest_supported(cls) -> "VectorWidth":
-        return cls.W512
-
-
-_BYTE_LANES = {
-    VectorWidth.SCALAR: 1,
-    VectorWidth.W128: 16,
-    VectorWidth.W256: 32,
-    VectorWidth.W512: 64,
-}
-
-
 class FeatureMatrix:
     """A batch of binary32 feature values in one contiguous layout.
 
     Element (object o, feature f) lives at offset ``o * n_features + f`` for
     OBJECT_MAJOR input and ``f * n_objects + o`` for FEATURE_MAJOR input.
+    Input of any other dtype is converted to binary32 on construction, so
+    float64 values are rounded to nearest before any border compare: for
+    example ``nextafter(0.5, 1)`` rounds to 0.5 and does not cross a border
+    at 0.5.
     """
 
     __slots__ = ("layout", "values", "n_objects", "n_features")
@@ -137,14 +109,13 @@ def quantize_block(
     matrix: FeatureMatrix,
     object_range: tuple[int, int],
     model_borders: Sequence,
-    width: VectorWidth,
     out: QuantizedBlock,
 ) -> None:
     """Fill ``out`` with quantiles for objects [begin, end) of the batch.
 
     Loop order is features outer, objects inner, borders innermost.  Padding
-    columns beyond the live range are zeroed.  All widths produce identical
-    bytes; the hot path has no per-object error branches.
+    columns beyond the live range are zeroed.  The hot path has no
+    per-object error branches.
     """
     begin, end = object_range
     live = end - begin
@@ -152,8 +123,6 @@ def quantize_block(
         raise ValueError(f"object range [{begin}, {end}) outside batch of {matrix.n_objects}")
     if live > out.block_size:
         raise ValueError(f"range of {live} objects exceeds block size {out.block_size}")
-    if not width.is_supported():
-        raise ValueError(f"vector width {width.value} not supported on this host")
     borders = _border_arrays(model_borders)
     if len(borders) != out.n_features:
         raise ValueError(

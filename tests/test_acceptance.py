@@ -22,19 +22,16 @@ from obtree import (
     FeatureMatrix,
     FloatFeatureBorders,
     Layout,
-    LeafIndexVector,
     LeafPrecision,
     LeafStrategy,
     ObliviousModel,
     ObliviousTree,
-    QuantizedBlock,
     SplitCondition,
     SyntheticSpec,
     TailPolicy,
     VectorWidth,
     Xoshiro256StarStar,
     apply_tail_policy,
-    compute_leaf_indices,
     deserialize_model,
     deviation_metrics,
     classification_flip_count,
@@ -42,15 +39,11 @@ from obtree import (
     evaluate_scalar,
     generate_feature_matrix,
     generate_synthetic_model,
-    quantize_block,
     quantize_value,
     serialize_model,
 )
-from obtree.bench import build_cases, format_matrix_markdown, run_matrix
+from obtree.bench import build_cases, format_matrix, run_matrix
 from obtree.evaluate import Evaluator, ModelTables
-
-TOL64 = 1e-12
-TOL16 = 1e-6
 
 BATCH_SIZES = (1, 7, 31, 32, 33, 100, 128, 257)
 
@@ -66,11 +59,9 @@ CONFIG_MATRIX = [
 ]
 
 
-def max_rel_dev(a: np.ndarray, b: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    scale = np.maximum(np.abs(a), np.abs(b))
-    return float(np.max(np.abs(a - b) / np.maximum(scale, 1e-300)))
+def bits_differ(a: np.ndarray, b: np.ndarray) -> bool:
+    """True unless the score vectors are equal bit for bit (NaN included)."""
+    return not np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def corpus_spec(index: int, rng: Xoshiro256StarStar) -> SyntheticSpec:
@@ -88,11 +79,10 @@ class SweepOutcome:
     elapsed_s: float = 0.0
     n_models: int = 0
     n_evals: int = 0
-    dev_oracle_64: float = 0.0
-    dev_oracle_16: float = 0.0
-    dev_cross_64: float = 0.0
-    dev_cross_16: float = 0.0
-    dev_tail_pairs: float = 0.0
+    # (model, batch, layout, config) of each evaluation differing in any bit.
+    oracle_mismatches: list = field(default_factory=list)
+    cross_mismatches: list = field(default_factory=list)
+    tail_mismatches: list = field(default_factory=list)
     fp16_checks: list = field(default_factory=list)  # (model idx, max_abs, bound, metrics)
 
 
@@ -125,27 +115,21 @@ def corpus_sweep() -> SweepOutcome:
                     preds = evaluator.predict(matrix)
                     outcome.n_evals += 1
                     family = cfg.strategy.precision
-                    dev = max_rel_dev(preds, oracle[family])
-                    if family is LeafPrecision.BINARY64:
-                        outcome.dev_oracle_64 = max(outcome.dev_oracle_64, dev)
-                    else:
-                        outcome.dev_oracle_16 = max(outcome.dev_oracle_16, dev)
+                    where = (index, batch, layout.value, cfg.describe())
+                    if bits_differ(preds, oracle[family]):
+                        outcome.oracle_mismatches.append(where)
 
                     if family in family_ref:
-                        cross = max_rel_dev(preds, family_ref[family])
-                        if family is LeafPrecision.BINARY64:
-                            outcome.dev_cross_64 = max(outcome.dev_cross_64, cross)
-                        else:
-                            outcome.dev_cross_16 = max(outcome.dev_cross_16, cross)
+                        if bits_differ(preds, family_ref[family]):
+                            outcome.cross_mismatches.append(where)
                     else:
                         family_ref[family] = preds
 
                     pair_key = (cfg.strategy, cfg.width, cfg.block_size, layout)
                     if cfg.tail_policy is TailPolicy.SCALAR_TAIL:
                         tail_ref[pair_key] = preds
-                    else:
-                        gap = float(np.max(np.abs(preds - tail_ref[pair_key]))) if preds.size else 0.0
-                        outcome.dev_tail_pairs = max(outcome.dev_tail_pairs, gap)
+                    elif bits_differ(preds, tail_ref[pair_key]):
+                        outcome.tail_mismatches.append(where)
 
         # Half-precision trade-off, measured at the largest corpus batch.
         big = generate_feature_matrix(257, model.n_features, seed=spec.seed * 7 + 1)
@@ -204,36 +188,32 @@ def test_criterion_02_depth3_index_fixture():
     model = ObliviousModel(float_features=features, trees=(tree,), scale=1.0, bias=0.0)
     matrix = FeatureMatrix(np.array([[1.0, 0.0, 1.0]], dtype=np.float32), Layout.OBJECT_MAJOR)
 
-    block = QuantizedBlock(3, 64)
-    quantize_block(matrix, (0, 1), model.float_features, VectorWidth.W512, block)
-    out = LeafIndexVector(64)
-    compute_leaf_indices(block, tree, VectorWidth.W512, out)
-    assert out.indices[0] == 5
-    assert evaluate(model, matrix)[0] == tree.leaf_values[5] == 25.0
-    assert evaluate_scalar(model, matrix)[0] == 25.0
-    print("\nACCEPTANCE 2 PASS: condition bits (1,0,1) select leaf index 5")
+    assert tree.leaf_values[5] == 25.0
+    for strategy in LeafStrategy:
+        scores = evaluate(model, matrix, EvalConfig(strategy=strategy))
+        oracle = evaluate_scalar(model, matrix, strategy.precision)
+        assert scores[0] == 25.0, strategy
+        assert not bits_differ(scores, oracle), strategy
+    print("\nACCEPTANCE 2 PASS: condition bits (1,0,1) select leaf 5 (value 25) under every strategy")
 
 
 def test_criterion_03_end_to_end_equivalence(corpus_sweep: SweepOutcome):
     expected_evals = 100 * len(BATCH_SIZES) * len(CONFIG_MATRIX) * 2
     assert corpus_sweep.n_models == 100
     assert corpus_sweep.n_evals == expected_evals
-    assert corpus_sweep.dev_oracle_64 <= TOL64, corpus_sweep.dev_oracle_64
-    assert corpus_sweep.dev_oracle_16 <= TOL16, corpus_sweep.dev_oracle_16
+    assert corpus_sweep.oracle_mismatches == [], corpus_sweep.oracle_mismatches[:5]
     assert corpus_sweep.elapsed_s < 300.0, f"sweep took {corpus_sweep.elapsed_s:.0f}s"
     print(
-        f"\nACCEPTANCE 3 PASS: {corpus_sweep.n_evals} evaluations vs scalar oracle, "
-        f"max rel dev {corpus_sweep.dev_oracle_64:.2e} (binary64) / "
-        f"{corpus_sweep.dev_oracle_16:.2e} (binary16) in {corpus_sweep.elapsed_s:.0f}s"
+        f"\nACCEPTANCE 3 PASS: {corpus_sweep.n_evals} evaluations bit-identical to the "
+        f"scalar oracle of their leaf-precision family in {corpus_sweep.elapsed_s:.0f}s"
     )
 
 
 def test_criterion_04_cross_config_invariance(corpus_sweep: SweepOutcome):
-    assert corpus_sweep.dev_cross_64 <= TOL64, corpus_sweep.dev_cross_64
-    assert corpus_sweep.dev_cross_16 <= TOL16, corpus_sweep.dev_cross_16
+    assert corpus_sweep.cross_mismatches == [], corpus_sweep.cross_mismatches[:5]
     print(
-        f"\nACCEPTANCE 4 PASS: predictions agree across blocks/layouts/widths/tails, "
-        f"max rel dev {corpus_sweep.dev_cross_64:.2e} / {corpus_sweep.dev_cross_16:.2e}"
+        "\nACCEPTANCE 4 PASS: predictions bit-identical across strategies, blocks, "
+        "layouts, widths and tails within each leaf-precision family"
     )
 
 
@@ -341,7 +321,7 @@ def test_criterion_08_bench_harness(capsys):
     with capsys.disabled():
         print(f"\nACCEPTANCE 8 PASS: desk matrix, {len(cases)} cases verified and timed "
               f"in {elapsed:.0f}s (speedup percentages below are hardware facts, not assertions)")
-        print(format_matrix_markdown(report))
+        print(format_matrix(report, "md"))
 
 
 def test_criterion_09_tail_policy_structure(corpus_sweep: SweepOutcome):
@@ -355,8 +335,8 @@ def test_criterion_09_tail_policy_structure(corpus_sweep: SweepOutcome):
             padded = apply_tail_policy(TailPolicy.PADDED_GROUP, group, live)
             assert padded.vector_groups == -(-live // group)
             assert padded.scalar_remainder == 0
-            assert padded.cover - live == padded.padded_lanes < group
-    assert corpus_sweep.dev_tail_pairs == 0.0
+            assert padded.vector_groups * group - live == padded.padded_lanes < group
+    assert corpus_sweep.tail_mismatches == [], corpus_sweep.tail_mismatches[:5]
     print(
         "\nACCEPTANCE 9 PASS: tail plans exact for live 1..192 x groups {8,16,32,64}; "
         "scalar and padded policies byte-identical on the corpus"

@@ -1,4 +1,9 @@
-"""Stage 3: leaf-value accumulation strategies."""
+"""Stage 3: leaf-value loads and accumulation, read through the fused path.
+
+Every strategy runs the indexed load of its leaf-precision family, so each
+strategy is held bit-equal (on uint64 views) to its family's scalar oracle
+and to the plain load of its family.
+"""
 
 from __future__ import annotations
 
@@ -6,97 +11,115 @@ import numpy as np
 import pytest
 
 from obtree import (
-    Accumulator,
-    LeafIndexVector,
+    EvalConfig,
+    FeatureMatrix,
+    FloatFeatureBorders,
+    Layout,
     LeafPrecision,
     LeafStrategy,
+    ObliviousModel,
+    ObliviousTree,
+    SplitCondition,
     SyntheticSpec,
     VectorWidth,
-    Xoshiro256StarStar,
-    accumulate_gather,
-    accumulate_naive,
-    accumulate_naive16,
-    accumulate_permute16,
-    accumulate_permute64,
-    build_leaf_bank,
+    evaluate,
+    evaluate_scalar,
+    generate_feature_matrix,
     generate_synthetic_model,
     permute_group_count,
 )
 
 
-def index_vector(values, block_size=None):
-    block_size = block_size or len(values)
-    out = LeafIndexVector(block_size)
-    out.indices[: len(values)] = values
-    return out
+def bits(scores: np.ndarray) -> np.ndarray:
+    return scores.view(np.uint64)
 
 
-def random_setup(seed, depth, n_objects=53):
-    model = generate_synthetic_model(SyntheticSpec(2, 3, 1, depth, seed=seed))
-    bank64 = build_leaf_bank(model, LeafPrecision.BINARY64)
-    bank16 = build_leaf_bank(model, LeafPrecision.BINARY16)
-    rng = Xoshiro256StarStar(seed + 5000)
-    idx = index_vector([rng.below(1 << depth) for _ in range(n_objects)])
-    return model, bank64, bank16, idx
+def scores(model, matrix, strategy=LeafStrategy.NAIVE, width=VectorWidth.W512):
+    """Fused-path scores, checked bit-equal to the family's scalar oracle."""
+    got = evaluate(model, matrix, EvalConfig(width=width, strategy=strategy))
+    oracle = evaluate_scalar(model, matrix, strategy.precision)
+    assert np.array_equal(bits(got), bits(oracle)), strategy
+    return got
+
+
+def one_tree_model(leaves, n_features=None):
+    """Depth-log2(len(leaves)) tree splitting feature d at 0.5 on depth d."""
+    depth = len(leaves).bit_length() - 1
+    n_features = n_features or depth
+    features = tuple(
+        FloatFeatureBorders(i, np.array([0.5], dtype=np.float32)) for i in range(n_features)
+    )
+    tree = ObliviousTree(
+        depth=depth,
+        splits=tuple(SplitCondition(d, 0) for d in range(depth)),
+        leaf_values=np.asarray(leaves, dtype=np.float64),
+    )
+    return ObliviousModel(float_features=features, trees=(tree,), scale=1.0, bias=0.0)
+
+
+def rows_for_index(index, depth, n_objects):
+    """Objects whose conditions spell ``index`` for ``one_tree_model``."""
+    row = [1.0 if index >> d & 1 else 0.0 for d in range(depth)]
+    return FeatureMatrix(np.array([row] * n_objects, dtype=np.float32), Layout.OBJECT_MAJOR)
+
+
+def random_setup(seed, depth, n_objects=53, n_trees=1):
+    model = generate_synthetic_model(SyntheticSpec(2, 3, n_trees, depth, seed=seed))
+    matrix = generate_feature_matrix(n_objects, 2, seed=seed + 5000, nan_fraction=0.05)
+    return model, matrix
 
 
 class TestNaive:
     def test_constant_leaf_table(self):
-        idx = index_vector([0, 3, 1, 2, 3, 0])
-        acc = Accumulator.zeros(6, LeafPrecision.BINARY64)
-        accumulate_naive(idx, np.full(4, 2.5), acc)
-        assert np.all(acc.sums == 2.5)
+        model = one_tree_model([2.5] * 4)
+        matrix = generate_feature_matrix(6, 2, seed=1, lo=0.0, hi=1.0)
+        assert np.all(scores(model, matrix) == 2.5)
 
     def test_degenerate_all_zero_indices(self):
-        idx = index_vector([0] * 8)
-        acc = Accumulator.zeros(8, LeafPrecision.BINARY64)
-        table = np.array([7.0, -1.0])
-        accumulate_naive(idx, table, acc)
-        assert np.all(acc.sums == 7.0)
+        model = one_tree_model([7.0, -1.0])
+        assert np.all(scores(model, rows_for_index(0, 1, 8)) == 7.0)
 
     def test_matches_per_object_oracle(self):
-        model, bank64, _, idx = random_setup(1, depth=6)
-        table = bank64.table(0)
-        acc = Accumulator.zeros(53, LeafPrecision.BINARY64)
-        accumulate_naive(idx, table, acc)
-        for o in range(53):
-            assert acc.sums[o] == table[idx.indices[o]]
+        model, matrix = random_setup(1, depth=6)
+        tree = model.trees[0]
+        got = scores(model, matrix)
+        for o in range(matrix.n_objects):
+            index = 0
+            for d, split in enumerate(tree.splits):
+                border = model.float_features[split.feature_index].borders[split.border_ordinal]
+                if matrix.values[o, split.feature_index] > border:
+                    index |= 1 << d
+            assert got[o] == tree.leaf_values[index] * model.scale + model.bias
 
 
 class TestGather:
     @pytest.mark.parametrize("width", [VectorWidth.W256, VectorWidth.W512])
     def test_bit_exact_vs_naive_single_tree(self, width):
-        model, bank64, _, idx = random_setup(2, depth=5)
-        a = Accumulator.zeros(53, LeafPrecision.BINARY64)
-        b = Accumulator.zeros(53, LeafPrecision.BINARY64)
-        accumulate_naive(idx, bank64.table(0), a)
-        accumulate_gather(idx, bank64.table(0), width, b)
-        assert np.array_equal(a.sums, b.sums)
+        model, matrix = random_setup(2, depth=5)
+        naive = scores(model, matrix)
+        gather = scores(model, matrix, LeafStrategy.GATHER, width)
+        assert np.array_equal(bits(naive), bits(gather))
 
     def test_multi_tree_within_tolerance(self):
-        model = generate_synthetic_model(SyntheticSpec(2, 3, 20, 4, seed=4))
-        bank = build_leaf_bank(model, LeafPrecision.BINARY64)
-        rng = Xoshiro256StarStar(44)
-        naive = Accumulator.zeros(40, LeafPrecision.BINARY64)
-        gather = Accumulator.zeros(40, LeafPrecision.BINARY64)
-        for t in range(20):
-            idx = index_vector([rng.below(16) for _ in range(40)])
-            accumulate_naive(idx, bank.table(t), naive)
-            accumulate_gather(idx, bank.table(t), VectorWidth.W512, gather)
-        assert np.allclose(naive.sums, gather.sums, rtol=1e-12, atol=0.0)
+        # The tolerance is zero: the two strategies add the same values in
+        # the same order.
+        model, matrix = random_setup(4, depth=4, n_objects=40, n_trees=20)
+        naive = scores(model, matrix)
+        gather = scores(model, matrix, LeafStrategy.GATHER)
+        assert np.array_equal(bits(naive), bits(gather))
 
     def test_identical_indices_equal_broadcast_add(self):
-        _, bank64, _, _ = random_setup(3, depth=4)
-        idx = index_vector([11] * 24)
-        acc = Accumulator.zeros(24, LeafPrecision.BINARY64)
-        accumulate_gather(idx, bank64.table(0), VectorWidth.W256, acc)
-        assert np.all(acc.sums == bank64.table(0)[11])
+        leaves = np.linspace(-1.0, 1.0, 16)
+        model = one_tree_model(leaves)
+        got = scores(model, rows_for_index(11, 4, 24), LeafStrategy.GATHER, VectorWidth.W256)
+        assert np.all(got == leaves[11])
 
     def test_narrow_width_rejected(self):
-        _, bank64, _, idx = random_setup(5, depth=3)
-        acc = Accumulator.zeros(10, LeafPrecision.BINARY64)
-        with pytest.raises(ValueError, match="256-bit or 512-bit"):
-            accumulate_gather(idx, bank64.table(0), VectorWidth.W128, acc)
+        # A 128-bit vector holds two binary64 lanes, too few for the gather.
+        model, matrix = random_setup(5, depth=3, n_objects=10)
+        config = EvalConfig(width=VectorWidth.W128, strategy=LeafStrategy.GATHER)
+        with pytest.raises(ValueError, match="incompatible"):
+            evaluate(model, matrix, config)
 
 
 class TestPermute64:
@@ -106,27 +129,16 @@ class TestPermute64:
         assert permute_group_count(6, 8) == 8
 
     def test_depth3_single_vector_lane_select(self):
-        model = generate_synthetic_model(SyntheticSpec(2, 3, 1, 3, seed=6))
-        bank = build_leaf_bank(model, LeafPrecision.BINARY64)
-        idx = index_vector([5])
-        acc = Accumulator.zeros(1, LeafPrecision.BINARY64)
-        accumulate_permute64(idx, bank.table(0), acc)
-        assert acc.sums[0] == model.trees[0].leaf_values[5]
+        leaves = np.arange(20.0, 28.0)
+        model = one_tree_model(leaves)
+        assert scores(model, rows_for_index(5, 3, 1), LeafStrategy.PERMUTE64)[0] == leaves[5]
 
     @pytest.mark.parametrize("depth", [1, 3, 6, 8])
     def test_matches_naive(self, depth):
-        _, bank64, _, idx = random_setup(7 + depth, depth=depth)
-        a = Accumulator.zeros(53, LeafPrecision.BINARY64)
-        b = Accumulator.zeros(53, LeafPrecision.BINARY64)
-        accumulate_naive(idx, bank64.table(0), a)
-        accumulate_permute64(idx, bank64.table(0), b)
-        assert np.array_equal(a.sums, b.sums)
-
-    def test_unpadded_table_rejected(self):
-        idx = index_vector([0])
-        acc = Accumulator.zeros(1, LeafPrecision.BINARY64)
-        with pytest.raises(ValueError, match="multiple of 8"):
-            accumulate_permute64(idx, np.zeros(12), acc)
+        model, matrix = random_setup(7 + depth, depth=depth)
+        naive = scores(model, matrix)
+        permute = scores(model, matrix, LeafStrategy.PERMUTE64)
+        assert np.array_equal(bits(naive), bits(permute))
 
 
 class TestPermute16:
@@ -136,42 +148,24 @@ class TestPermute16:
         assert permute_group_count(6, 32) == 2
 
     def test_exactly_representable_leaves_match_binary64_path(self):
-        model = generate_synthetic_model(SyntheticSpec(2, 3, 1, 4, seed=31))
-        tree = model.trees[0]
-        exact = type(tree)(
-            depth=4, splits=tree.splits,
-            leaf_values=np.arange(16, dtype=np.float64) / 4.0,  # all binary16-exact
-        )
-        model = type(model)(
-            float_features=model.float_features, trees=(exact,), scale=1.0, bias=0.0
-        )
-        bank64 = build_leaf_bank(model, LeafPrecision.BINARY64)
-        bank16 = build_leaf_bank(model, LeafPrecision.BINARY16)
-        idx = index_vector(list(range(16)) * 2)
-        a64 = Accumulator.zeros(32, LeafPrecision.BINARY64)
-        a16 = Accumulator.zeros(32, LeafPrecision.BINARY16)
-        accumulate_naive(idx, bank64.table(0), a64)
-        accumulate_permute16(idx, bank16.table(0), a16)
-        assert np.array_equal(a16.sums.astype(np.float64), a64.sums)
+        model = one_tree_model(np.arange(16, dtype=np.float64) / 4.0)  # all binary16-exact
+        matrix = generate_feature_matrix(32, 4, seed=31, lo=0.0, hi=1.0)
+        wide = scores(model, matrix)
+        half = scores(model, matrix, LeafStrategy.PERMUTE16)
+        assert np.array_equal(bits(half), bits(wide))
 
     @pytest.mark.parametrize("depth", [1, 5, 6, 8])
     def test_matches_scalar_half_oracle(self, depth):
-        _, _, bank16, idx = random_setup(60 + depth, depth=depth)
-        table = bank16.table(0)
-        got = Accumulator.zeros(53, LeafPrecision.BINARY16)
-        accumulate_permute16(idx, table, got)
-        expected = np.zeros(53, dtype=np.float32)
-        for o in range(53):  # scalar traversal of the quantized bank
-            expected[o] += np.float32(table[idx.indices[o]])
-        assert np.array_equal(got.sums, expected)
+        model, matrix = random_setup(60 + depth, depth=depth)
+        got = evaluate(model, matrix, EvalConfig(strategy=LeafStrategy.PERMUTE16))
+        expected = evaluate_scalar(model, matrix, LeafPrecision.BINARY16)
+        assert np.array_equal(bits(got), bits(expected))
 
     def test_matches_naive16(self):
-        _, _, bank16, idx = random_setup(90, depth=7)
-        a = Accumulator.zeros(53, LeafPrecision.BINARY16)
-        b = Accumulator.zeros(53, LeafPrecision.BINARY16)
-        accumulate_naive16(idx, bank16.table(0), a)
-        accumulate_permute16(idx, bank16.table(0), b)
-        assert np.array_equal(a.sums, b.sums)
+        model, matrix = random_setup(90, depth=7)
+        naive16 = scores(model, matrix, LeafStrategy.NAIVE16)
+        permute16 = scores(model, matrix, LeafStrategy.PERMUTE16)
+        assert np.array_equal(bits(naive16), bits(permute16))
 
 
 class TestIndexSplit:
@@ -197,8 +191,21 @@ class TestIndexSplit:
 
 class TestAccumulator:
     def test_precision_rule(self):
-        assert Accumulator.zeros(4, LeafPrecision.BINARY64).sums.dtype == np.float64
-        assert Accumulator.zeros(4, LeafPrecision.BINARY16).sums.dtype == np.float32
+        # The binary16 family adds in binary32, tree by tree: 2**15 + 2**-9 is
+        # a tie at binary32 precision and rounds back to 2**15, twice.  One
+        # rounding of the exact sum would give 2**15 + 2**-8 instead, which
+        # is what binary64 sums hold.
+        small, big = 2.0**-9, 2.0**15  # both exact in binary16
+        features = (FloatFeatureBorders(0, np.array([0.5], dtype=np.float32)),)
+        trees = tuple(
+            ObliviousTree(depth=1, splits=(SplitCondition(0, 0),), leaf_values=np.array([v, v]))
+            for v in (big, small, small)
+        )
+        model = ObliviousModel(float_features=features, trees=trees, scale=1.0, bias=0.0)
+        matrix = generate_feature_matrix(5, 1, seed=3)
+        assert np.all(scores(model, matrix) == big + 2 * small)
+        for strategy in (LeafStrategy.NAIVE16, LeafStrategy.PERMUTE16):
+            assert np.all(scores(model, matrix, strategy) == big)
 
     def test_strategy_families(self):
         assert LeafStrategy.NAIVE.precision is LeafPrecision.BINARY64

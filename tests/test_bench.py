@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from obtree import EvalConfig, Layout, LeafStrategy, SyntheticSpec, TailPolicy, VectorWidth
 from obtree.bench import (
     BenchCase,
+    BenchReport,
+    CaseResult,
+    SweepReport,
+    SweepRow,
+    _verify,
     build_cases,
-    format_matrix_csv,
-    format_matrix_markdown,
+    format_matrix,
+    format_sweep,
     format_sweep_tsv,
     main,
     run_batch_sweep,
@@ -67,6 +73,13 @@ class TestRunMatrix:
         assert report.rows[0].d == 0.0
         assert abs(report.rows[1].d) < 0.5
 
+    def test_verification_is_bit_exact(self):
+        oracle = np.array([1.0, -2.5, 0.0])
+        assert _verify(oracle.copy(), oracle)
+        assert not _verify(np.nextafter(oracle, np.inf), oracle)  # one ulp off
+        assert not _verify(np.array([1.0, -2.5, np.nan]), oracle)
+        assert not _verify(np.array([1.0, -2.5, -0.0]), oracle)
+
     def test_unknown_baseline_rejected(self):
         model = generate_synthetic_model(TINY)
         with pytest.raises(ValueError, match="baseline"):
@@ -79,12 +92,55 @@ class TestRunMatrix:
     def test_report_formats_cover_all_rows(self):
         model = generate_synthetic_model(TINY)
         report = run_matrix(model, [tiny_case(), tiny_case(layout=Layout.FEATURE_MAJOR)])
-        csv = format_matrix_csv(report)
-        md = format_matrix_markdown(report)
+        csv = format_matrix(report, "csv")
+        md = format_matrix(report, "md")
         assert csv.count("\n") >= 3
         for row in report.rows:
             assert row.case.case_id in csv
             assert row.case.case_id in md
+
+
+class TestFormat:
+    def test_renderings_are_fixed(self):
+        config = EvalConfig(64, VectorWidth.W512, LeafStrategy.PERMUTE16, TailPolicy.SCALAR_TAIL)
+        sweep = SweepReport(
+            config,
+            Layout.OBJECT_MAJOR,
+            [
+                SweepRow(1, 0.0012345, 0.0000456, 1, 0, 1, True),
+                SweepRow(100, float("nan"), float("nan"), 2, 3, 4, False),
+            ],
+            {"config": config.describe(), "layout": "object-major"},
+        )
+        meta = "# config: permute16-w512-b64-scalar\n# layout: object-major\n"
+        assert format_sweep(sweep, "md") == meta + (
+            "| batch | mean_ms | std_ms | blocks | vector_groups | tail_objects | verified |\n"
+            "|-------|---------|--------|--------|---------------|--------------|----------|\n"
+            "| 1     | 1.234   | 0.046  | 1      | 0             | 1            | ok       |\n"
+            "| 100   |         |        | 2      | 3             | 4            | FAIL     |\n"
+        )
+        assert format_sweep(sweep, "csv") == meta + (
+            "batch,mean_ms,std_ms,blocks,vector_groups,tail_objects,verified\n"
+            "1,1.234,0.046,1,0,1,ok\n"
+            "100,,,2,3,4,FAIL\n"
+        )
+        case = BenchCase(config, Layout.FEATURE_MAJOR, 40, 3)
+        matrix = BenchReport(
+            case.case_id,
+            [
+                CaseResult(case, True, mean_s=0.0021, std_s=0.0001, d=0.0, inner=2),
+                CaseResult(BenchCase(EvalConfig(), Layout.OBJECT_MAJOR, 40, 3), False),
+            ],
+            {"baseline": case.case_id},
+        )
+        assert format_matrix(matrix, "csv") == (
+            "# baseline: permute16-w512-b64-fm-st-n40\n"
+            "case_id,strategy,width,block,layout,tail,batch,reps,inner,mean_ms,std_ms,"
+            "d_vs_baseline,verified\n"
+            "permute16-w512-b64-fm-st-n40,permute16,w512,64,feature-major,scalar,40,3,2,"
+            "2.100,0.100,+0.0%,ok\n"
+            "naive-w512-b128-om-st-n40,naive,w512,128,object-major,scalar,40,3,,,,,FAIL\n"
+        )
 
 
 class TestSweep:

@@ -6,29 +6,19 @@ import numpy as np
 import pytest
 
 from obtree import (
-    Accumulator,
     EvalConfig,
-    LeafIndexVector,
     LeafPrecision,
     LeafStrategy,
-    QuantizedBlock,
     SplitCondition,
     SyntheticSpec,
     TailPolicy,
     VectorWidth,
-    accumulate_gather,
-    accumulate_naive,
-    accumulate_naive16,
-    accumulate_permute16,
-    accumulate_permute64,
     apply_tail_policy,
-    build_leaf_bank,
-    compute_leaf_indices,
     evaluate,
+    evaluate_scalar,
     generate_feature_matrix,
     generate_synthetic_model,
     plan_blocks,
-    quantize_block,
 )
 from obtree.evaluate import Evaluator, ModelTables
 from obtree.model import ObliviousModel, ObliviousTree, FloatFeatureBorders
@@ -75,13 +65,10 @@ class TestTailPolicy:
     def test_scalar_tail_example(self):
         plan = apply_tail_policy(TailPolicy.SCALAR_TAIL, 32, 100)
         assert (plan.vector_groups, plan.scalar_remainder, plan.padded_lanes) == (3, 4, 0)
-        assert plan.segments() == [(0, 96), (96, 100)]
 
     def test_padded_group_example(self):
         plan = apply_tail_policy(TailPolicy.PADDED_GROUP, 32, 100)
         assert (plan.vector_groups, plan.scalar_remainder, plan.padded_lanes) == (4, 0, 28)
-        assert plan.cover == 128
-        assert plan.segments() == [(0, 128)]
 
     def test_exhaustive_plan_arithmetic(self):
         for group in (8, 16, 32, 64):
@@ -89,11 +76,11 @@ class TestTailPolicy:
                 st = apply_tail_policy(TailPolicy.SCALAR_TAIL, group, live)
                 assert st.vector_groups * group + st.scalar_remainder == live
                 assert 0 <= st.scalar_remainder < group
-                assert st.cover == live
+                assert st.padded_lanes == 0
                 pg = apply_tail_policy(TailPolicy.PADDED_GROUP, group, live)
                 assert pg.scalar_remainder == 0
-                assert pg.vector_groups * group == pg.cover
-                assert live <= pg.cover < live + group
+                assert pg.vector_groups * group == live + pg.padded_lanes
+                assert 0 <= pg.padded_lanes < group
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -111,8 +98,12 @@ class TestEvalConfig:
         assert cfg.tail_policy is TailPolicy.SCALAR_TAIL
 
     def test_incompatible_strategy_width(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            EvalConfig(strategy=LeafStrategy.PERMUTE64, width=VectorWidth.W256).validate()
+        for strategy, width in (
+            (LeafStrategy.PERMUTE64, VectorWidth.W256),
+            (LeafStrategy.GATHER, VectorWidth.W128),
+        ):
+            with pytest.raises(ValueError, match="incompatible"):
+                EvalConfig(strategy=strategy, width=width).validate()
 
     def test_bad_block_size(self):
         with pytest.raises(ValueError, match="block size"):
@@ -183,9 +174,7 @@ class TestInvariances:
             preds = Evaluator(self.tables, cfg).predict(self.matrix)
             key = (cfg.strategy.precision, cfg.width, cfg.strategy, cfg.tail_policy)
             if key in reference:
-                scale = np.maximum(np.abs(reference[key]), np.abs(preds))
-                tol = 1e-12 if cfg.strategy.precision is LeafPrecision.BINARY64 else 1e-6
-                assert np.all(np.abs(preds - reference[key]) <= tol * scale), cfg
+                assert_bits_equal(preds, reference[key], cfg)
             else:
                 reference[key] = preds
 
@@ -237,64 +226,50 @@ def test_parallel_evaluations_share_the_model_read_only():
         assert np.array_equal(got, want)
 
 
-def compose_with_unit_kernels(model, matrix, config):
-    """Reference pipeline built only from the public per-tree operations."""
-    bank = build_leaf_bank(model, config.strategy.precision)
-    borders = [ff.borders for ff in model.float_features]
-    n = matrix.n_objects
-    out = np.empty(n, dtype=np.float64)
-    qblock = QuantizedBlock(model.n_features, config.block_size)
-    idx = LeafIndexVector(config.block_size)
-    for begin, end in plan_blocks(n, config.block_size):
-        live = end - begin
-        plan = apply_tail_policy(config.tail_policy, config.object_group, live)
-        quantize_block(matrix, (begin, end), borders, config.width, qblock)
-        acc = Accumulator.zeros(plan.cover, config.strategy.precision)
-        for t, tree in enumerate(model.trees):
-            compute_leaf_indices(qblock, tree, config.width, idx)
-            table = bank.table(t)
-            if config.strategy is LeafStrategy.NAIVE:
-                accumulate_naive(idx, table, acc)
-            elif config.strategy is LeafStrategy.GATHER:
-                accumulate_gather(idx, table, config.width, acc)
-            elif config.strategy is LeafStrategy.PERMUTE64:
-                accumulate_permute64(idx, table, acc)
-            elif config.strategy is LeafStrategy.PERMUTE16:
-                accumulate_permute16(idx, table, acc)
-            else:
-                accumulate_naive16(idx, table, acc)
-        sums = acc.sums[:live].astype(np.float64)
-        out[begin:end] = sums * model.scale + model.bias
-    return out
+def compose_one_tree_at_a_time(model, matrix, config):
+    """Reference: one-tree evaluations folded in tree order in the family's
+    precision, then scale and bias.  With scale 1 and bias 0 a one-tree
+    score is the tree's leaf value exactly."""
+    dtype = np.float64 if config.strategy.precision is LeafPrecision.BINARY64 else np.float32
+    acc = np.zeros(matrix.n_objects, dtype=dtype)
+    for tree in model.trees:
+        single = ObliviousModel(model.float_features, (tree,), scale=1.0, bias=0.0)
+        acc += evaluate(single, matrix, config).astype(dtype)
+    return acc.astype(np.float64) * model.scale + model.bias
+
+
+def assert_bits_equal(a, b, context=None):
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), context
 
 
 class TestCompositionEquivalence:
-    """The fused fast path must equal the same pipeline built from the
-    public one-tree-at-a-time kernels, bit for bit."""
+    """The fused path, folding all trees at once, must equal the fold of
+    one-tree evaluations and the scalar oracle, bit for bit."""
 
     @pytest.mark.parametrize("strategy", list(LeafStrategy))
     def test_fused_equals_unit_composition(self, strategy):
         model = corpus_model(21, n_features=6, borders=9, trees=14, depth=6)
         matrix = generate_feature_matrix(150, 6, seed=33, nan_fraction=0.02)
+        oracle = evaluate_scalar(model, matrix, strategy.precision)
         for tail in TailPolicy:
             cfg = EvalConfig(64, VectorWidth.W512, strategy, tail)
             fused = evaluate(model, matrix, cfg)
-            composed = compose_with_unit_kernels(model, matrix, cfg)
-            assert np.array_equal(fused, composed), (strategy, tail)
+            assert_bits_equal(fused, compose_one_tree_at_a_time(model, matrix, cfg), tail)
+            assert_bits_equal(fused, oracle, tail)
 
     @pytest.mark.parametrize(
         "strategy", [LeafStrategy.NAIVE, LeafStrategy.PERMUTE64, LeafStrategy.PERMUTE16]
     )
     def test_mixed_depth_trees(self, strategy):
         # Trees of different depths in one model exercise the padded
-        # condition rows of the fused kernel and, for the permute
-        # strategies, the masked over-read past shorter leaf tables.
+        # condition rows of the fused kernel: a shallow tree's leaf index
+        # must stay inside its own table.
         rng_models = [corpus_model(s, trees=3, depth=d) for s, d in ((31, 8), (32, 4), (33, 1))]
         features = rng_models[0].float_features
         trees = tuple(t for m in rng_models for t in m.trees)
         model = ObliviousModel(float_features=features, trees=trees, scale=1.0, bias=0.0)
         matrix = generate_feature_matrix(90, model.n_features, seed=1)
         cfg = EvalConfig(64, VectorWidth.W512, strategy, TailPolicy.SCALAR_TAIL)
-        assert np.array_equal(
-            evaluate(model, matrix, cfg), compose_with_unit_kernels(model, matrix, cfg)
+        assert_bits_equal(
+            evaluate(model, matrix, cfg), evaluate_scalar(model, matrix, strategy.precision)
         )

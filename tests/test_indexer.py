@@ -1,66 +1,75 @@
-"""Stage 2: leaf index assembly from quantile bytes."""
+"""Stage 2: leaf index assembly from quantile bytes, read through the fused path.
+
+A tree whose leaf values are 0, 1, ..., 2**depth - 1 scores every object with
+its leaf index, so evaluating a one-tree model built that way shows the index
+the fused kernel assembled.  Each such evaluation is also held bit-equal to
+the scalar oracle.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from obtree import (
+    EvalConfig,
     FeatureMatrix,
+    FloatFeatureBorders,
     Layout,
-    LeafIndexVector,
+    LeafStrategy,
+    ModelTables,
+    ObliviousModel,
+    ObliviousTree,
     QuantizedBlock,
     SplitCondition,
     SyntheticSpec,
-    VectorWidth,
     Xoshiro256StarStar,
-    compute_leaf_indices,
-    condition_bits,
+    evaluate,
+    evaluate_scalar,
     generate_synthetic_model,
     quantize_block,
     quantize_value,
 )
-
-W = VectorWidth.W512
-
-
-def quantized(matrix, borders, block_size=64):
-    out = QuantizedBlock(len(borders), block_size)
-    quantize_block(matrix, (0, matrix.n_objects), borders, W, out)
-    return out
+from obtree.evaluate import _leaf_index_panel
 
 
-def indices_for(block, tree):
-    out = LeafIndexVector(block.block_size)
-    compute_leaf_indices(block, tree, W, out)
-    return out
+def features_for(borders):
+    return tuple(FloatFeatureBorders(i, b) for i, b in enumerate(borders))
+
+
+def leaf_indices(features, splits, matrix, strategy=LeafStrategy.NAIVE):
+    """Per-object leaf index of the tree with ``splits``, via ``evaluate``."""
+    tree = ObliviousTree(
+        depth=len(splits),
+        splits=tuple(splits),
+        leaf_values=np.arange(1 << len(splits), dtype=np.float64),
+    )
+    model = ObliviousModel(float_features=features, trees=(tree,), scale=1.0, bias=0.0)
+    scores = evaluate(model, matrix, EvalConfig(strategy=strategy))
+    oracle = evaluate_scalar(model, matrix, strategy.precision)
+    assert np.array_equal(scores.view(np.uint64), oracle.view(np.uint64))
+    return scores.astype(np.int64)
+
+
+def condition_bits(features, split, matrix):
+    """0/1 per object: the split's condition, as a depth-1 tree's leaf index."""
+    return leaf_indices(features, [split], matrix)
 
 
 def test_root_true_mid_false_deep_true_gives_five():
     # Condition values (root, depth 1, depth 2) = (1, 0, 1) must address
     # leaf 101 in binary, i.e. leaf 5, with the root in the low bit.
-    borders = [np.array([0.5], dtype=np.float32)] * 3
+    features = features_for([np.array([0.5], dtype=np.float32)] * 3)
     matrix = FeatureMatrix(np.array([[1.0, 0.0, 1.0]], dtype=np.float32), Layout.OBJECT_MAJOR)
-    model = generate_synthetic_model(SyntheticSpec(3, 1, 1, 3, seed=0))
-    tree = type(model.trees[0])(
-        depth=3,
-        splits=(SplitCondition(0, 0), SplitCondition(1, 0), SplitCondition(2, 0)),
-        leaf_values=np.arange(8, dtype=np.float64),
-    )
-    block = quantized(matrix, borders)
-    out = indices_for(block, tree)
-    assert out.indices[0] == 5
+    splits = [SplitCondition(0, 0), SplitCondition(1, 0), SplitCondition(2, 0)]
+    for strategy in LeafStrategy:
+        assert leaf_indices(features, splits, matrix, strategy)[0] == 5
 
 
 def test_all_conditions_false_gives_zero():
-    borders = [np.array([0.5], dtype=np.float32)] * 2
+    features = features_for([np.array([0.5], dtype=np.float32)] * 2)
     matrix = FeatureMatrix(np.zeros((3, 2), dtype=np.float32), Layout.OBJECT_MAJOR)
-    model = generate_synthetic_model(SyntheticSpec(2, 1, 1, 2, seed=0))
-    tree = type(model.trees[0])(
-        depth=2,
-        splits=(SplitCondition(0, 0), SplitCondition(1, 0)),
-        leaf_values=np.zeros(4),
-    )
-    assert np.all(indices_for(quantized(matrix, borders), tree).indices == 0)
+    splits = [SplitCondition(0, 0), SplitCondition(1, 0)]
+    assert np.all(leaf_indices(features, splits, matrix) == 0)
 
 
 def random_case(seed, n_objects=90, n_features=7, borders=9, depth=6):
@@ -89,62 +98,50 @@ def test_against_scalar_recomputation():
     for seed in range(6):
         model, matrix, borders, raw = random_case(seed)
         tree = model.trees[0]
-        block = quantized(matrix, borders, block_size=128)
-        out = indices_for(block, tree)
-        for o in range(matrix.n_objects):
-            assert out.indices[o] == scalar_index_oracle(tree, raw[o], borders)
-
-
-def test_width_equivalence():
-    model, matrix, borders, _ = random_case(3)
-    tree = model.trees[0]
-    block = quantized(matrix, borders, block_size=128)
-    reference = None
-    for width in VectorWidth:
-        out = LeafIndexVector(block.block_size)
-        compute_leaf_indices(block, tree, width, out)
-        if reference is None:
-            reference = out.indices.copy()
-        assert np.array_equal(out.indices, reference)
+        expected = [scalar_index_oracle(tree, raw[o], borders) for o in range(matrix.n_objects)]
+        for strategy in LeafStrategy:
+            got = leaf_indices(model.float_features, tree.splits, matrix, strategy)
+            assert got.tolist() == expected, (seed, strategy)
 
 
 def test_composition_of_condition_bits():
-    model, matrix, borders, _ = random_case(9)
+    model, matrix, _, _ = random_case(9)
     tree = model.trees[0]
-    block = quantized(matrix, borders, block_size=128)
-    combined = np.zeros(block.block_size, dtype=np.uint8)
+    combined = np.zeros(matrix.n_objects, dtype=np.int64)
     for d, split in enumerate(tree.splits):
-        combined |= condition_bits(block, split, W) << np.uint8(d)
-    assert np.array_equal(combined, indices_for(block, tree).indices)
+        combined |= condition_bits(model.float_features, split, matrix) << d
+    assert np.array_equal(combined, leaf_indices(model.float_features, tree.splits, matrix))
 
 
 def test_condition_bits_boundary_cases():
-    borders = [np.array([0.5], dtype=np.float32)]
+    features = features_for([np.array([0.5], dtype=np.float32)])
     matrix = FeatureMatrix(np.array([[0.2], [0.9]], dtype=np.float32), Layout.OBJECT_MAJOR)
-    block = quantized(matrix, borders)
-    bits = condition_bits(block, SplitCondition(0, 0), W)
+    bits = condition_bits(features, SplitCondition(0, 0), matrix)
     assert bits[0] == 0  # quantile 0, ordinal 0: nothing crossed
     assert bits[1] == 1  # quantile 1, ordinal 0: first border crossed
 
 
 def test_condition_bits_match_byte_comparison():
     model, matrix, borders, _ = random_case(4)
-    tree = model.trees[0]
-    block = quantized(matrix, borders, block_size=128)
-    for split in tree.splits:
-        bits = condition_bits(block, split, W)
-        expected = (block.quantiles[split.feature_index] > split.border_ordinal).astype(np.uint8)
-        assert np.array_equal(bits, expected)
+    block = QuantizedBlock(len(borders), 128)
+    quantize_block(matrix, (0, matrix.n_objects), borders, block)
+    for split in model.trees[0].splits:
+        bits = condition_bits(model.float_features, split, matrix)
+        quantiles = block.quantiles[split.feature_index, : matrix.n_objects]
+        assert np.array_equal(bits, quantiles > split.border_ordinal)
 
 
 def test_live_indices_below_leaf_count_and_padding_zero():
     for seed in range(4):
         depth = 1 + Xoshiro256StarStar(seed).below(8)
         model, matrix, borders, _ = random_case(seed + 50, n_objects=45, depth=depth)
-        block = quantized(matrix, borders, block_size=64)
-        out = indices_for(block, model.trees[0])
-        assert out.indices[:45].max() < (1 << depth)
-        assert np.all(out.indices[45:] == 0)
+        tree = model.trees[0]
+        assert leaf_indices(model.float_features, tree.splits, matrix).max() < (1 << depth)
+        # Zero quantile padding fails every split: index 0 past the live objects.
+        block = QuantizedBlock(len(borders), 64)
+        quantize_block(matrix, (0, 45), borders, block)
+        panel = _leaf_index_panel(ModelTables(model), block.quantiles)
+        assert np.all(panel[:, 45:] == 0)
 
 
 def test_quantile_bits_equal_raw_value_bits():
@@ -152,10 +149,8 @@ def test_quantile_bits_equal_raw_value_bits():
     # comparing raw feature values against the named border directly.
     for seed in range(5):
         model, matrix, borders, raw = random_case(seed + 20)
-        tree = model.trees[0]
-        block = quantized(matrix, borders, block_size=128)
-        for split in tree.splits:
-            via_quantiles = condition_bits(block, split, W)[: matrix.n_objects]
+        for split in model.trees[0].splits:
+            via_quantiles = condition_bits(model.float_features, split, matrix)
             border = borders[split.feature_index][split.border_ordinal]
-            via_raw = (raw[:, split.feature_index] > border).astype(np.uint8)
+            via_raw = (raw[:, split.feature_index] > border).astype(np.int64)
             assert np.array_equal(via_quantiles, via_raw)

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from obtree import (
+    Evaluator,
+    FeatureMatrix,
     FloatFeatureBorders,
+    Layout,
     LeafPrecision,
     ObliviousModel,
     ObliviousTree,
@@ -17,6 +20,7 @@ from obtree import (
     SyntheticSpec,
     Xoshiro256StarStar,
     build_leaf_bank,
+    evaluate_scalar,
     generate_synthetic_model,
     serialize_model,
     validate_model,
@@ -172,6 +176,30 @@ class TestValidation:
         )
         errors = validate_model(make_model([[0.5]], [tree]))
         assert any("3 leaf values, expected 4" in e for e in errors)
+
+    def test_nan_scale_or_bias_rejected(self):
+        for field in ("scale", "bias"):
+            errors = validate_model(make_model([[0.5]], [], **{field: math.nan}))
+            assert any(f"{field} must be finite, got nan" in e for e in errors), field
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_scale_or_bias_rejected(self, value):
+        for field in ("scale", "bias"):
+            errors = validate_model(make_model([[0.5]], [], **{field: value}))
+            assert any(f"{field} must be finite, got {value!r}" in e for e in errors), field
+
+    def test_leaf_values_must_be_1d(self):
+        tree = make_tree([(0, 0), (0, 0)], [[0.0, 1.0], [2.0, 3.0]])
+        model = make_model([[0.5]], [tree])
+        message = r"trees\[0\]: leaf values must be 1-D, got shape \(2, 2\)"
+        assert validate_model(model) == ["trees[0]: leaf values must be 1-D, got shape (2, 2)"]
+        matrix = FeatureMatrix(np.zeros((3, 1), dtype=np.float32), Layout.OBJECT_MAJOR)
+        with pytest.raises(ValueError, match=message):
+            Evaluator(model)
+        with pytest.raises(ValueError, match=message):
+            evaluate_scalar(model, matrix)
+        with pytest.raises(ValueError, match=message):
+            serialize_model(model)
 
     def test_too_many_borders(self):
         errors = validate_model(make_model([np.linspace(0, 1, 255, dtype=np.float32)], []))

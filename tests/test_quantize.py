@@ -12,15 +12,11 @@ from obtree import (
     Layout,
     QuantizedBlock,
     SyntheticSpec,
-    VectorWidth,
     Xoshiro256StarStar,
     generate_synthetic_model,
     quantize_block,
     quantize_value,
 )
-
-ALL_WIDTHS = list(VectorWidth)
-
 
 def crossed_border_count(value: float, borders) -> int:
     """Brute-force oracle: full scan, no early exit, no sorting tricks."""
@@ -82,11 +78,11 @@ class TestQuantizeValue:
                 assert (q > k) == (v > float(borders[k]))
 
 
-def block_for(matrix, borders_list, width=VectorWidth.W512, block_size=None, begin=0, end=None):
+def block_for(matrix, borders_list, block_size=None, begin=0, end=None):
     end = matrix.n_objects if end is None else end
     block_size = block_size or max(64, end - begin)
     out = QuantizedBlock(len(borders_list), block_size)
-    quantize_block(matrix, (begin, end), borders_list, width, out)
+    quantize_block(matrix, (begin, end), borders_list, out)
     return out
 
 
@@ -111,19 +107,6 @@ class TestQuantizeBlock:
             for o in range(50):
                 assert out.quantiles[f, o] == quantize_value(float(raw[o, f]), borders[f])
 
-    def test_width_equivalence(self):
-        model = generate_synthetic_model(SyntheticSpec(9, 31, 0, 1, seed=5))
-        borders = [ff.borders for ff in model.float_features]
-        matrix = FeatureMatrix(
-            np.array([[Xoshiro256StarStar(o * 9 + f).uniform(0, 1) for f in range(9)]
-                      for o in range(77)], dtype=np.float32),
-            Layout.OBJECT_MAJOR,
-        )
-        reference = block_for(matrix, borders, VectorWidth.SCALAR, block_size=128)
-        for width in ALL_WIDTHS[1:]:
-            out = block_for(matrix, borders, width, block_size=128)
-            assert np.array_equal(out.quantiles, reference.quantiles)
-
     def test_layout_equivalence(self):
         model = generate_synthetic_model(SyntheticSpec(6, 10, 0, 1, seed=8))
         borders = [ff.borders for ff in model.float_features]
@@ -136,12 +119,21 @@ class TestQuantizeBlock:
         b = block_for(fm, borders, block_size=64)
         assert np.array_equal(a.quantiles, b.quantiles)
 
+    def test_float64_input_rounds_to_binary32_before_the_compare(self):
+        # nextafter(0.5, 1) exceeds 0.5 in binary64 but rounds to 0.5 in
+        # binary32, so it does not cross a border at 0.5.
+        above = np.nextafter(0.5, 1.0)
+        matrix = FeatureMatrix(np.array([[above]], dtype=np.float64), Layout.OBJECT_MAJOR)
+        assert matrix.values.dtype == np.float32
+        out = block_for(matrix, [np.array([0.5], dtype=np.float32)])
+        assert out.quantiles[0, 0] == 0
+
     def test_padding_bytes_are_zero(self):
         matrix = FeatureMatrix(np.full((10, 2), 9.0, dtype=np.float32), Layout.OBJECT_MAJOR)
         borders = [np.array([0.0], dtype=np.float32)] * 2
         out = QuantizedBlock(2, 64)
         out.quantiles[:] = 255  # dirty buffer must be fully overwritten
-        quantize_block(matrix, (0, 10), borders, VectorWidth.W512, out)
+        quantize_block(matrix, (0, 10), borders, out)
         assert np.all(out.quantiles[:, :10] == 1)
         assert np.all(out.quantiles[:, 10:] == 0)
 
@@ -161,13 +153,13 @@ class TestQuantizeBlock:
         matrix = FeatureMatrix(np.zeros((100, 1), dtype=np.float32), Layout.OBJECT_MAJOR)
         out = QuantizedBlock(1, 64)
         with pytest.raises(ValueError, match="exceeds block size"):
-            quantize_block(matrix, (0, 100), [np.array([0.0], dtype=np.float32)], VectorWidth.W512, out)
+            quantize_block(matrix, (0, 100), [np.array([0.0], dtype=np.float32)], out)
 
     def test_range_outside_batch_rejected(self):
         matrix = FeatureMatrix(np.zeros((10, 1), dtype=np.float32), Layout.OBJECT_MAJOR)
         out = QuantizedBlock(1, 64)
         with pytest.raises(ValueError, match="outside batch"):
-            quantize_block(matrix, (0, 11), [np.array([0.0], dtype=np.float32)], VectorWidth.W512, out)
+            quantize_block(matrix, (0, 11), [np.array([0.0], dtype=np.float32)], out)
 
     def test_feature_count_mismatch_rejected(self):
         matrix = FeatureMatrix(np.zeros((4, 2), dtype=np.float32), Layout.OBJECT_MAJOR)
@@ -176,5 +168,5 @@ class TestQuantizeBlock:
             quantize_block(
                 matrix, (0, 4),
                 [np.array([0.0], dtype=np.float32), np.array([0.0], dtype=np.float32)],
-                VectorWidth.W512, out,
+                out,
             )
