@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .model import LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank, require_valid
-from .quantize import FeatureMatrix, QuantizedBlock, quantize_block
+from .quantize import BorderTable, FeatureMatrix, QuantizedBlock, quantize_block
 
 
 class VectorWidth(Enum):
@@ -187,16 +187,17 @@ class EvalConfig:
 class ModelTables:
     """Derived arrays shared by every evaluation of one model.
 
-    Split conditions are packed into (trees x max_depth) panels; trees
-    shallower than the deepest are padded with a condition that can never
-    hold, which contributes a zero bit.  Leaf banks are built per precision
-    on first use.
+    ``border_table`` holds every feature's borders, padded for the
+    quantization search.  Split conditions are packed into (trees x
+    max_depth) panels; trees shallower than the deepest are padded with a
+    condition that can never hold, which contributes a zero bit.  Leaf banks
+    are built per precision on first use.
     """
 
     def __init__(self, model: ObliviousModel):
         require_valid(model)
         self.model = model
-        self.borders = [ff.borders for ff in model.float_features]
+        self.border_table = BorderTable(model.float_features)
         self.n_trees = model.n_trees
         self.max_depth = max((t.depth for t in model.trees), default=0)
         self._banks: dict[LeafPrecision, LeafBank] = {}
@@ -308,7 +309,7 @@ class Evaluator:
 
         for begin, end in plan_blocks(n, cfg.block_size):
             live = end - begin
-            quantize_block(matrix, (begin, end), self.tables.borders, qblock)
+            quantize_block(matrix, (begin, end), self.tables.border_table, qblock)
             acc = np.zeros(live, dtype=sum_dtype)
             _fold_block_segment(self.tables, self.bank, qblock.quantiles[:, :live], acc)
             out[begin:end] = acc.astype(np.float64, copy=False) * model.scale + model.bias

@@ -125,6 +125,22 @@ def _bits64(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
+def border_row_errors(borders: np.ndarray) -> list[str]:
+    """Why one feature's binary32 borders cannot be quantized against (empty = ok).
+
+    Quantization counts crossed borders with a search that is only correct
+    on a strictly ascending row, and the count must fit one byte.
+    """
+    errors = []
+    if borders.size > MAX_BORDERS:
+        errors.append(f"{borders.size} borders exceed the limit of {MAX_BORDERS}")
+    if np.isnan(borders).any():
+        errors.append("NaN border")
+    elif not (borders[1:] > borders[:-1]).all():
+        errors.append("non-ascending borders")
+    return errors
+
+
 def validate_model(model: ObliviousModel) -> list[str]:
     """Check every model invariant; return a list of violations (empty = ok).
 
@@ -144,12 +160,7 @@ def validate_model(model: ObliviousModel) -> list[str]:
         where = f"float_features[{i}]"
         if ff.feature_index != i:
             errors.append(f"{where}: feature index {ff.feature_index} does not match position {i}")
-        if ff.borders.size > MAX_BORDERS:
-            errors.append(f"{where}: {ff.borders.size} borders exceed the limit of {MAX_BORDERS}")
-        if np.isnan(ff.borders).any():
-            errors.append(f"{where}: NaN border")
-        elif ff.borders.size > 1 and not bool(np.all(ff.borders[1:] > ff.borders[:-1])):
-            errors.append(f"{where}: non-ascending borders")
+        errors.extend(f"{where}: {e}" for e in border_row_errors(ff.borders))
 
     for t, tree in enumerate(model.trees):
         where = f"trees[{t}]"

@@ -1,10 +1,16 @@
 """Stage 1: turn binary32 feature values into one-byte quantiles.
 
 The quantile of a value against a sorted border list is the number of
-borders the value strictly exceeds.  Borders are compared exhaustively (the
-border count is small and the comparisons vectorize); a binary search would
-reintroduce data-dependent branching for no win at these sizes.  NaN crosses
-nothing and quantizes to 0, so NaN fails every split.
+borders the value strictly exceeds.  NaN crosses nothing and quantizes to 0,
+so NaN fails every split.
+
+A block is quantized by a fixed-step lower-bound search over a per-model
+``BorderTable``: every feature's borders padded with +inf to ``2**s - 1``
+entries, where ``s`` is the bit length of the largest border count.  Every
+value of the block takes exactly ``s`` steps, whatever the data, so the
+stage is as branch-free as the paper's exhaustive compare while doing ``s``
+compares per value instead of one per border.  ``quantize_value`` is the
+scalar reference kernel the search is tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FloatFeatureBorders, aligned_zeros
+from .model import FloatFeatureBorders, aligned_zeros, border_row_errors
 
 
 class Layout(Enum):
@@ -54,6 +60,12 @@ class FeatureMatrix:
             return self.values[begin:end, feature]
         return self.values[feature, begin:end]
 
+    def feature_rows(self, begin: int, end: int) -> np.ndarray:
+        """(features x objects) values of objects [begin, end), as a view."""
+        if self.layout is Layout.OBJECT_MAJOR:
+            return self.values[begin:end].T
+        return self.values[:, begin:end]
+
     def transposed(self) -> "FeatureMatrix":
         """The same logical batch in the other layout (copies the data)."""
         other = (
@@ -65,9 +77,10 @@ class FeatureMatrix:
 class QuantizedBlock:
     """One byte per (feature, object) for a block, feature-major.
 
-    Rows are padded to ``block_size`` and padding bytes are zero, so later
-    stages may read whole lane groups unconditionally.  Storage is 64-byte
-    aligned.
+    Rows are padded to ``block_size``.  ``quantize_block`` writes the live
+    columns with one store and zeroes the padding columns with another, so
+    later stages may read whole lane groups unconditionally.  Storage is
+    64-byte aligned.
     """
 
     __slots__ = ("block_size", "n_features", "quantiles")
@@ -80,14 +93,39 @@ class QuantizedBlock:
         )
 
 
-def _border_arrays(model_borders: Sequence) -> list[np.ndarray]:
-    out = []
-    for entry in model_borders:
-        if isinstance(entry, FloatFeatureBorders):
-            out.append(entry.borders)
-        else:
-            out.append(np.ascontiguousarray(entry, dtype=np.float32))
-    return out
+class BorderTable:
+    """Every feature's borders in one flat binary32 table, built once per model.
+
+    Row ``f`` holds feature ``f``'s borders padded with +inf to ``2**steps - 1``
+    entries, where ``steps`` is the bit length of the largest border count;
+    ``offsets[f, 0]`` is the flat index at which row ``f`` starts.  A value
+    never exceeds the padding, so the search over a row counts real borders
+    only.  Rows that are not strictly ascending, hold a NaN or have more than
+    254 borders are rejected with the feature index in the message, because
+    the search would silently miscount them.
+    """
+
+    __slots__ = ("n_features", "steps", "values", "offsets")
+
+    def __init__(self, feature_borders: Sequence):
+        rows = []
+        for f, entry in enumerate(feature_borders):
+            if isinstance(entry, FloatFeatureBorders):
+                row = entry.borders
+            else:
+                row = np.asarray(entry, dtype=np.float32)
+            errors = border_row_errors(row)
+            if errors:
+                raise ValueError(f"feature {f}: {errors[0]}")
+            rows.append(row)
+        self.n_features = len(rows)
+        self.steps = max((row.size for row in rows), default=0).bit_length()
+        width = (1 << self.steps) - 1
+        table = np.full((self.n_features, width), np.inf, dtype=np.float32)
+        for f, row in enumerate(rows):
+            table[f, : row.size] = row
+        self.values = table.reshape(-1)
+        self.offsets = np.arange(self.n_features, dtype=np.intp)[:, None] * width
 
 
 def quantize_value(value: float, borders: Sequence[float]) -> int:
@@ -108,14 +146,20 @@ def quantize_value(value: float, borders: Sequence[float]) -> int:
 def quantize_block(
     matrix: FeatureMatrix,
     object_range: tuple[int, int],
-    model_borders: Sequence,
+    model_borders: BorderTable | Sequence,
     out: QuantizedBlock,
 ) -> None:
     """Fill ``out`` with quantiles for objects [begin, end) of the batch.
 
-    Loop order is features outer, objects inner, borders innermost.  Padding
-    columns beyond the live range are zeroed.  The hot path has no
-    per-object error branches.
+    ``model_borders`` is a ``BorderTable``, or one border sequence (or
+    ``FloatFeatureBorders``) per feature, from which a table is built for
+    this call.  The whole block is searched at once: a position per
+    (feature, object) starts at its row's offset and takes exactly
+    ``steps`` steps, from the largest down, each moving past ``step``
+    borders when the value exceeds the last of them.  The final position
+    minus the offset is the count of crossed borders.  Padding columns
+    beyond the live range are zeroed.  The hot path has no per-object or
+    per-feature branches.
     """
     begin, end = object_range
     live = end - begin
@@ -123,19 +167,29 @@ def quantize_block(
         raise ValueError(f"object range [{begin}, {end}) outside batch of {matrix.n_objects}")
     if live > out.block_size:
         raise ValueError(f"range of {live} objects exceeds block size {out.block_size}")
-    borders = _border_arrays(model_borders)
-    if len(borders) != out.n_features:
+    table = model_borders if isinstance(model_borders, BorderTable) else BorderTable(model_borders)
+    if table.n_features != out.n_features:
         raise ValueError(
-            f"output block has {out.n_features} feature rows, model has {len(borders)}"
+            f"output block has {out.n_features} feature rows, model has {table.n_features}"
+        )
+    if matrix.n_features != table.n_features:
+        raise ValueError(
+            f"matrix has {matrix.n_features} features, model has {table.n_features}"
         )
 
+    # One contiguous copy makes each of the ``steps`` compares a unit-stride pass.
+    values = np.ascontiguousarray(matrix.feature_rows(begin, end))
+    pos = np.repeat(table.offsets, live, axis=1)
+    bound = np.empty(pos.shape, dtype=np.float32)
+    crossed = np.empty(pos.shape, dtype=bool)
+    for k in reversed(range(table.steps)):
+        step = 1 << k
+        # bound = table[pos + step - 1], read through a view shifted by
+        # step - 1.  The search never leaves a row, so mode="clip" only
+        # skips the bounds check.
+        table.values[step - 1 :].take(pos, out=bound, mode="clip")
+        np.greater(values, bound, out=crossed)
+        pos += crossed * step
     q = out.quantiles
-    for f, fb in enumerate(borders):
-        vals = matrix.feature_values(f, begin, end)
-        if fb.size == 0:
-            q[f, :live] = 0
-        else:
-            # value > border for every (border, object) pair, summed down the
-            # border axis; NaN compares false everywhere and yields 0.
-            np.sum(vals[None, :] > fb[:, None], axis=0, dtype=np.uint8, out=q[f, :live])
-        q[f, live:] = 0
+    np.subtract(pos, table.offsets, out=q[:, :live], casting="unsafe")
+    q[:, live:] = 0

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obtree import (
     FeatureMatrix,
@@ -14,6 +17,7 @@ from obtree import (
     SyntheticSpec,
     Xoshiro256StarStar,
     generate_synthetic_model,
+    plan_blocks,
     quantize_block,
     quantize_value,
 )
@@ -170,3 +174,89 @@ class TestQuantizeBlock:
                 [np.array([0.0], dtype=np.float32), np.array([0.0], dtype=np.float32)],
                 out,
             )
+
+    def test_matrix_feature_count_mismatch_rejected(self):
+        matrix = FeatureMatrix(np.zeros((4, 3), dtype=np.float32), Layout.OBJECT_MAJOR)
+        borders = [np.array([0.0], dtype=np.float32)] * 2
+        with pytest.raises(ValueError, match="matrix has 3 features, model has 2"):
+            quantize_block(matrix, (0, 4), borders, QuantizedBlock(2, 64))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0.0, math.nan], "feature 3: NaN border"),
+            ([math.nan], "feature 3: NaN border"),
+            ([1.0, 0.5], "feature 3: non-ascending borders"),
+            ([0.5, 0.5], "feature 3: non-ascending borders"),
+            (np.arange(255), "feature 3: 255 borders exceed the limit of 254"),
+        ],
+    )
+    def test_malformed_borders_rejected(self, bad, message):
+        # The search would silently miscount these rows, so the table
+        # builder refuses them and names the feature.
+        matrix = FeatureMatrix(np.zeros((2, 4), dtype=np.float32), Layout.OBJECT_MAJOR)
+        borders = [np.array([0.0], dtype=np.float32)] * 3 + [np.array(bad, dtype=np.float32)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            quantize_block(matrix, (0, 2), borders, QuantizedBlock(4, 64))
+
+
+_SUBNORMAL = float(np.float32(1e-45))  # smallest positive binary32 subnormal
+_EDGES = [0.0, -0.0, math.inf, -math.inf, _SUBNORMAL, -_SUBNORMAL, 2.0**-126, 1.0]
+
+
+def _random_binary32(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Uniform bit patterns: every exponent occurs, subnormals and NaN included."""
+    return rng.integers(0, 2**32, size=n, dtype=np.uint32).view(np.float32)
+
+
+@st.composite
+def border_rows(draw) -> np.ndarray:
+    """Strictly ascending binary32 borders, 0 to 254 of them, edge values mixed in."""
+    count = draw(st.sampled_from([0, 1, 2, 127, 128, 254]) | st.integers(0, 254))
+    edges = draw(st.lists(st.sampled_from(_EDGES), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    candidates = edges + [float(b) for b in _random_binary32(rng, count + 16) if not np.isnan(b)]
+    distinct = list(dict.fromkeys(candidates))  # -0.0 == 0.0, so at most one of them
+    return np.array(sorted(distinct[:count]), dtype=np.float32)
+
+
+@st.composite
+def quantize_cases(draw):
+    rows = draw(st.lists(border_rows(), min_size=1, max_size=4))
+    n_objects = draw(st.integers(1, 40))
+    block_size = draw(st.integers(1, 16))
+    layout = draw(st.sampled_from(Layout))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = np.empty((n_objects, len(rows)), dtype=np.float32)
+    for f, row in enumerate(rows):
+        # Values equal to a border, one ulp to either side, edge values and NaN.
+        pool = np.concatenate(
+            [
+                row,
+                np.nextafter(row, np.float32(np.inf)),
+                np.nextafter(row, np.float32(-np.inf)),
+                np.array(_EDGES + [math.nan], dtype=np.float32),
+                _random_binary32(rng, 8),
+            ]
+        )
+        raw[:, f] = rng.choice(pool, size=n_objects)
+    values = raw if layout is Layout.OBJECT_MAJOR else raw.T
+    return rows, raw, FeatureMatrix(values, layout), block_size
+
+
+class TestSearchMatchesScalarReference:
+    @settings(max_examples=80, deadline=None)
+    @given(quantize_cases())
+    def test_every_quantile_equals_quantize_value(self, case):
+        rows, raw, matrix, block_size = case
+        out = QuantizedBlock(len(rows), block_size)
+        for begin, end in plan_blocks(matrix.n_objects, block_size):
+            out.quantiles[:] = 255
+            quantize_block(matrix, (begin, end), rows, out)
+            live = end - begin
+            expected = [
+                [quantize_value(float(raw[o, f]), row) for o in range(begin, end)]
+                for f, row in enumerate(rows)
+            ]
+            assert out.quantiles[:, :live].tolist() == expected
+            assert not out.quantiles[:, live:].any()
