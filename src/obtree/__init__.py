@@ -16,7 +16,6 @@ from .evaluate import (
     ModelTables,
     TailPlan,
     TailPolicy,
-    VectorWidth,
     apply_tail_policy,
     evaluate,
     permute_group_count,
@@ -76,7 +75,6 @@ __all__ = [
     "SyntheticSpec",
     "TailPlan",
     "TailPolicy",
-    "VectorWidth",
     "Xoshiro256StarStar",
     "apply_tail_policy",
     "build_leaf_bank",

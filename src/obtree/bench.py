@@ -29,7 +29,6 @@ from .evaluate import (
     LeafStrategy,
     ModelTables,
     TailPolicy,
-    VectorWidth,
     apply_tail_policy,
     plan_blocks,
 )
@@ -71,7 +70,7 @@ class BenchCase:
     def case_id(self) -> str:
         cfg = self.config
         return (
-            f"{cfg.strategy.value}-{cfg.width.value}-b{cfg.block_size}"
+            f"{cfg.strategy.value}-b{cfg.block_size}"
             f"-{_LAYOUT_SHORT[self.layout]}-{_TAIL_SHORT[cfg.tail_policy]}-n{self.batch_size}"
         )
 
@@ -354,7 +353,6 @@ def format_table(columns, rows: list[list[str]], metadata: dict, fmt: str) -> st
 _MATRIX_COLUMNS = (
     "case_id",
     "strategy",
-    "width",
     "block",
     "layout",
     "tail",
@@ -384,7 +382,6 @@ def _matrix_cells(row: CaseResult) -> list[str]:
     return [
         case.case_id,
         cfg.strategy.value,
-        cfg.width.value,
         str(cfg.block_size),
         case.layout.value,
         cfg.tail_policy.value,
@@ -431,14 +428,6 @@ def format_sweep_tsv(report: SweepReport) -> str:
 
 # ----------------------------------------------------------------------------
 # CLI
-
-
-_WIDTH_FLAGS = {
-    "scalar": VectorWidth.SCALAR,
-    "128": VectorWidth.W128,
-    "256": VectorWidth.W256,
-    "512": VectorWidth.W512,
-}
 
 
 def _parse_sweep(text: str) -> list[int]:
@@ -498,12 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="leaf-load strategy(ies) (default: all)",
     )
     parser.add_argument(
-        "--width",
-        choices=list(_WIDTH_FLAGS) + ["auto", "all"],
-        default="auto",
-        help="vector width; auto picks 512 (default: auto)",
-    )
-    parser.add_argument(
         "--tail",
         choices=["scalar", "padded"],
         default="scalar",
@@ -534,14 +517,6 @@ def _resolve_model(args) -> tuple[ObliviousModel, str]:
     return generate_synthetic_model(PRESETS[preset]), f"preset:{preset}"
 
 
-def _select_widths(strategy: LeafStrategy, width_flag: str) -> list[VectorWidth]:
-    if width_flag == "all":
-        return [w for w in VectorWidth if strategy.allows_width(w)]
-    if width_flag == "auto":
-        return [VectorWidth.W512]
-    return [_WIDTH_FLAGS[width_flag]]
-
-
 def build_cases(args) -> list[BenchCase]:
     layouts = {
         "object-major": [Layout.OBJECT_MAJOR],
@@ -557,21 +532,16 @@ def build_cases(args) -> list[BenchCase]:
     cases = []
     for layout in layouts:
         for strategy in strategies:
-            for width in _select_widths(strategy, args.width):
-                if not strategy.allows_width(width):
-                    continue
-                for block in blocks:
-                    config = EvalConfig(
-                        block_size=block, width=width, strategy=strategy, tail_policy=tail
+            for block in blocks:
+                config = EvalConfig(block_size=block, strategy=strategy, tail_policy=tail)
+                cases.append(
+                    BenchCase(
+                        config=config,
+                        layout=layout,
+                        batch_size=args.batch,
+                        repetitions=args.reps,
                     )
-                    cases.append(
-                        BenchCase(
-                            config=config,
-                            layout=layout,
-                            batch_size=args.batch,
-                            repetitions=args.reps,
-                        )
-                    )
+                )
     return cases
 
 
@@ -596,16 +566,11 @@ def main(argv: list[str] | None = None) -> int:
             layouts = [Layout.OBJECT_MAJOR, Layout.FEATURE_MAJOR]
         else:
             layouts = [Layout(args.layout)]
-        if args.strategy == "all" or args.block == "all" or args.width == "all":
-            parser.error("--sweep needs a single --strategy, --block and --width")
-        strategy = LeafStrategy(args.strategy)
-        width = _select_widths(strategy, args.width)[0]
-        if not strategy.allows_width(width):
-            parser.error(f"strategy {args.strategy} cannot run at width {args.width}")
+        if args.strategy == "all" or args.block == "all":
+            parser.error("--sweep needs a single --strategy and --block")
         config = EvalConfig(
             block_size=int(args.block),
-            width=width,
-            strategy=strategy,
+            strategy=LeafStrategy(args.strategy),
             tail_policy=TailPolicy.SCALAR_TAIL if args.tail == "scalar" else TailPolicy.PADDED_GROUP,
         )
         pieces = []
@@ -623,8 +588,6 @@ def main(argv: list[str] | None = None) -> int:
         text = "\n".join(pieces)
     else:
         cases = build_cases(args)
-        if not cases:
-            parser.error("the requested flags produce no valid cases")
         try:
             report = run_matrix(model, cases, args.baseline, args.data_seed, log=log)
         except ValueError as exc:

@@ -12,8 +12,8 @@ The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  This
 engine is numpy, so a strategy selects only its leaf-precision family: every
 binary64 strategy runs the indexed load from the binary64 bank, every
 binary16 strategy the indexed load from the binary16 bank, widened to
-binary32.  Lane width and tail policy are kept in the configuration for
-validation and block planning; they change neither what runs nor the bits.
+binary32.  The tail policy is kept in the configuration for block planning;
+it changes neither what runs nor the bits.
 """
 
 from __future__ import annotations
@@ -27,26 +27,9 @@ from .model import LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank, req
 from .quantize import BorderTable, FeatureMatrix, QuantizedBlock, quantize_block
 
 
-class VectorWidth(Enum):
-    SCALAR = "scalar"
-    W128 = "w128"
-    W256 = "w256"
-    W512 = "w512"
-
-    @property
-    def byte_lanes(self) -> int:
-        return _BYTE_LANES[self]
-
-
-_BYTE_LANES = {
-    VectorWidth.SCALAR: 1,
-    VectorWidth.W128: 16,
-    VectorWidth.W256: 32,
-    VectorWidth.W512: 64,
-}
-
 PERMUTE64_LANES = 8    # binary64 lanes in one 512-bit vector
 PERMUTE16_LANES = 32   # binary16 lanes in one 512-bit vector
+BYTE_LANES = 64        # quantile bytes in one 512-bit vector
 
 
 class LeafStrategy(Enum):
@@ -55,8 +38,8 @@ class LeafStrategy(Enum):
     NAIVE and GATHER load binary64 leaves by index, PERMUTE64 selects them
     from register-resident 8-lane vectors; PERMUTE16 and NAIVE16 do the same
     on 32-lane binary16 vectors and plain binary16 loads.  Here each selects
-    only its ``precision``; width rules and object groups are kept so that
-    configurations validate and plan as the paper's kernels would.
+    only its ``precision``; object groups are kept so that configurations
+    plan tails as the paper's 512-bit kernels would.
     """
 
     NAIVE = "naive"
@@ -71,20 +54,14 @@ class LeafStrategy(Enum):
             return LeafPrecision.BINARY16
         return LeafPrecision.BINARY64
 
-    def allows_width(self, width: VectorWidth) -> bool:
-        if self is LeafStrategy.GATHER:
-            return width in (VectorWidth.W256, VectorWidth.W512)
-        if self in (LeafStrategy.PERMUTE64, LeafStrategy.PERMUTE16):
-            return width is VectorWidth.W512
-        return True
-
-    def object_group(self, width: VectorWidth) -> int:
-        """Object-group size the strategy works in, for tail planning."""
+    @property
+    def object_group(self) -> int:
+        """Objects per 512-bit vector group, for tail planning."""
         if self is LeafStrategy.PERMUTE64:
             return PERMUTE64_LANES
         if self is LeafStrategy.PERMUTE16:
             return PERMUTE16_LANES
-        return width.byte_lanes
+        return BYTE_LANES
 
 
 def permute_group_count(depth: int, lanes: int) -> int:
@@ -157,31 +134,19 @@ def plan_blocks(n_objects: int, block_size: int) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class EvalConfig:
     block_size: int = 128
-    width: VectorWidth = VectorWidth.W512
     strategy: LeafStrategy = LeafStrategy.NAIVE
     tail_policy: TailPolicy = TailPolicy.SCALAR_TAIL
 
     @property
     def object_group(self) -> int:
-        return self.strategy.object_group(self.width)
+        return self.strategy.object_group
 
     def validate(self) -> None:
         if self.block_size not in BLOCK_SIZES:
             raise ValueError(f"block size must be one of {BLOCK_SIZES}")
-        if not self.strategy.allows_width(self.width):
-            raise ValueError(
-                f"strategy {self.strategy.value} is incompatible with width {self.width.value}"
-            )
-        if self.block_size < self.object_group:
-            raise ValueError(
-                f"block size {self.block_size} below the object group of {self.object_group}"
-            )
 
     def describe(self) -> str:
-        return (
-            f"{self.strategy.value}-{self.width.value}-b{self.block_size}"
-            f"-{self.tail_policy.value}"
-        )
+        return f"{self.strategy.value}-b{self.block_size}-{self.tail_policy.value}"
 
 
 class ModelTables:
@@ -268,7 +233,7 @@ def _fold_block_segment(
     if tables.n_trees == 0:
         return
     idx = _leaf_index_panel(tables, quantiles)
-    contrib = bank.values[bank.offsets[:, None] + idx]
+    contrib = bank.values[bank.offsets[:-1, None] + idx]
     if bank.precision is LeafPrecision.BINARY16:
         contrib = contrib.astype(np.float32)
     _fold_rows(contrib, acc)

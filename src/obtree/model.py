@@ -14,7 +14,7 @@ read-only), so models can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -95,6 +95,8 @@ class ObliviousModel:
     trees: tuple[ObliviousTree, ...]
     scale: float
     bias: float
+    # Set by a successful validate_model; the model is immutable, so it stays valid.
+    _validated: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "float_features", tuple(self.float_features))
@@ -145,7 +147,8 @@ def validate_model(model: ObliviousModel) -> list[str]:
     """Check every model invariant; return a list of violations (empty = ok).
 
     Each message carries the feature/tree coordinates of the violation so a
-    bad model document can be fixed by hand.
+    bad model document can be fixed by hand.  A model that passes is marked
+    as validated, so ``require_valid`` checks each model object only once.
     """
     errors: list[str] = []
 
@@ -177,6 +180,8 @@ def validate_model(model: ObliviousModel) -> list[str]:
             )
         if np.isnan(tree.leaf_values).any():
             errors.append(f"{where}: NaN leaf value")
+        elif np.isinf(tree.leaf_values).any():
+            errors.append(f"{where}: infinite leaf value")
         for s, split in enumerate(tree.splits):
             swhere = f"{where}.splits[{s}]"
             if not 0 <= split.feature_index < model.n_features:
@@ -189,57 +194,43 @@ def validate_model(model: ObliviousModel) -> list[str]:
                     f"({split.border_ordinal} vs {n_borders} borders on feature {split.feature_index})"
                 )
 
+    if not errors:
+        object.__setattr__(model, "_validated", True)
     return errors
 
 
 def require_valid(model: ObliviousModel) -> None:
+    if model._validated:
+        return
     errors = validate_model(model)
     if errors:
         raise ValueError("invalid model: " + "; ".join(errors))
 
 
-def aligned_zeros(n: int, dtype, alignment: int = 64) -> np.ndarray:
-    """Zero-filled 1-D array whose data pointer is aligned to ``alignment`` bytes."""
-    itemsize = np.dtype(dtype).itemsize
-    buf = np.zeros(n * itemsize + alignment, dtype=np.uint8)
-    offset = (-buf.ctypes.data) % alignment
-    return buf[offset : offset + n * itemsize].view(dtype)
-
-
 HALF_MAX = 65504.0  # largest finite binary16 magnitude
-
-
-def _pad_group(precision: LeafPrecision) -> int:
-    # One 64-byte vector group: 8 binary64 lanes or 32 binary16 lanes.
-    return 8 if precision is LeafPrecision.BINARY64 else 32
 
 
 @dataclass(frozen=True, eq=False)
 class LeafBank:
-    """Per-tree contiguous leaf tables in one precision, padded and aligned.
+    """Per-tree leaf tables in one precision, stored back to back.
 
-    ``values`` is a single flat array; tree ``t`` owns
-    ``values[offsets[t] : offsets[t] + padded_lengths[t]]``.  Every table
-    starts on a 64-byte boundary and is padded with zeros to a whole number
-    of 64-byte vector groups, so permute kernels may always load full
-    groups.  ``saturation_count`` counts binary16 conversions clamped to
-    +/-65504.
+    ``values`` is a single flat array with no padding; tree ``t`` owns its
+    ``2**depth`` leaves at ``values[offsets[t] : offsets[t + 1]]``.
+    ``saturation_count`` counts binary16 conversions clamped to +/-65504.
     """
 
     precision: LeafPrecision
     values: np.ndarray
-    offsets: np.ndarray          # int64 per tree, in elements
-    padded_lengths: np.ndarray   # int64 per tree, in elements
+    offsets: np.ndarray   # int64, n_trees + 1 entries: where each table starts, then the end
     max_abs_leaf: float
     saturation_count: int
 
     def table(self, tree_index: int) -> np.ndarray:
-        start = int(self.offsets[tree_index])
-        return self.values[start : start + int(self.padded_lengths[tree_index])]
+        return self.values[self.offsets[tree_index] : self.offsets[tree_index + 1]]
 
     @property
     def n_trees(self) -> int:
-        return self.offsets.size
+        return self.offsets.size - 1
 
 
 def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank:
@@ -250,42 +241,23 @@ def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank
     to +/-65504 (each clamp increments ``saturation_count``).
     """
     require_valid(model)
-    group = _pad_group(precision)
-    dtype = np.float64 if precision is LeafPrecision.BINARY64 else np.float16
-
-    n = model.n_trees
-    offsets = np.zeros(n, dtype=np.int64)
-    padded = np.zeros(n, dtype=np.int64)
-    pos = 0
-    for t, tree in enumerate(model.trees):
-        offsets[t] = pos
-        padded[t] = -(-tree.leaf_values.size // group) * group
-        pos += int(padded[t])
-
-    values = aligned_zeros(pos, dtype)
-    max_abs = 0.0
+    leaves = np.concatenate([np.zeros(0)] + [tree.leaf_values for tree in model.trees])
+    offsets = np.cumsum([0] + [tree.leaf_values.size for tree in model.trees], dtype=np.int64)
+    max_abs = float(np.max(np.abs(leaves), initial=0.0))
     saturated = 0
-    for t, tree in enumerate(model.trees):
-        leaves = tree.leaf_values
-        if leaves.size:
-            max_abs = max(max_abs, float(np.max(np.abs(leaves))))
-        start = int(offsets[t])
-        if precision is LeafPrecision.BINARY64:
-            values[start : start + leaves.size] = leaves
-        else:
-            with np.errstate(over="ignore"):
-                halves = leaves.astype(np.float16)
-            overflow = np.isinf(halves)
-            if overflow.any():
-                saturated += int(overflow.sum())
-                halves[overflow] = np.where(leaves[overflow] > 0, dtype(HALF_MAX), dtype(-HALF_MAX))
-            values[start : start + leaves.size] = halves
+    if precision is LeafPrecision.BINARY64:
+        values = leaves
+    else:
+        with np.errstate(over="ignore"):
+            values = leaves.astype(np.float16)
+        overflow = np.isinf(values)
+        saturated = int(overflow.sum())
+        values[overflow] = np.where(leaves[overflow] > 0, HALF_MAX, -HALF_MAX)
 
     return LeafBank(
         precision=precision,
         values=_readonly(values),
         offsets=_readonly(offsets),
-        padded_lengths=_readonly(padded),
         max_abs_leaf=max_abs,
         saturation_count=saturated,
     )

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FloatFeatureBorders, aligned_zeros, border_row_errors
+from .model import FloatFeatureBorders, border_row_errors
 
 
 class Layout(Enum):
@@ -79,8 +79,7 @@ class QuantizedBlock:
 
     Rows are padded to ``block_size``.  ``quantize_block`` writes the live
     columns with one store and zeroes the padding columns with another, so
-    later stages may read whole lane groups unconditionally.  Storage is
-    64-byte aligned.
+    the padding of a partial block fails every split.
     """
 
     __slots__ = ("block_size", "n_features", "quantiles")
@@ -88,9 +87,7 @@ class QuantizedBlock:
     def __init__(self, n_features: int, block_size: int):
         self.block_size = block_size
         self.n_features = n_features
-        self.quantiles = aligned_zeros(n_features * block_size, np.uint8).reshape(
-            n_features, block_size
-        )
+        self.quantiles = np.zeros((n_features, block_size), dtype=np.uint8)
 
 
 class BorderTable:

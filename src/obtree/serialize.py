@@ -44,22 +44,39 @@ def f64_to_hex(value: float) -> str:
     return struct.pack(">d", value).hex()
 
 
-def hex_to_f32(text: str, where: str) -> float:
-    if not isinstance(text, str) or len(text) != 8:
-        raise ModelFormatError(f"{where}: expected 8 hex digits for a binary32 value")
-    try:
-        return struct.unpack(">f", bytes.fromhex(text))[0]
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: bad hex: {text!r}") from exc
+def _hex_bytes(text: str, digits: int, where: str) -> bytes:
+    raw = b""
+    if isinstance(text, str) and len(text) == digits:
+        try:
+            raw = bytes.fromhex(text)
+        except ValueError:
+            pass
+    # bytes.fromhex skips whitespace, so "3f 0000 " has the length of 8 digits
+    # but holds 3 bytes; only ``digits`` hex digits give ``digits // 2`` bytes.
+    if len(raw) * 2 != digits:
+        raise ModelFormatError(f"{where}: expected {digits} hex digits, got {text!r}")
+    return raw
 
 
 def hex_to_f64(text: str, where: str) -> float:
-    if not isinstance(text, str) or len(text) != 16:
-        raise ModelFormatError(f"{where}: expected 16 hex digits for a binary64 value")
+    return struct.unpack(">d", _hex_bytes(text, 16, where))[0]
+
+
+def _hex_array(items: list, dtype: str, where: str) -> np.ndarray:
+    """Decode a list of hex fields of big-endian ``dtype`` in one pass.
+
+    If any item is not exactly the hex digits of one value, the items are
+    checked one by one, which raises naming the first bad one.
+    """
+    digits = 2 * np.dtype(dtype).itemsize
     try:
-        return struct.unpack(">d", bytes.fromhex(text))[0]
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: bad hex: {text!r}") from exc
+        raw = bytes.fromhex("".join(items))
+    except (TypeError, ValueError):
+        raw = b""
+    if len(raw) * 2 != digits * len(items) or set(map(len, items)) - {digits}:
+        for j, text in enumerate(items):
+            _hex_bytes(text, digits, f"{where}[{j}]")
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def model_to_document(model: ObliviousModel) -> dict:
@@ -116,10 +133,7 @@ def model_from_document(doc: Any) -> ObliviousModel:
         where = f"float_features[{i}]"
         index = _expect(entry, "index", int, where)
         borders_hex = _expect(entry, "borders_hex", list, where)
-        borders = np.array(
-            [hex_to_f32(h, f"{where}.borders_hex[{j}]") for j, h in enumerate(borders_hex)],
-            dtype=np.float32,
-        )
+        borders = _hex_array(borders_hex, ">f4", f"{where}.borders_hex")
         float_features.append(FloatFeatureBorders(feature_index=index, borders=borders))
 
     parsed_trees = []
@@ -137,10 +151,7 @@ def model_from_document(doc: Any) -> ObliviousModel:
                     border_ordinal=_expect(split, "border", int, swhere),
                 )
             )
-        leaves = np.array(
-            [hex_to_f64(h, f"{where}.leaves_hex[{j}]") for j, h in enumerate(leaves_hex)],
-            dtype=np.float64,
-        )
+        leaves = _hex_array(leaves_hex, ">f8", f"{where}.leaves_hex")
         parsed_trees.append(ObliviousTree(depth=depth, splits=tuple(splits), leaf_values=leaves))
 
     model = ObliviousModel(

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, with stated runtime budgets.
 
 Criteria 3, 4, 5 and 9 share a single corpus sweep (100 randomized models,
-8 batch sizes, every valid strategy/width/block/layout/tail combination)
+8 batch sizes, every strategy/block/layout/tail combination)
 computed once per session.  Run verbosely to see the per-criterion lines:
 
     pytest tests/test_acceptance.py -v -s
@@ -29,7 +29,6 @@ from obtree import (
     SplitCondition,
     SyntheticSpec,
     TailPolicy,
-    VectorWidth,
     Xoshiro256StarStar,
     apply_tail_policy,
     deserialize_model,
@@ -47,13 +46,11 @@ from obtree.evaluate import Evaluator, ModelTables
 
 BATCH_SIZES = (1, 7, 31, 32, 33, 100, 128, 257)
 
-# Every valid (strategy, width, block, tail) combination; scalar tail first
-# so the sweep can pair each padded-tail run with its scalar-tail twin.
+# Every (strategy, block, tail) combination; scalar tail first so the sweep
+# can pair each padded-tail run with its scalar-tail twin.
 CONFIG_MATRIX = [
-    EvalConfig(block, width, strategy, tail)
+    EvalConfig(block, strategy, tail)
     for strategy in LeafStrategy
-    for width in VectorWidth
-    if strategy.allows_width(width)
     for block in (64, 128, 256, 512)
     for tail in (TailPolicy.SCALAR_TAIL, TailPolicy.PADDED_GROUP)
 ]
@@ -125,7 +122,7 @@ def corpus_sweep() -> SweepOutcome:
                     else:
                         family_ref[family] = preds
 
-                    pair_key = (cfg.strategy, cfg.width, cfg.block_size, layout)
+                    pair_key = (cfg.strategy, cfg.block_size, layout)
                     if cfg.tail_policy is TailPolicy.SCALAR_TAIL:
                         tail_ref[pair_key] = preds
                     elif bits_differ(preds, tail_ref[pair_key]):
@@ -213,7 +210,7 @@ def test_criterion_04_cross_config_invariance(corpus_sweep: SweepOutcome):
     assert corpus_sweep.cross_mismatches == [], corpus_sweep.cross_mismatches[:5]
     print(
         "\nACCEPTANCE 4 PASS: predictions bit-identical across strategies, blocks, "
-        "layouts, widths and tails within each leaf-precision family"
+        "layouts and tails within each leaf-precision family"
     )
 
 
@@ -298,11 +295,11 @@ def test_criterion_07_model_round_trip():
 
 def test_criterion_08_bench_harness(capsys):
     # The desk preset's full default matrix: every strategy and block size
-    # in both layouts at the widest width, batch 1024, 50 repetitions.
+    # in both layouts, batch 1024, 50 repetitions.
     from obtree.bench import PRESETS
 
     args = argparse.Namespace(
-        layout="both", block="all", strategy="all", width="auto",
+        layout="both", block="all", strategy="all",
         tail="scalar", batch=1024, reps=50,
     )
     cases = build_cases(args)

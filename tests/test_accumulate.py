@@ -21,7 +21,6 @@ from obtree import (
     ObliviousTree,
     SplitCondition,
     SyntheticSpec,
-    VectorWidth,
     evaluate,
     evaluate_scalar,
     generate_feature_matrix,
@@ -34,9 +33,9 @@ def bits(scores: np.ndarray) -> np.ndarray:
     return scores.view(np.uint64)
 
 
-def scores(model, matrix, strategy=LeafStrategy.NAIVE, width=VectorWidth.W512):
+def scores(model, matrix, strategy=LeafStrategy.NAIVE):
     """Fused-path scores, checked bit-equal to the family's scalar oracle."""
-    got = evaluate(model, matrix, EvalConfig(width=width, strategy=strategy))
+    got = evaluate(model, matrix, EvalConfig(strategy=strategy))
     oracle = evaluate_scalar(model, matrix, strategy.precision)
     assert np.array_equal(bits(got), bits(oracle)), strategy
     return got
@@ -93,11 +92,10 @@ class TestNaive:
 
 
 class TestGather:
-    @pytest.mark.parametrize("width", [VectorWidth.W256, VectorWidth.W512])
-    def test_bit_exact_vs_naive_single_tree(self, width):
+    def test_bit_exact_vs_naive_single_tree(self):
         model, matrix = random_setup(2, depth=5)
         naive = scores(model, matrix)
-        gather = scores(model, matrix, LeafStrategy.GATHER, width)
+        gather = scores(model, matrix, LeafStrategy.GATHER)
         assert np.array_equal(bits(naive), bits(gather))
 
     def test_multi_tree_within_tolerance(self):
@@ -111,15 +109,8 @@ class TestGather:
     def test_identical_indices_equal_broadcast_add(self):
         leaves = np.linspace(-1.0, 1.0, 16)
         model = one_tree_model(leaves)
-        got = scores(model, rows_for_index(11, 4, 24), LeafStrategy.GATHER, VectorWidth.W256)
+        got = scores(model, rows_for_index(11, 4, 24), LeafStrategy.GATHER)
         assert np.all(got == leaves[11])
-
-    def test_narrow_width_rejected(self):
-        # A 128-bit vector holds two binary64 lanes, too few for the gather.
-        model, matrix = random_setup(5, depth=3, n_objects=10)
-        config = EvalConfig(width=VectorWidth.W128, strategy=LeafStrategy.GATHER)
-        with pytest.raises(ValueError, match="incompatible"):
-            evaluate(model, matrix, config)
 
 
 class TestPermute64:
@@ -214,16 +205,9 @@ class TestAccumulator:
         assert LeafStrategy.PERMUTE16.precision is LeafPrecision.BINARY16
         assert LeafStrategy.NAIVE16.precision is LeafPrecision.BINARY16
 
-    def test_width_rules(self):
-        assert LeafStrategy.GATHER.allows_width(VectorWidth.W256)
-        assert not LeafStrategy.GATHER.allows_width(VectorWidth.W128)
-        assert LeafStrategy.PERMUTE64.allows_width(VectorWidth.W512)
-        assert not LeafStrategy.PERMUTE64.allows_width(VectorWidth.W256)
-        assert not LeafStrategy.PERMUTE16.allows_width(VectorWidth.SCALAR)
-        assert LeafStrategy.NAIVE.allows_width(VectorWidth.SCALAR)
-
     def test_object_groups(self):
-        assert LeafStrategy.PERMUTE64.object_group(VectorWidth.W512) == 8
-        assert LeafStrategy.PERMUTE16.object_group(VectorWidth.W512) == 32
-        assert LeafStrategy.NAIVE.object_group(VectorWidth.W128) == 16
-        assert LeafStrategy.NAIVE.object_group(VectorWidth.SCALAR) == 1
+        # Objects per 512-bit vector group, as the paper's kernels plan tails.
+        assert LeafStrategy.PERMUTE64.object_group == 8
+        assert LeafStrategy.PERMUTE16.object_group == 32
+        for strategy in (LeafStrategy.NAIVE, LeafStrategy.GATHER, LeafStrategy.NAIVE16):
+            assert strategy.object_group == 64

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from obtree import EvalConfig, Layout, LeafStrategy, SyntheticSpec, TailPolicy, VectorWidth
+from obtree import EvalConfig, Layout, LeafStrategy, SyntheticSpec, TailPolicy
 from obtree.bench import (
     BenchCase,
     BenchReport,
@@ -29,24 +31,24 @@ TINY = SyntheticSpec(n_features=4, borders_per_feature=5, n_trees=6, depth=3, se
 
 def tiny_case(strategy=LeafStrategy.NAIVE, tail=TailPolicy.SCALAR_TAIL, batch=40, reps=3,
               layout=Layout.OBJECT_MAJOR, block=64):
-    config = EvalConfig(block, VectorWidth.W512, strategy, tail)
+    config = EvalConfig(block, strategy, tail)
     return BenchCase(config=config, layout=layout, batch_size=batch, repetitions=reps)
 
 
 class TestPlans:
     def test_padded_sweep_is_a_step_function_on_group_boundaries(self):
-        config = EvalConfig(64, VectorWidth.W512, LeafStrategy.PERMUTE16, TailPolicy.PADDED_GROUP)
+        config = EvalConfig(64, LeafStrategy.PERMUTE16, TailPolicy.PADDED_GROUP)
         groups = [sweep_plan_columns(config, n)[1] for n in range(1, 65)]
         # ceil(n / 32) for one block: constant within a group, +1 at each boundary
         assert groups == [1] * 32 + [2] * 32
 
     def test_scalar_sweep_remainder_varies(self):
-        config = EvalConfig(64, VectorWidth.W512, LeafStrategy.PERMUTE16, TailPolicy.SCALAR_TAIL)
+        config = EvalConfig(64, LeafStrategy.PERMUTE16, TailPolicy.SCALAR_TAIL)
         tails = [sweep_plan_columns(config, n)[2] for n in range(1, 65)]
         assert tails == list(range(1, 32)) + [0] + list(range(1, 32)) + [0]
 
     def test_block_counts(self):
-        config = EvalConfig(128, VectorWidth.W512, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
+        config = EvalConfig(128, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
         assert sweep_plan_columns(config, 128)[0] == 1
         assert sweep_plan_columns(config, 256)[0] == 2
 
@@ -102,7 +104,7 @@ class TestRunMatrix:
 
 class TestFormat:
     def test_renderings_are_fixed(self):
-        config = EvalConfig(64, VectorWidth.W512, LeafStrategy.PERMUTE16, TailPolicy.SCALAR_TAIL)
+        config = EvalConfig(64, LeafStrategy.PERMUTE16, TailPolicy.SCALAR_TAIL)
         sweep = SweepReport(
             config,
             Layout.OBJECT_MAJOR,
@@ -112,7 +114,7 @@ class TestFormat:
             ],
             {"config": config.describe(), "layout": "object-major"},
         )
-        meta = "# config: permute16-w512-b64-scalar\n# layout: object-major\n"
+        meta = "# config: permute16-b64-scalar\n# layout: object-major\n"
         assert format_sweep(sweep, "md") == meta + (
             "| batch | mean_ms | std_ms | blocks | vector_groups | tail_objects | verified |\n"
             "|-------|---------|--------|--------|---------------|--------------|----------|\n"
@@ -134,19 +136,19 @@ class TestFormat:
             {"baseline": case.case_id},
         )
         assert format_matrix(matrix, "csv") == (
-            "# baseline: permute16-w512-b64-fm-st-n40\n"
-            "case_id,strategy,width,block,layout,tail,batch,reps,inner,mean_ms,std_ms,"
+            "# baseline: permute16-b64-fm-st-n40\n"
+            "case_id,strategy,block,layout,tail,batch,reps,inner,mean_ms,std_ms,"
             "d_vs_baseline,verified\n"
-            "permute16-w512-b64-fm-st-n40,permute16,w512,64,feature-major,scalar,40,3,2,"
+            "permute16-b64-fm-st-n40,permute16,64,feature-major,scalar,40,3,2,"
             "2.100,0.100,+0.0%,ok\n"
-            "naive-w512-b128-om-st-n40,naive,w512,128,object-major,scalar,40,3,,,,,FAIL\n"
+            "naive-b128-om-st-n40,naive,128,object-major,scalar,40,3,,,,,FAIL\n"
         )
 
 
 class TestSweep:
     def test_row_count_matches_batches(self):
         model = generate_synthetic_model(TINY)
-        config = EvalConfig(64, VectorWidth.W512, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
+        config = EvalConfig(64, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
         batches = [1, 17, 40, 64, 100]
         report = run_batch_sweep(model, config, Layout.OBJECT_MAJOR, batches, repetitions=3)
         assert [r.batch_size for r in report.rows] == batches
@@ -156,14 +158,14 @@ class TestSweep:
 
     def test_plan_columns_reflect_blocks(self):
         model = generate_synthetic_model(TINY)
-        config = EvalConfig(128, VectorWidth.W512, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
+        config = EvalConfig(128, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
         report = run_batch_sweep(model, config, Layout.OBJECT_MAJOR, [128, 256], repetitions=3)
         assert report.rows[0].n_blocks == 1
         assert report.rows[1].n_blocks == 2
 
     def test_tail_structure_note_reported_not_asserted(self):
         model = generate_synthetic_model(TINY)
-        config = EvalConfig(64, VectorWidth.W512, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
+        config = EvalConfig(64, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
         report = run_batch_sweep(model, config, Layout.OBJECT_MAJOR, [60, 64], repetitions=3)
         note = report.metadata.get("note", "")
         assert "non-multiple batch sizes" in note
@@ -176,24 +178,12 @@ class _Args:
 
 class TestCaseBuilder:
     def test_default_matrix_shape(self):
-        args = _Args(layout="both", block="all", strategy="all", width="auto",
+        args = _Args(layout="both", block="all", strategy="all",
                      tail="scalar", batch=1024, reps=5)
         cases = build_cases(args)
-        # 5 strategies x 4 blocks x 2 layouts at the widest width
+        # 5 strategies x 4 blocks x 2 layouts
         assert len(cases) == 40
         assert len({c.case_id for c in cases}) == 40
-
-    def test_width_all_respects_strategy_rules(self):
-        args = _Args(layout="object-major", block="128", strategy="all", width="all",
-                     tail="scalar", batch=64, reps=5)
-        cases = build_cases(args)
-        # naive 4 + naive16 4 + gather 2 + permute64 1 + permute16 1
-        assert len(cases) == 12
-
-    def test_incompatible_width_filtered(self):
-        args = _Args(layout="object-major", block="64", strategy="permute64", width="scalar",
-                     tail="scalar", batch=64, reps=5)
-        assert build_cases(args) == []
 
 
 class TestCli:
@@ -207,12 +197,12 @@ class TestCli:
         assert code == 0
         text = out.read_text()
         assert "case_id" in text
-        assert "naive-w512-b64-om-st-n40" in text
+        assert "naive-b64-om-st-n40" in text
 
     def test_sweep_tsv_stdout(self, capsys):
         code = main([
             "--synthetic", "4,5,6,3,77", "--sweep", "1..33:16", "--reps", "3",
-            "--strategy", "naive", "--block", "64", "--width", "auto",
+            "--strategy", "naive", "--block", "64",
             "--layout", "object-major", "--format", "tsv", "--quiet",
         ])
         assert code == 0
@@ -255,6 +245,20 @@ class TestCli:
             main(["--model", "/no/such/model.json", "--quiet"])
         assert exc.value.code == 2
 
+    def test_malformed_model_file_is_usage_error(self, tmp_path, capsys):
+        # Hex digits split by a space once reached struct.unpack and crashed
+        # the CLI with a traceback; the error must name the field instead.
+        from obtree import serialize_model
+
+        doc = json.loads(serialize_model(generate_synthetic_model(TINY)))
+        doc["float_features"][0]["borders_hex"][0] = "3f 0000 "
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["--model", str(path), "--quiet"])
+        assert exc.value.code == 2
+        assert "float_features[0].borders_hex[0]" in capsys.readouterr().err
+
     def test_verification_failure_sets_exit_code(self, monkeypatch, tmp_path):
         monkeypatch.setattr("obtree.bench._verify", lambda *a: False)
         code = main([
@@ -265,7 +269,7 @@ class TestCli:
         assert code == 1
 
     def test_structure_is_deterministic(self):
-        args = _Args(layout="both", block="64", strategy="all", width="auto",
+        args = _Args(layout="both", block="64", strategy="all",
                      tail="scalar", batch=16, reps=3)
         ids_a = [c.case_id for c in build_cases(args)]
         ids_b = [c.case_id for c in build_cases(args)]

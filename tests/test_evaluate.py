@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obtree import (
+    BLOCK_SIZES,
     EvalConfig,
+    FeatureMatrix,
+    Layout,
     LeafPrecision,
     LeafStrategy,
     SplitCondition,
     SyntheticSpec,
     TailPolicy,
-    VectorWidth,
     apply_tail_policy,
     evaluate,
     evaluate_scalar,
@@ -24,10 +30,8 @@ from obtree.evaluate import Evaluator, ModelTables
 from obtree.model import ObliviousModel, ObliviousTree, FloatFeatureBorders
 
 ALL_CONFIGS = [
-    EvalConfig(block, width, strategy, tail)
+    EvalConfig(block, strategy, tail)
     for strategy in LeafStrategy
-    for width in VectorWidth
-    if strategy.allows_width(width)
     for block in (64, 128, 256, 512)
     for tail in TailPolicy
 ]
@@ -93,17 +97,8 @@ class TestEvalConfig:
     def test_defaults_follow_baseline(self):
         cfg = EvalConfig()
         assert cfg.block_size == 128
-        assert cfg.width is VectorWidth.W512
         assert cfg.strategy is LeafStrategy.NAIVE
         assert cfg.tail_policy is TailPolicy.SCALAR_TAIL
-
-    def test_incompatible_strategy_width(self):
-        for strategy, width in (
-            (LeafStrategy.PERMUTE64, VectorWidth.W256),
-            (LeafStrategy.GATHER, VectorWidth.W128),
-        ):
-            with pytest.raises(ValueError, match="incompatible"):
-                EvalConfig(strategy=strategy, width=width).validate()
 
     def test_bad_block_size(self):
         with pytest.raises(ValueError, match="block size"):
@@ -172,7 +167,7 @@ class TestInvariances:
         reference = {}
         for cfg in ALL_CONFIGS:
             preds = Evaluator(self.tables, cfg).predict(self.matrix)
-            key = (cfg.strategy.precision, cfg.width, cfg.strategy, cfg.tail_policy)
+            key = (cfg.strategy.precision, cfg.strategy, cfg.tail_policy)
             if key in reference:
                 assert_bits_equal(preds, reference[key], cfg)
             else:
@@ -182,8 +177,8 @@ class TestInvariances:
         transposed = self.matrix.transposed()
         for cfg in (
             EvalConfig(),
-            EvalConfig(64, VectorWidth.W512, LeafStrategy.PERMUTE16, TailPolicy.PADDED_GROUP),
-            EvalConfig(256, VectorWidth.W256, LeafStrategy.GATHER, TailPolicy.SCALAR_TAIL),
+            EvalConfig(64, LeafStrategy.PERMUTE16, TailPolicy.PADDED_GROUP),
+            EvalConfig(256, LeafStrategy.GATHER, TailPolicy.SCALAR_TAIL),
         ):
             a = Evaluator(self.tables, cfg).predict(self.matrix)
             b = Evaluator(self.tables, cfg).predict(transposed)
@@ -193,8 +188,8 @@ class TestInvariances:
         model = corpus_model(12, n_features=5, borders=6, trees=12, depth=6)
         tables = ModelTables(model)
         for strategy in (LeafStrategy.NAIVE, LeafStrategy.PERMUTE16):
-            scalar_cfg = EvalConfig(64, VectorWidth.W512, strategy, TailPolicy.SCALAR_TAIL)
-            padded_cfg = EvalConfig(64, VectorWidth.W512, strategy, TailPolicy.PADDED_GROUP)
+            scalar_cfg = EvalConfig(64, strategy, TailPolicy.SCALAR_TAIL)
+            padded_cfg = EvalConfig(64, strategy, TailPolicy.PADDED_GROUP)
             ev_scalar = Evaluator(tables, scalar_cfg)
             ev_padded = Evaluator(tables, padded_cfg)
             for n in range(1, 193):
@@ -252,7 +247,7 @@ class TestCompositionEquivalence:
         matrix = generate_feature_matrix(150, 6, seed=33, nan_fraction=0.02)
         oracle = evaluate_scalar(model, matrix, strategy.precision)
         for tail in TailPolicy:
-            cfg = EvalConfig(64, VectorWidth.W512, strategy, tail)
+            cfg = EvalConfig(64, strategy, tail)
             fused = evaluate(model, matrix, cfg)
             assert_bits_equal(fused, compose_one_tree_at_a_time(model, matrix, cfg), tail)
             assert_bits_equal(fused, oracle, tail)
@@ -269,7 +264,75 @@ class TestCompositionEquivalence:
         trees = tuple(t for m in rng_models for t in m.trees)
         model = ObliviousModel(float_features=features, trees=trees, scale=1.0, bias=0.0)
         matrix = generate_feature_matrix(90, model.n_features, seed=1)
-        cfg = EvalConfig(64, VectorWidth.W512, strategy, TailPolicy.SCALAR_TAIL)
+        cfg = EvalConfig(64, strategy, TailPolicy.SCALAR_TAIL)
         assert_bits_equal(
             evaluate(model, matrix, cfg), evaluate_scalar(model, matrix, strategy.precision)
         )
+
+
+_VALUE_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, float(np.float32(1e-45)), 1.0]
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A valid model of 0-8 trees of mixed depths 1-8, a batch, a configuration."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_features = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n_features):
+        pool = np.concatenate([rng.normal(0.0, 2.0, 32), [-0.0, math.inf, -math.inf]])
+        pool = np.unique(pool.astype(np.float32))  # -0.0 == 0.0: kept once
+        rows.append(np.sort(rng.choice(pool, size=draw(st.integers(1, 12)), replace=False)))
+    features = tuple(FloatFeatureBorders(i, row) for i, row in enumerate(rows))
+
+    trees = []
+    for depth in draw(st.lists(st.integers(1, 8), max_size=8)):
+        splits = []
+        for _ in range(depth):
+            f = int(rng.integers(n_features))
+            splits.append(SplitCondition(f, int(rng.integers(rows[f].size))))
+        # Ordinary magnitudes, exact binary16 values, +-0.0, subnormals and
+        # values past the binary16 range, which the binary16 bank saturates.
+        leaves = rng.choice(
+            np.concatenate([
+                rng.normal(0.0, 1.0, 16),
+                np.arange(-8, 8) / 4.0,
+                [0.0, -0.0, 5e-324, -2.0**-1074 * 3, 1e5, -7e4, 1e300, -1e300],
+            ]),
+            size=1 << depth,
+        )
+        trees.append(ObliviousTree(depth, tuple(splits), leaves))
+    scale = draw(st.sampled_from([1.0, -0.5, 3.0]))
+    model = ObliviousModel(features, tuple(trees), scale, draw(st.sampled_from([0.0, -1.25])))
+
+    n_objects = draw(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 256, 300]) | st.integers(0, 300))
+    raw = np.empty((n_objects, n_features), dtype=np.float32)
+    for f, row in enumerate(rows):
+        # Values on a border, one ulp to either side, NaN, +-inf and +-0.0.
+        pool = np.concatenate([
+            row,
+            np.nextafter(row, np.float32(np.inf)),
+            np.nextafter(row, np.float32(-np.inf)),
+            np.array(_VALUE_EDGES, dtype=np.float32),
+        ])
+        raw[:, f] = rng.choice(pool, size=n_objects)
+    layout = draw(st.sampled_from(Layout))
+    matrix = FeatureMatrix(raw if layout is Layout.OBJECT_MAJOR else raw.T, layout)
+    config = EvalConfig(
+        draw(st.sampled_from(BLOCK_SIZES)),
+        draw(st.sampled_from(LeafStrategy)),
+        draw(st.sampled_from(TailPolicy)),
+    )
+    return model, raw, matrix, config
+
+
+class TestWholeEvaluationMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(evaluation_cases())
+    def test_predict_equals_evaluate_scalar(self, case):
+        model, raw, matrix, config = case
+        got = Evaluator(model, config).predict(matrix)
+        oracle = evaluate_scalar(
+            model, FeatureMatrix(raw, Layout.OBJECT_MAJOR), config.strategy.precision
+        )
+        assert_bits_equal(got, oracle, config)

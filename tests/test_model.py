@@ -8,18 +8,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import obtree.model
+import obtree.serialize
 from obtree import (
+    EvalConfig,
     Evaluator,
     FeatureMatrix,
     FloatFeatureBorders,
     Layout,
     LeafPrecision,
+    LeafStrategy,
+    ModelFormatError,
     ObliviousModel,
     ObliviousTree,
     SplitCondition,
     SyntheticSpec,
     Xoshiro256StarStar,
     build_leaf_bank,
+    deserialize_model,
     evaluate_scalar,
     generate_synthetic_model,
     serialize_model,
@@ -168,6 +174,28 @@ class TestValidation:
         errors = validate_model(make_model([[0.5]], [tree]))
         assert any("NaN leaf" in e for e in errors)
 
+    def test_infinite_leaf_rejected(self):
+        # +inf in one tree and -inf in another would sum to a NaN score.
+        trees = [make_tree([(0, 0)], [1.0, 2.0]) for _ in range(3)]
+        trees += [make_tree([(0, 0)], [math.inf, 1.0]), make_tree([(0, 0)], [0.0, -math.inf])]
+        model = make_model([[0.5]], trees)
+        assert validate_model(model) == [
+            "trees[3]: infinite leaf value",
+            "trees[4]: infinite leaf value",
+        ]
+        matrix = FeatureMatrix(np.ones((3, 1), dtype=np.float32), Layout.OBJECT_MAJOR)
+        message = r"trees\[3\]: infinite leaf value"
+        with pytest.raises(ValueError, match=message):
+            Evaluator(model)
+        for precision in LeafPrecision:
+            with pytest.raises(ValueError, match=message):
+                evaluate_scalar(model, matrix, precision)
+        document = serialize_model(make_model([[0.5]], trees[:3])).replace(
+            '"3ff0000000000000"', '"7ff0000000000000"', 1
+        )
+        with pytest.raises(ModelFormatError, match=r"trees\[0\]: infinite leaf value"):
+            deserialize_model(document)
+
     def test_leaf_count_must_match_depth(self):
         tree = ObliviousTree(
             depth=2,
@@ -215,6 +243,34 @@ class TestValidation:
         tree = make_tree([(0, 0), (1, 2)], [0.0, 1.0, 2.0, 3.0])
         assert validate_model(make_model([[0.5], [0.1, 0.2, 0.3]], [tree])) == []
 
+    def test_one_validation_per_model_object(self, monkeypatch):
+        # Loading validates the whole model; the set-up and oracle that
+        # follow reuse that result instead of running the full pass again.
+        spec = SyntheticSpec(n_features=3, borders_per_feature=4, n_trees=5, depth=3, seed=8)
+        document = serialize_model(generate_synthetic_model(spec))
+        calls = []
+        original = obtree.model.validate_model
+
+        def counting(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(obtree.model, "validate_model", counting)
+        monkeypatch.setattr(obtree.serialize, "validate_model", counting)
+        model = deserialize_model(document)
+        matrix = FeatureMatrix(np.zeros((4, 3), dtype=np.float32), Layout.OBJECT_MAJOR)
+        for strategy in (LeafStrategy.NAIVE, LeafStrategy.NAIVE16):
+            Evaluator(model, EvalConfig(strategy=strategy)).predict(matrix)
+            evaluate_scalar(model, matrix, strategy.precision)
+            build_leaf_bank(model, strategy.precision)
+        assert len(calls) == 1 and calls[0] is model
+
+    def test_rejected_model_is_checked_every_time(self):
+        model = make_model([[1.0, 1.0]], [])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"invalid model: float_features\[0\]: non-ascending"):
+                Evaluator(model)
+
 
 # ---------------------------------------------------------------------------
 # build_leaf_bank
@@ -246,7 +302,7 @@ class TestLeafBank:
         model = generate_synthetic_model(spec)
         bank = build_leaf_bank(model, LeafPrecision.BINARY16)
         for t, tree in enumerate(model.trees):
-            got = bank.table(t)[: tree.leaf_values.size].view(np.uint16)
+            got = bank.table(t).view(np.uint16)
             expected = [saturated_half_bits(float(v)) for v in tree.leaf_values]
             assert list(got) == expected
 
@@ -256,27 +312,21 @@ class TestLeafBank:
             model = generate_synthetic_model(spec)
             bank = build_leaf_bank(model, LeafPrecision.BINARY16)
             for t, tree in enumerate(model.trees):
-                widened = bank.table(t)[: tree.leaf_values.size].astype(np.float64)
+                widened = bank.table(t).astype(np.float64)
                 clamped = np.clip(tree.leaf_values, -HALF_MAX, HALF_MAX)
                 bound = np.maximum(np.abs(tree.leaf_values) * 2.0**-11, 2.0**-24)
                 assert np.all(np.abs(widened - clamped) <= bound)
 
     def test_binary64_bank_is_bit_exact(self):
-        tree = make_tree([(0, 0), (0, 0)], [0.1, -2.5e300, 3e-300, 7.0])
-        bank = build_leaf_bank(make_model([[0.5]], [tree]), LeafPrecision.BINARY64)
-        assert bank.table(0)[:4].tobytes() == tree.leaf_values.tobytes()
-
-    def test_alignment_and_padding(self):
-        trees = [make_tree([(0, 0)], [1.0, 2.0]) for _ in range(5)]
-        for precision in LeafPrecision:
-            bank = build_leaf_bank(make_model([[0.5]], trees), precision)
-            itemsize = bank.values.dtype.itemsize
-            assert bank.values.ctypes.data % 64 == 0
-            for t in range(5):
-                assert (int(bank.offsets[t]) * itemsize) % 64 == 0
-                table = bank.table(t)
-                assert table.size * itemsize % 64 == 0
-                assert np.all(table[2:] == 0)  # padding beyond the 2 live leaves
+        # Tables are stored back to back, each exactly its tree's leaves.
+        trees = [
+            make_tree([(0, 0), (0, 0)], [0.1, -2.5e300, 3e-300, 7.0]),
+            make_tree([(0, 0)], [-0.0, 5e-324]),
+        ]
+        bank = build_leaf_bank(make_model([[0.5]], trees), LeafPrecision.BINARY64)
+        for t, tree in enumerate(trees):
+            assert bank.table(t).tobytes() == tree.leaf_values.tobytes()
+        assert bank.values.tobytes() == b"".join(t.leaf_values.tobytes() for t in trees)
 
     def test_max_abs_leaf(self):
         trees = [make_tree([(0, 0)], [1.0, -9.5]), make_tree([(0, 0)], [3.0, 2.0])]

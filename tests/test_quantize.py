@@ -149,10 +149,6 @@ class TestQuantizeBlock:
         for f, fb in enumerate(borders):
             assert out.quantiles[f].max() == fb.size
 
-    def test_storage_is_aligned(self):
-        out = QuantizedBlock(3, 128)
-        assert out.quantiles.ctypes.data % 64 == 0
-
     def test_range_larger_than_block_rejected(self):
         matrix = FeatureMatrix(np.zeros((100, 1), dtype=np.float32), Layout.OBJECT_MAJOR)
         out = QuantizedBlock(1, 64)

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obtree import (
     ModelFormatError,
@@ -89,6 +91,23 @@ def test_bad_hex_width_rejected():
         deserialize_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "section, key, index, text, where",
+    [
+        ("float_features", "borders_hex", 0, "3f 0000 ", r"float_features\[0\]\.borders_hex\[0\]"),
+        ("trees", "leaves_hex", 1, "4000 0000 000000", r"trees\[0\]\.leaves_hex\[1\]"),
+        ("float_features", "borders_hex", 0, "3f00 0000", r"float_features\[0\]\.borders_hex\[0\]"),
+    ],
+)
+def test_hex_with_whitespace_rejected(section, key, index, text, where):
+    # Spaces are not hex digits, whether the field has the length of a
+    # value's digits or holds all of them.
+    doc = json.loads(HAND_WRITTEN_DEPTH1)
+    doc[section][0][key][index] = text
+    with pytest.raises(ModelFormatError, match=where + ": expected (8|16) hex digits"):
+        deserialize_model(json.dumps(doc))
+
+
 def test_non_json_input():
     with pytest.raises(ModelFormatError, match="line 1"):
         deserialize_model("not a document")
@@ -111,3 +130,87 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, str(path))
     assert load_model(str(path)) == model
+
+
+def _paths(node, path=()):
+    """Every (container path, key) in a JSON document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path, key
+        yield from _paths(child, path + (key,))
+
+
+def _field_owner(path: tuple) -> str:
+    """The part of a field's path an error about it must name.
+
+    Parse errors name the field itself; validation errors name the feature,
+    tree or split that holds it, and ``scale``/``bias`` by their value names.
+    """
+    if len(path) == 1:
+        return path[0].removesuffix("_hex")
+    return f"{path[0]}[{path[1]}]"
+
+
+_WRONG_TYPES = [None, True, 1.5, "x", [], {}, 7]
+
+
+def _bad_hex(digits: int):
+    """Text that is not ``digits`` hex digits.  The spaced form (whole hex
+    bytes apart, padded to the field's length) is the one bytes.fromhex
+    accepts: it skips the spaces and returns too few bytes."""
+    spaced = st.lists(st.sampled_from(["00", "3f", "7f", "ff"]), min_size=1, max_size=(digits + 1) // 3)
+    return spaced.map(lambda pairs: " ".join(pairs).ljust(digits)) | st.text(
+        alphabet="0123456789abcdefABCDEFxg +-\t\n", max_size=18
+    )
+
+
+_HEX_BITS = st.integers(0, 2**32 - 1).map("{:08x}".format) | st.integers(0, 2**64 - 1).map(
+    "{:016x}".format
+)
+_INTS = st.sampled_from([-1, 0, 1, 2, 8, 9, 254, 255, 2**31, -(2**63)]) | st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one field mutated, and that field's path."""
+    spec = SyntheticSpec(
+        n_features=draw(st.integers(1, 3)),
+        borders_per_feature=draw(st.integers(1, 4)),
+        n_trees=draw(st.integers(0, 3)),
+        depth=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    doc = json.loads(serialize_model(generate_synthetic_model(spec)))
+    container_path, key = draw(st.sampled_from(list(_paths(doc))))
+    container = doc
+    for step in container_path:
+        container = container[step]
+    old = container[key]
+    kinds = ["wrong type", "bad hex", "hex bits", "integer"]
+    if isinstance(container, dict):
+        kinds.append("missing key")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "missing key":
+        del container[key]
+    elif kind == "wrong type":
+        container[key] = draw(st.sampled_from([v for v in _WRONG_TYPES if type(v) is not type(old)]))
+    elif kind == "bad hex":
+        container[key] = draw(_bad_hex(len(old) if isinstance(old, str) else 8))
+    elif kind == "hex bits":
+        container[key] = draw(_HEX_BITS)  # NaN, inf, disordered or of the other width
+    else:
+        container[key] = draw(_INTS)
+    return json.dumps(doc), container_path + (key,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_malformed_document_loads_or_names_the_field(case):
+    text, path = case
+    try:
+        model = deserialize_model(text)
+    except ModelFormatError as exc:
+        assert _field_owner(path) in str(exc), (path, str(exc))
+    else:
+        assert validate_model(model) == []
+        assert deserialize_model(serialize_model(model)) == model
