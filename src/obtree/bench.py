@@ -1,4 +1,7 @@
-"""Benchmark harness: sweep the configuration matrix, verify, time, report.
+"""Benchmark harness: run the case matrix, verify, time, report.
+
+A case is one (layout, strategy, block size, batch size) point of the matrix;
+a batch-size sweep is a matrix whose only varying axis is the batch size.
 
 Every timed case is first checked against the scalar oracle in the same
 process; a timing over wrong results is worthless.  Times are process CPU
@@ -13,25 +16,18 @@ Run ``obtree-bench --help`` or ``python -m obtree.bench --help`` for usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import platform
 import re
 import statistics
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .evaluate import (
-    BLOCK_SIZES,
-    EvalConfig,
-    Evaluator,
-    LeafStrategy,
-    ModelTables,
-    TailPolicy,
-    apply_tail_policy,
-    plan_blocks,
-)
+from .evaluate import BLOCK_SIZES, EvalConfig, Evaluator, LeafStrategy, ModelTables
 from .model import LeafPrecision, ObliviousModel
 from .oracle import evaluate_scalar
 from .quantize import FeatureMatrix, Layout
@@ -52,7 +48,6 @@ DEFAULT_DATA_SEED = 424242
 DEFAULT_REPS = 50
 
 _LAYOUT_SHORT = {Layout.OBJECT_MAJOR: "om", Layout.FEATURE_MAJOR: "fm"}
-_TAIL_SHORT = {TailPolicy.SCALAR_TAIL: "st", TailPolicy.PADDED_GROUP: "pg"}
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ class BenchCase:
         cfg = self.config
         return (
             f"{cfg.strategy.value}-b{cfg.block_size}"
-            f"-{_LAYOUT_SHORT[self.layout]}-{_TAIL_SHORT[cfg.tail_policy]}-n{self.batch_size}"
+            f"-{_LAYOUT_SHORT[self.layout]}-n{self.batch_size}"
         )
 
 
@@ -96,35 +91,17 @@ class BenchReport:
         return all(r.verified for r in self.rows)
 
 
-@dataclass
-class SweepRow:
-    batch_size: int
-    mean_s: float
-    std_s: float
-    n_blocks: int
-    vector_groups: int
-    tail_objects: int
-    verified: bool
-
-
-@dataclass
-class SweepReport:
-    config: EvalConfig
-    layout: Layout
-    rows: list[SweepRow]
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def all_verified(self) -> bool:
-        return all(r.verified for r in self.rows)
-
-
 def _host_metadata() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
+        # Code size next to the timings: lines of the package's modules.
+        "src_lines": sum(
+            len(path.read_text(encoding="utf-8").splitlines())
+            for path in Path(__file__).parent.glob("*.py")
+        ),
     }
 
 
@@ -241,97 +218,6 @@ def run_matrix(
     return BenchReport(baseline_id=baseline_id, rows=rows, metadata=metadata)
 
 
-def sweep_plan_columns(config: EvalConfig, batch_size: int) -> tuple[int, int, int]:
-    """(blocks, vector groups, scalar-tail objects) for one batch size."""
-    blocks = plan_blocks(batch_size, config.block_size)
-    groups = 0
-    tail_objects = 0
-    for begin, end in blocks:
-        plan = apply_tail_policy(config.tail_policy, config.object_group, end - begin)
-        groups += plan.vector_groups
-        tail_objects += plan.scalar_remainder
-    return len(blocks), groups, tail_objects
-
-
-def tail_structure_note(report: "SweepReport") -> str | None:
-    """Soft observation, never an assertion: with a scalar tail, batch sizes
-    that leave a remainder tend to cost at least as much as the next full
-    group.  Returns a summary line, or None if the sweep cannot show it."""
-    group = report.config.object_group
-    if report.config.tail_policy is not TailPolicy.SCALAR_TAIL or group <= 1:
-        return None
-    by_batch = {r.batch_size: r.mean_s for r in report.rows if r.verified}
-    slower = comparable = 0
-    for batch, mean_s in by_batch.items():
-        if batch % group == 0:
-            continue
-        rounded = batch + (group - batch % group)
-        if rounded in by_batch:
-            comparable += 1
-            if mean_s >= by_batch[rounded]:
-                slower += 1
-    if not comparable:
-        return None
-    return (
-        f"tail structure: {slower}/{comparable} non-multiple batch sizes cost at least "
-        f"as much as the next multiple of {group}"
-    )
-
-
-def run_batch_sweep(
-    model: ObliviousModel,
-    config: EvalConfig,
-    layout: Layout,
-    batch_sizes: list[int],
-    repetitions: int = DEFAULT_REPS,
-    data_seed: int = DEFAULT_DATA_SEED,
-    log=None,
-) -> SweepReport:
-    """Mean time per batch size for one configuration, plus plan columns."""
-    tables = ModelTables(model)
-    evaluator = Evaluator(tables, config)
-    inputs = _BatchInputs(model.n_features, data_seed)
-
-    rows = []
-    for batch in batch_sizes:
-        if log:
-            log(f"batch {batch} ...")
-        matrix = inputs.matrix(batch, layout)
-        oracle = inputs.oracle(model, batch, config.strategy.precision)
-        preds = evaluator.predict(matrix)
-        verified = _verify(preds, oracle)
-        mean_s = std_s = float("nan")
-        if verified:
-            mean_s, std_s, _ = _time_case(evaluator, matrix, repetitions)
-        n_blocks, groups, tail_objects = sweep_plan_columns(config, batch)
-        rows.append(
-            SweepRow(
-                batch_size=batch,
-                mean_s=mean_s,
-                std_s=std_s,
-                n_blocks=n_blocks,
-                vector_groups=groups,
-                tail_objects=tail_objects,
-                verified=verified,
-            )
-        )
-
-    metadata = _host_metadata()
-    metadata.update(
-        {
-            "config": config.describe(),
-            "layout": layout.value,
-            "repetitions": repetitions,
-            "data_seed": data_seed,
-        }
-    )
-    report = SweepReport(config=config, layout=layout, rows=rows, metadata=metadata)
-    note = tail_structure_note(report)
-    if note:
-        report.metadata["note"] = note
-    return report
-
-
 # ----------------------------------------------------------------------------
 # Report formatting
 
@@ -355,7 +241,6 @@ _MATRIX_COLUMNS = (
     "strategy",
     "block",
     "layout",
-    "tail",
     "batch",
     "reps",
     "inner",
@@ -384,7 +269,6 @@ def _matrix_cells(row: CaseResult) -> list[str]:
         cfg.strategy.value,
         str(cfg.block_size),
         case.layout.value,
-        cfg.tail_policy.value,
         str(case.batch_size),
         str(case.repetitions),
         *timing,
@@ -398,31 +282,9 @@ def format_matrix(report: BenchReport, fmt: str) -> str:
     )
 
 
-_SWEEP_COLUMNS = ("batch", "mean_ms", "std_ms", "blocks", "vector_groups", "tail_objects", "verified")
-
-
-def _sweep_cells(row: SweepRow) -> list[str]:
-    return [
-        str(row.batch_size),
-        f"{row.mean_s * 1e3:.3f}" if row.verified else "",
-        f"{row.std_s * 1e3:.3f}" if row.verified else "",
-        str(row.n_blocks),
-        str(row.vector_groups),
-        str(row.tail_objects),
-        "ok" if row.verified else "FAIL",
-    ]
-
-
-def format_sweep(report: SweepReport, fmt: str) -> str:
-    """The sweep report as csv or markdown."""
-    return format_table(
-        _SWEEP_COLUMNS, [_sweep_cells(r) for r in report.rows], report.metadata, fmt
-    )
-
-
-def format_sweep_tsv(report: SweepReport) -> str:
+def format_tsv(report: BenchReport) -> str:
     """Two plot-ready columns: batch size and mean milliseconds."""
-    lines = [f"{row.batch_size}\t{row.mean_s * 1e3:.6f}" for row in report.rows]
+    lines = [f"{row.case.batch_size}\t{row.mean_s * 1e3:.6f}" for row in report.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -430,14 +292,15 @@ def format_sweep_tsv(report: SweepReport) -> str:
 # CLI
 
 
-def _parse_sweep(text: str) -> list[int]:
-    match = re.fullmatch(r"(\d+)\.\.(\d+)(?::(\d+))?", text)
+def _parse_batch(text: str) -> list[int]:
+    match = re.fullmatch(r"(\d+)(?:\.\.(\d+)(?::(\d+))?)?", text)
     if not match:
-        raise argparse.ArgumentTypeError("sweep must look like a..b or a..b:step")
-    lo, hi = int(match.group(1)), int(match.group(2))
+        raise argparse.ArgumentTypeError("batch must look like n, a..b or a..b:step")
+    lo = int(match.group(1))
+    hi = int(match.group(2) or lo)
     step = int(match.group(3) or 1)
     if lo < 1 or hi < lo or step < 1:
-        raise argparse.ArgumentTypeError("sweep bounds must satisfy 1 <= a <= b, step >= 1")
+        raise argparse.ArgumentTypeError("batch sizes must satisfy 1 <= a <= b, step >= 1")
     return list(range(lo, hi + 1, step))
 
 
@@ -487,22 +350,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="leaf-load strategy(ies) (default: all)",
     )
     parser.add_argument(
-        "--tail",
-        choices=["scalar", "padded"],
-        default="scalar",
-        help="tail policy for partial object groups (default: scalar)",
-    )
-    parser.add_argument("--batch", type=int, default=1024, help="batch size (default: 1024)")
-    parser.add_argument(
-        "--sweep",
-        type=_parse_sweep,
-        metavar="A..B[:STEP]",
-        help="sweep batch sizes instead of running the matrix",
+        "--batch",
+        type=_parse_batch,
+        default=[1024],
+        metavar="N|A..B[:STEP]",
+        help="batch size, or a range of batch sizes to sweep (default: 1024)",
     )
     parser.add_argument("--reps", type=int, default=DEFAULT_REPS, help="timed repetitions per case")
     parser.add_argument("--baseline", metavar="CASE_ID", help="case id d is measured against")
-    parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=["csv", "md", "tsv"], default="md")
+    parser.add_argument(
+        "--out",
+        type=argparse.FileType("w", encoding="utf-8"),
+        metavar="PATH",
+        help="write the report here instead of stdout",
+    )
+    parser.add_argument(
+        "--format",
+        choices=["csv", "md", "tsv"],
+        default="md",
+        help="tsv: batch size and mean ms only, for a single strategy, block and layout",
+    )
     parser.add_argument("--data-seed", type=int, default=DEFAULT_DATA_SEED)
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
@@ -527,83 +394,38 @@ def build_cases(args) -> list[BenchCase]:
     strategies = (
         list(LeafStrategy) if args.strategy == "all" else [LeafStrategy(args.strategy)]
     )
-    tail = TailPolicy.SCALAR_TAIL if args.tail == "scalar" else TailPolicy.PADDED_GROUP
-
-    cases = []
-    for layout in layouts:
-        for strategy in strategies:
-            for block in blocks:
-                config = EvalConfig(block_size=block, strategy=strategy, tail_policy=tail)
-                cases.append(
-                    BenchCase(
-                        config=config,
-                        layout=layout,
-                        batch_size=args.batch,
-                        repetitions=args.reps,
-                    )
-                )
-    return cases
+    return [
+        BenchCase(EvalConfig(block_size=block, strategy=strategy), layout, batch, args.reps)
+        for layout in layouts
+        for strategy in strategies
+        for block in blocks
+        for batch in args.batch
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     log = (lambda msg: None) if args.quiet else (lambda msg: print(msg, file=sys.stderr))
-    if not args.sweep and args.format == "tsv":
-        parser.error("tsv output is for --sweep; use csv or md for the matrix")
-
-    try:
-        model, source = _resolve_model(args)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-
-    log(f"model: {source} ({model.n_features} features, {model.n_trees} trees)")
-
-    if args.sweep:
-        if args.layout == "both":
-            if args.format == "tsv":
-                parser.error("--sweep with --format tsv needs a single --layout")
-            layouts = [Layout.OBJECT_MAJOR, Layout.FEATURE_MAJOR]
-        else:
-            layouts = [Layout(args.layout)]
-        if args.strategy == "all" or args.block == "all":
-            parser.error("--sweep needs a single --strategy and --block")
-        config = EvalConfig(
-            block_size=int(args.block),
-            strategy=LeafStrategy(args.strategy),
-            tail_policy=TailPolicy.SCALAR_TAIL if args.tail == "scalar" else TailPolicy.PADDED_GROUP,
-        )
-        pieces = []
-        ok = True
-        for layout in layouts:
-            report = run_batch_sweep(
-                model, config, layout, args.sweep, args.reps, args.data_seed, log=log
-            )
-            report.metadata["model"] = source
-            ok = ok and report.all_verified
-            if args.format == "tsv":
-                pieces.append(format_sweep_tsv(report))
-            else:
-                pieces.append(format_sweep(report, args.format))
-        text = "\n".join(pieces)
-    else:
-        cases = build_cases(args)
+    # --out was opened while parsing, so an unwritable path fails before any case runs.
+    with args.out or contextlib.nullcontext(sys.stdout) as out:
+        if args.format == "tsv" and ("all" in (args.strategy, args.block) or args.layout == "both"):
+            parser.error("tsv output needs a single --strategy, --block and --layout")
         try:
+            cases = build_cases(args)
+            model, source = _resolve_model(args)
+            log(f"model: {source} ({model.n_features} features, {model.n_trees} trees)")
             report = run_matrix(model, cases, args.baseline, args.data_seed, log=log)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             parser.error(str(exc))
         report.metadata["model"] = source
-        ok = report.all_verified
-        text = format_matrix(report, args.format)
-
+        out.write(
+            format_tsv(report) if args.format == "tsv" else format_matrix(report, args.format)
+        )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        log(f"report written to {args.out}")
-    else:
-        print(text, end="")
+        log(f"report written to {args.out.name}")
 
-    if not ok:
+    if not report.all_verified:
         log("ERROR: at least one case failed oracle verification")
         return 1
     return 0

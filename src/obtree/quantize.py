@@ -35,21 +35,22 @@ class FeatureMatrix:
 
     Element (object o, feature f) lives at offset ``o * n_features + f`` for
     OBJECT_MAJOR input and ``f * n_objects + o`` for FEATURE_MAJOR input.
-    Input of any other dtype is converted to binary32 on construction, so
-    float64 values are rounded to nearest before any border compare: for
-    example ``nextafter(0.5, 1)`` rounds to 0.5 and does not cross a border
-    at 0.5.
+    ``layout`` is a ``Layout`` or its value string; anything else is a
+    ``ValueError``.  Input of any other dtype is converted to binary32 on
+    construction, so float64 values are rounded to nearest before any border
+    compare: for example ``nextafter(0.5, 1)`` rounds to 0.5 and does not
+    cross a border at 0.5.
     """
 
     __slots__ = ("layout", "values", "n_objects", "n_features")
 
-    def __init__(self, values: np.ndarray, layout: Layout):
+    def __init__(self, values: np.ndarray, layout: Layout | str):
         arr = np.ascontiguousarray(values, dtype=np.float32)
         if arr.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
-        self.layout = layout
+        self.layout = Layout(layout)
         self.values = arr
-        if layout is Layout.OBJECT_MAJOR:
+        if self.layout is Layout.OBJECT_MAJOR:
             self.n_objects, self.n_features = arr.shape
         else:
             self.n_features, self.n_objects = arr.shape

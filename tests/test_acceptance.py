@@ -299,8 +299,7 @@ def test_criterion_08_bench_harness(capsys):
     from obtree.bench import PRESETS
 
     args = argparse.Namespace(
-        layout="both", block="all", strategy="all",
-        tail="scalar", batch=1024, reps=50,
+        layout="both", block="all", strategy="all", batch=[1024], reps=50,
     )
     cases = build_cases(args)
     model = generate_synthetic_model(PRESETS["desk"])

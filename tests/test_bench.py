@@ -2,55 +2,33 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from obtree import EvalConfig, Layout, LeafStrategy, SyntheticSpec, TailPolicy
+from obtree import EvalConfig, Layout, LeafStrategy, SyntheticSpec
 from obtree.bench import (
     BenchCase,
     BenchReport,
     CaseResult,
-    SweepReport,
-    SweepRow,
+    _parse_batch,
     _verify,
     build_cases,
     format_matrix,
-    format_sweep,
-    format_sweep_tsv,
+    format_tsv,
     main,
-    run_batch_sweep,
     run_matrix,
-    sweep_plan_columns,
 )
 from obtree.synthetic import generate_synthetic_model
 
 TINY = SyntheticSpec(n_features=4, borders_per_feature=5, n_trees=6, depth=3, seed=77)
 
 
-def tiny_case(strategy=LeafStrategy.NAIVE, tail=TailPolicy.SCALAR_TAIL, batch=40, reps=3,
-              layout=Layout.OBJECT_MAJOR, block=64):
-    config = EvalConfig(block, strategy, tail)
+def tiny_case(strategy=LeafStrategy.NAIVE, batch=40, reps=3, layout=Layout.OBJECT_MAJOR, block=64):
+    config = EvalConfig(block, strategy)
     return BenchCase(config=config, layout=layout, batch_size=batch, repetitions=reps)
-
-
-class TestPlans:
-    def test_padded_sweep_is_a_step_function_on_group_boundaries(self):
-        config = EvalConfig(64, LeafStrategy.PERMUTE16, TailPolicy.PADDED_GROUP)
-        groups = [sweep_plan_columns(config, n)[1] for n in range(1, 65)]
-        # ceil(n / 32) for one block: constant within a group, +1 at each boundary
-        assert groups == [1] * 32 + [2] * 32
-
-    def test_scalar_sweep_remainder_varies(self):
-        config = EvalConfig(64, LeafStrategy.PERMUTE16, TailPolicy.SCALAR_TAIL)
-        tails = [sweep_plan_columns(config, n)[2] for n in range(1, 65)]
-        assert tails == list(range(1, 32)) + [0] + list(range(1, 32)) + [0]
-
-    def test_block_counts(self):
-        config = EvalConfig(128, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
-        assert sweep_plan_columns(config, 128)[0] == 1
-        assert sweep_plan_columns(config, 256)[0] == 2
 
 
 class TestRunMatrix:
@@ -104,71 +82,46 @@ class TestRunMatrix:
 
 class TestFormat:
     def test_renderings_are_fixed(self):
-        config = EvalConfig(64, LeafStrategy.PERMUTE16, TailPolicy.SCALAR_TAIL)
-        sweep = SweepReport(
-            config,
-            Layout.OBJECT_MAJOR,
-            [
-                SweepRow(1, 0.0012345, 0.0000456, 1, 0, 1, True),
-                SweepRow(100, float("nan"), float("nan"), 2, 3, 4, False),
-            ],
-            {"config": config.describe(), "layout": "object-major"},
-        )
-        meta = "# config: permute16-b64-scalar\n# layout: object-major\n"
-        assert format_sweep(sweep, "md") == meta + (
-            "| batch | mean_ms | std_ms | blocks | vector_groups | tail_objects | verified |\n"
-            "|-------|---------|--------|--------|---------------|--------------|----------|\n"
-            "| 1     | 1.234   | 0.046  | 1      | 0             | 1            | ok       |\n"
-            "| 100   |         |        | 2      | 3             | 4            | FAIL     |\n"
-        )
-        assert format_sweep(sweep, "csv") == meta + (
-            "batch,mean_ms,std_ms,blocks,vector_groups,tail_objects,verified\n"
-            "1,1.234,0.046,1,0,1,ok\n"
-            "100,,,2,3,4,FAIL\n"
-        )
-        case = BenchCase(config, Layout.FEATURE_MAJOR, 40, 3)
-        matrix = BenchReport(
+        case = BenchCase(EvalConfig(64, LeafStrategy.PERMUTE16), Layout.FEATURE_MAJOR, 40, 3)
+        report = BenchReport(
             case.case_id,
             [
                 CaseResult(case, True, mean_s=0.0021, std_s=0.0001, d=0.0, inner=2),
-                CaseResult(BenchCase(EvalConfig(), Layout.OBJECT_MAJOR, 40, 3), False),
+                CaseResult(BenchCase(EvalConfig(), Layout.OBJECT_MAJOR, 100, 3), False),
             ],
             {"baseline": case.case_id},
         )
-        assert format_matrix(matrix, "csv") == (
-            "# baseline: permute16-b64-fm-st-n40\n"
-            "case_id,strategy,block,layout,tail,batch,reps,inner,mean_ms,std_ms,"
+        assert format_matrix(report, "csv") == (
+            "# baseline: permute16-b64-fm-n40\n"
+            "case_id,strategy,block,layout,batch,reps,inner,mean_ms,std_ms,"
             "d_vs_baseline,verified\n"
-            "permute16-b64-fm-st-n40,permute16,64,feature-major,scalar,40,3,2,"
+            "permute16-b64-fm-n40,permute16,64,feature-major,40,3,2,"
             "2.100,0.100,+0.0%,ok\n"
-            "naive-b128-om-st-n40,naive,128,object-major,scalar,40,3,,,,,FAIL\n"
+            "naive-b128-om-n100,naive,128,object-major,100,3,,,,,FAIL\n"
         )
+        assert format_matrix(report, "md") == (
+            "# baseline: permute16-b64-fm-n40\n"
+            "| case_id              | strategy  | block | layout        | batch | reps | inner "
+            "| mean_ms | std_ms | d_vs_baseline | verified |\n"
+            "|----------------------|-----------|-------|---------------|-------|------|-------"
+            "|---------|--------|---------------|----------|\n"
+            "| permute16-b64-fm-n40 | permute16 | 64    | feature-major | 40    | 3    | 2     "
+            "| 2.100   | 0.100  | +0.0%         | ok       |\n"
+            "| naive-b128-om-n100   | naive     | 128   | object-major  | 100   | 3    |       "
+            "|         |        |               | FAIL     |\n"
+        )
+        assert format_tsv(report) == "40\t2.100000\n100\tnan\n"
 
 
 class TestSweep:
     def test_row_count_matches_batches(self):
         model = generate_synthetic_model(TINY)
-        config = EvalConfig(64, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
         batches = [1, 17, 40, 64, 100]
-        report = run_batch_sweep(model, config, Layout.OBJECT_MAJOR, batches, repetitions=3)
-        assert [r.batch_size for r in report.rows] == batches
+        report = run_matrix(model, [tiny_case(batch=b) for b in batches], data_seed=5)
+        assert [r.case.batch_size for r in report.rows] == batches
         assert report.all_verified
-        tsv = format_sweep_tsv(report)
-        assert len(tsv.strip().splitlines()) == len(batches)
-
-    def test_plan_columns_reflect_blocks(self):
-        model = generate_synthetic_model(TINY)
-        config = EvalConfig(128, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
-        report = run_batch_sweep(model, config, Layout.OBJECT_MAJOR, [128, 256], repetitions=3)
-        assert report.rows[0].n_blocks == 1
-        assert report.rows[1].n_blocks == 2
-
-    def test_tail_structure_note_reported_not_asserted(self):
-        model = generate_synthetic_model(TINY)
-        config = EvalConfig(64, LeafStrategy.NAIVE, TailPolicy.SCALAR_TAIL)
-        report = run_batch_sweep(model, config, Layout.OBJECT_MAJOR, [60, 64], repetitions=3)
-        note = report.metadata.get("note", "")
-        assert "non-multiple batch sizes" in note
+        tsv = format_tsv(report)
+        assert [line.split("\t")[0] for line in tsv.splitlines()] == [str(b) for b in batches]
 
 
 class _Args:
@@ -178,12 +131,40 @@ class _Args:
 
 class TestCaseBuilder:
     def test_default_matrix_shape(self):
-        args = _Args(layout="both", block="all", strategy="all",
-                     tail="scalar", batch=1024, reps=5)
+        args = _Args(layout="both", block="all", strategy="all", batch=[1024], reps=5)
         cases = build_cases(args)
         # 5 strategies x 4 blocks x 2 layouts
         assert len(cases) == 40
         assert len({c.case_id for c in cases}) == 40
+
+    def test_batch_is_the_innermost_axis(self):
+        args = _Args(layout="object-major", block="all", strategy="naive",
+                     batch=[1, 17, 33], reps=3)
+        cases = build_cases(args)
+        assert [(c.config.block_size, c.batch_size) for c in cases] == [
+            (block, batch) for block in (64, 128, 256, 512) for batch in (1, 17, 33)
+        ]
+        assert len({c.case_id for c in cases}) == 12
+
+    def test_repetition_floor_applies_to_every_case(self):
+        args = _Args(layout="both", block="64", strategy="naive", batch=[8], reps=2)
+        with pytest.raises(ValueError, match="at least 3"):
+            build_cases(args)
+
+
+class TestParseBatch:
+    @pytest.mark.parametrize(
+        "text, sizes",
+        [("1", [1]), ("1024", [1024]), ("1..4", [1, 2, 3, 4]), ("1..33:16", [1, 17, 33]),
+         ("5..5", [5]), ("1..1024:7", list(range(1, 1025, 7)))],
+    )
+    def test_accepted(self, text, sizes):
+        assert _parse_batch(text) == sizes
+
+    @pytest.mark.parametrize("text", ["0", "0..4", "4..1", "1..4:0", "-1", "1..", "x", "1:2"])
+    def test_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_batch(text)
 
 
 class TestCli:
@@ -197,22 +178,48 @@ class TestCli:
         assert code == 0
         text = out.read_text()
         assert "case_id" in text
-        assert "naive-b64-om-st-n40" in text
+        assert "naive-b64-om-n40" in text
+        assert "# src_lines: " in text
 
     def test_sweep_tsv_stdout(self, capsys):
         code = main([
-            "--synthetic", "4,5,6,3,77", "--sweep", "1..33:16", "--reps", "3",
+            "--synthetic", "4,5,6,3,77", "--batch", "1..33:16", "--reps", "3",
             "--strategy", "naive", "--block", "64",
             "--layout", "object-major", "--format", "tsv", "--quiet",
         ])
         assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 3  # batches 1, 17, 33
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["1", "17", "33"]
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_sweep_gives_one_verified_row_per_batch(self, fmt, capsys):
+        code = main([
+            "--synthetic", "4,5,6,3,77", "--batch", "1..33:16", "--reps", "3",
+            "--strategy", "naive", "--block", "64",
+            "--layout", "object-major", "--format", fmt, "--quiet",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [
+            [cell.strip() for cell in line.strip("| ").replace("|", ",").split(",")]
+            for line in lines
+            if line.lstrip("| ").startswith("naive-")
+        ]
+        assert [(row[4], row[-1]) for row in rows] == [("1", "ok"), ("17", "ok"), ("33", "ok")]
 
     def test_sweep_tsv_requires_single_layout(self):
         with pytest.raises(SystemExit) as exc:
-            main(["--synthetic", "4,5,6,3,77", "--sweep", "1..2", "--format", "tsv",
+            main(["--synthetic", "4,5,6,3,77", "--batch", "1..2", "--format", "tsv",
                   "--strategy", "naive", "--block", "64", "--quiet"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "single", [["--strategy", "naive"], ["--block", "64"]], ids=["all-blocks", "all-strategies"]
+    )
+    def test_sweep_tsv_requires_single_strategy_and_block(self, single):
+        with pytest.raises(SystemExit) as exc:
+            main(["--synthetic", "4,5,6,3,77", "--batch", "1..2", "--format", "tsv",
+                  "--layout", "object-major", *single, "--quiet"])
         assert exc.value.code == 2
 
     def test_matrix_rejects_tsv(self):
@@ -269,8 +276,30 @@ class TestCli:
         assert code == 1
 
     def test_structure_is_deterministic(self):
-        args = _Args(layout="both", block="64", strategy="all",
-                     tail="scalar", batch=16, reps=3)
+        args = _Args(layout="both", block="64", strategy="all", batch=[16], reps=3)
         ids_a = [c.case_id for c in build_cases(args)]
         ids_b = [c.case_id for c in build_cases(args)]
         assert ids_a == ids_b
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--reps", "2"], "at least 3"), (["--batch", "0"], "--batch"),
+         (["--batch", "1..33:0"], "--batch")],
+    )
+    def test_bad_reps_or_batch_is_usage_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--synthetic", "4,5,6,3,77", *flags, "--quiet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_unwritable_out_fails_before_any_case_runs(self, monkeypatch, tmp_path, capsys):
+        def no_model(args):
+            raise AssertionError("model built before --out was opened")
+
+        monkeypatch.setattr("obtree.bench._resolve_model", no_model)
+        with pytest.raises(SystemExit) as exc:
+            main(["--synthetic", "4,5,6,3,77", "--out", str(tmp_path / "no" / "r.md")])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err

@@ -26,7 +26,7 @@ from obtree import (
     generate_synthetic_model,
     plan_blocks,
 )
-from obtree.evaluate import Evaluator, ModelTables
+from obtree.evaluate import _SEQUENTIAL_CUMSUM, Evaluator, ModelTables
 from obtree.model import ObliviousModel, ObliviousTree, FloatFeatureBorders
 
 ALL_CONFIGS = [
@@ -130,6 +130,18 @@ class TestEvaluateBasics:
         )
         matrix = generate_feature_matrix(9, 1, seed=2)
         assert np.all(evaluate(model, matrix) == 2.0)
+
+    @pytest.mark.parametrize("strategy", [LeafStrategy.GATHER, LeafStrategy.PERMUTE16])
+    def test_explicit_loop_fold_matches_oracle(self, strategy, monkeypatch):
+        # The row loop runs only where the import-time probe finds that
+        # cumsum is not a strict left fold; force it for both sum dtypes.
+        for dtype in list(_SEQUENTIAL_CUMSUM):
+            monkeypatch.setitem(_SEQUENTIAL_CUMSUM, dtype, False)
+        model = corpus_model(11, trees=30)
+        matrix = generate_feature_matrix(300, model.n_features, seed=3)  # three b128 blocks
+        preds = Evaluator(model, EvalConfig(128, strategy)).predict(matrix)
+        oracle = evaluate_scalar(model, matrix, strategy.precision)
+        assert np.array_equal(preds.view(np.uint64), oracle.view(np.uint64))
 
     def test_prediction_length_never_leaks_padding(self):
         model = corpus_model(5, trees=8)

@@ -123,6 +123,25 @@ class TestQuantizeBlock:
         b = block_for(fm, borders, block_size=64)
         assert np.array_equal(a.quantiles, b.quantiles)
 
+    def test_layout_given_as_its_value_string(self):
+        # A square batch read in the wrong order raises nothing and gives
+        # other quantiles, so the string must select the same layout.
+        model = generate_synthetic_model(SyntheticSpec(4, 10, 0, 1, seed=8))
+        borders = [ff.borders for ff in model.float_features]
+        raw = np.linspace(0.0, 1.0, 16, dtype=np.float32).reshape(4, 4)
+        for layout in Layout:
+            named = FeatureMatrix(raw, layout.value)
+            assert named.layout is layout
+            expected = block_for(FeatureMatrix(raw, layout), borders)
+            assert np.array_equal(block_for(named, borders).quantiles, expected.quantiles)
+        assert not np.array_equal(
+            block_for(FeatureMatrix(raw, "object-major"), borders).quantiles,
+            block_for(FeatureMatrix(raw, "feature-major"), borders).quantiles,
+        )
+        for bad in ("row-major", "OBJECT_MAJOR", None):
+            with pytest.raises(ValueError):
+                FeatureMatrix(raw, bad)
+
     def test_float64_input_rounds_to_binary32_before_the_compare(self):
         # nextafter(0.5, 1) exceeds 0.5 in binary64 but rounds to 0.5 in
         # binary32, so it does not cross a border at 0.5.
