@@ -110,9 +110,10 @@ def _verify(preds: np.ndarray, oracle: np.ndarray) -> bool:
     return np.array_equal(preds.view(np.uint64), oracle.view(np.uint64))
 
 
-# One timing sample must span several ticks of the process CPU clock, which
-# can be as coarse as 10 ms; fast cases run several evaluations per sample.
-_MIN_SAMPLE_S = 0.05
+# One timing sample spans at least 100 ticks of the process CPU clock (1 ns
+# with Linux's CLOCK_PROCESS_CPUTIME_ID, up to milliseconds elsewhere) and at
+# least 5 ms against scheduler jitter; fast cases run several evaluations each.
+_MIN_SAMPLE_S = max(100 * time.get_clock_info("process_time").resolution, 0.005)
 
 
 def _time_case(
@@ -138,24 +139,25 @@ def _time_case(
 
 
 class _BatchInputs:
-    """Per-batch-size input matrices (both layouts share the same values)."""
+    """Per-batch-size object-major input matrices and oracle scores.
+
+    Only the object-major matrix of each batch size is kept for the run; a
+    feature-major case gets a transposed copy made for it alone.
+    """
 
     def __init__(self, n_features: int, data_seed: int):
         self.n_features = n_features
         self.data_seed = data_seed
-        self._matrices: dict[int, dict[Layout, FeatureMatrix]] = {}
+        self._matrices: dict[int, FeatureMatrix] = {}
         self._oracles: dict[tuple[int, LeafPrecision], np.ndarray] = {}
 
     def matrix(self, batch_size: int, layout: Layout) -> FeatureMatrix:
         if batch_size not in self._matrices:
-            om = generate_feature_matrix(
+            self._matrices[batch_size] = generate_feature_matrix(
                 batch_size, self.n_features, seed=self.data_seed + batch_size
             )
-            self._matrices[batch_size] = {
-                Layout.OBJECT_MAJOR: om,
-                Layout.FEATURE_MAJOR: om.transposed(),
-            }
-        return self._matrices[batch_size][layout]
+        om = self._matrices[batch_size]
+        return om if layout is Layout.OBJECT_MAJOR else om.transposed()
 
     def oracle(self, model: ObliviousModel, batch_size: int, precision: LeafPrecision) -> np.ndarray:
         key = (batch_size, precision)

@@ -4,9 +4,11 @@ A batch is split into cache-sized blocks; each block is quantized, then every
 tree's leaf index is computed and its leaf value fetched and folded into the
 per-object sums, and the scale/bias transform finalizes the block's
 predictions.  Stages 2 and 3 run fused, as array operations over a
-(trees x objects) panel covering all of a block's live objects.  Per-tree
-contributions are summed in tree order with a strict left fold, so results do
-not depend on the block plan or the input layout.
+(trees x objects) panel covering a block's live objects rounded up to a
+multiple of 8, so that leaf indices are assembled on 64-bit words of eight
+byte lanes.  Per-tree contributions are summed in tree order by a row-order
+reduce (checked by an import-time probe, with an explicit row loop as the
+fallback), so results do not depend on the block plan or the input layout.
 
 The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  This
 engine is numpy, so a strategy selects only its leaf-precision family: every
@@ -181,59 +183,80 @@ class ModelTables:
         return self._banks[precision]
 
 
-# np.cumsum along an axis is a strict sequential left fold on every platform
-# we know of, which makes it a fast stand-in for the per-tree accumulation
-# loop.  Probe once at import and fall back to the explicit loop if the
-# identity ever stops holding (e.g. a SIMD prefix scan that reassociates).
-def _cumsum_is_left_fold(dtype) -> bool:
-    span = np.arange(192, dtype=np.float64)
-    data = (((-1.0) ** span) * 2.0 ** (span % 37 - 18) * (span + 1.0)).reshape(64, 3)
+# On a C-contiguous panel of two or more columns, np.add.reduce(axis=0) adds
+# the rows top to bottom for each column, a strict left fold in tree order;
+# on one column it sums pairwise.  Probe once at import at a width the kernel
+# uses and fall back to the explicit row loop if the identity stops holding.
+def _reduce_is_row_order(dtype) -> bool:
+    span = np.arange(512, dtype=np.float64)
+    data = (((-1.0) ** span) * 2.0 ** (span % 37 - 18) / (span + 1.0)).reshape(64, 8)
     data = data.astype(dtype)
-    folded = np.zeros(3, dtype=dtype)
+    folded = np.zeros(8, dtype=dtype)
     for row in data:
         folded += row
-    return bool(np.array_equal(np.cumsum(data, axis=0)[-1], folded))
+    return bool(np.array_equal(np.add.reduce(data, axis=0), folded))
 
 
-_SEQUENTIAL_CUMSUM = {
-    np.dtype(np.float64): _cumsum_is_left_fold(np.float64),
-    np.dtype(np.float32): _cumsum_is_left_fold(np.float32),
+_ROW_ORDER_REDUCE = {
+    np.dtype(np.float64): _reduce_is_row_order(np.float64),
+    np.dtype(np.float32): _reduce_is_row_order(np.float32),
 }
+
+# Panels are whole 64-bit words of byte lanes wide, and so never the one
+# column that np.add.reduce would sum pairwise.
+_PANEL_COLUMNS = 8
 
 
 def _fold_rows(contrib: np.ndarray, acc: np.ndarray) -> None:
-    """acc += rows of ``contrib`` added top to bottom (tree order)."""
-    if _SEQUENTIAL_CUMSUM[contrib.dtype]:
-        np.cumsum(contrib, axis=0, out=contrib)
-        acc += contrib[-1]
+    """acc += the first ``acc.size`` columns of ``contrib``'s rows, in tree order."""
+    live = acc.size
+    if _ROW_ORDER_REDUCE[contrib.dtype]:
+        acc += np.add.reduce(contrib, axis=0)[:live]
     else:
         for row in contrib:
-            acc += row
+            acc += row[:live]
 
 
 def _leaf_index_panel(tables: ModelTables, quantiles: np.ndarray) -> np.ndarray:
-    """(trees x objects) leaf indices from a quantile segment, branch-free."""
-    n_cols = quantiles.shape[1]
-    idx = np.zeros((tables.n_trees, n_cols), dtype=np.uint8)
+    """(trees x columns) leaf indices from a quantile segment, branch-free.
+
+    The column count must be a multiple of 8: the bit panels are shifted and
+    or-ed as 64-bit words.  Each byte holds 0 or 1 before its shift by at
+    most 7, so no bit carries into the next byte's lane.
+    """
+    shape = (tables.n_trees, quantiles.shape[1])
+    bits = np.empty(shape, dtype=np.uint8)
+    idx = np.zeros(shape, dtype=np.uint8)
+    bits64, idx64 = bits.view(np.uint64), idx.view(np.uint64)
     for k in range(tables.max_depth):
-        rows = quantiles[tables.split_feature[:, k]]
-        bits = (rows > tables.split_ordinal[:, k, None]).view(np.uint8)
-        idx |= bits << np.uint8(k)
+        # Split features are in range; with out=, the default mode would
+        # also copy the rows through a temporary buffer.
+        np.take(quantiles, tables.split_feature[:, k], axis=0, out=bits, mode="clip")
+        np.greater(bits, tables.split_ordinal[:, k, None], out=bits)
+        np.left_shift(bits64, np.uint64(k), out=bits64)
+        idx64 |= bits64
     return idx
 
 
 def _fold_block_segment(
     tables: ModelTables, bank: LeafBank, quantiles: np.ndarray, acc: np.ndarray
 ) -> None:
-    """Run stages 2 and 3 for all trees over the columns of ``quantiles``.
+    """Run stages 2 and 3 for all trees and fold the first ``acc.size`` columns.
 
-    The leaf load is the bank's indexed load in its own precision; binary16
-    leaves widen to binary32 before the fold.
+    ``quantiles`` spans the live columns rounded up to a multiple of 8; the
+    extra columns are the block's zeroed padding.  The leaf load is one
+    indexed take from the bank in its own precision; binary16 leaves widen
+    to binary32 before the fold.
     """
     if tables.n_trees == 0:
         return
     idx = _leaf_index_panel(tables, quantiles)
-    contrib = bank.values[bank.offsets[:-1, None] + idx]
+    flat = np.add(bank.offsets[:-1, None], idx, dtype=np.intp)
+    del idx
+    # Indices are in range by construction, so mode="clip" only skips the
+    # bounds check.
+    contrib = np.take(bank.values, flat, mode="clip")
+    del flat
     if bank.precision is LeafPrecision.BINARY16:
         contrib = contrib.astype(np.float32)
     _fold_rows(contrib, acc)
@@ -275,8 +298,10 @@ class Evaluator:
         for begin, end in plan_blocks(n, cfg.block_size):
             live = end - begin
             quantize_block(matrix, (begin, end), self.tables.border_table, qblock)
+            # Block sizes are multiples of 8, so the rounding stays in the block.
+            cols = -(-live // _PANEL_COLUMNS) * _PANEL_COLUMNS
             acc = np.zeros(live, dtype=sum_dtype)
-            _fold_block_segment(self.tables, self.bank, qblock.quantiles[:, :live], acc)
+            _fold_block_segment(self.tables, self.bank, qblock.quantiles[:, :cols], acc)
             out[begin:end] = acc.astype(np.float64, copy=False) * model.scale + model.bias
         return out
 

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from obtree import EvalConfig, Layout, LeafStrategy, SyntheticSpec
+from obtree import EvalConfig, FeatureMatrix, Layout, LeafStrategy, SyntheticSpec
 from obtree.bench import (
     BenchCase,
     BenchReport,
@@ -52,6 +52,16 @@ class TestRunMatrix:
         report = run_matrix(model, [tiny_case(), tiny_case()], data_seed=5)
         assert report.rows[0].d == 0.0
         assert abs(report.rows[1].d) < 0.5
+
+    def test_only_feature_major_cases_make_a_transposed_copy(self, monkeypatch):
+        model = generate_synthetic_model(TINY)
+        assert run_matrix(model, [tiny_case(layout=Layout.FEATURE_MAJOR)]).all_verified
+
+        def refuse(matrix):
+            raise AssertionError("an object-major case made a transposed copy")
+
+        monkeypatch.setattr(FeatureMatrix, "transposed", refuse)
+        assert run_matrix(model, [tiny_case(), tiny_case(batch=7)]).all_verified
 
     def test_verification_is_bit_exact(self):
         oracle = np.array([1.0, -2.5, 0.0])

@@ -26,7 +26,7 @@ from obtree import (
     generate_synthetic_model,
     plan_blocks,
 )
-from obtree.evaluate import _SEQUENTIAL_CUMSUM, Evaluator, ModelTables
+from obtree.evaluate import _ROW_ORDER_REDUCE, Evaluator, ModelTables
 from obtree.model import ObliviousModel, ObliviousTree, FloatFeatureBorders
 
 ALL_CONFIGS = [
@@ -134,11 +134,13 @@ class TestEvaluateBasics:
     @pytest.mark.parametrize("strategy", [LeafStrategy.GATHER, LeafStrategy.PERMUTE16])
     def test_explicit_loop_fold_matches_oracle(self, strategy, monkeypatch):
         # The row loop runs only where the import-time probe finds that
-        # cumsum is not a strict left fold; force it for both sum dtypes.
-        for dtype in list(_SEQUENTIAL_CUMSUM):
-            monkeypatch.setitem(_SEQUENTIAL_CUMSUM, dtype, False)
+        # np.add.reduce(axis=0) does not add rows in order; force it for
+        # both sum dtypes.  The last of three b128 blocks has 44 live
+        # objects in a 48-column panel, so the loop's slicing is covered too.
+        for dtype in list(_ROW_ORDER_REDUCE):
+            monkeypatch.setitem(_ROW_ORDER_REDUCE, dtype, False)
         model = corpus_model(11, trees=30)
-        matrix = generate_feature_matrix(300, model.n_features, seed=3)  # three b128 blocks
+        matrix = generate_feature_matrix(300, model.n_features, seed=3)
         preds = Evaluator(model, EvalConfig(128, strategy)).predict(matrix)
         oracle = evaluate_scalar(model, matrix, strategy.precision)
         assert np.array_equal(preds.view(np.uint64), oracle.view(np.uint64))
