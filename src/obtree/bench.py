@@ -5,7 +5,8 @@ a batch-size sweep is a matrix whose only varying axis is the batch size.
 
 Every timed case is first checked against the scalar oracle in the same
 process; a timing over wrong results is worthless.  Times are process CPU
-time, averaged over repetitions after a warmup run, and each case carries its
+time, averaged over repetitions; every case is verified, which doubles as
+its warmup run, before the first case is timed.  Each case carries its
 relative deviation d = (time - base_time) / base_time against a designated
 baseline case.  Absolute times and speedups are hardware facts about the
 machine running the bench; they are reported, never asserted.
@@ -186,20 +187,24 @@ def run_matrix(
     inputs = _BatchInputs(model.n_features, data_seed)
     rows: list[CaseResult] = []
 
+    # Verify every case before timing any.  A run raises the allocator's
+    # threshold for handing freed memory back to the system; a case timed
+    # before larger cases had run page-faulted on every block and read slow.
     for case in cases:
+        matrix = inputs.matrix(case.batch_size, case.layout)
+        preds = Evaluator(tables, case.config).predict(matrix)
+        oracle = inputs.oracle(model, case.batch_size, case.config.strategy.precision)
+        rows.append(CaseResult(case, verified=_verify(preds, oracle)))
+    for row in rows:
+        case = row.case
         if log:
             log(f"case {case.case_id} ...")
-        evaluator = Evaluator(tables, case.config)
-        matrix = inputs.matrix(case.batch_size, case.layout)
-        oracle = inputs.oracle(model, case.batch_size, case.config.strategy.precision)
-        preds = evaluator.predict(matrix)  # verification run doubles as warmup
-        verified = _verify(preds, oracle)
-        result = CaseResult(case, verified=verified)
-        if verified:
-            result.mean_s, result.std_s, result.inner = _time_case(
-                evaluator, matrix, case.repetitions
+        if row.verified:
+            row.mean_s, row.std_s, row.inner = _time_case(
+                Evaluator(tables, case.config),
+                inputs.matrix(case.batch_size, case.layout),
+                case.repetitions,
             )
-        rows.append(result)
 
     # First matching row wins if the id appears more than once.
     base_row = next(r for r in rows if r.case.case_id == baseline_id)

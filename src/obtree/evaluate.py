@@ -6,8 +6,11 @@ per-object sums, and the scale/bias transform finalizes the block's
 predictions.  Stages 2 and 3 run fused, as array operations over a
 (trees x objects) panel covering a block's live objects rounded up to a
 multiple of 8, so that leaf indices are assembled on 64-bit words of eight
-byte lanes.  Per-tree contributions are summed in tree order by a row-order
-reduce (checked by an import-time probe, with an explicit row loop as the
+byte lanes.  Each distinct split condition of the model is tested once per
+block; every depth level then gathers its trees' condition bits from that
+table.  Binary16 leaves are widened to binary32 with integer operations.
+Per-tree contributions are summed in tree order by a row-order reduce
+(checked by an import-time probe, with an explicit row loop as the
 fallback), so results do not depend on the block plan or the input layout.
 
 The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  This
@@ -155,10 +158,13 @@ class ModelTables:
     """Derived arrays shared by every evaluation of one model.
 
     ``border_table`` holds every feature's borders, padded for the
-    quantization search.  Split conditions are packed into (trees x
-    max_depth) panels; trees shallower than the deepest are padded with a
-    condition that can never hold, which contributes a zero bit.  Leaf banks
-    are built per precision on first use.
+    quantization search.  The split conditions form a table of distinct
+    (feature, ordinal) pairs: condition ``c`` holds iff quantile
+    ``cond_feature[c]`` exceeds ``cond_ordinal[c, 0]``.  ``split_cond`` is
+    (max_depth x trees), one contiguous row of condition numbers per depth
+    level.  Trees shallower than the deepest are padded with the condition
+    (feature 0, ordinal 255), which can never hold and so contributes a zero
+    bit.  Leaf banks are built per precision on first use.
     """
 
     def __init__(self, model: ObliviousModel):
@@ -169,13 +175,15 @@ class ModelTables:
         self.max_depth = max((t.depth for t in model.trees), default=0)
         self._banks: dict[LeafPrecision, LeafBank] = {}
 
-        shape = (self.n_trees, self.max_depth)
-        self.split_feature = np.zeros(shape, dtype=np.int32)
-        self.split_ordinal = np.full(shape, _SENTINEL_ORDINAL, dtype=np.uint8)
+        keys = np.full((self.max_depth, self.n_trees), _SENTINEL_ORDINAL, dtype=np.intp)
         for t, tree in enumerate(model.trees):
             for d, split in enumerate(tree.splits):
-                self.split_feature[t, d] = split.feature_index
-                self.split_ordinal[t, d] = split.border_ordinal
+                keys[d, t] = split.feature_index * 256 + split.border_ordinal
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        self.cond_feature = distinct >> 8
+        self.cond_ordinal = (distinct & 255).astype(np.uint8)[:, None]
+        # The inverse's shape differs across numpy 2.x releases.
+        self.split_cond = inverse.reshape(keys.shape)
 
     def bank(self, precision: LeafPrecision) -> LeafBank:
         if precision not in self._banks:
@@ -220,22 +228,45 @@ def _fold_rows(contrib: np.ndarray, acc: np.ndarray) -> None:
 def _leaf_index_panel(tables: ModelTables, quantiles: np.ndarray) -> np.ndarray:
     """(trees x columns) leaf indices from a quantile segment, branch-free.
 
-    The column count must be a multiple of 8: the bit panels are shifted and
-    or-ed as 64-bit words.  Each byte holds 0 or 1 before its shift by at
-    most 7, so no bit carries into the next byte's lane.
+    Every distinct split condition is tested once, into a (conditions x
+    columns) panel of 0/1 bytes; each depth level then gathers its trees'
+    rows of that panel, with no compare.  The column count must be a
+    multiple of 8: the bit panels are shifted and or-ed as 64-bit words.
+    Each byte holds 0 or 1 before its shift by at most 7, so no bit carries
+    into the next byte's lane.
     """
+    # Feature and condition numbers are in range, so mode="clip" only skips
+    # the bounds check; with out=, the default mode would also copy the rows
+    # through a temporary buffer.
+    cond = np.take(quantiles, tables.cond_feature, axis=0, mode="clip")
+    np.greater(cond, tables.cond_ordinal, out=cond)
     shape = (tables.n_trees, quantiles.shape[1])
     bits = np.empty(shape, dtype=np.uint8)
     idx = np.zeros(shape, dtype=np.uint8)
     bits64, idx64 = bits.view(np.uint64), idx.view(np.uint64)
     for k in range(tables.max_depth):
-        # Split features are in range; with out=, the default mode would
-        # also copy the rows through a temporary buffer.
-        np.take(quantiles, tables.split_feature[:, k], axis=0, out=bits, mode="clip")
-        np.greater(bits, tables.split_ordinal[:, k, None], out=bits)
+        np.take(cond, tables.split_cond[k], axis=0, out=bits, mode="clip")
         np.left_shift(bits64, np.uint64(k), out=bits64)
         idx64 |= bits64
     return idx
+
+
+def _widen_binary16(half: np.ndarray) -> np.ndarray:
+    """Binary16 values as binary32, exactly, by integer operations.
+
+    The sign-extended shift puts the sign, the exponent and the mantissa in
+    their binary32 places, with copies of the sign in bits 28-30 that the
+    mask clears; the result is the value times 2**-112, which the multiply
+    undoes.  Exact for every finite binary16 value, subnormals and +-0
+    included, under IEEE subnormal arithmetic (numpy's default: no
+    flush-to-zero or denormals-are-zero mode).  Not for inf or NaN, which
+    leaf banks never hold.
+    """
+    wide = np.left_shift(half.view(np.int16), 13, dtype=np.int32)
+    wide &= ~0x70000000
+    wide = wide.view(np.float32)
+    wide *= 2.0**112
+    return wide
 
 
 def _fold_block_segment(
@@ -246,7 +277,7 @@ def _fold_block_segment(
     ``quantiles`` spans the live columns rounded up to a multiple of 8; the
     extra columns are the block's zeroed padding.  The leaf load is one
     indexed take from the bank in its own precision; binary16 leaves widen
-    to binary32 before the fold.
+    to binary32 (``_widen_binary16``) before the fold.
     """
     if tables.n_trees == 0:
         return
@@ -258,7 +289,7 @@ def _fold_block_segment(
     contrib = np.take(bank.values, flat, mode="clip")
     del flat
     if bank.precision is LeafPrecision.BINARY16:
-        contrib = contrib.astype(np.float32)
+        contrib = _widen_binary16(contrib)
     _fold_rows(contrib, acc)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from obtree import EvalConfig, FeatureMatrix, Layout, LeafStrategy, SyntheticSpec
+import obtree.bench as bench
 from obtree.bench import (
     BenchCase,
     BenchReport,
@@ -62,6 +63,24 @@ class TestRunMatrix:
 
         monkeypatch.setattr(FeatureMatrix, "transposed", refuse)
         assert run_matrix(model, [tiny_case(), tiny_case(batch=7)]).all_verified
+
+    def test_every_case_is_verified_before_any_is_timed(self, monkeypatch):
+        # A case timed before later cases have first run reads high, and the
+        # first case is the default baseline of every d.
+        events = []
+
+        def recording(name, fn):
+            def wrapped(*args):
+                events.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(bench, "_verify", recording("verify", bench._verify))
+        monkeypatch.setattr(bench, "_time_case", recording("time", bench._time_case))
+        model = generate_synthetic_model(TINY)
+        cases = [tiny_case(), tiny_case(block=128), tiny_case(layout=Layout.FEATURE_MAJOR)]
+        assert run_matrix(model, cases).all_verified
+        assert events == ["verify"] * 3 + ["time"] * 3
 
     def test_verification_is_bit_exact(self):
         oracle = np.array([1.0, -2.5, 0.0])

@@ -26,7 +26,7 @@ from obtree import (
     generate_synthetic_model,
     plan_blocks,
 )
-from obtree.evaluate import _ROW_ORDER_REDUCE, Evaluator, ModelTables
+from obtree.evaluate import _ROW_ORDER_REDUCE, Evaluator, ModelTables, _widen_binary16
 from obtree.model import ObliviousModel, ObliviousTree, FloatFeatureBorders
 
 ALL_CONFIGS = [
@@ -282,6 +282,34 @@ class TestCompositionEquivalence:
         assert_bits_equal(
             evaluate(model, matrix, cfg), evaluate_scalar(model, matrix, strategy.precision)
         )
+
+
+class TestBinary16Widening:
+    def test_every_finite_pattern_equals_astype(self):
+        half = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(np.float16)
+        half = half[np.isfinite(half)].reshape(8, -1)
+        assert half.size == 63488
+        expected = half.astype(np.float32)
+        assert np.array_equal(_widen_binary16(half).view(np.uint32), expected.view(np.uint32))
+
+    def test_predict_over_subnormal_zero_and_saturated_leaves(self):
+        # Quantiles 0, 1, 2, 3 reach leaves 0, 1, 3 and 7 of both trees, so
+        # each object's sum is one small leaf plus a zero, or a saturated
+        # leaf plus a small one.
+        splits = tuple(SplitCondition(0, k) for k in range(3))
+        small = [2.0**-24, -3 * 2.0**-20, 0.0, -1e6, 0.0, 0.0, 0.0, 3 * 2.0**-24]
+        large = [-0.0, 0.0, 0.0, 5 * 2.0**-24, 0.0, 0.0, 0.0, 1e6]
+        model = ObliviousModel(
+            float_features=(FloatFeatureBorders(0, np.array([0.5, 1.5, 2.5], np.float32)),),
+            trees=tuple(ObliviousTree(3, splits, np.array(leaves)) for leaves in (small, large)),
+            scale=1.0,
+            bias=0.0,
+        )
+        matrix = FeatureMatrix(np.arange(4, dtype=np.float32)[:, None], Layout.OBJECT_MAJOR)
+        preds = Evaluator(model, EvalConfig(strategy=LeafStrategy.PERMUTE16)).predict(matrix)
+        assert_bits_equal(preds, evaluate_scalar(model, matrix, LeafPrecision.BINARY16))
+        assert preds.tolist() == [2.0**-24, -3 * 2.0**-20, -65504.0, 65504.0]
+        assert ModelTables(model).bank(LeafPrecision.BINARY16).saturation_count == 2
 
 
 _VALUE_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, float(np.float32(1e-45)), 1.0]

@@ -154,3 +154,27 @@ def test_quantile_bits_equal_raw_value_bits():
             border = borders[split.feature_index][split.border_ordinal]
             via_raw = (raw[:, split.feature_index] > border).astype(np.int64)
             assert np.array_equal(via_quantiles, via_raw)
+
+
+def test_each_distinct_condition_is_tested_once():
+    features = features_for([np.array([0.1, 0.4, 0.7], dtype=np.float32)] * 3)
+    a, b, c = SplitCondition(0, 1), SplitCondition(2, 0), SplitCondition(1, 2)
+    raw = np.array([[x, (x * 7) % 1, (x * 3) % 1] for x in np.linspace(0, 1, 37)], np.float32)
+    matrix = FeatureMatrix(raw, Layout.OBJECT_MAJOR)
+    for tree_splits, sentinel in (
+        ([[a, b, c], [b, a, c], [c, b, a]], 0),
+        ([[a, b, c], [c], [b, a], [a, c, b]], 1),
+    ):
+        trees = tuple(
+            ObliviousTree(len(sp), tuple(sp), np.zeros(1 << len(sp))) for sp in tree_splits
+        )
+        model = ObliviousModel(float_features=features, trees=trees, scale=1.0, bias=0.0)
+        tables = ModelTables(model)
+        assert tables.cond_feature.size == 3 + sentinel
+        assert tables.split_cond.shape == (3, len(trees))
+        block = QuantizedBlock(len(features), 64)
+        quantize_block(matrix, (0, matrix.n_objects), tables.border_table, block)
+        panel = _leaf_index_panel(tables, block.quantiles[:, :40])
+        for t, splits in enumerate(tree_splits):
+            expected = leaf_indices(features, splits, matrix)
+            assert panel[t, : matrix.n_objects].tolist() == expected.tolist(), (sentinel, t)
