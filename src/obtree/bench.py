@@ -6,7 +6,9 @@ a batch-size sweep is a matrix whose only varying axis is the batch size.
 Every timed case is first checked against the scalar oracle in the same
 process; a timing over wrong results is worthless.  Times are process CPU
 time, averaged over repetitions; every case is verified, which doubles as
-its warmup run, before the first case is timed.  Each case carries its
+its warmup run, before the first case is timed, and the repetitions run
+round-robin, one sample of every case per round, so that a slower host for
+part of the run slows every case alike.  Each case carries its
 relative deviation d = (time - base_time) / base_time against a designated
 baseline case.  Absolute times and speedups are hardware facts about the
 machine running the bench; they are reported, never asserted.
@@ -23,11 +25,13 @@ import re
 import statistics
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .evaluate import BLOCK_SIZES, EvalConfig, Evaluator, LeafStrategy, ModelTables
 from .model import LeafPrecision, ObliviousModel
 from .oracle import evaluate_scalar
@@ -93,15 +97,18 @@ class BenchReport:
 
 
 def _host_metadata() -> dict:
+    package = Path(__file__).parent
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
-        # Code size next to the timings: lines of the package's modules.
+        "cpu_flags_checked": ",".join(native.CPU_FLAGS),
+        # Code size next to the timings: lines of the package's Python and C sources.
         "src_lines": sum(
             len(path.read_text(encoding="utf-8").splitlines())
-            for path in Path(__file__).parent.glob("*.py")
+            for pattern in ("*.py", "*.c")
+            for path in package.glob(pattern)
         ),
     }
 
@@ -117,9 +124,11 @@ def _verify(preds: np.ndarray, oracle: np.ndarray) -> bool:
 _MIN_SAMPLE_S = max(100 * time.get_clock_info("process_time").resolution, 0.005)
 
 
-def _time_case(
-    evaluator: Evaluator, matrix: FeatureMatrix, repetitions: int
-) -> tuple[float, float, int]:
+def _time_case(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple[int, Callable[[], float]]:
+    """Calibrate a case: evaluations per sample, and a function taking one sample.
+
+    A sample times ``inner`` evaluations and gives the CPU seconds of one.
+    """
     inner = 1
     while True:
         t0 = time.process_time()
@@ -128,37 +137,39 @@ def _time_case(
         if time.process_time() - t0 >= _MIN_SAMPLE_S:
             break
         inner *= 2
-    samples = []
-    for _ in range(repetitions):
+
+    def sample() -> float:
         t0 = time.process_time()
         for _ in range(inner):
             evaluator.predict(matrix)
-        samples.append((time.process_time() - t0) / inner)
-    mean = statistics.fmean(samples)
-    std = statistics.stdev(samples) if len(samples) > 1 else 0.0
-    return mean, std, inner
+        return (time.process_time() - t0) / inner
+
+    return inner, sample
 
 
 class _BatchInputs:
-    """Per-batch-size object-major input matrices and oracle scores.
+    """Per-batch-size input matrices and oracle scores, kept for the run.
 
-    Only the object-major matrix of each batch size is kept for the run; a
-    feature-major case gets a transposed copy made for it alone.
+    Each batch is generated object-major; its feature-major copy is made
+    only when a case asks for that layout.
     """
 
     def __init__(self, n_features: int, data_seed: int):
         self.n_features = n_features
         self.data_seed = data_seed
-        self._matrices: dict[int, FeatureMatrix] = {}
+        self._matrices: dict[tuple[int, Layout], FeatureMatrix] = {}
         self._oracles: dict[tuple[int, LeafPrecision], np.ndarray] = {}
 
     def matrix(self, batch_size: int, layout: Layout) -> FeatureMatrix:
-        if batch_size not in self._matrices:
-            self._matrices[batch_size] = generate_feature_matrix(
-                batch_size, self.n_features, seed=self.data_seed + batch_size
-            )
-        om = self._matrices[batch_size]
-        return om if layout is Layout.OBJECT_MAJOR else om.transposed()
+        key = (batch_size, layout)
+        if key not in self._matrices:
+            if layout is Layout.OBJECT_MAJOR:
+                self._matrices[key] = generate_feature_matrix(
+                    batch_size, self.n_features, seed=self.data_seed + batch_size
+                )
+            else:
+                self._matrices[key] = self.matrix(batch_size, Layout.OBJECT_MAJOR).transposed()
+        return self._matrices[key]
 
     def oracle(self, model: ObliviousModel, batch_size: int, precision: LeafPrecision) -> np.ndarray:
         key = (batch_size, precision)
@@ -190,21 +201,37 @@ def run_matrix(
     # Verify every case before timing any.  A run raises the allocator's
     # threshold for handing freed memory back to the system; a case timed
     # before larger cases had run page-faulted on every block and read slow.
+    backend = None
     for case in cases:
         matrix = inputs.matrix(case.batch_size, case.layout)
-        preds = Evaluator(tables, case.config).predict(matrix)
+        evaluator = Evaluator(tables, case.config)
+        backend = evaluator.backend
+        preds = evaluator.predict(matrix)
         oracle = inputs.oracle(model, case.batch_size, case.config.strategy.precision)
         rows.append(CaseResult(case, verified=_verify(preds, oracle)))
+
+    # Calibrate every case, then take one sample of each case per round, so
+    # that a change in host speed during the run reaches every case alike.
+    timed = []
     for row in rows:
         case = row.case
         if log:
             log(f"case {case.case_id} ...")
         if row.verified:
-            row.mean_s, row.std_s, row.inner = _time_case(
-                Evaluator(tables, case.config),
-                inputs.matrix(case.batch_size, case.layout),
-                case.repetitions,
+            row.inner, sample = _time_case(
+                Evaluator(tables, case.config), inputs.matrix(case.batch_size, case.layout)
             )
+            timed.append((row, sample, []))
+    rounds = max((row.case.repetitions for row, _, _ in timed), default=0)
+    if log and timed:
+        log(f"timing {len(timed)} cases round-robin, {rounds} rounds ...")
+    for r in range(rounds):
+        for row, sample, samples in timed:
+            if r < row.case.repetitions:
+                samples.append(sample())
+    for row, _, samples in timed:
+        row.mean_s = statistics.fmean(samples)
+        row.std_s = statistics.stdev(samples)
 
     # First matching row wins if the id appears more than once.
     base_row = next(r for r in rows if r.case.case_id == baseline_id)
@@ -220,6 +247,7 @@ def run_matrix(
             "n_trees": model.n_trees,
             "data_seed": data_seed,
             "baseline": baseline_id,
+            "backend": backend,
         }
     )
     return BenchReport(baseline_id=baseline_id, rows=rows, metadata=metadata)

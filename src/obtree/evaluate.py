@@ -2,32 +2,42 @@
 
 A batch is split into cache-sized blocks; each block is quantized, then every
 tree's leaf index is computed and its leaf value fetched and folded into the
-per-object sums, and the scale/bias transform finalizes the block's
-predictions.  Stages 2 and 3 run fused, as array operations over a
-(trees x objects) panel covering a block's live objects rounded up to a
-multiple of 8, so that leaf indices are assembled on 64-bit words of eight
-byte lanes.  Each distinct split condition of the model is tested once per
-block; every depth level then gathers its trees' condition bits from that
-table.  Binary16 leaves are widened to binary32 with integer operations.
-Per-tree contributions are summed in tree order by a row-order reduce
-(checked by an import-time probe, with an explicit row loop as the
-fallback), so results do not depend on the block plan or the input layout.
+per-object sums, and the scale/bias transform finalizes the predictions.
+Stages 2 and 3 run fused, in one of two backends chosen when an
+``Evaluator`` is made (``Evaluator.backend``):
 
-The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  This
-engine is numpy, so a strategy selects only its leaf-precision family: every
-binary64 strategy runs the indexed load from the binary64 bank, every
-binary16 strategy the indexed load from the binary16 bank, widened to
-binary32.  The tail policy is kept in the configuration for block planning;
-it changes neither what runs nor the bits.
+* ``avx512``: the kernels of ``native.c`` (see ``obtree.native``), on
+  64-object groups of the quantized block;
+* ``numpy``: array operations over a (trees x objects) panel covering a
+  block's live objects rounded up to a multiple of 8, so that leaf indices
+  are assembled on 64-bit words of eight byte lanes.  Binary16 leaves are
+  widened to binary32 with integer operations, and per-tree contributions
+  are summed by a row-order reduce (checked by an import-time probe, with an
+  explicit row loop as the fallback).
+
+Both test each distinct split condition of the model once per block (or
+group), and both sum each object's leaves in tree order, so results are
+bit-identical across backends and do not depend on the block plan or the
+input layout.
+
+The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  A
+strategy selects only its leaf-precision family: every binary64 strategy
+loads from the binary64 bank (by ``vgatherdpd`` in the ``avx512`` backend),
+every binary16 strategy from the binary16 bank (by ``vpermt2w`` from
+register-resident tables), widened to binary32.  The tail policy is kept in
+the configuration for block planning; it changes neither what runs nor the
+bits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import native
 from .model import LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank, require_valid
 from .quantize import BorderTable, FeatureMatrix, QuantizedBlock, quantize_block
 
@@ -270,18 +280,32 @@ def _widen_binary16(half: np.ndarray) -> np.ndarray:
 
 
 def _fold_block_segment(
-    tables: ModelTables, bank: LeafBank, quantiles: np.ndarray, acc: np.ndarray
+    tables: ModelTables,
+    bank: LeafBank,
+    quantiles: np.ndarray,
+    sums: np.ndarray,
+    begin: int,
+    end: int,
+    fold: Callable[[int, int], None] | None = None,
 ) -> None:
-    """Run stages 2 and 3 for all trees and fold the first ``acc.size`` columns.
+    """Run stages 2 and 3 for objects [begin, end) of a call, into ``sums[begin:end]``.
 
-    ``quantiles`` spans the live columns rounded up to a multiple of 8; the
-    extra columns are the block's zeroed padding.  The leaf load is one
-    indexed take from the bank in its own precision; binary16 leaves widen
-    to binary32 (``_widen_binary16``) before the fold.
+    ``quantiles`` is the whole ``QuantizedBlock`` array holding those
+    objects in its first ``end - begin`` columns.  ``fold``, a native kernel
+    bound to this call (``native.BoundFold.over``), runs them where given.
+    Otherwise the numpy stages run on the live columns rounded up to a
+    multiple of 8 (block sizes are multiples of 8, so the extra columns are
+    the block's zeroed padding): the leaf load is one indexed take from the
+    bank in its own precision, and binary16 leaves widen to binary32
+    (``_widen_binary16``) before the fold.
     """
+    if fold is not None:
+        fold(begin, end)
+        return
     if tables.n_trees == 0:
         return
-    idx = _leaf_index_panel(tables, quantiles)
+    cols = -(-(end - begin) // _PANEL_COLUMNS) * _PANEL_COLUMNS
+    idx = _leaf_index_panel(tables, quantiles[:, :cols])
     flat = np.add(bank.offsets[:-1, None], idx, dtype=np.intp)
     del idx
     # Indices are in range by construction, so mode="clip" only skips the
@@ -290,11 +314,15 @@ def _fold_block_segment(
     del flat
     if bank.precision is LeafPrecision.BINARY16:
         contrib = _widen_binary16(contrib)
-    _fold_rows(contrib, acc)
+    _fold_rows(contrib, sums[begin:end])
 
 
 class Evaluator:
-    """A model prepared for repeated evaluation under one configuration."""
+    """A model prepared for repeated evaluation under one configuration.
+
+    The stages 2-3 backend is chosen here, once: ``avx512`` where the native
+    kernels build and the CPU runs them, ``numpy`` otherwise.
+    """
 
     def __init__(
         self,
@@ -305,10 +333,17 @@ class Evaluator:
         self.config = config or EvalConfig()
         self.config.validate()
         self.bank = self.tables.bank(self.config.strategy.precision)
+        kernels = native.kernels()
+        self._native = None if kernels is None else kernels.bind(self.tables, self.bank)
 
     @property
     def model(self) -> ObliviousModel:
         return self.tables.model
+
+    @property
+    def backend(self) -> str:
+        """The stages 2-3 backend: ``"avx512"`` or ``"numpy"``."""
+        return "numpy" if self._native is None else native.NAME
 
     def predict(self, matrix: FeatureMatrix) -> np.ndarray:
         """Raw scores for every object in the batch, in input order."""
@@ -319,21 +354,20 @@ class Evaluator:
             )
         cfg = self.config
         n = matrix.n_objects
-        out = np.empty(n, dtype=np.float64)
         if n == 0:
-            return out
+            return np.empty(0, dtype=np.float64)
 
         sum_dtype = np.float64 if self.bank.precision is LeafPrecision.BINARY64 else np.float32
+        sums = np.zeros(n, dtype=sum_dtype)
         qblock = QuantizedBlock(model.n_features, cfg.block_size)
+        fold = None if self._native is None else self._native.over(qblock.quantiles, sums)
 
         for begin, end in plan_blocks(n, cfg.block_size):
-            live = end - begin
             quantize_block(matrix, (begin, end), self.tables.border_table, qblock)
-            # Block sizes are multiples of 8, so the rounding stays in the block.
-            cols = -(-live // _PANEL_COLUMNS) * _PANEL_COLUMNS
-            acc = np.zeros(live, dtype=sum_dtype)
-            _fold_block_segment(self.tables, self.bank, qblock.quantiles[:, :cols], acc)
-            out[begin:end] = acc.astype(np.float64, copy=False) * model.scale + model.bias
+            _fold_block_segment(self.tables, self.bank, qblock.quantiles, sums, begin, end, fold)
+        out = sums.astype(np.float64)
+        out *= model.scale
+        out += model.bias
         return out
 
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, with stated runtime budgets.
 
 Criteria 3, 4, 5 and 9 share a single corpus sweep (100 randomized models,
-8 batch sizes, every strategy/block/layout/tail combination)
-computed once per session.  Run verbosely to see the per-criterion lines:
+8 batch sizes, every strategy/block/layout/tail combination, on every
+stages 2-3 backend the host runs) computed once per session.  Run verbosely
+to see the per-criterion lines:
 
     pytest tests/test_acceptance.py -v -s
 """
@@ -42,7 +43,7 @@ from obtree import (
     serialize_model,
 )
 from obtree.bench import build_cases, format_matrix, run_matrix
-from obtree.evaluate import Evaluator, ModelTables
+from obtree.evaluate import ModelTables
 
 BATCH_SIZES = (1, 7, 31, 32, 33, 100, 128, 257)
 
@@ -76,7 +77,8 @@ class SweepOutcome:
     elapsed_s: float = 0.0
     n_models: int = 0
     n_evals: int = 0
-    # (model, batch, layout, config) of each evaluation differing in any bit.
+    backends: set = field(default_factory=set)
+    # (model, batch, layout, backend, config) of each evaluation differing in any bit.
     oracle_mismatches: list = field(default_factory=list)
     cross_mismatches: list = field(default_factory=list)
     tail_mismatches: list = field(default_factory=list)
@@ -84,7 +86,7 @@ class SweepOutcome:
 
 
 @pytest.fixture(scope="module")
-def corpus_sweep() -> SweepOutcome:
+def corpus_sweep(each_backend) -> SweepOutcome:
     outcome = SweepOutcome()
     shape_rng = Xoshiro256StarStar(90125)
     started = time.perf_counter()
@@ -93,7 +95,8 @@ def corpus_sweep() -> SweepOutcome:
         spec = corpus_spec(index, shape_rng)
         model = generate_synthetic_model(spec)
         tables = ModelTables(model)
-        evaluators = [(cfg, Evaluator(tables, cfg)) for cfg in CONFIG_MATRIX]
+        evaluators = [(cfg, ev) for cfg in CONFIG_MATRIX for ev in each_backend(tables, cfg)]
+        outcome.backends.update(ev.backend for _, ev in evaluators)
 
         for batch in BATCH_SIZES:
             om = generate_feature_matrix(
@@ -112,7 +115,7 @@ def corpus_sweep() -> SweepOutcome:
                     preds = evaluator.predict(matrix)
                     outcome.n_evals += 1
                     family = cfg.strategy.precision
-                    where = (index, batch, layout.value, cfg.describe())
+                    where = (index, batch, layout.value, evaluator.backend, cfg.describe())
                     if bits_differ(preds, oracle[family]):
                         outcome.oracle_mismatches.append(where)
 
@@ -122,7 +125,7 @@ def corpus_sweep() -> SweepOutcome:
                     else:
                         family_ref[family] = preds
 
-                    pair_key = (cfg.strategy, cfg.block_size, layout)
+                    pair_key = (evaluator.backend, cfg.strategy, cfg.block_size, layout)
                     if cfg.tail_policy is TailPolicy.SCALAR_TAIL:
                         tail_ref[pair_key] = preds
                     elif bits_differ(preds, tail_ref[pair_key]):
@@ -195,22 +198,23 @@ def test_criterion_02_depth3_index_fixture():
 
 
 def test_criterion_03_end_to_end_equivalence(corpus_sweep: SweepOutcome):
-    expected_evals = 100 * len(BATCH_SIZES) * len(CONFIG_MATRIX) * 2
+    expected_evals = 100 * len(BATCH_SIZES) * len(CONFIG_MATRIX) * 2 * len(corpus_sweep.backends)
     assert corpus_sweep.n_models == 100
     assert corpus_sweep.n_evals == expected_evals
     assert corpus_sweep.oracle_mismatches == [], corpus_sweep.oracle_mismatches[:5]
     assert corpus_sweep.elapsed_s < 300.0, f"sweep took {corpus_sweep.elapsed_s:.0f}s"
     print(
-        f"\nACCEPTANCE 3 PASS: {corpus_sweep.n_evals} evaluations bit-identical to the "
-        f"scalar oracle of their leaf-precision family in {corpus_sweep.elapsed_s:.0f}s"
+        f"\nACCEPTANCE 3 PASS: {corpus_sweep.n_evals} evaluations on backends "
+        f"{sorted(corpus_sweep.backends)} bit-identical to the scalar oracle of their "
+        f"leaf-precision family in {corpus_sweep.elapsed_s:.0f}s"
     )
 
 
 def test_criterion_04_cross_config_invariance(corpus_sweep: SweepOutcome):
     assert corpus_sweep.cross_mismatches == [], corpus_sweep.cross_mismatches[:5]
     print(
-        "\nACCEPTANCE 4 PASS: predictions bit-identical across strategies, blocks, "
-        "layouts and tails within each leaf-precision family"
+        "\nACCEPTANCE 4 PASS: predictions bit-identical across backends, strategies, "
+        "blocks, layouts and tails within each leaf-precision family"
     )
 
 
@@ -335,5 +339,5 @@ def test_criterion_09_tail_policy_structure(corpus_sweep: SweepOutcome):
     assert corpus_sweep.tail_mismatches == [], corpus_sweep.tail_mismatches[:5]
     print(
         "\nACCEPTANCE 9 PASS: tail plans exact for live 1..192 x groups {8,16,32,64}; "
-        "scalar and padded policies byte-identical on the corpus"
+        "scalar and padded policies byte-identical on the corpus, on every backend"
     )

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obtree import EvalConfig, FeatureMatrix, Layout, LeafStrategy, SyntheticSpec
+from obtree import EvalConfig, Evaluator, FeatureMatrix, Layout, LeafStrategy, SyntheticSpec, native
 import obtree.bench as bench
 from obtree.bench import (
     BenchCase,
@@ -81,6 +82,43 @@ class TestRunMatrix:
         cases = [tiny_case(), tiny_case(block=128), tiny_case(layout=Layout.FEATURE_MAJOR)]
         assert run_matrix(model, cases).all_verified
         assert events == ["verify"] * 3 + ["time"] * 3
+
+    def test_repetitions_run_round_robin(self, monkeypatch):
+        # One sample of every case per round: a slower host for part of the
+        # run slows every case alike.
+        order = []
+        calibrate = bench._time_case
+
+        def recording(evaluator, matrix):
+            inner, sample = calibrate(evaluator, matrix)
+
+            def logged():
+                order.append(matrix.n_objects)
+                return sample()
+
+            return inner, logged
+
+        monkeypatch.setattr(bench, "_time_case", recording)
+        model = generate_synthetic_model(TINY)
+        report = run_matrix(model, [tiny_case(batch=40), tiny_case(batch=7, reps=4)])
+        assert report.all_verified
+        assert order == [40, 7, 40, 7, 40, 7, 7]
+        assert all(row.inner >= 1 and row.std_s >= 0.0 for row in report.rows)
+
+    def test_metadata_names_the_backend_and_the_cpu_flags_checked(self, monkeypatch):
+        model = generate_synthetic_model(TINY)
+        report = run_matrix(model, [tiny_case()])
+        assert report.metadata["backend"] == Evaluator(model).backend
+        assert report.metadata["cpu_flags_checked"] == "avx512f,avx512bw,f16c"
+        monkeypatch.setattr(native, "kernels", lambda: None)
+        assert run_matrix(model, [tiny_case()]).metadata["backend"] == "numpy"
+
+    def test_src_lines_count_the_c_source_too(self):
+        package = Path(bench.__file__).parent
+        py_lines = sum(len(p.read_text().splitlines()) for p in package.glob("*.py"))
+        c_lines = len((package / "native.c").read_text().splitlines())
+        assert c_lines > 0
+        assert bench._host_metadata()["src_lines"] == py_lines + c_lines
 
     def test_verification_is_bit_exact(self):
         oracle = np.array([1.0, -2.5, 0.0])

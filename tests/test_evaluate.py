@@ -132,7 +132,7 @@ class TestEvaluateBasics:
         assert np.all(evaluate(model, matrix) == 2.0)
 
     @pytest.mark.parametrize("strategy", [LeafStrategy.GATHER, LeafStrategy.PERMUTE16])
-    def test_explicit_loop_fold_matches_oracle(self, strategy, monkeypatch):
+    def test_explicit_loop_fold_matches_oracle(self, strategy, monkeypatch, numpy_backend):
         # The row loop runs only where the import-time probe finds that
         # np.add.reduce(axis=0) does not add rows in order; force it for
         # both sum dtypes.  The last of three b128 blocks has 44 live
@@ -141,7 +141,9 @@ class TestEvaluateBasics:
             monkeypatch.setitem(_ROW_ORDER_REDUCE, dtype, False)
         model = corpus_model(11, trees=30)
         matrix = generate_feature_matrix(300, model.n_features, seed=3)
-        preds = Evaluator(model, EvalConfig(128, strategy)).predict(matrix)
+        evaluator = Evaluator(model, EvalConfig(128, strategy))
+        assert evaluator.backend == "numpy"
+        preds = evaluator.predict(matrix)
         oracle = evaluate_scalar(model, matrix, strategy.precision)
         assert np.array_equal(preds.view(np.uint64), oracle.view(np.uint64))
 
@@ -371,10 +373,10 @@ def evaluation_cases(draw):
 class TestWholeEvaluationMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(evaluation_cases())
-    def test_predict_equals_evaluate_scalar(self, case):
+    def test_predict_equals_evaluate_scalar(self, each_backend, case):
         model, raw, matrix, config = case
-        got = Evaluator(model, config).predict(matrix)
         oracle = evaluate_scalar(
             model, FeatureMatrix(raw, Layout.OBJECT_MAJOR), config.strategy.precision
         )
-        assert_bits_equal(got, oracle, config)
+        for evaluator in each_backend(model, config):
+            assert_bits_equal(evaluator.predict(matrix), oracle, (evaluator.backend, config))

@@ -9,6 +9,7 @@ the scalar oracle.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from obtree import (
     EvalConfig,
@@ -30,6 +31,10 @@ from obtree import (
     quantize_value,
 )
 from obtree.evaluate import _leaf_index_panel
+
+# These tests read the numpy stages' index panels, and the index the numpy
+# fold assembles; the native kernels are held to the oracle elsewhere.
+pytestmark = pytest.mark.usefixtures("numpy_backend")
 
 
 def features_for(borders):

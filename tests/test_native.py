@@ -1,0 +1,185 @@
+"""The stages 2-3 backends: selection, fallback, packaging and the native kernels' reads."""
+
+from __future__ import annotations
+
+import importlib.resources
+import logging
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from obtree import (
+    EvalConfig,
+    FloatFeatureBorders,
+    LeafStrategy,
+    ObliviousModel,
+    ObliviousTree,
+    SplitCondition,
+    evaluate_scalar,
+    generate_feature_matrix,
+    native,
+)
+from obtree.evaluate import Evaluator
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(native.__file__).resolve().parent
+
+
+def two_tree_model(last_depth: int) -> ObliviousModel:
+    """A depth-8 tree, then a tree of ``last_depth`` whose table ends the bank."""
+    borders = np.linspace(-1.0, 1.0, 9, dtype=np.float32)
+    features = tuple(FloatFeatureBorders(i, borders) for i in range(3))
+    rng = np.random.default_rng(last_depth)
+    trees = []
+    for depth in (8, last_depth):
+        splits = tuple(
+            SplitCondition(int(rng.integers(3)), int(rng.integers(borders.size)))
+            for _ in range(depth)
+        )
+        trees.append(ObliviousTree(depth, splits, rng.normal(0.0, 3.0, 1 << depth)))
+    return ObliviousModel(features, tuple(trees), scale=1.0, bias=0.0)
+
+
+def cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return set(line.partition(":")[2].split())
+    except OSError:
+        pass
+    return set()
+
+
+def test_avx512_backend_where_the_compiler_and_cpu_allow():
+    if shutil.which(native.COMPILER) is None or not set(native.CPU_FLAGS) <= cpu_flags():
+        pytest.skip("no C compiler or no AVX-512 flags on this host")
+    assert Evaluator(two_tree_model(3)).backend == "avx512"
+
+
+@pytest.mark.parametrize(
+    "patch, reason",
+    [
+        ({"COMPILER": "obtree-no-such-compiler"}, "no C compiler"),
+        ({"COMPILER": "false"}, "failed to build"),
+        ({"CPU_FLAGS": native.CPU_FLAGS + ("obtree-no-such-flag",)}, "lacks obtree-no-such-flag"),
+    ],
+    ids=["no-compiler", "failed-build", "missing-isa"],
+)
+def test_build_or_isa_failure_falls_back_to_numpy(patch, reason, monkeypatch, caplog):
+    if patch.get("COMPILER") == "false" and shutil.which("false") is None:
+        pytest.skip("no `false` command")
+    if "CPU_FLAGS" in patch and shutil.which(native.COMPILER) is None:
+        pytest.skip("no C compiler to build the CPU check")
+    model = two_tree_model(5)
+    matrix = generate_feature_matrix(150, model.n_features, seed=4, nan_fraction=0.05)
+    config = EvalConfig(strategy=LeafStrategy.PERMUTE16)
+    chosen = Evaluator(model, config)
+
+    for name, value in patch.items():
+        monkeypatch.setattr(native, name, value)
+    monkeypatch.setattr(native, "kernels", native.load_kernels)  # a fresh build attempt
+    with caplog.at_level(logging.WARNING, logger="obtree"):
+        fallback = Evaluator(model, config)
+
+    assert fallback.backend == "numpy"
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any(reason in message for message in warnings), warnings
+    oracle = evaluate_scalar(model, matrix, config.strategy.precision).view(np.uint64)
+    assert np.array_equal(fallback.predict(matrix).view(np.uint64), oracle)
+    assert np.array_equal(chosen.predict(matrix).view(np.uint64), oracle)
+
+
+def test_build_leaves_no_file(monkeypatch, tmp_path):
+    if shutil.which(native.COMPILER) is None:
+        pytest.skip("no C compiler")
+    package_files = sorted(p.name for p in PACKAGE.iterdir() if p.name != "__pycache__")
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    native.load_kernels()
+    assert list(tmp_path.iterdir()) == []
+    assert sorted(p.name for p in PACKAGE.iterdir() if p.name != "__pycache__") == package_files
+
+
+def test_c_source_ships_as_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    assert importlib.resources.files("obtree").joinpath("native.c").is_file()
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "native.c" in pyproject["tool"]["setuptools"]["package-data"]["obtree"]
+    assert pyproject["project"]["dependencies"] == ["numpy>=1.23"]
+
+
+def test_block_fold_rejects_objects_outside_its_block():
+    evaluator = Evaluator(two_tree_model(2))
+    if evaluator.backend == "numpy":
+        pytest.skip("no avx512 backend on this host")
+    quantiles = np.zeros((3, 128), dtype=np.uint8)
+    fold = evaluator._native.over(quantiles, np.zeros(300))
+    with pytest.raises(ValueError, match="outside"):
+        fold(0, 129)
+    with pytest.raises(ValueError, match="outside"):
+        fold(256, 301)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        evaluator._native.over(quantiles, np.zeros(300, dtype=np.float32))
+    with pytest.raises(ValueError, match="64-byte"):
+        evaluator._native.over(np.zeros((3, 96), dtype=np.uint8), np.zeros(300))
+    with pytest.raises(ValueError, match="3 rows"):
+        evaluator._native.over(np.zeros((2, 128), dtype=np.uint8), np.zeros(300))
+
+
+# Run in a child process, so that a read past the guard fails this test with
+# SIGSEGV instead of ending the test session.
+_GUARDED_BANK_CHECK = textwrap.dedent(
+    """
+    import ctypes, mmap, sys
+    import numpy as np
+    from obtree import EvalConfig, LeafBank, LeafStrategy, evaluate_scalar, generate_feature_matrix
+    from obtree.evaluate import Evaluator, ModelTables
+    sys.path.insert(0, sys.argv[1])
+    from test_native import two_tree_model
+
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    page = mmap.PAGESIZE
+    for strategy in (LeafStrategy.PERMUTE16, LeafStrategy.NAIVE):
+        for depth in range(1, 9):
+            model = two_tree_model(depth)
+            tables = ModelTables(model)
+            bank = tables.bank(strategy.precision)
+            # The bank's last byte is the last byte before a page that
+            # cannot be read.
+            region = mmap.mmap(-1, 2 * page)
+            start = ctypes.addressof(ctypes.c_char.from_buffer(region))
+            assert libc.mprotect(start + page, page, 0) == 0, ctypes.get_errno()
+            size = bank.values.nbytes
+            values = np.frombuffer(region, bank.values.dtype, bank.values.size, page - size)
+            values[:] = bank.values
+            tables._banks[strategy.precision] = LeafBank(
+                bank.precision, values, bank.offsets, bank.max_abs_leaf, bank.saturation_count
+            )
+            evaluator = Evaluator(tables, EvalConfig(strategy=strategy))
+            assert evaluator.backend == "avx512", evaluator.backend
+            matrix = generate_feature_matrix(200, 3, seed=depth)
+            got = evaluator.predict(matrix).view(np.uint64)
+            oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
+            assert np.array_equal(got, oracle), (strategy, depth)
+    print("ok")
+    """
+)
+
+
+def test_last_shallow_table_is_read_only_within_the_bank():
+    if Evaluator(two_tree_model(1)).backend == "numpy":
+        pytest.skip("no avx512 backend on this host")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _GUARDED_BANK_CHECK, str(Path(__file__).parent)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert result.returncode == 0, (result.returncode, result.stderr[-2000:])
+    assert result.stdout.strip() == "ok"
