@@ -3,14 +3,16 @@
 A batch is split into cache-sized blocks; each block is quantized, then every
 tree's leaf index is computed and its leaf value fetched and folded into the
 per-object sums, and the scale/bias transform finalizes the predictions.
-Stages 2 and 3 run fused, in one of two backends chosen when an
-``Evaluator`` is made (``Evaluator.backend``):
+All three stages run in one of two backends chosen when an ``Evaluator`` is
+made (``Evaluator.backend``); stages 2 and 3 run fused:
 
-* ``avx512``: the kernels of ``native.c`` (see ``obtree.native``), on
-  64-object groups of the quantized block;
-* ``numpy``: array operations over a (trees x objects) panel covering a
-  block's live objects rounded up to a multiple of 8, so that leaf indices
-  are assembled on 64-bit words of eight byte lanes.  Binary16 leaves are
+* ``avx512``: the kernels of ``native.c`` (see ``obtree.native``): the
+  quantization kernel (described in ``obtree.quantize``), then the fold
+  kernels on 64-object groups of the quantized block;
+* ``numpy``: the numpy quantization search, then, for stages 2-3, array
+  operations over a (trees x objects) panel covering a block's live objects
+  rounded up to a multiple of 8, so that leaf indices are assembled on
+  64-bit words of eight byte lanes.  Binary16 leaves are
   widened to binary32 with integer operations, and per-tree contributions
   are summed by a row-order reduce (checked by an import-time probe, with an
   explicit row loop as the fallback).
@@ -320,8 +322,9 @@ def _fold_block_segment(
 class Evaluator:
     """A model prepared for repeated evaluation under one configuration.
 
-    The stages 2-3 backend is chosen here, once: ``avx512`` where the native
-    kernels build and the CPU runs them, ``numpy`` otherwise.
+    The backend of all three stages is chosen here, once: ``avx512`` where
+    the native kernels build and the CPU runs them, ``numpy`` otherwise.
+    The native quantizer and fold are bound to the model's tables here too.
     """
 
     def __init__(
@@ -335,6 +338,9 @@ class Evaluator:
         self.bank = self.tables.bank(self.config.strategy.precision)
         kernels = native.kernels()
         self._native = None if kernels is None else kernels.bind(self.tables, self.bank)
+        self._quantize = (
+            None if kernels is None else kernels.quantizer(self.tables.border_table)
+        )
 
     @property
     def model(self) -> ObliviousModel:
@@ -342,7 +348,7 @@ class Evaluator:
 
     @property
     def backend(self) -> str:
-        """The stages 2-3 backend: ``"avx512"`` or ``"numpy"``."""
+        """The backend of stages 1-3: ``"avx512"`` or ``"numpy"``."""
         return "numpy" if self._native is None else native.NAME
 
     def predict(self, matrix: FeatureMatrix) -> np.ndarray:
@@ -363,7 +369,7 @@ class Evaluator:
         fold = None if self._native is None else self._native.over(qblock.quantiles, sums)
 
         for begin, end in plan_blocks(n, cfg.block_size):
-            quantize_block(matrix, (begin, end), self.tables.border_table, qblock)
+            quantize_block(matrix, (begin, end), self.tables.border_table, qblock, self._quantize)
             _fold_block_segment(self.tables, self.bank, qblock.quantiles, sums, begin, end, fold)
         out = sums.astype(np.float64)
         out *= model.scale

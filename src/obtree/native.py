@@ -1,12 +1,15 @@
-"""The AVX-512 backend for stages 2-3, built from ``native.c`` at run time.
+"""The AVX-512 backend for stages 1-3, built from ``native.c`` at run time.
+
+Stage 1 is one quantization kernel (``BoundQuantizer``); stages 2-3 are one
+fold kernel per leaf precision (``BoundFold``).
 
 The first ``Evaluator`` of a process compiles the package's C source with
 the system C compiler into a private temporary directory, loads it through
 ``ctypes`` and deletes the directory; the loaded library stays mapped for
-the life of the process.  Without a compiler, after a failed build, or on a
-CPU that lacks any of ``CPU_FLAGS``, ``kernels()`` returns None, the engine
-runs its numpy stages instead, and the reason is logged as a warning on the
-``obtree`` logger.
+the life of the process.  Without a compiler, after a failed build, when the
+library lacks one of the kernels, or on a CPU that lacks any of
+``CPU_FLAGS``, ``kernels()`` returns None, the engine runs its numpy stages
+instead, and the reason is logged as a warning on the ``obtree`` logger.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .model import LeafBank, LeafPrecision
+from .quantize import BorderTable, FeatureMatrix, Layout, QuantizedBlock
 
 log = logging.getLogger("obtree")
 
@@ -39,13 +43,18 @@ NAME = "avx512"
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
 _FOLD_ARGS = [_ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr]
+_QUANTIZE_ARGS = [_ptr, _i64, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr, _i64]
 
 
 class Kernels:
-    """The loaded library: one fold kernel per leaf precision."""
+    """The loaded library: the quantization kernel and one fold kernel per
+    leaf precision.  A missing symbol raises AttributeError naming it."""
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
+        self._quantize = lib.obtree_quantize
+        self._quantize.argtypes = _QUANTIZE_ARGS
+        self._quantize.restype = None
         self._fold = {
             LeafPrecision.BINARY16: lib.obtree_fold_binary16,
             LeafPrecision.BINARY64: lib.obtree_fold_binary64,
@@ -54,8 +63,42 @@ class Kernels:
             fn.argtypes = _FOLD_ARGS
             fn.restype = None
 
+    def quantizer(self, table: BorderTable) -> BoundQuantizer:
+        return BoundQuantizer(self._quantize, table)
+
     def bind(self, tables, bank: LeafBank) -> BoundFold:
         return BoundFold(self._fold[bank.precision], tables, bank)
+
+
+class BoundQuantizer:
+    """The quantization kernel bound to one ``BorderTable``, whose pointer is
+    taken once, here.  ``quantize_block`` calls it after checking the range
+    and the feature counts."""
+
+    def __init__(self, fn, table: BorderTable):
+        _require(table.values, np.float32)
+        self.table = table
+        self._fn = fn
+        self._args = (table.values.ctypes.data, table.steps, table.n_features)
+
+    def __call__(self, matrix: FeatureMatrix, begin: int, end: int, out: QuantizedBlock) -> None:
+        """Quantiles of objects [begin, end) into ``out``, padding zeroed."""
+        values, q = matrix.values, out.quantiles
+        _require(values, np.float32)
+        _require(q, np.uint8)
+        if not (0 <= begin <= end <= matrix.n_objects and end - begin <= q.shape[1]
+                and values.size == matrix.n_objects * matrix.n_features
+                and q.shape[0] == matrix.n_features == self.table.n_features):
+            raise ValueError(
+                f"objects [{begin}, {end}) of a {matrix.n_objects} x {matrix.n_features} matrix "
+                f"do not fit quantiles of shape {q.shape} for {self.table.n_features} features"
+            )
+        feature_major = matrix.layout is Layout.FEATURE_MAJOR
+        self._fn(
+            *self._args, values.ctypes.data, feature_major,
+            matrix.n_objects if feature_major else matrix.n_features,
+            begin, end - begin, q.ctypes.data, q.shape[1],
+        )
 
 
 class BoundFold:
@@ -147,15 +190,20 @@ def load_kernels() -> Kernels | None:
     except OSError as exc:
         log.warning("numpy backend: cannot build or load native.c: %s", exc)
         return None
-    lib.obtree_cpu_flags.argtypes = []
-    lib.obtree_cpu_flags.restype = ctypes.c_int
+    try:
+        loaded = Kernels(lib)
+        lib.obtree_cpu_flags.argtypes = []
+        lib.obtree_cpu_flags.restype = ctypes.c_int
+    except AttributeError as exc:
+        log.warning("numpy backend: the built native.c lacks a symbol: %s", exc)
+        return None
     found = lib.obtree_cpu_flags()
     missing = [flag for k, flag in enumerate(CPU_FLAGS) if not found >> k & 1]
     if missing:
         log.warning("numpy backend: the CPU lacks %s", ", ".join(missing))
         return None
     log.info("%s backend: native.c built in %.2f s", NAME, time.perf_counter() - started)
-    return Kernels(lib)
+    return loaded
 
 
 # Built once per process, on the first call.

@@ -11,10 +11,24 @@ value of the block takes exactly ``s`` steps, whatever the data, so the
 stage is as branch-free as the paper's exhaustive compare while doing ``s``
 compares per value instead of one per border.  ``quantize_value`` is the
 scalar reference kernel the search is tested against.
+
+The search runs in one of two implementations with the same bytes.  Where
+the ``avx512`` backend is loaded, ``quantize_block`` is given its bound
+kernel (``native.BoundQuantizer``, ``obtree_quantize`` in ``native.c``).
+The kernel holds a feature's whole border row in registers (at most 8 zmm
+for ``s <= 7``, 16 for ``s == 8``) and searches 16 objects of that feature per
+vector, looking each step's border up by ``vpermt2ps`` over register pairs
+blended by index bits 5-7, with no gather.  It compares by ``_CMP_GT_OQ``,
+as ``np.greater`` does: NaN crosses nothing, -0.0 equals +0.0 and the +inf
+padding is never crossed.  Object-major input is read as 16 x 16 tiles
+transposed in registers, feature-major input 16 objects per load, under
+masks at the edges so that nothing past the matrix is read.  Otherwise the
+numpy search below runs over the whole block at once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
 from typing import Sequence
 
@@ -146,12 +160,15 @@ def quantize_block(
     object_range: tuple[int, int],
     model_borders: BorderTable | Sequence,
     out: QuantizedBlock,
+    quantize: Callable[[FeatureMatrix, int, int, QuantizedBlock], None] | None = None,
 ) -> None:
     """Fill ``out`` with quantiles for objects [begin, end) of the batch.
 
     ``model_borders`` is a ``BorderTable``, or one border sequence (or
     ``FloatFeatureBorders``) per feature, from which a table is built for
-    this call.  The whole block is searched at once: a position per
+    this call.  ``quantize``, a native kernel bound to that same table
+    (``native.BoundQuantizer``), runs the search where given.  Otherwise
+    the whole block is searched at once in numpy: a position per
     (feature, object) starts at its row's offset and takes exactly
     ``steps`` steps, from the largest down, each moving past ``step``
     borders when the value exceeds the last of them.  The final position
@@ -174,6 +191,11 @@ def quantize_block(
         raise ValueError(
             f"matrix has {matrix.n_features} features, model has {table.n_features}"
         )
+    if quantize is not None:
+        if quantize.table is not table:
+            raise ValueError("the native quantizer is bound to another border table")
+        quantize(matrix, begin, end, out)
+        return
 
     # One contiguous copy makes each of the ``steps`` compares a unit-stride pass.
     values = np.ascontiguousarray(matrix.feature_rows(begin, end))

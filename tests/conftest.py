@@ -1,4 +1,4 @@
-"""Fixtures shared by the test modules: the stages 2-3 backends."""
+"""Fixtures shared by the test modules: the stages 1-3 backends."""
 
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 Criteria 3, 4, 5 and 9 share a single corpus sweep (100 randomized models,
 8 batch sizes, every strategy/block/layout/tail combination, on every
-stages 2-3 backend the host runs) computed once per session.  Run verbosely
+backend the host runs) computed once per session.  Run verbosely
 to see the per-criterion lines:
 
     pytest tests/test_acceptance.py -v -s

@@ -1,7 +1,8 @@
-"""The stages 2-3 backends: selection, fallback, packaging and the native kernels' reads."""
+"""The stages 1-3 backends: selection, fallback, packaging and the native kernels' reads."""
 
 from __future__ import annotations
 
+import ctypes
 import importlib.resources
 import logging
 import os
@@ -21,8 +22,10 @@ from obtree import (
     ObliviousModel,
     ObliviousTree,
     SplitCondition,
+    SyntheticSpec,
     evaluate_scalar,
     generate_feature_matrix,
+    generate_synthetic_model,
     native,
 )
 from obtree.evaluate import Evaluator
@@ -96,6 +99,56 @@ def test_build_or_isa_failure_falls_back_to_numpy(patch, reason, monkeypatch, ca
     assert np.array_equal(chosen.predict(matrix).view(np.uint64), oracle)
 
 
+def test_library_lacking_a_kernel_falls_back_naming_it(monkeypatch, caplog, tmp_path):
+    if shutil.which(native.COMPILER) is None:
+        pytest.skip("no C compiler")
+    source = tmp_path / "native.c"
+    source.write_text(
+        (PACKAGE / "native.c").read_text(encoding="utf-8").replace(
+            "void obtree_quantize(", "void obtree_renamed_quantize("),
+        encoding="utf-8",
+    )
+    lib = tmp_path / "libobtree.so"
+    subprocess.run(
+        [native.COMPILER, *native.CFLAGS, "-o", str(lib), str(source)],
+        check=True, capture_output=True, timeout=native.BUILD_TIMEOUT_S,
+    )
+    monkeypatch.setattr(native, "_build", lambda: ctypes.CDLL(str(lib)))
+    with caplog.at_level(logging.WARNING, logger="obtree"):
+        assert native.load_kernels() is None
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any("obtree_quantize" in message for message in warnings), warnings
+
+
+def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypatch):
+    model = two_tree_model(6)
+    matrix = generate_feature_matrix(300, model.n_features, seed=8, nan_fraction=0.05)
+    evaluators = each_backend(model)
+
+    def refuse(self, *args):
+        raise AssertionError("native quantizer called")
+
+    monkeypatch.setattr(native.BoundQuantizer, "__call__", refuse)
+    forced = evaluators[-1]
+    assert forced.backend == "numpy"
+    oracle = evaluate_scalar(model, matrix).view(np.uint64)
+    assert np.array_equal(forced.predict(matrix).view(np.uint64), oracle)
+    if len(evaluators) > 1:
+        with pytest.raises(AssertionError, match="native quantizer called"):
+            evaluators[0].predict(matrix)
+
+
+def test_c_source_builds_without_warnings(tmp_path):
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc")
+    result = subprocess.run(
+        ["gcc", *native.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so"),
+         str(PACKAGE / "native.c")],
+        capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_build_leaves_no_file(monkeypatch, tmp_path):
     if shutil.which(native.COMPILER) is None:
         pytest.skip("no C compiler")
@@ -134,11 +187,14 @@ def test_block_fold_rejects_objects_outside_its_block():
 
 # Run in a child process, so that a read past the guard fails this test with
 # SIGSEGV instead of ending the test session.
-_GUARDED_BANK_CHECK = textwrap.dedent(
+_GUARDED_READS_CHECK = textwrap.dedent(
     """
     import ctypes, mmap, sys
     import numpy as np
-    from obtree import EvalConfig, LeafBank, LeafStrategy, evaluate_scalar, generate_feature_matrix
+    from obtree import (
+        EvalConfig, FeatureMatrix, LeafBank, LeafStrategy, SyntheticSpec, evaluate_scalar,
+        generate_feature_matrix, generate_synthetic_model,
+    )
     from obtree.evaluate import Evaluator, ModelTables
     sys.path.insert(0, sys.argv[1])
     from test_native import two_tree_model
@@ -168,17 +224,38 @@ _GUARDED_BANK_CHECK = textwrap.dedent(
             got = evaluator.predict(matrix).view(np.uint64)
             oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
             assert np.array_equal(got, oracle), (strategy, depth)
+
+    # A matrix whose last value is the last before an unreadable page, in
+    # both layouts, with a feature count that ends in a partial 16-feature
+    # tile and a last block that ends in a partial 16-object vector.
+    model = generate_synthetic_model(SyntheticSpec(21, 40, 30, 6, seed=2))
+    source = generate_feature_matrix(200, 21, seed=3, nan_fraction=0.05)
+    oracle = evaluate_scalar(model, source).view(np.uint64)
+    for matrix in (source, source.transposed()):
+        size = matrix.values.nbytes
+        pages = -(-size // page)
+        region = mmap.mmap(-1, (pages + 1) * page)
+        start = ctypes.addressof(ctypes.c_char.from_buffer(region))
+        assert libc.mprotect(start + pages * page, page, 0) == 0, ctypes.get_errno()
+        values = np.frombuffer(region, np.float32, matrix.values.size, pages * page - size)
+        values[:] = matrix.values.reshape(-1)
+        guarded = FeatureMatrix(values.reshape(matrix.values.shape), matrix.layout)
+        assert guarded.values.ctypes.data + size == start + pages * page
+        evaluator = Evaluator(model, EvalConfig(block_size=128))
+        assert evaluator.backend == "avx512", evaluator.backend
+        assert np.array_equal(evaluator.predict(guarded).view(np.uint64), oracle), matrix.layout
     print("ok")
     """
 )
 
 
 def test_last_shallow_table_is_read_only_within_the_bank():
+    """The fold kernels read only within the bank, the quantizer only within the matrix."""
     if Evaluator(two_tree_model(1)).backend == "numpy":
         pytest.skip("no avx512 backend on this host")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
-        [sys.executable, "-c", _GUARDED_BANK_CHECK, str(Path(__file__).parent)],
+        [sys.executable, "-c", _GUARDED_READS_CHECK, str(Path(__file__).parent)],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert result.returncode == 0, (result.returncode, result.stderr[-2000:])

@@ -20,7 +20,16 @@ from obtree import (
     plan_blocks,
     quantize_block,
     quantize_value,
+    native,
 )
+from obtree.quantize import BorderTable
+
+
+def quantizers(table: BorderTable) -> list:
+    """The numpy search (None), then the native kernel bound to ``table`` where it loads."""
+    kernels = native.kernels()
+    return [None] if kernels is None else [None, kernels.quantizer(table)]
+
 
 def crossed_border_count(value: float, borders) -> int:
     """Brute-force oracle: full scan, no early exit, no sorting tricks."""
@@ -153,12 +162,13 @@ class TestQuantizeBlock:
 
     def test_padding_bytes_are_zero(self):
         matrix = FeatureMatrix(np.full((10, 2), 9.0, dtype=np.float32), Layout.OBJECT_MAJOR)
-        borders = [np.array([0.0], dtype=np.float32)] * 2
-        out = QuantizedBlock(2, 64)
-        out.quantiles[:] = 255  # dirty buffer must be fully overwritten
-        quantize_block(matrix, (0, 10), borders, out)
-        assert np.all(out.quantiles[:, :10] == 1)
-        assert np.all(out.quantiles[:, 10:] == 0)
+        table = BorderTable([np.array([0.0], dtype=np.float32)] * 2)
+        for quantize in quantizers(table):
+            out = QuantizedBlock(2, 64)
+            out.quantiles[:] = 255  # dirty buffer must be fully overwritten
+            quantize_block(matrix, (0, 10), table, out, quantize)
+            assert np.all(out.quantiles[:, :10] == 1)
+            assert np.all(out.quantiles[:, 10:] == 0)
 
     def test_quantile_never_exceeds_border_count(self):
         model = generate_synthetic_model(SyntheticSpec(5, 17, 0, 1, seed=21))
@@ -189,6 +199,16 @@ class TestQuantizeBlock:
                 [np.array([0.0], dtype=np.float32), np.array([0.0], dtype=np.float32)],
                 out,
             )
+
+    def test_quantizer_bound_to_another_table_rejected(self):
+        matrix = FeatureMatrix(np.zeros((4, 2), dtype=np.float32), Layout.OBJECT_MAJOR)
+        rows = [np.array([0.0], dtype=np.float32)] * 2
+        kernels = native.kernels()
+        if kernels is None:
+            pytest.skip("no native quantizer on this host")
+        quantize = kernels.quantizer(BorderTable(rows))
+        with pytest.raises(ValueError, match="another border table"):
+            quantize_block(matrix, (0, 4), BorderTable(rows), QuantizedBlock(2, 64), quantize)
 
     def test_matrix_feature_count_mismatch_rejected(self):
         matrix = FeatureMatrix(np.zeros((4, 3), dtype=np.float32), Layout.OBJECT_MAJOR)
@@ -225,9 +245,12 @@ def _random_binary32(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 @st.composite
-def border_rows(draw) -> np.ndarray:
-    """Strictly ascending binary32 borders, 0 to 254 of them, edge values mixed in."""
-    count = draw(st.sampled_from([0, 1, 2, 127, 128, 254]) | st.integers(0, 254))
+def border_rows(draw, max_count: int = 254) -> np.ndarray:
+    """Strictly ascending binary32 borders, 0 to ``max_count`` of them, edge values mixed in."""
+    count = draw(
+        st.sampled_from([c for c in (0, 1, 2, 127, 128, 254) if c <= max_count])
+        | st.integers(0, max_count)
+    )
     edges = draw(st.lists(st.sampled_from(_EDGES), max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     candidates = edges + [float(b) for b in _random_binary32(rng, count + 16) if not np.isnan(b)]
@@ -237,9 +260,14 @@ def border_rows(draw) -> np.ndarray:
 
 @st.composite
 def quantize_cases(draw):
-    rows = draw(st.lists(border_rows(), min_size=1, max_size=4))
-    n_objects = draw(st.integers(1, 40))
-    block_size = draw(st.integers(1, 16))
+    # The longest row sets the search's step count: 0 (no feature has a
+    # border) to 8.  The feature counts straddle the native kernel's
+    # 16-feature tiles, and the large batches its 256-object chunks.
+    max_count = draw(st.sampled_from([(1 << steps) - 1 for steps in range(8)] + [254]))
+    n_features = draw(st.sampled_from([1, 2, 15, 16, 17]))
+    rows = draw(st.lists(border_rows(max_count), min_size=n_features, max_size=n_features))
+    n_objects = draw(st.integers(1, 40) | st.integers(250, 300))
+    block_size = draw(st.integers(1, 16) | st.sampled_from([64, 128, 512]))
     layout = draw(st.sampled_from(Layout))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     raw = np.empty((n_objects, len(rows)), dtype=np.float32)
@@ -263,15 +291,19 @@ class TestSearchMatchesScalarReference:
     @settings(max_examples=80, deadline=None)
     @given(quantize_cases())
     def test_every_quantile_equals_quantize_value(self, case):
+        """Both the numpy search and the native kernel, over every block of
+        the batch: the later ones start past object 0, the last may be partial."""
         rows, raw, matrix, block_size = case
-        out = QuantizedBlock(len(rows), block_size)
-        for begin, end in plan_blocks(matrix.n_objects, block_size):
-            out.quantiles[:] = 255
-            quantize_block(matrix, (begin, end), rows, out)
-            live = end - begin
-            expected = [
-                [quantize_value(float(raw[o, f]), row) for o in range(begin, end)]
-                for f, row in enumerate(rows)
-            ]
-            assert out.quantiles[:, :live].tolist() == expected
-            assert not out.quantiles[:, live:].any()
+        table = BorderTable(rows)
+        expected = np.array(
+            [[quantize_value(float(v), row) for v in raw[:, f]] for f, row in enumerate(rows)],
+            dtype=np.uint8,
+        ).reshape(len(rows), matrix.n_objects)
+        for quantize in quantizers(table):
+            out = QuantizedBlock(len(rows), block_size)
+            for begin, end in plan_blocks(matrix.n_objects, block_size):
+                out.quantiles[:] = 255
+                quantize_block(matrix, (begin, end), table, out, quantize)
+                live = end - begin
+                assert np.array_equal(out.quantiles[:, :live], expected[:, begin:end]), quantize
+                assert not out.quantiles[:, live:].any(), quantize
