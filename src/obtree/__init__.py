@@ -9,7 +9,6 @@ round out the package.
 """
 
 from .evaluate import (
-    BLOCK_SIZES,
     EvalConfig,
     Evaluator,
     LeafStrategy,
@@ -56,7 +55,6 @@ from .synthetic import SyntheticSpec, Xoshiro256StarStar, generate_feature_matri
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLOCK_SIZES",
     "DeviationMetrics",
     "EvalConfig",
     "Evaluator",

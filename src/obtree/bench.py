@@ -1,7 +1,8 @@
 """Benchmark harness: run the case matrix, verify, time, report.
 
-A case is one (layout, strategy, block size, batch size) point of the matrix;
-a batch-size sweep is a matrix whose only varying axis is the batch size.
+A case is one (layout, strategy, batch size) point of the matrix; every case
+runs ``EvalConfig``'s fixed block size, which each report names.  A
+batch-size sweep is a matrix whose only varying axis is the batch size.
 
 Every timed case is first checked against the scalar oracle in the same
 process; a timing over wrong results is worthless.  Times are process CPU
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import native
-from .evaluate import BLOCK_SIZES, EvalConfig, Evaluator, LeafStrategy, ModelTables
+from .evaluate import EvalConfig, Evaluator, LeafStrategy, ModelTables
 from .model import LeafPrecision, ObliviousModel
 from .oracle import evaluate_scalar
 from .quantize import FeatureMatrix, Layout
@@ -68,11 +69,7 @@ class BenchCase:
 
     @property
     def case_id(self) -> str:
-        cfg = self.config
-        return (
-            f"{cfg.strategy.value}-b{cfg.block_size}"
-            f"-{_LAYOUT_SHORT[self.layout]}-n{self.batch_size}"
-        )
+        return f"{self.config.strategy.value}-{_LAYOUT_SHORT[self.layout]}-n{self.batch_size}"
 
 
 @dataclass
@@ -248,6 +245,7 @@ def run_matrix(
             "data_seed": data_seed,
             "baseline": baseline_id,
             "backend": backend,
+            "block_size": EvalConfig.block_size,
         }
     )
     return BenchReport(baseline_id=baseline_id, rows=rows, metadata=metadata)
@@ -274,7 +272,6 @@ def format_table(columns, rows: list[list[str]], metadata: dict, fmt: str) -> st
 _MATRIX_COLUMNS = (
     "case_id",
     "strategy",
-    "block",
     "layout",
     "batch",
     "reps",
@@ -288,7 +285,6 @@ _MATRIX_COLUMNS = (
 
 def _matrix_cells(row: CaseResult) -> list[str]:
     case = row.case
-    cfg = case.config
     if not row.verified:
         timing = ["", "", "", "", "FAIL"]
     else:
@@ -301,8 +297,7 @@ def _matrix_cells(row: CaseResult) -> list[str]:
         ]
     return [
         case.case_id,
-        cfg.strategy.value,
-        str(cfg.block_size),
+        case.config.strategy.value,
         case.layout.value,
         str(case.batch_size),
         str(case.repetitions),
@@ -373,12 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="input matrix layout(s) to measure (default: both)",
     )
     parser.add_argument(
-        "--block",
-        choices=[str(b) for b in BLOCK_SIZES] + ["all"],
-        default="all",
-        help="block size(s) (default: all)",
-    )
-    parser.add_argument(
         "--strategy",
         choices=[s.value for s in LeafStrategy] + ["all"],
         default="all",
@@ -403,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=["csv", "md", "tsv"],
         default="md",
-        help="tsv: batch size and mean ms only, for a single strategy, block and layout",
+        help="tsv: batch size and mean ms only, for a single strategy and layout",
     )
     parser.add_argument("--data-seed", type=int, default=DEFAULT_DATA_SEED)
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
@@ -425,15 +414,13 @@ def build_cases(args) -> list[BenchCase]:
         "feature-major": [Layout.FEATURE_MAJOR],
         "both": [Layout.OBJECT_MAJOR, Layout.FEATURE_MAJOR],
     }[args.layout]
-    blocks = list(BLOCK_SIZES) if args.block == "all" else [int(args.block)]
     strategies = (
         list(LeafStrategy) if args.strategy == "all" else [LeafStrategy(args.strategy)]
     )
     return [
-        BenchCase(EvalConfig(block_size=block, strategy=strategy), layout, batch, args.reps)
+        BenchCase(EvalConfig(strategy), layout, batch, args.reps)
         for layout in layouts
         for strategy in strategies
-        for block in blocks
         for batch in args.batch
     ]
 
@@ -444,8 +431,8 @@ def main(argv: list[str] | None = None) -> int:
     log = (lambda msg: None) if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     # --out was opened while parsing, so an unwritable path fails before any case runs.
     with args.out or contextlib.nullcontext(sys.stdout) as out:
-        if args.format == "tsv" and ("all" in (args.strategy, args.block) or args.layout == "both"):
-            parser.error("tsv output needs a single --strategy, --block and --layout")
+        if args.format == "tsv" and (args.strategy == "all" or args.layout == "both"):
+            parser.error("tsv output needs a single --strategy and --layout")
         try:
             cases = build_cases(args)
             model, source = _resolve_model(args)

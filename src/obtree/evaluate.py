@@ -26,9 +26,9 @@ The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  A
 strategy selects only its leaf-precision family: every binary64 strategy
 loads from the binary64 bank (by ``vgatherdpd`` in the ``avx512`` backend),
 every binary16 strategy from the binary16 bank (by ``vpermt2w`` from
-register-resident tables), widened to binary32.  The tail policy is kept in
-the configuration for block planning; it changes neither what runs nor the
-bits.
+register-resident tables), widened to binary32.  The strategy is the only
+setting of ``EvalConfig``; the block size and the tail policy are its
+constants.  The tail plan changes neither what runs nor the bits.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -85,8 +86,6 @@ def permute_group_count(depth: int, lanes: int) -> int:
     """Number of source vectors needed to hold all 2**depth leaves."""
     return max(1, (1 << depth) // lanes)
 
-
-BLOCK_SIZES = (64, 128, 256, 512)
 
 _SENTINEL_ORDINAL = 255  # quantiles are <= 254, so this condition is never true
 
@@ -150,20 +149,18 @@ def plan_blocks(n_objects: int, block_size: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    block_size: int = 128
     strategy: LeafStrategy = LeafStrategy.NAIVE
-    tail_policy: TailPolicy = TailPolicy.SCALAR_TAIL
+
+    # Objects per block.  At 256 or more the per-call quantized block and
+    # fold scratch, which grow with the block, raise every benchmark
+    # workload's predict peak memory; at 64, deep-ensemble runs about 30%
+    # slower, streaming its leaf bank twice as often.
+    block_size: ClassVar[int] = 128
+    tail_policy: ClassVar[TailPolicy] = TailPolicy.SCALAR_TAIL
 
     @property
     def object_group(self) -> int:
         return self.strategy.object_group
-
-    def validate(self) -> None:
-        if self.block_size not in BLOCK_SIZES:
-            raise ValueError(f"block size must be one of {BLOCK_SIZES}")
-
-    def describe(self) -> str:
-        return f"{self.strategy.value}-b{self.block_size}-{self.tail_policy.value}"
 
 
 class ModelTables:
@@ -296,7 +293,7 @@ def _fold_block_segment(
     objects in its first ``end - begin`` columns.  ``fold``, a native kernel
     bound to this call (``native.BoundFold.over``), runs them where given.
     Otherwise the numpy stages run on the live columns rounded up to a
-    multiple of 8 (block sizes are multiples of 8, so the extra columns are
+    multiple of 8 (the block size is a multiple of 8, so the extra columns are
     the block's zeroed padding): the leaf load is one indexed take from the
     bank in its own precision, and binary16 leaves widen to binary32
     (``_widen_binary16``) before the fold.
@@ -334,7 +331,6 @@ class Evaluator:
     ):
         self.tables = model if isinstance(model, ModelTables) else ModelTables(model)
         self.config = config or EvalConfig()
-        self.config.validate()
         self.bank = self.tables.bank(self.config.strategy.precision)
         kernels = native.kernels()
         self._native = None if kernels is None else kernels.bind(self.tables, self.bank)
@@ -358,17 +354,16 @@ class Evaluator:
             raise ValueError(
                 f"matrix has {matrix.n_features} features, model expects {model.n_features}"
             )
-        cfg = self.config
         n = matrix.n_objects
         if n == 0:
             return np.empty(0, dtype=np.float64)
 
         sum_dtype = np.float64 if self.bank.precision is LeafPrecision.BINARY64 else np.float32
         sums = np.zeros(n, dtype=sum_dtype)
-        qblock = QuantizedBlock(model.n_features, cfg.block_size)
+        qblock = QuantizedBlock(model.n_features, EvalConfig.block_size)
         fold = None if self._native is None else self._native.over(qblock.quantiles, sums)
 
-        for begin, end in plan_blocks(n, cfg.block_size):
+        for begin, end in plan_blocks(n, EvalConfig.block_size):
             quantize_block(matrix, (begin, end), self.tables.border_table, qblock, self._quantize)
             _fold_block_segment(self.tables, self.bank, qblock.quantiles, sums, begin, end, fold)
         out = sums.astype(np.float64)

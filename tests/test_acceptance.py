@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, with stated runtime budgets.
 
-Criteria 3, 4, 5 and 9 share a single corpus sweep (100 randomized models,
-8 batch sizes, every strategy/block/layout/tail combination, on every
-backend the host runs) computed once per session.  Run verbosely
+Criteria 3, 4 and 5 share a single corpus sweep (100 randomized models,
+8 batch sizes, every strategy in both layouts, on every backend the host
+runs) computed once per session.  Run verbosely
 to see the per-criterion lines:
 
     pytest tests/test_acceptance.py -v -s
@@ -47,14 +47,7 @@ from obtree.evaluate import ModelTables
 
 BATCH_SIZES = (1, 7, 31, 32, 33, 100, 128, 257)
 
-# Every (strategy, block, tail) combination; scalar tail first so the sweep
-# can pair each padded-tail run with its scalar-tail twin.
-CONFIG_MATRIX = [
-    EvalConfig(block, strategy, tail)
-    for strategy in LeafStrategy
-    for block in (64, 128, 256, 512)
-    for tail in (TailPolicy.SCALAR_TAIL, TailPolicy.PADDED_GROUP)
-]
+CONFIG_MATRIX = [EvalConfig(strategy) for strategy in LeafStrategy]
 
 
 def bits_differ(a: np.ndarray, b: np.ndarray) -> bool:
@@ -78,10 +71,9 @@ class SweepOutcome:
     n_models: int = 0
     n_evals: int = 0
     backends: set = field(default_factory=set)
-    # (model, batch, layout, backend, config) of each evaluation differing in any bit.
+    # (model, batch, layout, backend, strategy) of each evaluation differing in any bit.
     oracle_mismatches: list = field(default_factory=list)
     cross_mismatches: list = field(default_factory=list)
-    tail_mismatches: list = field(default_factory=list)
     fp16_checks: list = field(default_factory=list)  # (model idx, max_abs, bound, metrics)
 
 
@@ -109,13 +101,12 @@ def corpus_sweep(each_backend) -> SweepOutcome:
                 LeafPrecision.BINARY16: evaluate_scalar(model, om, LeafPrecision.BINARY16),
             }
             family_ref: dict = {}
-            tail_ref: dict = {}
             for layout, matrix in ((Layout.OBJECT_MAJOR, om), (Layout.FEATURE_MAJOR, fm)):
                 for cfg, evaluator in evaluators:
                     preds = evaluator.predict(matrix)
                     outcome.n_evals += 1
                     family = cfg.strategy.precision
-                    where = (index, batch, layout.value, evaluator.backend, cfg.describe())
+                    where = (index, batch, layout.value, evaluator.backend, cfg.strategy.value)
                     if bits_differ(preds, oracle[family]):
                         outcome.oracle_mismatches.append(where)
 
@@ -124,12 +115,6 @@ def corpus_sweep(each_backend) -> SweepOutcome:
                             outcome.cross_mismatches.append(where)
                     else:
                         family_ref[family] = preds
-
-                    pair_key = (evaluator.backend, cfg.strategy, cfg.block_size, layout)
-                    if cfg.tail_policy is TailPolicy.SCALAR_TAIL:
-                        tail_ref[pair_key] = preds
-                    elif bits_differ(preds, tail_ref[pair_key]):
-                        outcome.tail_mismatches.append(where)
 
         # Half-precision trade-off, measured at the largest corpus batch.
         big = generate_feature_matrix(257, model.n_features, seed=spec.seed * 7 + 1)
@@ -213,8 +198,8 @@ def test_criterion_03_end_to_end_equivalence(corpus_sweep: SweepOutcome):
 def test_criterion_04_cross_config_invariance(corpus_sweep: SweepOutcome):
     assert corpus_sweep.cross_mismatches == [], corpus_sweep.cross_mismatches[:5]
     print(
-        "\nACCEPTANCE 4 PASS: predictions bit-identical across backends, strategies, "
-        "blocks, layouts and tails within each leaf-precision family"
+        "\nACCEPTANCE 4 PASS: predictions bit-identical across backends, strategies "
+        "and layouts within each leaf-precision family"
     )
 
 
@@ -298,12 +283,12 @@ def test_criterion_07_model_round_trip():
 
 
 def test_criterion_08_bench_harness(capsys):
-    # The desk preset's full default matrix: every strategy and block size
-    # in both layouts, batch 1024, 50 repetitions.
+    # The desk preset's full default matrix: every strategy in both layouts,
+    # batch 1024, 50 repetitions.
     from obtree.bench import PRESETS
 
     args = argparse.Namespace(
-        layout="both", block="all", strategy="all", batch=[1024], reps=50,
+        layout="both", strategy="all", batch=[1024], reps=50,
     )
     cases = build_cases(args)
     model = generate_synthetic_model(PRESETS["desk"])
@@ -324,7 +309,7 @@ def test_criterion_08_bench_harness(capsys):
         print(format_matrix(report, "md"))
 
 
-def test_criterion_09_tail_policy_structure(corpus_sweep: SweepOutcome):
+def test_criterion_09_tail_policy_structure():
     for group in (8, 16, 32, 64):
         for live in range(1, 193):
             scalar = apply_tail_policy(TailPolicy.SCALAR_TAIL, group, live)
@@ -336,8 +321,4 @@ def test_criterion_09_tail_policy_structure(corpus_sweep: SweepOutcome):
             assert padded.vector_groups == -(-live // group)
             assert padded.scalar_remainder == 0
             assert padded.vector_groups * group - live == padded.padded_lanes < group
-    assert corpus_sweep.tail_mismatches == [], corpus_sweep.tail_mismatches[:5]
-    print(
-        "\nACCEPTANCE 9 PASS: tail plans exact for live 1..192 x groups {8,16,32,64}; "
-        "scalar and padded policies byte-identical on the corpus, on every backend"
-    )
+    print("\nACCEPTANCE 9 PASS: tail plans exact for live 1..192 x groups {8,16,32,64}")

@@ -28,9 +28,8 @@ from obtree.synthetic import generate_synthetic_model
 TINY = SyntheticSpec(n_features=4, borders_per_feature=5, n_trees=6, depth=3, seed=77)
 
 
-def tiny_case(strategy=LeafStrategy.NAIVE, batch=40, reps=3, layout=Layout.OBJECT_MAJOR, block=64):
-    config = EvalConfig(block, strategy)
-    return BenchCase(config=config, layout=layout, batch_size=batch, repetitions=reps)
+def tiny_case(strategy=LeafStrategy.NAIVE, batch=40, reps=3, layout=Layout.OBJECT_MAJOR):
+    return BenchCase(EvalConfig(strategy), layout=layout, batch_size=batch, repetitions=reps)
 
 
 class TestRunMatrix:
@@ -79,7 +78,7 @@ class TestRunMatrix:
         monkeypatch.setattr(bench, "_verify", recording("verify", bench._verify))
         monkeypatch.setattr(bench, "_time_case", recording("time", bench._time_case))
         model = generate_synthetic_model(TINY)
-        cases = [tiny_case(), tiny_case(block=128), tiny_case(layout=Layout.FEATURE_MAJOR)]
+        cases = [tiny_case(), tiny_case(batch=7), tiny_case(layout=Layout.FEATURE_MAJOR)]
         assert run_matrix(model, cases).all_verified
         assert events == ["verify"] * 3 + ["time"] * 3
 
@@ -110,6 +109,7 @@ class TestRunMatrix:
         report = run_matrix(model, [tiny_case()])
         assert report.metadata["backend"] == Evaluator(model).backend
         assert report.metadata["cpu_flags_checked"] == "avx512f,avx512bw,f16c"
+        assert report.metadata["block_size"] == EvalConfig.block_size == 128
         monkeypatch.setattr(native, "kernels", lambda: None)
         assert run_matrix(model, [tiny_case()]).metadata["backend"] == "numpy"
 
@@ -149,7 +149,7 @@ class TestRunMatrix:
 
 class TestFormat:
     def test_renderings_are_fixed(self):
-        case = BenchCase(EvalConfig(64, LeafStrategy.PERMUTE16), Layout.FEATURE_MAJOR, 40, 3)
+        case = BenchCase(EvalConfig(LeafStrategy.PERMUTE16), Layout.FEATURE_MAJOR, 40, 3)
         report = BenchReport(
             case.case_id,
             [
@@ -159,22 +159,20 @@ class TestFormat:
             {"baseline": case.case_id},
         )
         assert format_matrix(report, "csv") == (
-            "# baseline: permute16-b64-fm-n40\n"
-            "case_id,strategy,block,layout,batch,reps,inner,mean_ms,std_ms,"
-            "d_vs_baseline,verified\n"
-            "permute16-b64-fm-n40,permute16,64,feature-major,40,3,2,"
-            "2.100,0.100,+0.0%,ok\n"
-            "naive-b128-om-n100,naive,128,object-major,100,3,,,,,FAIL\n"
+            "# baseline: permute16-fm-n40\n"
+            "case_id,strategy,layout,batch,reps,inner,mean_ms,std_ms,d_vs_baseline,verified\n"
+            "permute16-fm-n40,permute16,feature-major,40,3,2,2.100,0.100,+0.0%,ok\n"
+            "naive-om-n100,naive,object-major,100,3,,,,,FAIL\n"
         )
         assert format_matrix(report, "md") == (
-            "# baseline: permute16-b64-fm-n40\n"
-            "| case_id              | strategy  | block | layout        | batch | reps | inner "
+            "# baseline: permute16-fm-n40\n"
+            "| case_id          | strategy  | layout        | batch | reps | inner "
             "| mean_ms | std_ms | d_vs_baseline | verified |\n"
-            "|----------------------|-----------|-------|---------------|-------|------|-------"
+            "|------------------|-----------|---------------|-------|------|-------"
             "|---------|--------|---------------|----------|\n"
-            "| permute16-b64-fm-n40 | permute16 | 64    | feature-major | 40    | 3    | 2     "
+            "| permute16-fm-n40 | permute16 | feature-major | 40    | 3    | 2     "
             "| 2.100   | 0.100  | +0.0%         | ok       |\n"
-            "| naive-b128-om-n100   | naive     | 128   | object-major  | 100   | 3    |       "
+            "| naive-om-n100    | naive     | object-major  | 100   | 3    |       "
             "|         |        |               | FAIL     |\n"
         )
         assert format_tsv(report) == "40\t2.100000\n100\tnan\n"
@@ -198,23 +196,22 @@ class _Args:
 
 class TestCaseBuilder:
     def test_default_matrix_shape(self):
-        args = _Args(layout="both", block="all", strategy="all", batch=[1024], reps=5)
+        args = _Args(layout="both", strategy="all", batch=[1024], reps=5)
         cases = build_cases(args)
-        # 5 strategies x 4 blocks x 2 layouts
-        assert len(cases) == 40
-        assert len({c.case_id for c in cases}) == 40
+        # 5 strategies x 2 layouts
+        assert len(cases) == 10
+        assert len({c.case_id for c in cases}) == 10
 
     def test_batch_is_the_innermost_axis(self):
-        args = _Args(layout="object-major", block="all", strategy="naive",
-                     batch=[1, 17, 33], reps=3)
+        args = _Args(layout="object-major", strategy="all", batch=[1, 17, 33], reps=3)
         cases = build_cases(args)
-        assert [(c.config.block_size, c.batch_size) for c in cases] == [
-            (block, batch) for block in (64, 128, 256, 512) for batch in (1, 17, 33)
+        assert [(c.config.strategy, c.batch_size) for c in cases] == [
+            (strategy, batch) for strategy in LeafStrategy for batch in (1, 17, 33)
         ]
-        assert len({c.case_id for c in cases}) == 12
+        assert len({c.case_id for c in cases}) == 15
 
     def test_repetition_floor_applies_to_every_case(self):
-        args = _Args(layout="both", block="64", strategy="naive", batch=[8], reps=2)
+        args = _Args(layout="both", strategy="naive", batch=[8], reps=2)
         with pytest.raises(ValueError, match="at least 3"):
             build_cases(args)
 
@@ -239,20 +236,19 @@ class TestCli:
         out = tmp_path / "report.csv"
         code = main([
             "--synthetic", "4,5,6,3,77", "--batch", "40", "--reps", "3",
-            "--strategy", "naive", "--block", "64", "--layout", "object-major",
+            "--strategy", "naive", "--layout", "object-major",
             "--format", "csv", "--out", str(out), "--quiet",
         ])
         assert code == 0
         text = out.read_text()
         assert "case_id" in text
-        assert "naive-b64-om-n40" in text
+        assert "naive-om-n40" in text
         assert "# src_lines: " in text
 
     def test_sweep_tsv_stdout(self, capsys):
         code = main([
             "--synthetic", "4,5,6,3,77", "--batch", "1..33:16", "--reps", "3",
-            "--strategy", "naive", "--block", "64",
-            "--layout", "object-major", "--format", "tsv", "--quiet",
+            "--strategy", "naive", "--layout", "object-major", "--format", "tsv", "--quiet",
         ])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
@@ -262,8 +258,7 @@ class TestCli:
     def test_sweep_gives_one_verified_row_per_batch(self, fmt, capsys):
         code = main([
             "--synthetic", "4,5,6,3,77", "--batch", "1..33:16", "--reps", "3",
-            "--strategy", "naive", "--block", "64",
-            "--layout", "object-major", "--format", fmt, "--quiet",
+            "--strategy", "naive", "--layout", "object-major", "--format", fmt, "--quiet",
         ])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
@@ -272,21 +267,18 @@ class TestCli:
             for line in lines
             if line.lstrip("| ").startswith("naive-")
         ]
-        assert [(row[4], row[-1]) for row in rows] == [("1", "ok"), ("17", "ok"), ("33", "ok")]
+        assert [(row[3], row[-1]) for row in rows] == [("1", "ok"), ("17", "ok"), ("33", "ok")]
 
     def test_sweep_tsv_requires_single_layout(self):
         with pytest.raises(SystemExit) as exc:
             main(["--synthetic", "4,5,6,3,77", "--batch", "1..2", "--format", "tsv",
-                  "--strategy", "naive", "--block", "64", "--quiet"])
+                  "--strategy", "naive", "--quiet"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize(
-        "single", [["--strategy", "naive"], ["--block", "64"]], ids=["all-blocks", "all-strategies"]
-    )
-    def test_sweep_tsv_requires_single_strategy_and_block(self, single):
+    def test_sweep_tsv_requires_single_strategy(self):
         with pytest.raises(SystemExit) as exc:
             main(["--synthetic", "4,5,6,3,77", "--batch", "1..2", "--format", "tsv",
-                  "--layout", "object-major", *single, "--quiet"])
+                  "--layout", "object-major", "--quiet"])
         assert exc.value.code == 2
 
     def test_matrix_rejects_tsv(self):
@@ -308,7 +300,7 @@ class TestCli:
         out = tmp_path / "report.csv"
         code = main([
             "--model", str(path), "--batch", "16", "--reps", "3",
-            "--strategy", "naive", "--block", "64", "--layout", "object-major",
+            "--strategy", "naive", "--layout", "object-major",
             "--format", "csv", "--out", str(out), "--quiet",
         ])
         assert code == 0
@@ -337,13 +329,13 @@ class TestCli:
         monkeypatch.setattr("obtree.bench._verify", lambda *a: False)
         code = main([
             "--synthetic", "4,5,6,3,77", "--batch", "16", "--reps", "3",
-            "--strategy", "naive", "--block", "64", "--layout", "object-major",
+            "--strategy", "naive", "--layout", "object-major",
             "--out", str(tmp_path / "r.md"), "--quiet",
         ])
         assert code == 1
 
     def test_structure_is_deterministic(self):
-        args = _Args(layout="both", block="64", strategy="all", batch=[16], reps=3)
+        args = _Args(layout="both", strategy="all", batch=[16], reps=3)
         ids_a = [c.case_id for c in build_cases(args)]
         ids_b = [c.case_id for c in build_cases(args)]
         assert ids_a == ids_b

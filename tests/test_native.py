@@ -241,7 +241,7 @@ _GUARDED_READS_CHECK = textwrap.dedent(
         values[:] = matrix.values.reshape(-1)
         guarded = FeatureMatrix(values.reshape(matrix.values.shape), matrix.layout)
         assert guarded.values.ctypes.data + size == start + pages * page
-        evaluator = Evaluator(model, EvalConfig(block_size=128))
+        evaluator = Evaluator(model)
         assert evaluator.backend == "avx512", evaluator.backend
         assert np.array_equal(evaluator.predict(guarded).view(np.uint64), oracle), matrix.layout
     print("ok")
