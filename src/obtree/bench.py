@@ -93,14 +93,34 @@ class BenchReport:
         return all(r.verified for r in self.rows)
 
 
+# The vector ISA extensions among the CPU's flags.
+_ISA_FLAG = re.compile(r"(avx|sse|ssse)\w*|fma|f16c|bmi\d?")
+
+
+def _cpu_isa_flags(cpuinfo: str = "/proc/cpuinfo") -> str:
+    """The ISA flags of the first CPU in ``cpuinfo``, or "unreadable"."""
+    try:
+        with open(cpuinfo, encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    flags = line.partition(":")[2].split()
+                    return ",".join(f for f in flags if _ISA_FLAG.fullmatch(f))
+    except OSError:
+        pass
+    return "unreadable"
+
+
 def _host_metadata() -> dict:
     package = Path(__file__).parent
+    clock = time.get_clock_info("process_time")
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_flags_checked": ",".join(native.CPU_FLAGS),
+        "cpu_isa_flags": _cpu_isa_flags(),
+        "clock": f"process_time via {clock.implementation}, resolution {clock.resolution:g} s",
         # Code size next to the timings: lines of the package's Python and C sources.
         "src_lines": sum(
             len(path.read_text(encoding="utf-8").splitlines())

@@ -1,14 +1,16 @@
 """Orchestration of the three-stage pipeline over blocks and batches.
 
-A batch is split into cache-sized blocks; each block is quantized, then every
-tree's leaf index is computed and its leaf value fetched and folded into the
-per-object sums, and the scale/bias transform finalizes the predictions.
-All three stages run in one of two backends chosen when an ``Evaluator`` is
-made (``Evaluator.backend``); stages 2 and 3 run fused:
+A batch is split into cache-sized blocks; for each block the split
+conditions are evaluated (stage 1), then every tree's leaf index is computed
+and its leaf value fetched and folded into the per-object sums, and the
+scale/bias transform finalizes the predictions.  All three stages run in one
+of two backends chosen when an ``Evaluator`` is made (``Evaluator.backend``);
+stages 2 and 3 run fused:
 
 * ``avx512``: the kernels of ``native.c`` (see ``obtree.native``): the
-  quantization kernel (described in ``obtree.quantize``), then the fold
-  kernels on 64-object groups of the quantized block;
+  binarization kernel writes one 64-bit mask per (64-object group, distinct
+  split condition) straight from the block's binary32 values, and the fold
+  kernels read those masks group by group;
 * ``numpy``: the numpy quantization search, then, for stages 2-3, array
   operations over a (trees x objects) panel covering a block's live objects
   rounded up to a multiple of 8, so that leaf indices are assembled on
@@ -18,9 +20,10 @@ made (``Evaluator.backend``); stages 2 and 3 run fused:
   explicit row loop as the fallback).
 
 Both test each distinct split condition of the model once per block (or
-group), and both sum each object's leaves in tree order, so results are
-bit-identical across backends and do not depend on the block plan or the
-input layout.
+group): ``avx512`` as ``value > border``, ``numpy`` as ``quantile >
+ordinal``, which agree for strictly ascending borders (``obtree.quantize``).
+Both sum each object's leaves in tree order, so results are bit-identical
+across backends and do not depend on the block plan or the input layout.
 
 The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  A
 strategy selects only its leaf-precision family: every binary64 strategy
@@ -33,7 +36,6 @@ constants.  The tail plan changes neither what runs nor the bits.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
@@ -151,8 +153,8 @@ def plan_blocks(n_objects: int, block_size: int) -> list[tuple[int, int]]:
 class EvalConfig:
     strategy: LeafStrategy = LeafStrategy.NAIVE
 
-    # Objects per block.  At 256 or more the per-call quantized block and
-    # fold scratch, which grow with the block, raise every benchmark
+    # Objects per block.  At 256 or more the per-call quantized block or
+    # condition masks, which grow with the block, raise every benchmark
     # workload's predict peak memory; at 64, deep-ensemble runs about 30%
     # slower, streaming its leaf bank twice as often.
     block_size: ClassVar[int] = 128
@@ -168,12 +170,14 @@ class ModelTables:
 
     ``border_table`` holds every feature's borders, padded for the
     quantization search.  The split conditions form a table of distinct
-    (feature, ordinal) pairs: condition ``c`` holds iff quantile
-    ``cond_feature[c]`` exceeds ``cond_ordinal[c, 0]``.  ``split_cond`` is
-    (max_depth x trees), one contiguous row of condition numbers per depth
-    level.  Trees shallower than the deepest are padded with the condition
-    (feature 0, ordinal 255), which can never hold and so contributes a zero
-    bit.  Leaf banks are built per precision on first use.
+    (feature, ordinal) pairs, sorted by feature: condition ``c`` holds iff
+    quantile ``cond_feature[c]`` exceeds ``cond_ordinal[c, 0]``, that is iff
+    the feature's value exceeds ``cond_border[c]`` (binary32).
+    ``split_cond`` is (max_depth x trees), one contiguous row of condition
+    numbers per depth level.  Trees shallower than the deepest are padded
+    with the condition (feature 0, ordinal 255, border +inf), which can never
+    hold and so contributes a zero bit.  Leaf banks are built per precision
+    on first use.
     """
 
     def __init__(self, model: ObliviousModel):
@@ -191,6 +195,11 @@ class ModelTables:
         distinct, inverse = np.unique(keys, return_inverse=True)
         self.cond_feature = distinct >> 8
         self.cond_ordinal = (distinct & 255).astype(np.uint8)[:, None]
+        self.cond_border = np.full(distinct.size, np.inf, dtype=np.float32)
+        real = self.cond_ordinal[:, 0] != _SENTINEL_ORDINAL
+        self.cond_border[real] = self.border_table.values[
+            self.border_table.offsets[self.cond_feature[real], 0] + self.cond_ordinal[real, 0]
+        ]
         # The inverse's shape differs across numpy 2.x releases.
         self.split_cond = inverse.reshape(keys.shape)
 
@@ -285,22 +294,16 @@ def _fold_block_segment(
     sums: np.ndarray,
     begin: int,
     end: int,
-    fold: Callable[[int, int], None] | None = None,
 ) -> None:
-    """Run stages 2 and 3 for objects [begin, end) of a call, into ``sums[begin:end]``.
+    """Run the numpy stages 2 and 3 for objects [begin, end) of a call, into ``sums[begin:end]``.
 
     ``quantiles`` is the whole ``QuantizedBlock`` array holding those
-    objects in its first ``end - begin`` columns.  ``fold``, a native kernel
-    bound to this call (``native.BoundFold.over``), runs them where given.
-    Otherwise the numpy stages run on the live columns rounded up to a
-    multiple of 8 (the block size is a multiple of 8, so the extra columns are
-    the block's zeroed padding): the leaf load is one indexed take from the
-    bank in its own precision, and binary16 leaves widen to binary32
-    (``_widen_binary16``) before the fold.
+    objects in its first ``end - begin`` columns.  The stages run on the
+    live columns rounded up to a multiple of 8 (the block size is a multiple
+    of 8, so the extra columns are the block's zeroed padding): the leaf
+    load is one indexed take from the bank in its own precision, and
+    binary16 leaves widen to binary32 (``_widen_binary16``) before the fold.
     """
-    if fold is not None:
-        fold(begin, end)
-        return
     if tables.n_trees == 0:
         return
     cols = -(-(end - begin) // _PANEL_COLUMNS) * _PANEL_COLUMNS
@@ -321,7 +324,7 @@ class Evaluator:
 
     The backend of all three stages is chosen here, once: ``avx512`` where
     the native kernels build and the CPU runs them, ``numpy`` otherwise.
-    The native quantizer and fold are bound to the model's tables here too.
+    The native binarizer and fold are bound to the model's tables here too.
     """
 
     def __init__(
@@ -334,9 +337,6 @@ class Evaluator:
         self.bank = self.tables.bank(self.config.strategy.precision)
         kernels = native.kernels()
         self._native = None if kernels is None else kernels.bind(self.tables, self.bank)
-        self._quantize = (
-            None if kernels is None else kernels.quantizer(self.tables.border_table)
-        )
 
     @property
     def model(self) -> ObliviousModel:
@@ -360,12 +360,17 @@ class Evaluator:
 
         sum_dtype = np.float64 if self.bank.precision is LeafPrecision.BINARY64 else np.float32
         sums = np.zeros(n, dtype=sum_dtype)
-        qblock = QuantizedBlock(model.n_features, EvalConfig.block_size)
-        fold = None if self._native is None else self._native.over(qblock.quantiles, sums)
+        if self._native is None:
+            block, binarize = QuantizedBlock(model.n_features, EvalConfig.block_size), None
+
+            def fold(begin: int, end: int) -> None:
+                _fold_block_segment(self.tables, self.bank, block.quantiles, sums, begin, end)
+        else:
+            block, binarize, fold = self._native.over(matrix, sums, EvalConfig.block_size // 64)
 
         for begin, end in plan_blocks(n, EvalConfig.block_size):
-            quantize_block(matrix, (begin, end), self.tables.border_table, qblock, self._quantize)
-            _fold_block_segment(self.tables, self.bank, qblock.quantiles, sums, begin, end, fold)
+            quantize_block(matrix, (begin, end), self.tables.border_table, block, binarize)
+            fold(begin, end)
         out = sums.astype(np.float64)
         out *= model.scale
         out += model.bias

@@ -13,11 +13,14 @@ read-only), so models can be shared freely across threads.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+log = logging.getLogger("obtree")
 
 MAX_BORDERS = 254   # quantiles must fit one byte with every comparison representable
 MAX_DEPTH = 8       # leaf indices must fit one byte
@@ -238,7 +241,8 @@ def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank
 
     Binary64 banks are bit-exact copies of the tree leaf values.  Binary16
     banks hold the round-to-nearest-even conversion of each leaf, saturated
-    to +/-65504 (each clamp increments ``saturation_count``).
+    to +/-65504: each clamp increments ``saturation_count``, and a bank with
+    any is logged as a warning on the ``obtree`` logger.
     """
     require_valid(model)
     leaves = np.concatenate([np.zeros(0)] + [tree.leaf_values for tree in model.trees])
@@ -253,6 +257,11 @@ def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank
         overflow = np.isinf(values)
         saturated = int(overflow.sum())
         values[overflow] = np.where(leaves[overflow] > 0, HALF_MAX, -HALF_MAX)
+        if saturated:
+            log.warning(
+                "binary16 leaf bank: %d of %d leaves saturated to +/-%g", saturated,
+                leaves.size, HALF_MAX,
+            )
 
     return LeafBank(
         precision=precision,

@@ -1,7 +1,11 @@
 """The AVX-512 backend for stages 1-3, built from ``native.c`` at run time.
 
-Stage 1 is one quantization kernel (``BoundQuantizer``); stages 2-3 are one
-fold kernel per leaf precision (``BoundFold``).
+Stage 1 is one binarization kernel: it tests every distinct split
+condition of the model on a block's raw binary32 values, one compare per
+condition and 16 objects, into one 64-bit mask per 64-object group and
+condition.  No quantile is computed.  Stages 2-3 are one fold kernel per
+leaf precision, which reads those masks.  ``BoundKernels`` binds both to a
+model.
 
 The first ``Evaluator`` of a process compiles the package's C source with
 the system C compiler into a private temporary directory, loads it through
@@ -27,7 +31,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .model import LeafBank, LeafPrecision
-from .quantize import BorderTable, FeatureMatrix, Layout, QuantizedBlock
+from .quantize import FeatureMatrix, Layout
 
 log = logging.getLogger("obtree")
 
@@ -37,24 +41,23 @@ COMPILER = "gcc"
 CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 CPU_FLAGS = ("avx512f", "avx512bw", "f16c")  # bit k of obtree_cpu_flags()
 BUILD_TIMEOUT_S = 120
-CHUNK = 8  # groups of 64 objects per pass over the leaf bank, as in native.c
 NAME = "avx512"
 
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
-_FOLD_ARGS = [_ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr]
-_QUANTIZE_ARGS = [_ptr, _i64, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr, _i64]
+_FOLD_ARGS = [_i64, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr]
+_BINARIZE_ARGS = [_ptr, _ptr, _i64, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr]
 
 
 class Kernels:
-    """The loaded library: the quantization kernel and one fold kernel per
+    """The loaded library: the binarization kernel and one fold kernel per
     leaf precision.  A missing symbol raises AttributeError naming it."""
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        self._quantize = lib.obtree_quantize
-        self._quantize.argtypes = _QUANTIZE_ARGS
-        self._quantize.restype = None
+        self._binarize = lib.obtree_binarize
+        self._binarize.argtypes = _BINARIZE_ARGS
+        self._binarize.restype = None
         self._fold = {
             LeafPrecision.BINARY16: lib.obtree_fold_binary16,
             LeafPrecision.BINARY64: lib.obtree_fold_binary64,
@@ -63,96 +66,88 @@ class Kernels:
             fn.argtypes = _FOLD_ARGS
             fn.restype = None
 
-    def quantizer(self, table: BorderTable) -> BoundQuantizer:
-        return BoundQuantizer(self._quantize, table)
-
-    def bind(self, tables, bank: LeafBank) -> BoundFold:
-        return BoundFold(self._fold[bank.precision], tables, bank)
+    def bind(self, tables, bank: LeafBank) -> BoundKernels:
+        return BoundKernels(self._binarize, self._fold[bank.precision], tables, bank)
 
 
-class BoundQuantizer:
-    """The quantization kernel bound to one ``BorderTable``, whose pointer is
-    taken once, here.  ``quantize_block`` calls it after checking the range
-    and the feature counts."""
+class BoundKernels:
+    """The binarization kernel and the fold kernel of one leaf precision,
+    bound to a model's ``ModelTables`` and leaf bank.  Their pointers are
+    taken once, here; the kernels read the arrays for as long as this object
+    holds them.  ``table`` is the model's ``BorderTable``, which
+    ``quantize_block`` checks it is given."""
 
-    def __init__(self, fn, table: BorderTable):
-        _require(table.values, np.float32)
-        self.table = table
-        self._fn = fn
-        self._args = (table.values.ctypes.data, table.steps, table.n_features)
-
-    def __call__(self, matrix: FeatureMatrix, begin: int, end: int, out: QuantizedBlock) -> None:
-        """Quantiles of objects [begin, end) into ``out``, padding zeroed."""
-        values, q = matrix.values, out.quantiles
-        _require(values, np.float32)
-        _require(q, np.uint8)
-        if not (0 <= begin <= end <= matrix.n_objects and end - begin <= q.shape[1]
-                and values.size == matrix.n_objects * matrix.n_features
-                and q.shape[0] == matrix.n_features == self.table.n_features):
-            raise ValueError(
-                f"objects [{begin}, {end}) of a {matrix.n_objects} x {matrix.n_features} matrix "
-                f"do not fit quantiles of shape {q.shape} for {self.table.n_features} features"
-            )
-        feature_major = matrix.layout is Layout.FEATURE_MAJOR
-        self._fn(
-            *self._args, values.ctypes.data, feature_major,
-            matrix.n_objects if feature_major else matrix.n_features,
-            begin, end - begin, q.ctypes.data, q.shape[1],
-        )
-
-
-class BoundFold:
-    """The fold kernel of one leaf precision, bound to a model's ``ModelTables``
-    and leaf bank.  Their pointers are taken once, here; the kernel reads the
-    arrays for as long as this object holds them."""
-
-    def __init__(self, fn, tables, bank: LeafBank):
+    def __init__(self, binarize, fold, tables, bank: LeafBank):
         for array, dtype in (
-            (tables.cond_feature, np.intp), (tables.cond_ordinal, np.uint8),
+            (tables.cond_feature, np.intp), (tables.cond_border, np.float32),
             (tables.split_cond, np.intp), (bank.offsets, np.int64),
             (bank.values, np.float16 if bank.precision is LeafPrecision.BINARY16 else np.float64),
         ):
             _require(array, dtype)
-        self._fn = fn
+        self.table = tables.border_table
+        self._binarize, self._fold = binarize, fold
         self._held = (tables, bank)
         self._sum_dtype = np.float32 if bank.precision is LeafPrecision.BINARY16 else np.float64
+        self._n_cond = tables.cond_border.size
         self._n_features = tables.model.n_features
-        self._n_cond = tables.cond_feature.size
+        self._conditions = (
+            tables.cond_feature.ctypes.data, tables.cond_border.ctypes.data,
+            self._n_cond, self._n_features,
+        )
         self._model = (
-            tables.cond_feature.ctypes.data, tables.cond_ordinal.ctypes.data, self._n_cond,
-            tables.split_cond.ctypes.data, tables.n_trees,
+            self._n_cond, tables.split_cond.ctypes.data, tables.n_trees,
             bank.values.ctypes.data, bank.offsets.ctypes.data,
         )
 
-    def over(self, quantiles: np.ndarray, sums: np.ndarray) -> Callable[[int, int], None]:
-        """``fold(begin, end)`` for one ``predict`` call.
+    def over(self, matrix: FeatureMatrix, sums: np.ndarray, groups: int) -> tuple:
+        """``(masks, binarize, fold)`` for one ``predict`` call over
+        ``matrix`` into ``sums``, in blocks of at most ``groups`` 64-object
+        groups.
 
-        It adds every tree's leaf, in tree order, into ``sums[begin:end]``
-        for objects whose quantiles are in the first ``end - begin`` columns
-        of ``quantiles``, a whole ``QuantizedBlock`` array.
+        ``masks`` is a new (groups x conditions) uint64 array.
+        ``binarize(matrix, begin, end, masks)``, as ``quantize_block`` calls
+        it, writes the condition masks of objects [begin, end) into its
+        first groups: bit o of ``masks[g, c]`` holds condition ``c`` for
+        object ``begin + 64 * g + o``.  The bits past ``end`` in the last
+        group written are clear; later groups are not written.  Then
+        ``fold(begin, end)`` adds every tree's leaf, in tree order, into
+        ``sums[begin:end]``.
         """
-        stride = quantiles.shape[1]
-        _require(quantiles, np.uint8)
+        values = matrix.values
+        _require(values, np.float32)
         _require(sums, self._sum_dtype)
-        if stride % 64 or quantiles.shape[0] != self._n_features:
+        n = matrix.n_objects
+        if not (values.size == n * matrix.n_features and matrix.n_features == self._n_features
+                and sums.size == n):
             raise ValueError(
-                f"quantiles of shape {quantiles.shape}: need {self._n_features} rows "
-                "of whole 64-byte groups"
+                f"a {n} x {matrix.n_features} matrix and {sums.size} sums "
+                f"for {self._n_features} features"
             )
-        # One mask per (condition, group) of a chunk, as in native.c.
-        scratch = np.empty(self._n_cond * min(CHUNK, stride // 64), dtype=np.uint64)
-        fn, model, n = self._fn, self._model, sums.size
-        q, sums_at, item = quantiles.ctypes.data, sums.ctypes.data, sums.itemsize
-        scratch_at = scratch.ctypes.data
+        masks = np.empty((groups, self._n_cond), dtype=np.uint64)
+        feature_major = matrix.layout is Layout.FEATURE_MAJOR
+        conditions = (*self._conditions, values.ctypes.data, feature_major,
+                      n if feature_major else matrix.n_features)
+        binarize_fn, fold_fn, model = self._binarize, self._fold, self._model
+        masks_at, sums_at, item = masks.ctypes.data, sums.ctypes.data, sums.itemsize
+
+        def check(begin: int, end: int) -> None:
+            if not 0 <= begin <= end <= min(n, begin + 64 * groups):
+                raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
+
+        def binarize(given: FeatureMatrix, begin: int, end: int, out: np.ndarray) -> None:
+            if given is not matrix or out is not masks:
+                raise ValueError("the native binarizer is bound to another matrix or masks")
+            check(begin, end)
+            binarize_fn(*conditions, begin, end - begin, masks_at)
 
         def fold(begin: int, end: int) -> None:
-            if not 0 <= begin <= end <= min(n, begin + stride):
-                raise ValueError(f"objects [{begin}, {end}) outside the block or the sums")
-            fn(*model, q, stride, end - begin, scratch_at, sums_at + begin * item)
+            check(begin, end)
+            fold_fn(*model, masks_at, end - begin, sums_at + begin * item)
 
-        # The kernel writes through these pointers: the arrays live as long as fold.
-        fold.arrays = (quantiles, sums, scratch)
-        return fold
+        binarize.table = self.table
+        # The kernels read and write through these pointers: the arrays live as long as the closures.
+        binarize.arrays = fold.arrays = (values, masks, sums)
+        return masks, binarize, fold
 
 
 def _require(array: np.ndarray, dtype) -> None:

@@ -1,29 +1,28 @@
-"""Stage 1: turn binary32 feature values into one-byte quantiles.
+"""Stage 1: turn binary32 feature values into what the split compares read.
 
 The quantile of a value against a sorted border list is the number of
 borders the value strictly exceeds.  NaN crosses nothing and quantizes to 0,
-so NaN fails every split.
+so NaN fails every split.  For strictly ascending borders ``b``, a value
+``v`` with quantile ``q`` satisfies ``q > o`` exactly when ``v > b[o]``, so
+a split on ordinal ``o`` can compare either.
 
-A block is quantized by a fixed-step lower-bound search over a per-model
-``BorderTable``: every feature's borders padded with +inf to ``2**s - 1``
-entries, where ``s`` is the bit length of the largest border count.  Every
-value of the block takes exactly ``s`` steps, whatever the data, so the
-stage is as branch-free as the paper's exhaustive compare while doing ``s``
-compares per value instead of one per border.  ``quantize_value`` is the
-scalar reference kernel the search is tested against.
+The two backends use the two sides of that rule, with the same bits:
 
-The search runs in one of two implementations with the same bytes.  Where
-the ``avx512`` backend is loaded, ``quantize_block`` is given its bound
-kernel (``native.BoundQuantizer``, ``obtree_quantize`` in ``native.c``).
-The kernel holds a feature's whole border row in registers (at most 8 zmm
-for ``s <= 7``, 16 for ``s == 8``) and searches 16 objects of that feature per
-vector, looking each step's border up by ``vpermt2ps`` over register pairs
-blended by index bits 5-7, with no gather.  It compares by ``_CMP_GT_OQ``,
-as ``np.greater`` does: NaN crosses nothing, -0.0 equals +0.0 and the +inf
-padding is never crossed.  Object-major input is read as 16 x 16 tiles
-transposed in registers, feature-major input 16 objects per load, under
-masks at the edges so that nothing past the matrix is read.  Otherwise the
-numpy search below runs over the whole block at once.
+* ``numpy`` quantizes.  A block is quantized by a fixed-step lower-bound
+  search over a per-model ``BorderTable``: every feature's borders padded
+  with +inf to ``2**s - 1`` entries, where ``s`` is the bit length of the
+  largest border count.  Every value of the block takes exactly ``s``
+  steps, whatever the data, so the stage is as branch-free as the paper's
+  exhaustive compare while doing ``s`` compares per value instead of one
+  per border.  ``quantize_value`` is the scalar reference kernel the search
+  is tested against.
+* ``avx512`` binarizes.  ``quantize_block`` is given the model's bound
+  binarization kernel (``native.BoundKernels``, ``obtree_binarize`` in
+  ``native.c``), which compares each block's values against the border of
+  each distinct split condition only, once per condition and 16 objects,
+  into one 64-bit mask per (64-object group, condition).  It compares by
+  ``_CMP_GT_OQ``, as ``np.greater`` does: NaN exceeds nothing, -0.0 equals
+  +0.0, and the +inf border of the padding condition is never exceeded.
 """
 
 from __future__ import annotations
@@ -159,27 +158,37 @@ def quantize_block(
     matrix: FeatureMatrix,
     object_range: tuple[int, int],
     model_borders: BorderTable | Sequence,
-    out: QuantizedBlock,
-    quantize: Callable[[FeatureMatrix, int, int, QuantizedBlock], None] | None = None,
+    out: QuantizedBlock | np.ndarray,
+    quantize: Callable[[FeatureMatrix, int, int, np.ndarray], None] | None = None,
 ) -> None:
-    """Fill ``out`` with quantiles for objects [begin, end) of the batch.
+    """Stage 1 for objects [begin, end) of the batch, into ``out``.
 
     ``model_borders`` is a ``BorderTable``, or one border sequence (or
     ``FloatFeatureBorders``) per feature, from which a table is built for
-    this call.  ``quantize``, a native kernel bound to that same table
-    (``native.BoundQuantizer``), runs the search where given.  Otherwise
-    the whole block is searched at once in numpy: a position per
-    (feature, object) starts at its row's offset and takes exactly
-    ``steps`` steps, from the largest down, each moving past ``step``
-    borders when the value exceeds the last of them.  The final position
-    minus the offset is the count of crossed borders.  Padding columns
-    beyond the live range are zeroed.  The hot path has no per-object or
-    per-feature branches.
+    this call.  What ``out`` holds depends on the backend:
+
+    * ``quantize`` None (``numpy``): ``out`` is a ``QuantizedBlock`` that
+      receives the quantiles.  The whole block is searched at once: a
+      position per (feature, object) starts at its row's offset and takes
+      exactly ``steps`` steps, from the largest down, each moving past
+      ``step`` borders when the value exceeds the last of them.  The final
+      position minus the offset is the count of crossed borders.  Padding
+      columns beyond the live range are zeroed.  The hot path has no
+      per-object or per-feature branches.
+    * ``quantize`` the model's binarization kernel (``avx512``,
+      ``native.BoundKernels.over``, bound to the table given here): ``out`` is
+      the (groups x conditions) uint64 array of condition masks that
+      that method describes, and no quantile is computed.
     """
     begin, end = object_range
-    live = end - begin
     if not 0 <= begin <= end <= matrix.n_objects:
         raise ValueError(f"object range [{begin}, {end}) outside batch of {matrix.n_objects}")
+    if quantize is not None:
+        if quantize.table is not model_borders:
+            raise ValueError("the native binarizer is bound to another border table")
+        quantize(matrix, begin, end, out)
+        return
+    live = end - begin
     if live > out.block_size:
         raise ValueError(f"range of {live} objects exceeds block size {out.block_size}")
     table = model_borders if isinstance(model_borders, BorderTable) else BorderTable(model_borders)
@@ -191,11 +200,6 @@ def quantize_block(
         raise ValueError(
             f"matrix has {matrix.n_features} features, model has {table.n_features}"
         )
-    if quantize is not None:
-        if quantize.table is not table:
-            raise ValueError("the native quantizer is bound to another border table")
-        quantize(matrix, begin, end, out)
-        return
 
     # One contiguous copy makes each of the ``steps`` compares a unit-stride pass.
     values = np.ascontiguousarray(matrix.feature_rows(begin, end))

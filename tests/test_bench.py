@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -110,8 +111,27 @@ class TestRunMatrix:
         assert report.metadata["backend"] == Evaluator(model).backend
         assert report.metadata["cpu_flags_checked"] == "avx512f,avx512bw,f16c"
         assert report.metadata["block_size"] == EvalConfig.block_size == 128
+        clock = time.get_clock_info("process_time")
+        assert report.metadata["clock"] == (
+            f"process_time via {clock.implementation}, resolution {clock.resolution:g} s"
+        )
+        isa = report.metadata["cpu_isa_flags"]
+        assert isa == bench._cpu_isa_flags()
+        if isa != "unreadable" and report.metadata["machine"] == "x86_64":
+            assert "sse2" in isa.split(",")  # every x86-64 CPU reports it
         monkeypatch.setattr(native, "kernels", lambda: None)
         assert run_matrix(model, [tiny_case()]).metadata["backend"] == "numpy"
+
+    def test_cpu_isa_flags_read_from_cpuinfo(self, tmp_path):
+        cpuinfo = tmp_path / "cpuinfo"
+        cpuinfo.write_text(
+            "processor\t: 0\nflags\t\t: fpu sse sse2 ssse3 sse4_2 fma f16c avx avx2 bmi2 "
+            "avx512f avx512_fp16 aes\nflags\t\t: avx512bw\n"
+        )
+        assert bench._cpu_isa_flags(str(cpuinfo)) == (
+            "sse,sse2,ssse3,sse4_2,fma,f16c,avx,avx2,bmi2,avx512f,avx512_fp16"
+        )
+        assert bench._cpu_isa_flags(str(tmp_path / "missing")) == "unreadable"
 
     def test_src_lines_count_the_c_source_too(self):
         package = Path(bench.__file__).parent

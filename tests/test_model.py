@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from fractions import Fraction
 
@@ -283,12 +284,25 @@ class TestLeafBank:
         assert bank.table(0)[0] == np.float16(1.0)
         assert bank.saturation_count == 0
 
-    def test_binary16_saturates_with_warning(self):
+    def test_binary16_saturates_with_warning(self, caplog):
         tree = make_tree([(0, 0)], [70000.0, -70000.0])
-        bank = build_leaf_bank(make_model([[0.5]], [tree]), LeafPrecision.BINARY16)
+        with caplog.at_level(logging.WARNING, logger="obtree"):
+            bank = build_leaf_bank(make_model([[0.5]], [tree]), LeafPrecision.BINARY16)
         assert bank.table(0)[0] == np.float16(HALF_MAX)
         assert bank.table(0)[1] == np.float16(-HALF_MAX)
         assert bank.saturation_count == 2
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.name for r in warnings] == ["obtree"]
+        assert "2 of 2 leaves saturated" in warnings[0].getMessage()
+
+    @pytest.mark.parametrize("precision", list(LeafPrecision))
+    def test_bank_without_saturation_logs_nothing(self, precision, caplog):
+        # 65519 rounds to 65504 in binary16 without overflowing.
+        tree = make_tree([(0, 0)], [65519.0, -1e-9])
+        with caplog.at_level(logging.DEBUG, logger="obtree"):
+            bank = build_leaf_bank(make_model([[0.5]], [tree]), precision)
+        assert bank.saturation_count == 0
+        assert caplog.records == []
 
     def test_binary16_nearest_within_half_ulp(self):
         tree = make_tree([(0, 0)], [0.1, 0.2])

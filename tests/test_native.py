@@ -105,7 +105,7 @@ def test_library_lacking_a_kernel_falls_back_naming_it(monkeypatch, caplog, tmp_
     source = tmp_path / "native.c"
     source.write_text(
         (PACKAGE / "native.c").read_text(encoding="utf-8").replace(
-            "void obtree_quantize(", "void obtree_renamed_quantize("),
+            "void obtree_binarize(", "void obtree_renamed_binarize("),
         encoding="utf-8",
     )
     lib = tmp_path / "libobtree.so"
@@ -117,24 +117,25 @@ def test_library_lacking_a_kernel_falls_back_naming_it(monkeypatch, caplog, tmp_
     with caplog.at_level(logging.WARNING, logger="obtree"):
         assert native.load_kernels() is None
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert any("obtree_quantize" in message for message in warnings), warnings
+    assert any("obtree_binarize" in message for message in warnings), warnings
 
 
 def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypatch):
+    """Stage 1 of the numpy backend never reaches the native binarizer."""
     model = two_tree_model(6)
     matrix = generate_feature_matrix(300, model.n_features, seed=8, nan_fraction=0.05)
     evaluators = each_backend(model)
 
     def refuse(self, *args):
-        raise AssertionError("native quantizer called")
+        raise AssertionError("native binarizer called")
 
-    monkeypatch.setattr(native.BoundQuantizer, "__call__", refuse)
+    monkeypatch.setattr(native.BoundKernels, "over", refuse)
     forced = evaluators[-1]
     assert forced.backend == "numpy"
     oracle = evaluate_scalar(model, matrix).view(np.uint64)
     assert np.array_equal(forced.predict(matrix).view(np.uint64), oracle)
     if len(evaluators) > 1:
-        with pytest.raises(AssertionError, match="native quantizer called"):
+        with pytest.raises(AssertionError, match="native binarizer called"):
             evaluators[0].predict(matrix)
 
 
@@ -171,18 +172,24 @@ def test_block_fold_rejects_objects_outside_its_block():
     evaluator = Evaluator(two_tree_model(2))
     if evaluator.backend == "numpy":
         pytest.skip("no avx512 backend on this host")
-    quantiles = np.zeros((3, 128), dtype=np.uint8)
-    fold = evaluator._native.over(quantiles, np.zeros(300))
-    with pytest.raises(ValueError, match="outside"):
-        fold(0, 129)
-    with pytest.raises(ValueError, match="outside"):
-        fold(256, 301)
+    matrix = generate_feature_matrix(300, 3, seed=1)
+    masks, binarize, fold = evaluator._native.over(matrix, np.zeros(300), 2)
+    assert masks.shape == (2, evaluator.tables.cond_border.size)
+    for begin, end in ((0, 129), (256, 301)):
+        with pytest.raises(ValueError, match="outside"):
+            fold(begin, end)
+        with pytest.raises(ValueError, match="outside"):
+            binarize(matrix, begin, end, masks)
+    with pytest.raises(ValueError, match="another matrix or masks"):
+        binarize(matrix.transposed(), 0, 10, masks)
+    with pytest.raises(ValueError, match="another matrix or masks"):
+        binarize(matrix, 0, 10, masks.copy())
     with pytest.raises(ValueError, match="C-contiguous"):
-        evaluator._native.over(quantiles, np.zeros(300, dtype=np.float32))
-    with pytest.raises(ValueError, match="64-byte"):
-        evaluator._native.over(np.zeros((3, 96), dtype=np.uint8), np.zeros(300))
-    with pytest.raises(ValueError, match="3 rows"):
-        evaluator._native.over(np.zeros((2, 128), dtype=np.uint8), np.zeros(300))
+        evaluator._native.over(matrix, np.zeros(300, dtype=np.float32), 2)
+    with pytest.raises(ValueError, match="for 3 features"):
+        evaluator._native.over(matrix, np.zeros(299), 2)
+    with pytest.raises(ValueError, match="for 3 features"):
+        evaluator._native.over(generate_feature_matrix(300, 4, seed=1), np.zeros(300), 2)
 
 
 # Run in a child process, so that a read past the guard fails this test with
@@ -227,30 +234,33 @@ _GUARDED_READS_CHECK = textwrap.dedent(
 
     # A matrix whose last value is the last before an unreadable page, in
     # both layouts, with a feature count that ends in a partial 16-feature
-    # tile and a last block that ends in a partial 16-object vector.
+    # tile and a last block that ends in a partial 16-object vector, for the
+    # binarizer's loads.
     model = generate_synthetic_model(SyntheticSpec(21, 40, 30, 6, seed=2))
-    source = generate_feature_matrix(200, 21, seed=3, nan_fraction=0.05)
-    oracle = evaluate_scalar(model, source).view(np.uint64)
-    for matrix in (source, source.transposed()):
-        size = matrix.values.nbytes
-        pages = -(-size // page)
-        region = mmap.mmap(-1, (pages + 1) * page)
-        start = ctypes.addressof(ctypes.c_char.from_buffer(region))
-        assert libc.mprotect(start + pages * page, page, 0) == 0, ctypes.get_errno()
-        values = np.frombuffer(region, np.float32, matrix.values.size, pages * page - size)
-        values[:] = matrix.values.reshape(-1)
-        guarded = FeatureMatrix(values.reshape(matrix.values.shape), matrix.layout)
-        assert guarded.values.ctypes.data + size == start + pages * page
-        evaluator = Evaluator(model)
-        assert evaluator.backend == "avx512", evaluator.backend
-        assert np.array_equal(evaluator.predict(guarded).view(np.uint64), oracle), matrix.layout
+    for n in (1, 17, 200):
+        source = generate_feature_matrix(n, 21, seed=3, nan_fraction=0.05)
+        oracle = evaluate_scalar(model, source).view(np.uint64)
+        for matrix in (source, source.transposed()):
+            size = matrix.values.nbytes
+            pages = -(-size // page)
+            region = mmap.mmap(-1, (pages + 1) * page)
+            start = ctypes.addressof(ctypes.c_char.from_buffer(region))
+            assert libc.mprotect(start + pages * page, page, 0) == 0, ctypes.get_errno()
+            values = np.frombuffer(region, np.float32, matrix.values.size, pages * page - size)
+            values[:] = matrix.values.reshape(-1)
+            guarded = FeatureMatrix(values.reshape(matrix.values.shape), matrix.layout)
+            assert guarded.values.ctypes.data + size == start + pages * page
+            evaluator = Evaluator(model)
+            assert evaluator.backend == "avx512", evaluator.backend
+            got = evaluator.predict(guarded).view(np.uint64)
+            assert np.array_equal(got, oracle), (n, matrix.layout)
     print("ok")
     """
 )
 
 
 def test_last_shallow_table_is_read_only_within_the_bank():
-    """The fold kernels read only within the bank, the quantizer only within the matrix."""
+    """The fold kernels read only within the bank, the binarizer only within the matrix."""
     if Evaluator(two_tree_model(1)).backend == "numpy":
         pytest.skip("no avx512 backend on this host")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))

@@ -1,4 +1,5 @@
-"""Stage 1: quantile computation against brute-force border counting."""
+"""Stage 1: the numpy quantiles against brute-force border counting, and the
+native condition masks against per-condition compares."""
 
 from __future__ import annotations
 
@@ -12,8 +13,14 @@ from hypothesis import strategies as st
 
 from obtree import (
     FeatureMatrix,
+    FloatFeatureBorders,
     Layout,
+    LeafPrecision,
+    ModelTables,
+    ObliviousModel,
+    ObliviousTree,
     QuantizedBlock,
+    SplitCondition,
     SyntheticSpec,
     Xoshiro256StarStar,
     generate_synthetic_model,
@@ -23,12 +30,6 @@ from obtree import (
     native,
 )
 from obtree.quantize import BorderTable
-
-
-def quantizers(table: BorderTable) -> list:
-    """The numpy search (None), then the native kernel bound to ``table`` where it loads."""
-    kernels = native.kernels()
-    return [None] if kernels is None else [None, kernels.quantizer(table)]
 
 
 def crossed_border_count(value: float, borders) -> int:
@@ -163,12 +164,11 @@ class TestQuantizeBlock:
     def test_padding_bytes_are_zero(self):
         matrix = FeatureMatrix(np.full((10, 2), 9.0, dtype=np.float32), Layout.OBJECT_MAJOR)
         table = BorderTable([np.array([0.0], dtype=np.float32)] * 2)
-        for quantize in quantizers(table):
-            out = QuantizedBlock(2, 64)
-            out.quantiles[:] = 255  # dirty buffer must be fully overwritten
-            quantize_block(matrix, (0, 10), table, out, quantize)
-            assert np.all(out.quantiles[:, :10] == 1)
-            assert np.all(out.quantiles[:, 10:] == 0)
+        out = QuantizedBlock(2, 64)
+        out.quantiles[:] = 255  # dirty buffer must be fully overwritten
+        quantize_block(matrix, (0, 10), table, out)
+        assert np.all(out.quantiles[:, :10] == 1)
+        assert np.all(out.quantiles[:, 10:] == 0)
 
     def test_quantile_never_exceeds_border_count(self):
         model = generate_synthetic_model(SyntheticSpec(5, 17, 0, 1, seed=21))
@@ -201,14 +201,18 @@ class TestQuantizeBlock:
             )
 
     def test_quantizer_bound_to_another_table_rejected(self):
-        matrix = FeatureMatrix(np.zeros((4, 2), dtype=np.float32), Layout.OBJECT_MAJOR)
-        rows = [np.array([0.0], dtype=np.float32)] * 2
         kernels = native.kernels()
         if kernels is None:
-            pytest.skip("no native quantizer on this host")
-        quantize = kernels.quantizer(BorderTable(rows))
+            pytest.skip("no native binarizer on this host")
+        model = generate_synthetic_model(SyntheticSpec(2, 4, 3, 2, seed=1))
+        tables = ModelTables(model)
+        matrix = FeatureMatrix(np.zeros((4, 2), dtype=np.float32), Layout.OBJECT_MAJOR)
+        bank = tables.bank(LeafPrecision.BINARY64)
+        masks, binarize, _ = kernels.bind(tables, bank).over(matrix, np.zeros(4), 2)
+        other = BorderTable([ff.borders for ff in model.float_features])
         with pytest.raises(ValueError, match="another border table"):
-            quantize_block(matrix, (0, 4), BorderTable(rows), QuantizedBlock(2, 64), quantize)
+            quantize_block(matrix, (0, 4), other, masks, binarize)
+        quantize_block(matrix, (0, 4), tables.border_table, masks, binarize)
 
     def test_matrix_feature_count_mismatch_rejected(self):
         matrix = FeatureMatrix(np.zeros((4, 3), dtype=np.float32), Layout.OBJECT_MAJOR)
@@ -261,8 +265,7 @@ def border_rows(draw, max_count: int = 254) -> np.ndarray:
 @st.composite
 def quantize_cases(draw):
     # The longest row sets the search's step count: 0 (no feature has a
-    # border) to 8.  The feature counts straddle the native kernel's
-    # 16-feature tiles, and the large batches its 256-object chunks.
+    # border) to 8.
     max_count = draw(st.sampled_from([(1 << steps) - 1 for steps in range(8)] + [254]))
     n_features = draw(st.sampled_from([1, 2, 15, 16, 17]))
     rows = draw(st.lists(border_rows(max_count), min_size=n_features, max_size=n_features))
@@ -291,19 +294,87 @@ class TestSearchMatchesScalarReference:
     @settings(max_examples=80, deadline=None)
     @given(quantize_cases())
     def test_every_quantile_equals_quantize_value(self, case):
-        """Both the numpy search and the native kernel, over every block of
-        the batch: the later ones start past object 0, the last may be partial."""
+        """The numpy search, over every block of the batch: the later ones
+        start past object 0, the last may be partial."""
         rows, raw, matrix, block_size = case
         table = BorderTable(rows)
         expected = np.array(
             [[quantize_value(float(v), row) for v in raw[:, f]] for f, row in enumerate(rows)],
             dtype=np.uint8,
         ).reshape(len(rows), matrix.n_objects)
-        for quantize in quantizers(table):
-            out = QuantizedBlock(len(rows), block_size)
-            for begin, end in plan_blocks(matrix.n_objects, block_size):
-                out.quantiles[:] = 255
-                quantize_block(matrix, (begin, end), table, out, quantize)
-                live = end - begin
-                assert np.array_equal(out.quantiles[:, :live], expected[:, begin:end]), quantize
-                assert not out.quantiles[:, live:].any(), quantize
+        out = QuantizedBlock(len(rows), block_size)
+        for begin, end in plan_blocks(matrix.n_objects, block_size):
+            out.quantiles[:] = 255
+            quantize_block(matrix, (begin, end), table, out)
+            live = end - begin
+            assert np.array_equal(out.quantiles[:, :live], expected[:, begin:end])
+            assert not out.quantiles[:, live:].any()
+
+
+@st.composite
+def binarize_cases(draw):
+    """A model whose conditions cover some features and leave others out,
+    the matrix of ``quantize_cases`` in either layout, and a block size."""
+    rows, raw, matrix, _ = draw(quantize_cases())
+    pairs = [(f, o) for f, row in enumerate(rows) for o in range(row.size)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    # Depth-1 trees, then at most one depth-2 tree: with both, every depth-1
+    # tree's second level is the padding condition, whose border is +inf.
+    trees = [ObliviousTree(1, (SplitCondition(f, o),), np.zeros(2)) for f, o in chosen[2:]]
+    if len(chosen) >= 2 and draw(st.booleans()):
+        splits = tuple(SplitCondition(f, o) for f, o in chosen[:2])
+        trees.append(ObliviousTree(2, splits, np.zeros(4)))
+    features = tuple(FloatFeatureBorders(f, row) for f, row in enumerate(rows))
+    model = ObliviousModel(features, tuple(trees), scale=1.0, bias=0.0)
+    return model, raw, matrix, draw(st.sampled_from([64, 128]))
+
+
+def expected_masks(raw: np.ndarray, borders: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """(groups x conditions) uint64 masks of ``raw`` rows > each condition's border."""
+    bits = np.greater(raw[:, features], borders)
+    groups = -(-raw.shape[0] // 64)
+    padded = np.zeros((groups * 64, borders.size), dtype=bool)
+    padded[: raw.shape[0]] = bits
+    packed = np.packbits(padded.reshape(groups, 64, -1), axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.transpose(0, 2, 1)).view("<u8")[..., 0]
+
+
+class TestBinarizerMatchesBorderCompares:
+    @settings(max_examples=80, deadline=None)
+    @given(binarize_cases())
+    def test_every_mask_bit_equals_the_border_compare(self, case):
+        """The native binarizer on every block of the batch, in both layouts:
+        bit o of group g's mask of condition c is ``np.greater`` of the
+        condition's feature value and border, clear past the live objects, and
+        equal to the numpy quantile compare ``q > o``."""
+        kernels = native.kernels()
+        if kernels is None:
+            pytest.skip("no native binarizer on this host")
+        model, raw, matrix, block_size = case
+        tables = ModelTables(model)
+        features = tables.cond_feature
+        ordinals = tables.cond_ordinal[:, 0].astype(np.intp)
+        sentinel = ordinals == 255
+        assert np.all(features[sentinel] == 0)
+        borders = np.array(
+            [np.inf if o == 255 else model.float_features[f].borders[o]
+             for f, o in zip(features, ordinals)],
+            dtype=np.float32,
+        )
+        assert np.array_equal(tables.cond_border.view(np.uint32), borders.view(np.uint32))
+        if any(t.depth == 2 for t in model.trees) and any(t.depth == 1 for t in model.trees):
+            assert sentinel.any()
+
+        bank = tables.bank(LeafPrecision.BINARY64)
+        sums = np.zeros(matrix.n_objects)
+        masks, binarize, _ = kernels.bind(tables, bank).over(matrix, sums, block_size // 64)
+        quantiles = QuantizedBlock(model.n_features, block_size)
+        for begin, end in plan_blocks(matrix.n_objects, block_size):
+            masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)  # a dirty buffer
+            quantize_block(matrix, (begin, end), tables.border_table, masks, binarize)
+            groups = -(-(end - begin) // 64)
+            expected = expected_masks(raw[begin:end], borders, features)
+            assert np.array_equal(masks[:groups], expected), (begin, end)
+            quantize_block(matrix, (begin, end), tables.border_table, quantiles)
+            q = quantiles.quantiles[features, : end - begin].T
+            assert np.array_equal(expected_masks(q, ordinals, np.arange(features.size)), expected)
