@@ -27,9 +27,9 @@ across backends and do not depend on the block plan or the input layout.
 
 The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  A
 strategy selects only its leaf-precision family: every binary64 strategy
-loads from the binary64 bank (by ``vgatherdpd`` in the ``avx512`` backend),
-every binary16 strategy from the binary16 bank (by ``vpermt2w`` from
-register-resident tables), widened to binary32.  The strategy is the only
+loads from the binary64 bank, every binary16 strategy from the binary16
+bank, widened to binary32.  The ``avx512`` backend selects both from the
+bank's byte planes by ``vpermb``/``vpermt2b``.  The strategy is the only
 setting of ``EvalConfig``; the block size and the tail policy are its
 constants.  The tail plan changes neither what runs nor the bits.
 """
@@ -43,7 +43,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import native
-from .model import LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank, require_valid
+from .model import (LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank, require_valid,
+                    run_bounds)
 from .quantize import BorderTable, FeatureMatrix, QuantizedBlock, quantize_block
 
 
@@ -55,11 +56,13 @@ BYTE_LANES = 64        # quantile bytes in one 512-bit vector
 class LeafStrategy(Enum):
     """The paper's leaf-load strategies.
 
-    NAIVE and GATHER load binary64 leaves by index, PERMUTE64 selects them
-    from register-resident 8-lane vectors; PERMUTE16 and NAIVE16 do the same
-    on 32-lane binary16 vectors and plain binary16 loads.  Here each selects
-    only its ``precision``; object groups are kept so that configurations
-    plan tails as the paper's 512-bit kernels would.
+    In the paper, NAIVE and GATHER load binary64 leaves by index, PERMUTE64
+    selects them from register-resident 8-lane vectors; PERMUTE16 and
+    NAIVE16 do the same on 32-lane binary16 vectors and plain binary16
+    loads.  Here each selects only its ``precision``: the ``avx512`` backend
+    selects the leaves of either precision by byte-plane ``vpermb``.  Object
+    groups are kept so that configurations plan tails as the paper's 512-bit
+    kernels would.
     """
 
     NAIVE = "naive"
@@ -202,6 +205,10 @@ class ModelTables:
         ]
         # The inverse's shape differs across numpy 2.x releases.
         self.split_cond = inverse.reshape(keys.shape)
+        # The native binarizer's runs of conditions on one feature and on
+        # one 16-feature tile (``run_bounds``).
+        self.feature_runs = run_bounds(self.cond_feature)
+        self.tile_runs = run_bounds(self.cond_feature >> 4)
 
     def bank(self, precision: LeafPrecision) -> LeafBank:
         if precision not in self._banks:

@@ -19,17 +19,17 @@
  * The two fold kernels walk those masks in groups of 64 objects, one object
  * per byte lane of a 512-bit vector.  Tree by tree and group by group, the
  * tree's leaf index is built in a zmm by masked byte adds of 1 << level where
- * the level's condition holds, and its leaves are loaded and added into
- * per-object sums, so every object sums its leaves in tree order:
- *   binary16  vpermw/vpermt2w select the leaves from the tree's table in
- *             registers (loaded under a mask when shorter than 32 entries,
- *             so nothing past the table is read), vcvtph2ps widens them and
- *             the sums are binary32;
- *   binary64  vgatherdpd loads the leaves and the sums are binary64.
- * The sums start from `acc`, and only its first `live` entries are read and
- * written.  Past `live`, the binary64 kernel loads no leaf and adds no sum
- * for a group's 16-object quarters that hold no live object, and the
- * binary16 kernel for the second 32-object half of a group of at most 32.
+ * the level's condition holds, its leaves are selected from the tree's table
+ * held as byte planes (LeafBank.planes: byte b of every leaf, back to back),
+ * and added into per-object sums, so every object sums its leaves in tree
+ * order.  plane_select looks one byte of all 64 objects' leaves up in one
+ * plane: vpermb for depth <= 6 (the plane loaded under a mask, so nothing
+ * past the table is read), vpermt2b over 128 bytes for depth 7, and two
+ * vpermt2b blended by level 7's condition for depth 8.  Unpacks interleave
+ * the planes into leaves: 8 planes and 24 unpacks give binary64 leaves and
+ * sums; 2 planes and 2 unpacks give binary16 leaves, which vcvtph2ps widens
+ * to binary32 sums.  The sums start from `acc`, and only its first `live`
+ * entries are read and written.
  *
  * Bit identity with the scalar oracle needs the IEEE default environment:
  * no flush-to-zero or denormals-are-zero mode, adds rounded one at a time
@@ -38,16 +38,18 @@
 
 #include <immintrin.h>
 #include <stdint.h>
+#include <string.h>
 
-#define KERNEL __attribute__((target("avx512f,avx512bw,f16c")))
+#define KERNEL __attribute__((target("avx512f,avx512bw,avx512vbmi,f16c")))
 
-/* Bit 0: avx512f, bit 1: avx512bw, bit 2: f16c. */
+/* Bit 0: avx512f, bit 1: avx512bw, bit 2: f16c, bit 3: avx512vbmi. */
 int obtree_cpu_flags(void)
 {
     __builtin_cpu_init();
     return (__builtin_cpu_supports("avx512f") ? 1 : 0)
          | (__builtin_cpu_supports("avx512bw") ? 2 : 0)
-         | (__builtin_cpu_supports("f16c") ? 4 : 0);
+         | (__builtin_cpu_supports("f16c") ? 4 : 0)
+         | (__builtin_cpu_supports("avx512vbmi") ? 8 : 0);
 }
 
 /* In-place transpose of 16 vectors of 16 floats. */
@@ -112,17 +114,14 @@ KERNEL static inline __attribute__((always_inline)) uint64_t condition_mask(
  * object-major rows two 16-feature tiles ahead. */
 KERNEL static inline __attribute__((always_inline)) void binarize(
     const int64_t *cond_feature, const float *cond_border, int64_t n_cond, int64_t n_features,
-    const float *values, int feature_major, int64_t row_length, int64_t begin, int64_t live,
-    uint64_t *masks)
+    const int64_t *runs, int64_t n_runs, const float *values, int feature_major,
+    int64_t row_length, int64_t begin, int64_t live, uint64_t *masks)
 {
     /* v[j][i]: feature f0 + i of the group's objects 16j .. 16j + 15. */
     __m512 v[4][16];
-    for (int64_t c0 = 0, c1; c0 < n_cond; c0 = c1) {
-        /* The run of conditions on one feature, or on one 16-feature tile. */
+    for (int64_t r = 0; r < n_runs; r++) {
+        int64_t c0 = runs[r], c1 = runs[r + 1];
         int64_t f0 = feature_major ? cond_feature[c0] : cond_feature[c0] & ~(int64_t)15;
-        int64_t f1 = feature_major ? f0 + 1 : f0 + 16;
-        for (c1 = c0 + 1; c1 < n_cond && cond_feature[c1] < f1; c1++)
-            ;
         for (int64_t g = 0; 64 * g < live; g++) {
             int quarters = live_quarters(live, g);
             __mmask16 objects[4];
@@ -163,35 +162,25 @@ KERNEL static inline __attribute__((always_inline)) void binarize(
  * n_cond masks.  Value (object o, feature f) is values[o * row_length + f],
  * or values[f * row_length + o] where feature_major is set.  Condition c is
  * "value of feature cond_feature[c] > cond_border[c]", cond_feature
- * ascending. */
+ * ascending.  Run r of conditions, [runs[r], runs[r + 1]), is one feature's
+ * (feature-major) or one 16-feature tile's (object-major). */
 KERNEL void obtree_binarize(
     const int64_t *cond_feature, const float *cond_border, int64_t n_cond, int64_t n_features,
-    const float *values, int64_t feature_major, int64_t row_length, int64_t begin, int64_t live,
-    uint64_t *masks)
+    const int64_t *runs, int64_t n_runs, const float *values, int64_t feature_major,
+    int64_t row_length, int64_t begin, int64_t live, uint64_t *masks)
 {
     if (feature_major)
-        binarize(cond_feature, cond_border, n_cond, n_features, values, 1, row_length, begin,
-                 live, masks);
+        binarize(cond_feature, cond_border, n_cond, n_features, runs, n_runs, values, 1,
+                 row_length, begin, live, masks);
     else
-        binarize(cond_feature, cond_border, n_cond, n_features, values, 0, row_length, begin,
-                 live, masks);
-}
-
-/* Tree t's depth and the condition number of each of its levels. */
-static int tree_conditions(
-    const int64_t *split_cond, int64_t n_trees, const int64_t *offsets, int64_t t,
-    int64_t *cond)
-{
-    int depth = __builtin_ctzll((unsigned long long)(offsets[t + 1] - offsets[t]));
-    for (int k = 0; k < depth; k++)
-        cond[k] = split_cond[k * n_trees + t];
-    return depth;
+        binarize(cond_feature, cond_border, n_cond, n_features, runs, n_runs, values, 0,
+                 row_length, begin, live, masks);
 }
 
 /* Bits 0 .. levels-1 of the leaf index of a group's objects, one per byte
  * lane: bit[k] = 1 << k is added in the lanes where level k's condition
  * holds. */
-KERNEL static __m512i leaf_index(
+KERNEL static inline __attribute__((always_inline)) __m512i leaf_index(
     const uint64_t *masks, const int64_t *cond, int levels, const __m512i *bit)
 {
     __m512i idx = _mm512_setzero_si512();
@@ -200,125 +189,149 @@ KERNEL static __m512i leaf_index(
     return idx;
 }
 
-/* vpermt2w over the 64 binary16 entries at src. */
-KERNEL static __m512i pair16(const uint16_t *src, __m512i idx)
+/* Byte lane o: the byte of leaf idx[o] (bits 0-6), or of leaf idx[o] + 128
+ * where bit o of level7 is set, from a byte plane of 2**depth bytes at p. */
+KERNEL static inline __attribute__((always_inline)) __m512i plane_select(
+    const uint8_t *p, int depth, __m512i idx, __mmask64 level7)
 {
-    return _mm512_permutex2var_epi16(_mm512_loadu_si512(src), idx, _mm512_loadu_si512(src + 32));
-}
-
-/* The binary16 leaves of objects 32 * part .. 32 * part + 31 of a group,
- * whose index bits 0-5 are the words of idx, from the table of 2**depth
- * entries at src.  Levels 6 and 7 choose between permutes by their
- * condition masks. */
-KERNEL static __m512i select16(
-    const uint64_t *masks, const int64_t *cond, int depth, int part, __m512i idx,
-    const uint16_t *src)
-{
-    if (depth < 5)
-        return _mm512_permutexvar_epi16(
-            idx, _mm512_maskz_loadu_epi16((__mmask32)((1u << (1 << depth)) - 1), src));
-    if (depth == 5)
-        return _mm512_permutexvar_epi16(idx, _mm512_loadu_si512(src));
-    __m512i r = pair16(src, idx);
-    if (depth == 6)
-        return r;
-    __mmask32 level6 = (__mmask32)(masks[cond[6]] >> (32 * part));
-    r = _mm512_mask_mov_epi16(r, level6, pair16(src + 64, idx));
+    if (depth <= 6)
+        return _mm512_permutexvar_epi8(
+            idx, _mm512_maskz_loadu_epi8(~0ULL >> (64 - (1 << depth)), p));
+    __m512i r = _mm512_permutex2var_epi8(_mm512_loadu_si512(p), idx, _mm512_loadu_si512(p + 64));
     if (depth == 7)
         return r;
-    __m512i s = _mm512_mask_mov_epi16(pair16(src + 128, idx), level6, pair16(src + 192, idx));
-    return _mm512_mask_mov_epi16(r, (__mmask32)(masks[cond[7]] >> (32 * part)), s);
+    return _mm512_mask_blend_epi8(level7, r, _mm512_permutex2var_epi8(
+        _mm512_loadu_si512(p + 128), idx, _mm512_loadu_si512(p + 192)));
 }
 
-/* Adds the binary16 leaves of the tree whose table is at src (of `depth`
- * levels, conditions cond) to the sums s of a group's first `halves`
- * 32-object halves; `halves` is a constant where this is inlined. */
-KERNEL static inline __attribute__((always_inline)) void fold16_group(
-    const uint64_t *group, const int64_t *cond, int depth, const __m512i *bit,
-    const uint16_t *src, int halves, float *s)
+/* Turns `width` (2 or 8) byte planes x[b] into words of `width` bytes, byte
+ * b of each word from x[b].  Each round of unpacks doubles the word: x[2k]
+ * and x[2k + 1] become x[k] (the low halves of their 128-bit lanes) and
+ * x[k + width / 2] (the high halves), so the words leave in a fixed order of
+ * the byte lanes (lane_order). */
+KERNEL static inline __attribute__((always_inline)) void interleave(__m512i *x, int width)
 {
-    __m512i idx = leaf_index(group, cond, depth < 6 ? depth : 6, bit);
-    __m512i lo = _mm512_cvtepu8_epi16(_mm512_castsi512_si256(idx));
-    lo = select16(group, cond, depth, 0, lo, src);
-    __m256i half[4] = {_mm512_castsi512_si256(lo), _mm512_extracti64x4_epi64(lo, 1)};
-    if (halves == 2) {
-        __m512i hi = _mm512_cvtepu8_epi16(_mm512_extracti64x4_epi64(idx, 1));
-        hi = select16(group, cond, depth, 1, hi, src);
-        half[2] = _mm512_castsi512_si256(hi);
-        half[3] = _mm512_extracti64x4_epi64(hi, 1);
+    for (int w = 1; w < width; w *= 2) {
+        __m512i y[8];
+        for (int k = 0; k < width / 2; k++) {
+            __m512i a = x[2 * k], b = x[2 * k + 1];
+            y[k] = w == 1 ? _mm512_unpacklo_epi8(a, b)
+                 : w == 2 ? _mm512_unpacklo_epi16(a, b) : _mm512_unpacklo_epi32(a, b);
+            y[k + width / 2] = w == 1 ? _mm512_unpackhi_epi8(a, b)
+                             : w == 2 ? _mm512_unpackhi_epi16(a, b) : _mm512_unpackhi_epi32(a, b);
+        }
+        for (int k = 0; k < width; k++)
+            x[k] = y[k];
     }
-    for (int j = 0; j < 2 * halves; j++)
-        _mm512_storeu_ps(s + 16 * j, _mm512_add_ps(_mm512_loadu_ps(s + 16 * j),
-                                                   _mm512_cvtph_ps(half[j])));
+}
+
+/* order[j]: the byte lane whose word interleave() leaves as word j of
+ * x[0], x[1], ... in turn, read off by interleaving the lane numbers. */
+KERNEL static void lane_order(int width, uint8_t order[64])
+{
+    uint8_t bytes[8 * 64];
+    __m512i x[8];
+    for (int i = 0; i < 64; i++)
+        bytes[i] = (uint8_t)i;
+    for (int b = 0; b < width; b++)
+        x[b] = b == 0 ? _mm512_loadu_si512(bytes) : _mm512_setzero_si512();
+    interleave(x, width);
+    for (int b = 0; b < width; b++)
+        _mm512_storeu_si512(bytes + 64 * b, x[b]);
+    for (int j = 0; j < 64; j++)
+        order[j] = bytes[width * j];
+}
+
+/* Adds one tree's leaves to the sums of `groups` 64-object groups, for
+ * fold() below: the tree's `width` byte planes are at `tree`, its levels'
+ * conditions `cond`. */
+KERNEL static inline __attribute__((always_inline)) void fold_tree(
+    const uint8_t *tree, int depth, const int64_t *cond, const uint64_t *masks, int64_t n_cond,
+    int64_t groups, int width, const __m512i *bit, char *sum)
+{
+    for (int64_t g = 0; g < groups; g++) {
+        const uint64_t *group = masks + g * n_cond;
+        __m512i idx = leaf_index(group, cond, depth < 7 ? depth : 7, bit);
+        __mmask64 level7 = _cvtu64_mask64(depth == 8 ? group[cond[7]] : 0);
+        __m512i x[8];
+        for (int b = 0; b < width; b++)
+            x[b] = plane_select(tree + (b << depth), depth, idx, level7);
+        interleave(x, width);
+        char *s = sum + 64 * g * (width == 8 ? 8 : 4);
+        if (width == 8)
+            for (int j = 0; j < 8; j++)
+                _mm512_storeu_pd(s + 64 * j, _mm512_add_pd(_mm512_loadu_pd(s + 64 * j),
+                                                           _mm512_castsi512_pd(x[j])));
+        else
+            for (int j = 0; j < 4; j++) {
+                __m256i h = j & 1 ? _mm512_extracti64x4_epi64(x[j / 2], 1)
+                                  : _mm512_castsi512_si256(x[j / 2]);
+                _mm512_storeu_ps(s + 64 * j, _mm512_add_ps(_mm512_loadu_ps(s + 64 * j),
+                                                           _mm512_cvtph_ps(h)));
+            }
+    }
 }
 
 /* The fold kernels' arguments: the model's n_cond conditions and split_cond
- * table, the leaf bank, the masks of obtree_binarize for `live` objects, and
- * their sums. */
-KERNEL void obtree_fold_binary16(
-    int64_t n_cond, const int64_t *split_cond, int64_t n_trees, const uint16_t *bank,
-    const int64_t *offsets, const uint64_t *masks, int64_t live, float *acc)
+ * table, the bank's byte planes and table offsets, the masks of
+ * obtree_binarize for `live` objects, and their sums.  `width` is the
+ * leaf's bytes, a constant where this is inlined: 8 for binary64 leaves and
+ * sums, 2 for binary16 leaves, which vcvtph2ps widens to binary32 sums.  The
+ * sums are held in lane order: sum j of group g is that of object
+ * 64g + order[j]. */
+KERNEL static inline __attribute__((always_inline)) void fold(
+    int64_t n_cond, const int64_t *split_cond, int64_t n_trees, const uint8_t *planes,
+    const int64_t *offsets, const uint64_t *masks, int64_t live, int width, char *acc)
 {
     if (live <= 0)
         return;
     int64_t groups = (live + 63) / 64;
-    /* Groups with objects in both halves; a last group of at most 32 objects
-     * selects and adds only its first half. */
-    int64_t whole = (live + 31) / 64;
-    float sum[groups * 64];
+    int item = width == 8 ? 8 : 4;
+    char sum[groups * 64 * item];
+    uint8_t order[64];
     int64_t cond[8];
-    __m512i bit[6];
-    for (int k = 0; k < 6; k++)
-        bit[k] = _mm512_set1_epi8((char)(1 << k));
-    for (int64_t i = 0; i < groups * 64; i++)
-        sum[i] = i < live ? acc[i] : 0.0f;
-    for (int64_t t = 0; t < n_trees; t++) {
-        int depth = tree_conditions(split_cond, n_trees, offsets, t, cond);
-        const uint16_t *src = bank + offsets[t];
-        for (int64_t g = 0; g < whole; g++)
-            fold16_group(masks + g * n_cond, cond, depth, bit, src, 2, sum + 64 * g);
-        if (whole < groups)
-            fold16_group(masks + whole * n_cond, cond, depth, bit, src, 1, sum + 64 * whole);
+    __m512i bit[7];
+    lane_order(width, order);
+    for (int64_t i = 0; i < groups * 64; i++) {
+        int64_t o = i - i % 64 + order[i % 64];
+        if (o < live)
+            memcpy(sum + i * item, acc + o * item, item);
+        else
+            memset(sum + i * item, 0, item);
     }
-    for (int64_t i = 0; i < live; i++)
-        acc[i] = sum[i];
+    for (int k = 0; k < 7; k++)
+        bit[k] = _mm512_set1_epi8((char)(1 << k));
+    for (int64_t t = 0; t < n_trees; t++) {
+        /* The tree's depth and the condition number of each of its levels. */
+        int depth = __builtin_ctzll((unsigned long long)(offsets[t + 1] - offsets[t]));
+        for (int k = 0; k < depth; k++)
+            cond[k] = split_cond[k * n_trees + t];
+        const uint8_t *tree = planes + width * offsets[t];
+        /* A constant depth in each fold_tree: about 10% faster than one
+         * fold_tree over a variable depth. */
+        switch (depth) {
+#define DEPTH(d) case d: fold_tree(tree, d, cond, masks, n_cond, groups, width, bit, sum); break;
+        DEPTH(1) DEPTH(2) DEPTH(3) DEPTH(4) DEPTH(5) DEPTH(6) DEPTH(7) DEPTH(8)
+#undef DEPTH
+        }
+    }
+    for (int64_t i = 0; i < groups * 64; i++) {
+        int64_t o = i - i % 64 + order[i % 64];
+        if (o < live)
+            memcpy(acc + o * item, sum + i * item, item);
+    }
+}
+
+KERNEL void obtree_fold_binary16(
+    int64_t n_cond, const int64_t *split_cond, int64_t n_trees, const uint8_t *planes,
+    const int64_t *offsets, const uint64_t *masks, int64_t live, float *acc)
+{
+    fold(n_cond, split_cond, n_trees, planes, offsets, masks, live, 2, (char *)acc);
 }
 
 KERNEL void obtree_fold_binary64(
-    int64_t n_cond, const int64_t *split_cond, int64_t n_trees, const double *bank,
+    int64_t n_cond, const int64_t *split_cond, int64_t n_trees, const uint8_t *planes,
     const int64_t *offsets, const uint64_t *masks, int64_t live, double *acc)
 {
-    if (live <= 0)
-        return;
-    int64_t groups = (live + 63) / 64;
-    double sum[groups * 64];
-    int64_t cond[8];
-    __m512i bit[8];
-    for (int k = 0; k < 8; k++)
-        bit[k] = _mm512_set1_epi8((char)(1 << k));
-    for (int64_t i = 0; i < groups * 64; i++)
-        sum[i] = i < live ? acc[i] : 0.0;
-    for (int64_t t = 0; t < n_trees; t++) {
-        int depth = tree_conditions(split_cond, n_trees, offsets, t, cond);
-        const double *table = bank + offsets[t];
-        for (int64_t g = 0; g < groups; g++) {
-            double *s = sum + 64 * g;
-            int quarters = live_quarters(live, g);
-            __m512i idx = leaf_index(masks + g * n_cond, cond, depth, bit);
-            __m512i q[4] = {
-                _mm512_cvtepu8_epi32(_mm512_extracti32x4_epi32(idx, 0)),
-                _mm512_cvtepu8_epi32(_mm512_extracti32x4_epi32(idx, 1)),
-                _mm512_cvtepu8_epi32(_mm512_extracti32x4_epi32(idx, 2)),
-                _mm512_cvtepu8_epi32(_mm512_extracti32x4_epi32(idx, 3)),
-            };
-            for (int j = 0; j < quarters; j++) {
-                __m512d a = _mm512_i32gather_pd(_mm512_castsi512_si256(q[j]), table, 8);
-                __m512d b = _mm512_i32gather_pd(_mm512_extracti64x4_epi64(q[j], 1), table, 8);
-                _mm512_storeu_pd(s + 16 * j, _mm512_add_pd(_mm512_loadu_pd(s + 16 * j), a));
-                _mm512_storeu_pd(s + 16 * j + 8, _mm512_add_pd(_mm512_loadu_pd(s + 16 * j + 8), b));
-            }
-        }
-    }
-    for (int64_t i = 0; i < live; i++)
-        acc[i] = sum[i];
+    fold(n_cond, split_cond, n_trees, planes, offsets, masks, live, 8, (char *)acc);
 }

@@ -4,7 +4,9 @@ Stage 1 is one binarization kernel: it tests every distinct split
 condition of the model on a block's raw binary32 values, one compare per
 condition and 16 objects, into one 64-bit mask per 64-object group and
 condition.  No quantile is computed.  Stages 2-3 are one fold kernel per
-leaf precision, which reads those masks.  ``BoundKernels`` binds both to a
+leaf precision, which reads those masks and selects each tree's leaves
+from its byte planes (``LeafBank.planes``) by ``vpermb``/``vpermt2b``,
+one select per leaf byte for 64 objects.  ``BoundKernels`` binds both to a
 model.
 
 The first ``Evaluator`` of a process compiles the package's C source with
@@ -12,7 +14,8 @@ the system C compiler into a private temporary directory, loads it through
 ``ctypes`` and deletes the directory; the loaded library stays mapped for
 the life of the process.  Without a compiler, after a failed build, when the
 library lacks one of the kernels, or on a CPU that lacks any of
-``CPU_FLAGS``, ``kernels()`` returns None, the engine runs its numpy stages
+``CPU_FLAGS`` (AVX-512 CPUs without VBMI, such as Skylake-SP and Cascade
+Lake, among them), ``kernels()`` returns None, the engine runs its numpy stages
 instead, and the reason is logged as a warning on the ``obtree`` logger.
 """
 
@@ -39,14 +42,14 @@ COMPILER = "gcc"
 # No -march=native and no -ffast-math: the kernels name their ISA in a target
 # attribute, and bit identity needs every add rounded on its own.
 CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-CPU_FLAGS = ("avx512f", "avx512bw", "f16c")  # bit k of obtree_cpu_flags()
+CPU_FLAGS = ("avx512f", "avx512bw", "f16c", "avx512vbmi")  # bit k of obtree_cpu_flags()
 BUILD_TIMEOUT_S = 120
 NAME = "avx512"
 
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
 _FOLD_ARGS = [_i64, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr]
-_BINARIZE_ARGS = [_ptr, _ptr, _i64, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr]
+_BINARIZE_ARGS = [_ptr, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr]
 
 
 class Kernels:
@@ -80,8 +83,8 @@ class BoundKernels:
     def __init__(self, binarize, fold, tables, bank: LeafBank):
         for array, dtype in (
             (tables.cond_feature, np.intp), (tables.cond_border, np.float32),
-            (tables.split_cond, np.intp), (bank.offsets, np.int64),
-            (bank.values, np.float16 if bank.precision is LeafPrecision.BINARY16 else np.float64),
+            (tables.split_cond, np.intp), (tables.feature_runs, np.int64),
+            (tables.tile_runs, np.int64), (bank.offsets, np.int64), (bank.planes, np.uint8),
         ):
             _require(array, dtype)
         self.table = tables.border_table
@@ -94,9 +97,14 @@ class BoundKernels:
             tables.cond_feature.ctypes.data, tables.cond_border.ctypes.data,
             self._n_cond, self._n_features,
         )
+        self._runs = {
+            layout: (runs.ctypes.data, runs.size - 1)
+            for layout, runs in ((Layout.FEATURE_MAJOR, tables.feature_runs),
+                                 (Layout.OBJECT_MAJOR, tables.tile_runs))
+        }
         self._model = (
             self._n_cond, tables.split_cond.ctypes.data, tables.n_trees,
-            bank.values.ctypes.data, bank.offsets.ctypes.data,
+            bank.planes.ctypes.data, bank.offsets.ctypes.data,
         )
 
     def over(self, matrix: FeatureMatrix, sums: np.ndarray, groups: int) -> tuple:
@@ -125,8 +133,8 @@ class BoundKernels:
             )
         masks = np.empty((groups, self._n_cond), dtype=np.uint64)
         feature_major = matrix.layout is Layout.FEATURE_MAJOR
-        conditions = (*self._conditions, values.ctypes.data, feature_major,
-                      n if feature_major else matrix.n_features)
+        conditions = (*self._conditions, *self._runs[matrix.layout], values.ctypes.data,
+                      feature_major, n if feature_major else matrix.n_features)
         binarize_fn, fold_fn, model = self._binarize, self._fold, self._model
         masks_at, sums_at, item = masks.ctypes.data, sums.ctypes.data, sums.itemsize
 

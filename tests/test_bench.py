@@ -109,7 +109,7 @@ class TestRunMatrix:
         model = generate_synthetic_model(TINY)
         report = run_matrix(model, [tiny_case()])
         assert report.metadata["backend"] == Evaluator(model).backend
-        assert report.metadata["cpu_flags_checked"] == "avx512f,avx512bw,f16c"
+        assert report.metadata["cpu_flags_checked"] == "avx512f,avx512bw,f16c,avx512vbmi"
         assert report.metadata["block_size"] == EvalConfig.block_size == 128
         clock = time.get_clock_info("process_time")
         assert report.metadata["clock"] == (

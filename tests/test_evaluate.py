@@ -270,6 +270,22 @@ class TestCompositionEquivalence:
         )
 
 
+@pytest.mark.parametrize("precision", list(LeafPrecision))
+def test_every_batch_size_to_130_matches_oracle(each_backend, precision):
+    """Both precisions on every batch size from 1 to 130: whole, partial and
+    one-object 64-object groups, over trees of every depth from 1 to 8."""
+    parts = [corpus_model(40 + d, trees=2, depth=d) for d in range(1, 9)]
+    trees = tuple(t for m in parts for t in m.trees)
+    model = ObliviousModel(parts[0].float_features, trees, scale=0.75, bias=-1.5)
+    matrix = generate_feature_matrix(130, model.n_features, seed=9, nan_fraction=0.02)
+    oracle = evaluate_scalar(model, matrix, precision)
+    strategy = LeafStrategy.NAIVE if precision is LeafPrecision.BINARY64 else LeafStrategy.PERMUTE16
+    for evaluator in each_backend(model, EvalConfig(strategy)):
+        for n in range(1, 131):
+            got = evaluator.predict(FeatureMatrix(matrix.values[:n], Layout.OBJECT_MAJOR))
+            assert_bits_equal(got, oracle[:n])
+
+
 class TestBinary16Widening:
     def test_every_finite_pattern_equals_astype(self):
         half = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(np.float16)

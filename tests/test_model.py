@@ -304,6 +304,23 @@ class TestLeafBank:
         assert bank.saturation_count == 0
         assert caplog.records == []
 
+    @pytest.mark.parametrize("precision", list(LeafPrecision))
+    def test_byte_planes_transpose_each_table(self, precision):
+        # Runs of every depth from 1 to 8, runs of one tree, and a depth that
+        # recurs after other depths.
+        depths = [1, 1, 2, 3, 3, 3, 4, 5, 6, 6, 7, 8, 8, 5, 8, 7, 1]
+        rng = np.random.default_rng(7)
+        trees = [make_tree([(0, 0)] * d, rng.normal(0.0, 4.0, 1 << d)) for d in depths]
+        bank = build_leaf_bank(make_model([[0.5]], trees), precision)
+        width = bank.values.itemsize
+        assert bank.planes.dtype == np.uint8 and bank.planes.size == bank.values.nbytes
+        assert not bank.planes.flags.writeable
+        for t, d in enumerate(depths):
+            table = bank.table(t)
+            expected = table.view(np.uint8).reshape(1 << d, width).T.reshape(-1)
+            got = bank.planes[bank.offsets[t] * width : bank.offsets[t + 1] * width]
+            assert np.array_equal(got, expected), (precision, t, d)
+
     def test_binary16_nearest_within_half_ulp(self):
         tree = make_tree([(0, 0)], [0.1, 0.2])
         bank = build_leaf_bank(make_model([[0.5]], [tree]), LeafPrecision.BINARY16)

@@ -18,6 +18,7 @@ import pytest
 from obtree import (
     EvalConfig,
     FloatFeatureBorders,
+    LeafPrecision,
     LeafStrategy,
     ObliviousModel,
     ObliviousTree,
@@ -120,6 +121,70 @@ def test_library_lacking_a_kernel_falls_back_naming_it(monkeypatch, caplog, tmp_
     assert any("obtree_binarize" in message for message in warnings), warnings
 
 
+def test_cpu_without_vbmi_falls_back_naming_it(monkeypatch, caplog, tmp_path):
+    """A CPU with AVX-512 but without VBMI (Skylake-SP, Cascade Lake) runs numpy."""
+    if shutil.which(native.COMPILER) is None:
+        pytest.skip("no C compiler")
+    source = tmp_path / "native.c"
+    checked = '(__builtin_cpu_supports("avx512vbmi") ? 8 : 0)'
+    text = (PACKAGE / "native.c").read_text(encoding="utf-8")
+    assert checked in text
+    source.write_text(text.replace(checked, "0"), encoding="utf-8")
+    lib = tmp_path / "libobtree.so"
+    subprocess.run(
+        [native.COMPILER, *native.CFLAGS, "-o", str(lib), str(source)],
+        check=True, capture_output=True, timeout=native.BUILD_TIMEOUT_S,
+    )
+    monkeypatch.setattr(native, "_build", lambda: ctypes.CDLL(str(lib)))
+    monkeypatch.setattr(native, "kernels", native.load_kernels)
+    model = two_tree_model(7)
+    with caplog.at_level(logging.WARNING, logger="obtree"):
+        evaluator = Evaluator(model)
+    assert evaluator.backend == "numpy"
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any("lacks avx512vbmi" in message for message in warnings), warnings
+    matrix = generate_feature_matrix(70, model.n_features, seed=2)
+    assert np.array_equal(evaluator.predict(matrix).view(np.uint64),
+                          evaluate_scalar(model, matrix).view(np.uint64))
+
+
+@pytest.mark.parametrize("strategy", [LeafStrategy.NAIVE, LeafStrategy.PERMUTE16])
+def test_fold_adds_to_the_live_sums_only(strategy):
+    """The fold kernels start from the sums they are given and write back
+    only those of the live objects: the lanes past them in a partial group
+    are computed, but never read from or written to the sums."""
+    borders = np.linspace(-1.0, 1.0, 9, dtype=np.float32)
+    features = tuple(FloatFeatureBorders(i, borders) for i in range(3))
+    rng = np.random.default_rng(5)
+    trees = tuple(
+        ObliviousTree(depth, tuple(SplitCondition(int(rng.integers(3)), int(rng.integers(9)))
+                                   for _ in range(depth)), rng.normal(0.0, 3.0, 1 << depth))
+        for depth in (8, 1, 6, 7, 3, 8, 5, 2, 4)
+    )
+    model = ObliviousModel(features, trees, scale=1.0, bias=0.0)
+    evaluator = Evaluator(model, EvalConfig(strategy=strategy))
+    if evaluator.backend == "numpy":
+        pytest.skip("no avx512 backend on this host")
+    precision = strategy.precision
+    dtype = np.float64 if precision is LeafPrecision.BINARY64 else np.float32
+    matrix = generate_feature_matrix(200, 3, seed=6, nan_fraction=0.05)
+    # Tree t's leaf for every object, exactly: the oracle of the tree alone.
+    leaves = [
+        evaluate_scalar(ObliviousModel(features, (tree,), 1.0, 0.0), matrix, precision).astype(dtype)
+        for tree in trees
+    ]
+    for begin, end in ((0, 1), (0, 63), (0, 64), (5, 70), (64, 192), (199, 200)):
+        start = rng.normal(0.0, 10.0, 200).astype(dtype)
+        sums = start.copy()
+        masks, binarize, fold = evaluator._native.over(matrix, sums, 2)
+        binarize(matrix, begin, end, masks)
+        fold(begin, end)
+        expected = start.copy()
+        for leaf in leaves:
+            expected[begin:end] += leaf[begin:end]
+        assert np.array_equal(sums.view(np.uint8), expected.view(np.uint8)), (begin, end)
+
+
 def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypatch):
     """Stage 1 of the numpy backend never reaches the native binarizer."""
     model = two_tree_model(6)
@@ -196,10 +261,10 @@ def test_block_fold_rejects_objects_outside_its_block():
 # SIGSEGV instead of ending the test session.
 _GUARDED_READS_CHECK = textwrap.dedent(
     """
-    import ctypes, mmap, sys
+    import ctypes, dataclasses, mmap, sys
     import numpy as np
     from obtree import (
-        EvalConfig, FeatureMatrix, LeafBank, LeafStrategy, SyntheticSpec, evaluate_scalar,
+        EvalConfig, FeatureMatrix, LeafStrategy, SyntheticSpec, evaluate_scalar,
         generate_feature_matrix, generate_synthetic_model,
     )
     from obtree.evaluate import Evaluator, ModelTables
@@ -214,19 +279,19 @@ _GUARDED_READS_CHECK = textwrap.dedent(
             model = two_tree_model(depth)
             tables = ModelTables(model)
             bank = tables.bank(strategy.precision)
-            # The bank's last byte is the last byte before a page that
-            # cannot be read.
+            # The last byte of the byte planes, which the fold kernels read,
+            # is the last byte before a page that cannot be read.
             region = mmap.mmap(-1, 2 * page)
             start = ctypes.addressof(ctypes.c_char.from_buffer(region))
             assert libc.mprotect(start + page, page, 0) == 0, ctypes.get_errno()
-            size = bank.values.nbytes
-            values = np.frombuffer(region, bank.values.dtype, bank.values.size, page - size)
-            values[:] = bank.values
-            tables._banks[strategy.precision] = LeafBank(
-                bank.precision, values, bank.offsets, bank.max_abs_leaf, bank.saturation_count
-            )
+            size = bank.planes.nbytes
+            planes = np.frombuffer(region, np.uint8, size, page - size)
+            planes[:] = bank.planes
+            tables._banks[strategy.precision] = dataclasses.replace(bank, planes=planes)
             evaluator = Evaluator(tables, EvalConfig(strategy=strategy))
             assert evaluator.backend == "avx512", evaluator.backend
+            assert planes.ctypes.data + size == start + page
+            assert planes.ctypes.data in evaluator._native._model
             matrix = generate_feature_matrix(200, 3, seed=depth)
             got = evaluator.predict(matrix).view(np.uint64)
             oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
