@@ -1,11 +1,14 @@
 """obtree: single-core batch evaluation of oblivious decision-tree ensembles.
 
-The engine runs a three-stage pipeline over cache-sized blocks of objects:
-feature values are quantized to one-byte border counts, quantiles become
-per-tree leaf indices through branch-free bit composition, and leaf values
-are fetched and summed in binary64 or in the binary16 leaf-precision
-trade-off.  A scalar traversal oracle, deviation metrics and a benchmark CLI
-round out the package.
+The engine runs a three-stage pipeline over cache-sized blocks of objects.
+Stage 1 gives one bit per object and split condition, in either of two
+forms with the same bits: the AVX-512 backend binarizes, comparing values
+with each condition's border, and the numpy backend quantizes values to
+one-byte border counts and compares those with each split's ordinal.  The
+bits become per-tree leaf indices through branch-free bit composition, and
+leaf values are fetched and summed in binary64 or in the binary16
+leaf-precision trade-off.  A scalar traversal oracle, deviation metrics and
+a benchmark CLI round out the package.
 """
 
 from .evaluate import (

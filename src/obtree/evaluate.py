@@ -2,22 +2,23 @@
 
 A batch is split into cache-sized blocks; for each block the split
 conditions are evaluated (stage 1), then every tree's leaf index is computed
-and its leaf value fetched and folded into the per-object sums, and the
-scale/bias transform finalizes the predictions.  All three stages run in one
-of two backends chosen when an ``Evaluator`` is made (``Evaluator.backend``);
+and its leaf value fetched and folded into the block's per-object sums,
+which start at zero, and the scale/bias transform writes the block's scores
+into the call's float64 result.  All three stages run in one of two
+backends chosen when an ``Evaluator`` is made (``Evaluator.backend``);
 stages 2 and 3 run fused:
 
 * ``avx512``: the kernels of ``native.c`` (see ``obtree.native``): the
   binarization kernel writes one 64-bit mask per (64-object group, distinct
   split condition) straight from the block's binary32 values, and the fold
-  kernels read those masks group by group;
+  kernels read those masks group by group and write the finished scores;
 * ``numpy``: the numpy quantization search, then, for stages 2-3, array
   operations over a (trees x objects) panel covering a block's live objects
   rounded up to a multiple of 8, so that leaf indices are assembled on
   64-bit words of eight byte lanes.  Binary16 leaves are
   widened to binary32 with integer operations, and per-tree contributions
   are summed by a row-order reduce (checked by an import-time probe, with an
-  explicit row loop as the fallback).
+  explicit row loop as the fallback), then finalized by numpy.
 
 Both test each distinct split condition of the model once per block (or
 group): ``avx512`` as ``value > border``, ``numpy`` as ``quantile >
@@ -298,21 +299,21 @@ def _fold_block_segment(
     tables: ModelTables,
     bank: LeafBank,
     quantiles: np.ndarray,
-    sums: np.ndarray,
+    out: np.ndarray,
     begin: int,
     end: int,
 ) -> None:
-    """Run the numpy stages 2 and 3 for objects [begin, end) of a call, into ``sums[begin:end]``.
+    """Run the numpy stages 2 and 3 for objects [begin, end) of a call, into ``out[begin:end]``.
 
     ``quantiles`` is the whole ``QuantizedBlock`` array holding those
     objects in its first ``end - begin`` columns.  The stages run on the
     live columns rounded up to a multiple of 8 (the block size is a multiple
     of 8, so the extra columns are the block's zeroed padding): the leaf
     load is one indexed take from the bank in its own precision, and
-    binary16 leaves widen to binary32 (``_widen_binary16``) before the fold.
+    binary16 leaves widen to binary32 (``_widen_binary16``) before the fold
+    into the block's sums, which become scores as in the oracle: converted
+    to binary64, multiplied by ``scale``, then ``bias`` added.
     """
-    if tables.n_trees == 0:
-        return
     cols = -(-(end - begin) // _PANEL_COLUMNS) * _PANEL_COLUMNS
     idx = _leaf_index_panel(tables, quantiles[:, :cols])
     flat = np.add(bank.offsets[:-1, None], idx, dtype=np.intp)
@@ -323,7 +324,10 @@ def _fold_block_segment(
     del flat
     if bank.precision is LeafPrecision.BINARY16:
         contrib = _widen_binary16(contrib)
-    _fold_rows(contrib, sums[begin:end])
+    sums = np.zeros(end - begin, dtype=contrib.dtype)
+    _fold_rows(contrib, sums)
+    scores = np.multiply(sums, tables.model.scale, out=out[begin:end], dtype=np.float64)
+    scores += tables.model.bias
 
 
 class Evaluator:
@@ -362,25 +366,18 @@ class Evaluator:
                 f"matrix has {matrix.n_features} features, model expects {model.n_features}"
             )
         n = matrix.n_objects
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-
-        sum_dtype = np.float64 if self.bank.precision is LeafPrecision.BINARY64 else np.float32
-        sums = np.zeros(n, dtype=sum_dtype)
+        out = np.empty(n, dtype=np.float64)
         if self._native is None:
             block, binarize = QuantizedBlock(model.n_features, EvalConfig.block_size), None
 
             def fold(begin: int, end: int) -> None:
-                _fold_block_segment(self.tables, self.bank, block.quantiles, sums, begin, end)
+                _fold_block_segment(self.tables, self.bank, block.quantiles, out, begin, end)
         else:
-            block, binarize, fold = self._native.over(matrix, sums, EvalConfig.block_size // 64)
+            block, binarize, fold = self._native.over(matrix, out, EvalConfig.block_size // 64)
 
         for begin, end in plan_blocks(n, EvalConfig.block_size):
             quantize_block(matrix, (begin, end), self.tables.border_table, block, binarize)
             fold(begin, end)
-        out = sums.astype(np.float64)
-        out *= model.scale
-        out += model.bias
         return out
 
 

@@ -28,17 +28,34 @@
  * vpermt2b blended by level 7's condition for depth 8.  Unpacks interleave
  * the planes into leaves: 8 planes and 24 unpacks give binary64 leaves and
  * sums; 2 planes and 2 unpacks give binary16 leaves, which vcvtph2ps widens
- * to binary32 sums.  The sums start from `acc`, and only its first `live`
- * entries are read and written.
+ * to binary32 sums.  The sums start at zero; each live object's score,
+ * (double)sum * scale + bias, is written straight to the output, and nothing
+ * past `live` is.
  *
  * Bit identity with the scalar oracle needs the IEEE default environment:
- * no flush-to-zero or denormals-are-zero mode, adds rounded one at a time
- * (build with -ffp-contract=off, never -ffast-math).
+ * no flush-to-zero or denormals-are-zero mode, adds and the score's multiply
+ * rounded one at a time (build with -ffp-contract=off, never -ffast-math).
  */
 
 #include <immintrin.h>
 #include <stdint.h>
 #include <string.h>
+
+/* A model as every kernel reads it, built once per model and input layout
+ * (native.BoundKernels), so a call passes only its address and the call's
+ * own pointers and ranges.  Condition c is "value of feature cond_feature[c]
+ * > cond_border[c]", cond_feature ascending; run r of conditions, [runs[r],
+ * runs[r + 1]), is one feature's (feature_major) or one 16-feature tile's
+ * (object-major input).  split_cond is (levels x n_trees), one row of
+ * condition numbers per level.  Tree t's leaves are the `width` byte planes
+ * of 2**depth bytes at planes + width * offsets[t]. */
+typedef struct {
+    const int64_t *cond_feature, *runs, *split_cond, *offsets;
+    const float *cond_border;
+    const uint8_t *planes;
+    int64_t n_cond, n_features, n_runs, feature_major, n_trees;
+    double scale, bias;
+} obtree_model;
 
 #define KERNEL __attribute__((target("avx512f,avx512bw,avx512vbmi,f16c")))
 
@@ -113,10 +130,12 @@ KERNEL static inline __attribute__((always_inline)) uint64_t condition_mask(
  * prefetcher: feature-major rows are fetched PREFETCH_ROWS features ahead,
  * object-major rows two 16-feature tiles ahead. */
 KERNEL static inline __attribute__((always_inline)) void binarize(
-    const int64_t *cond_feature, const float *cond_border, int64_t n_cond, int64_t n_features,
-    const int64_t *runs, int64_t n_runs, const float *values, int feature_major,
-    int64_t row_length, int64_t begin, int64_t live, uint64_t *masks)
+    const obtree_model *m, const float *values, int feature_major, int64_t row_length,
+    int64_t begin, int64_t live, uint64_t *masks)
 {
+    const int64_t *cond_feature = m->cond_feature, *runs = m->runs;
+    const float *cond_border = m->cond_border;
+    int64_t n_cond = m->n_cond, n_features = m->n_features, n_runs = m->n_runs;
     /* v[j][i]: feature f0 + i of the group's objects 16j .. 16j + 15. */
     __m512 v[4][16];
     for (int64_t r = 0; r < n_runs; r++) {
@@ -159,22 +178,15 @@ KERNEL static inline __attribute__((always_inline)) void binarize(
 }
 
 /* Condition masks of objects [begin, begin + live), ceil(live / 64) groups of
- * n_cond masks.  Value (object o, feature f) is values[o * row_length + f],
- * or values[f * row_length + o] where feature_major is set.  Condition c is
- * "value of feature cond_feature[c] > cond_border[c]", cond_feature
- * ascending.  Run r of conditions, [runs[r], runs[r + 1]), is one feature's
- * (feature-major) or one 16-feature tile's (object-major). */
-KERNEL void obtree_binarize(
-    const int64_t *cond_feature, const float *cond_border, int64_t n_cond, int64_t n_features,
-    const int64_t *runs, int64_t n_runs, const float *values, int64_t feature_major,
-    int64_t row_length, int64_t begin, int64_t live, uint64_t *masks)
+ * m->n_cond masks.  Value (object o, feature f) is values[o * row_length + f],
+ * or values[f * row_length + o] where m->feature_major is set. */
+KERNEL void obtree_binarize(const obtree_model *m, const float *values, int64_t row_length,
+                            int64_t begin, int64_t live, uint64_t *masks)
 {
-    if (feature_major)
-        binarize(cond_feature, cond_border, n_cond, n_features, runs, n_runs, values, 1,
-                 row_length, begin, live, masks);
+    if (m->feature_major)
+        binarize(m, values, 1, row_length, begin, live, masks);
     else
-        binarize(cond_feature, cond_border, n_cond, n_features, runs, n_runs, values, 0,
-                 row_length, begin, live, masks);
+        binarize(m, values, 0, row_length, begin, live, masks);
 }
 
 /* Bits 0 .. levels-1 of the leaf index of a group's objects, one per byte
@@ -272,19 +284,18 @@ KERNEL static inline __attribute__((always_inline)) void fold_tree(
     }
 }
 
-/* The fold kernels' arguments: the model's n_cond conditions and split_cond
- * table, the bank's byte planes and table offsets, the masks of
- * obtree_binarize for `live` objects, and their sums.  `width` is the
- * leaf's bytes, a constant where this is inlined: 8 for binary64 leaves and
- * sums, 2 for binary16 leaves, which vcvtph2ps widens to binary32 sums.  The
- * sums are held in lane order: sum j of group g is that of object
- * 64g + order[j]. */
+/* The fold kernels: the scores of `live` objects from the masks of
+ * obtree_binarize, into out[0 .. live).  `width` is the leaf's bytes, a
+ * constant where this is inlined: 8 for binary64 leaves and sums, 2 for
+ * binary16 leaves, which vcvtph2ps widens to binary32 sums.  The sums are
+ * held in lane order: sum j of group g is that of object 64g + order[j]. */
 KERNEL static inline __attribute__((always_inline)) void fold(
-    int64_t n_cond, const int64_t *split_cond, int64_t n_trees, const uint8_t *planes,
-    const int64_t *offsets, const uint64_t *masks, int64_t live, int width, char *acc)
+    const obtree_model *m, const uint64_t *masks, int64_t live, int width, double *out)
 {
     if (live <= 0)
         return;
+    const int64_t *split_cond = m->split_cond, *offsets = m->offsets;
+    int64_t n_cond = m->n_cond, n_trees = m->n_trees;
     int64_t groups = (live + 63) / 64;
     int item = width == 8 ? 8 : 4;
     char sum[groups * 64 * item];
@@ -292,13 +303,7 @@ KERNEL static inline __attribute__((always_inline)) void fold(
     int64_t cond[8];
     __m512i bit[7];
     lane_order(width, order);
-    for (int64_t i = 0; i < groups * 64; i++) {
-        int64_t o = i - i % 64 + order[i % 64];
-        if (o < live)
-            memcpy(sum + i * item, acc + o * item, item);
-        else
-            memset(sum + i * item, 0, item);
-    }
+    memset(sum, 0, sizeof sum);
     for (int k = 0; k < 7; k++)
         bit[k] = _mm512_set1_epi8((char)(1 << k));
     for (int64_t t = 0; t < n_trees; t++) {
@@ -306,7 +311,7 @@ KERNEL static inline __attribute__((always_inline)) void fold(
         int depth = __builtin_ctzll((unsigned long long)(offsets[t + 1] - offsets[t]));
         for (int k = 0; k < depth; k++)
             cond[k] = split_cond[k * n_trees + t];
-        const uint8_t *tree = planes + width * offsets[t];
+        const uint8_t *tree = m->planes + width * offsets[t];
         /* A constant depth in each fold_tree: about 10% faster than one
          * fold_tree over a variable depth. */
         switch (depth) {
@@ -317,21 +322,22 @@ KERNEL static inline __attribute__((always_inline)) void fold(
     }
     for (int64_t i = 0; i < groups * 64; i++) {
         int64_t o = i - i % 64 + order[i % 64];
-        if (o < live)
-            memcpy(acc + o * item, sum + i * item, item);
+        union { double d; float f; } s;
+        if (o < live) {
+            memcpy(&s, sum + i * item, item);
+            out[o] = (width == 8 ? s.d : s.f) * m->scale + m->bias;
+        }
     }
 }
 
-KERNEL void obtree_fold_binary16(
-    int64_t n_cond, const int64_t *split_cond, int64_t n_trees, const uint8_t *planes,
-    const int64_t *offsets, const uint64_t *masks, int64_t live, float *acc)
+KERNEL void obtree_fold_binary16(const obtree_model *m, const uint64_t *masks, int64_t live,
+                                 double *out)
 {
-    fold(n_cond, split_cond, n_trees, planes, offsets, masks, live, 2, (char *)acc);
+    fold(m, masks, live, 2, out);
 }
 
-KERNEL void obtree_fold_binary64(
-    int64_t n_cond, const int64_t *split_cond, int64_t n_trees, const uint8_t *planes,
-    const int64_t *offsets, const uint64_t *masks, int64_t live, double *acc)
+KERNEL void obtree_fold_binary64(const obtree_model *m, const uint64_t *masks, int64_t live,
+                                 double *out)
 {
-    fold(n_cond, split_cond, n_trees, planes, offsets, masks, live, 8, (char *)acc);
+    fold(m, masks, live, 8, out);
 }

@@ -6,8 +6,9 @@ condition and 16 objects, into one 64-bit mask per 64-object group and
 condition.  No quantile is computed.  Stages 2-3 are one fold kernel per
 leaf precision, which reads those masks and selects each tree's leaves
 from its byte planes (``LeafBank.planes``) by ``vpermb``/``vpermt2b``,
-one select per leaf byte for 64 objects.  ``BoundKernels`` binds both to a
-model.
+one select per leaf byte for 64 objects, and writes each object's score,
+``scale * sum + bias``.  ``BoundKernels`` binds both to a model, as one C
+struct per input layout.
 
 The first ``Evaluator`` of a process compiles the package's C source with
 the system C compiler into a private temporary directory, loads it through
@@ -29,7 +30,6 @@ import os
 import subprocess
 import tempfile
 import time
-from collections.abc import Callable
 
 import numpy as np
 
@@ -48,8 +48,19 @@ NAME = "avx512"
 
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
-_FOLD_ARGS = [_i64, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr]
-_BINARIZE_ARGS = [_ptr, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr]
+_BINARIZE_ARGS = [_ptr, _ptr, _i64, _i64, _i64, _ptr]
+_FOLD_ARGS = [_ptr, _ptr, _i64, _ptr]
+
+
+class _Model(ctypes.Structure):
+    """``obtree_model`` of ``native.c``: a model as the kernels read it."""
+
+    _fields_ = [
+        ("cond_feature", _ptr), ("runs", _ptr), ("split_cond", _ptr), ("offsets", _ptr),
+        ("cond_border", _ptr), ("planes", _ptr), ("n_cond", _i64), ("n_features", _i64),
+        ("n_runs", _i64), ("feature_major", _i64), ("n_trees", _i64),
+        ("scale", ctypes.c_double), ("bias", ctypes.c_double),
+    ]
 
 
 class Kernels:
@@ -75,10 +86,11 @@ class Kernels:
 
 class BoundKernels:
     """The binarization kernel and the fold kernel of one leaf precision,
-    bound to a model's ``ModelTables`` and leaf bank.  Their pointers are
-    taken once, here; the kernels read the arrays for as long as this object
-    holds them.  ``table`` is the model's ``BorderTable``, which
-    ``quantize_block`` checks it is given."""
+    bound to a model's ``ModelTables`` and leaf bank.  One ``obtree_model``
+    per input layout is built here, with every pointer into the tables and
+    the bank; it reads those arrays for as long as this object holds them.
+    ``table`` is the model's ``BorderTable``, which ``quantize_block`` checks
+    it is given."""
 
     def __init__(self, binarize, fold, tables, bank: LeafBank):
         for array, dtype in (
@@ -90,72 +102,83 @@ class BoundKernels:
         self.table = tables.border_table
         self._binarize, self._fold = binarize, fold
         self._held = (tables, bank)
-        self._sum_dtype = np.float32 if bank.precision is LeafPrecision.BINARY16 else np.float64
         self._n_cond = tables.cond_border.size
         self._n_features = tables.model.n_features
-        self._conditions = (
-            tables.cond_feature.ctypes.data, tables.cond_border.ctypes.data,
-            self._n_cond, self._n_features,
-        )
-        self._runs = {
-            layout: (runs.ctypes.data, runs.size - 1)
+        self._models = {
+            layout: _Model(
+                tables.cond_feature.ctypes.data, runs.ctypes.data, tables.split_cond.ctypes.data,
+                bank.offsets.ctypes.data, tables.cond_border.ctypes.data, bank.planes.ctypes.data,
+                self._n_cond, self._n_features, runs.size - 1, layout is Layout.FEATURE_MAJOR,
+                tables.n_trees, tables.model.scale, tables.model.bias,
+            )
             for layout, runs in ((Layout.FEATURE_MAJOR, tables.feature_runs),
                                  (Layout.OBJECT_MAJOR, tables.tile_runs))
         }
-        self._model = (
-            self._n_cond, tables.split_cond.ctypes.data, tables.n_trees,
-            bank.planes.ctypes.data, bank.offsets.ctypes.data,
-        )
+        self._addresses = {layout: ctypes.addressof(m) for layout, m in self._models.items()}
 
-    def over(self, matrix: FeatureMatrix, sums: np.ndarray, groups: int) -> tuple:
+    def over(self, matrix: FeatureMatrix, out: np.ndarray, groups: int) -> tuple:
         """``(masks, binarize, fold)`` for one ``predict`` call over
-        ``matrix`` into ``sums``, in blocks of at most ``groups`` 64-object
-        groups.
+        ``matrix`` into the float64 scores ``out``, in blocks of at most
+        ``groups`` 64-object groups.
 
-        ``masks`` is a new (groups x conditions) uint64 array.
+        ``masks`` is a new (groups x conditions) uint64 array, with no more
+        groups than the batch fills.
         ``binarize(matrix, begin, end, masks)``, as ``quantize_block`` calls
         it, writes the condition masks of objects [begin, end) into its
-        first groups: bit o of ``masks[g, c]`` holds condition ``c`` for
+        first rows: bit o of ``masks[g, c]`` holds condition ``c`` for
         object ``begin + 64 * g + o``.  The bits past ``end`` in the last
         group written are clear; later groups are not written.  Then
-        ``fold(begin, end)`` adds every tree's leaf, in tree order, into
-        ``sums[begin:end]``.
+        ``fold(begin, end)`` sums every tree's leaf, in tree order, for each
+        of those objects and writes ``scale * sum + bias`` into
+        ``out[begin:end]``, and nothing else.  The closures hold this
+        object and the arrays whose addresses they pass.
         """
         values = matrix.values
         _require(values, np.float32)
-        _require(sums, self._sum_dtype)
+        _require(out, np.float64)
         n = matrix.n_objects
         if not (values.size == n * matrix.n_features and matrix.n_features == self._n_features
-                and sums.size == n):
+                and out.size == n):
             raise ValueError(
-                f"a {n} x {matrix.n_features} matrix and {sums.size} sums "
+                f"a {n} x {matrix.n_features} matrix and {out.size} scores "
                 f"for {self._n_features} features"
             )
+        groups = min(groups, -(-n // 64))
         masks = np.empty((groups, self._n_cond), dtype=np.uint64)
-        feature_major = matrix.layout is Layout.FEATURE_MAJOR
-        conditions = (*self._conditions, *self._runs[matrix.layout], values.ctypes.data,
-                      feature_major, n if feature_major else matrix.n_features)
-        binarize_fn, fold_fn, model = self._binarize, self._fold, self._model
-        masks_at, sums_at, item = masks.ctypes.data, sums.ctypes.data, sums.itemsize
+        model = self._addresses[matrix.layout]
+        row_length = n if matrix.layout is Layout.FEATURE_MAJOR else self._n_features
+        binarize_fn, fold_fn = self._binarize, self._fold
+        values_at, masks_at, out_at = _address(values), _address(masks), _address(out)
 
         def check(begin: int, end: int) -> None:
             if not 0 <= begin <= end <= min(n, begin + 64 * groups):
                 raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
 
-        def binarize(given: FeatureMatrix, begin: int, end: int, out: np.ndarray) -> None:
-            if given is not matrix or out is not masks:
+        def binarize(given: FeatureMatrix, begin: int, end: int, out_masks: np.ndarray) -> None:
+            if given is not matrix or out_masks is not masks:
                 raise ValueError("the native binarizer is bound to another matrix or masks")
             check(begin, end)
-            binarize_fn(*conditions, begin, end - begin, masks_at)
+            binarize_fn(model, values_at, row_length, begin, end - begin, masks_at)
 
         def fold(begin: int, end: int) -> None:
             check(begin, end)
-            fold_fn(*model, masks_at, end - begin, sums_at + begin * item)
+            fold_fn(model, masks_at, end - begin, out_at + 8 * begin)
 
         binarize.table = self.table
-        # The kernels read and write through these pointers: the arrays live as long as the closures.
-        binarize.arrays = fold.arrays = (values, masks, sums)
+        # The kernels read and write through raw addresses: the closures hold
+        # the model's structs, tables and bank, and the call's arrays.
+        binarize.held = fold.held = (self, values, masks, out)
         return masks, binarize, fold
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of a C-contiguous array's data.  ``from_buffer`` takes it
+    about 5x faster than ``array.ctypes.data`` (CPython 3.11, numpy 2.4), but
+    only from a writable array of at least one byte."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
 
 
 def _require(array: np.ndarray, dtype) -> None:

@@ -100,25 +100,28 @@ def test_build_or_isa_failure_falls_back_to_numpy(patch, reason, monkeypatch, ca
     assert np.array_equal(chosen.predict(matrix).view(np.uint64), oracle)
 
 
-def test_library_lacking_a_kernel_falls_back_naming_it(monkeypatch, caplog, tmp_path):
+@pytest.mark.parametrize("symbol",
+                         ["obtree_binarize", "obtree_fold_binary16", "obtree_fold_binary64"])
+def test_library_lacking_a_kernel_falls_back_naming_it(symbol, monkeypatch, caplog, tmp_path):
+    """Each kernel ``Kernels`` binds, when missing, sends every precision to numpy."""
     if shutil.which(native.COMPILER) is None:
         pytest.skip("no C compiler")
     source = tmp_path / "native.c"
-    source.write_text(
-        (PACKAGE / "native.c").read_text(encoding="utf-8").replace(
-            "void obtree_binarize(", "void obtree_renamed_binarize("),
-        encoding="utf-8",
-    )
+    text = (PACKAGE / "native.c").read_text(encoding="utf-8")
+    assert text.count(f"void {symbol}(") == 1
+    source.write_text(text.replace(f"void {symbol}(", "void obtree_renamed_kernel("),
+                      encoding="utf-8")
     lib = tmp_path / "libobtree.so"
     subprocess.run(
         [native.COMPILER, *native.CFLAGS, "-o", str(lib), str(source)],
         check=True, capture_output=True, timeout=native.BUILD_TIMEOUT_S,
     )
     monkeypatch.setattr(native, "_build", lambda: ctypes.CDLL(str(lib)))
+    monkeypatch.setattr(native, "kernels", native.load_kernels)
     with caplog.at_level(logging.WARNING, logger="obtree"):
-        assert native.load_kernels() is None
+        assert Evaluator(two_tree_model(4)).backend == "numpy"
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert any("obtree_binarize" in message for message in warnings), warnings
+    assert any(symbol in message for message in warnings), warnings
 
 
 def test_cpu_without_vbmi_falls_back_naming_it(monkeypatch, caplog, tmp_path):
@@ -148,11 +151,18 @@ def test_cpu_without_vbmi_falls_back_naming_it(monkeypatch, caplog, tmp_path):
                           evaluate_scalar(model, matrix).view(np.uint64))
 
 
-@pytest.mark.parametrize("strategy", [LeafStrategy.NAIVE, LeafStrategy.PERMUTE16])
-def test_fold_adds_to_the_live_sums_only(strategy):
-    """The fold kernels start from the sums they are given and write back
-    only those of the live objects: the lanes past them in a partial group
-    are computed, but never read from or written to the sums."""
+# (scale, bias): a negative scale, scale 0, bias -0.0, a bias that swamps
+# the sum and a subnormal scale.
+_EDGE_SCALES = [(1.0, 0.0), (-1.75, 0.25), (0.0, 3.5), (0.6, -0.0), (1.3, 1e300), (3e-310, 0.0)]
+
+
+@pytest.mark.parametrize("precision", [LeafPrecision.BINARY64, LeafPrecision.BINARY16],
+                         ids=["binary64", "binary16"])
+def test_fold_writes_the_scores_of_its_range_only(precision):
+    """``fold(begin, end)`` writes ``float64(sum) * scale + bias`` into
+    ``out[begin:end]``, as the numpy finalize computes it, and leaves every
+    other byte of ``out`` as it was: the lanes past the live objects of a
+    partial group are computed but never stored."""
     borders = np.linspace(-1.0, 1.0, 9, dtype=np.float32)
     features = tuple(FloatFeatureBorders(i, borders) for i in range(3))
     rng = np.random.default_rng(5)
@@ -161,28 +171,34 @@ def test_fold_adds_to_the_live_sums_only(strategy):
                                    for _ in range(depth)), rng.normal(0.0, 3.0, 1 << depth))
         for depth in (8, 1, 6, 7, 3, 8, 5, 2, 4)
     )
-    model = ObliviousModel(features, trees, scale=1.0, bias=0.0)
-    evaluator = Evaluator(model, EvalConfig(strategy=strategy))
-    if evaluator.backend == "numpy":
-        pytest.skip("no avx512 backend on this host")
-    precision = strategy.precision
-    dtype = np.float64 if precision is LeafPrecision.BINARY64 else np.float32
+    strategy, dtype = ((LeafStrategy.NAIVE, np.float64) if precision is LeafPrecision.BINARY64
+                       else (LeafStrategy.PERMUTE16, np.float32))
     matrix = generate_feature_matrix(200, 3, seed=6, nan_fraction=0.05)
     # Tree t's leaf for every object, exactly: the oracle of the tree alone.
     leaves = [
         evaluate_scalar(ObliviousModel(features, (tree,), 1.0, 0.0), matrix, precision).astype(dtype)
         for tree in trees
     ]
-    for begin, end in ((0, 1), (0, 63), (0, 64), (5, 70), (64, 192), (199, 200)):
-        start = rng.normal(0.0, 10.0, 200).astype(dtype)
-        sums = start.copy()
-        masks, binarize, fold = evaluator._native.over(matrix, sums, 2)
-        binarize(matrix, begin, end, masks)
-        fold(begin, end)
-        expected = start.copy()
-        for leaf in leaves:
-            expected[begin:end] += leaf[begin:end]
-        assert np.array_equal(sums.view(np.uint8), expected.view(np.uint8)), (begin, end)
+    for scale, bias in _EDGE_SCALES:
+        evaluator = Evaluator(ObliviousModel(features, trees, scale, bias), EvalConfig(strategy))
+        if evaluator.backend == "numpy":
+            pytest.skip("no avx512 backend on this host")
+        for begin, end in ((0, 1), (0, 63), (0, 64), (5, 70), (64, 192), (199, 200)):
+            sentinel = rng.integers(0, 256, 200 * 8, dtype=np.uint8).view(np.float64)
+            out = sentinel.copy()
+            masks, binarize, fold = evaluator._native.over(matrix, out, 2)
+            binarize(matrix, begin, end, masks)
+            fold(begin, end)
+            sums = np.zeros(end - begin, dtype=dtype)
+            for leaf in leaves:
+                sums += leaf[begin:end]
+            expected = sentinel.copy()
+            finished = sums.astype(np.float64)
+            finished *= scale
+            finished += bias
+            expected[begin:end] = finished
+            assert np.array_equal(out.view(np.uint8), expected.view(np.uint8)), \
+                (scale, bias, begin, end)
 
 
 def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypatch):
@@ -231,6 +247,16 @@ def test_c_source_ships_as_package_data():
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert "native.c" in pyproject["tool"]["setuptools"]["package-data"]["obtree"]
     assert pyproject["project"]["dependencies"] == ["numpy>=1.23"]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 1000])
+def test_mask_buffer_holds_only_the_groups_a_block_fills(n):
+    evaluator = Evaluator(two_tree_model(2))
+    if evaluator.backend == "numpy":
+        pytest.skip("no avx512 backend on this host")
+    matrix = generate_feature_matrix(n, 3, seed=n)
+    masks, _, _ = evaluator._native.over(matrix, np.empty(n), 2)
+    assert masks.shape == (min(2, -(-n // 64)), evaluator.tables.cond_border.size)
 
 
 def test_block_fold_rejects_objects_outside_its_block():
@@ -291,7 +317,8 @@ _GUARDED_READS_CHECK = textwrap.dedent(
             evaluator = Evaluator(tables, EvalConfig(strategy=strategy))
             assert evaluator.backend == "avx512", evaluator.backend
             assert planes.ctypes.data + size == start + page
-            assert planes.ctypes.data in evaluator._native._model
+            assert all(m.planes == planes.ctypes.data
+                       for m in evaluator._native._models.values())
             matrix = generate_feature_matrix(200, 3, seed=depth)
             got = evaluator.predict(matrix).view(np.uint64)
             oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
@@ -331,6 +358,60 @@ def test_last_shallow_table_is_read_only_within_the_bank():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
         [sys.executable, "-c", _GUARDED_READS_CHECK, str(Path(__file__).parent)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert result.returncode == 0, (result.returncode, result.stderr[-2000:])
+    assert result.stdout.strip() == "ok"
+
+
+# Run in a child process, so that a kernel reading freed memory fails this
+# test with SIGSEGV instead of ending the test session.
+_HELD_ARRAYS_CHECK = textwrap.dedent(
+    """
+    import gc
+    import numpy as np
+    from obtree import (
+        LeafPrecision, SyntheticSpec, evaluate_scalar, generate_feature_matrix,
+        generate_synthetic_model, native,
+    )
+    from obtree.evaluate import EvalConfig, ModelTables, plan_blocks
+
+    # A deep-ensemble-like model: 1000 depth-8 trees, whose byte planes
+    # are large enough to be unmapped when freed.
+    model = generate_synthetic_model(SyntheticSpec(32, 32, 1000, 8, seed=5))
+    matrix = generate_feature_matrix(300, 32, seed=6, nan_fraction=0.01)
+    for precision in (LeafPrecision.BINARY16, LeafPrecision.BINARY64):
+        oracle = evaluate_scalar(model, matrix, precision).view(np.uint64)
+
+        def closures():
+            tables = ModelTables(model)
+            out = np.empty(matrix.n_objects)
+            bound = native.kernels().bind(tables, tables.bank(precision))
+            masks, binarize, fold = bound.over(matrix, out, EvalConfig.block_size // 64)
+            return out, masks, binarize, fold
+
+        # The tables, the bank and the bound kernels are dropped here.
+        out, masks, binarize, fold = closures()
+        gc.collect()
+        junk = np.full(20_000_000 // 8, np.nan)
+        for begin, end in plan_blocks(matrix.n_objects, EvalConfig.block_size):
+            binarize(matrix, begin, end, masks)
+            fold(begin, end)
+        del junk
+        assert np.array_equal(out.view(np.uint64), oracle), precision
+    print("ok")
+    """
+)
+
+
+def test_kernel_closures_keep_the_model_alive():
+    """The closures of ``BoundKernels.over`` hold the model's struct, tables
+    and bank, so they score correctly after every other reference is gone."""
+    if Evaluator(two_tree_model(1)).backend == "numpy":
+        pytest.skip("no avx512 backend on this host")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _HELD_ARRAYS_CHECK],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert result.returncode == 0, (result.returncode, result.stderr[-2000:])
