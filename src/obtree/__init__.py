@@ -7,12 +7,14 @@ with each condition's border, and the numpy backend quantizes values to
 one-byte border counts and compares those with each split's ordinal.  The
 bits become per-tree leaf indices through branch-free bit composition, and
 leaf values are fetched and summed in binary64 or in the binary16
-leaf-precision trade-off.  A scalar traversal oracle, deviation metrics and
-a benchmark CLI round out the package.
+leaf-precision trade-off.  ``Evaluator.predict`` fills an ``EvalStats``
+with the stages' times and scratch memory when asked.  A scalar traversal
+oracle, deviation metrics and a benchmark CLI round out the package.
 """
 
 from .evaluate import (
     EvalConfig,
+    EvalStats,
     Evaluator,
     LeafStrategy,
     ModelTables,
@@ -60,6 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DeviationMetrics",
     "EvalConfig",
+    "EvalStats",
     "Evaluator",
     "FeatureMatrix",
     "FloatFeatureBorders",

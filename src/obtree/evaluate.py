@@ -1,17 +1,18 @@
 """Orchestration of the three-stage pipeline over blocks and batches.
 
 A batch is split into cache-sized blocks; for each block the split
-conditions are evaluated (stage 1), then every tree's leaf index is computed
-and its leaf value fetched and folded into the block's per-object sums,
-which start at zero, and the scale/bias transform writes the block's scores
-into the call's float64 result.  All three stages run in one of two
-backends chosen when an ``Evaluator`` is made (``Evaluator.backend``);
-stages 2 and 3 run fused:
+conditions are evaluated (stage 1, ``quantize_block``), then every tree's
+leaf index is computed and its leaf value fetched and folded into the
+block's per-object sums, which start at zero, and the scale/bias transform
+writes the block's scores into the call's float64 result.  All three stages
+run in one of two backends chosen when an ``Evaluator`` is made
+(``Evaluator.backend``); stages 2 and 3 run fused:
 
-* ``avx512``: the kernels of ``native.c`` (see ``obtree.native``): the
-  binarization kernel writes one 64-bit mask per (64-object group, distinct
-  split condition) straight from the block's binary32 values, and the fold
-  kernels read those masks group by group and write the finished scores;
+* ``avx512``: the kernels of ``native.c`` (see ``obtree.native``), one call
+  per stage and block: the binarization kernel writes one 64-bit mask per
+  (64-object group, distinct split condition) straight from the block's
+  binary32 values, and the fold kernels read those masks group by group and
+  write the finished scores;
 * ``numpy``: the numpy quantization search, then, for stages 2-3, array
   operations over a (trees x objects) panel covering a block's live objects
   rounded up to a multiple of 8, so that leaf indices are assembled on
@@ -25,6 +26,8 @@ group): ``avx512`` as ``value > border``, ``numpy`` as ``quantile >
 ordinal``, which agree for strictly ascending borders (``obtree.quantize``).
 Both sum each object's leaves in tree order, so results are bit-identical
 across backends and do not depend on the block plan or the input layout.
+Given an ``EvalStats``, ``predict`` times the two stages of each block and
+reports them with its scratch memory; without one it reads no clock.
 
 The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  A
 strategy selects only its leaf-precision family: every binary64 strategy
@@ -37,6 +40,7 @@ constants.  The tail plan changes neither what runs nor the bits.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
@@ -160,7 +164,8 @@ class EvalConfig:
     # Objects per block.  At 256 or more the per-call quantized block or
     # condition masks, which grow with the block, raise every benchmark
     # workload's predict peak memory; at 64, deep-ensemble runs about 30%
-    # slower, streaming its leaf bank twice as often.
+    # slower, streaming its leaf bank twice as often.  The fold kernels sum
+    # at most 128 objects at once (MAX_GROUPS in native.c).
     block_size: ClassVar[int] = 128
     tail_policy: ClassVar[TailPolicy] = TailPolicy.SCALAR_TAIL
 
@@ -330,6 +335,27 @@ def _fold_block_segment(
     scores += tables.model.bias
 
 
+@dataclass
+class EvalStats:
+    """What one ``Evaluator.predict`` call did, filled in by the call.
+
+    ``blocks`` counts the blocks of ``EvalConfig.block_size`` objects the
+    call ran.  ``stage1_s`` is the time spent in stage 1 (``quantize_block``)
+    and ``fold_s`` in stages 2-3 and finalize, each summed over the blocks
+    with ``time.perf_counter``.  ``scratch_bytes`` is the per-call memory
+    besides the input and the scores: on ``avx512`` the condition masks and
+    the fold kernel's sums on the C stack; on numpy the quantized block and
+    the arrays that the largest block's stages 2-3 allocate, summed.
+    """
+
+    backend: str = ""
+    objects: int = 0
+    blocks: int = 0
+    stage1_s: float = 0.0
+    fold_s: float = 0.0
+    scratch_bytes: int = 0
+
+
 class Evaluator:
     """A model prepared for repeated evaluation under one configuration.
 
@@ -347,7 +373,8 @@ class Evaluator:
         self.config = config or EvalConfig()
         self.bank = self.tables.bank(self.config.strategy.precision)
         kernels = native.kernels()
-        self._native = None if kernels is None else kernels.bind(self.tables, self.bank)
+        self._native = (None if kernels is None else
+                        kernels.bind(self.tables, self.bank, EvalConfig.block_size // 64))
 
     @property
     def model(self) -> ObliviousModel:
@@ -358,8 +385,11 @@ class Evaluator:
         """The backend of stages 1-3: ``"avx512"`` or ``"numpy"``."""
         return "numpy" if self._native is None else native.NAME
 
-    def predict(self, matrix: FeatureMatrix) -> np.ndarray:
-        """Raw scores for every object in the batch, in input order."""
+    def predict(self, matrix: FeatureMatrix, stats: EvalStats | None = None) -> np.ndarray:
+        """Raw scores for every object in the batch, in input order.
+
+        With ``stats``, the call fills it in; without, it reads no clock.
+        """
         model = self.tables.model
         if matrix.n_features != model.n_features:
             raise ValueError(
@@ -373,12 +403,40 @@ class Evaluator:
             def fold(begin: int, end: int) -> None:
                 _fold_block_segment(self.tables, self.bank, block.quantiles, out, begin, end)
         else:
-            block, binarize, fold = self._native.over(matrix, out, EvalConfig.block_size // 64)
+            block, binarize, fold = self._native.over(matrix, out)
 
-        for begin, end in plan_blocks(n, EvalConfig.block_size):
-            quantize_block(matrix, (begin, end), self.tables.border_table, block, binarize)
+        size, table, timed = EvalConfig.block_size, self.tables.border_table, stats is not None
+        stage1_s = fold_s = 0.0
+        # The blocks of plan_blocks(n, size), without building its list.
+        for begin in range(0, n, size):
+            end = min(begin + size, n)
+            started = time.perf_counter() if timed else 0.0
+            quantize_block(matrix, (begin, end), table, block, binarize)
+            quantized = time.perf_counter() if timed else 0.0
             fold(begin, end)
+            if timed:
+                stage1_s += quantized - started
+                fold_s += time.perf_counter() - quantized
+        if timed:
+            stats.backend, stats.objects, stats.blocks = self.backend, n, -(-n // size)
+            stats.stage1_s, stats.fold_s = stage1_s, fold_s
+            stats.scratch_bytes = (self._numpy_scratch_bytes(n) if self._native is None
+                                   else self._native.scratch_bytes(n))
         return out
+
+    def _numpy_scratch_bytes(self, n: int) -> int:
+        """The quantized block, and the arrays ``_fold_block_segment`` allocates
+        for the largest block of ``n`` objects, summed: the condition panel,
+        the bits and leaf indices, the flat leaf offsets, the leaf values
+        (binary16 ones and their binary32 widening) and the sums."""
+        live = min(n, EvalConfig.block_size)
+        cols = -(-live // _PANEL_COLUMNS) * _PANEL_COLUMNS
+        item = self.bank.values.itemsize
+        wide = 4 if self.bank.precision is LeafPrecision.BINARY16 else 0
+        per_tree = 2 + np.dtype(np.intp).itemsize + item + wide
+        return (self.tables.model.n_features * EvalConfig.block_size
+                + cols * (self.tables.cond_border.size + self.tables.n_trees * per_tree)
+                + live * (wide or item))
 
 
 def evaluate(

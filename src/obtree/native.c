@@ -59,6 +59,10 @@ typedef struct {
 
 #define KERNEL __attribute__((target("avx512f,avx512bw,avx512vbmi,f16c")))
 
+/* 64-object groups the fold sums at once: their sums, MAX_GROUPS x 64 x 8
+ * bytes, are a fixed array on the stack. */
+#define MAX_GROUPS 2
+
 /* Bit 0: avx512f, bit 1: avx512bw, bit 2: f16c, bit 3: avx512vbmi. */
 int obtree_cpu_flags(void)
 {
@@ -284,28 +288,22 @@ KERNEL static inline __attribute__((always_inline)) void fold_tree(
     }
 }
 
-/* The fold kernels: the scores of `live` objects from the masks of
- * obtree_binarize, into out[0 .. live).  `width` is the leaf's bytes, a
- * constant where this is inlined: 8 for binary64 leaves and sums, 2 for
- * binary16 leaves, which vcvtph2ps widens to binary32 sums.  The sums are
- * held in lane order: sum j of group g is that of object 64g + order[j]. */
-KERNEL static inline __attribute__((always_inline)) void fold(
-    const obtree_model *m, const uint64_t *masks, int64_t live, int width, double *out)
+/* The scores of `live` objects, at most 64 * MAX_GROUPS, from their masks,
+ * into out[0 .. live).  `width` is the leaf's bytes, a constant where this
+ * is inlined: 8 for binary64 leaves and sums, 2 for binary16 leaves, which
+ * vcvtph2ps widens to binary32 sums.  The sums are held in lane order: sum j
+ * of group g is that of object 64g + order[j]. */
+KERNEL static inline __attribute__((always_inline)) void fold_groups(
+    const obtree_model *m, const uint64_t *masks, int64_t live, int width,
+    const uint8_t *order, const __m512i *bit, double *out)
 {
-    if (live <= 0)
-        return;
     const int64_t *split_cond = m->split_cond, *offsets = m->offsets;
     int64_t n_cond = m->n_cond, n_trees = m->n_trees;
     int64_t groups = (live + 63) / 64;
     int item = width == 8 ? 8 : 4;
-    char sum[groups * 64 * item];
-    uint8_t order[64];
+    char sum[MAX_GROUPS * 64 * 8];
     int64_t cond[8];
-    __m512i bit[7];
-    lane_order(width, order);
-    memset(sum, 0, sizeof sum);
-    for (int k = 0; k < 7; k++)
-        bit[k] = _mm512_set1_epi8((char)(1 << k));
+    memset(sum, 0, (size_t)(groups * 64 * item));
     for (int64_t t = 0; t < n_trees; t++) {
         /* The tree's depth and the condition number of each of its levels. */
         int depth = __builtin_ctzll((unsigned long long)(offsets[t + 1] - offsets[t]));
@@ -328,6 +326,23 @@ KERNEL static inline __attribute__((always_inline)) void fold(
             out[o] = (width == 8 ? s.d : s.f) * m->scale + m->bias;
         }
     }
+}
+
+/* The fold kernels: the scores of `live` objects from the masks of
+ * obtree_binarize, ceil(live / 64) groups, into out[0 .. live), folded
+ * MAX_GROUPS groups at a time. */
+KERNEL static inline __attribute__((always_inline)) void fold(
+    const obtree_model *m, const uint64_t *masks, int64_t live, int width, double *out)
+{
+    uint8_t order[64];
+    __m512i bit[7];
+    lane_order(width, order);
+    for (int k = 0; k < 7; k++)
+        bit[k] = _mm512_set1_epi8((char)(1 << k));
+    for (int64_t begin = 0; begin < live; begin += 64 * MAX_GROUPS)
+        fold_groups(m, masks + begin / 64 * m->n_cond,
+                    live - begin < 64 * MAX_GROUPS ? live - begin : 64 * MAX_GROUPS, width,
+                    order, bit, out + begin);
 }
 
 KERNEL void obtree_fold_binary16(const obtree_model *m, const uint64_t *masks, int64_t live,

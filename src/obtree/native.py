@@ -8,7 +8,8 @@ leaf precision, which reads those masks and selects each tree's leaves
 from its byte planes (``LeafBank.planes``) by ``vpermb``/``vpermt2b``,
 one select per leaf byte for 64 objects, and writes each object's score,
 ``scale * sum + bias``.  ``BoundKernels`` binds both to a model, as one C
-struct per input layout.
+struct per input layout; a ``predict`` call checks its arrays once
+(``BoundKernels.over``) and then makes one kernel call per stage and block.
 
 The first ``Evaluator`` of a process compiles the package's C source with
 the system C compiler into a private temporary directory, loads it through
@@ -80,19 +81,19 @@ class Kernels:
             fn.argtypes = _FOLD_ARGS
             fn.restype = None
 
-    def bind(self, tables, bank: LeafBank) -> BoundKernels:
-        return BoundKernels(self._binarize, self._fold[bank.precision], tables, bank)
+    def bind(self, tables, bank: LeafBank, groups: int) -> BoundKernels:
+        return BoundKernels(self._binarize, self._fold[bank.precision], tables, bank, groups)
 
 
 class BoundKernels:
     """The binarization kernel and the fold kernel of one leaf precision,
-    bound to a model's ``ModelTables`` and leaf bank.  One ``obtree_model``
-    per input layout is built here, with every pointer into the tables and
-    the bank; it reads those arrays for as long as this object holds them.
-    ``table`` is the model's ``BorderTable``, which ``quantize_block`` checks
-    it is given."""
+    bound to a model's ``ModelTables`` and leaf bank, for blocks of at most
+    ``groups`` 64-object groups.  One ``obtree_model`` per input layout is
+    built here, with every pointer into the tables and the bank; it reads
+    those arrays for as long as this object holds them.  ``table`` is the
+    model's ``BorderTable``, which ``quantize_block`` checks it is given."""
 
-    def __init__(self, binarize, fold, tables, bank: LeafBank):
+    def __init__(self, binarize, fold, tables, bank: LeafBank, groups: int):
         for array, dtype in (
             (tables.cond_feature, np.intp), (tables.cond_border, np.float32),
             (tables.split_cond, np.intp), (tables.feature_runs, np.int64),
@@ -100,26 +101,32 @@ class BoundKernels:
         ):
             _require(array, dtype)
         self.table = tables.border_table
-        self._binarize, self._fold = binarize, fold
+        self._binarize, self._fold, self._groups = binarize, fold, groups
         self._held = (tables, bank)
         self._n_cond = tables.cond_border.size
         self._n_features = tables.model.n_features
-        self._models = {
-            layout: _Model(
+        self._sum_bytes = 64 * (8 if bank.precision is LeafPrecision.BINARY64 else 4)
+        # One struct per input layout, indexed by "is feature-major".
+        self._models = tuple(
+            _Model(
                 tables.cond_feature.ctypes.data, runs.ctypes.data, tables.split_cond.ctypes.data,
                 bank.offsets.ctypes.data, tables.cond_border.ctypes.data, bank.planes.ctypes.data,
-                self._n_cond, self._n_features, runs.size - 1, layout is Layout.FEATURE_MAJOR,
+                self._n_cond, self._n_features, runs.size - 1, feature_major,
                 tables.n_trees, tables.model.scale, tables.model.bias,
             )
-            for layout, runs in ((Layout.FEATURE_MAJOR, tables.feature_runs),
-                                 (Layout.OBJECT_MAJOR, tables.tile_runs))
-        }
-        self._addresses = {layout: ctypes.addressof(m) for layout, m in self._models.items()}
+            for feature_major, runs in ((False, tables.tile_runs), (True, tables.feature_runs))
+        )
+        self._addresses = tuple(ctypes.addressof(m) for m in self._models)
 
-    def over(self, matrix: FeatureMatrix, out: np.ndarray, groups: int) -> tuple:
+    def scratch_bytes(self, n: int) -> int:
+        """The bytes a call over ``n`` objects uses besides its input and
+        scores: the masks ``over`` allocates, and the fold kernel's sums of
+        those groups, which it keeps on the C stack."""
+        return min(self._groups, -(-n // 64)) * (8 * self._n_cond + self._sum_bytes)
+
+    def over(self, matrix: FeatureMatrix, out: np.ndarray) -> tuple:
         """``(masks, binarize, fold)`` for one ``predict`` call over
-        ``matrix`` into the float64 scores ``out``, in blocks of at most
-        ``groups`` 64-object groups.
+        ``matrix`` into the float64 scores ``out``, block by block.
 
         ``masks`` is a new (groups x conditions) uint64 array, with no more
         groups than the batch fills.
@@ -143,31 +150,29 @@ class BoundKernels:
                 f"a {n} x {matrix.n_features} matrix and {out.size} scores "
                 f"for {self._n_features} features"
             )
-        groups = min(groups, -(-n // 64))
-        masks = np.empty((groups, self._n_cond), dtype=np.uint64)
-        model = self._addresses[matrix.layout]
-        row_length = n if matrix.layout is Layout.FEATURE_MAJOR else self._n_features
-        binarize_fn, fold_fn = self._binarize, self._fold
+        masks = np.empty((min(self._groups, -(-n // 64)), self._n_cond), dtype=np.uint64)
+        feature_major = matrix.layout is Layout.FEATURE_MAJOR
+        model = self._addresses[feature_major]
+        row_length = n if feature_major else self._n_features
         values_at, masks_at, out_at = _address(values), _address(masks), _address(out)
-
-        def check(begin: int, end: int) -> None:
-            if not 0 <= begin <= end <= min(n, begin + 64 * groups):
-                raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
+        span = 64 * len(masks)
+        # The kernels read and write through raw addresses: each closure
+        # holds this object (its structs, tables and bank) and the arrays.
+        held = (self, values, masks, out)
 
         def binarize(given: FeatureMatrix, begin: int, end: int, out_masks: np.ndarray) -> None:
             if given is not matrix or out_masks is not masks:
                 raise ValueError("the native binarizer is bound to another matrix or masks")
-            check(begin, end)
-            binarize_fn(model, values_at, row_length, begin, end - begin, masks_at)
+            if not 0 <= begin <= end <= min(n, begin + span):
+                raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
+            held[0]._binarize(model, values_at, row_length, begin, end - begin, masks_at)
 
         def fold(begin: int, end: int) -> None:
-            check(begin, end)
-            fold_fn(model, masks_at, end - begin, out_at + 8 * begin)
+            if not 0 <= begin <= end <= min(n, begin + span):
+                raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
+            held[0]._fold(model, masks_at, end - begin, out_at + 8 * begin)
 
         binarize.table = self.table
-        # The kernels read and write through raw addresses: the closures hold
-        # the model's structs, tables and bank, and the call's arrays.
-        binarize.held = fold.held = (self, values, masks, out)
         return masks, binarize, fold
 
 

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,10 @@ import pytest
 
 from obtree import (
     EvalConfig,
+    EvalStats,
+    FeatureMatrix,
     FloatFeatureBorders,
+    Layout,
     LeafPrecision,
     LeafStrategy,
     ObliviousModel,
@@ -28,6 +32,7 @@ from obtree import (
     generate_feature_matrix,
     generate_synthetic_model,
     native,
+    plan_blocks,
 )
 from obtree.evaluate import Evaluator
 
@@ -156,13 +161,8 @@ def test_cpu_without_vbmi_falls_back_naming_it(monkeypatch, caplog, tmp_path):
 _EDGE_SCALES = [(1.0, 0.0), (-1.75, 0.25), (0.0, 3.5), (0.6, -0.0), (1.3, 1e300), (3e-310, 0.0)]
 
 
-@pytest.mark.parametrize("precision", [LeafPrecision.BINARY64, LeafPrecision.BINARY16],
-                         ids=["binary64", "binary16"])
-def test_fold_writes_the_scores_of_its_range_only(precision):
-    """``fold(begin, end)`` writes ``float64(sum) * scale + bias`` into
-    ``out[begin:end]``, as the numpy finalize computes it, and leaves every
-    other byte of ``out`` as it was: the lanes past the live objects of a
-    partial group are computed but never stored."""
+def mixed_depth_trees() -> tuple:
+    """Three features and nine trees, of every depth the fold handles."""
     borders = np.linspace(-1.0, 1.0, 9, dtype=np.float32)
     features = tuple(FloatFeatureBorders(i, borders) for i in range(3))
     rng = np.random.default_rng(5)
@@ -171,6 +171,18 @@ def test_fold_writes_the_scores_of_its_range_only(precision):
                                    for _ in range(depth)), rng.normal(0.0, 3.0, 1 << depth))
         for depth in (8, 1, 6, 7, 3, 8, 5, 2, 4)
     )
+    return features, trees
+
+
+@pytest.mark.parametrize("precision", [LeafPrecision.BINARY64, LeafPrecision.BINARY16],
+                         ids=["binary64", "binary16"])
+def test_fold_writes_the_scores_of_its_range_only(precision):
+    """``fold(begin, end)`` writes ``float64(sum) * scale + bias`` into
+    ``out[begin:end]``, as the numpy finalize computes it, and leaves every
+    other byte of ``out`` as it was: the lanes past the live objects of a
+    partial group are computed but never stored."""
+    features, trees = mixed_depth_trees()
+    rng = np.random.default_rng(5)
     strategy, dtype = ((LeafStrategy.NAIVE, np.float64) if precision is LeafPrecision.BINARY64
                        else (LeafStrategy.PERMUTE16, np.float32))
     matrix = generate_feature_matrix(200, 3, seed=6, nan_fraction=0.05)
@@ -186,7 +198,7 @@ def test_fold_writes_the_scores_of_its_range_only(precision):
         for begin, end in ((0, 1), (0, 63), (0, 64), (5, 70), (64, 192), (199, 200)):
             sentinel = rng.integers(0, 256, 200 * 8, dtype=np.uint8).view(np.float64)
             out = sentinel.copy()
-            masks, binarize, fold = evaluator._native.over(matrix, out, 2)
+            masks, binarize, fold = evaluator._native.over(matrix, out)
             binarize(matrix, begin, end, masks)
             fold(begin, end)
             sums = np.zeros(end - begin, dtype=dtype)
@@ -199,6 +211,79 @@ def test_fold_writes_the_scores_of_its_range_only(precision):
             expected[begin:end] = finished
             assert np.array_equal(out.view(np.uint8), expected.view(np.uint8)), \
                 (scale, bias, begin, end)
+
+
+# Batch sizes around the 64-object group and the 128-object block.
+_BATCH_SIZES = [0, 1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000]
+
+
+@pytest.mark.parametrize("precision", [LeafPrecision.BINARY64, LeafPrecision.BINARY16],
+                         ids=["binary64", "binary16"])
+def test_blocks_write_the_scores_of_the_batch_only(precision):
+    """Block by block, as ``predict`` runs them, the kernels write the
+    oracle's scores into ``out[0:n]``, bit for bit, in both layouts, and no
+    byte around ``out``.  Blocks of 4 groups make each fold kernel call fold
+    two chunks of MAX_GROUPS (2) groups."""
+    strategy = LeafStrategy.NAIVE if precision is LeafPrecision.BINARY64 else LeafStrategy.PERMUTE16
+    features, trees = mixed_depth_trees()
+    rng = np.random.default_rng(5)
+    source = generate_feature_matrix(max(_BATCH_SIZES), 3, seed=6, nan_fraction=0.05)
+    for scale, bias in _EDGE_SCALES:
+        model = ObliviousModel(features, trees, scale, bias)
+        evaluator = Evaluator(model, EvalConfig(strategy))
+        if evaluator.backend == "numpy":
+            pytest.skip("no avx512 backend on this host")
+        oracle = evaluate_scalar(model, source, precision).view(np.uint64)
+        for groups in (2, 4):
+            bound = native.kernels().bind(evaluator.tables, evaluator.bank, groups)
+            for n in _BATCH_SIZES:
+                prefix = FeatureMatrix(source.values[:n], Layout.OBJECT_MAJOR)
+                for matrix in (prefix, prefix.transposed()):
+                    sentinel = rng.integers(0, 256, (n + 16) * 8, dtype=np.uint8).view(np.float64)
+                    buffer = sentinel.copy()
+                    out = buffer[8:8 + n]
+                    masks, binarize, fold = bound.over(matrix, out)
+                    assert masks.shape[0] == min(groups, -(-n // 64))
+                    for begin, end in plan_blocks(n, 64 * groups):
+                        binarize(matrix, begin, end, masks)
+                        fold(begin, end)
+                    context = (scale, bias, groups, n, matrix.layout)
+                    assert np.array_equal(out.view(np.uint64), oracle[:n]), context
+                    expected = sentinel.copy()
+                    expected[8:8 + n] = out
+                    assert np.array_equal(buffer.view(np.uint8), expected.view(np.uint8)), context
+                    if groups == 2:
+                        scores = evaluator.predict(matrix).view(np.uint64)
+                        assert np.array_equal(scores, oracle[:n]), context
+
+
+@pytest.mark.parametrize("n", _BATCH_SIZES)
+def test_stats_report_the_call_without_changing_its_bits(each_backend, n):
+    """``predict(matrix, stats)`` gives the bits of ``predict(matrix)`` and
+    reports one block per ``plan_blocks`` block, stage times within the
+    call's, and on ``avx512`` the scratch of ``min(2, ceil(n / 64))``
+    groups: their masks and their fold sums."""
+    model = two_tree_model(6)
+    matrix = generate_feature_matrix(n, 3, seed=n, nan_fraction=0.05)
+    for strategy in (LeafStrategy.NAIVE, LeafStrategy.PERMUTE16):
+        oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
+        for evaluator in each_backend(model, EvalConfig(strategy)):
+            stats = EvalStats()
+            started = time.perf_counter()
+            scores = evaluator.predict(matrix, stats)
+            elapsed = time.perf_counter() - started
+            assert np.array_equal(scores.view(np.uint64), oracle)
+            assert np.array_equal(evaluator.predict(matrix).view(np.uint64), oracle)
+            assert (stats.backend, stats.objects) == (evaluator.backend, n)
+            assert stats.blocks == len(plan_blocks(n, EvalConfig.block_size))
+            assert 0.0 <= stats.stage1_s and 0.0 <= stats.fold_s
+            assert stats.stage1_s + stats.fold_s <= elapsed
+            if evaluator.backend == "numpy":
+                assert stats.scratch_bytes >= model.n_features * EvalConfig.block_size
+                continue
+            sums = 64 * (8 if strategy.precision is LeafPrecision.BINARY64 else 4)
+            groups = min(2, -(-n // 64))
+            assert stats.scratch_bytes == groups * (8 * evaluator.tables.cond_border.size + sums)
 
 
 def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypatch):
@@ -224,7 +309,7 @@ def test_c_source_builds_without_warnings(tmp_path):
     if shutil.which("gcc") is None:
         pytest.skip("no gcc")
     result = subprocess.run(
-        ["gcc", *native.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so"),
+        ["gcc", *native.CFLAGS, "-Wall", "-Wextra", "-Wvla", "-Wstack-usage=16384", "-Werror", "-o", str(tmp_path / "lib.so"),
          str(PACKAGE / "native.c")],
         capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S,
     )
@@ -255,7 +340,7 @@ def test_mask_buffer_holds_only_the_groups_a_block_fills(n):
     if evaluator.backend == "numpy":
         pytest.skip("no avx512 backend on this host")
     matrix = generate_feature_matrix(n, 3, seed=n)
-    masks, _, _ = evaluator._native.over(matrix, np.empty(n), 2)
+    masks, _, _ = evaluator._native.over(matrix, np.empty(n))
     assert masks.shape == (min(2, -(-n // 64)), evaluator.tables.cond_border.size)
 
 
@@ -264,7 +349,7 @@ def test_block_fold_rejects_objects_outside_its_block():
     if evaluator.backend == "numpy":
         pytest.skip("no avx512 backend on this host")
     matrix = generate_feature_matrix(300, 3, seed=1)
-    masks, binarize, fold = evaluator._native.over(matrix, np.zeros(300), 2)
+    masks, binarize, fold = evaluator._native.over(matrix, np.zeros(300))
     assert masks.shape == (2, evaluator.tables.cond_border.size)
     for begin, end in ((0, 129), (256, 301)):
         with pytest.raises(ValueError, match="outside"):
@@ -276,11 +361,11 @@ def test_block_fold_rejects_objects_outside_its_block():
     with pytest.raises(ValueError, match="another matrix or masks"):
         binarize(matrix, 0, 10, masks.copy())
     with pytest.raises(ValueError, match="C-contiguous"):
-        evaluator._native.over(matrix, np.zeros(300, dtype=np.float32), 2)
+        evaluator._native.over(matrix, np.zeros(300, dtype=np.float32))
     with pytest.raises(ValueError, match="for 3 features"):
-        evaluator._native.over(matrix, np.zeros(299), 2)
+        evaluator._native.over(matrix, np.zeros(299))
     with pytest.raises(ValueError, match="for 3 features"):
-        evaluator._native.over(generate_feature_matrix(300, 4, seed=1), np.zeros(300), 2)
+        evaluator._native.over(generate_feature_matrix(300, 4, seed=1), np.zeros(300))
 
 
 # Run in a child process, so that a read past the guard fails this test with
@@ -317,8 +402,7 @@ _GUARDED_READS_CHECK = textwrap.dedent(
             evaluator = Evaluator(tables, EvalConfig(strategy=strategy))
             assert evaluator.backend == "avx512", evaluator.backend
             assert planes.ctypes.data + size == start + page
-            assert all(m.planes == planes.ctypes.data
-                       for m in evaluator._native._models.values())
+            assert all(m.planes == planes.ctypes.data for m in evaluator._native._models)
             matrix = generate_feature_matrix(200, 3, seed=depth)
             got = evaluator.predict(matrix).view(np.uint64)
             oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
@@ -386,8 +470,8 @@ _HELD_ARRAYS_CHECK = textwrap.dedent(
         def closures():
             tables = ModelTables(model)
             out = np.empty(matrix.n_objects)
-            bound = native.kernels().bind(tables, tables.bank(precision))
-            masks, binarize, fold = bound.over(matrix, out, EvalConfig.block_size // 64)
+            bound = native.kernels().bind(tables, tables.bank(precision), EvalConfig.block_size // 64)
+            masks, binarize, fold = bound.over(matrix, out)
             return out, masks, binarize, fold
 
         # The tables, the bank and the bound kernels are dropped here.

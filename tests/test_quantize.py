@@ -208,7 +208,7 @@ class TestQuantizeBlock:
         tables = ModelTables(model)
         matrix = FeatureMatrix(np.zeros((4, 2), dtype=np.float32), Layout.OBJECT_MAJOR)
         bank = tables.bank(LeafPrecision.BINARY64)
-        masks, binarize, _ = kernels.bind(tables, bank).over(matrix, np.zeros(4), 2)
+        masks, binarize, _ = kernels.bind(tables, bank, 2).over(matrix, np.zeros(4))
         other = BorderTable([ff.borders for ff in model.float_features])
         with pytest.raises(ValueError, match="another border table"):
             quantize_block(matrix, (0, 4), other, masks, binarize)
@@ -367,7 +367,7 @@ class TestBinarizerMatchesBorderCompares:
 
         bank = tables.bank(LeafPrecision.BINARY64)
         sums = np.zeros(matrix.n_objects)
-        masks, binarize, _ = kernels.bind(tables, bank).over(matrix, sums, block_size // 64)
+        masks, binarize, _ = kernels.bind(tables, bank, block_size // 64).over(matrix, sums)
         quantiles = QuantizedBlock(model.n_features, block_size)
         for begin, end in plan_blocks(matrix.n_objects, block_size):
             masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)  # a dirty buffer
