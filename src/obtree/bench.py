@@ -37,7 +37,7 @@ from .evaluate import EvalConfig, Evaluator, LeafStrategy, ModelTables
 from .model import LeafPrecision, ObliviousModel
 from .oracle import evaluate_scalar
 from .quantize import FeatureMatrix, Layout
-from .serialize import load_model
+from .serialize import deserialize_model, serialize_model
 from .synthetic import SyntheticSpec, generate_feature_matrix, generate_synthetic_model
 
 PRESETS = {
@@ -419,13 +419,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_model(args) -> tuple[ObliviousModel, str]:
+def _resolve_model(args) -> tuple[str, str]:
+    """The model's document, and where it came from: the file's text for
+    ``--model``, ``serialize_model``'s output for a generated model."""
     if args.model:
-        return load_model(args.model), f"file:{args.model}"
+        with open(args.model, encoding="utf-8") as fh:
+            return fh.read(), f"file:{args.model}"
     if args.synthetic:
-        return generate_synthetic_model(args.synthetic), f"synthetic:{args.synthetic}"
-    preset = args.preset or "desk"
-    return generate_synthetic_model(PRESETS[preset]), f"preset:{preset}"
+        spec, source = args.synthetic, f"synthetic:{args.synthetic}"
+    else:
+        preset = args.preset or "desk"
+        spec, source = PRESETS[preset], f"preset:{preset}"
+    return serialize_model(generate_synthetic_model(spec)), source
+
+
+LOAD_REPEATS = 3
+
+
+def load_seconds(document: str, config: EvalConfig) -> float:
+    """Median wall seconds (``time.perf_counter``) of ``LOAD_REPEATS`` loads
+    of ``document``: ``deserialize_model`` and ``Evaluator`` construction."""
+    times = []
+    for _ in range(LOAD_REPEATS):
+        started = time.perf_counter()
+        Evaluator(deserialize_model(document), config)
+        times.append(time.perf_counter() - started)
+    return statistics.median(times)
 
 
 def build_cases(args) -> list[BenchCase]:
@@ -455,12 +474,15 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("tsv output needs a single --strategy and --layout")
         try:
             cases = build_cases(args)
-            model, source = _resolve_model(args)
+            document, source = _resolve_model(args)
+            model = deserialize_model(document)
             log(f"model: {source} ({model.n_features} features, {model.n_trees} trees)")
             report = run_matrix(model, cases, args.baseline, args.data_seed, log=log)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
         report.metadata["model"] = source
+        # The set-up a caller pays once per model, for the first case's strategy.
+        report.metadata["load_s"] = round(load_seconds(document, cases[0].config), 6)
         out.write(
             format_tsv(report) if args.format == "tsv" else format_matrix(report, args.format)
         )

@@ -194,13 +194,16 @@ class ModelTables:
         self.model = model
         self.border_table = BorderTable(model.float_features)
         self.n_trees = model.n_trees
-        self.max_depth = max((t.depth for t in model.trees), default=0)
+        depths = np.array([t.depth for t in model.trees], dtype=np.intp)
+        self.max_depth = int(depths.max(initial=0))
         self._banks: dict[LeafPrecision, LeafBank] = {}
 
+        # Split s of tree t, at depth level s, is key feature * 256 + ordinal
+        # at keys[s, t]; the splits come in tree order, each tree's by level.
+        starts = np.repeat(np.cumsum(depths) - depths, depths)
         keys = np.full((self.max_depth, self.n_trees), _SENTINEL_ORDINAL, dtype=np.intp)
-        for t, tree in enumerate(model.trees):
-            for d, split in enumerate(tree.splits):
-                keys[d, t] = split.feature_index * 256 + split.border_ordinal
+        keys[np.arange(starts.size) - starts, np.repeat(np.arange(self.n_trees), depths)] = [
+            s.feature_index * 256 + s.border_ordinal for t in model.trees for s in t.splits]
         distinct, inverse = np.unique(keys, return_inverse=True)
         self.cond_feature = distinct >> 8
         self.cond_ordinal = (distinct & 255).astype(np.uint8)[:, None]
@@ -346,6 +349,8 @@ class EvalStats:
     besides the input and the scores: on ``avx512`` the condition masks and
     the fold kernel's sums on the C stack; on numpy the quantized block and
     the arrays that the largest block's stages 2-3 allocate, summed.
+    ``saturated_leaves`` is the leaf bank's count of binary16 leaves clamped
+    to +/-65504 (``LeafBank.saturation_count``), 0 for binary64.
     """
 
     backend: str = ""
@@ -354,6 +359,7 @@ class EvalStats:
     stage1_s: float = 0.0
     fold_s: float = 0.0
     scratch_bytes: int = 0
+    saturated_leaves: int = 0
 
 
 class Evaluator:
@@ -420,6 +426,7 @@ class Evaluator:
         if timed:
             stats.backend, stats.objects, stats.blocks = self.backend, n, -(-n // size)
             stats.stage1_s, stats.fold_s = stage1_s, fold_s
+            stats.saturated_leaves = self.bank.saturation_count
             stats.scratch_bytes = (self._numpy_scratch_bytes(n) if self._native is None
                                    else self._native.scratch_bytes(n))
         return out

@@ -150,8 +150,10 @@ def validate_model(model: ObliviousModel) -> list[str]:
     """Check every model invariant; return a list of violations (empty = ok).
 
     Each message carries the feature/tree coordinates of the violation so a
-    bad model document can be fixed by hand.  A model that passes is marked
-    as validated, so ``require_valid`` checks each model object only once.
+    bad model document can be fixed by hand.  The trees are checked all at
+    once; only if that finds a violation are they checked one by one, to
+    word each.  A model that passes is marked as validated, so
+    ``require_valid`` checks each model object only once.
     """
     errors: list[str] = []
 
@@ -168,6 +170,57 @@ def validate_model(model: ObliviousModel) -> list[str]:
             errors.append(f"{where}: feature index {ff.feature_index} does not match position {i}")
         errors.extend(f"{where}: {e}" for e in border_row_errors(ff.borders))
 
+    if not _trees_valid(model):
+        errors.extend(_tree_errors(model))
+
+    if not errors:
+        object.__setattr__(model, "_validated", True)
+    return errors
+
+
+def of_types(items, kinds: set) -> bool:
+    """Whether every item's type is exactly one of ``kinds``: no ``bool`` for ``int``."""
+    return set(map(type, items)) <= kinds
+
+
+def _trees_valid(model: ObliviousModel) -> bool:
+    """Whether ``_tree_errors`` finds nothing, tested on all trees at once.
+
+    Depths and split coordinates must be of type ``int``: others, such as
+    ``bool`` or numpy integers, only ``_tree_errors`` judges.
+    """
+    trees = model.trees
+    if not trees:
+        return True
+    depths = [tree.depth for tree in trees]
+    if not of_types(depths, {int}) or min(depths) < 1 or max(depths) > MAX_DEPTH:
+        return False
+    if [len(tree.splits) for tree in trees] != depths:
+        return False
+    leaves = [tree.leaf_values for tree in trees]
+    if {arr.ndim for arr in leaves} != {1} or [arr.size for arr in leaves] != [1 << d for d in depths]:
+        return False
+    # Copies of at most 512 tables at a time, not of every leaf at once.
+    if not all(np.isfinite(np.concatenate(leaves[t : t + 512])).all()
+               for t in range(0, len(leaves), 512)):
+        return False
+    splits = [split for tree in trees for split in tree.splits]
+    features = [split.feature_index for split in splits]
+    ordinals = [split.border_ordinal for split in splits]
+    n_borders = [ff.borders.size for ff in model.float_features]
+    if not (of_types(features, {int}) and of_types(ordinals, {int})):
+        return False
+    if min(features) < 0 or max(features) >= len(n_borders):
+        return False
+    # Below the largest border count, the ordinals fit an int64 array.
+    if min(ordinals) < 0 or max(ordinals) >= max(n_borders):
+        return False
+    return bool((np.array(ordinals) < np.array(n_borders)[np.array(features)]).all())
+
+
+def _tree_errors(model: ObliviousModel) -> list[str]:
+    """Every tree's violations, tree by tree, in ``validate_model``'s order."""
+    errors = []
     for t, tree in enumerate(model.trees):
         where = f"trees[{t}]"
         if not 1 <= tree.depth <= MAX_DEPTH:
@@ -193,12 +246,9 @@ def validate_model(model: ObliviousModel) -> list[str]:
             n_borders = model.float_features[split.feature_index].borders.size
             if not 0 <= split.border_ordinal < n_borders:
                 errors.append(
-                    f"{swhere}: border ordinal out of range "
-                    f"({split.border_ordinal} vs {n_borders} borders on feature {split.feature_index})"
+                    f"{swhere}: border ordinal out of range ({split.border_ordinal} vs "
+                    f"{n_borders} borders in float_features[{split.feature_index}])"
                 )
-
-    if not errors:
-        object.__setattr__(model, "_validated", True)
     return errors
 
 

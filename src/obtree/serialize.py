@@ -1,23 +1,31 @@
 """Canonical text serialization of ensemble models.
 
 The document is UTF-8 JSON with every floating-point number carried as its
-lowercase hex bit pattern (8 hex digits for binary32, 16 for binary64), so a
-serialize/deserialize round trip is identity down to the bit level:
+lowercase big-endian hex bit pattern (8 hex digits for binary32, 16 for
+binary64), so a serialize/deserialize round trip is identity down to the bit
+level.  A feature's borders and a tree's leaves are each one string of their
+values' digits back to back:
 
     {
-      "float_features": [{"index": 0, "borders_hex": ["3f000000", ...]}, ...],
+      "float_features": [{"index": 0, "borders_hex": "3f0000003f800000..."}, ...],
       "trees": [{"depth": 2,
                  "splits": [{"feature": 0, "border": 1}, ...],
-                 "leaves_hex": ["3ff0000000000000", ...]}, ...],
+                 "leaves_hex": "3ff0000000000000bff0000000000000..."}, ...],
       "scale_hex": "3ff0000000000000",
       "bias_hex": "0000000000000000"
     }
+
+The list form, with ``borders_hex`` and ``leaves_hex`` each a list of
+one-value strings (``["3f000000", "3f800000"]``), is still read, bit for
+bit.  In either form an error names a bad value by its index, as in
+``trees[0].leaves_hex[1]``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -27,6 +35,7 @@ from .model import (
     ObliviousModel,
     ObliviousTree,
     SplitCondition,
+    of_types,
     require_valid,
     validate_model,
 )
@@ -34,10 +43,6 @@ from .model import (
 
 class ModelFormatError(ValueError):
     """Malformed model document; the message names the offending field."""
-
-
-def f32_to_hex(value: float) -> str:
-    return struct.pack(">f", value).hex()
 
 
 def f64_to_hex(value: float) -> str:
@@ -62,31 +67,60 @@ def hex_to_f64(text: str, where: str) -> float:
     return struct.unpack(">d", _hex_bytes(text, 16, where))[0]
 
 
-def _hex_array(items: list, dtype: str, where: str) -> np.ndarray:
-    """Decode a list of hex fields of big-endian ``dtype`` in one pass.
+def _hex_text(field: str | list, digits: int) -> str | None:
+    """A hex field's values' digits back to back, or None if the field is a
+    string of a length that is no whole number of values, or a list with an
+    item that is not a string of one value's length."""
+    if type(field) is str:
+        return field if len(field) % digits == 0 else None
+    if of_types(field, {str}) and set(map(len, field)) <= {digits}:
+        return "".join(field)
+    return None
 
-    If any item is not exactly the hex digits of one value, the items are
-    checked one by one, which raises naming the first bad one.
+
+def _decode(text: str | None) -> bytes | None:
+    """The bytes of ``text``, or None unless it is hex digits only."""
+    if text is None:
+        return None
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError:
+        return None
+    # bytes.fromhex skips whitespace, so only text of hex digits alone gives
+    # one byte per two characters.
+    return raw if len(raw) * 2 == len(text) else None
+
+
+def _hex_array(field: str | list, dtype: str, where: str) -> np.ndarray:
+    """Decode a hex field of big-endian ``dtype`` values in one pass.
+
+    If the field is not exactly the hex digits of whole values, it is
+    checked value by value, which raises naming the first bad one.
     """
     digits = 2 * np.dtype(dtype).itemsize
-    try:
-        raw = bytes.fromhex("".join(items))
-    except (TypeError, ValueError):
-        raw = b""
-    if len(raw) * 2 != digits * len(items) or set(map(len, items)) - {digits}:
-        for j, text in enumerate(items):
+    raw = _decode(_hex_text(field, digits))
+    if raw is None:
+        if isinstance(field, str):
+            if len(field) % digits:
+                raise ModelFormatError(
+                    f"{where}: {len(field)} hex digits are not a whole number of "
+                    f"{digits}-digit values")
+            field = [field[j : j + digits] for j in range(0, len(field), digits)]
+        for j, text in enumerate(field):
             _hex_bytes(text, digits, f"{where}[{j}]")
     return np.frombuffer(raw, dtype=dtype)
+
+
+def _hex_field(values: np.ndarray, dtype: str) -> str:
+    """``values`` as one string of their big-endian ``dtype`` hex digits."""
+    return values.astype(dtype).tobytes().hex()
 
 
 def model_to_document(model: ObliviousModel) -> dict:
     require_valid(model)
     return {
         "float_features": [
-            {
-                "index": ff.feature_index,
-                "borders_hex": [f32_to_hex(float(b)) for b in ff.borders],
-            }
+            {"index": ff.feature_index, "borders_hex": _hex_field(ff.borders, ">f4")}
             for ff in model.float_features
         ],
         "trees": [
@@ -96,7 +130,7 @@ def model_to_document(model: ObliviousModel) -> dict:
                     {"feature": s.feature_index, "border": s.border_ordinal}
                     for s in tree.splits
                 ],
-                "leaves_hex": [f64_to_hex(float(v)) for v in tree.leaf_values],
+                "leaves_hex": _hex_field(tree.leaf_values, ">f8"),
             }
             for tree in model.trees
         ],
@@ -109,7 +143,7 @@ def serialize_model(model: ObliviousModel) -> str:
     return json.dumps(model_to_document(model), indent=1)
 
 
-def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
+def _expect(obj: Any, key: str, kind: type | tuple[type, ...], where: str) -> Any:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: expected an object")
     if key not in obj:
@@ -118,8 +152,85 @@ def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
     if kind is int and isinstance(value, bool):
         raise ModelFormatError(f"{where}.{key}: expected an integer")
     if not isinstance(value, kind):
-        raise ModelFormatError(f"{where}.{key}: expected {kind.__name__}")
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise ModelFormatError(f"{where}.{key}: expected {' or '.join(k.__name__ for k in kinds)}")
     return value
+
+
+def _tree(entry: Any, where: str) -> ObliviousTree:
+    """One tree of a document, checked field by field."""
+    depth = _expect(entry, "depth", int, where)
+    splits_raw = _expect(entry, "splits", list, where)
+    leaves_hex = _expect(entry, "leaves_hex", (str, list), where)
+    splits = []
+    for s, split in enumerate(splits_raw):
+        swhere = f"{where}.splits[{s}]"
+        splits.append(
+            SplitCondition(
+                feature_index=_expect(split, "feature", int, swhere),
+                border_ordinal=_expect(split, "border", int, swhere),
+            )
+        )
+    leaves = _hex_array(leaves_hex, ">f8", f"{where}.leaves_hex")
+    return ObliviousTree(depth=depth, splits=tuple(splits), leaf_values=leaves)
+
+
+def _trees(entries: list) -> list[ObliviousTree] | None:
+    """Every tree of a document, each field checked and decoded for all trees
+    at once, or None if any field is missing, of another type than ``_tree``
+    takes without a conversion, or not hex digits of whole values.
+
+    The leaves of all trees are decoded into one array, one
+    ``bytes.fromhex`` per tree, and the trees' leaf values view it.  Equal
+    split conditions are one shared ``SplitCondition``, which is immutable.
+    """
+    if not of_types(entries, {dict}):
+        return None
+    try:
+        depths = [entry["depth"] for entry in entries]
+        split_rows = [entry["splits"] for entry in entries]
+        leaf_fields = [entry["leaves_hex"] for entry in entries]
+    except KeyError:
+        return None
+    if not (of_types(depths, {int}) and of_types(split_rows, {list})
+            and of_types(leaf_fields, {str, list})):
+        return None
+    splits = [split for row in split_rows for split in row]
+    if not of_types(splits, {dict}):
+        return None
+    try:
+        features = [split["feature"] for split in splits]
+        ordinals = [split["border"] for split in splits]
+    except KeyError:
+        return None
+    if not (of_types(features, {int}) and of_types(ordinals, {int})):
+        return None
+    texts = [_hex_text(field, 16) for field in leaf_fields]
+    if None in texts:
+        return None
+    # Each tree's leaves are decoded into their place in one buffer.  A
+    # memoryview slice takes only bytes of its own length, so text that
+    # bytes.fromhex shortened by skipping whitespace is rejected too.
+    digit_ends = list(accumulate(map(len, texts), initial=0))
+    buffer = bytearray(digit_ends[-1] // 2)
+    view = memoryview(buffer)
+    try:
+        for text, start, end in zip(texts, digit_ends, digit_ends[1:]):
+            view[start // 2 : end // 2] = bytes.fromhex(text)
+    except ValueError:
+        return None
+    leaves = np.frombuffer(buffer, dtype=">f8")
+    leaves = leaves.byteswap(inplace=True).view(leaves.dtype.newbyteorder())
+    # The pairs are made one at a time and not kept: a list of them all
+    # would hold tens of thousands of objects for the garbage collector to scan.
+    shared = {key: SplitCondition(*key) for key in set(zip(features, ordinals))}
+    conditions = list(map(shared.__getitem__, zip(features, ordinals)))
+    split_ends = list(accumulate(map(len, split_rows), initial=0))
+    return [
+        ObliviousTree(depth, tuple(conditions[s0:s1]), leaves[d0 // 16 : d1 // 16])
+        for depth, s0, s1, d0, d1 in zip(
+            depths, split_ends, split_ends[1:], digit_ends, digit_ends[1:])
+    ]
 
 
 def model_from_document(doc: Any) -> ObliviousModel:
@@ -132,27 +243,13 @@ def model_from_document(doc: Any) -> ObliviousModel:
     for i, entry in enumerate(features):
         where = f"float_features[{i}]"
         index = _expect(entry, "index", int, where)
-        borders_hex = _expect(entry, "borders_hex", list, where)
+        borders_hex = _expect(entry, "borders_hex", (str, list), where)
         borders = _hex_array(borders_hex, ">f4", f"{where}.borders_hex")
         float_features.append(FloatFeatureBorders(feature_index=index, borders=borders))
 
-    parsed_trees = []
-    for t, entry in enumerate(trees):
-        where = f"trees[{t}]"
-        depth = _expect(entry, "depth", int, where)
-        splits_raw = _expect(entry, "splits", list, where)
-        leaves_hex = _expect(entry, "leaves_hex", list, where)
-        splits = []
-        for s, split in enumerate(splits_raw):
-            swhere = f"{where}.splits[{s}]"
-            splits.append(
-                SplitCondition(
-                    feature_index=_expect(split, "feature", int, swhere),
-                    border_ordinal=_expect(split, "border", int, swhere),
-                )
-            )
-        leaves = _hex_array(leaves_hex, ">f8", f"{where}.leaves_hex")
-        parsed_trees.append(ObliviousTree(depth=depth, splits=tuple(splits), leaf_values=leaves))
+    parsed_trees = _trees(trees)
+    if parsed_trees is None:
+        parsed_trees = [_tree(entry, f"trees[{t}]") for t, entry in enumerate(trees)]
 
     model = ObliviousModel(
         float_features=tuple(float_features),

@@ -326,6 +326,22 @@ class TestCli:
         assert code == 0
         assert "file:" in out.read_text()
 
+    @pytest.mark.parametrize("source", ["file", "synthetic"])
+    def test_report_states_the_load_time(self, source, tmp_path):
+        from obtree import save_model
+
+        if source == "file":
+            save_model(generate_synthetic_model(TINY), str(tmp_path / "tiny.json"))
+            flags = ["--model", str(tmp_path / "tiny.json")]
+        else:
+            flags = ["--synthetic", "4,5,6,3,77"]
+        out = tmp_path / "report.csv"
+        assert main([*flags, "--batch", "8", "--reps", "3", "--strategy", "naive",
+                     "--layout", "object-major", "--format", "csv", "--out", str(out),
+                     "--quiet"]) == 0
+        (line,) = [x for x in out.read_text().splitlines() if x.startswith("# load_s: ")]
+        assert float(line.removeprefix("# load_s: ")) > 0
+
     def test_missing_model_file_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["--model", "/no/such/model.json", "--quiet"])
@@ -337,7 +353,8 @@ class TestCli:
         from obtree import serialize_model
 
         doc = json.loads(serialize_model(generate_synthetic_model(TINY)))
-        doc["float_features"][0]["borders_hex"][0] = "3f 0000 "
+        feature = doc["float_features"][0]
+        feature["borders_hex"] = "3f 0000 " + feature["borders_hex"][8:]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from obtree import (
     EvalConfig,
+    EvalStats,
     FeatureMatrix,
     Layout,
     LeafPrecision,
@@ -312,6 +313,25 @@ class TestBinary16Widening:
         assert_bits_equal(preds, evaluate_scalar(model, matrix, LeafPrecision.BINARY16))
         assert preds.tolist() == [2.0**-24, -3 * 2.0**-20, -65504.0, 65504.0]
         assert ModelTables(model).bank(LeafPrecision.BINARY16).saturation_count == 2
+
+    def test_stats_count_the_banks_saturated_leaves(self, each_backend):
+        # The trees of the test above: -1e6 and 1e6 clamp to -+65504 in the
+        # binary16 bank, and no binary64 leaf is clamped.
+        splits = tuple(SplitCondition(0, k) for k in range(3))
+        small = [2.0**-24, -3 * 2.0**-20, 0.0, -1e6, 0.0, 0.0, 0.0, 3 * 2.0**-24]
+        large = [-0.0, 0.0, 0.0, 5 * 2.0**-24, 0.0, 0.0, 0.0, 1e6]
+        model = ObliviousModel(
+            float_features=(FloatFeatureBorders(0, np.array([0.5, 1.5, 2.5], np.float32)),),
+            trees=tuple(ObliviousTree(3, splits, np.array(leaves)) for leaves in (small, large)),
+            scale=1.0,
+            bias=0.0,
+        )
+        matrix = FeatureMatrix(np.arange(4, dtype=np.float32)[:, None], Layout.OBJECT_MAJOR)
+        for strategy, saturated in ((LeafStrategy.PERMUTE16, 2), (LeafStrategy.NAIVE, 0)):
+            for evaluator in each_backend(model, EvalConfig(strategy)):
+                stats = EvalStats()
+                evaluator.predict(matrix, stats)
+                assert stats.saturated_leaves == saturated, (strategy, evaluator.backend)
 
 
 _VALUE_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, float(np.float32(1e-45)), 1.0]

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import obtree.model
 import obtree.serialize
@@ -32,7 +35,7 @@ from obtree import (
     serialize_model,
     validate_model,
 )
-from obtree.model import HALF_MAX
+from obtree.model import HALF_MAX, MAX_DEPTH
 
 
 def make_model(borders_lists, trees, scale=1.0, bias=0.0):
@@ -191,8 +194,10 @@ class TestValidation:
         for precision in LeafPrecision:
             with pytest.raises(ValueError, match=message):
                 evaluate_scalar(model, matrix, precision)
+        # trees[0]'s first leaf, 1.0, opens the first string that starts
+        # with its digits: its tree's leaves_hex, which precedes scale_hex.
         document = serialize_model(make_model([[0.5]], trees[:3])).replace(
-            '"3ff0000000000000"', '"7ff0000000000000"', 1
+            '"3ff0000000000000', '"7ff0000000000000', 1
         )
         with pytest.raises(ModelFormatError, match=r"trees\[0\]: infinite leaf value"):
             deserialize_model(document)
@@ -271,6 +276,80 @@ class TestValidation:
         for _ in range(2):
             with pytest.raises(ValueError, match=r"invalid model: float_features\[0\]: non-ascending"):
                 Evaluator(model)
+
+
+_DEFECTS = ["NaN leaf", "+inf leaf", "-inf leaf", "leaf count", "split count", "depth 0",
+            "depth 9", "feature past the end", "feature far out", "ordinal past the end",
+            "ordinal far out"]
+
+
+@st.composite
+def damaged_models(draw):
+    """A valid random model of mixed depths, or that model with one defect at
+    a random tree or split, and the coordinates of the defect (None if none)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    borders = [np.sort(rng.choice(np.arange(-40, 40) / 4, size=k, replace=False)) for k in sizes]
+    trees = []
+    for depth in draw(st.lists(st.integers(1, MAX_DEPTH), min_size=1, max_size=6)):
+        features = rng.integers(len(sizes), size=depth)
+        splits = [(int(f), int(rng.integers(sizes[f]))) for f in features]
+        trees.append(make_tree(splits, rng.normal(size=1 << depth)))
+    defect = draw(st.sampled_from([None, *_DEFECTS]))
+    if defect is None:
+        return make_model(borders, trees), None
+    t = draw(st.integers(0, len(trees) - 1))
+    where = f"trees[{t}]"
+    depth, splits, leaves = trees[t].depth, list(trees[t].splits), trees[t].leaf_values.copy()
+    if defect.endswith("leaf"):
+        leaves[draw(st.integers(0, leaves.size - 1))] = float(defect.split()[0])
+    elif defect == "leaf count":
+        leaves = np.append(leaves, 1.0) if draw(st.booleans()) else leaves[:-1]
+    elif defect == "split count":
+        splits = splits + splits[:1] if draw(st.booleans()) else splits[:-1]
+    elif defect.startswith("depth"):
+        # A whole tree of that depth, so that only its depth is wrong.
+        depth = int(defect.split()[1])
+        splits = (splits * MAX_DEPTH)[:depth]
+        leaves = rng.normal(size=1 << depth)
+    else:
+        s = draw(st.integers(0, depth - 1))
+        where += f".splits[{s}]"
+        f, o = splits[s].feature_index, splits[s].border_ordinal
+        if defect == "feature past the end":
+            f = len(sizes)
+        elif defect == "feature far out":
+            f = draw(st.sampled_from([-1, len(sizes) + 7, 2**40]))
+        elif defect == "ordinal past the end":
+            o = sizes[f]
+        else:
+            o = draw(st.sampled_from([-1, sizes[f] + 1, 254, 255, 2**40]))
+        splits[s] = SplitCondition(f, o)
+    trees[t] = ObliviousTree(depth=depth, splits=tuple(splits), leaf_values=leaves)
+    return make_model(borders, trees), where
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_models())
+def test_validation_never_accepts_a_damaged_model(case):
+    # The all-trees check must find every defect the tree-by-tree check
+    # words; a miss would show as [] here.
+    model, where = case
+    errors = validate_model(model)
+    if where is None:
+        assert errors == []
+        return
+    assert errors and errors[0].startswith(where + ": "), (where, errors)
+    with pytest.raises(ValueError, match=re.escape(where + ": ")):
+        Evaluator(model)
+
+
+def test_nonfinite_leaf_found_past_the_first_copy_of_tables():
+    # The all-trees check copies 512 tables at a time.
+    trees = [make_tree([(0, 0)], [1.0, 2.0]) for _ in range(1200)]
+    for t in (511, 512, 1199):
+        damaged = trees[:t] + [make_tree([(0, 0)], [1.0, math.nan])] + trees[t + 1:]
+        assert validate_model(make_model([[0.5]], damaged)) == [f"trees[{t}]: NaN leaf value"]
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,103 @@ def test_hex_with_whitespace_rejected(section, key, index, text, where):
         deserialize_model(json.dumps(doc))
 
 
+COMPACT_DEPTH1 = """
+{
+ "float_features": [{"index": 0, "borders_hex": "3f000000"}],
+ "trees": [{"depth": 1,
+            "splits": [{"feature": 0, "border": 0}],
+            "leaves_hex": "bff00000000000004000000000000000"}],
+ "scale_hex": "3ff0000000000000",
+ "bias_hex": "0000000000000000"
+}
+"""
+
+
+def _list_form(text: str, trees=slice(None)) -> str:
+    """A compact document with every feature's and the chosen trees' hex
+    strings split into lists of one-value strings."""
+    doc = json.loads(text)
+    tables = [(f, "borders_hex", 8) for f in doc["float_features"]]
+    tables += [(t, "leaves_hex", 16) for t in doc["trees"][trees]]
+    for owner, key, digits in tables:
+        owner[key] = [owner[key][j : j + digits] for j in range(0, len(owner[key]), digits)]
+    return json.dumps(doc)
+
+
+def test_serialize_writes_one_hex_string_per_table():
+    model = deserialize_model(HAND_WRITTEN_DEPTH1)
+    assert json.loads(serialize_model(model)) == json.loads(COMPACT_DEPTH1)
+    assert json.loads(_list_form(COMPACT_DEPTH1)) == json.loads(HAND_WRITTEN_DEPTH1)
+
+
+def test_list_and_compact_forms_load_the_same_model():
+    # Odd bit patterns included: -0.0 and subnormal leaves, a -0.0 border.
+    tree = generate_synthetic_model(SyntheticSpec(1, 1, 1, 1, seed=3)).trees[0]
+    odd = type(tree)(depth=1, splits=tree.splits, leaf_values=np.array([-0.0, 5e-324]))
+    for i in range(20):
+        spec = SyntheticSpec(1 + i % 4, 1 + i % 7, i % 6, 1 + i % 8, seed=i)
+        model = generate_synthetic_model(spec)
+        model = type(model)(float_features=model.float_features, trees=model.trees + (odd,),
+                            scale=model.scale, bias=-0.0)
+        text = serialize_model(model)
+        assert deserialize_model(text) == model
+        assert deserialize_model(_list_form(text)) == model
+        assert deserialize_model(_list_form(text, slice(None, None, 2))) == model
+        restored = deserialize_model(_list_form(text)).trees[-1].leaf_values
+        assert restored.view(np.uint64).tolist() == [1 << 63, 1]
+
+
+@pytest.mark.parametrize(
+    "section, key, text, message",
+    [
+        ("trees", "leaves_hex", "bff0000000000000" "4000 0000 000000",
+         "trees[0].leaves_hex[1]: expected 16 hex digits, got '4000 0000 000000'"),
+        ("trees", "leaves_hex", " bff000000000000" "4000000000000000",
+         "trees[0].leaves_hex[0]: expected 16 hex digits, got ' bff000000000000'"),
+        ("trees", "leaves_hex", "bff000000000000g" "4000000000000000",
+         "trees[0].leaves_hex[0]: expected 16 hex digits, got 'bff000000000000g'"),
+        ("float_features", "borders_hex", "3f 0000 ",
+         "float_features[0].borders_hex[0]: expected 8 hex digits, got '3f 0000 '"),
+        ("trees", "leaves_hex", "bff0000000000000" "40000000",
+         "trees[0].leaves_hex: 24 hex digits are not a whole number of 16-digit values"),
+        ("trees", "leaves_hex", "bff0000000000000" "4000000000000000\n",
+         "trees[0].leaves_hex: 33 hex digits are not a whole number of 16-digit values"),
+        ("float_features", "borders_hex", "3f00 0000",
+         "float_features[0].borders_hex: 9 hex digits are not a whole number of 8-digit values"),
+        ("float_features", "borders_hex", "3f000000" "3f80",
+         "float_features[0].borders_hex: 12 hex digits are not a whole number of 8-digit values"),
+    ],
+)
+def test_bad_value_in_a_hex_string_is_named_by_index(section, key, text, message):
+    doc = json.loads(COMPACT_DEPTH1)
+    doc[section][0][key] = text
+    with pytest.raises(ModelFormatError) as exc:
+        deserialize_model(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("section, key", [("float_features", "borders_hex"), ("trees", "leaves_hex")])
+@pytest.mark.parametrize("value", [None, True, 7, 1.5, {}])
+def test_hex_field_of_another_json_type_is_rejected(section, key, value):
+    doc = json.loads(COMPACT_DEPTH1)
+    doc[section][0][key] = value
+    with pytest.raises(ModelFormatError) as exc:
+        deserialize_model(json.dumps(doc))
+    assert str(exc.value) == f"{section}[0].{key}: expected str or list"
+
+
+def test_first_bad_tree_field_is_named_in_document_order():
+    # A tree's fields are checked depth, splits, leaves_hex, then each split,
+    # then the leaves, and the trees in order, as one tree at a time would be.
+    doc = json.loads(serialize_model(generate_synthetic_model(SyntheticSpec(2, 3, 3, 2, seed=5))))
+    doc["trees"][2]["depth"] = True
+    doc["trees"][1]["leaves_hex"] = doc["trees"][1]["leaves_hex"][:-1]
+    del doc["trees"][1]["splits"][1]["border"]
+    with pytest.raises(ModelFormatError) as exc:
+        deserialize_model(json.dumps(doc))
+    assert str(exc.value) == "trees[1].splits[1]: missing required field 'border'"
+
+
 def test_non_json_input():
     with pytest.raises(ModelFormatError, match="line 1"):
         deserialize_model("not a document")
