@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import platform
 import re
 import statistics
@@ -332,6 +333,27 @@ def format_matrix(report: BenchReport, fmt: str) -> str:
     )
 
 
+def format_json(report: BenchReport) -> str:
+    """The report as one JSON record: its metadata, then ``cases``, one object
+    per case, whose timings are null where the case failed verification."""
+    cases = []
+    for row in report.rows:
+        case, ok = row.case, row.verified
+        cases.append({
+            "case_id": case.case_id,
+            "strategy": case.config.strategy.value,
+            "layout": case.layout.value,
+            "batch": case.batch_size,
+            "reps": case.repetitions,
+            "inner": row.inner,
+            "mean_ms": row.mean_s * 1e3 if ok else None,
+            "std_ms": row.std_s * 1e3 if ok else None,
+            "d": row.d if ok else None,
+            "verified": ok,
+        })
+    return json.dumps({**report.metadata, "cases": cases}, indent=1) + "\n"
+
+
 def format_tsv(report: BenchReport) -> str:
     """Two plot-ready columns: batch size and mean milliseconds."""
     lines = [f"{row.case.batch_size}\t{row.mean_s * 1e3:.6f}" for row in report.rows]
@@ -410,9 +432,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["csv", "md", "tsv"],
+        choices=["csv", "md", "tsv", "json"],
         default="md",
-        help="tsv: batch size and mean ms only, for a single strategy and layout",
+        help="tsv: batch size and mean ms only, for a single strategy and layout; "
+        "json: one record of the metadata and every case",
     )
     parser.add_argument("--data-seed", type=int, default=DEFAULT_DATA_SEED)
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
@@ -483,9 +506,9 @@ def main(argv: list[str] | None = None) -> int:
         report.metadata["model"] = source
         # The set-up a caller pays once per model, for the first case's strategy.
         report.metadata["load_s"] = round(load_seconds(document, cases[0].config), 6)
-        out.write(
-            format_tsv(report) if args.format == "tsv" else format_matrix(report, args.format)
-        )
+        formats = {"tsv": format_tsv, "json": format_json}
+        out.write(formats[args.format](report) if args.format in formats
+                  else format_matrix(report, args.format))
     if args.out:
         log(f"report written to {args.out.name}")
 

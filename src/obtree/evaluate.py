@@ -12,11 +12,15 @@ run in one of two backends chosen when an ``Evaluator`` is made
   per stage and block: the binarization kernel writes one 64-bit mask per
   (64-object group, distinct split condition) straight from the block's
   binary32 values, and the fold kernels read those masks group by group and
-  write the finished scores;
+  write the finished scores.  They walk the trees in runs of equal depth
+  (``ModelTables.depth_runs``), read each tree's conditions from its row of
+  ``ModelTables.tree_cond`` and load each tree's byte planes once for all
+  the groups they fold;
 * ``numpy``: the numpy quantization search, then, for stages 2-3, array
   operations over a (trees x objects) panel covering a block's live objects
   rounded up to a multiple of 8, so that leaf indices are assembled on
-  64-bit words of eight byte lanes.  Binary16 leaves are
+  64-bit words of eight byte lanes, one level at a time from a column of
+  ``ModelTables.tree_cond``.  Binary16 leaves are
   widened to binary32 with integer operations, and per-tree contributions
   are summed by a row-order reduce (checked by an import-time probe, with an
   explicit row loop as the fallback), then finalized by numpy.
@@ -27,7 +31,8 @@ ordinal``, which agree for strictly ascending borders (``obtree.quantize``).
 Both sum each object's leaves in tree order, so results are bit-identical
 across backends and do not depend on the block plan or the input layout.
 Given an ``EvalStats``, ``predict`` times the two stages of each block and
-reports them with its scratch memory; without one it reads no clock.
+reports them with its scratch memory and its NaN and +/-inf inputs; without
+one it reads no clock and counts nothing.
 
 The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  A
 strategy selects only its leaf-precision family: every binary64 strategy
@@ -48,8 +53,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import native
-from .model import (LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank, require_valid,
-                    run_bounds)
+from .model import (MAX_DEPTH, LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank,
+                    require_valid, run_bounds)
 from .quantize import BorderTable, FeatureMatrix, QuantizedBlock, quantize_block
 
 
@@ -181,12 +186,16 @@ class ModelTables:
     quantization search.  The split conditions form a table of distinct
     (feature, ordinal) pairs, sorted by feature: condition ``c`` holds iff
     quantile ``cond_feature[c]`` exceeds ``cond_ordinal[c, 0]``, that is iff
-    the feature's value exceeds ``cond_border[c]`` (binary32).
-    ``split_cond`` is (max_depth x trees), one contiguous row of condition
-    numbers per depth level.  Trees shallower than the deepest are padded
-    with the condition (feature 0, ordinal 255, border +inf), which can never
-    hold and so contributes a zero bit.  Leaf banks are built per precision
-    on first use.
+    the feature's value exceeds ``cond_border[c]`` (binary32).  Both
+    backends read the trees' conditions from ``tree_cond``, one int32 row of
+    ``MAX_DEPTH`` (8) condition numbers per tree, level by level.  Where some
+    tree is shallower than the deepest, its levels past its depth hold the
+    sentinel condition (feature 0, ordinal 255, border +inf), which can never
+    hold and so contributes a zero bit; levels past the deepest tree's depth
+    hold -1, and no stage reads them.  ``depth_runs`` (``run_bounds``) splits
+    the trees into runs of equal depth, so that the native fold picks its
+    code for a depth once per run.  Leaf banks are built per precision on
+    first use.
     """
 
     def __init__(self, model: ObliviousModel):
@@ -196,13 +205,14 @@ class ModelTables:
         self.n_trees = model.n_trees
         depths = np.array([t.depth for t in model.trees], dtype=np.intp)
         self.max_depth = int(depths.max(initial=0))
+        self.depth_runs = run_bounds(depths)
         self._banks: dict[LeafPrecision, LeafBank] = {}
 
         # Split s of tree t, at depth level s, is key feature * 256 + ordinal
-        # at keys[s, t]; the splits come in tree order, each tree's by level.
+        # at keys[t, s]; the splits come in tree order, each tree's by level.
         starts = np.repeat(np.cumsum(depths) - depths, depths)
-        keys = np.full((self.max_depth, self.n_trees), _SENTINEL_ORDINAL, dtype=np.intp)
-        keys[np.arange(starts.size) - starts, np.repeat(np.arange(self.n_trees), depths)] = [
+        keys = np.full((self.n_trees, self.max_depth), _SENTINEL_ORDINAL, dtype=np.intp)
+        keys[np.repeat(np.arange(self.n_trees), depths), np.arange(starts.size) - starts] = [
             s.feature_index * 256 + s.border_ordinal for t in model.trees for s in t.splits]
         distinct, inverse = np.unique(keys, return_inverse=True)
         self.cond_feature = distinct >> 8
@@ -212,8 +222,9 @@ class ModelTables:
         self.cond_border[real] = self.border_table.values[
             self.border_table.offsets[self.cond_feature[real], 0] + self.cond_ordinal[real, 0]
         ]
+        self.tree_cond = np.full((self.n_trees, MAX_DEPTH), -1, dtype=np.int32)
         # The inverse's shape differs across numpy 2.x releases.
-        self.split_cond = inverse.reshape(keys.shape)
+        self.tree_cond[:, : self.max_depth] = inverse.reshape(keys.shape)
         # The native binarizer's runs of conditions on one feature and on
         # one 16-feature tile (``run_bounds``).
         self.feature_runs = run_bounds(self.cond_feature)
@@ -264,8 +275,9 @@ def _leaf_index_panel(tables: ModelTables, quantiles: np.ndarray) -> np.ndarray:
 
     Every distinct split condition is tested once, into a (conditions x
     columns) panel of 0/1 bytes; each depth level then gathers its trees'
-    rows of that panel, with no compare.  The column count must be a
-    multiple of 8: the bit panels are shifted and or-ed as 64-bit words.
+    rows of that panel by a column of ``tree_cond``, with no compare.  The
+    column count must be a multiple of 8: the bit panels are shifted and
+    or-ed as 64-bit words.
     Each byte holds 0 or 1 before its shift by at most 7, so no bit carries
     into the next byte's lane.
     """
@@ -279,7 +291,7 @@ def _leaf_index_panel(tables: ModelTables, quantiles: np.ndarray) -> np.ndarray:
     idx = np.zeros(shape, dtype=np.uint8)
     bits64, idx64 = bits.view(np.uint64), idx.view(np.uint64)
     for k in range(tables.max_depth):
-        np.take(cond, tables.split_cond[k], axis=0, out=bits, mode="clip")
+        np.take(cond, tables.tree_cond[:, k], axis=0, out=bits, mode="clip")
         np.left_shift(bits64, np.uint64(k), out=bits64)
         idx64 |= bits64
     return idx
@@ -351,6 +363,8 @@ class EvalStats:
     the arrays that the largest block's stages 2-3 allocate, summed.
     ``saturated_leaves`` is the leaf bank's count of binary16 leaves clamped
     to +/-65504 (``LeafBank.saturation_count``), 0 for binary64.
+    ``nan_inputs`` and ``inf_inputs`` count the NaN and the +/-inf values of
+    the call's matrix, whether or not a split tests their feature.
     """
 
     backend: str = ""
@@ -360,6 +374,8 @@ class EvalStats:
     fold_s: float = 0.0
     scratch_bytes: int = 0
     saturated_leaves: int = 0
+    nan_inputs: int = 0
+    inf_inputs: int = 0
 
 
 class Evaluator:
@@ -427,6 +443,8 @@ class Evaluator:
             stats.backend, stats.objects, stats.blocks = self.backend, n, -(-n // size)
             stats.stage1_s, stats.fold_s = stage1_s, fold_s
             stats.saturated_leaves = self.bank.saturation_count
+            stats.nan_inputs = int(np.count_nonzero(np.isnan(matrix.values)))
+            stats.inf_inputs = int(np.count_nonzero(np.isinf(matrix.values)))
             stats.scratch_bytes = (self._numpy_scratch_bytes(n) if self._native is None
                                    else self._native.scratch_bytes(n))
         return out

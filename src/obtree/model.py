@@ -100,6 +100,10 @@ class ObliviousModel:
     bias: float
     # Set by a successful validate_model; the model is immutable, so it stays valid.
     _validated: bool = field(default=False, init=False, repr=False)
+    # Every tree's leaf values back to back, as one read-only float64 array
+    # whose consecutive spans the trees' leaf_values view, or None.  Set by
+    # the loader that made the trees so (serialize.model_from_document).
+    _leaf_span: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "float_features", tuple(self.float_features))
@@ -318,13 +322,18 @@ def byte_planes(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank:
     """Materialize the per-tree leaf tables used by the accumulation stage.
 
-    Binary64 banks are bit-exact copies of the tree leaf values.  Binary16
+    Both precisions start from all leaves back to back: a loaded model's
+    one array of them (``ObliviousModel._leaf_span``), which a binary64 bank
+    uses as it is, or else the trees' arrays concatenated.  Binary64 banks
+    hold the tree leaf values bit for bit.  Binary16
     banks hold the round-to-nearest-even conversion of each leaf, saturated
     to +/-65504: each clamp increments ``saturation_count``, and a bank with
     any is logged as a warning on the ``obtree`` logger.
     """
     require_valid(model)
-    leaves = np.concatenate([np.zeros(0)] + [tree.leaf_values for tree in model.trees])
+    leaves = model._leaf_span
+    if leaves is None:
+        leaves = np.concatenate([np.zeros(0)] + [tree.leaf_values for tree in model.trees])
     offsets = np.cumsum([0] + [tree.leaf_values.size for tree in model.trees], dtype=np.int64)
     max_abs = float(np.max(np.abs(leaves), initial=0.0))
     saturated = 0

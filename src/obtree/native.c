@@ -17,20 +17,23 @@
  * objects, so nothing past the matrix is read.
  *
  * The two fold kernels walk those masks in groups of 64 objects, one object
- * per byte lane of a 512-bit vector.  Tree by tree and group by group, the
- * tree's leaf index is built in a zmm by masked byte adds of 1 << level where
- * the level's condition holds, its leaves are selected from the tree's table
- * held as byte planes (LeafBank.planes: byte b of every leaf, back to back),
- * and added into per-object sums, so every object sums its leaves in tree
- * order.  plane_select looks one byte of all 64 objects' leaves up in one
- * plane: vpermb for depth <= 6 (the plane loaded under a mask, so nothing
- * past the table is read), vpermt2b over 128 bytes for depth 7, and two
- * vpermt2b blended by level 7's condition for depth 8.  Unpacks interleave
- * the planes into leaves: 8 planes and 24 unpacks give binary64 leaves and
- * sums; 2 planes and 2 unpacks give binary16 leaves, which vcvtph2ps widens
- * to binary32 sums.  The sums start at zero; each live object's score,
- * (double)sum * scale + bias, is written straight to the output, and nothing
- * past `live` is.
+ * per byte lane of a 512-bit vector.  The trees come in runs of equal depth
+ * (ModelTables.depth_runs), and each run is walked by code for its depth,
+ * chosen once per run.  Tree by tree, the tree's table, held as byte planes
+ * (LeafBank.planes: byte b of every leaf, back to back), is loaded into
+ * registers once; then, group by group, the tree's leaf index is built in a
+ * zmm by masked byte adds of 1 << level where the level's condition holds
+ * (the tree's row of ModelTables.tree_cond names each level's condition),
+ * its leaves are selected from the loaded planes and added into per-object
+ * sums, so every object sums its leaves in tree order.  plane_select looks
+ * one byte of all 64 objects' leaves up in one plane: vpermb for depth <= 6
+ * (the plane loaded under a mask, so nothing past the table is read),
+ * vpermt2b over 128 bytes for depth 7, and two vpermt2b blended by level
+ * 7's condition for depth 8.  Unpacks interleave the planes into leaves:
+ * 8 planes and 24 unpacks give binary64 leaves and sums; 2 planes and 2
+ * unpacks give binary16 leaves, which vcvtph2ps widens to binary32 sums.
+ * The sums start at zero; each live object's score, (double)sum * scale +
+ * bias, is written straight to the output, and nothing past `live` is.
  *
  * Bit identity with the scalar oracle needs the IEEE default environment:
  * no flush-to-zero or denormals-are-zero mode, adds and the score's multiply
@@ -46,14 +49,17 @@
  * own pointers and ranges.  Condition c is "value of feature cond_feature[c]
  * > cond_border[c]", cond_feature ascending; run r of conditions, [runs[r],
  * runs[r + 1]), is one feature's (feature_major) or one 16-feature tile's
- * (object-major input).  split_cond is (levels x n_trees), one row of
- * condition numbers per level.  Tree t's leaves are the `width` byte planes
- * of 2**depth bytes at planes + width * offsets[t]. */
+ * (object-major input).  Row t of tree_cond, 8 condition numbers, holds
+ * tree t's condition of each level; levels past its depth hold a condition
+ * that never holds, and are not read here.  Run r of trees, [depth_runs[r],
+ * depth_runs[r + 1]), is a run of equal depth.  Tree t's leaves are the
+ * `width` byte planes of 2**depth bytes at planes + width * offsets[t]. */
 typedef struct {
-    const int64_t *cond_feature, *runs, *split_cond, *offsets;
+    const int64_t *cond_feature, *runs, *offsets, *depth_runs;
+    const int32_t *tree_cond;
     const float *cond_border;
     const uint8_t *planes;
-    int64_t n_cond, n_features, n_runs, feature_major, n_trees;
+    int64_t n_cond, n_features, n_runs, feature_major, n_depth_runs;
     double scale, bias;
 } obtree_model;
 
@@ -197,7 +203,7 @@ KERNEL void obtree_binarize(const obtree_model *m, const float *values, int64_t 
  * lane: bit[k] = 1 << k is added in the lanes where level k's condition
  * holds. */
 KERNEL static inline __attribute__((always_inline)) __m512i leaf_index(
-    const uint64_t *masks, const int64_t *cond, int levels, const __m512i *bit)
+    const uint64_t *masks, const int32_t *cond, int levels, const __m512i *bit)
 {
     __m512i idx = _mm512_setzero_si512();
     for (int k = 0; k < levels; k++)
@@ -205,19 +211,32 @@ KERNEL static inline __attribute__((always_inline)) __m512i leaf_index(
     return idx;
 }
 
-/* Byte lane o: the byte of leaf idx[o] (bits 0-6), or of leaf idx[o] + 128
- * where bit o of level7 is set, from a byte plane of 2**depth bytes at p. */
-KERNEL static inline __attribute__((always_inline)) __m512i plane_select(
-    const uint8_t *p, int depth, __m512i idx, __mmask64 level7)
+/* A byte plane of 2**depth bytes at p as the vectors plane_select reads:
+ * one for depth <= 6, loaded under a mask so that nothing past the table is
+ * read, two for depth 7 and four for depth 8. */
+KERNEL static inline __attribute__((always_inline)) void load_plane(
+    const uint8_t *p, int depth, __m512i v[4])
 {
     if (depth <= 6)
-        return _mm512_permutexvar_epi8(
-            idx, _mm512_maskz_loadu_epi8(~0ULL >> (64 - (1 << depth)), p));
-    __m512i r = _mm512_permutex2var_epi8(_mm512_loadu_si512(p), idx, _mm512_loadu_si512(p + 64));
+        v[0] = _mm512_maskz_loadu_epi8(~0ULL >> (64 - (1 << depth)), p);
+    else
+        for (int i = 0; i < 1 << (depth - 6); i++)
+            v[i] = _mm512_loadu_si512(p + 64 * i);
+}
+
+/* Byte lane o: the byte of leaf idx[o] (bits 0-6), or of leaf idx[o] + 128
+ * where bit o of level7 is set, from the vectors v of one byte plane:
+ * vpermb for depth <= 6, vpermt2b over 128 bytes for depth 7, and two
+ * vpermt2b blended by level 7's condition for depth 8. */
+KERNEL static inline __attribute__((always_inline)) __m512i plane_select(
+    const __m512i v[4], int depth, __m512i idx, __mmask64 level7)
+{
+    if (depth <= 6)
+        return _mm512_permutexvar_epi8(idx, v[0]);
+    __m512i r = _mm512_permutex2var_epi8(v[0], idx, v[1]);
     if (depth == 7)
         return r;
-    return _mm512_mask_blend_epi8(level7, r, _mm512_permutex2var_epi8(
-        _mm512_loadu_si512(p + 128), idx, _mm512_loadu_si512(p + 192)));
+    return _mm512_mask_blend_epi8(level7, r, _mm512_permutex2var_epi8(v[2], idx, v[3]));
 }
 
 /* Turns `width` (2 or 8) byte planes x[b] into words of `width` bytes, byte
@@ -258,33 +277,40 @@ KERNEL static void lane_order(int width, uint8_t order[64])
         order[j] = bytes[width * j];
 }
 
-/* Adds one tree's leaves to the sums of `groups` 64-object groups, for
- * fold() below: the tree's `width` byte planes are at `tree`, its levels'
- * conditions `cond`. */
-KERNEL static inline __attribute__((always_inline)) void fold_tree(
-    const uint8_t *tree, int depth, const int64_t *cond, const uint64_t *masks, int64_t n_cond,
+/* Adds the leaves of trees [t0, t1), all of one depth, to the sums of
+ * `groups` 64-object groups, for fold_groups() below.  Each tree's `width`
+ * byte planes are loaded once, then serve the selects of every group. */
+KERNEL static inline __attribute__((always_inline)) void fold_run(
+    const obtree_model *m, int64_t t0, int64_t t1, int depth, const uint64_t *masks,
     int64_t groups, int width, const __m512i *bit, char *sum)
 {
-    for (int64_t g = 0; g < groups; g++) {
-        const uint64_t *group = masks + g * n_cond;
-        __m512i idx = leaf_index(group, cond, depth < 7 ? depth : 7, bit);
-        __mmask64 level7 = _cvtu64_mask64(depth == 8 ? group[cond[7]] : 0);
-        __m512i x[8];
+    const uint8_t *tree = m->planes + width * m->offsets[t0];
+    for (int64_t t = t0; t < t1; t++, tree += width << depth) {
+        const int32_t *cond = m->tree_cond + 8 * t;
+        __m512i plane[8][4];
         for (int b = 0; b < width; b++)
-            x[b] = plane_select(tree + (b << depth), depth, idx, level7);
-        interleave(x, width);
-        char *s = sum + 64 * g * (width == 8 ? 8 : 4);
-        if (width == 8)
-            for (int j = 0; j < 8; j++)
-                _mm512_storeu_pd(s + 64 * j, _mm512_add_pd(_mm512_loadu_pd(s + 64 * j),
-                                                           _mm512_castsi512_pd(x[j])));
-        else
-            for (int j = 0; j < 4; j++) {
-                __m256i h = j & 1 ? _mm512_extracti64x4_epi64(x[j / 2], 1)
-                                  : _mm512_castsi512_si256(x[j / 2]);
-                _mm512_storeu_ps(s + 64 * j, _mm512_add_ps(_mm512_loadu_ps(s + 64 * j),
-                                                           _mm512_cvtph_ps(h)));
-            }
+            load_plane(tree + (b << depth), depth, plane[b]);
+        for (int64_t g = 0; g < groups; g++) {
+            const uint64_t *group = masks + g * m->n_cond;
+            __m512i idx = leaf_index(group, cond, depth < 7 ? depth : 7, bit);
+            __mmask64 level7 = _cvtu64_mask64(depth == 8 ? group[cond[7]] : 0);
+            __m512i x[8];
+            for (int b = 0; b < width; b++)
+                x[b] = plane_select(plane[b], depth, idx, level7);
+            interleave(x, width);
+            char *s = sum + 64 * g * (width == 8 ? 8 : 4);
+            if (width == 8)
+                for (int j = 0; j < 8; j++)
+                    _mm512_storeu_pd(s + 64 * j, _mm512_add_pd(_mm512_loadu_pd(s + 64 * j),
+                                                               _mm512_castsi512_pd(x[j])));
+            else
+                for (int j = 0; j < 4; j++) {
+                    __m256i h = j & 1 ? _mm512_extracti64x4_epi64(x[j / 2], 1)
+                                      : _mm512_castsi512_si256(x[j / 2]);
+                    _mm512_storeu_ps(s + 64 * j, _mm512_add_ps(_mm512_loadu_ps(s + 64 * j),
+                                                               _mm512_cvtph_ps(h)));
+                }
+        }
     }
 }
 
@@ -297,23 +323,17 @@ KERNEL static inline __attribute__((always_inline)) void fold_groups(
     const obtree_model *m, const uint64_t *masks, int64_t live, int width,
     const uint8_t *order, const __m512i *bit, double *out)
 {
-    const int64_t *split_cond = m->split_cond, *offsets = m->offsets;
-    int64_t n_cond = m->n_cond, n_trees = m->n_trees;
+    const int64_t *depth_runs = m->depth_runs, *offsets = m->offsets;
     int64_t groups = (live + 63) / 64;
     int item = width == 8 ? 8 : 4;
     char sum[MAX_GROUPS * 64 * 8];
-    int64_t cond[8];
     memset(sum, 0, (size_t)(groups * 64 * item));
-    for (int64_t t = 0; t < n_trees; t++) {
-        /* The tree's depth and the condition number of each of its levels. */
-        int depth = __builtin_ctzll((unsigned long long)(offsets[t + 1] - offsets[t]));
-        for (int k = 0; k < depth; k++)
-            cond[k] = split_cond[k * n_trees + t];
-        const uint8_t *tree = m->planes + width * offsets[t];
-        /* A constant depth in each fold_tree: about 10% faster than one
-         * fold_tree over a variable depth. */
-        switch (depth) {
-#define DEPTH(d) case d: fold_tree(tree, d, cond, masks, n_cond, groups, width, bit, sum); break;
+    for (int64_t r = 0; r < m->n_depth_runs; r++) {
+        int64_t t0 = depth_runs[r], t1 = depth_runs[r + 1];
+        /* A constant depth in each fold_run: about 10% faster than one loop
+         * over a variable depth. */
+        switch (__builtin_ctzll((unsigned long long)(offsets[t0 + 1] - offsets[t0]))) {
+#define DEPTH(d) case d: fold_run(m, t0, t1, d, masks, groups, width, bit, sum); break;
         DEPTH(1) DEPTH(2) DEPTH(3) DEPTH(4) DEPTH(5) DEPTH(6) DEPTH(7) DEPTH(8)
 #undef DEPTH
         }

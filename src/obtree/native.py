@@ -57,10 +57,10 @@ class _Model(ctypes.Structure):
     """``obtree_model`` of ``native.c``: a model as the kernels read it."""
 
     _fields_ = [
-        ("cond_feature", _ptr), ("runs", _ptr), ("split_cond", _ptr), ("offsets", _ptr),
-        ("cond_border", _ptr), ("planes", _ptr), ("n_cond", _i64), ("n_features", _i64),
-        ("n_runs", _i64), ("feature_major", _i64), ("n_trees", _i64),
-        ("scale", ctypes.c_double), ("bias", ctypes.c_double),
+        ("cond_feature", _ptr), ("runs", _ptr), ("offsets", _ptr), ("depth_runs", _ptr),
+        ("tree_cond", _ptr), ("cond_border", _ptr), ("planes", _ptr), ("n_cond", _i64),
+        ("n_features", _i64), ("n_runs", _i64), ("feature_major", _i64),
+        ("n_depth_runs", _i64), ("scale", ctypes.c_double), ("bias", ctypes.c_double),
     ]
 
 
@@ -96,10 +96,15 @@ class BoundKernels:
     def __init__(self, binarize, fold, tables, bank: LeafBank, groups: int):
         for array, dtype in (
             (tables.cond_feature, np.intp), (tables.cond_border, np.float32),
-            (tables.split_cond, np.intp), (tables.feature_runs, np.int64),
-            (tables.tile_runs, np.int64), (bank.offsets, np.int64), (bank.planes, np.uint8),
+            (tables.tree_cond, np.int32), (tables.depth_runs, np.int64),
+            (tables.feature_runs, np.int64), (tables.tile_runs, np.int64),
+            (bank.offsets, np.int64), (bank.planes, np.uint8),
         ):
             _require(array, dtype)
+        # The fold reads a condition row and a table for each of the bank's trees.
+        if tables.tree_cond.shape != (bank.n_trees, 8) or tables.depth_runs[-1] != bank.n_trees:
+            raise ValueError(f"native kernels: a bank of {bank.n_trees} trees for tables of "
+                             f"{tables.tree_cond.shape[0]}")
         self.table = tables.border_table
         self._binarize, self._fold, self._groups = binarize, fold, groups
         self._held = (tables, bank)
@@ -109,10 +114,11 @@ class BoundKernels:
         # One struct per input layout, indexed by "is feature-major".
         self._models = tuple(
             _Model(
-                tables.cond_feature.ctypes.data, runs.ctypes.data, tables.split_cond.ctypes.data,
-                bank.offsets.ctypes.data, tables.cond_border.ctypes.data, bank.planes.ctypes.data,
-                self._n_cond, self._n_features, runs.size - 1, feature_major,
-                tables.n_trees, tables.model.scale, tables.model.bias,
+                tables.cond_feature.ctypes.data, runs.ctypes.data, bank.offsets.ctypes.data,
+                tables.depth_runs.ctypes.data, tables.tree_cond.ctypes.data,
+                tables.cond_border.ctypes.data, bank.planes.ctypes.data, self._n_cond,
+                self._n_features, runs.size - 1, feature_major, tables.depth_runs.size - 1,
+                tables.model.scale, tables.model.bias,
             )
             for feature_major, runs in ((False, tables.tile_runs), (True, tables.feature_runs))
         )

@@ -175,14 +175,16 @@ def _tree(entry: Any, where: str) -> ObliviousTree:
     return ObliviousTree(depth=depth, splits=tuple(splits), leaf_values=leaves)
 
 
-def _trees(entries: list) -> list[ObliviousTree] | None:
+def _trees(entries: list) -> tuple[list[ObliviousTree], np.ndarray] | None:
     """Every tree of a document, each field checked and decoded for all trees
-    at once, or None if any field is missing, of another type than ``_tree``
-    takes without a conversion, or not hex digits of whole values.
+    at once, and the read-only float64 array of all their leaves, or None if
+    any field is missing, of another type than ``_tree`` takes without a
+    conversion, or not hex digits of whole values.
 
-    The leaves of all trees are decoded into one array, one
-    ``bytes.fromhex`` per tree, and the trees' leaf values view it.  Equal
-    split conditions are one shared ``SplitCondition``, which is immutable.
+    The leaves of all trees are decoded into that array, one
+    ``bytes.fromhex`` per tree, and each tree's leaf values view its next
+    span.  Equal split conditions are one shared ``SplitCondition``, which
+    is immutable.
     """
     if not of_types(entries, {dict}):
         return None
@@ -221,6 +223,7 @@ def _trees(entries: list) -> list[ObliviousTree] | None:
         return None
     leaves = np.frombuffer(buffer, dtype=">f8")
     leaves = leaves.byteswap(inplace=True).view(leaves.dtype.newbyteorder())
+    leaves.flags.writeable = False
     # The pairs are made one at a time and not kept: a list of them all
     # would hold tens of thousands of objects for the garbage collector to scan.
     shared = {key: SplitCondition(*key) for key in set(zip(features, ordinals))}
@@ -230,7 +233,7 @@ def _trees(entries: list) -> list[ObliviousTree] | None:
         ObliviousTree(depth, tuple(conditions[s0:s1]), leaves[d0 // 16 : d1 // 16])
         for depth, s0, s1, d0, d1 in zip(
             depths, split_ends, split_ends[1:], digit_ends, digit_ends[1:])
-    ]
+    ], leaves
 
 
 def model_from_document(doc: Any) -> ObliviousModel:
@@ -247,9 +250,10 @@ def model_from_document(doc: Any) -> ObliviousModel:
         borders = _hex_array(borders_hex, ">f4", f"{where}.borders_hex")
         float_features.append(FloatFeatureBorders(feature_index=index, borders=borders))
 
-    parsed_trees = _trees(trees)
-    if parsed_trees is None:
-        parsed_trees = [_tree(entry, f"trees[{t}]") for t, entry in enumerate(trees)]
+    parsed = _trees(trees)
+    if parsed is None:
+        parsed = [_tree(entry, f"trees[{t}]") for t, entry in enumerate(trees)], None
+    parsed_trees, leaf_span = parsed
 
     model = ObliviousModel(
         float_features=tuple(float_features),
@@ -257,6 +261,7 @@ def model_from_document(doc: Any) -> ObliviousModel:
         scale=scale,
         bias=bias,
     )
+    object.__setattr__(model, "_leaf_span", leaf_span)
     errors = validate_model(model)
     if errors:
         raise ModelFormatError("document parses but model is invalid: " + "; ".join(errors))

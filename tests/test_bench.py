@@ -342,6 +342,39 @@ class TestCli:
         (line,) = [x for x in out.read_text().splitlines() if x.startswith("# load_s: ")]
         assert float(line.removeprefix("# load_s: ")) > 0
 
+    def test_json_record_parses_back_and_names_every_case(self, capsys):
+        code = main([
+            "--synthetic", "4,5,6,3,77", "--batch", "8..24:16", "--reps", "3",
+            "--strategy", "all", "--layout", "both", "--format", "json", "--quiet",
+        ])
+        assert code == 0
+        record = json.loads(capsys.readouterr().out)
+        expected = [c.case_id for c in build_cases(
+            bench._build_parser().parse_args(["--batch", "8..24:16", "--reps", "3"]))]
+        assert [case["case_id"] for case in record["cases"]] == expected
+        assert len(expected) == 2 * len(LeafStrategy) * 2
+        for key in ("block_size", "backend", "src_lines", "load_s", "cpu_isa_flags", "clock",
+                    "numpy", "python", "model"):
+            assert key in record, key
+        assert record["block_size"] == EvalConfig.block_size and record["load_s"] > 0
+        for case in record["cases"]:
+            assert set(case) == {"case_id", "strategy", "layout", "batch", "reps", "inner",
+                                 "mean_ms", "std_ms", "d", "verified"}
+            assert case["verified"] is True and case["mean_ms"] > 0 and case["reps"] == 3
+            assert case["case_id"].startswith(case["strategy"] + "-")
+        assert record["cases"][0]["d"] == 0.0
+
+    def test_json_record_of_a_failed_case_holds_no_timing(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench, "_verify", lambda preds, oracle: False)
+        out = tmp_path / "report.json"
+        code = main(["--synthetic", "4,5,6,3,77", "--batch", "8", "--reps", "3",
+                     "--strategy", "naive", "--layout", "object-major", "--format", "json",
+                     "--out", str(out), "--quiet"])
+        assert code == 1
+        (case,) = json.loads(out.read_text())["cases"]
+        assert case["verified"] is False
+        assert (case["mean_ms"], case["std_ms"], case["d"]) == (None, None, None)
+
     def test_missing_model_file_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["--model", "/no/such/model.json", "--quiet"])

@@ -29,7 +29,7 @@ from obtree import (
     plan_blocks,
 )
 from obtree.evaluate import _ROW_ORDER_REDUCE, Evaluator, ModelTables, _widen_binary16
-from obtree.model import ObliviousModel, ObliviousTree, FloatFeatureBorders
+from obtree.model import ObliviousModel, ObliviousTree, FloatFeatureBorders, run_bounds
 
 
 def corpus_model(seed, n_features=10, borders=12, trees=40, depth=6):
@@ -395,3 +395,114 @@ class TestWholeEvaluationMatchesOracle:
         )
         for evaluator in each_backend(model, config):
             assert_bits_equal(evaluator.predict(matrix), oracle, (evaluator.backend, config))
+
+
+# Runs of equal depth as the fold walks them: runs of one tree, depth 8
+# straight after shallower trees, and a depth that recurs after others.
+_WALK_DEPTHS = [8, 8, 3, 3, 3, 8, 1, 6, 6, 7, 2]
+
+
+def walk_model(depths=_WALK_DEPTHS, scale=1.0, bias=0.0) -> ObliviousModel:
+    rng = np.random.default_rng(len(depths))
+    borders = np.linspace(-1.0, 1.0, 9, dtype=np.float32)
+    features = tuple(FloatFeatureBorders(i, borders) for i in range(4))
+    trees = tuple(
+        ObliviousTree(depth, tuple(SplitCondition(int(rng.integers(4)), int(rng.integers(9)))
+                                   for _ in range(depth)), rng.normal(0.0, 3.0, 1 << depth))
+        for depth in depths
+    )
+    return ObliviousModel(features, trees, scale, bias)
+
+
+class TestTreeWalk:
+    """The trees as both backends walk them: one condition row per tree
+    (``tree_cond``) and runs of equal depth (``depth_runs``)."""
+
+    @pytest.mark.parametrize("depths, sentinel", [
+        (_WALK_DEPTHS, True), ([3, 1, 3], True), ([2, 2], False), ([], False),
+    ])
+    def test_tree_cond_rows_hold_each_trees_splits(self, depths, sentinel):
+        model = walk_model(depths)
+        tables = ModelTables(model)
+        assert tables.tree_cond.dtype == np.int32 and tables.tree_cond.flags.c_contiguous
+        assert tables.tree_cond.shape == (len(depths), 8)
+        never = np.flatnonzero(tables.cond_border == np.inf)
+        assert never.size == sentinel
+        deepest = max(depths, default=0)
+        for t, tree in enumerate(model.trees):
+            row = tables.tree_cond[t]
+            for k, split in enumerate(tree.splits):
+                c = row[k]
+                assert tables.cond_feature[c] == split.feature_index, (t, k)
+                assert tables.cond_ordinal[c, 0] == split.border_ordinal, (t, k)
+                borders = model.float_features[split.feature_index].borders
+                assert tables.cond_border[c] == borders[split.border_ordinal], (t, k)
+            assert row[tree.depth : deepest].tolist() == never.tolist() * (deepest - tree.depth)
+            assert row[deepest:].tolist() == [-1] * (8 - deepest)
+
+    def test_depth_runs_are_the_run_bounds_of_the_depths(self):
+        tables = ModelTables(walk_model())
+        assert tables.depth_runs.dtype == np.int64
+        assert tables.depth_runs.tolist() == run_bounds(np.array(_WALK_DEPTHS)).tolist()
+        assert tables.depth_runs.tolist() == [0, 2, 5, 6, 7, 9, 10, 11]
+        assert ModelTables(walk_model([])).depth_runs.tolist() == [0]
+
+    @pytest.mark.parametrize("precision", list(LeafPrecision))
+    def test_runs_of_mixed_depths_match_oracle(self, each_backend, precision):
+        model = walk_model(scale=-0.75, bias=0.5)
+        source = generate_feature_matrix(1000, model.n_features, seed=4, nan_fraction=0.02)
+        oracle = evaluate_scalar(model, source, precision)
+        strategy = (LeafStrategy.NAIVE if precision is LeafPrecision.BINARY64
+                    else LeafStrategy.PERMUTE16)
+        for evaluator in each_backend(model, EvalConfig(strategy)):
+            for n in (1, 63, 64, 65, 127, 128, 129, 1000):
+                prefix = FeatureMatrix(source.values[:n], Layout.OBJECT_MAJOR)
+                for matrix in (prefix, prefix.transposed()):
+                    assert_bits_equal(evaluator.predict(matrix), oracle[:n],
+                                      (evaluator.backend, n, matrix.layout))
+
+
+class TestInputCounts:
+    """``EvalStats.nan_inputs`` and ``inf_inputs``."""
+
+    @staticmethod
+    def planted():
+        raw = generate_feature_matrix(300, 4, seed=3).values.copy()
+        cells = np.random.default_rng(8).choice(raw.size, 16, replace=False)
+        flat = raw.reshape(-1)
+        flat[cells[:7]] = np.nan
+        flat[cells[7:12]] = np.inf
+        flat[cells[12:]] = -np.inf
+        return raw
+
+    def test_stats_count_planted_nan_and_inf_without_changing_bits(self, each_backend):
+        model = walk_model()
+        raw = self.planted()
+        source = FeatureMatrix(raw, Layout.OBJECT_MAJOR)
+        for strategy in (LeafStrategy.NAIVE, LeafStrategy.PERMUTE16):
+            oracle = evaluate_scalar(model, source, strategy.precision)
+            for evaluator in each_backend(model, EvalConfig(strategy)):
+                for matrix in (source, source.transposed()):
+                    stats = EvalStats()
+                    context = (strategy, evaluator.backend, matrix.layout)
+                    assert_bits_equal(evaluator.predict(matrix, stats), oracle, context)
+                    assert_bits_equal(evaluator.predict(matrix), oracle, context)
+                    assert (stats.nan_inputs, stats.inf_inputs) == (7, 9), context
+                clean = EvalStats()
+                evaluator.predict(FeatureMatrix(np.zeros((5, 4)), Layout.OBJECT_MAJOR), clean)
+                assert (clean.nan_inputs, clean.inf_inputs) == (0, 0)
+
+    def test_a_call_without_stats_does_not_count(self, each_backend, monkeypatch):
+        model = walk_model()
+        matrix = FeatureMatrix(self.planted(), Layout.OBJECT_MAJOR)
+        evaluators = each_backend(model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted without stats")
+
+        monkeypatch.setattr(np, "isnan", refuse)
+        monkeypatch.setattr(np, "isinf", refuse)
+        for evaluator in evaluators:
+            evaluator.predict(matrix)
+            with pytest.raises(AssertionError, match="counted without stats"):
+                evaluator.predict(matrix, EvalStats())

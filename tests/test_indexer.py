@@ -176,7 +176,7 @@ def test_each_distinct_condition_is_tested_once():
         model = ObliviousModel(float_features=features, trees=trees, scale=1.0, bias=0.0)
         tables = ModelTables(model)
         assert tables.cond_feature.size == 3 + sentinel
-        assert tables.split_cond.shape == (3, len(trees))
+        assert tables.tree_cond.shape == (len(trees), 8)
         block = QuantizedBlock(len(features), 64)
         quantize_block(matrix, (0, matrix.n_objects), tables.border_table, block)
         panel = _leaf_index_panel(tables, block.quantiles[:, :40])

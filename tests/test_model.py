@@ -438,6 +438,38 @@ class TestLeafBank:
             assert bank.table(t).tobytes() == tree.leaf_values.tobytes()
         assert bank.values.tobytes() == b"".join(t.leaf_values.tobytes() for t in trees)
 
+    @pytest.mark.parametrize("precision", list(LeafPrecision))
+    def test_loaded_model_builds_its_bank_from_one_leaf_span(self, precision):
+        # Trees of mixed depths, with leaves that the binary16 bank saturates.
+        rng = np.random.default_rng(12)
+        depths = [3, 1, 8, 8, 5, 2, 7]
+        trees = [make_tree([(0, 0)] * d, rng.normal(0.0, 3e4, 1 << d)) for d in depths]
+        built = make_model([[0.5]], trees)
+        loaded = deserialize_model(serialize_model(built))
+        assert built._leaf_span is None
+        span = loaded._leaf_span
+        expected = np.concatenate([tree.leaf_values for tree in trees])
+        assert span.dtype == np.float64 and not span.flags.writeable
+        assert span.tobytes() == expected.tobytes()
+        start = 0
+        for tree in loaded.trees:
+            view = span[start : start + tree.leaf_values.size]
+            assert tree.leaf_values.ctypes.data == view.ctypes.data
+            start += tree.leaf_values.size
+        # The model built tree by tree concatenates its trees' leaves.
+        reference = build_leaf_bank(built, precision)
+        bank = build_leaf_bank(loaded, precision)
+        for name in ("values", "offsets", "planes"):
+            assert getattr(bank, name).tobytes() == getattr(reference, name).tobytes(), name
+        assert bank.values.dtype == reference.values.dtype
+        assert (bank.max_abs_leaf, bank.saturation_count) == (
+            reference.max_abs_leaf, reference.saturation_count)
+        assert reference.saturation_count > 0 or precision is LeafPrecision.BINARY64
+        assert not bank.values.flags.writeable
+        # A binary64 bank of the loaded model is the span itself, not a copy.
+        assert np.shares_memory(bank.values, span) == (precision is LeafPrecision.BINARY64)
+        assert not any(np.shares_memory(reference.values, tree.leaf_values) for tree in trees)
+
     def test_max_abs_leaf(self):
         trees = [make_tree([(0, 0)], [1.0, -9.5]), make_tree([(0, 0)], [3.0, 2.0])]
         bank = build_leaf_bank(make_model([[0.5]], trees), LeafPrecision.BINARY64)

@@ -368,6 +368,17 @@ def test_block_fold_rejects_objects_outside_its_block():
         evaluator._native.over(generate_feature_matrix(300, 4, seed=1), np.zeros(300))
 
 
+def test_binding_rejects_a_bank_of_other_trees():
+    evaluator = Evaluator(two_tree_model(2))
+    if evaluator.backend == "numpy":
+        pytest.skip("no avx512 backend on this host")
+    other = Evaluator(ObliviousModel(evaluator.model.float_features,
+                                     evaluator.model.trees[:1], 1.0, 0.0))
+    for tables, bank in ((evaluator.tables, other.bank), (other.tables, evaluator.bank)):
+        with pytest.raises(ValueError, match="a bank of"):
+            native.kernels().bind(tables, bank, 2)
+
+
 # Run in a child process, so that a read past the guard fails this test with
 # SIGSEGV instead of ending the test session.
 _GUARDED_READS_CHECK = textwrap.dedent(
