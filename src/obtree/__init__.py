@@ -1,13 +1,11 @@
 """obtree: single-core batch evaluation of oblivious decision-tree ensembles.
 
 The engine runs a three-stage pipeline over cache-sized blocks of objects.
-Stage 1 gives one bit per object and split condition, in either of two
-forms with the same bits: the AVX-512 backend binarizes, comparing values
-with each condition's border, and the numpy backend quantizes values to
-one-byte border counts and compares those with each split's ordinal.  The
-bits become per-tree leaf indices through branch-free bit composition, and
-leaf values are fetched and summed in binary64 or in the binary16
-leaf-precision trade-off.  ``Evaluator.predict`` fills an ``EvalStats``
+Stage 1 gives one bit per object and distinct split condition, by one
+compare of the binary32 feature value with the condition's border, on both
+the AVX-512 and the numpy backend.  The bits become per-tree leaf indices
+through branch-free bit composition, and leaf values are fetched and summed
+in binary64 or in the binary16 leaf-precision trade-off.  ``Evaluator.predict`` fills an ``EvalStats``
 with the stages' times and scratch memory when asked.  A scalar traversal
 oracle, deviation metrics and a benchmark CLI round out the package.
 """
@@ -44,7 +42,6 @@ from .oracle import (
 from .quantize import (
     FeatureMatrix,
     Layout,
-    QuantizedBlock,
     quantize_block,
     quantize_value,
 )
@@ -74,7 +71,6 @@ __all__ = [
     "ModelTables",
     "ObliviousModel",
     "ObliviousTree",
-    "QuantizedBlock",
     "SplitCondition",
     "SyntheticSpec",
     "TailPlan",

@@ -25,6 +25,7 @@ import json
 import platform
 import re
 import statistics
+import subprocess
 import sys
 import time
 from collections.abc import Callable
@@ -111,6 +112,17 @@ def _cpu_isa_flags(cpuinfo: str = "/proc/cpuinfo") -> str:
     return "unreadable"
 
 
+def _git_rev(directory: Path) -> str | None:
+    """``git rev-parse HEAD`` of the checkout holding ``directory``, or None
+    outside a checkout or where git does not run."""
+    try:
+        done = subprocess.run(["git", "-C", str(directory), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def _host_metadata() -> dict:
     package = Path(__file__).parent
     clock = time.get_clock_info("process_time")
@@ -128,6 +140,7 @@ def _host_metadata() -> dict:
             for pattern in ("*.py", "*.c")
             for path in package.glob(pattern)
         ),
+        "git_rev": _git_rev(package),
     }
 
 

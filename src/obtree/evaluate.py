@@ -16,18 +16,18 @@ run in one of two backends chosen when an ``Evaluator`` is made
   (``ModelTables.depth_runs``), read each tree's conditions from its row of
   ``ModelTables.tree_cond`` and load each tree's byte planes once for all
   the groups they fold;
-* ``numpy``: the numpy quantization search, then, for stages 2-3, array
-  operations over a (trees x objects) panel covering a block's live objects
-  rounded up to a multiple of 8, so that leaf indices are assembled on
-  64-bit words of eight byte lanes, one level at a time from a column of
-  ``ModelTables.tree_cond``.  Binary16 leaves are
-  widened to binary32 with integer operations, and per-tree contributions
-  are summed by a row-order reduce (checked by an import-time probe, with an
-  explicit row loop as the fallback), then finalized by numpy.
+* ``numpy``: array operations.  Stage 1 writes a (conditions x objects)
+  panel of 0/1 bytes; stages 2-3 gather its rows into a (trees x objects)
+  panel covering a block's live objects rounded up to a multiple of 8, so
+  that leaf indices are assembled on 64-bit words of eight byte lanes, one
+  level at a time from a column of ``ModelTables.tree_cond``.  Binary16
+  leaves are widened to binary32 with integer operations, and per-tree
+  contributions are summed by a row-order reduce (checked by an import-time
+  probe, with an explicit row loop as the fallback), then finalized by
+  numpy.
 
 Both test each distinct split condition of the model once per block (or
-group): ``avx512`` as ``value > border``, ``numpy`` as ``quantile >
-ordinal``, which agree for strictly ascending borders (``obtree.quantize``).
+group), by the one compare ``value > cond_border[c]`` (``obtree.quantize``).
 Both sum each object's leaves in tree order, so results are bit-identical
 across backends and do not depend on the block plan or the input layout.
 Given an ``EvalStats``, ``predict`` times the two stages of each block and
@@ -55,12 +55,12 @@ import numpy as np
 from . import native
 from .model import (MAX_DEPTH, LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank,
                     require_valid, run_bounds)
-from .quantize import BorderTable, FeatureMatrix, QuantizedBlock, quantize_block
+from .quantize import CONDITION_CHUNK, FeatureMatrix, quantize_block
 
 
 PERMUTE64_LANES = 8    # binary64 lanes in one 512-bit vector
 PERMUTE16_LANES = 32   # binary16 lanes in one 512-bit vector
-BYTE_LANES = 64        # quantile bytes in one 512-bit vector
+BYTE_LANES = 64        # objects per 64-bit condition mask, one per byte lane
 
 
 class LeafStrategy(Enum):
@@ -102,7 +102,9 @@ def permute_group_count(depth: int, lanes: int) -> int:
     return max(1, (1 << depth) // lanes)
 
 
-_SENTINEL_ORDINAL = 255  # quantiles are <= 254, so this condition is never true
+# The ordinal key of the sentinel condition: real ordinals are below
+# MAX_BORDERS (254), so no split shares its key.
+_SENTINEL_ORDINAL = 255
 
 
 class TailPolicy(Enum):
@@ -166,10 +168,10 @@ def plan_blocks(n_objects: int, block_size: int) -> list[tuple[int, int]]:
 class EvalConfig:
     strategy: LeafStrategy = LeafStrategy.NAIVE
 
-    # Objects per block.  At 256 or more the per-call quantized block or
-    # condition masks, which grow with the block, raise every benchmark
-    # workload's predict peak memory; at 64, deep-ensemble runs about 30%
-    # slower, streaming its leaf bank twice as often.  The fold kernels sum
+    # Objects per block.  At 256 or more the per-call condition panel or
+    # masks, which grow with the block, raise every benchmark workload's
+    # predict peak memory; at 64, deep-ensemble runs about 30% slower,
+    # streaming its leaf bank twice as often.  The fold kernels sum
     # at most 128 objects at once (MAX_GROUPS in native.c).
     block_size: ClassVar[int] = 128
     tail_policy: ClassVar[TailPolicy] = TailPolicy.SCALAR_TAIL
@@ -182,26 +184,23 @@ class EvalConfig:
 class ModelTables:
     """Derived arrays shared by every evaluation of one model.
 
-    ``border_table`` holds every feature's borders, padded for the
-    quantization search.  The split conditions form a table of distinct
-    (feature, ordinal) pairs, sorted by feature: condition ``c`` holds iff
-    quantile ``cond_feature[c]`` exceeds ``cond_ordinal[c, 0]``, that is iff
-    the feature's value exceeds ``cond_border[c]`` (binary32).  Both
-    backends read the trees' conditions from ``tree_cond``, one int32 row of
-    ``MAX_DEPTH`` (8) condition numbers per tree, level by level.  Where some
-    tree is shallower than the deepest, its levels past its depth hold the
-    sentinel condition (feature 0, ordinal 255, border +inf), which can never
-    hold and so contributes a zero bit; levels past the deepest tree's depth
-    hold -1, and no stage reads them.  ``depth_runs`` (``run_bounds``) splits
-    the trees into runs of equal depth, so that the native fold picks its
-    code for a depth once per run.  Leaf banks are built per precision on
-    first use.
+    The split conditions form a table of distinct (feature, border ordinal)
+    pairs, sorted by feature: condition ``c`` holds iff the binary32 value of
+    feature ``cond_feature[c]`` is greater than ``cond_border[c]``, the
+    border that the ordinal names.  Both backends read the trees' conditions
+    from ``tree_cond``, one int32 row of ``MAX_DEPTH`` (8) condition numbers
+    per tree, level by level.  Where some tree is shallower than the
+    deepest, its levels past its depth hold the sentinel condition (feature
+    0, ordinal 255, border +inf), which can never hold and so contributes a
+    zero bit; levels past the deepest tree's depth hold -1, and no stage
+    reads them.  ``depth_runs`` (``run_bounds``) splits the trees into runs
+    of equal depth, so that the native fold picks its code for a depth once
+    per run.  Leaf banks are built per precision on first use.
     """
 
     def __init__(self, model: ObliviousModel):
         require_valid(model)
         self.model = model
-        self.border_table = BorderTable(model.float_features)
         self.n_trees = model.n_trees
         depths = np.array([t.depth for t in model.trees], dtype=np.intp)
         self.max_depth = int(depths.max(initial=0))
@@ -216,12 +215,13 @@ class ModelTables:
             s.feature_index * 256 + s.border_ordinal for t in model.trees for s in t.splits]
         distinct, inverse = np.unique(keys, return_inverse=True)
         self.cond_feature = distinct >> 8
-        self.cond_ordinal = (distinct & 255).astype(np.uint8)[:, None]
-        self.cond_border = np.full(distinct.size, np.inf, dtype=np.float32)
-        real = self.cond_ordinal[:, 0] != _SENTINEL_ORDINAL
-        self.cond_border[real] = self.border_table.values[
-            self.border_table.offsets[self.cond_feature[real], 0] + self.cond_ordinal[real, 0]
-        ]
+        # Every feature's borders back to back, then the sentinel's +inf.
+        rows = [ff.borders for ff in model.float_features]
+        borders = np.concatenate(rows + [np.array([np.inf], dtype=np.float32)])
+        first = np.cumsum([0] + [row.size for row in rows])[self.cond_feature]
+        ordinal = distinct & 255
+        self.cond_border = borders[
+            np.where(ordinal == _SENTINEL_ORDINAL, borders.size - 1, first + ordinal)]
         self.tree_cond = np.full((self.n_trees, MAX_DEPTH), -1, dtype=np.int32)
         # The inverse's shape differs across numpy 2.x releases.
         self.tree_cond[:, : self.max_depth] = inverse.reshape(keys.shape)
@@ -259,6 +259,10 @@ _ROW_ORDER_REDUCE = {
 # column that np.add.reduce would sum pairwise.
 _PANEL_COLUMNS = 8
 
+# Trees per leaf take of the numpy stage 2: their flat leaf offsets, 8 bytes
+# per tree and object, are the take's only scratch.
+_TREE_CHUNK = 128
+
 
 def _fold_rows(contrib: np.ndarray, acc: np.ndarray) -> None:
     """acc += the first ``acc.size`` columns of ``contrib``'s rows, in tree order."""
@@ -270,27 +274,24 @@ def _fold_rows(contrib: np.ndarray, acc: np.ndarray) -> None:
             acc += row[:live]
 
 
-def _leaf_index_panel(tables: ModelTables, quantiles: np.ndarray) -> np.ndarray:
-    """(trees x columns) leaf indices from a quantile segment, branch-free.
+def _leaf_index_panel(tables: ModelTables, cond: np.ndarray) -> np.ndarray:
+    """(trees x columns) leaf indices from a C-contiguous condition panel, branch-free.
 
-    Every distinct split condition is tested once, into a (conditions x
-    columns) panel of 0/1 bytes; each depth level then gathers its trees'
-    rows of that panel by a column of ``tree_cond``, with no compare.  The
-    column count must be a multiple of 8: the bit panels are shifted and
-    or-ed as 64-bit words.
-    Each byte holds 0 or 1 before its shift by at most 7, so no bit carries
-    into the next byte's lane.
+    ``cond`` is stage 1's (conditions x columns) panel of 0/1 bytes; each
+    depth level gathers its trees' rows of it by a column of ``tree_cond``,
+    with no compare.  The column count must be a multiple of 8: the bit
+    panels are shifted and or-ed as 64-bit words.  Each byte holds 0 or 1
+    before its shift by at most 7, so no bit carries into the next byte's
+    lane.
     """
-    # Feature and condition numbers are in range, so mode="clip" only skips
-    # the bounds check; with out=, the default mode would also copy the rows
-    # through a temporary buffer.
-    cond = np.take(quantiles, tables.cond_feature, axis=0, mode="clip")
-    np.greater(cond, tables.cond_ordinal, out=cond)
-    shape = (tables.n_trees, quantiles.shape[1])
+    shape = (tables.n_trees, cond.shape[1])
     bits = np.empty(shape, dtype=np.uint8)
     idx = np.zeros(shape, dtype=np.uint8)
     bits64, idx64 = bits.view(np.uint64), idx.view(np.uint64)
     for k in range(tables.max_depth):
+        # Condition numbers are in range, so mode="clip" only skips the
+        # bounds check; with out=, the default mode would also copy the rows
+        # through a temporary buffer.
         np.take(cond, tables.tree_cond[:, k], axis=0, out=bits, mode="clip")
         np.left_shift(bits64, np.uint64(k), out=bits64)
         idx64 |= bits64
@@ -318,30 +319,38 @@ def _widen_binary16(half: np.ndarray) -> np.ndarray:
 def _fold_block_segment(
     tables: ModelTables,
     bank: LeafBank,
-    quantiles: np.ndarray,
+    panel: np.ndarray,
     out: np.ndarray,
     begin: int,
     end: int,
 ) -> None:
     """Run the numpy stages 2 and 3 for objects [begin, end) of a call, into ``out[begin:end]``.
 
-    ``quantiles`` is the whole ``QuantizedBlock`` array holding those
-    objects in its first ``end - begin`` columns.  The stages run on the
-    live columns rounded up to a multiple of 8 (the block size is a multiple
-    of 8, so the extra columns are the block's zeroed padding): the leaf
-    load is one indexed take from the bank in its own precision, and
-    binary16 leaves widen to binary32 (``_widen_binary16``) before the fold
-    into the block's sums, which become scores as in the oracle: converted
-    to binary64, multiplied by ``scale``, then ``bias`` added.
+    ``panel`` is stage 1's condition panel holding those objects in its
+    first ``end - begin`` columns.  The stages run on the live columns
+    rounded up to a multiple of 8 (the panel's width is a multiple of 8, so
+    the extra columns are its cleared padding): the leaves are loaded by
+    indexed takes from the bank in its own precision, ``_TREE_CHUNK`` trees
+    at a time, and binary16 leaves widen to binary32 (``_widen_binary16``)
+    before the fold into the block's sums, which become scores as in the
+    oracle: converted to binary64, multiplied by ``scale``, then ``bias``
+    added.
     """
     cols = -(-(end - begin) // _PANEL_COLUMNS) * _PANEL_COLUMNS
-    idx = _leaf_index_panel(tables, quantiles[:, :cols])
-    flat = np.add(bank.offsets[:-1, None], idx, dtype=np.intp)
+    # Only a partial last block's columns are not contiguous; np.take would
+    # copy them once per level.
+    idx = _leaf_index_panel(tables, np.ascontiguousarray(panel[:, :cols]))
+    contrib = np.empty(idx.shape, dtype=bank.values.dtype)
+    starts = bank.offsets[:-1, None]
+    for first in range(0, tables.n_trees, _TREE_CHUNK):
+        last = first + _TREE_CHUNK
+        # np.add(..., dtype=np.intp) would also make a cast copy of the indices.
+        flat = idx[first:last].astype(np.intp)
+        flat += starts[first:last]
+        # Indices are in range by construction, so mode="clip" only skips
+        # the bounds check.
+        np.take(bank.values, flat, out=contrib[first:last], mode="clip")
     del idx
-    # Indices are in range by construction, so mode="clip" only skips the
-    # bounds check.
-    contrib = np.take(bank.values, flat, mode="clip")
-    del flat
     if bank.precision is LeafPrecision.BINARY16:
         contrib = _widen_binary16(contrib)
     sums = np.zeros(end - begin, dtype=contrib.dtype)
@@ -359,8 +368,8 @@ class EvalStats:
     and ``fold_s`` in stages 2-3 and finalize, each summed over the blocks
     with ``time.perf_counter``.  ``scratch_bytes`` is the per-call memory
     besides the input and the scores: on ``avx512`` the condition masks and
-    the fold kernel's sums on the C stack; on numpy the quantized block and
-    the arrays that the largest block's stages 2-3 allocate, summed.
+    the fold kernel's sums on the C stack; on numpy the arrays that the
+    largest block's stages 1-3 allocate, summed.
     ``saturated_leaves`` is the leaf bank's count of binary16 leaves clamped
     to +/-65504 (``LeafBank.saturation_count``), 0 for binary64.
     ``nan_inputs`` and ``inf_inputs`` count the NaN and the +/-inf values of
@@ -419,21 +428,22 @@ class Evaluator:
             )
         n = matrix.n_objects
         out = np.empty(n, dtype=np.float64)
+        size, tables, timed = EvalConfig.block_size, self.tables, stats is not None
         if self._native is None:
-            block, binarize = QuantizedBlock(model.n_features, EvalConfig.block_size), None
+            cols = -(-min(n, size) // _PANEL_COLUMNS) * _PANEL_COLUMNS
+            block, binarize = np.empty((tables.cond_border.size, cols), dtype=np.uint8), None
 
             def fold(begin: int, end: int) -> None:
-                _fold_block_segment(self.tables, self.bank, block.quantiles, out, begin, end)
+                _fold_block_segment(self.tables, self.bank, block, out, begin, end)
         else:
             block, binarize, fold = self._native.over(matrix, out)
 
-        size, table, timed = EvalConfig.block_size, self.tables.border_table, stats is not None
         stage1_s = fold_s = 0.0
         # The blocks of plan_blocks(n, size), without building its list.
         for begin in range(0, n, size):
             end = min(begin + size, n)
             started = time.perf_counter() if timed else 0.0
-            quantize_block(matrix, (begin, end), table, block, binarize)
+            quantize_block(matrix, (begin, end), tables, block, binarize)
             quantized = time.perf_counter() if timed else 0.0
             fold(begin, end)
             if timed:
@@ -450,18 +460,21 @@ class Evaluator:
         return out
 
     def _numpy_scratch_bytes(self, n: int) -> int:
-        """The quantized block, and the arrays ``_fold_block_segment`` allocates
-        for the largest block of ``n`` objects, summed: the condition panel,
-        the bits and leaf indices, the flat leaf offsets, the leaf values
-        (binary16 ones and their binary32 widening) and the sums."""
+        """The arrays of the numpy stages for the largest block of ``n``
+        objects, summed, though not all are live at once: the condition
+        panel, stage 1's contiguous copy of the block's values and its
+        buffer of ``CONDITION_CHUNK`` conditions, and stage 2's bits and leaf
+        indices, one chunk of flat leaf offsets, the leaf values (binary16
+        ones and their binary32 widening) and the sums."""
         live = min(n, EvalConfig.block_size)
         cols = -(-live // _PANEL_COLUMNS) * _PANEL_COLUMNS
+        n_cond, n_trees = self.tables.cond_border.size, self.tables.n_trees
         item = self.bank.values.itemsize
         wide = 4 if self.bank.precision is LeafPrecision.BINARY16 else 0
-        per_tree = 2 + np.dtype(np.intp).itemsize + item + wide
-        return (self.tables.model.n_features * EvalConfig.block_size
-                + cols * (self.tables.cond_border.size + self.tables.n_trees * per_tree)
-                + live * (wide or item))
+        stage1 = live * 4 * (self.tables.model.n_features + min(CONDITION_CHUNK, n_cond))
+        stage2 = (cols * (n_trees * (2 + item + wide) + 8 * min(_TREE_CHUNK, n_trees))
+                  + live * (wide or item))
+        return cols * n_cond + stage1 + stage2
 
 
 def evaluate(

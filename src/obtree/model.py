@@ -4,8 +4,7 @@ An oblivious tree tests one condition per depth level, so a tree of depth
 ``h`` is fully described by ``h`` split conditions plus a table of ``2**h``
 leaf values.  A split condition is a (feature, border ordinal) pair: it is
 true for an object iff the object's raw feature value strictly exceeds the
-border at that ordinal, equivalently iff the object's one-byte quantile for
-that feature strictly exceeds the ordinal.
+border at that ordinal.
 
 All types are immutable after construction (ndarray payloads are marked
 read-only), so models can be shared freely across threads.
@@ -22,7 +21,7 @@ import numpy as np
 
 log = logging.getLogger("obtree")
 
-MAX_BORDERS = 254   # quantiles must fit one byte with every comparison representable
+MAX_BORDERS = 254   # ordinals and border counts stay below 255, the sentinel's ordinal
 MAX_DEPTH = 8       # leaf indices must fit one byte
 
 
@@ -41,8 +40,7 @@ class FloatFeatureBorders:
     """Sorted split thresholds for one float feature.
 
     ``borders`` must be strictly ascending binary32 values, at most 254 of
-    them, so that the per-feature quantile (count of crossed borders) always
-    fits in one byte.
+    them (``border_row_errors``).
     """
 
     feature_index: int
@@ -63,7 +61,7 @@ class FloatFeatureBorders:
 
 @dataclass(frozen=True)
 class SplitCondition:
-    """One oblivious split: true iff quantile(feature) > border_ordinal."""
+    """One oblivious split: true iff value(feature) > borders[border_ordinal]."""
 
     feature_index: int
     border_ordinal: int
@@ -135,10 +133,14 @@ def _bits64(x: float) -> int:
 
 
 def border_row_errors(borders: np.ndarray) -> list[str]:
-    """Why one feature's binary32 borders cannot be quantized against (empty = ok).
+    """Why one feature's binary32 borders cannot be split on (empty = ok).
 
-    Quantization counts crossed borders with a search that is only correct
-    on a strictly ascending row, and the count must fit one byte.
+    A row is the feature's sorted thresholds: a NaN border, which no value
+    exceeds, or a repeated or descending one marks a malformed model.  The
+    limit of 254 borders keeps every ordinal, and every count of borders a
+    value exceeds (``quantize_value``), below 255: ``ModelTables`` keys its
+    never-true sentinel condition with ordinal 255 (``feature * 256 +
+    ordinal``).
     """
     errors = []
     if borders.size > MAX_BORDERS:

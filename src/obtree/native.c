@@ -6,14 +6,12 @@
  * condition), group-major, bit o set where object o's value exceeds the
  * condition's border under _CMP_GT_OQ, as np.greater compares: NaN exceeds
  * nothing, -0.0 equals +0.0, and the +inf border of the padding condition is
- * never exceeded.  Bits past `live` are clear.  For strictly ascending
- * borders b, a value v exceeds b[o] exactly where its quantile exceeds o, so
- * the masks are those of the numpy stage's quantile compares.  The
- * conditions are sorted by feature.  A vector holds 16 objects of one
- * feature: feature-major input is read 16 objects per load, for each feature
- * that has a condition; object-major input 16 objects x 16 features per
- * tile, as 16 row loads transposed in registers, for each tile that holds a
- * condition.  Loads are masked at the last feature tile and the last
+ * never exceeded.  Bits past `live` are clear: the masks hold the bits of
+ * the numpy stage 1's condition panel.  The conditions are sorted by
+ * feature.  A vector holds 16 objects of one feature: feature-major input is
+ * read 16 objects per load, for each feature that has a condition;
+ * object-major input 16 objects x 16 features per tile, as 16 row loads
+ * transposed in registers, for each tile that holds a condition.  Loads are masked at the last feature tile and the last
  * objects, so nothing past the matrix is read.
  *
  * The two fold kernels walk those masks in groups of 64 objects, one object

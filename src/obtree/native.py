@@ -3,11 +3,10 @@
 Stage 1 is one binarization kernel: it tests every distinct split
 condition of the model on a block's raw binary32 values, one compare per
 condition and 16 objects, into one 64-bit mask per 64-object group and
-condition.  No quantile is computed.  Stages 2-3 are one fold kernel per
-leaf precision, which reads those masks and selects each tree's leaves
-from its byte planes (``LeafBank.planes``) by ``vpermb``/``vpermt2b``,
-one select per leaf byte for 64 objects, and writes each object's score,
-``scale * sum + bias``.  ``BoundKernels`` binds both to a model, as one C
+condition.  Stages 2-3 are one fold kernel per leaf precision, which reads
+those masks and selects each tree's leaves from its byte planes
+(``LeafBank.planes``) by ``vpermb``/``vpermt2b``, one select per leaf byte
+for 64 objects, and writes each object's score, ``scale * sum + bias``.  ``BoundKernels`` binds both to a model, as one C
 struct per input layout; a ``predict`` call checks its arrays once
 (``BoundKernels.over``) and then makes one kernel call per stage and block.
 
@@ -90,8 +89,7 @@ class BoundKernels:
     bound to a model's ``ModelTables`` and leaf bank, for blocks of at most
     ``groups`` 64-object groups.  One ``obtree_model`` per input layout is
     built here, with every pointer into the tables and the bank; it reads
-    those arrays for as long as this object holds them.  ``table`` is the
-    model's ``BorderTable``, which ``quantize_block`` checks it is given."""
+    those arrays for as long as this object holds them."""
 
     def __init__(self, binarize, fold, tables, bank: LeafBank, groups: int):
         for array, dtype in (
@@ -105,7 +103,6 @@ class BoundKernels:
         if tables.tree_cond.shape != (bank.n_trees, 8) or tables.depth_runs[-1] != bank.n_trees:
             raise ValueError(f"native kernels: a bank of {bank.n_trees} trees for tables of "
                              f"{tables.tree_cond.shape[0]}")
-        self.table = tables.border_table
         self._binarize, self._fold, self._groups = binarize, fold, groups
         self._held = (tables, bank)
         self._n_cond = tables.cond_border.size
@@ -178,7 +175,6 @@ class BoundKernels:
                 raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
             held[0]._fold(model, masks_at, end - begin, out_at + 8 * begin)
 
-        binarize.table = self.table
         return masks, binarize, fold
 
 

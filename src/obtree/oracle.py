@@ -1,10 +1,11 @@
 """Ground-truth scalar evaluation and half-precision deviation metrics.
 
-The oracle never quantizes: each split condition is evaluated directly on the
-raw binary32 feature value against the border it names, the leaf index is
-assembled with the root condition in bit 0, and tree contributions are summed
-in tree order.  That makes it independent of the quantizer and the fused
-index/load/fold kernel it is used to check.
+The oracle shares no table with the engine: each split condition is
+evaluated directly on the raw binary32 feature value against the border it
+names, the leaf index is assembled with the root condition in bit 0, and
+tree contributions are summed in tree order.  That makes it independent of
+the stage-1 condition table and the fused index/load/fold kernel it is used
+to check.
 """
 
 from __future__ import annotations

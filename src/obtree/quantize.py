@@ -1,39 +1,38 @@
-"""Stage 1: turn binary32 feature values into what the split compares read.
+"""Stage 1: the bit of every split condition for a block of objects.
 
-The quantile of a value against a sorted border list is the number of
-borders the value strictly exceeds.  NaN crosses nothing and quantizes to 0,
-so NaN fails every split.  For strictly ascending borders ``b``, a value
-``v`` with quantile ``q`` satisfies ``q > o`` exactly when ``v > b[o]``, so
-a split on ordinal ``o`` can compare either.
+Condition ``c`` of a model (``ModelTables``) holds for an object iff the
+binary32 value of feature ``cond_feature[c]`` is greater than
+``cond_border[c]``.  Both backends test each distinct condition once per
+block by that one compare, as ``np.greater`` compares: NaN exceeds nothing,
+-0.0 equals +0.0, and the +inf border of the padding condition is never
+exceeded.  They differ only in where the bits go:
 
-The two backends use the two sides of that rule, with the same bits:
+* ``numpy`` writes a (conditions x columns) panel of 0/1 bytes.  The
+  conditions are taken ``CONDITION_CHUNK`` at a time into one float32
+  buffer, so the scratch does not grow with the model's condition count.
+* ``avx512`` runs the model's bound binarization kernel
+  (``native.BoundKernels``, ``obtree_binarize`` in ``native.c``), which
+  writes one 64-bit mask per (64-object group, condition).
 
-* ``numpy`` quantizes.  A block is quantized by a fixed-step lower-bound
-  search over a per-model ``BorderTable``: every feature's borders padded
-  with +inf to ``2**s - 1`` entries, where ``s`` is the bit length of the
-  largest border count.  Every value of the block takes exactly ``s``
-  steps, whatever the data, so the stage is as branch-free as the paper's
-  exhaustive compare while doing ``s`` compares per value instead of one
-  per border.  ``quantize_value`` is the scalar reference kernel the search
-  is tested against.
-* ``avx512`` binarizes.  ``quantize_block`` is given the model's bound
-  binarization kernel (``native.BoundKernels``, ``obtree_binarize`` in
-  ``native.c``), which compares each block's values against the border of
-  each distinct split condition only, once per condition and 16 objects,
-  into one 64-bit mask per (64-object group, condition).  It compares by
-  ``_CMP_GT_OQ``, as ``np.greater`` does: NaN exceeds nothing, -0.0 equals
-  +0.0, and the +inf border of the padding condition is never exceeded.
+``quantize_value``, the count of borders a value exceeds, is the scalar
+reference of the border semantics: for strictly ascending borders ``b``, a
+value ``v`` exceeds ``b[o]`` exactly when that count exceeds ``o``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .model import FloatFeatureBorders, border_row_errors
+if TYPE_CHECKING:
+    from .evaluate import ModelTables
+
+# Conditions per take of the numpy stage 1: its float32 buffer holds this
+# many rows of a block's values, 256 KB for a 128-object block.
+CONDITION_CHUNK = 512
 
 
 class Layout(Enum):
@@ -88,57 +87,6 @@ class FeatureMatrix:
         return FeatureMatrix(self.values.T.copy(), other)
 
 
-class QuantizedBlock:
-    """One byte per (feature, object) for a block, feature-major.
-
-    Rows are padded to ``block_size``.  ``quantize_block`` writes the live
-    columns with one store and zeroes the padding columns with another, so
-    the padding of a partial block fails every split.
-    """
-
-    __slots__ = ("block_size", "n_features", "quantiles")
-
-    def __init__(self, n_features: int, block_size: int):
-        self.block_size = block_size
-        self.n_features = n_features
-        self.quantiles = np.zeros((n_features, block_size), dtype=np.uint8)
-
-
-class BorderTable:
-    """Every feature's borders in one flat binary32 table, built once per model.
-
-    Row ``f`` holds feature ``f``'s borders padded with +inf to ``2**steps - 1``
-    entries, where ``steps`` is the bit length of the largest border count;
-    ``offsets[f, 0]`` is the flat index at which row ``f`` starts.  A value
-    never exceeds the padding, so the search over a row counts real borders
-    only.  Rows that are not strictly ascending, hold a NaN or have more than
-    254 borders are rejected with the feature index in the message, because
-    the search would silently miscount them.
-    """
-
-    __slots__ = ("n_features", "steps", "values", "offsets")
-
-    def __init__(self, feature_borders: Sequence):
-        rows = []
-        for f, entry in enumerate(feature_borders):
-            if isinstance(entry, FloatFeatureBorders):
-                row = entry.borders
-            else:
-                row = np.asarray(entry, dtype=np.float32)
-            errors = border_row_errors(row)
-            if errors:
-                raise ValueError(f"feature {f}: {errors[0]}")
-            rows.append(row)
-        self.n_features = len(rows)
-        self.steps = max((row.size for row in rows), default=0).bit_length()
-        width = (1 << self.steps) - 1
-        table = np.full((self.n_features, width), np.inf, dtype=np.float32)
-        for f, row in enumerate(rows):
-            table[f, : row.size] = row
-        self.values = table.reshape(-1)
-        self.offsets = np.arange(self.n_features, dtype=np.intp)[:, None] * width
-
-
 def quantize_value(value: float, borders: Sequence[float]) -> int:
     """Count of borders strictly below ``value``; NaN maps to 0.
 
@@ -154,66 +102,52 @@ def quantize_value(value: float, borders: Sequence[float]) -> int:
     return count
 
 
+
+
 def quantize_block(
     matrix: FeatureMatrix,
     object_range: tuple[int, int],
-    model_borders: BorderTable | Sequence,
-    out: QuantizedBlock | np.ndarray,
-    quantize: Callable[[FeatureMatrix, int, int, np.ndarray], None] | None = None,
+    tables: ModelTables,
+    out: np.ndarray,
+    binarize: Callable[[FeatureMatrix, int, int, np.ndarray], None] | None = None,
 ) -> None:
     """Stage 1 for objects [begin, end) of the batch, into ``out``.
 
-    ``model_borders`` is a ``BorderTable``, or one border sequence (or
-    ``FloatFeatureBorders``) per feature, from which a table is built for
-    this call.  What ``out`` holds depends on the backend:
-
-    * ``quantize`` None (``numpy``): ``out`` is a ``QuantizedBlock`` that
-      receives the quantiles.  The whole block is searched at once: a
-      position per (feature, object) starts at its row's offset and takes
-      exactly ``steps`` steps, from the largest down, each moving past
-      ``step`` borders when the value exceeds the last of them.  The final
-      position minus the offset is the count of crossed borders.  Padding
-      columns beyond the live range are zeroed.  The hot path has no
-      per-object or per-feature branches.
-    * ``quantize`` the model's binarization kernel (``avx512``,
-      ``native.BoundKernels.over``, bound to the table given here): ``out`` is
-      the (groups x conditions) uint64 array of condition masks that
-      that method describes, and no quantile is computed.
+    * ``binarize`` None (``numpy``): ``out`` is a uint8 array of one row per
+      condition of ``tables`` and at least ``end - begin`` columns.  Column
+      ``o`` of row ``c`` gets 1 where condition ``c`` holds for object
+      ``begin + o``, else 0; the columns past the live objects get 0, so a
+      partial block's padding fails every split.
+    * ``binarize`` the model's binarization kernel (``avx512``,
+      ``native.BoundKernels.over``): ``out`` is the (groups x conditions)
+      uint64 array of condition masks that that method describes.
     """
     begin, end = object_range
     if not 0 <= begin <= end <= matrix.n_objects:
         raise ValueError(f"object range [{begin}, {end}) outside batch of {matrix.n_objects}")
-    if quantize is not None:
-        if quantize.table is not model_borders:
-            raise ValueError("the native binarizer is bound to another border table")
-        quantize(matrix, begin, end, out)
+    if binarize is not None:
+        binarize(matrix, begin, end, out)
         return
     live = end - begin
-    if live > out.block_size:
-        raise ValueError(f"range of {live} objects exceeds block size {out.block_size}")
-    table = model_borders if isinstance(model_borders, BorderTable) else BorderTable(model_borders)
-    if table.n_features != out.n_features:
+    features, borders = tables.cond_feature, tables.cond_border
+    if live > out.shape[1]:
+        raise ValueError(f"range of {live} objects exceeds the panel's {out.shape[1]} columns")
+    if out.shape[0] != borders.size:
+        raise ValueError(f"panel has {out.shape[0]} rows, model has {borders.size} conditions")
+    if matrix.n_features != tables.model.n_features:
         raise ValueError(
-            f"output block has {out.n_features} feature rows, model has {table.n_features}"
-        )
-    if matrix.n_features != table.n_features:
-        raise ValueError(
-            f"matrix has {matrix.n_features} features, model has {table.n_features}"
+            f"matrix has {matrix.n_features} features, model has {tables.model.n_features}"
         )
 
-    # One contiguous copy makes each of the ``steps`` compares a unit-stride pass.
+    # np.take copies a source that is not C-contiguous, so copy once per
+    # block, not once per chunk.  Condition features are in range, so
+    # mode="clip" only skips the bounds check; with out=, the default mode
+    # would also take through a temporary buffer.
     values = np.ascontiguousarray(matrix.feature_rows(begin, end))
-    pos = np.repeat(table.offsets, live, axis=1)
-    bound = np.empty(pos.shape, dtype=np.float32)
-    crossed = np.empty(pos.shape, dtype=bool)
-    for k in reversed(range(table.steps)):
-        step = 1 << k
-        # bound = table[pos + step - 1], read through a view shifted by
-        # step - 1.  The search never leaves a row, so mode="clip" only
-        # skips the bounds check.
-        table.values[step - 1 :].take(pos, out=bound, mode="clip")
-        np.greater(values, bound, out=crossed)
-        pos += crossed * step
-    q = out.quantiles
-    np.subtract(pos, table.offsets, out=q[:, :live], casting="unsafe")
-    q[:, live:] = 0
+    taken = np.empty((min(CONDITION_CHUNK, borders.size), live), dtype=np.float32)
+    for first in range(0, borders.size, CONDITION_CHUNK):
+        last = min(first + CONDITION_CHUNK, borders.size)
+        chunk = taken[: last - first]
+        np.take(values, features[first:last], axis=0, out=chunk, mode="clip")
+        np.greater(chunk, borders[first:last, None], out=out[first:last, :live])
+    out[:, live:] = 0

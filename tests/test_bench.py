@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
+import subprocess
 import time
 from pathlib import Path
 
@@ -139,6 +142,25 @@ class TestRunMatrix:
         c_lines = len((package / "native.c").read_text().splitlines())
         assert c_lines > 0
         assert bench._host_metadata()["src_lines"] == py_lines + c_lines
+
+    def test_git_rev_is_the_checkouts_head_or_none(self, tmp_path):
+        assert bench._git_rev(tmp_path) is None  # not a checkout
+        if shutil.which("git") is None:
+            assert bench._host_metadata()["git_rev"] is None
+            return
+        env = dict(os.environ, GIT_AUTHOR_NAME="a", GIT_AUTHOR_EMAIL="a@example.com",
+                   GIT_COMMITTER_NAME="a", GIT_COMMITTER_EMAIL="a@example.com",
+                   GIT_CONFIG_GLOBAL=os.devnull, GIT_CONFIG_NOSYSTEM="1")
+        for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "one"]):
+            subprocess.run(["git", "-C", str(tmp_path), *args], check=True, env=env)
+        head = subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "HEAD"], check=True,
+                              capture_output=True, text=True, env=env).stdout.strip()
+        assert len(head) == 40
+        assert bench._git_rev(tmp_path) == head
+        (tmp_path / "sub").mkdir()
+        assert bench._git_rev(tmp_path / "sub") == head
+        package = Path(bench.__file__).parent
+        assert bench._host_metadata()["git_rev"] == bench._git_rev(package)
 
     def test_verification_is_bit_exact(self):
         oracle = np.array([1.0, -2.5, 0.0])
@@ -354,8 +376,9 @@ class TestCli:
         assert [case["case_id"] for case in record["cases"]] == expected
         assert len(expected) == 2 * len(LeafStrategy) * 2
         for key in ("block_size", "backend", "src_lines", "load_s", "cpu_isa_flags", "clock",
-                    "numpy", "python", "model"):
+                    "numpy", "python", "model", "git_rev"):
             assert key in record, key
+        assert record["git_rev"] == bench._git_rev(Path(bench.__file__).parent)
         assert record["block_size"] == EvalConfig.block_size and record["load_s"] > 0
         for case in record["cases"]:
             assert set(case) == {"case_id", "strategy", "layout", "batch", "reps", "inner",

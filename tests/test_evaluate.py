@@ -427,6 +427,7 @@ class TestTreeWalk:
         assert tables.tree_cond.dtype == np.int32 and tables.tree_cond.flags.c_contiguous
         assert tables.tree_cond.shape == (len(depths), 8)
         never = np.flatnonzero(tables.cond_border == np.inf)
+        cond_bits = tables.cond_border.view(np.uint32)
         assert never.size == sentinel
         deepest = max(depths, default=0)
         for t, tree in enumerate(model.trees):
@@ -434,9 +435,9 @@ class TestTreeWalk:
             for k, split in enumerate(tree.splits):
                 c = row[k]
                 assert tables.cond_feature[c] == split.feature_index, (t, k)
-                assert tables.cond_ordinal[c, 0] == split.border_ordinal, (t, k)
-                borders = model.float_features[split.feature_index].borders
-                assert tables.cond_border[c] == borders[split.border_ordinal], (t, k)
+                # Feature and border bits name the condition: borders are distinct.
+                borders = model.float_features[split.feature_index].borders.view(np.uint32)
+                assert cond_bits[c] == borders[split.border_ordinal], (t, k)
             assert row[tree.depth : deepest].tolist() == never.tolist() * (deepest - tree.depth)
             assert row[deepest:].tolist() == [-1] * (8 - deepest)
 

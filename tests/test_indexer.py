@@ -1,4 +1,4 @@
-"""Stage 2: leaf index assembly from quantile bytes, read through the fused path.
+"""Stage 2: leaf index assembly from condition bits, read through the fused path.
 
 A tree whose leaf values are 0, 1, ..., 2**depth - 1 scores every object with
 its leaf index, so evaluating a one-tree model built that way shows the index
@@ -20,7 +20,6 @@ from obtree import (
     ModelTables,
     ObliviousModel,
     ObliviousTree,
-    QuantizedBlock,
     SplitCondition,
     SyntheticSpec,
     Xoshiro256StarStar,
@@ -126,39 +125,45 @@ def test_condition_bits_boundary_cases():
     assert bits[1] == 1  # quantile 1, ordinal 0: first border crossed
 
 
+def condition_panel(tables, matrix, width):
+    """Stage 1's numpy panel of the whole batch, ``width`` columns wide."""
+    panel = np.full((tables.cond_border.size, width), 0xA5, dtype=np.uint8)
+    quantize_block(matrix, (0, matrix.n_objects), tables, panel)
+    return panel
+
+
 def test_condition_bits_match_byte_comparison():
-    model, matrix, borders, _ = random_case(4)
-    block = QuantizedBlock(len(borders), 128)
-    quantize_block(matrix, (0, matrix.n_objects), borders, block)
-    for split in model.trees[0].splits:
+    model, matrix, _, _ = random_case(4)
+    tables = ModelTables(model)
+    panel = condition_panel(tables, matrix, 128)
+    for k, split in enumerate(model.trees[0].splits):
         bits = condition_bits(model.float_features, split, matrix)
-        quantiles = block.quantiles[split.feature_index, : matrix.n_objects]
-        assert np.array_equal(bits, quantiles > split.border_ordinal)
+        assert np.array_equal(bits, panel[tables.tree_cond[0, k], : matrix.n_objects])
 
 
 def test_live_indices_below_leaf_count_and_padding_zero():
     for seed in range(4):
         depth = 1 + Xoshiro256StarStar(seed).below(8)
-        model, matrix, borders, _ = random_case(seed + 50, n_objects=45, depth=depth)
+        model, matrix, _, _ = random_case(seed + 50, n_objects=45, depth=depth)
         tree = model.trees[0]
         assert leaf_indices(model.float_features, tree.splits, matrix).max() < (1 << depth)
-        # Zero quantile padding fails every split: index 0 past the live objects.
-        block = QuantizedBlock(len(borders), 64)
-        quantize_block(matrix, (0, 45), borders, block)
-        panel = _leaf_index_panel(ModelTables(model), block.quantiles)
+        # The panel's cleared padding fails every split: index 0 past the
+        # live objects.
+        tables = ModelTables(model)
+        panel = _leaf_index_panel(tables, condition_panel(tables, matrix, 64))
         assert np.all(panel[:, 45:] == 0)
 
 
 def test_quantile_bits_equal_raw_value_bits():
-    # End-to-end inversion: the split test through quantiles must agree with
-    # comparing raw feature values against the named border directly.
+    # The split test through the fused path must agree with comparing raw
+    # feature values against the border that the ordinal names.
     for seed in range(5):
         model, matrix, borders, raw = random_case(seed + 20)
         for split in model.trees[0].splits:
-            via_quantiles = condition_bits(model.float_features, split, matrix)
+            via_evaluate = condition_bits(model.float_features, split, matrix)
             border = borders[split.feature_index][split.border_ordinal]
             via_raw = (raw[:, split.feature_index] > border).astype(np.int64)
-            assert np.array_equal(via_quantiles, via_raw)
+            assert np.array_equal(via_evaluate, via_raw)
 
 
 def test_each_distinct_condition_is_tested_once():
@@ -177,9 +182,7 @@ def test_each_distinct_condition_is_tested_once():
         tables = ModelTables(model)
         assert tables.cond_feature.size == 3 + sentinel
         assert tables.tree_cond.shape == (len(trees), 8)
-        block = QuantizedBlock(len(features), 64)
-        quantize_block(matrix, (0, matrix.n_objects), tables.border_table, block)
-        panel = _leaf_index_panel(tables, block.quantiles[:, :40])
+        panel = _leaf_index_panel(tables, condition_panel(tables, matrix, 40))
         for t, splits in enumerate(tree_splits):
             expected = leaf_indices(features, splits, matrix)
             assert panel[t, : matrix.n_objects].tolist() == expected.tolist(), (sentinel, t)

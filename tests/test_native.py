@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,12 +258,28 @@ def test_blocks_write_the_scores_of_the_batch_only(precision):
                         assert np.array_equal(scores, oracle[:n]), context
 
 
+# Besides its arrays, a numpy predict's traced peak holds a few KB of Python
+# objects, which scratch_bytes does not count.
+_PYTHON_OBJECTS = 8192
+
+
+def traced_peak(evaluator: Evaluator, matrix: FeatureMatrix) -> int:
+    """The tracemalloc peak of ``evaluator.predict(matrix)``, less its scores."""
+    tracemalloc.start()
+    try:
+        scores = evaluator.predict(matrix)
+        return tracemalloc.get_traced_memory()[1] - scores.nbytes
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n", _BATCH_SIZES)
 def test_stats_report_the_call_without_changing_its_bits(each_backend, n):
     """``predict(matrix, stats)`` gives the bits of ``predict(matrix)`` and
     reports one block per ``plan_blocks`` block, stage times within the
-    call's, and on ``avx512`` the scratch of ``min(2, ceil(n / 64))``
-    groups: their masks and their fold sums."""
+    call's, and the scratch: on ``avx512`` of ``min(2, ceil(n / 64))``
+    groups, their masks and their fold sums; on numpy at least the traced
+    peak of a call, less its Python objects, and at most twice that peak."""
     model = two_tree_model(6)
     matrix = generate_feature_matrix(n, 3, seed=n, nan_fraction=0.05)
     for strategy in (LeafStrategy.NAIVE, LeafStrategy.PERMUTE16):
@@ -279,11 +296,28 @@ def test_stats_report_the_call_without_changing_its_bits(each_backend, n):
             assert 0.0 <= stats.stage1_s and 0.0 <= stats.fold_s
             assert stats.stage1_s + stats.fold_s <= elapsed
             if evaluator.backend == "numpy":
-                assert stats.scratch_bytes >= model.n_features * EvalConfig.block_size
+                peak = traced_peak(evaluator, matrix)
+                assert peak - _PYTHON_OBJECTS <= stats.scratch_bytes <= 2 * peak
                 continue
             sums = 64 * (8 if strategy.precision is LeafPrecision.BINARY64 else 4)
             groups = min(2, -(-n // 64))
             assert stats.scratch_bytes == groups * (8 * evaluator.tables.cond_border.size + sums)
+
+
+@pytest.mark.parametrize("strategy", [LeafStrategy.NAIVE, LeafStrategy.PERMUTE16])
+def test_numpy_scratch_bytes_bound_the_traced_peak(numpy_backend, strategy):
+    """On a model whose arrays outweigh the call's Python objects, the numpy
+    scratch is within a factor of 2 of the traced peak: its arrays are
+    summed, though not all are live at once."""
+    model = generate_synthetic_model(SyntheticSpec(64, 16, 300, 6, seed=5))
+    evaluator = Evaluator(model, EvalConfig(strategy))
+    for n in (1, 100, 300):
+        matrix = generate_feature_matrix(n, model.n_features, seed=n)
+        stats = EvalStats()
+        evaluator.predict(matrix, stats)
+        peak = traced_peak(evaluator, matrix)
+        assert peak - _PYTHON_OBJECTS <= stats.scratch_bytes <= 2 * peak, n
+    assert peak > 50 * _PYTHON_OBJECTS
 
 
 def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypatch):
@@ -303,6 +337,30 @@ def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypa
     if len(evaluators) > 1:
         with pytest.raises(AssertionError, match="native binarizer called"):
             evaluators[0].predict(matrix)
+
+
+def test_bound_closures_refuse_other_arrays_and_ranges():
+    """A call's ``binarize`` writes only the masks of the matrix it was made
+    for, and both closures only the objects those masks and the batch hold."""
+    kernels = native.kernels()
+    if kernels is None:
+        pytest.skip("no native kernels on this host")
+    model = two_tree_model(6)
+    evaluator = Evaluator(model)
+    matrix = generate_feature_matrix(200, model.n_features, seed=2)
+    masks, binarize, fold = kernels.bind(evaluator.tables, evaluator.bank, 2).over(
+        matrix, np.zeros(200))
+    other = generate_feature_matrix(200, model.n_features, seed=2)
+    for given, out in ((other, masks), (matrix, masks.copy())):
+        with pytest.raises(ValueError, match="bound to another matrix or masks"):
+            binarize(given, 0, 64, out)
+    for call in (lambda b, e: binarize(matrix, b, e, masks), fold):
+        with pytest.raises(ValueError, match="outside the masks or the batch"):
+            call(0, 129)
+        with pytest.raises(ValueError, match="outside the masks or the batch"):
+            call(128, 201)
+    binarize(matrix, 128, 200, masks)
+    fold(128, 200)
 
 
 def test_c_source_builds_without_warnings(tmp_path):

@@ -1,10 +1,9 @@
-"""Stage 1: the numpy quantiles against brute-force border counting, and the
-native condition masks against per-condition compares."""
+"""Stage 1: the scalar border count against brute force, and both backends'
+condition bits against per-condition compares of the raw values."""
 
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from obtree import (
     ModelTables,
     ObliviousModel,
     ObliviousTree,
-    QuantizedBlock,
     SplitCondition,
     SyntheticSpec,
     Xoshiro256StarStar,
@@ -29,7 +27,7 @@ from obtree import (
     quantize_value,
     native,
 )
-from obtree.quantize import BorderTable
+from obtree.quantize import CONDITION_CHUNK
 
 
 def crossed_border_count(value: float, borders) -> int:
@@ -92,21 +90,40 @@ class TestQuantizeValue:
                 assert (q > k) == (v > float(borders[k]))
 
 
-def block_for(matrix, borders_list, block_size=None, begin=0, end=None):
+def model_over(rows) -> ObliviousModel:
+    """A model with a depth-1 tree on every border of ``rows``, one row per feature."""
+    features = tuple(FloatFeatureBorders(f, row) for f, row in enumerate(rows))
+    trees = tuple(ObliviousTree(1, (SplitCondition(f, o),), np.zeros(2))
+                  for f, row in enumerate(rows) for o in range(len(row)))
+    return ObliviousModel(features, trees, scale=1.0, bias=0.0)
+
+
+def panel_for(matrix, rows, width=None, begin=0, end=None):
+    """Stage 1's numpy panel for objects [begin, end) of ``matrix``, under
+    ``model_over(rows)``, written over a dirty buffer; and the model's tables."""
     end = matrix.n_objects if end is None else end
-    block_size = block_size or max(64, end - begin)
-    out = QuantizedBlock(len(borders_list), block_size)
-    quantize_block(matrix, (begin, end), borders_list, out)
-    return out
+    tables = ModelTables(model_over(rows))
+    out = np.full((tables.cond_border.size, width or max(64, end - begin)), 0xA5, np.uint8)
+    quantize_block(matrix, (begin, end), tables, out)
+    return tables, out
+
+
+def crossed_counts(tables, panel) -> np.ndarray:
+    """(features x columns): how many of each feature's conditions hold, that
+    is, under ``model_over``, the count of its borders each value exceeds."""
+    counts = np.zeros((tables.model.n_features, panel.shape[1]), dtype=np.int64)
+    np.add.at(counts, tables.cond_feature, panel)
+    return counts
 
 
 class TestQuantizeBlock:
     def test_sign_split_on_zero_border(self):
         matrix = FeatureMatrix(np.array([[-1.0], [1.0]], dtype=np.float32), Layout.OBJECT_MAJOR)
-        out = block_for(matrix, [np.array([0.0], dtype=np.float32)])
-        assert list(out.quantiles[0, :2]) == [0, 1]
+        _, panel = panel_for(matrix, [np.array([0.0], dtype=np.float32)])
+        assert list(panel[0, :2]) == [0, 1]
 
     def test_matches_elementwise_brute_force(self):
+        # 4800 conditions: the panel is written in several chunks.
         model = generate_synthetic_model(SyntheticSpec(200, 24, 0, 1, seed=12))
         borders = [ff.borders for ff in model.float_features]
         rng = Xoshiro256StarStar(13)
@@ -116,10 +133,12 @@ class TestQuantizeBlock:
         raw[3, 7] = np.nan
         raw[10, 0] = np.inf
         matrix = FeatureMatrix(raw, Layout.OBJECT_MAJOR)
-        out = block_for(matrix, borders)
+        tables, panel = panel_for(matrix, borders)
+        assert tables.cond_border.size > 2 * CONDITION_CHUNK
+        counts = crossed_counts(tables, panel)
         for f in range(200):
             for o in range(50):
-                assert out.quantiles[f, o] == quantize_value(float(raw[o, f]), borders[f])
+                assert counts[f, o] == quantize_value(float(raw[o, f]), borders[f])
 
     def test_layout_equivalence(self):
         model = generate_synthetic_model(SyntheticSpec(6, 10, 0, 1, seed=8))
@@ -129,24 +148,24 @@ class TestQuantizeBlock:
         om = FeatureMatrix(raw, Layout.OBJECT_MAJOR)
         fm = om.transposed()
         assert fm.layout is Layout.FEATURE_MAJOR
-        a = block_for(om, borders, block_size=64)
-        b = block_for(fm, borders, block_size=64)
-        assert np.array_equal(a.quantiles, b.quantiles)
+        a = panel_for(om, borders, width=64)[1]
+        b = panel_for(fm, borders, width=64)[1]
+        assert np.array_equal(a, b)
 
     def test_layout_given_as_its_value_string(self):
         # A square batch read in the wrong order raises nothing and gives
-        # other quantiles, so the string must select the same layout.
+        # other bits, so the string must select the same layout.
         model = generate_synthetic_model(SyntheticSpec(4, 10, 0, 1, seed=8))
         borders = [ff.borders for ff in model.float_features]
         raw = np.linspace(0.0, 1.0, 16, dtype=np.float32).reshape(4, 4)
         for layout in Layout:
             named = FeatureMatrix(raw, layout.value)
             assert named.layout is layout
-            expected = block_for(FeatureMatrix(raw, layout), borders)
-            assert np.array_equal(block_for(named, borders).quantiles, expected.quantiles)
+            expected = panel_for(FeatureMatrix(raw, layout), borders)[1]
+            assert np.array_equal(panel_for(named, borders)[1], expected)
         assert not np.array_equal(
-            block_for(FeatureMatrix(raw, "object-major"), borders).quantiles,
-            block_for(FeatureMatrix(raw, "feature-major"), borders).quantiles,
+            panel_for(FeatureMatrix(raw, "object-major"), borders)[1],
+            panel_for(FeatureMatrix(raw, "feature-major"), borders)[1],
         )
         for bad in ("row-major", "OBJECT_MAJOR", None):
             with pytest.raises(ValueError):
@@ -158,85 +177,36 @@ class TestQuantizeBlock:
         above = np.nextafter(0.5, 1.0)
         matrix = FeatureMatrix(np.array([[above]], dtype=np.float64), Layout.OBJECT_MAJOR)
         assert matrix.values.dtype == np.float32
-        out = block_for(matrix, [np.array([0.5], dtype=np.float32)])
-        assert out.quantiles[0, 0] == 0
+        _, panel = panel_for(matrix, [np.array([0.5], dtype=np.float32)])
+        assert panel[0, 0] == 0
 
-    def test_padding_bytes_are_zero(self):
-        matrix = FeatureMatrix(np.full((10, 2), 9.0, dtype=np.float32), Layout.OBJECT_MAJOR)
-        table = BorderTable([np.array([0.0], dtype=np.float32)] * 2)
-        out = QuantizedBlock(2, 64)
-        out.quantiles[:] = 255  # dirty buffer must be fully overwritten
-        quantize_block(matrix, (0, 10), table, out)
-        assert np.all(out.quantiles[:, :10] == 1)
-        assert np.all(out.quantiles[:, 10:] == 0)
-
-    def test_quantile_never_exceeds_border_count(self):
-        model = generate_synthetic_model(SyntheticSpec(5, 17, 0, 1, seed=21))
-        borders = [ff.borders for ff in model.float_features]
-        matrix = FeatureMatrix(np.full((40, 5), np.inf, dtype=np.float32), Layout.OBJECT_MAJOR)
-        out = block_for(matrix, borders)
-        for f, fb in enumerate(borders):
-            assert out.quantiles[f].max() == fb.size
+    @staticmethod
+    def one_border_tables(n_features: int = 1) -> ModelTables:
+        return ModelTables(model_over([np.array([0.0], dtype=np.float32)] * n_features))
 
     def test_range_larger_than_block_rejected(self):
         matrix = FeatureMatrix(np.zeros((100, 1), dtype=np.float32), Layout.OBJECT_MAJOR)
-        out = QuantizedBlock(1, 64)
-        with pytest.raises(ValueError, match="exceeds block size"):
-            quantize_block(matrix, (0, 100), [np.array([0.0], dtype=np.float32)], out)
+        out = np.zeros((1, 64), dtype=np.uint8)
+        with pytest.raises(ValueError, match="100 objects exceeds the panel's 64 columns"):
+            quantize_block(matrix, (0, 100), self.one_border_tables(), out)
 
     def test_range_outside_batch_rejected(self):
         matrix = FeatureMatrix(np.zeros((10, 1), dtype=np.float32), Layout.OBJECT_MAJOR)
-        out = QuantizedBlock(1, 64)
+        out = np.zeros((1, 64), dtype=np.uint8)
         with pytest.raises(ValueError, match="outside batch"):
-            quantize_block(matrix, (0, 11), [np.array([0.0], dtype=np.float32)], out)
+            quantize_block(matrix, (0, 11), self.one_border_tables(), out)
 
     def test_feature_count_mismatch_rejected(self):
         matrix = FeatureMatrix(np.zeros((4, 2), dtype=np.float32), Layout.OBJECT_MAJOR)
-        out = QuantizedBlock(1, 64)
-        with pytest.raises(ValueError, match="feature rows"):
-            quantize_block(
-                matrix, (0, 4),
-                [np.array([0.0], dtype=np.float32), np.array([0.0], dtype=np.float32)],
-                out,
-            )
-
-    def test_quantizer_bound_to_another_table_rejected(self):
-        kernels = native.kernels()
-        if kernels is None:
-            pytest.skip("no native binarizer on this host")
-        model = generate_synthetic_model(SyntheticSpec(2, 4, 3, 2, seed=1))
-        tables = ModelTables(model)
-        matrix = FeatureMatrix(np.zeros((4, 2), dtype=np.float32), Layout.OBJECT_MAJOR)
-        bank = tables.bank(LeafPrecision.BINARY64)
-        masks, binarize, _ = kernels.bind(tables, bank, 2).over(matrix, np.zeros(4))
-        other = BorderTable([ff.borders for ff in model.float_features])
-        with pytest.raises(ValueError, match="another border table"):
-            quantize_block(matrix, (0, 4), other, masks, binarize)
-        quantize_block(matrix, (0, 4), tables.border_table, masks, binarize)
+        out = np.zeros((1, 64), dtype=np.uint8)
+        with pytest.raises(ValueError, match="panel has 1 rows, model has 2 conditions"):
+            quantize_block(matrix, (0, 4), self.one_border_tables(2), out)
 
     def test_matrix_feature_count_mismatch_rejected(self):
         matrix = FeatureMatrix(np.zeros((4, 3), dtype=np.float32), Layout.OBJECT_MAJOR)
-        borders = [np.array([0.0], dtype=np.float32)] * 2
+        out = np.zeros((2, 64), dtype=np.uint8)
         with pytest.raises(ValueError, match="matrix has 3 features, model has 2"):
-            quantize_block(matrix, (0, 4), borders, QuantizedBlock(2, 64))
-
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ([0.0, math.nan], "feature 3: NaN border"),
-            ([math.nan], "feature 3: NaN border"),
-            ([1.0, 0.5], "feature 3: non-ascending borders"),
-            ([0.5, 0.5], "feature 3: non-ascending borders"),
-            (np.arange(255), "feature 3: 255 borders exceed the limit of 254"),
-        ],
-    )
-    def test_malformed_borders_rejected(self, bad, message):
-        # The search would silently miscount these rows, so the table
-        # builder refuses them and names the feature.
-        matrix = FeatureMatrix(np.zeros((2, 4), dtype=np.float32), Layout.OBJECT_MAJOR)
-        borders = [np.array([0.0], dtype=np.float32)] * 3 + [np.array(bad, dtype=np.float32)]
-        with pytest.raises(ValueError, match=re.escape(message)):
-            quantize_block(matrix, (0, 2), borders, QuantizedBlock(4, 64))
+            quantize_block(matrix, (0, 4), self.one_border_tables(2), out)
 
 
 _SUBNORMAL = float(np.float32(1e-45))  # smallest positive binary32 subnormal
@@ -264,8 +234,7 @@ def border_rows(draw, max_count: int = 254) -> np.ndarray:
 
 @st.composite
 def quantize_cases(draw):
-    # The longest row sets the search's step count: 0 (no feature has a
-    # border) to 8.
+    # Row lengths of 0 (no feature has a border) to the limit of 254.
     max_count = draw(st.sampled_from([(1 << steps) - 1 for steps in range(8)] + [254]))
     n_features = draw(st.sampled_from([1, 2, 15, 16, 17]))
     rows = draw(st.lists(border_rows(max_count), min_size=n_features, max_size=n_features))
@@ -288,27 +257,6 @@ def quantize_cases(draw):
         raw[:, f] = rng.choice(pool, size=n_objects)
     values = raw if layout is Layout.OBJECT_MAJOR else raw.T
     return rows, raw, FeatureMatrix(values, layout), block_size
-
-
-class TestSearchMatchesScalarReference:
-    @settings(max_examples=80, deadline=None)
-    @given(quantize_cases())
-    def test_every_quantile_equals_quantize_value(self, case):
-        """The numpy search, over every block of the batch: the later ones
-        start past object 0, the last may be partial."""
-        rows, raw, matrix, block_size = case
-        table = BorderTable(rows)
-        expected = np.array(
-            [[quantize_value(float(v), row) for v in raw[:, f]] for f, row in enumerate(rows)],
-            dtype=np.uint8,
-        ).reshape(len(rows), matrix.n_objects)
-        out = QuantizedBlock(len(rows), block_size)
-        for begin, end in plan_blocks(matrix.n_objects, block_size):
-            out.quantiles[:] = 255
-            quantize_block(matrix, (begin, end), table, out)
-            live = end - begin
-            assert np.array_equal(out.quantiles[:, :live], expected[:, begin:end])
-            assert not out.quantiles[:, live:].any()
 
 
 @st.composite
@@ -339,42 +287,55 @@ def expected_masks(raw: np.ndarray, borders: np.ndarray, features: np.ndarray) -
     return np.ascontiguousarray(packed.transpose(0, 2, 1)).view("<u8")[..., 0]
 
 
+def expected_panel(raw: np.ndarray, tables: ModelTables, width: int) -> np.ndarray:
+    """(conditions x width) 0/1 bytes of ``raw`` rows > each condition's border."""
+    bits = np.greater(raw[:, tables.cond_feature], tables.cond_border).T
+    panel = np.zeros((tables.cond_border.size, width), dtype=np.uint8)
+    panel[:, : raw.shape[0]] = bits
+    return panel
+
+
 class TestBinarizerMatchesBorderCompares:
+    """Stage 1 of both backends against ``np.greater`` of each condition's
+    raw feature values and its border, bit for bit: on every block of the
+    batch (the later ones start past object 0, the last may be partial), in
+    both layouts, over a dirty buffer."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(binarize_cases())
+    def test_every_panel_byte_equals_the_border_compare(self, case):
+        """The numpy panel: 1 where the condition holds, 0 where it fails
+        and in every column past the live objects."""
+        model, raw, matrix, block_size = case
+        tables = ModelTables(model)
+        panel = np.empty((tables.cond_border.size, block_size), dtype=np.uint8)
+        for layout in (matrix, matrix.transposed()):
+            for begin, end in plan_blocks(matrix.n_objects, block_size):
+                panel[:] = 0xA5
+                quantize_block(layout, (begin, end), tables, panel)
+                expected = expected_panel(raw[begin:end], tables, block_size)
+                assert np.array_equal(panel, expected), (layout.layout, begin, end)
+
     @settings(max_examples=80, deadline=None)
     @given(binarize_cases())
     def test_every_mask_bit_equals_the_border_compare(self, case):
-        """The native binarizer on every block of the batch, in both layouts:
-        bit o of group g's mask of condition c is ``np.greater`` of the
-        condition's feature value and border, clear past the live objects, and
-        equal to the numpy quantile compare ``q > o``."""
+        """The native binarizer: bit o of group g's mask of condition c is
+        ``np.greater`` of the condition's feature value and border, and clear
+        past the live objects."""
         kernels = native.kernels()
         if kernels is None:
             pytest.skip("no native binarizer on this host")
         model, raw, matrix, block_size = case
         tables = ModelTables(model)
-        features = tables.cond_feature
-        ordinals = tables.cond_ordinal[:, 0].astype(np.intp)
-        sentinel = ordinals == 255
-        assert np.all(features[sentinel] == 0)
-        borders = np.array(
-            [np.inf if o == 255 else model.float_features[f].borders[o]
-             for f, o in zip(features, ordinals)],
-            dtype=np.float32,
-        )
-        assert np.array_equal(tables.cond_border.view(np.uint32), borders.view(np.uint32))
         if any(t.depth == 2 for t in model.trees) and any(t.depth == 1 for t in model.trees):
-            assert sentinel.any()
-
+            assert np.isinf(tables.cond_border).any()
         bank = tables.bank(LeafPrecision.BINARY64)
-        sums = np.zeros(matrix.n_objects)
-        masks, binarize, _ = kernels.bind(tables, bank, block_size // 64).over(matrix, sums)
-        quantiles = QuantizedBlock(model.n_features, block_size)
-        for begin, end in plan_blocks(matrix.n_objects, block_size):
-            masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)  # a dirty buffer
-            quantize_block(matrix, (begin, end), tables.border_table, masks, binarize)
-            groups = -(-(end - begin) // 64)
-            expected = expected_masks(raw[begin:end], borders, features)
-            assert np.array_equal(masks[:groups], expected), (begin, end)
-            quantize_block(matrix, (begin, end), tables.border_table, quantiles)
-            q = quantiles.quantiles[features, : end - begin].T
-            assert np.array_equal(expected_masks(q, ordinals, np.arange(features.size)), expected)
+        for layout in (matrix, matrix.transposed()):
+            sums = np.zeros(matrix.n_objects)
+            masks, binarize, _ = kernels.bind(tables, bank, block_size // 64).over(layout, sums)
+            for begin, end in plan_blocks(matrix.n_objects, block_size):
+                masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)  # a dirty buffer
+                quantize_block(layout, (begin, end), tables, masks, binarize)
+                groups = -(-(end - begin) // 64)
+                expected = expected_masks(raw[begin:end], tables.cond_border, tables.cond_feature)
+                assert np.array_equal(masks[:groups], expected), (layout.layout, begin, end)
