@@ -4,6 +4,7 @@ condition bits against per-condition compares of the raw values."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,24 @@ class TestQuantizeBlock:
         _, panel = panel_for(matrix, [np.array([0.5], dtype=np.float32)])
         assert panel[0, 0] == 0
 
+    def test_padding_bytes_are_zero(self):
+        matrix = FeatureMatrix(np.full((10, 2), 9.0, dtype=np.float32), Layout.OBJECT_MAJOR)
+        _, panel = panel_for(matrix, [np.array([0.0], dtype=np.float32)] * 2)
+        # panel_for writes over a dirty buffer, which must be fully overwritten.
+        assert np.all(panel[:, :10] == 1)
+        assert np.all(panel[:, 10:] == 0)
+
+    def test_quantile_never_exceeds_border_count(self):
+        # At +inf every condition holds: each feature's crossed count is its
+        # border count, and no more.
+        model = generate_synthetic_model(SyntheticSpec(5, 17, 0, 1, seed=21))
+        borders = [ff.borders for ff in model.float_features]
+        matrix = FeatureMatrix(np.full((40, 5), np.inf, dtype=np.float32), Layout.OBJECT_MAJOR)
+        tables, panel = panel_for(matrix, borders)
+        counts = crossed_counts(tables, panel)
+        for f, fb in enumerate(borders):
+            assert counts[f].max() == fb.size
+
     @staticmethod
     def one_border_tables(n_features: int = 1) -> ModelTables:
         return ModelTables(model_over([np.array([0.0], dtype=np.float32)] * n_features))
@@ -207,6 +226,25 @@ class TestQuantizeBlock:
         out = np.zeros((2, 64), dtype=np.uint8)
         with pytest.raises(ValueError, match="matrix has 3 features, model has 2"):
             quantize_block(matrix, (0, 4), self.one_border_tables(2), out)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0.0, math.nan], "float_features[3]: NaN border"),
+            ([math.nan], "float_features[3]: NaN border"),
+            ([1.0, 0.5], "float_features[3]: non-ascending borders"),
+            ([0.5, 0.5], "float_features[3]: non-ascending borders"),
+            (np.arange(255), "float_features[3]: 255 borders exceed the limit of 254"),
+        ],
+    )
+    def test_malformed_borders_rejected(self, bad, message):
+        # A condition's bit would no longer mean "count of borders crossed
+        # exceeds its ordinal", or an ordinal would reach the sentinel's 255,
+        # so building stage 1's tables refuses these rows and names the feature.
+        matrix = FeatureMatrix(np.zeros((2, 4), dtype=np.float32), Layout.OBJECT_MAJOR)
+        rows = [np.array([0.0], dtype=np.float32)] * 3 + [np.array(bad, dtype=np.float32)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            panel_for(matrix, rows)
 
 
 _SUBNORMAL = float(np.float32(1e-45))  # smallest positive binary32 subnormal
@@ -257,6 +295,29 @@ def quantize_cases(draw):
         raw[:, f] = rng.choice(pool, size=n_objects)
     values = raw if layout is Layout.OBJECT_MAJOR else raw.T
     return rows, raw, FeatureMatrix(values, layout), block_size
+
+
+class TestSearchMatchesScalarReference:
+    @settings(max_examples=80, deadline=None)
+    @given(quantize_cases())
+    def test_every_quantile_equals_quantize_value(self, case):
+        """The numpy panel's crossed-border counts against the scalar
+        reference, over every block of the batch: the later ones start past
+        object 0, the last may be partial."""
+        rows, raw, matrix, block_size = case
+        tables = ModelTables(model_over(rows))
+        expected = np.array(
+            [[quantize_value(float(v), row) for v in raw[:, f]] for f, row in enumerate(rows)],
+            dtype=np.int64,
+        ).reshape(len(rows), matrix.n_objects)
+        panel = np.empty((tables.cond_border.size, block_size), dtype=np.uint8)
+        for begin, end in plan_blocks(matrix.n_objects, block_size):
+            panel[:] = 0xA5
+            quantize_block(matrix, (begin, end), tables, panel)
+            live = end - begin
+            counts = crossed_counts(tables, panel)
+            assert np.array_equal(counts[:, :live], expected[:, begin:end])
+            assert not counts[:, live:].any()
 
 
 @st.composite
