@@ -326,20 +326,15 @@ def _fold_block_segment(
 ) -> None:
     """Run the numpy stages 2 and 3 for objects [begin, end) of a call, into ``out[begin:end]``.
 
-    ``panel`` is stage 1's condition panel holding those objects in its
-    first ``end - begin`` columns.  The stages run on the live columns
-    rounded up to a multiple of 8 (the panel's width is a multiple of 8, so
-    the extra columns are its cleared padding): the leaves are loaded by
-    indexed takes from the bank in its own precision, ``_TREE_CHUNK`` trees
-    at a time, and binary16 leaves widen to binary32 (``_widen_binary16``)
-    before the fold into the block's sums, which become scores as in the
-    oracle: converted to binary64, multiplied by ``scale``, then ``bias``
-    added.
+    ``panel`` is stage 1's C-contiguous condition panel of those objects,
+    ``end - begin`` columns rounded up to a multiple of 8, the extra ones
+    its cleared padding.  The leaves are loaded by indexed takes from the
+    bank in its own precision, ``_TREE_CHUNK`` trees at a time, and binary16
+    leaves widen to binary32 (``_widen_binary16``) before the fold into the
+    block's sums, which become scores as in the oracle: converted to
+    binary64, multiplied by ``scale``, then ``bias`` added.
     """
-    cols = -(-(end - begin) // _PANEL_COLUMNS) * _PANEL_COLUMNS
-    # Only a partial last block's columns are not contiguous; np.take would
-    # copy them once per level.
-    idx = _leaf_index_panel(tables, np.ascontiguousarray(panel[:, :cols]))
+    idx = _leaf_index_panel(tables, panel)
     contrib = np.empty(idx.shape, dtype=bank.values.dtype)
     starts = bank.offsets[:-1, None]
     for first in range(0, tables.n_trees, _TREE_CHUNK):
@@ -430,8 +425,9 @@ class Evaluator:
         out = np.empty(n, dtype=np.float64)
         size, tables, timed = EvalConfig.block_size, self.tables, stats is not None
         if self._native is None:
+            n_cond = tables.cond_border.size
             cols = -(-min(n, size) // _PANEL_COLUMNS) * _PANEL_COLUMNS
-            block, binarize = np.empty((tables.cond_border.size, cols), dtype=np.uint8), None
+            panels, binarize = np.empty(n_cond * cols, dtype=np.uint8), None
 
             def fold(begin: int, end: int) -> None:
                 _fold_block_segment(self.tables, self.bank, block, out, begin, end)
@@ -442,6 +438,11 @@ class Evaluator:
         # The blocks of plan_blocks(n, size), without building its list.
         for begin in range(0, n, size):
             end = min(begin + size, n)
+            if binarize is None:
+                # Each block's panel is a contiguous view of its live columns
+                # rounded up to whole 64-bit words.
+                width = -(-(end - begin) // _PANEL_COLUMNS) * _PANEL_COLUMNS
+                block = panels[: n_cond * width].reshape(n_cond, width)
             started = time.perf_counter() if timed else 0.0
             quantize_block(matrix, (begin, end), tables, block, binarize)
             quantized = time.perf_counter() if timed else 0.0

@@ -102,8 +102,6 @@ def quantize_value(value: float, borders: Sequence[float]) -> int:
     return count
 
 
-
-
 def quantize_block(
     matrix: FeatureMatrix,
     object_range: tuple[int, int],

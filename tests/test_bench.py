@@ -143,7 +143,9 @@ class TestRunMatrix:
         assert c_lines > 0
         assert bench._host_metadata()["src_lines"] == py_lines + c_lines
 
-    def test_git_rev_is_the_checkouts_head_or_none(self, tmp_path):
+    def test_git_rev_is_the_checkouts_head_or_none(self, tmp_path, monkeypatch):
+        # git must not find a checkout that happens to hold the temporary directory.
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
         assert bench._git_rev(tmp_path) is None  # not a checkout
         if shutil.which("git") is None:
             assert bench._host_metadata()["git_rev"] is None

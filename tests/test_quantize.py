@@ -348,12 +348,45 @@ def expected_masks(raw: np.ndarray, borders: np.ndarray, features: np.ndarray) -
     return np.ascontiguousarray(packed.transpose(0, 2, 1)).view("<u8")[..., 0]
 
 
-def expected_panel(raw: np.ndarray, tables: ModelTables, width: int) -> np.ndarray:
+def expected_panel(raw: np.ndarray, borders: np.ndarray, features: np.ndarray,
+                   width: int) -> np.ndarray:
     """(conditions x width) 0/1 bytes of ``raw`` rows > each condition's border."""
-    bits = np.greater(raw[:, tables.cond_feature], tables.cond_border).T
-    panel = np.zeros((tables.cond_border.size, width), dtype=np.uint8)
-    panel[:, : raw.shape[0]] = bits
+    panel = np.zeros((borders.size, width), dtype=np.uint8)
+    panel[:, : raw.shape[0]] = np.greater(raw[:, features], borders).T
     return panel
+
+
+def checked_conditions(model: ObliviousModel, tables: ModelTables):
+    """Each condition's feature and border, derived from the model's splits
+    and borders alone, after checking ``tables`` holds them bit for bit.
+
+    The conditions are the distinct (feature, ordinal) splits sorted by
+    feature, then ordinal; with trees of mixed depth, the padding condition
+    (feature 0, ordinal 255, border +inf) joins them.
+    """
+    pairs = {(s.feature_index, s.border_ordinal) for t in model.trees for s in t.splits}
+    mixed = len({t.depth for t in model.trees}) > 1
+    pairs = sorted(pairs | ({(0, 255)} if mixed else set()))
+    features = np.array([f for f, _ in pairs], dtype=np.intp)
+    borders = np.array([np.inf if o == 255 else model.float_features[f].borders[o]
+                        for f, o in pairs], dtype=np.float32)
+    assert np.array_equal(tables.cond_feature, features)
+    assert np.array_equal(tables.cond_border.view(np.uint32), borders.view(np.uint32))
+    # A real border may be +inf too, so the padding condition is found by its key.
+    padding = [c for c, pair in enumerate(pairs) if pair == (0, 255)]
+    assert len(padding) == mixed
+    assert all(features[c] == 0 and borders[c] == np.inf for c in padding)
+    # Every tree level names its split's condition, and every level past a
+    # tree's depth the padding condition.
+    for t, tree in enumerate(model.trees):
+        for s in range(tables.max_depth):
+            c = tables.tree_cond[t, s]
+            if s < tree.depth:
+                split = tree.splits[s]
+                assert pairs[c] == (split.feature_index, split.border_ordinal)
+            else:
+                assert pairs[c] == (0, 255)
+    return features, borders
 
 
 class TestBinarizerMatchesBorderCompares:
@@ -369,12 +402,13 @@ class TestBinarizerMatchesBorderCompares:
         and in every column past the live objects."""
         model, raw, matrix, block_size = case
         tables = ModelTables(model)
-        panel = np.empty((tables.cond_border.size, block_size), dtype=np.uint8)
+        features, borders = checked_conditions(model, tables)
+        panel = np.empty((borders.size, block_size), dtype=np.uint8)
         for layout in (matrix, matrix.transposed()):
             for begin, end in plan_blocks(matrix.n_objects, block_size):
                 panel[:] = 0xA5
                 quantize_block(layout, (begin, end), tables, panel)
-                expected = expected_panel(raw[begin:end], tables, block_size)
+                expected = expected_panel(raw[begin:end], borders, features, block_size)
                 assert np.array_equal(panel, expected), (layout.layout, begin, end)
 
     @settings(max_examples=80, deadline=None)
@@ -388,8 +422,7 @@ class TestBinarizerMatchesBorderCompares:
             pytest.skip("no native binarizer on this host")
         model, raw, matrix, block_size = case
         tables = ModelTables(model)
-        if any(t.depth == 2 for t in model.trees) and any(t.depth == 1 for t in model.trees):
-            assert np.isinf(tables.cond_border).any()
+        features, borders = checked_conditions(model, tables)
         bank = tables.bank(LeafPrecision.BINARY64)
         for layout in (matrix, matrix.transposed()):
             sums = np.zeros(matrix.n_objects)
@@ -398,5 +431,5 @@ class TestBinarizerMatchesBorderCompares:
                 masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)  # a dirty buffer
                 quantize_block(layout, (begin, end), tables, masks, binarize)
                 groups = -(-(end - begin) // 64)
-                expected = expected_masks(raw[begin:end], tables.cond_border, tables.cond_feature)
+                expected = expected_masks(raw[begin:end], borders, features)
                 assert np.array_equal(masks[:groups], expected), (layout.layout, begin, end)
