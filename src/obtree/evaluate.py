@@ -202,17 +202,17 @@ class ModelTables:
         require_valid(model)
         self.model = model
         self.n_trees = model.n_trees
-        depths = np.array([t.depth for t in model.trees], dtype=np.intp)
+        depths = model.depths
         self.max_depth = int(depths.max(initial=0))
         self.depth_runs = run_bounds(depths)
         self._banks: dict[LeafPrecision, LeafBank] = {}
 
         # Split s of tree t, at depth level s, is key feature * 256 + ordinal
         # at keys[t, s]; the splits come in tree order, each tree's by level.
-        starts = np.repeat(np.cumsum(depths) - depths, depths)
+        trees = np.repeat(np.arange(self.n_trees), depths)
+        levels = np.arange(trees.size) - model.split_offsets[trees]
         keys = np.full((self.n_trees, self.max_depth), _SENTINEL_ORDINAL, dtype=np.intp)
-        keys[np.repeat(np.arange(self.n_trees), depths), np.arange(starts.size) - starts] = [
-            s.feature_index * 256 + s.border_ordinal for t in model.trees for s in t.splits]
+        keys[trees, levels] = model.split_features * 256 + model.split_ordinals
         distinct, inverse = np.unique(keys, return_inverse=True)
         self.cond_feature = distinct >> 8
         # Every feature's borders back to back, then the sentinel's +inf.
@@ -298,8 +298,8 @@ def _leaf_index_panel(tables: ModelTables, cond: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _widen_binary16(half: np.ndarray) -> np.ndarray:
-    """Binary16 values as binary32, exactly, by integer operations.
+def _widen_binary16(half: np.ndarray, out: np.ndarray) -> None:
+    """Write binary16 values into the binary32 array ``out``, exactly, by integer operations.
 
     The sign-extended shift puts the sign, the exponent and the mantissa in
     their binary32 places, with copies of the sign in bits 28-30 that the
@@ -309,11 +309,10 @@ def _widen_binary16(half: np.ndarray) -> np.ndarray:
     flush-to-zero or denormals-are-zero mode).  Not for inf or NaN, which
     leaf banks never hold.
     """
-    wide = np.left_shift(half.view(np.int16), 13, dtype=np.int32)
-    wide &= ~0x70000000
-    wide = wide.view(np.float32)
-    wide *= 2.0**112
-    return wide
+    bits = out.view(np.int32)
+    np.left_shift(half.view(np.int16), 13, out=bits, dtype=np.int32)
+    bits &= ~0x70000000
+    out *= 2.0**112
 
 
 def _fold_block_segment(
@@ -329,25 +328,31 @@ def _fold_block_segment(
     ``panel`` is stage 1's C-contiguous condition panel of those objects,
     ``end - begin`` columns rounded up to a multiple of 8, the extra ones
     its cleared padding.  The leaves are loaded by indexed takes from the
-    bank in its own precision, ``_TREE_CHUNK`` trees at a time, and binary16
-    leaves widen to binary32 (``_widen_binary16``) before the fold into the
-    block's sums, which become scores as in the oracle: converted to
-    binary64, multiplied by ``scale``, then ``bias`` added.
+    bank in its own precision, ``_TREE_CHUNK`` trees at a time, into a
+    panel of binary64 leaves, or of binary32 ones into which each chunk of
+    binary16 leaves is widened (``_widen_binary16``).  The panel is folded
+    into the block's sums, which become scores as in the oracle: converted
+    to binary64, multiplied by ``scale``, then ``bias`` added.
     """
     idx = _leaf_index_panel(tables, panel)
-    contrib = np.empty(idx.shape, dtype=bank.values.dtype)
+    half = bank.precision is LeafPrecision.BINARY16
+    contrib = np.empty(idx.shape, dtype=np.float32 if half else np.float64)
+    if half:
+        chunk = np.empty((min(_TREE_CHUNK, tables.n_trees), idx.shape[1]), dtype=np.float16)
     starts = bank.offsets[:-1, None]
     for first in range(0, tables.n_trees, _TREE_CHUNK):
         last = first + _TREE_CHUNK
         # np.add(..., dtype=np.intp) would also make a cast copy of the indices.
         flat = idx[first:last].astype(np.intp)
         flat += starts[first:last]
+        rows = contrib[first:last]
+        taken = chunk[: rows.shape[0]] if half else rows
         # Indices are in range by construction, so mode="clip" only skips
         # the bounds check.
-        np.take(bank.values, flat, out=contrib[first:last], mode="clip")
+        np.take(bank.values, flat, out=taken, mode="clip")
+        if half:
+            _widen_binary16(taken, rows)
     del idx
-    if bank.precision is LeafPrecision.BINARY16:
-        contrib = _widen_binary16(contrib)
     sums = np.zeros(end - begin, dtype=contrib.dtype)
     _fold_rows(contrib, sums)
     scores = np.multiply(sums, tables.model.scale, out=out[begin:end], dtype=np.float64)
@@ -454,8 +459,10 @@ class Evaluator:
             stats.backend, stats.objects, stats.blocks = self.backend, n, -(-n // size)
             stats.stage1_s, stats.fold_s = stage1_s, fold_s
             stats.saturated_leaves = self.bank.saturation_count
-            stats.nan_inputs = int(np.count_nonzero(np.isnan(matrix.values)))
-            stats.inf_inputs = int(np.count_nonzero(np.isinf(matrix.values)))
+            values = matrix.values
+            nonfinite = values.size - int(np.count_nonzero(np.isfinite(values)))
+            stats.nan_inputs = int(np.count_nonzero(np.isnan(values))) if nonfinite else 0
+            stats.inf_inputs = nonfinite - stats.nan_inputs
             stats.scratch_bytes = (self._numpy_scratch_bytes(n) if self._native is None
                                    else self._native.scratch_bytes(n))
         return out
@@ -465,16 +472,16 @@ class Evaluator:
         objects, summed, though not all are live at once: the condition
         panel, stage 1's contiguous copy of the block's values and its
         buffer of ``CONDITION_CHUNK`` conditions, and stage 2's bits and leaf
-        indices, one chunk of flat leaf offsets, the leaf values (binary16
-        ones and their binary32 widening) and the sums."""
+        indices, one chunk of flat leaf offsets (and of binary16 leaves), the
+        panel of binary64 or widened binary32 leaves and the sums."""
         live = min(n, EvalConfig.block_size)
         cols = -(-live // _PANEL_COLUMNS) * _PANEL_COLUMNS
         n_cond, n_trees = self.tables.cond_border.size, self.tables.n_trees
-        item = self.bank.values.itemsize
-        wide = 4 if self.bank.precision is LeafPrecision.BINARY16 else 0
+        half = self.bank.precision is LeafPrecision.BINARY16
+        item = 4 if half else 8
         stage1 = live * 4 * (self.tables.model.n_features + min(CONDITION_CHUNK, n_cond))
-        stage2 = (cols * (n_trees * (2 + item + wide) + 8 * min(_TREE_CHUNK, n_trees))
-                  + live * (wide or item))
+        stage2 = (cols * (n_trees * (2 + item) + min(_TREE_CHUNK, n_trees) * (8 + 2 * half))
+                  + live * item)
         return cols * n_cond + stage1 + stage2
 
 

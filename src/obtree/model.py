@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -88,26 +91,92 @@ class ObliviousTree:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ObliviousModel:
-    """A scored ensemble: prediction = scale * sum(tree leaf values) + bias."""
+    """A scored ensemble: prediction = scale * sum(tree leaf values) + bias.
+
+    The trees are held as arrays, one tree after the other.  Tree ``t`` has
+    depth ``depths[t]``; its split conditions, level by level, are
+    ``split_features`` and ``split_ordinals`` from ``split_offsets[t]`` to
+    ``split_offsets[t + 1]``, and its leaf values are ``leaves`` from
+    ``leaf_offsets[t]`` to ``leaf_offsets[t + 1]``.  Each offsets array ends
+    with the total.  ``trees`` are the same trees as ``ObliviousTree``
+    objects, built on first read.
+    """
 
     float_features: tuple[FloatFeatureBorders, ...]
-    trees: tuple[ObliviousTree, ...]
     scale: float
     bias: float
+    depths: np.ndarray          # int64, as are the offsets and the splits
+    split_offsets: np.ndarray
+    split_features: np.ndarray
+    split_ordinals: np.ndarray
+    leaf_offsets: np.ndarray
+    leaves: np.ndarray          # float64
     # Set by a successful validate_model; the model is immutable, so it stays valid.
-    _validated: bool = field(default=False, init=False, repr=False)
-    # Every tree's leaf values back to back, as one read-only float64 array
-    # whose consecutive spans the trees' leaf_values view, or None.  Set by
-    # the loader that made the trees so (serialize.model_from_document).
-    _leaf_span: np.ndarray | None = field(default=None, init=False, repr=False)
+    _validated: bool = field(default=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "float_features", tuple(self.float_features))
-        object.__setattr__(self, "trees", tuple(self.trees))
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "bias", float(self.bias))
+    def __init__(self, float_features, trees, scale, bias):
+        trees = tuple(trees)
+        for t, tree in enumerate(trees):
+            if tree.leaf_values.ndim != 1:
+                raise ValueError(
+                    f"trees[{t}]: leaf values must be 1-D, got shape {tree.leaf_values.shape}")
+        splits = [split for tree in trees for split in tree.splits]
+        self._fill(
+            float_features, scale, bias,
+            depths=[tree.depth for tree in trees],
+            split_counts=[len(tree.splits) for tree in trees],
+            split_features=[split.feature_index for split in splits],
+            split_ordinals=[split.border_ordinal for split in splits],
+            leaf_counts=[tree.leaf_values.size for tree in trees],
+            leaves=np.concatenate([np.zeros(0)] + [tree.leaf_values for tree in trees]),
+        )
+
+    @classmethod
+    def _from_arrays(cls, float_features, scale, bias, **arrays) -> ObliviousModel:
+        """A model of the trees that ``arrays`` describe (``_fill``)."""
+        model = cls.__new__(cls)
+        model._fill(float_features, scale, bias, **arrays)
+        return model
+
+    def _fill(self, float_features, scale, bias, *, depths, split_counts, split_features,
+              split_ordinals, leaf_counts, leaves) -> None:
+        """Set every field from sequences of integers (``_index_array``), each
+        tree's count of splits and of leaves, and all leaf values back to back."""
+        split_offsets = _readonly(np.cumsum([0, *split_counts], dtype=np.int64))
+        fields = {
+            "float_features": tuple(float_features),
+            "scale": float(scale),
+            "bias": float(bias),
+            "depths": _index_array(depths, "depth"),
+            "split_offsets": split_offsets,
+            "split_features": _index_array(split_features, "feature index", split_offsets),
+            "split_ordinals": _index_array(split_ordinals, "border ordinal", split_offsets),
+            "leaf_offsets": _readonly(np.cumsum([0, *leaf_counts], dtype=np.int64)),
+            "leaves": _readonly(np.ascontiguousarray(leaves, dtype=np.float64)),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def trees(self) -> tuple[ObliviousTree, ...]:
+        """The trees as ``ObliviousTree`` objects; their leaf values view ``leaves``.
+
+        Equal split conditions are one shared ``SplitCondition``, which is
+        immutable: one object per split would be tens of thousands for the
+        garbage collector to scan while the model lives.
+        """
+        pairs = list(zip(self.split_features.tolist(), self.split_ordinals.tolist()))
+        shared = {pair: SplitCondition(*pair) for pair in set(pairs)}
+        conditions = list(map(shared.__getitem__, pairs))
+        return tuple(ObliviousTree(depth, tuple(conditions[s0:s1]), self.leaves[l0:l1])
+                     for depth, s0, s1, l0, l1 in self.tree_bounds())
+
+    def tree_bounds(self):
+        """Each tree's depth, first and end split, and first and end leaf, as ints."""
+        splits, leaves = self.split_offsets.tolist(), self.leaf_offsets.tolist()
+        return zip(self.depths.tolist(), splits, splits[1:], leaves, leaves[1:])
 
     @property
     def n_features(self) -> int:
@@ -115,17 +184,37 @@ class ObliviousModel:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.depths.size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObliviousModel):
             return NotImplemented
         return (
             self.float_features == other.float_features
-            and self.trees == other.trees
+            and all(getattr(self, name).tobytes() == getattr(other, name).tobytes() for name in
+                    ("depths", "split_offsets", "split_features", "split_ordinals", "leaf_offsets",
+                     "leaves"))
             and _bits64(self.scale) == _bits64(other.scale)
             and _bits64(self.bias) == _bits64(other.bias)
         )
+
+
+def _index_array(values, name: str, offsets: np.ndarray | None = None) -> np.ndarray:
+    """``values`` as a read-only int64 array, each taken by ``operator.index``.
+
+    A value that is no integer, or one that int64 cannot hold and so out of
+    range for any model, raises ``ValueError`` naming its tree, and its split
+    where ``offsets`` are the trees' offsets into ``values``.
+    """
+    try:
+        return _readonly(np.fromiter(map(operator.index, values), np.int64, len(values)))
+    except (TypeError, OverflowError):
+        j, value = next((j, v) for j, v in enumerate(values)
+                        if not (isinstance(v, Integral) and -(2**63) <= v < 2**63))
+    if offsets is None:
+        raise ValueError(f"trees[{j}]: {name} {value!r} out of range")
+    t = int(np.searchsorted(offsets, j, side="right")) - 1
+    raise ValueError(f"trees[{t}].splits[{j - offsets[t]}]: {name} {value!r} out of range")
 
 
 def _bits64(x: float) -> int:
@@ -156,10 +245,10 @@ def validate_model(model: ObliviousModel) -> list[str]:
     """Check every model invariant; return a list of violations (empty = ok).
 
     Each message carries the feature/tree coordinates of the violation so a
-    bad model document can be fixed by hand.  The trees are checked all at
-    once; only if that finds a violation are they checked one by one, to
-    word each.  A model that passes is marked as validated, so
-    ``require_valid`` checks each model object only once.
+    bad model document can be fixed by hand.  The trees' arrays are checked
+    all at once, and the messages are worded from them for each tree found
+    bad.  A model that passes is marked as validated, so ``require_valid``
+    checks each model object only once.
     """
     errors: list[str] = []
 
@@ -176,84 +265,54 @@ def validate_model(model: ObliviousModel) -> list[str]:
             errors.append(f"{where}: feature index {ff.feature_index} does not match position {i}")
         errors.extend(f"{where}: {e}" for e in border_row_errors(ff.borders))
 
-    if not _trees_valid(model):
-        errors.extend(_tree_errors(model))
-
+    errors.extend(_tree_errors(model))
     if not errors:
         object.__setattr__(model, "_validated", True)
     return errors
 
 
-def of_types(items, kinds: set) -> bool:
-    """Whether every item's type is exactly one of ``kinds``: no ``bool`` for ``int``."""
-    return set(map(type, items)) <= kinds
-
-
-def _trees_valid(model: ObliviousModel) -> bool:
-    """Whether ``_tree_errors`` finds nothing, tested on all trees at once.
-
-    Depths and split coordinates must be of type ``int``: others, such as
-    ``bool`` or numpy integers, only ``_tree_errors`` judges.
-    """
-    trees = model.trees
-    if not trees:
-        return True
-    depths = [tree.depth for tree in trees]
-    if not of_types(depths, {int}) or min(depths) < 1 or max(depths) > MAX_DEPTH:
-        return False
-    if [len(tree.splits) for tree in trees] != depths:
-        return False
-    leaves = [tree.leaf_values for tree in trees]
-    if {arr.ndim for arr in leaves} != {1} or [arr.size for arr in leaves] != [1 << d for d in depths]:
-        return False
-    # Copies of at most 512 tables at a time, not of every leaf at once.
-    if not all(np.isfinite(np.concatenate(leaves[t : t + 512])).all()
-               for t in range(0, len(leaves), 512)):
-        return False
-    splits = [split for tree in trees for split in tree.splits]
-    features = [split.feature_index for split in splits]
-    ordinals = [split.border_ordinal for split in splits]
-    n_borders = [ff.borders.size for ff in model.float_features]
-    if not (of_types(features, {int}) and of_types(ordinals, {int})):
-        return False
-    if min(features) < 0 or max(features) >= len(n_borders):
-        return False
-    # Below the largest border count, the ordinals fit an int64 array.
-    if min(ordinals) < 0 or max(ordinals) >= max(n_borders):
-        return False
-    return bool((np.array(ordinals) < np.array(n_borders)[np.array(features)]).all())
-
-
 def _tree_errors(model: ObliviousModel) -> list[str]:
     """Every tree's violations, tree by tree, in ``validate_model``'s order."""
+    depths, features, ordinals = model.depths, model.split_features, model.split_ordinals
+    split_ends, leaf_ends, leaves = model.split_offsets, model.leaf_offsets, model.leaves
+    sized = (depths >= 1) & (depths <= MAX_DEPTH)
+    bad = ~sized | (np.diff(split_ends) != depths)
+    bad |= np.diff(leaf_ends) != 1 << np.clip(depths, 0, MAX_DEPTH)
+    known = (features >= 0) & (features < model.n_features)
+    # A split on no feature reads the appended border count of 0.
+    n_borders = np.array([ff.borders.size for ff in model.float_features] + [0])
+    borders = n_borders[np.where(known, features, -1)]
+    bad_split = ~known | (ordinals < 0) | (ordinals >= borders)
+    bad[np.searchsorted(split_ends, np.flatnonzero(bad_split), side="right") - 1] = True
+    # np.min and np.max propagate NaN, so both are finite iff every leaf is.
+    if leaves.size and not np.isfinite([leaves.min(), leaves.max()]).all():
+        nonfinite = np.flatnonzero(~np.isfinite(leaves))
+        bad[np.searchsorted(leaf_ends, nonfinite, side="right") - 1] = True
+
     errors = []
-    for t, tree in enumerate(model.trees):
-        where = f"trees[{t}]"
-        if not 1 <= tree.depth <= MAX_DEPTH:
-            errors.append(f"{where}: depth {tree.depth} outside 1..{MAX_DEPTH}")
+    for t in np.flatnonzero(bad).tolist():
+        where, depth = f"trees[{t}]", int(depths[t])
+        if not sized[t]:
+            errors.append(f"{where}: depth {depth} outside 1..{MAX_DEPTH}")
             continue
-        if len(tree.splits) != tree.depth:
-            errors.append(f"{where}: {len(tree.splits)} splits for depth {tree.depth}")
-        if tree.leaf_values.ndim != 1:
-            errors.append(f"{where}: leaf values must be 1-D, got shape {tree.leaf_values.shape}")
-        elif tree.leaf_values.size != 1 << tree.depth:
-            errors.append(
-                f"{where}: {tree.leaf_values.size} leaf values, expected {1 << tree.depth}"
-            )
-        if np.isnan(tree.leaf_values).any():
+        first, end = int(split_ends[t]), int(split_ends[t + 1])
+        if end - first != depth:
+            errors.append(f"{where}: {end - first} splits for depth {depth}")
+        values = leaves[leaf_ends[t] : leaf_ends[t + 1]]
+        if values.size != 1 << depth:
+            errors.append(f"{where}: {values.size} leaf values, expected {1 << depth}")
+        if np.isnan(values).any():
             errors.append(f"{where}: NaN leaf value")
-        elif np.isinf(tree.leaf_values).any():
+        elif np.isinf(values).any():
             errors.append(f"{where}: infinite leaf value")
-        for s, split in enumerate(tree.splits):
-            swhere = f"{where}.splits[{s}]"
-            if not 0 <= split.feature_index < model.n_features:
-                errors.append(f"{swhere}: feature index {split.feature_index} out of range")
-                continue
-            n_borders = model.float_features[split.feature_index].borders.size
-            if not 0 <= split.border_ordinal < n_borders:
+        for s in range(first, end):
+            swhere = f"{where}.splits[{s - first}]"
+            if not known[s]:
+                errors.append(f"{swhere}: feature index {features[s]} out of range")
+            elif bad_split[s]:
                 errors.append(
-                    f"{swhere}: border ordinal out of range ({split.border_ordinal} vs "
-                    f"{n_borders} borders in float_features[{split.feature_index}])"
+                    f"{swhere}: border ordinal out of range ({ordinals[s]} vs "
+                    f"{borders[s]} borders in float_features[{features[s]}])"
                 )
     return errors
 
@@ -324,20 +383,16 @@ def byte_planes(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank:
     """Materialize the per-tree leaf tables used by the accumulation stage.
 
-    Both precisions start from all leaves back to back: a loaded model's
-    one array of them (``ObliviousModel._leaf_span``), which a binary64 bank
-    uses as it is, or else the trees' arrays concatenated.  Binary64 banks
-    hold the tree leaf values bit for bit.  Binary16
-    banks hold the round-to-nearest-even conversion of each leaf, saturated
-    to +/-65504: each clamp increments ``saturation_count``, and a bank with
-    any is logged as a warning on the ``obtree`` logger.
+    Both precisions start from the model's one array of all leaves, which
+    a binary64 bank uses as it is.  Binary64 banks hold the tree leaf values
+    bit for bit.  Binary16 banks hold the round-to-nearest-even conversion
+    of each leaf, saturated to +/-65504: each clamp increments
+    ``saturation_count``, and a bank with any is logged as a warning on the
+    ``obtree`` logger.
     """
     require_valid(model)
-    leaves = model._leaf_span
-    if leaves is None:
-        leaves = np.concatenate([np.zeros(0)] + [tree.leaf_values for tree in model.trees])
-    offsets = np.cumsum([0] + [tree.leaf_values.size for tree in model.trees], dtype=np.int64)
-    max_abs = float(np.max(np.abs(leaves), initial=0.0))
+    leaves, offsets = model.leaves, model.leaf_offsets
+    max_abs = float(max(-leaves.min(initial=0.0), leaves.max(initial=0.0)))
     saturated = 0
     if precision is LeafPrecision.BINARY64:
         values = leaves
@@ -356,7 +411,7 @@ def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank
     return LeafBank(
         precision=precision,
         values=_readonly(values),
-        offsets=_readonly(offsets),
+        offsets=offsets,
         max_abs_leaf=max_abs,
         saturation_count=saturated,
         planes=_readonly(byte_planes(values, offsets)),

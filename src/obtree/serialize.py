@@ -4,41 +4,36 @@ The document is UTF-8 JSON with every floating-point number carried as its
 lowercase big-endian hex bit pattern (8 hex digits for binary32, 16 for
 binary64), so a serialize/deserialize round trip is identity down to the bit
 level.  A feature's borders and a tree's leaves are each one string of their
-values' digits back to back:
+values' digits back to back, and a tree's splits are two lists of integers,
+the feature and the border ordinal of each level:
 
     {
       "float_features": [{"index": 0, "borders_hex": "3f0000003f800000..."}, ...],
-      "trees": [{"depth": 2,
-                 "splits": [{"feature": 0, "border": 1}, ...],
+      "trees": [{"depth": 2, "features": [0, 3], "ordinals": [1, 0],
                  "leaves_hex": "3ff0000000000000bff0000000000000..."}, ...],
       "scale_hex": "3ff0000000000000",
       "bias_hex": "0000000000000000"
     }
 
-The list form, with ``borders_hex`` and ``leaves_hex`` each a list of
-one-value strings (``["3f000000", "3f800000"]``), is still read, bit for
-bit.  In either form an error names a bad value by its index, as in
-``trees[0].leaves_hex[1]``.
+The list forms are still read, bit for bit: ``borders_hex`` and
+``leaves_hex`` each a list of one-value strings (``["3f000000",
+"3f800000"]``), and a tree's splits as ``"splits": [{"feature": 0,
+"border": 1}, ...]`` in place of ``features`` and ``ordinals``.  In every
+form an error names a bad value by its index, as in
+``trees[0].leaves_hex[1]`` or ``trees[0].features[1]``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_right
 from itertools import accumulate
 from typing import Any
 
 import numpy as np
 
-from .model import (
-    FloatFeatureBorders,
-    ObliviousModel,
-    ObliviousTree,
-    SplitCondition,
-    of_types,
-    require_valid,
-    validate_model,
-)
+from .model import FloatFeatureBorders, ObliviousModel, require_valid, validate_model
 
 
 class ModelFormatError(ValueError):
@@ -67,6 +62,11 @@ def hex_to_f64(text: str, where: str) -> float:
     return struct.unpack(">d", _hex_bytes(text, 16, where))[0]
 
 
+def of_types(items, kinds: set) -> bool:
+    """Whether every item's type is exactly one of ``kinds``: no ``bool`` for ``int``."""
+    return set(map(type, items)) <= kinds
+
+
 def _hex_text(field: str | list, digits: int) -> str | None:
     """A hex field's values' digits back to back, or None if the field is a
     string of a length that is no whole number of values, or a list with an
@@ -78,37 +78,43 @@ def _hex_text(field: str | list, digits: int) -> str | None:
     return None
 
 
-def _decode(text: str | None) -> bytes | None:
-    """The bytes of ``text``, or None unless it is hex digits only."""
-    if text is None:
-        return None
-    try:
-        raw = bytes.fromhex(text)
-    except ValueError:
-        return None
-    # bytes.fromhex skips whitespace, so only text of hex digits alone gives
-    # one byte per two characters.
-    return raw if len(raw) * 2 == len(text) else None
+def _refuse_hex(field: str | list, digits: int, where: str) -> None:
+    """Raise naming the first value of a hex field that is not ``digits`` hex digits."""
+    if isinstance(field, str):
+        if len(field) % digits:
+            raise ModelFormatError(
+                f"{where}: {len(field)} hex digits are not a whole number of "
+                f"{digits}-digit values")
+        field = [field[j : j + digits] for j in range(0, len(field), digits)]
+    for j, text in enumerate(field):
+        _hex_bytes(text, digits, f"{where}[{j}]")
+    raise ModelFormatError(f"{where}: not hex digits")
 
 
-def _hex_array(field: str | list, dtype: str, where: str) -> np.ndarray:
-    """Decode a hex field of big-endian ``dtype`` values in one pass.
+def _hex_values(fields: list, dtype: str, where: str) -> tuple[np.ndarray, list[int]]:
+    """All values of hex fields of big-endian ``dtype`` values, in native byte
+    order, and each field's count of them.
 
-    If the field is not exactly the hex digits of whole values, it is
-    checked value by value, which raises naming the first bad one.
+    Each field is decoded into its place in one buffer, byte-swapped in
+    place after.  A memoryview slice takes only bytes of its own length, so
+    text that bytes.fromhex shortened by skipping whitespace is refused too.
+    The first field that is not the hex digits of whole values raises
+    naming its first bad value (``_refuse_hex``); ``where`` has ``{}`` for
+    the field's index.
     """
     digits = 2 * np.dtype(dtype).itemsize
-    raw = _decode(_hex_text(field, digits))
-    if raw is None:
-        if isinstance(field, str):
-            if len(field) % digits:
-                raise ModelFormatError(
-                    f"{where}: {len(field)} hex digits are not a whole number of "
-                    f"{digits}-digit values")
-            field = [field[j : j + digits] for j in range(0, len(field), digits)]
-        for j, text in enumerate(field):
-            _hex_bytes(text, digits, f"{where}[{j}]")
-    return np.frombuffer(raw, dtype=dtype)
+    texts = [_hex_text(field, digits) for field in fields]
+    ends = list(accumulate((len(text or "") // 2 for text in texts), initial=0))
+    buffer = bytearray(ends[-1])
+    view = memoryview(buffer)
+    for i, text in enumerate(texts):
+        try:
+            view[ends[i] : ends[i + 1]] = bytes.fromhex(text)
+        except (TypeError, ValueError):  # no text (None), or not hex digits
+            _refuse_hex(fields[i], digits, where.format(i))
+    values = np.frombuffer(buffer, dtype=dtype)
+    counts = [2 * (end - start) // digits for start, end in zip(ends, ends[1:])]
+    return values.byteswap(inplace=True).view(values.dtype.newbyteorder()), counts
 
 
 def _hex_field(values: np.ndarray, dtype: str) -> str:
@@ -118,21 +124,17 @@ def _hex_field(values: np.ndarray, dtype: str) -> str:
 
 def model_to_document(model: ObliviousModel) -> dict:
     require_valid(model)
+    features, ordinals = model.split_features.tolist(), model.split_ordinals.tolist()
+    digits = _hex_field(model.leaves, ">f8")
     return {
         "float_features": [
             {"index": ff.feature_index, "borders_hex": _hex_field(ff.borders, ">f4")}
             for ff in model.float_features
         ],
         "trees": [
-            {
-                "depth": tree.depth,
-                "splits": [
-                    {"feature": s.feature_index, "border": s.border_ordinal}
-                    for s in tree.splits
-                ],
-                "leaves_hex": _hex_field(tree.leaf_values, ">f8"),
-            }
-            for tree in model.trees
+            {"depth": depth, "features": features[s0:s1], "ordinals": ordinals[s0:s1],
+             "leaves_hex": digits[16 * l0 : 16 * l1]}
+            for depth, s0, s1, l0, l1 in model.tree_bounds()
         ],
         "scale_hex": f64_to_hex(model.scale),
         "bias_hex": f64_to_hex(model.bias),
@@ -140,7 +142,7 @@ def model_to_document(model: ObliviousModel) -> dict:
 
 
 def serialize_model(model: ObliviousModel) -> str:
-    return json.dumps(model_to_document(model), indent=1)
+    return json.dumps(model_to_document(model))
 
 
 def _expect(obj: Any, key: str, kind: type | tuple[type, ...], where: str) -> Any:
@@ -157,83 +159,55 @@ def _expect(obj: Any, key: str, kind: type | tuple[type, ...], where: str) -> An
     return value
 
 
-def _tree(entry: Any, where: str) -> ObliviousTree:
-    """One tree of a document, checked field by field."""
-    depth = _expect(entry, "depth", int, where)
-    splits_raw = _expect(entry, "splits", list, where)
-    leaves_hex = _expect(entry, "leaves_hex", (str, list), where)
-    splits = []
-    for s, split in enumerate(splits_raw):
-        swhere = f"{where}.splits[{s}]"
-        splits.append(
-            SplitCondition(
-                feature_index=_expect(split, "feature", int, swhere),
-                border_ordinal=_expect(split, "border", int, swhere),
-            )
-        )
-    leaves = _hex_array(leaves_hex, ">f8", f"{where}.leaves_hex")
-    return ObliviousTree(depth=depth, splits=tuple(splits), leaf_values=leaves)
+def _tree_fields(entry: Any, where: str) -> tuple[int, list, list, str | list]:
+    """One tree's depth, split features, split ordinals and leaves field.
 
-
-def _trees(entries: list) -> tuple[list[ObliviousTree], np.ndarray] | None:
-    """Every tree of a document, each field checked and decoded for all trees
-    at once, and the read-only float64 array of all their leaves, or None if
-    any field is missing, of another type than ``_tree`` takes without a
-    conversion, or not hex digits of whole values.
-
-    The leaves of all trees are decoded into that array, one
-    ``bytes.fromhex`` per tree, and each tree's leaf values view its next
-    span.  Equal split conditions are one shared ``SplitCondition``, which
-    is immutable.
+    The fields are checked in document order.  A tree in the list form of
+    splits, one object per split, has its splits checked one by one and
+    converted into the two lists here.
     """
-    if not of_types(entries, {dict}):
-        return None
-    try:
-        depths = [entry["depth"] for entry in entries]
-        split_rows = [entry["splits"] for entry in entries]
-        leaf_fields = [entry["leaves_hex"] for entry in entries]
-    except KeyError:
-        return None
-    if not (of_types(depths, {int}) and of_types(split_rows, {list})
-            and of_types(leaf_fields, {str, list})):
-        return None
-    splits = [split for row in split_rows for split in row]
-    if not of_types(splits, {dict}):
-        return None
-    try:
-        features = [split["feature"] for split in splits]
-        ordinals = [split["border"] for split in splits]
-    except KeyError:
-        return None
-    if not (of_types(features, {int}) and of_types(ordinals, {int})):
-        return None
-    texts = [_hex_text(field, 16) for field in leaf_fields]
-    if None in texts:
-        return None
-    # Each tree's leaves are decoded into their place in one buffer.  A
-    # memoryview slice takes only bytes of its own length, so text that
-    # bytes.fromhex shortened by skipping whitespace is rejected too.
-    digit_ends = list(accumulate(map(len, texts), initial=0))
-    buffer = bytearray(digit_ends[-1] // 2)
-    view = memoryview(buffer)
-    try:
-        for text, start, end in zip(texts, digit_ends, digit_ends[1:]):
-            view[start // 2 : end // 2] = bytes.fromhex(text)
-    except ValueError:
-        return None
-    leaves = np.frombuffer(buffer, dtype=">f8")
-    leaves = leaves.byteswap(inplace=True).view(leaves.dtype.newbyteorder())
-    leaves.flags.writeable = False
-    # The pairs are made one at a time and not kept: a list of them all
-    # would hold tens of thousands of objects for the garbage collector to scan.
-    shared = {key: SplitCondition(*key) for key in set(zip(features, ordinals))}
-    conditions = list(map(shared.__getitem__, zip(features, ordinals)))
-    split_ends = list(accumulate(map(len, split_rows), initial=0))
-    return [
-        ObliviousTree(depth, tuple(conditions[s0:s1]), leaves[d0 // 16 : d1 // 16])
-        for depth, s0, s1, d0, d1 in zip(
-            depths, split_ends, split_ends[1:], digit_ends, digit_ends[1:])
-    ], leaves
+    depth = _expect(entry, "depth", int, where)
+    if "splits" in entry:
+        splits = _expect(entry, "splits", list, where)
+        leaves = _expect(entry, "leaves_hex", (str, list), where)
+        features, ordinals = [], []
+        for s, split in enumerate(splits):
+            swhere = f"{where}.splits[{s}]"
+            features.append(_expect(split, "feature", int, swhere))
+            ordinals.append(_expect(split, "border", int, swhere))
+    else:
+        features = _expect(entry, "features", list, where)
+        ordinals = _expect(entry, "ordinals", list, where)
+        leaves = _expect(entry, "leaves_hex", (str, list), where)
+        if len(ordinals) != len(features):
+            raise ModelFormatError(
+                f"{where}: {len(features)} features but {len(ordinals)} ordinals")
+    return depth, features, ordinals, leaves
+
+
+def _tree_arrays(entries: list) -> dict:
+    """A document's trees as ``ObliviousModel._from_arrays`` takes them.
+
+    Each tree's fields are checked tree by tree (``_tree_fields``), then the
+    integers of all trees' splits, then the leaves (``_hex_values``).
+    """
+    depths, split_counts, features, ordinals, leaf_fields = [], [], [], [], []
+    for t, entry in enumerate(entries):
+        depth, tree_features, tree_ordinals, leaves = _tree_fields(entry, f"trees[{t}]")
+        depths.append(depth)
+        split_counts.append(len(tree_features))
+        features += tree_features
+        ordinals += tree_ordinals
+        leaf_fields.append(leaves)
+    for name, values in (("features", features), ("ordinals", ordinals)):
+        if not of_types(values, {int}):
+            j = next(j for j, value in enumerate(values) if type(value) is not int)
+            starts = list(accumulate(split_counts, initial=0))
+            t = bisect_right(starts, j) - 1
+            raise ModelFormatError(f"trees[{t}].{name}[{j - starts[t]}]: expected an integer")
+    leaves, leaf_counts = _hex_values(leaf_fields, ">f8", "trees[{}].leaves_hex")
+    return {"depths": depths, "split_counts": split_counts, "split_features": features,
+            "split_ordinals": ordinals, "leaf_counts": leaf_counts, "leaves": leaves}
 
 
 def model_from_document(doc: Any) -> ObliviousModel:
@@ -242,27 +216,22 @@ def model_from_document(doc: Any) -> ObliviousModel:
     scale = hex_to_f64(_expect(doc, "scale_hex", str, "document"), "document.scale_hex")
     bias = hex_to_f64(_expect(doc, "bias_hex", str, "document"), "document.bias_hex")
 
-    float_features = []
+    indices, border_fields = [], []
     for i, entry in enumerate(features):
-        where = f"float_features[{i}]"
-        index = _expect(entry, "index", int, where)
-        borders_hex = _expect(entry, "borders_hex", (str, list), where)
-        borders = _hex_array(borders_hex, ">f4", f"{where}.borders_hex")
-        float_features.append(FloatFeatureBorders(feature_index=index, borders=borders))
+        indices.append(_expect(entry, "index", int, f"float_features[{i}]"))
+        border_fields.append(_expect(entry, "borders_hex", (str, list), f"float_features[{i}]"))
+    borders, counts = _hex_values(border_fields, ">f4", "float_features[{}].borders_hex")
+    float_features = [
+        FloatFeatureBorders(index, borders[first : first + n])
+        for index, first, n in zip(indices, accumulate(counts, initial=0), counts)
+    ]
 
-    parsed = _trees(trees)
-    if parsed is None:
-        parsed = [_tree(entry, f"trees[{t}]") for t, entry in enumerate(trees)], None
-    parsed_trees, leaf_span = parsed
-
-    model = ObliviousModel(
-        float_features=tuple(float_features),
-        trees=tuple(parsed_trees),
-        scale=scale,
-        bias=bias,
-    )
-    object.__setattr__(model, "_leaf_span", leaf_span)
-    errors = validate_model(model)
+    arrays = _tree_arrays(trees)
+    try:
+        model = ObliviousModel._from_arrays(float_features, scale, bias, **arrays)
+        errors = validate_model(model)
+    except ValueError as exc:  # a depth or split index that int64 cannot hold
+        errors = [str(exc)]
     if errors:
         raise ModelFormatError("document parses but model is invalid: " + "; ".join(errors))
     return model

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    MAX_BORDERS,
-    MAX_DEPTH,
-    FloatFeatureBorders,
-    ObliviousModel,
-    ObliviousTree,
-    SplitCondition,
-)
+from .model import MAX_BORDERS, MAX_DEPTH, FloatFeatureBorders, ObliviousModel
 from .quantize import FeatureMatrix, Layout
 
 _MASK64 = (1 << 64) - 1
@@ -109,27 +102,18 @@ def generate_synthetic_model(spec: SyntheticSpec) -> ObliviousModel:
         borders = np.array(sorted(seen), dtype=np.float32)
         float_features.append(FloatFeatureBorders(feature_index=f, borders=borders))
 
-    trees = []
+    # Each tree draws its splits' (feature, ordinal) pairs, then its leaves.
+    features, ordinals, leaves = [], [], []
     for _ in range(spec.n_trees):
-        splits = []
         for _ in range(spec.depth):
-            f = rng.below(spec.n_features)
-            splits.append(
-                SplitCondition(
-                    feature_index=f,
-                    border_ordinal=rng.below(float_features[f].borders.size),
-                )
-            )
-        leaves = np.array(
-            [rng.uniform(-1.0, 1.0) for _ in range(1 << spec.depth)], dtype=np.float64
-        )
-        trees.append(ObliviousTree(depth=spec.depth, splits=tuple(splits), leaf_values=leaves))
-
-    return ObliviousModel(
-        float_features=tuple(float_features),
-        trees=tuple(trees),
-        scale=rng.uniform(0.5, 1.5),
-        bias=rng.uniform(-0.5, 0.5),
+            features.append(rng.below(spec.n_features))
+            ordinals.append(rng.below(spec.borders_per_feature))
+        leaves += [rng.uniform(-1.0, 1.0) for _ in range(1 << spec.depth)]
+    return ObliviousModel._from_arrays(
+        float_features, scale=rng.uniform(0.5, 1.5), bias=rng.uniform(-0.5, 0.5),
+        depths=[spec.depth] * spec.n_trees, split_counts=[spec.depth] * spec.n_trees,
+        split_features=features, split_ordinals=ordinals,
+        leaf_counts=[1 << spec.depth] * spec.n_trees, leaves=np.array(leaves, dtype=np.float64),
     )
 
 

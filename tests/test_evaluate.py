@@ -293,7 +293,9 @@ class TestBinary16Widening:
         half = half[np.isfinite(half)].reshape(8, -1)
         assert half.size == 63488
         expected = half.astype(np.float32)
-        assert np.array_equal(_widen_binary16(half).view(np.uint32), expected.view(np.uint32))
+        wide = np.full(half.shape, np.nan, dtype=np.float32)
+        _widen_binary16(half, wide)
+        assert np.array_equal(wide.view(np.uint32), expected.view(np.uint32))
 
     def test_predict_over_subnormal_zero_and_saturated_leaves(self):
         # Quantiles 0, 1, 2, 3 reach leaves 0, 1, 3 and 7 of both trees, so
@@ -489,9 +491,20 @@ class TestInputCounts:
                     assert_bits_equal(evaluator.predict(matrix, stats), oracle, context)
                     assert_bits_equal(evaluator.predict(matrix), oracle, context)
                     assert (stats.nan_inputs, stats.inf_inputs) == (7, 9), context
-                clean = EvalStats()
-                evaluator.predict(FeatureMatrix(np.zeros((5, 4)), Layout.OBJECT_MAJOR), clean)
-                assert (clean.nan_inputs, clean.inf_inputs) == (0, 0)
+                # No value that is not finite, and -inf alone: the count of
+                # NaN runs only when some value is not finite.
+                finite = generate_feature_matrix(300, 4, seed=4).values
+                minus_inf = finite.copy()
+                cells = np.random.default_rng(9).choice(finite.size, 5, replace=False)
+                minus_inf.reshape(-1)[cells] = -np.inf
+                for values, counts in ((finite, (0, 0)), (minus_inf, (0, 5))):
+                    other = FeatureMatrix(values, Layout.OBJECT_MAJOR)
+                    for matrix in (other, other.transposed()):
+                        stats = EvalStats()
+                        context = (strategy, evaluator.backend, matrix.layout, counts)
+                        assert_bits_equal(evaluator.predict(matrix, stats),
+                                          evaluator.predict(matrix), context)
+                        assert (stats.nan_inputs, stats.inf_inputs) == counts, context
 
     def test_a_call_without_stats_does_not_count(self, each_backend, monkeypatch):
         model = walk_model()
@@ -503,6 +516,7 @@ class TestInputCounts:
 
         monkeypatch.setattr(np, "isnan", refuse)
         monkeypatch.setattr(np, "isinf", refuse)
+        monkeypatch.setattr(np, "isfinite", refuse)
         for evaluator in evaluators:
             evaluator.predict(matrix)
             with pytest.raises(AssertionError, match="counted without stats"):

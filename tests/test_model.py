@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import re
@@ -223,17 +224,40 @@ class TestValidation:
             assert any(f"{field} must be finite, got {value!r}" in e for e in errors), field
 
     def test_leaf_values_must_be_1d(self):
+        # A model holds all trees' leaves in one flat array, so a tree whose
+        # leaves are not 1-D is refused when the model is made.
         tree = make_tree([(0, 0), (0, 0)], [[0.0, 1.0], [2.0, 3.0]])
-        model = make_model([[0.5]], [tree])
-        message = r"trees\[0\]: leaf values must be 1-D, got shape \(2, 2\)"
-        assert validate_model(model) == ["trees[0]: leaf values must be 1-D, got shape (2, 2)"]
-        matrix = FeatureMatrix(np.zeros((3, 1), dtype=np.float32), Layout.OBJECT_MAJOR)
+        message = r"trees\[1\]: leaf values must be 1-D, got shape \(2, 2\)"
         with pytest.raises(ValueError, match=message):
-            Evaluator(model)
-        with pytest.raises(ValueError, match=message):
-            evaluate_scalar(model, matrix)
-        with pytest.raises(ValueError, match=message):
-            serialize_model(model)
+            make_model([[0.5]], [make_tree([(0, 0)], [0.0, 1.0]), tree])
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("feature", 2**63, "trees[1].splits[1]: feature index 9223372036854775808 out of range"),
+        ("ordinal", -(2**70), f"trees[1].splits[1]: border ordinal {-(2**70)} out of range"),
+        ("feature", 1.0, "trees[1].splits[1]: feature index 1.0 out of range"),
+        ("depth", 2**64, "trees[1]: depth 18446744073709551616 out of range"),
+    ])
+    def test_index_no_int64_holds_is_named(self, field, value, problem):
+        # Such a value is out of range for any model; the model's int64
+        # arrays cannot hold it, so it is refused when the model is made.
+        split = SplitCondition(value, 0) if field == "feature" else SplitCondition(0, value)
+        tree = ObliviousTree(value if field == "depth" else 2, (SplitCondition(0, 0), split),
+                             np.zeros(4))
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            make_model([[0.5]], [make_tree([(0, 0)], [0.0, 1.0]), tree])
+        if isinstance(value, float):
+            return  # a document's non-integer is a parse error (tests/test_serialize.py)
+        valid = make_model([[0.5]], [make_tree([(0, 0)], [0.0, 1.0]),
+                                     make_tree([(0, 0)] * 2, np.zeros(4))])
+        document = json.loads(serialize_model(valid))
+        entry = document["trees"][1]
+        if field == "depth":
+            entry["depth"] = value
+        else:
+            entry[field + "s"][1] = value
+        with pytest.raises(ModelFormatError) as exc:
+            deserialize_model(json.dumps(document))
+        assert str(exc.value) == f"document parses but model is invalid: {problem}"
 
     def test_too_many_borders(self):
         errors = validate_model(make_model([np.linspace(0, 1, 255, dtype=np.float32)], []))
@@ -446,17 +470,16 @@ class TestLeafBank:
         trees = [make_tree([(0, 0)] * d, rng.normal(0.0, 3e4, 1 << d)) for d in depths]
         built = make_model([[0.5]], trees)
         loaded = deserialize_model(serialize_model(built))
-        assert built._leaf_span is None
-        span = loaded._leaf_span
         expected = np.concatenate([tree.leaf_values for tree in trees])
-        assert span.dtype == np.float64 and not span.flags.writeable
-        assert span.tobytes() == expected.tobytes()
-        start = 0
-        for tree in loaded.trees:
-            view = span[start : start + tree.leaf_values.size]
-            assert tree.leaf_values.ctypes.data == view.ctypes.data
-            start += tree.leaf_values.size
-        # The model built tree by tree concatenates its trees' leaves.
+        for model in (built, loaded):
+            span = model.leaves
+            assert span.dtype == np.float64 and not span.flags.writeable
+            assert span.tobytes() == expected.tobytes()
+            assert model.leaf_offsets.tolist() == np.cumsum([0] + [1 << d for d in depths]).tolist()
+            # Each tree's leaf values view its span of the one array.
+            for tree, (_, _, _, first, end) in zip(model.trees, model.tree_bounds()):
+                assert tree.leaf_values.ctypes.data == span[first:end].ctypes.data
+                assert tree.leaf_values.size == end - first
         reference = build_leaf_bank(built, precision)
         bank = build_leaf_bank(loaded, precision)
         for name in ("values", "offsets", "planes"):
@@ -466,9 +489,10 @@ class TestLeafBank:
             reference.max_abs_leaf, reference.saturation_count)
         assert reference.saturation_count > 0 or precision is LeafPrecision.BINARY64
         assert not bank.values.flags.writeable
-        # A binary64 bank of the loaded model is the span itself, not a copy.
-        assert np.shares_memory(bank.values, span) == (precision is LeafPrecision.BINARY64)
-        assert not any(np.shares_memory(reference.values, tree.leaf_values) for tree in trees)
+        # A binary64 bank is the model's leaf array itself, not a copy; the
+        # model made from trees holds a copy of their leaves.
+        assert np.shares_memory(bank.values, loaded.leaves) == (precision is LeafPrecision.BINARY64)
+        assert not any(np.shares_memory(built.leaves, tree.leaf_values) for tree in trees)
 
     def test_max_abs_leaf(self):
         trees = [make_tree([(0, 0)], [1.0, -9.5]), make_tree([(0, 0)], [3.0, 2.0])]

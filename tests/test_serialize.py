@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtree import (
+    FloatFeatureBorders,
+    LeafPrecision,
     ModelFormatError,
+    ModelTables,
+    ObliviousModel,
+    ObliviousTree,
+    SplitCondition,
     SyntheticSpec,
     Xoshiro256StarStar,
     deserialize_model,
@@ -20,6 +26,7 @@ from obtree import (
     serialize_model,
     validate_model,
 )
+from obtree.model import MAX_DEPTH
 
 HAND_WRITTEN_DEPTH1 = """
 {
@@ -111,8 +118,7 @@ def test_hex_with_whitespace_rejected(section, key, index, text, where):
 COMPACT_DEPTH1 = """
 {
  "float_features": [{"index": 0, "borders_hex": "3f000000"}],
- "trees": [{"depth": 1,
-            "splits": [{"feature": 0, "border": 0}],
+ "trees": [{"depth": 1, "features": [0], "ordinals": [0],
             "leaves_hex": "bff00000000000004000000000000000"}],
  "scale_hex": "3ff0000000000000",
  "bias_hex": "0000000000000000"
@@ -122,13 +128,22 @@ COMPACT_DEPTH1 = """
 
 def _list_form(text: str, trees=slice(None)) -> str:
     """A compact document with every feature's and the chosen trees' hex
-    strings split into lists of one-value strings."""
+    strings split into lists of one-value strings, and the chosen trees'
+    split lists rewritten as one object per split."""
     doc = json.loads(text)
     tables = [(f, "borders_hex", 8) for f in doc["float_features"]]
     tables += [(t, "leaves_hex", 16) for t in doc["trees"][trees]]
     for owner, key, digits in tables:
         owner[key] = [owner[key][j : j + digits] for j in range(0, len(owner[key]), digits)]
+    for tree in doc["trees"][trees]:
+        _split_objects(tree)
     return json.dumps(doc)
+
+
+def _split_objects(tree: dict) -> None:
+    """Rewrite a compact tree's split lists as one object per split."""
+    tree["splits"] = [{"feature": f, "border": o}
+                      for f, o in zip(tree.pop("features"), tree.pop("ordinals"))]
 
 
 def test_serialize_writes_one_hex_string_per_table():
@@ -194,15 +209,25 @@ def test_hex_field_of_another_json_type_is_rejected(section, key, value):
 
 
 def test_first_bad_tree_field_is_named_in_document_order():
-    # A tree's fields are checked depth, splits, leaves_hex, then each split,
-    # then the leaves, and the trees in order, as one tree at a time would be.
-    doc = json.loads(serialize_model(generate_synthetic_model(SyntheticSpec(2, 3, 3, 2, seed=5))))
-    doc["trees"][2]["depth"] = True
-    doc["trees"][1]["leaves_hex"] = doc["trees"][1]["leaves_hex"][:-1]
-    del doc["trees"][1]["splits"][1]["border"]
-    with pytest.raises(ModelFormatError) as exc:
-        deserialize_model(json.dumps(doc))
-    assert str(exc.value) == "trees[1].splits[1]: missing required field 'border'"
+    # A tree's fields are checked depth, splits (or features and ordinals),
+    # leaves_hex, then each split object, then the leaves' length, and the
+    # trees in order, as one tree at a time would be.
+    text = serialize_model(generate_synthetic_model(SyntheticSpec(2, 3, 3, 2, seed=5)))
+    for form, missing, message in [
+        ("objects", "border", "trees[1].splits[1]: missing required field 'border'"),
+        ("compact", "ordinals", "trees[1]: missing required field 'ordinals'"),
+    ]:
+        doc = json.loads(text)
+        doc["trees"][2]["depth"] = True
+        doc["trees"][1]["leaves_hex"] = doc["trees"][1]["leaves_hex"][:-1]
+        if form == "objects":
+            _split_objects(doc["trees"][1])
+            del doc["trees"][1]["splits"][1][missing]
+        else:
+            del doc["trees"][1][missing]
+        with pytest.raises(ModelFormatError) as exc:
+            deserialize_model(json.dumps(doc))
+        assert str(exc.value) == message
 
 
 def test_non_json_input():
@@ -237,15 +262,22 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
-def _field_owner(path: tuple) -> str:
-    """The part of a field's path an error about it must name.
+def _field_owners(path: tuple) -> tuple[str, ...]:
+    """The parts of a field's path an error about it may name.
 
     Parse errors name the field itself; validation errors name the feature,
     tree or split that holds it, and ``scale``/``bias`` by their value names.
+    A split's item is named in full: ``features[s]`` or ``ordinals[s]`` by a
+    parse error, ``splits[s]`` by validation and in the list form.
     """
     if len(path) == 1:
-        return path[0].removesuffix("_hex")
-    return f"{path[0]}[{path[1]}]"
+        return (path[0].removesuffix("_hex"),)
+    owner = f"{path[0]}[{path[1]}]"
+    if len(path) >= 4 and path[2] == "splits":
+        return (f"{owner}.splits[{path[3]}]",)
+    if len(path) == 4 and path[2] in ("features", "ordinals"):
+        return (f"{owner}.{path[2]}[{path[3]}]", f"{owner}.splits[{path[3]}]")
+    return (owner,)
 
 
 _WRONG_TYPES = [None, True, 1.5, "x", [], {}, 7]
@@ -269,7 +301,8 @@ _INTS = st.sampled_from([-1, 0, 1, 2, 8, 9, 254, 255, 2**31, -(2**63)]) | st.int
 
 @st.composite
 def mutated_documents(draw):
-    """A valid document with one field mutated, and that field's path."""
+    """A valid document, compact or in the list forms, with one field
+    mutated, and that field's path."""
     spec = SyntheticSpec(
         n_features=draw(st.integers(1, 3)),
         borders_per_feature=draw(st.integers(1, 4)),
@@ -277,7 +310,8 @@ def mutated_documents(draw):
         depth=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 1000)),
     )
-    doc = json.loads(serialize_model(generate_synthetic_model(spec)))
+    text = serialize_model(generate_synthetic_model(spec))
+    doc = json.loads(_list_form(text) if draw(st.booleans()) else text)
     container_path, key = draw(st.sampled_from(list(_paths(doc))))
     container = doc
     for step in container_path:
@@ -307,7 +341,49 @@ def test_malformed_document_loads_or_names_the_field(case):
     try:
         model = deserialize_model(text)
     except ModelFormatError as exc:
-        assert _field_owner(path) in str(exc), (path, str(exc))
+        assert any(owner in str(exc) for owner in _field_owners(path)), (path, str(exc))
     else:
         assert validate_model(model) == []
         assert deserialize_model(serialize_model(model)) == model
+
+
+@st.composite
+def mixed_depth_models(draw):
+    """A valid model of 1 to 8 trees, each of 1 to 8 levels, with leaves
+    that the binary16 bank saturates now and then."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    features = [
+        FloatFeatureBorders(i, np.sort(rng.choice(np.arange(-60, 60) / 8, size=k, replace=False)))
+        for i, k in enumerate(sizes)
+    ]
+    trees = []
+    for depth in draw(st.lists(st.integers(1, MAX_DEPTH), min_size=1, max_size=8)):
+        split_features = rng.integers(len(sizes), size=depth)
+        splits = tuple(SplitCondition(int(f), int(rng.integers(sizes[f]))) for f in split_features)
+        trees.append(ObliviousTree(depth, splits, rng.normal(0.0, 2e4, 1 << depth)))
+    return ObliviousModel(features, trees, scale=rng.uniform(0.5, 2), bias=rng.normal())
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_depth_models())
+def test_built_compact_and_split_object_models_are_equal(built):
+    # The model the constructor builds, the one loaded from its compact
+    # document and the one loaded from that document in the list forms
+    # (one object per split, one string per hex value) are the same model,
+    # down to the arrays the evaluator derives from them.
+    text = serialize_model(built)
+    assert "splits" not in json.loads(text)["trees"][0]
+    models = [built, deserialize_model(text), deserialize_model(_list_form(text))]
+    tables = [ModelTables(model) for model in models]
+    for model, table in zip(models[1:], tables[1:]):
+        assert model == built and model.trees == built.trees
+        for name in ("cond_feature", "cond_border", "tree_cond", "depth_runs"):
+            got, expected = getattr(table, name), getattr(tables[0], name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+        for precision in LeafPrecision:
+            got, expected = table.bank(precision), tables[0].bank(precision)
+            for name in ("values", "planes"):
+                assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
