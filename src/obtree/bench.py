@@ -1,8 +1,10 @@
-"""Benchmark harness: run the case matrix, verify, time, report.
+"""Benchmark harness: run the case matrix, verify, time, write one record.
 
 A case is one (layout, strategy, batch size) point of the matrix; every case
-runs ``EvalConfig``'s fixed block size, which each report names.  A
+runs ``EvalConfig``'s fixed block size, which each record names.  A
 batch-size sweep is a matrix whose only varying axis is the batch size.
+The report is written as one JSON record (``format_json``): the host and
+model facts as keys, and ``cases``, one object per case.
 
 Every timed case is first checked against the scalar oracle in the same
 process; a timing over wrong results is worthless.  Times are process CPU
@@ -11,8 +13,10 @@ its warmup run, before the first case is timed, and the repetitions run
 round-robin, one sample of every case per round, so that a slower host for
 part of the run slows every case alike.  Each case carries its
 relative deviation d = (time - base_time) / base_time against a designated
-baseline case.  Absolute times and speedups are hardware facts about the
-machine running the bench; they are reported, never asserted.
+baseline case.  After the timed rounds, each verified case makes
+``STAGE_CALLS`` more calls with ``EvalStats`` for its stage columns.
+Absolute times and speedups are hardware facts about the machine running
+the bench; they are reported, never asserted.
 
 Run ``obtree-bench --help`` or ``python -m obtree.bench --help`` for usage.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import platform
 import re
@@ -35,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import native
-from .evaluate import EvalConfig, Evaluator, LeafStrategy, ModelTables
+from .evaluate import EvalConfig, EvalStats, Evaluator, LeafStrategy, ModelTables
 from .model import LeafPrecision, ObliviousModel
 from .oracle import evaluate_scalar
 from .quantize import FeatureMatrix, Layout
@@ -76,12 +81,19 @@ class BenchCase:
 
 @dataclass
 class CaseResult:
+    """A case's measurements, None where not taken: all of them for a case
+    that failed verification, and ``d`` where the baseline failed."""
+
     case: BenchCase
     verified: bool
-    mean_s: float = float("nan")
-    std_s: float = float("nan")
-    d: float = float("nan")
+    mean_s: float | None = None
+    std_s: float | None = None
+    d: float | None = None
     inner: int = 0  # evaluations per timing sample (coarse-clock batching)
+    # Medians of STAGE_CALLS untimed predict calls' EvalStats.
+    stage1_s: float | None = None
+    fold_s: float | None = None
+    scratch_bytes: int | None = None
 
 
 @dataclass
@@ -160,54 +172,29 @@ def _time_case(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple[int, Callab
 
     A sample times ``inner`` evaluations and gives the CPU seconds of one.
     """
-    inner = 1
-    while True:
-        t0 = time.process_time()
-        for _ in range(inner):
-            evaluator.predict(matrix)
-        if time.process_time() - t0 >= _MIN_SAMPLE_S:
-            break
-        inner *= 2
-
     def sample() -> float:
         t0 = time.process_time()
         for _ in range(inner):
             evaluator.predict(matrix)
         return (time.process_time() - t0) / inner
 
+    inner = 1
+    while sample() * inner < _MIN_SAMPLE_S:
+        inner *= 2
     return inner, sample
 
 
-class _BatchInputs:
-    """Per-batch-size input matrices and oracle scores, kept for the run.
+STAGE_CALLS = 5
 
-    Each batch is generated object-major; its feature-major copy is made
-    only when a case asks for that layout.
-    """
 
-    def __init__(self, n_features: int, data_seed: int):
-        self.n_features = n_features
-        self.data_seed = data_seed
-        self._matrices: dict[tuple[int, Layout], FeatureMatrix] = {}
-        self._oracles: dict[tuple[int, LeafPrecision], np.ndarray] = {}
-
-    def matrix(self, batch_size: int, layout: Layout) -> FeatureMatrix:
-        key = (batch_size, layout)
-        if key not in self._matrices:
-            if layout is Layout.OBJECT_MAJOR:
-                self._matrices[key] = generate_feature_matrix(
-                    batch_size, self.n_features, seed=self.data_seed + batch_size
-                )
-            else:
-                self._matrices[key] = self.matrix(batch_size, Layout.OBJECT_MAJOR).transposed()
-        return self._matrices[key]
-
-    def oracle(self, model: ObliviousModel, batch_size: int, precision: LeafPrecision) -> np.ndarray:
-        key = (batch_size, precision)
-        if key not in self._oracles:
-            om = self.matrix(batch_size, Layout.OBJECT_MAJOR)
-            self._oracles[key] = evaluate_scalar(model, om, precision)
-        return self._oracles[key]
+def _stage_columns(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple[float, float, int]:
+    """Median ``stage1_s``, ``fold_s`` and ``scratch_bytes`` of ``STAGE_CALLS``
+    calls of ``predict(matrix, stats)``, none of them inside a timing sample."""
+    calls = [EvalStats() for _ in range(STAGE_CALLS)]
+    for stats in calls:
+        evaluator.predict(matrix, stats)
+    return tuple(statistics.median(getattr(s, name) for s in calls)
+                 for name in ("stage1_s", "fold_s", "scratch_bytes"))
 
 
 def run_matrix(
@@ -226,20 +213,30 @@ def run_matrix(
         raise ValueError(f"baseline case {baseline_id!r} is not in the matrix")
 
     tables = ModelTables(model)
-    inputs = _BatchInputs(model.n_features, data_seed)
     rows: list[CaseResult] = []
+
+    # Each batch is generated object-major, and kept for the run with its
+    # oracle scores; a feature-major copy is made only for a case that asks.
+    @functools.cache
+    def inputs(batch_size: int, layout: Layout) -> FeatureMatrix:
+        if layout is Layout.FEATURE_MAJOR:
+            return inputs(batch_size, Layout.OBJECT_MAJOR).transposed()
+        return generate_feature_matrix(batch_size, model.n_features, seed=data_seed + batch_size)
+
+    @functools.cache
+    def oracle(batch_size: int, precision: LeafPrecision) -> np.ndarray:
+        return evaluate_scalar(model, inputs(batch_size, Layout.OBJECT_MAJOR), precision)
 
     # Verify every case before timing any.  A run raises the allocator's
     # threshold for handing freed memory back to the system; a case timed
     # before larger cases had run page-faulted on every block and read slow.
     backend = None
     for case in cases:
-        matrix = inputs.matrix(case.batch_size, case.layout)
         evaluator = Evaluator(tables, case.config)
         backend = evaluator.backend
-        preds = evaluator.predict(matrix)
-        oracle = inputs.oracle(model, case.batch_size, case.config.strategy.precision)
-        rows.append(CaseResult(case, verified=_verify(preds, oracle)))
+        preds = evaluator.predict(inputs(case.batch_size, case.layout))
+        expected = oracle(case.batch_size, case.config.strategy.precision)
+        rows.append(CaseResult(case, verified=_verify(preds, expected)))
 
     # Calibrate every case, then take one sample of each case per round, so
     # that a change in host speed during the run reaches every case alike.
@@ -249,128 +246,67 @@ def run_matrix(
         if log:
             log(f"case {case.case_id} ...")
         if row.verified:
-            row.inner, sample = _time_case(
-                Evaluator(tables, case.config), inputs.matrix(case.batch_size, case.layout)
-            )
-            timed.append((row, sample, []))
-    rounds = max((row.case.repetitions for row, _, _ in timed), default=0)
+            evaluator = Evaluator(tables, case.config)
+            matrix = inputs(case.batch_size, case.layout)
+            row.inner, sample = _time_case(evaluator, matrix)
+            timed.append((row, evaluator, matrix, sample, []))
+    rounds = max((row.case.repetitions for row, *_ in timed), default=0)
     if log and timed:
         log(f"timing {len(timed)} cases round-robin, {rounds} rounds ...")
     for r in range(rounds):
-        for row, sample, samples in timed:
+        for row, _, _, sample, samples in timed:
             if r < row.case.repetitions:
                 samples.append(sample())
-    for row, _, samples in timed:
+    for row, evaluator, matrix, _, samples in timed:
         row.mean_s = statistics.fmean(samples)
         row.std_s = statistics.stdev(samples)
+        row.stage1_s, row.fold_s, row.scratch_bytes = _stage_columns(evaluator, matrix)
 
     # First matching row wins if the id appears more than once.
-    base_row = next(r for r in rows if r.case.case_id == baseline_id)
-    base_time = base_row.mean_s
+    base_time = next(r for r in rows if r.case.case_id == baseline_id).mean_s
     for row in rows:
-        if row.verified and base_time > 0:
+        if row.verified and base_time:
             row.d = (row.mean_s - base_time) / base_time
 
-    metadata = _host_metadata()
-    metadata.update(
-        {
-            "n_features": model.n_features,
-            "n_trees": model.n_trees,
-            "data_seed": data_seed,
-            "baseline": baseline_id,
-            "backend": backend,
-            "block_size": EvalConfig.block_size,
-        }
-    )
+    metadata = {
+        **_host_metadata(),
+        "n_features": model.n_features,
+        "n_trees": model.n_trees,
+        "data_seed": data_seed,
+        "baseline": baseline_id,
+        "backend": backend,
+        "block_size": EvalConfig.block_size,
+    }
     return BenchReport(baseline_id=baseline_id, rows=rows, metadata=metadata)
 
 
 # ----------------------------------------------------------------------------
-# Report formatting
-
-
-def format_table(columns, rows: list[list[str]], metadata: dict, fmt: str) -> str:
-    """Metadata as ``# key: value`` lines, then the rows as csv or markdown."""
-    lines = [f"# {key}: {value}" for key, value in metadata.items()]
-    table = [list(columns), *rows]
-    if fmt == "csv":
-        lines += [",".join(cells) for cells in table]
-    else:
-        widths = [max(len(cells[i]) for cells in table) for i in range(len(columns))]
-        padded = ["| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-                  for cells in table]
-        lines += [padded[0], "|" + "|".join("-" * (w + 2) for w in widths) + "|", *padded[1:]]
-    return "\n".join(lines) + "\n"
-
-
-_MATRIX_COLUMNS = (
-    "case_id",
-    "strategy",
-    "layout",
-    "batch",
-    "reps",
-    "inner",
-    "mean_ms",
-    "std_ms",
-    "d_vs_baseline",
-    "verified",
-)
-
-
-def _matrix_cells(row: CaseResult) -> list[str]:
-    case = row.case
-    if not row.verified:
-        timing = ["", "", "", "", "FAIL"]
-    else:
-        timing = [
-            str(row.inner),
-            f"{row.mean_s * 1e3:.3f}",
-            f"{row.std_s * 1e3:.3f}",
-            f"{row.d * 100:+.1f}%",
-            "ok",
-        ]
-    return [
-        case.case_id,
-        case.config.strategy.value,
-        case.layout.value,
-        str(case.batch_size),
-        str(case.repetitions),
-        *timing,
-    ]
-
-
-def format_matrix(report: BenchReport, fmt: str) -> str:
-    """The matrix report as csv or markdown."""
-    return format_table(
-        _MATRIX_COLUMNS, [_matrix_cells(r) for r in report.rows], report.metadata, fmt
-    )
+# The record
 
 
 def format_json(report: BenchReport) -> str:
     """The report as one JSON record: its metadata, then ``cases``, one object
-    per case, whose timings are null where the case failed verification."""
-    cases = []
-    for row in report.rows:
-        case, ok = row.case, row.verified
-        cases.append({
-            "case_id": case.case_id,
-            "strategy": case.config.strategy.value,
-            "layout": case.layout.value,
-            "batch": case.batch_size,
-            "reps": case.repetitions,
-            "inner": row.inner,
-            "mean_ms": row.mean_s * 1e3 if ok else None,
-            "std_ms": row.std_s * 1e3 if ok else None,
-            "d": row.d if ok else None,
-            "verified": ok,
-        })
-    return json.dumps({**report.metadata, "cases": cases}, indent=1) + "\n"
+    per case, whose timings, ``d`` and stage columns are null where they were
+    not measured.  NaN and infinity are refused, so strict parsers read it."""
+    def ms(seconds: float | None) -> float | None:
+        return None if seconds is None else seconds * 1e3
 
-
-def format_tsv(report: BenchReport) -> str:
-    """Two plot-ready columns: batch size and mean milliseconds."""
-    lines = [f"{row.case.batch_size}\t{row.mean_s * 1e3:.6f}" for row in report.rows]
-    return "\n".join(lines) + "\n"
+    cases = [{
+        "case_id": row.case.case_id,
+        "strategy": row.case.config.strategy.value,
+        "layout": row.case.layout.value,
+        "batch": row.case.batch_size,
+        "reps": row.case.repetitions,
+        "inner": row.inner,
+        "mean_ms": ms(row.mean_s),
+        "std_ms": ms(row.std_s),
+        "d": row.d,
+        "stage1_ms": ms(row.stage1_s),
+        "fold_ms": ms(row.fold_s),
+        "scratch_bytes": row.scratch_bytes,
+        "verified": row.verified,
+    } for row in report.rows]
+    return json.dumps({**report.metadata, "cases": cases}, indent=1, allow_nan=False) + "\n"
 
 
 # ----------------------------------------------------------------------------
@@ -418,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--layout",
-        choices=["object-major", "feature-major", "both"],
+        choices=[layout.value for layout in Layout] + ["both"],
         default="both",
         help="input matrix layout(s) to measure (default: both)",
     )
@@ -441,14 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         type=argparse.FileType("w", encoding="utf-8"),
         metavar="PATH",
-        help="write the report here instead of stdout",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["csv", "md", "tsv", "json"],
-        default="md",
-        help="tsv: batch size and mean ms only, for a single strategy and layout; "
-        "json: one record of the metadata and every case",
+        help="write the record here instead of stdout",
     )
     parser.add_argument("--data-seed", type=int, default=DEFAULT_DATA_SEED)
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
@@ -484,14 +413,8 @@ def load_seconds(document: str, config: EvalConfig) -> float:
 
 
 def build_cases(args) -> list[BenchCase]:
-    layouts = {
-        "object-major": [Layout.OBJECT_MAJOR],
-        "feature-major": [Layout.FEATURE_MAJOR],
-        "both": [Layout.OBJECT_MAJOR, Layout.FEATURE_MAJOR],
-    }[args.layout]
-    strategies = (
-        list(LeafStrategy) if args.strategy == "all" else [LeafStrategy(args.strategy)]
-    )
+    layouts = list(Layout) if args.layout == "both" else [Layout(args.layout)]
+    strategies = list(LeafStrategy) if args.strategy == "all" else [LeafStrategy(args.strategy)]
     return [
         BenchCase(EvalConfig(strategy), layout, batch, args.reps)
         for layout in layouts
@@ -506,8 +429,6 @@ def main(argv: list[str] | None = None) -> int:
     log = (lambda msg: None) if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     # --out was opened while parsing, so an unwritable path fails before any case runs.
     with args.out or contextlib.nullcontext(sys.stdout) as out:
-        if args.format == "tsv" and (args.strategy == "all" or args.layout == "both"):
-            parser.error("tsv output needs a single --strategy and --layout")
         try:
             cases = build_cases(args)
             document, source = _resolve_model(args)
@@ -519,9 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         report.metadata["model"] = source
         # The set-up a caller pays once per model, for the first case's strategy.
         report.metadata["load_s"] = round(load_seconds(document, cases[0].config), 6)
-        formats = {"tsv": format_tsv, "json": format_json}
-        out.write(formats[args.format](report) if args.format in formats
-                  else format_matrix(report, args.format))
+        out.write(format_json(report))
     if args.out:
         log(f"report written to {args.out.name}")
 

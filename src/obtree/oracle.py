@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .model import LeafPrecision, ObliviousModel, build_leaf_bank, require_valid
+from .model import HALF_MAX, LeafPrecision, ObliviousModel, require_valid
 from .quantize import FeatureMatrix
 
 
@@ -26,9 +26,10 @@ def evaluate_scalar(
 ) -> np.ndarray:
     """Per-object prediction by direct tree traversal on raw feature values.
 
-    With BINARY16 leaf precision the traversal fetches from the binary16
-    bank, widens each value to binary32, accumulates in binary32 and converts
-    to binary64 once at the end, mirroring the half-precision pipeline.
+    With BINARY16 leaf precision each leaf is converted here
+    (``binary16_leaves``), widened to binary32 and accumulated in binary32,
+    and the sums are converted to binary64 once at the end, mirroring the
+    half-precision pipeline.
     """
     require_valid(model)
     if matrix.n_features != model.n_features:
@@ -38,7 +39,8 @@ def evaluate_scalar(
     n = matrix.n_objects
     wide = leaf_precision is LeafPrecision.BINARY64
     acc = np.zeros(n, dtype=np.float64 if wide else np.float32)
-    bank16 = None if wide else build_leaf_bank(model, LeafPrecision.BINARY16)
+    leaves = model.leaves if wide else binary16_leaves(model.leaves).astype(np.float32)
+    offsets = model.leaf_offsets
 
     for t, tree in enumerate(model.trees):
         index = np.zeros(n, dtype=np.uint8)
@@ -46,13 +48,19 @@ def evaluate_scalar(
             border = model.float_features[split.feature_index].borders[split.border_ordinal]
             values = matrix.feature_values(split.feature_index, 0, n)
             index |= (values > border).view(np.uint8) << np.uint8(d)
-        if wide:
-            acc += tree.leaf_values[index]
-        else:
-            acc += bank16.table(t)[index].astype(np.float32)
+        acc += leaves[offsets[t] : offsets[t + 1]][index]
 
-    sums = acc if wide else acc.astype(np.float64)
-    return sums * model.scale + model.bias
+    return acc.astype(np.float64) * model.scale + model.bias
+
+
+def binary16_leaves(leaves: np.ndarray) -> np.ndarray:
+    """Binary64 leaves rounded to nearest-even binary16, saturated to +/-65504.
+
+    Clipping first gives the same bits as converting first and saturating
+    the infinities: rounding sends every magnitude below 65520 to at most
+    65504, and the clip sends every larger one to 65504.
+    """
+    return np.clip(leaves, -HALF_MAX, HALF_MAX).astype(np.float16)
 
 
 @dataclass(frozen=True)

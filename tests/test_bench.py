@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obtree import EvalConfig, Evaluator, FeatureMatrix, Layout, LeafStrategy, SyntheticSpec, native
+from obtree import EvalConfig, EvalStats, Evaluator, FeatureMatrix, Layout, LeafStrategy, SyntheticSpec, native
 import obtree.bench as bench
 from obtree.bench import (
     BenchCase,
@@ -22,14 +23,20 @@ from obtree.bench import (
     _parse_batch,
     _verify,
     build_cases,
-    format_matrix,
-    format_tsv,
+    format_json,
     main,
     run_matrix,
 )
 from obtree.synthetic import generate_synthetic_model
 
 TINY = SyntheticSpec(n_features=4, borders_per_feature=5, n_trees=6, depth=3, seed=77)
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} in the record")
+    return json.loads(text, parse_constant=refuse)
 
 
 def tiny_case(strategy=LeafStrategy.NAIVE, batch=40, reps=3, layout=Layout.OBJECT_MAJOR):
@@ -183,12 +190,46 @@ class TestRunMatrix:
     def test_report_formats_cover_all_rows(self):
         model = generate_synthetic_model(TINY)
         report = run_matrix(model, [tiny_case(), tiny_case(layout=Layout.FEATURE_MAJOR)])
-        csv = format_matrix(report, "csv")
-        md = format_matrix(report, "md")
-        assert csv.count("\n") >= 3
+        record = strict_json(format_json(report))
+        assert [case["case_id"] for case in record["cases"]] == [
+            row.case.case_id for row in report.rows]
+        assert record["baseline"] == report.baseline_id
+
+    def test_stage_columns_come_from_untimed_calls_after_the_rounds(self, monkeypatch):
+        events = []
+        sample_of = bench._time_case
+
+        def recording_time(evaluator, matrix):
+            inner, sample = sample_of(evaluator, matrix)
+            return inner, lambda: events.append("sample") or sample()
+
+        stage_columns = bench._stage_columns
+
+        def recording_stages(evaluator, matrix):
+            events.append("stages")
+            return stage_columns(evaluator, matrix)
+
+        monkeypatch.setattr(bench, "_time_case", recording_time)
+        monkeypatch.setattr(bench, "_stage_columns", recording_stages)
+        model = generate_synthetic_model(TINY)
+        report = run_matrix(model, [tiny_case(), tiny_case(strategy=LeafStrategy.PERMUTE16)])
+        assert events == ["sample"] * 6 + ["stages"] * 2
         for row in report.rows:
-            assert row.case.case_id in csv
-            assert row.case.case_id in md
+            assert row.stage1_s >= 0 and row.fold_s >= 0 and row.scratch_bytes >= 0
+            assert row.stage1_s + row.fold_s > 0
+
+    def test_stage_columns_are_medians_of_calls_with_stats(self):
+        calls = []
+
+        class Recording:
+            def predict(self, matrix, stats=None):
+                calls.append(stats)
+                k = len(calls)
+                stats.stage1_s, stats.fold_s, stats.scratch_bytes = k * 1.0, 10.0 - k, 100 * k
+
+        assert bench._stage_columns(Recording(), None) == (3.0, 7.0, 300)
+        assert len(calls) == bench.STAGE_CALLS == 5
+        assert all(isinstance(stats, EvalStats) for stats in calls)
 
 
 class TestFormat:
@@ -197,29 +238,29 @@ class TestFormat:
         report = BenchReport(
             case.case_id,
             [
-                CaseResult(case, True, mean_s=0.0021, std_s=0.0001, d=0.0, inner=2),
+                CaseResult(case, True, mean_s=0.0021, std_s=0.0001, d=0.0, inner=2,
+                           stage1_s=0.0005, fold_s=0.00125, scratch_bytes=4096),
                 CaseResult(BenchCase(EvalConfig(), Layout.OBJECT_MAJOR, 100, 3), False),
             ],
             {"baseline": case.case_id},
         )
-        assert format_matrix(report, "csv") == (
-            "# baseline: permute16-fm-n40\n"
-            "case_id,strategy,layout,batch,reps,inner,mean_ms,std_ms,d_vs_baseline,verified\n"
-            "permute16-fm-n40,permute16,feature-major,40,3,2,2.100,0.100,+0.0%,ok\n"
-            "naive-om-n100,naive,object-major,100,3,,,,,FAIL\n"
+        assert format_json(report) == (
+            '{\n "baseline": "permute16-fm-n40",\n "cases": [\n  {\n'
+            '   "case_id": "permute16-fm-n40",\n   "strategy": "permute16",\n'
+            '   "layout": "feature-major",\n   "batch": 40,\n   "reps": 3,\n   "inner": 2,\n'
+            '   "mean_ms": 2.1,\n   "std_ms": 0.1,\n   "d": 0.0,\n   "stage1_ms": 0.5,\n'
+            '   "fold_ms": 1.25,\n   "scratch_bytes": 4096,\n   "verified": true\n  },\n  {\n'
+            '   "case_id": "naive-om-n100",\n   "strategy": "naive",\n'
+            '   "layout": "object-major",\n   "batch": 100,\n   "reps": 3,\n   "inner": 0,\n'
+            '   "mean_ms": null,\n   "std_ms": null,\n   "d": null,\n   "stage1_ms": null,\n'
+            '   "fold_ms": null,\n   "scratch_bytes": null,\n   "verified": false\n  }\n ]\n}\n'
         )
-        assert format_matrix(report, "md") == (
-            "# baseline: permute16-fm-n40\n"
-            "| case_id          | strategy  | layout        | batch | reps | inner "
-            "| mean_ms | std_ms | d_vs_baseline | verified |\n"
-            "|------------------|-----------|---------------|-------|------|-------"
-            "|---------|--------|---------------|----------|\n"
-            "| permute16-fm-n40 | permute16 | feature-major | 40    | 3    | 2     "
-            "| 2.100   | 0.100  | +0.0%         | ok       |\n"
-            "| naive-om-n100    | naive     | object-major  | 100   | 3    |       "
-            "|         |        |               | FAIL     |\n"
-        )
-        assert format_tsv(report) == "40\t2.100000\n100\tnan\n"
+
+    def test_a_record_with_nan_is_refused(self):
+        case = BenchCase(EvalConfig(), Layout.OBJECT_MAJOR, 8, 3)
+        report = BenchReport(case.case_id, [CaseResult(case, True, d=math.nan)], {})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            format_json(report)
 
 
 class TestSweep:
@@ -229,8 +270,8 @@ class TestSweep:
         report = run_matrix(model, [tiny_case(batch=b) for b in batches], data_seed=5)
         assert [r.case.batch_size for r in report.rows] == batches
         assert report.all_verified
-        tsv = format_tsv(report)
-        assert [line.split("\t")[0] for line in tsv.splitlines()] == [str(b) for b in batches]
+        cases = strict_json(format_json(report))["cases"]
+        assert [case["batch"] for case in cases] == batches
 
 
 class _Args:
@@ -277,58 +318,36 @@ class TestParseBatch:
 
 class TestCli:
     def test_matrix_to_csv_file(self, tmp_path, capsys):
-        out = tmp_path / "report.csv"
+        out = tmp_path / "report.json"
         code = main([
             "--synthetic", "4,5,6,3,77", "--batch", "40", "--reps", "3",
             "--strategy", "naive", "--layout", "object-major",
-            "--format", "csv", "--out", str(out), "--quiet",
+            "--out", str(out), "--quiet",
         ])
         assert code == 0
-        text = out.read_text()
-        assert "case_id" in text
-        assert "naive-om-n40" in text
-        assert "# src_lines: " in text
+        assert capsys.readouterr().out == ""
+        record = strict_json(out.read_text())
+        assert [case["case_id"] for case in record["cases"]] == ["naive-om-n40"]
+        assert record["src_lines"] == bench._host_metadata()["src_lines"]
 
-    def test_sweep_tsv_stdout(self, capsys):
+    def test_help_offers_no_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--format" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["--synthetic", "4,5,6,3,77", "--format", "json", "--quiet"])
+        assert exc.value.code == 2
+
+    def test_sweep_gives_one_verified_row_per_batch(self, capsys):
         code = main([
             "--synthetic", "4,5,6,3,77", "--batch", "1..33:16", "--reps", "3",
-            "--strategy", "naive", "--layout", "object-major", "--format", "tsv", "--quiet",
+            "--strategy", "naive", "--layout", "object-major", "--quiet",
         ])
         assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split("\t")[0] for line in lines] == ["1", "17", "33"]
-
-    @pytest.mark.parametrize("fmt", ["md", "csv"])
-    def test_sweep_gives_one_verified_row_per_batch(self, fmt, capsys):
-        code = main([
-            "--synthetic", "4,5,6,3,77", "--batch", "1..33:16", "--reps", "3",
-            "--strategy", "naive", "--layout", "object-major", "--format", fmt, "--quiet",
-        ])
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        rows = [
-            [cell.strip() for cell in line.strip("| ").replace("|", ",").split(",")]
-            for line in lines
-            if line.lstrip("| ").startswith("naive-")
-        ]
-        assert [(row[3], row[-1]) for row in rows] == [("1", "ok"), ("17", "ok"), ("33", "ok")]
-
-    def test_sweep_tsv_requires_single_layout(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--synthetic", "4,5,6,3,77", "--batch", "1..2", "--format", "tsv",
-                  "--strategy", "naive", "--quiet"])
-        assert exc.value.code == 2
-
-    def test_sweep_tsv_requires_single_strategy(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--synthetic", "4,5,6,3,77", "--batch", "1..2", "--format", "tsv",
-                  "--layout", "object-major", "--quiet"])
-        assert exc.value.code == 2
-
-    def test_matrix_rejects_tsv(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--synthetic", "4,5,6,3,77", "--format", "tsv", "--quiet"])
-        assert exc.value.code == 2
+        cases = strict_json(capsys.readouterr().out)["cases"]
+        assert [(case["batch"], case["verified"]) for case in cases] == [
+            (1, True), (17, True), (33, True)]
 
     def test_bad_synthetic_spec(self):
         with pytest.raises(SystemExit) as exc:
@@ -341,14 +360,14 @@ class TestCli:
         model = generate_synthetic_model(TINY)
         path = tmp_path / "tiny.json"
         save_model(model, str(path))
-        out = tmp_path / "report.csv"
+        out = tmp_path / "report.json"
         code = main([
             "--model", str(path), "--batch", "16", "--reps", "3",
             "--strategy", "naive", "--layout", "object-major",
-            "--format", "csv", "--out", str(out), "--quiet",
+            "--out", str(out), "--quiet",
         ])
         assert code == 0
-        assert "file:" in out.read_text()
+        assert strict_json(out.read_text())["model"] == f"file:{path}"
 
     @pytest.mark.parametrize("source", ["file", "synthetic"])
     def test_report_states_the_load_time(self, source, tmp_path):
@@ -359,20 +378,18 @@ class TestCli:
             flags = ["--model", str(tmp_path / "tiny.json")]
         else:
             flags = ["--synthetic", "4,5,6,3,77"]
-        out = tmp_path / "report.csv"
+        out = tmp_path / "report.json"
         assert main([*flags, "--batch", "8", "--reps", "3", "--strategy", "naive",
-                     "--layout", "object-major", "--format", "csv", "--out", str(out),
-                     "--quiet"]) == 0
-        (line,) = [x for x in out.read_text().splitlines() if x.startswith("# load_s: ")]
-        assert float(line.removeprefix("# load_s: ")) > 0
+                     "--layout", "object-major", "--out", str(out), "--quiet"]) == 0
+        assert strict_json(out.read_text())["load_s"] > 0
 
     def test_json_record_parses_back_and_names_every_case(self, capsys):
         code = main([
             "--synthetic", "4,5,6,3,77", "--batch", "8..24:16", "--reps", "3",
-            "--strategy", "all", "--layout", "both", "--format", "json", "--quiet",
+            "--strategy", "all", "--layout", "both", "--quiet",
         ])
         assert code == 0
-        record = json.loads(capsys.readouterr().out)
+        record = strict_json(capsys.readouterr().out)
         expected = [c.case_id for c in build_cases(
             bench._build_parser().parse_args(["--batch", "8..24:16", "--reps", "3"]))]
         assert [case["case_id"] for case in record["cases"]] == expected
@@ -384,8 +401,10 @@ class TestCli:
         assert record["block_size"] == EvalConfig.block_size and record["load_s"] > 0
         for case in record["cases"]:
             assert set(case) == {"case_id", "strategy", "layout", "batch", "reps", "inner",
-                                 "mean_ms", "std_ms", "d", "verified"}
+                                 "mean_ms", "std_ms", "d", "stage1_ms", "fold_ms",
+                                 "scratch_bytes", "verified"}
             assert case["verified"] is True and case["mean_ms"] > 0 and case["reps"] == 3
+            assert case["stage1_ms"] >= 0 and case["fold_ms"] >= 0 and case["scratch_bytes"] >= 0
             assert case["case_id"].startswith(case["strategy"] + "-")
         assert record["cases"][0]["d"] == 0.0
 
@@ -393,12 +412,25 @@ class TestCli:
         monkeypatch.setattr(bench, "_verify", lambda preds, oracle: False)
         out = tmp_path / "report.json"
         code = main(["--synthetic", "4,5,6,3,77", "--batch", "8", "--reps", "3",
-                     "--strategy", "naive", "--layout", "object-major", "--format", "json",
+                     "--strategy", "naive", "--layout", "object-major",
                      "--out", str(out), "--quiet"])
         assert code == 1
-        (case,) = json.loads(out.read_text())["cases"]
+        (case,) = strict_json(out.read_text())["cases"]
         assert case["verified"] is False
-        assert (case["mean_ms"], case["std_ms"], case["d"]) == (None, None, None)
+        assert [case[key] for key in ("mean_ms", "std_ms", "d", "stage1_ms", "fold_ms",
+                                      "scratch_bytes")] == [None] * 6
+
+    def test_failed_baseline_leaves_every_d_null(self, monkeypatch, capsys):
+        # A verified case once kept d at NaN, which json.dumps wrote as NaN.
+        verdicts = iter([False, True])
+        monkeypatch.setattr(bench, "_verify", lambda preds, oracle: next(verdicts))
+        code = main(["--synthetic", "4,5,6,3,77", "--batch", "8", "--reps", "3",
+                     "--strategy", "naive", "--layout", "both", "--quiet"])
+        assert code == 1
+        failed, passed = strict_json(capsys.readouterr().out)["cases"]
+        assert (failed["verified"], failed["mean_ms"], failed["d"]) == (False, None, None)
+        assert (passed["verified"], passed["d"]) == (True, None)
+        assert passed["mean_ms"] > 0 and passed["stage1_ms"] >= 0
 
     def test_missing_model_file_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -425,7 +457,7 @@ class TestCli:
         code = main([
             "--synthetic", "4,5,6,3,77", "--batch", "16", "--reps", "3",
             "--strategy", "naive", "--layout", "object-major",
-            "--out", str(tmp_path / "r.md"), "--quiet",
+            "--out", str(tmp_path / "r.json"), "--quiet",
         ])
         assert code == 1
 
@@ -454,6 +486,6 @@ class TestCli:
 
         monkeypatch.setattr("obtree.bench._resolve_model", no_model)
         with pytest.raises(SystemExit) as exc:
-            main(["--synthetic", "4,5,6,3,77", "--out", str(tmp_path / "no" / "r.md")])
+            main(["--synthetic", "4,5,6,3,77", "--out", str(tmp_path / "no" / "r.json")])
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err

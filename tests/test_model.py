@@ -368,6 +368,28 @@ def test_validation_never_accepts_a_damaged_model(case):
         Evaluator(model)
 
 
+_BORDER_ROWS = st.lists(st.floats(-2, 2, width=32), max_size=4).map(sorted) | st.lists(
+    st.sampled_from([-1.0, 0.0, 0.5, math.nan]), max_size=3) | st.just(np.arange(255.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BORDER_ROWS, min_size=1, max_size=150))
+def test_border_rows_checked_together_give_each_rows_messages(rows):
+    # The rows are checked in bulk, 64 at a time, and worded one by one.
+    expected = [f"float_features[{i}]: {e}" for i, row in enumerate(rows)
+                for e in obtree.model.border_row_errors(np.array(row, dtype=np.float32))]
+    assert validate_model(make_model(rows, [])) == expected
+
+
+def test_bad_border_row_found_past_the_first_rows_checked():
+    # The rows are checked 64 at a time.
+    rows = [[0.5, 1.0]] * 200
+    for i, row, problem in [(63, [1.0, 0.5], "non-ascending borders"), (64, [math.nan], "NaN border"),
+                            (199, [0.5, 0.5], "non-ascending borders")]:
+        damaged = rows[:i] + [row] + rows[i + 1:]
+        assert validate_model(make_model(damaged, [])) == [f"float_features[{i}]: {problem}"]
+
+
 def test_nonfinite_leaf_found_past_the_first_copy_of_tables():
     # The all-trees check copies 512 tables at a time.
     trees = [make_tree([(0, 0)], [1.0, 2.0]) for _ in range(1200)]

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obtree import (
     EvalConfig,
@@ -25,6 +27,8 @@ from obtree import (
     generate_feature_matrix,
     generate_synthetic_model,
 )
+from obtree.model import build_leaf_bank
+from obtree.oracle import binary16_leaves
 
 
 def test_zero_tree_model_gives_bias():
@@ -126,3 +130,33 @@ class TestClassificationFlips:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             classification_flip_count(np.zeros(1), np.zeros(2), 0.0)
+
+
+# Signed zeros, binary16 subnormals (the smallest, a tie to even, the
+# largest), the largest finite binary16, the last values that round down to
+# it, the first that overflow, and far out of range.
+_EDGE_LEAVES = [0.0, 2.0**-24, 2.0**-25, 3 * 2.0**-25, 2.0**-14 - 2.0**-24, 65504.0,
+                65519.99, 65520.0, 1e6]
+_EDGE_LEAVES += [-x for x in _EDGE_LEAVES]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda depth: st.lists(
+    st.sampled_from(_EDGE_LEAVES) | st.floats(-1e6, 1e6), min_size=1 << depth,
+    max_size=1 << depth)))
+def test_oracle_leaves_equal_the_bank_bit_for_bit(leaves):
+    # The oracle converts the leaves itself; the engine reads the bank.
+    depth = len(leaves).bit_length() - 1
+    tree = ObliviousTree(depth, tuple(SplitCondition(d, 0) for d in range(depth)),
+                         np.array(leaves))
+    features = tuple(FloatFeatureBorders(d, np.zeros(1, np.float32)) for d in range(depth))
+    model = ObliviousModel(features, (tree,), scale=1.0, bias=0.0)
+    bank = build_leaf_bank(model, LeafPrecision.BINARY16)
+    assert np.array_equal(binary16_leaves(model.leaves).view(np.uint16),
+                          bank.values.view(np.uint16))
+    # Object i takes leaf i: its value of feature d is +1 where bit d of i is set.
+    bits = np.arange(1 << depth)[:, None] >> np.arange(depth) & 1
+    matrix = FeatureMatrix(bits * 2 - 1, Layout.OBJECT_MAJOR)
+    expected = evaluate(model, matrix, EvalConfig(LeafStrategy.NAIVE16))
+    assert np.array_equal(evaluate_scalar(model, matrix, LeafPrecision.BINARY16).view(np.uint64),
+                          expected.view(np.uint64))
