@@ -34,13 +34,14 @@ Given an ``EvalStats``, ``predict`` times the two stages of each block and
 reports them with its scratch memory and its NaN and +/-inf inputs; without
 one it reads no clock and counts nothing.
 
-The leaf-load strategies name the paper's AVX2/AVX-512 load mechanics.  A
-strategy selects only its leaf-precision family: every binary64 strategy
-loads from the binary64 bank, every binary16 strategy from the binary16
-bank, widened to binary32.  The ``avx512`` backend selects both from the
-bank's byte planes by ``vpermb``/``vpermt2b``.  The strategy is the only
-setting of ``EvalConfig``; the block size and the tail policy are its
-constants.  The tail plan changes neither what runs nor the bits.
+The three leaf-load strategies name the paper's AVX2/AVX-512 load
+mechanics.  A strategy selects only its leaf precision: ``naive`` and
+``permute64`` run the same program on the binary64 bank, ``permute16`` on
+the binary16 bank, widened to binary32.  The ``avx512`` backend selects both
+from the bank's byte planes by ``vpermb``/``vpermt2b``.  The strategy is the
+only setting of ``EvalConfig``; the block size and the tail policy (whole
+groups, then a scalar remainder) are its constants.  The tail plan changes
+neither what runs nor the bits.
 """
 
 from __future__ import annotations
@@ -66,26 +67,22 @@ BYTE_LANES = 64        # objects per 64-bit condition mask, one per byte lane
 class LeafStrategy(Enum):
     """The paper's leaf-load strategies.
 
-    In the paper, NAIVE and GATHER load binary64 leaves by index, PERMUTE64
-    selects them from register-resident 8-lane vectors; PERMUTE16 and
-    NAIVE16 do the same on 32-lane binary16 vectors and plain binary16
-    loads.  Here each selects only its ``precision``: the ``avx512`` backend
-    selects the leaves of either precision by byte-plane ``vpermb``.  Object
-    groups are kept so that configurations plan tails as the paper's 512-bit
-    kernels would.
+    In the paper, NAIVE loads binary64 leaves by index and PERMUTE64 selects
+    them from register-resident 8-lane vectors; PERMUTE16 does the same on
+    32-lane binary16 vectors.  Here each selects only its ``precision``:
+    NAIVE and PERMUTE64 run the same binary64 program, and the ``avx512``
+    backend selects the leaves of either precision by byte-plane ``vpermb``.
+    Object groups are kept so that configurations plan tails as the paper's
+    512-bit kernels would.
     """
 
     NAIVE = "naive"
-    GATHER = "gather"
     PERMUTE64 = "permute64"
     PERMUTE16 = "permute16"
-    NAIVE16 = "naive16"
 
     @property
     def precision(self) -> LeafPrecision:
-        if self in (LeafStrategy.PERMUTE16, LeafStrategy.NAIVE16):
-            return LeafPrecision.BINARY16
-        return LeafPrecision.BINARY64
+        return LeafPrecision.BINARY16 if self is LeafStrategy.PERMUTE16 else LeafPrecision.BINARY64
 
     @property
     def object_group(self) -> int:
@@ -109,18 +106,15 @@ _SENTINEL_ORDINAL = 255
 
 class TailPolicy(Enum):
     SCALAR_TAIL = "scalar"
-    PADDED_GROUP = "padded"
 
 
 @dataclass(frozen=True)
 class TailPlan:
     """How one block's live objects map onto a vector kernel's groups.
 
-    SCALAR_TAIL runs whole groups through the vector path and the remainder
-    through the scalar path.  PADDED_GROUP rounds up to whole groups and
-    discards the padded lanes at write-back.  The numpy engine computes all
-    live objects of a block in one pass under either policy; the plan is
-    what the benchmark reports.
+    Whole groups run through the vector path and the remainder through the
+    scalar path, so no lane is padded.  The engines compute all live
+    objects of a block in one pass; the plan is what the benchmark reports.
     """
 
     policy: TailPolicy
@@ -136,25 +130,8 @@ def apply_tail_policy(policy: TailPolicy, group_size: int, live: int) -> TailPla
         raise ValueError("group size must be positive")
     if live < 0:
         raise ValueError("live object count must be non-negative")
-    if policy is TailPolicy.SCALAR_TAIL:
-        groups = live // group_size
-        return TailPlan(
-            policy=policy,
-            group_size=group_size,
-            live=live,
-            vector_groups=groups,
-            scalar_remainder=live - groups * group_size,
-            padded_lanes=0,
-        )
-    groups = -(-live // group_size)
-    return TailPlan(
-        policy=policy,
-        group_size=group_size,
-        live=live,
-        vector_groups=groups,
-        scalar_remainder=0,
-        padded_lanes=groups * group_size - live,
-    )
+    groups = live // group_size
+    return TailPlan(policy, group_size, live, groups, live - groups * group_size, padded_lanes=0)
 
 
 def plan_blocks(n_objects: int, block_size: int) -> list[tuple[int, int]]:

@@ -71,13 +71,23 @@ class DeviationMetrics:
     rms: float
 
 
+def _finite_scores(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both score vectors in binary64; a NaN or +/-inf score is refused by name and index."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    for name, scores in (("a", a), ("b", b)):
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise ValueError(f"{name}[{bad[0]}] is {scores.flat[bad[0]]}, not a finite score")
+    return a, b
+
+
 def deviation_metrics(a: np.ndarray, b: np.ndarray) -> DeviationMetrics:
     """Absolute-deviation statistics between two prediction vectors.
 
     The median is the lower middle element for even lengths.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _finite_scores(a, b)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("prediction vectors must be 1-D and the same length")
     if a.size == 0:
@@ -94,8 +104,7 @@ def deviation_metrics(a: np.ndarray, b: np.ndarray) -> DeviationMetrics:
 
 def classification_flip_count(a: np.ndarray, b: np.ndarray, threshold: float) -> int:
     """Objects whose predicted class differs between two score vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _finite_scores(a, b)
     if a.shape != b.shape:
         raise ValueError("prediction vectors must be the same length")
     return int(np.count_nonzero(np.sign(a - threshold) != np.sign(b - threshold)))

@@ -128,6 +128,8 @@ def quantize_block(
         return
     live = end - begin
     features, borders = tables.cond_feature, tables.cond_border
+    if out.dtype != np.uint8:
+        raise ValueError(f"panel dtype is {out.dtype}, not uint8")
     if live > out.shape[1]:
         raise ValueError(f"range of {live} objects exceeds the panel's {out.shape[1]} columns")
     if out.shape[0] != borders.size:

@@ -90,26 +90,10 @@ class TestNaive:
                     index |= 1 << d
             assert got[o] == tree.leaf_values[index] * model.scale + model.bias
 
-
-class TestGather:
-    def test_bit_exact_vs_naive_single_tree(self):
-        model, matrix = random_setup(2, depth=5)
-        naive = scores(model, matrix)
-        gather = scores(model, matrix, LeafStrategy.GATHER)
-        assert np.array_equal(bits(naive), bits(gather))
-
-    def test_multi_tree_within_tolerance(self):
-        # The tolerance is zero: the two strategies add the same values in
-        # the same order.
-        model, matrix = random_setup(4, depth=4, n_objects=40, n_trees=20)
-        naive = scores(model, matrix)
-        gather = scores(model, matrix, LeafStrategy.GATHER)
-        assert np.array_equal(bits(naive), bits(gather))
-
     def test_identical_indices_equal_broadcast_add(self):
         leaves = np.linspace(-1.0, 1.0, 16)
         model = one_tree_model(leaves)
-        got = scores(model, rows_for_index(11, 4, 24), LeafStrategy.GATHER)
+        got = scores(model, rows_for_index(11, 4, 24))
         assert np.all(got == leaves[11])
 
 
@@ -152,12 +136,6 @@ class TestPermute16:
         expected = evaluate_scalar(model, matrix, LeafPrecision.BINARY16)
         assert np.array_equal(bits(got), bits(expected))
 
-    def test_matches_naive16(self):
-        model, matrix = random_setup(90, depth=7)
-        naive16 = scores(model, matrix, LeafStrategy.NAIVE16)
-        permute16 = scores(model, matrix, LeafStrategy.PERMUTE16)
-        assert np.array_equal(bits(naive16), bits(permute16))
-
 
 class TestIndexSplit:
     def test_exhaustive_for_all_depths(self):
@@ -195,19 +173,16 @@ class TestAccumulator:
         model = ObliviousModel(float_features=features, trees=trees, scale=1.0, bias=0.0)
         matrix = generate_feature_matrix(5, 1, seed=3)
         assert np.all(scores(model, matrix) == big + 2 * small)
-        for strategy in (LeafStrategy.NAIVE16, LeafStrategy.PERMUTE16):
-            assert np.all(scores(model, matrix, strategy) == big)
+        assert np.all(scores(model, matrix, LeafStrategy.PERMUTE16) == big)
 
     def test_strategy_families(self):
+        assert [s.value for s in LeafStrategy] == ["naive", "permute64", "permute16"]
         assert LeafStrategy.NAIVE.precision is LeafPrecision.BINARY64
-        assert LeafStrategy.GATHER.precision is LeafPrecision.BINARY64
         assert LeafStrategy.PERMUTE64.precision is LeafPrecision.BINARY64
         assert LeafStrategy.PERMUTE16.precision is LeafPrecision.BINARY16
-        assert LeafStrategy.NAIVE16.precision is LeafPrecision.BINARY16
 
     def test_object_groups(self):
         # Objects per 512-bit vector group, as the paper's kernels plan tails.
         assert LeafStrategy.PERMUTE64.object_group == 8
         assert LeafStrategy.PERMUTE16.object_group == 32
-        for strategy in (LeafStrategy.NAIVE, LeafStrategy.GATHER, LeafStrategy.NAIVE16):
-            assert strategy.object_group == 64
+        assert LeafStrategy.NAIVE.object_group == 64

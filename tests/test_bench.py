@@ -48,8 +48,8 @@ class TestRunMatrix:
         model = generate_synthetic_model(TINY)
         cases = [
             tiny_case(),
-            tiny_case(strategy=LeafStrategy.GATHER),
-            tiny_case(strategy=LeafStrategy.NAIVE16),
+            tiny_case(strategy=LeafStrategy.PERMUTE64),
+            tiny_case(strategy=LeafStrategy.PERMUTE16),
         ]
         report = run_matrix(model, cases, data_seed=5)
         assert len(report.rows) == len(cases)
@@ -283,9 +283,9 @@ class TestCaseBuilder:
     def test_default_matrix_shape(self):
         args = _Args(layout="both", strategy="all", batch=[1024], reps=5)
         cases = build_cases(args)
-        # 5 strategies x 2 layouts
-        assert len(cases) == 10
-        assert len({c.case_id for c in cases}) == 10
+        # 3 strategies x 2 layouts
+        assert len(cases) == 6
+        assert len({c.case_id for c in cases}) == 6
 
     def test_batch_is_the_innermost_axis(self):
         args = _Args(layout="object-major", strategy="all", batch=[1, 17, 33], reps=3)
@@ -293,7 +293,7 @@ class TestCaseBuilder:
         assert [(c.config.strategy, c.batch_size) for c in cases] == [
             (strategy, batch) for strategy in LeafStrategy for batch in (1, 17, 33)
         ]
-        assert len({c.case_id for c in cases}) == 15
+        assert len({c.case_id for c in cases}) == 9
 
     def test_repetition_floor_applies_to_every_case(self):
         args = _Args(layout="both", strategy="naive", batch=[8], reps=2)
@@ -431,6 +431,14 @@ class TestCli:
         assert (failed["verified"], failed["mean_ms"], failed["d"]) == (False, None, None)
         assert (passed["verified"], passed["d"]) == (True, None)
         assert passed["mean_ms"] > 0 and passed["stage1_ms"] >= 0
+
+    @pytest.mark.parametrize("strategy", ["gather", "naive16"])
+    def test_folded_strategy_is_usage_error(self, strategy, capsys):
+        # gather ran naive's program and naive16 permute16's; neither is offered.
+        with pytest.raises(SystemExit) as exc:
+            main(["--synthetic", "4,5,6,3,77", "--strategy", strategy, "--quiet"])
+        assert exc.value.code == 2
+        assert "--strategy" in capsys.readouterr().err
 
     def test_missing_model_file_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

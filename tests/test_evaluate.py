@@ -1,4 +1,4 @@
-"""Pipeline orchestration: block planning, tail policies, invariances."""
+"""Pipeline orchestration: block planning, the tail plan, invariances."""
 
 from __future__ import annotations
 
@@ -65,10 +65,6 @@ class TestTailPolicy:
         plan = apply_tail_policy(TailPolicy.SCALAR_TAIL, 32, 100)
         assert (plan.vector_groups, plan.scalar_remainder, plan.padded_lanes) == (3, 4, 0)
 
-    def test_padded_group_example(self):
-        plan = apply_tail_policy(TailPolicy.PADDED_GROUP, 32, 100)
-        assert (plan.vector_groups, plan.scalar_remainder, plan.padded_lanes) == (4, 0, 28)
-
     def test_exhaustive_plan_arithmetic(self):
         for group in (8, 16, 32, 64):
             for live in range(1, 193):
@@ -76,10 +72,6 @@ class TestTailPolicy:
                 assert st.vector_groups * group + st.scalar_remainder == live
                 assert 0 <= st.scalar_remainder < group
                 assert st.padded_lanes == 0
-                pg = apply_tail_policy(TailPolicy.PADDED_GROUP, group, live)
-                assert pg.scalar_remainder == 0
-                assert pg.vector_groups * group == live + pg.padded_lanes
-                assert 0 <= pg.padded_lanes < group
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -96,6 +88,7 @@ class TestEvalConfig:
         assert cfg.block_size == EvalConfig.block_size == 128
         assert cfg.strategy is LeafStrategy.NAIVE
         assert cfg.tail_policy is EvalConfig.tail_policy is TailPolicy.SCALAR_TAIL
+        assert list(TailPolicy) == [TailPolicy.SCALAR_TAIL]
 
 
 class TestEvaluateBasics:
@@ -124,7 +117,7 @@ class TestEvaluateBasics:
         matrix = generate_feature_matrix(9, 1, seed=2)
         assert np.all(evaluate(model, matrix) == 2.0)
 
-    @pytest.mark.parametrize("strategy", [LeafStrategy.GATHER, LeafStrategy.PERMUTE16])
+    @pytest.mark.parametrize("strategy", [LeafStrategy.NAIVE, LeafStrategy.PERMUTE16])
     def test_explicit_loop_fold_matches_oracle(self, strategy, monkeypatch, numpy_backend):
         # The row loop runs only where the import-time probe finds that
         # np.add.reduce(axis=0) does not add rows in order; force it for
@@ -174,7 +167,7 @@ class TestInvariances:
 
     def test_layout_independence(self):
         transposed = self.matrix.transposed()
-        for strategy in (LeafStrategy.NAIVE, LeafStrategy.PERMUTE16, LeafStrategy.GATHER):
+        for strategy in (LeafStrategy.NAIVE, LeafStrategy.PERMUTE16):
             evaluator = Evaluator(self.tables, EvalConfig(strategy))
             assert np.array_equal(evaluator.predict(self.matrix), evaluator.predict(transposed))
 

@@ -289,7 +289,7 @@ class TestValidation:
         monkeypatch.setattr(obtree.serialize, "validate_model", counting)
         model = deserialize_model(document)
         matrix = FeatureMatrix(np.zeros((4, 3), dtype=np.float32), Layout.OBJECT_MAJOR)
-        for strategy in (LeafStrategy.NAIVE, LeafStrategy.NAIVE16):
+        for strategy in (LeafStrategy.NAIVE, LeafStrategy.PERMUTE16):
             Evaluator(model, EvalConfig(strategy=strategy)).predict(matrix)
             evaluate_scalar(model, matrix, strategy.precision)
             build_leaf_bank(model, strategy.precision)

@@ -66,7 +66,7 @@ def test_oracle_agrees_with_pipeline_on_random_inputs():
             61, 7, seed=seed + 100, nan_fraction=0.05, inf_fraction=0.02
         )
         assert np.array_equal(evaluate(model, matrix), evaluate_scalar(model, matrix))
-        preds16 = evaluate(model, matrix, EvalConfig(strategy=LeafStrategy.NAIVE16))
+        preds16 = evaluate(model, matrix, EvalConfig(strategy=LeafStrategy.PERMUTE16))
         assert np.array_equal(preds16, evaluate_scalar(model, matrix, LeafPrecision.BINARY16))
 
 
@@ -111,6 +111,14 @@ class TestDeviationMetrics:
         with pytest.raises(ValueError):
             deviation_metrics(np.zeros(0), np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_named(self, bad):
+        # Unchecked, a NaN gives NaN max, mean and rms next to a finite median.
+        with pytest.raises(ValueError, match=r"^a\[0\] is "):
+            deviation_metrics([bad, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"^b\[2\] is "):
+            deviation_metrics([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, bad, bad])
+
 
 class TestClassificationFlips:
     def test_identical_vectors(self):
@@ -130,6 +138,14 @@ class TestClassificationFlips:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             classification_flip_count(np.zeros(1), np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_named(self, bad):
+        # Unchecked, a NaN score counts as a flip.
+        with pytest.raises(ValueError, match=r"^a\[0\] is "):
+            classification_flip_count([bad], [1.0], 0.0)
+        with pytest.raises(ValueError, match=r"^b\[1\] is "):
+            classification_flip_count([1.0, 1.0], [1.0, bad], 0.0)
 
 
 # Signed zeros, binary16 subnormals (the smallest, a tie to even, the
@@ -157,6 +173,6 @@ def test_oracle_leaves_equal_the_bank_bit_for_bit(leaves):
     # Object i takes leaf i: its value of feature d is +1 where bit d of i is set.
     bits = np.arange(1 << depth)[:, None] >> np.arange(depth) & 1
     matrix = FeatureMatrix(bits * 2 - 1, Layout.OBJECT_MAJOR)
-    expected = evaluate(model, matrix, EvalConfig(LeafStrategy.NAIVE16))
+    expected = evaluate(model, matrix, EvalConfig(LeafStrategy.PERMUTE16))
     assert np.array_equal(evaluate_scalar(model, matrix, LeafPrecision.BINARY16).view(np.uint64),
                           expected.view(np.uint64))

@@ -221,6 +221,14 @@ class TestQuantizeBlock:
         with pytest.raises(ValueError, match="panel has 1 rows, model has 2 conditions"):
             quantize_block(matrix, (0, 4), self.one_border_tables(2), out)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.int8])
+    def test_panel_dtype_rejected(self, dtype):
+        # Stage 2 reads the panel's rows as bytes of 0 or 1.
+        matrix = FeatureMatrix(np.zeros((4, 1), dtype=np.float32), Layout.OBJECT_MAJOR)
+        out = np.zeros((1, 64), dtype=dtype)
+        with pytest.raises(ValueError, match=f"panel dtype is {np.dtype(dtype)}, not uint8"):
+            quantize_block(matrix, (0, 4), self.one_border_tables(), out)
+
     def test_matrix_feature_count_mismatch_rejected(self):
         matrix = FeatureMatrix(np.zeros((4, 3), dtype=np.float32), Layout.OBJECT_MAJOR)
         out = np.zeros((2, 64), dtype=np.uint8)
