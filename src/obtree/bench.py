@@ -230,23 +230,22 @@ def run_matrix(
     # Verify every case before timing any.  A run raises the allocator's
     # threshold for handing freed memory back to the system; a case timed
     # before larger cases had run page-faulted on every block and read slow.
-    backend = None
+    evaluators = []
     for case in cases:
-        evaluator = Evaluator(tables, case.config)
-        backend = evaluator.backend
-        preds = evaluator.predict(inputs(case.batch_size, case.layout))
+        evaluators.append(Evaluator(tables, case.config))
+        preds = evaluators[-1].predict(inputs(case.batch_size, case.layout))
         expected = oracle(case.batch_size, case.config.strategy.precision)
         rows.append(CaseResult(case, verified=_verify(preds, expected)))
 
-    # Calibrate every case, then take one sample of each case per round, so
-    # that a change in host speed during the run reaches every case alike.
+    # Calibrate every verified case on the evaluator that verified it, then
+    # take one sample of each case per round, so that a change in host speed
+    # during the run reaches every case alike.
     timed = []
-    for row in rows:
+    for row, evaluator in zip(rows, evaluators):
         case = row.case
         if log:
             log(f"case {case.case_id} ...")
         if row.verified:
-            evaluator = Evaluator(tables, case.config)
             matrix = inputs(case.batch_size, case.layout)
             row.inner, sample = _time_case(evaluator, matrix)
             timed.append((row, evaluator, matrix, sample, []))
@@ -274,7 +273,7 @@ def run_matrix(
         "n_trees": model.n_trees,
         "data_seed": data_seed,
         "baseline": baseline_id,
-        "backend": backend,
+        "backend": evaluators[-1].backend,
         "block_size": EvalConfig.block_size,
     }
     return BenchReport(baseline_id=baseline_id, rows=rows, metadata=metadata)

@@ -12,10 +12,10 @@ run in one of two backends chosen when an ``Evaluator`` is made
   per stage and block: the binarization kernel writes one 64-bit mask per
   (64-object group, distinct split condition) straight from the block's
   binary32 values, and the fold kernels read those masks group by group and
-  write the finished scores.  They walk the trees in runs of equal depth
-  (``ModelTables.depth_runs``), read each tree's conditions from its row of
-  ``ModelTables.tree_cond`` and load each tree's byte planes once for all
-  the groups they fold;
+  write the finished scores.  They read each tree's conditions from its row
+  of ``ModelTables.tree_cond`` and load each tree's byte planes once for all
+  the groups they fold.  Everything else they read about the model, such as
+  its runs of trees of equal depth, ``native.BoundKernels`` finds;
 * ``numpy``: array operations.  Stage 1 writes a (conditions x objects)
   panel of 0/1 bytes; stages 2-3 gather its rows into a (trees x objects)
   panel covering a block's live objects rounded up to a multiple of 8, so
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import native
 from .model import (MAX_DEPTH, LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank,
-                    require_valid, run_bounds)
+                    require_valid)
 from .quantize import CONDITION_CHUNK, FeatureMatrix, quantize_block
 
 
@@ -153,13 +153,17 @@ class EvalConfig:
     block_size: ClassVar[int] = 128
     tail_policy: ClassVar[TailPolicy] = TailPolicy.SCALAR_TAIL
 
+    def __post_init__(self):
+        if not isinstance(self.strategy, LeafStrategy):
+            raise TypeError(f"strategy: {self.strategy!r} is not a LeafStrategy")
+
     @property
     def object_group(self) -> int:
         return self.strategy.object_group
 
 
 class ModelTables:
-    """Derived arrays shared by every evaluation of one model.
+    """Derived arrays that both backends read, shared by a model's evaluations.
 
     The split conditions form a table of distinct (feature, border ordinal)
     pairs, sorted by feature: condition ``c`` holds iff the binary32 value of
@@ -170,9 +174,7 @@ class ModelTables:
     deepest, its levels past its depth hold the sentinel condition (feature
     0, ordinal 255, border +inf), which can never hold and so contributes a
     zero bit; levels past the deepest tree's depth hold -1, and no stage
-    reads them.  ``depth_runs`` (``run_bounds``) splits the trees into runs
-    of equal depth, so that the native fold picks its code for a depth once
-    per run.  Leaf banks are built per precision on first use.
+    reads them.  Leaf banks are built per precision on first use.
     """
 
     def __init__(self, model: ObliviousModel):
@@ -181,7 +183,6 @@ class ModelTables:
         self.n_trees = model.n_trees
         depths = model.depths
         self.max_depth = int(depths.max(initial=0))
-        self.depth_runs = run_bounds(depths)
         self._banks: dict[LeafPrecision, LeafBank] = {}
 
         # Split s of tree t, at depth level s, is key feature * 256 + ordinal
@@ -202,10 +203,6 @@ class ModelTables:
         self.tree_cond = np.full((self.n_trees, MAX_DEPTH), -1, dtype=np.int32)
         # The inverse's shape differs across numpy 2.x releases.
         self.tree_cond[:, : self.max_depth] = inverse.reshape(keys.shape)
-        # The native binarizer's runs of conditions on one feature and on
-        # one 16-feature tile (``run_bounds``).
-        self.feature_runs = run_bounds(self.cond_feature)
-        self.tile_runs = run_bounds(self.cond_feature >> 4)
 
     def bank(self, precision: LeafPrecision) -> LeafBank:
         if precision not in self._banks:
@@ -346,11 +343,13 @@ class EvalStats:
     with ``time.perf_counter``.  ``scratch_bytes`` is the per-call memory
     besides the input and the scores: on ``avx512`` the condition masks and
     the fold kernel's sums on the C stack; on numpy the arrays that the
-    largest block's stages 1-3 allocate, summed.
+    largest block's stages 1-3 allocate, summed; on both, the temporary of
+    the input counts.
     ``saturated_leaves`` is the leaf bank's count of binary16 leaves clamped
     to +/-65504 (``LeafBank.saturation_count``), 0 for binary64.
     ``nan_inputs`` and ``inf_inputs`` count the NaN and the +/-inf values of
-    the call's matrix, whether or not a split tests their feature.
+    the call's matrix, whether or not a split tests their feature, a block's
+    count of values at a time (one boolean temporary), after its stages.
     """
 
     backend: str = ""
@@ -377,12 +376,14 @@ class Evaluator:
         model: ObliviousModel | ModelTables,
         config: EvalConfig | None = None,
     ):
+        if not isinstance(config, (EvalConfig, type(None))):
+            raise TypeError(f"config: {config!r} is not an EvalConfig")
         self.tables = model if isinstance(model, ModelTables) else ModelTables(model)
         self.config = config or EvalConfig()
         self.bank = self.tables.bank(self.config.strategy.precision)
-        kernels = native.kernels()
-        self._native = (None if kernels is None else
-                        kernels.bind(self.tables, self.bank, EvalConfig.block_size // 64))
+        lib = native.kernels()
+        self._native = (None if lib is None else native.BoundKernels(
+            lib, self.tables, self.bank, EvalConfig.block_size // 64))
 
     @property
     def model(self) -> ObliviousModel:
@@ -417,6 +418,7 @@ class Evaluator:
             block, binarize, fold = self._native.over(matrix, out)
 
         stage1_s = fold_s = 0.0
+        nonfinite = nan = 0
         # The blocks of plan_blocks(n, size), without building its list.
         for begin in range(0, n, size):
             end = min(begin + size, n)
@@ -432,16 +434,21 @@ class Evaluator:
             if timed:
                 stage1_s += quantized - started
                 fold_s += time.perf_counter() - quantized
+                # A block's count of values at a time, as a flat slice in
+                # either layout: never a strided view, which numpy buffers.
+                values = matrix.values.reshape(-1)[begin * model.n_features :
+                                                   end * model.n_features]
+                found = values.size - int(np.count_nonzero(np.isfinite(values)))
+                nonfinite += found
+                nan += int(np.count_nonzero(np.isnan(values))) if found else 0
         if timed:
             stats.backend, stats.objects, stats.blocks = self.backend, n, -(-n // size)
             stats.stage1_s, stats.fold_s = stage1_s, fold_s
             stats.saturated_leaves = self.bank.saturation_count
-            values = matrix.values
-            nonfinite = values.size - int(np.count_nonzero(np.isfinite(values)))
-            stats.nan_inputs = int(np.count_nonzero(np.isnan(values))) if nonfinite else 0
-            stats.inf_inputs = nonfinite - stats.nan_inputs
-            stats.scratch_bytes = (self._numpy_scratch_bytes(n) if self._native is None
-                                   else self._native.scratch_bytes(n))
+            stats.nan_inputs, stats.inf_inputs = nan, nonfinite - nan
+            stats.scratch_bytes = min(n, size) * model.n_features + (
+                self._numpy_scratch_bytes(n) if self._native is None
+                else self._native.scratch_bytes(n))
         return out
 
     def _numpy_scratch_bytes(self, n: int) -> int:

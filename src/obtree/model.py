@@ -413,6 +413,8 @@ def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank
     ``saturation_count``, and a bank with any is logged as a warning on the
     ``obtree`` logger.
     """
+    if not isinstance(precision, LeafPrecision):
+        raise TypeError(f"precision: {precision!r} is not a LeafPrecision")
     require_valid(model)
     leaves, offsets = model.leaves, model.leaf_offsets
     max_abs = float(max(-leaves.min(initial=0.0), leaves.max(initial=0.0)))

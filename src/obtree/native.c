@@ -16,7 +16,7 @@
  *
  * The two fold kernels walk those masks in groups of 64 objects, one object
  * per byte lane of a 512-bit vector.  The trees come in runs of equal depth
- * (ModelTables.depth_runs), and each run is walked by code for its depth,
+ * (obtree_model.depth_runs), and each run is walked by code for its depth,
  * chosen once per run.  Tree by tree, the tree's table, held as byte planes
  * (LeafBank.planes: byte b of every leaf, back to back), is loaded into
  * registers once; then, group by group, the tree's leaf index is built in a
@@ -42,22 +42,22 @@
 #include <stdint.h>
 #include <string.h>
 
-/* A model as every kernel reads it, built once per model and input layout
- * (native.BoundKernels), so a call passes only its address and the call's
- * own pointers and ranges.  Condition c is "value of feature cond_feature[c]
- * > cond_border[c]", cond_feature ascending; run r of conditions, [runs[r],
- * runs[r + 1]), is one feature's (feature_major) or one 16-feature tile's
- * (object-major input).  Row t of tree_cond, 8 condition numbers, holds
- * tree t's condition of each level; levels past its depth hold a condition
- * that never holds, and are not read here.  Run r of trees, [depth_runs[r],
+/* A model as every kernel reads it, built once per model (native.BoundKernels),
+ * so a call passes only its address and its own pointers, layout and range.
+ * Condition c is "value of feature cond_feature[c] > cond_border[c]",
+ * cond_feature ascending; run r of conditions, [feature_runs[r],
+ * feature_runs[r + 1]), is one feature's, [tile_runs[r], tile_runs[r + 1])
+ * one 16-feature tile's.  Row t of tree_cond, 8 condition numbers, holds tree
+ * t's condition of each level; levels past its depth hold a condition that
+ * never holds, and are not read here.  Run r of trees, [depth_runs[r],
  * depth_runs[r + 1]), is a run of equal depth.  Tree t's leaves are the
  * `width` byte planes of 2**depth bytes at planes + width * offsets[t]. */
 typedef struct {
-    const int64_t *cond_feature, *runs, *offsets, *depth_runs;
+    const int64_t *cond_feature, *feature_runs, *tile_runs, *offsets, *depth_runs;
     const int32_t *tree_cond;
     const float *cond_border;
     const uint8_t *planes;
-    int64_t n_cond, n_features, n_runs, feature_major, n_depth_runs;
+    int64_t n_cond, n_features, n_feature_runs, n_tile_runs, n_depth_runs;
     double scale, bias;
 } obtree_model;
 
@@ -139,11 +139,13 @@ KERNEL static inline __attribute__((always_inline)) uint64_t condition_mask(
  * object-major rows two 16-feature tiles ahead. */
 KERNEL static inline __attribute__((always_inline)) void binarize(
     const obtree_model *m, const float *values, int feature_major, int64_t row_length,
-    int64_t begin, int64_t live, uint64_t *masks)
+    int64_t live, uint64_t *masks)
 {
-    const int64_t *cond_feature = m->cond_feature, *runs = m->runs;
+    const int64_t *cond_feature = m->cond_feature;
+    const int64_t *runs = feature_major ? m->feature_runs : m->tile_runs;
     const float *cond_border = m->cond_border;
-    int64_t n_cond = m->n_cond, n_features = m->n_features, n_runs = m->n_runs;
+    int64_t n_cond = m->n_cond, n_features = m->n_features;
+    int64_t n_runs = feature_major ? m->n_feature_runs : m->n_tile_runs;
     /* v[j][i]: feature f0 + i of the group's objects 16j .. 16j + 15. */
     __m512 v[4][16];
     for (int64_t r = 0; r < n_runs; r++) {
@@ -153,8 +155,8 @@ KERNEL static inline __attribute__((always_inline)) void binarize(
             int quarters = live_quarters(live, g);
             __mmask16 objects[4];
             for (int j = 0; j < quarters; j++) {
-                int64_t o = begin + 64 * g + 16 * j;
-                objects[j] = first16(begin + live - o);
+                int64_t o = 64 * g + 16 * j;
+                objects[j] = first16(live - o);
                 if (feature_major) {
                     const float *src = values + f0 * row_length + o;
                     if (f0 + PREFETCH_ROWS < n_features)
@@ -185,16 +187,16 @@ KERNEL static inline __attribute__((always_inline)) void binarize(
     }
 }
 
-/* Condition masks of objects [begin, begin + live), ceil(live / 64) groups of
- * m->n_cond masks.  Value (object o, feature f) is values[o * row_length + f],
- * or values[f * row_length + o] where m->feature_major is set. */
-KERNEL void obtree_binarize(const obtree_model *m, const float *values, int64_t row_length,
-                            int64_t begin, int64_t live, uint64_t *masks)
+/* The condition masks of a block's `live` objects, ceil(live / 64) groups of
+ * m->n_cond.  Object o of the block has feature f at values[o * row_length + f],
+ * or at values[f * row_length + o] where feature_major is set. */
+KERNEL void obtree_binarize(const obtree_model *m, const float *values, int64_t feature_major,
+                            int64_t row_length, int64_t live, uint64_t *masks)
 {
-    if (m->feature_major)
-        binarize(m, values, 1, row_length, begin, live, masks);
+    if (feature_major)
+        binarize(m, values, 1, row_length, live, masks);
     else
-        binarize(m, values, 0, row_length, begin, live, masks);
+        binarize(m, values, 0, row_length, live, masks);
 }
 
 /* Bits 0 .. levels-1 of the leaf index of a group's objects, one per byte

@@ -6,9 +6,12 @@ condition and 16 objects, into one 64-bit mask per 64-object group and
 condition.  Stages 2-3 are one fold kernel per leaf precision, which reads
 those masks and selects each tree's leaves from its byte planes
 (``LeafBank.planes``) by ``vpermb``/``vpermt2b``, one select per leaf byte
-for 64 objects, and writes each object's score, ``scale * sum + bias``.  ``BoundKernels`` binds both to a model, as one C
-struct per input layout; a ``predict`` call checks its arrays once
-(``BoundKernels.over``) and then makes one kernel call per stage and block.
+for 64 objects, and writes each object's score, ``scale * sum + bias``.
+``BoundKernels`` binds both to a model as one C struct, ``obtree_model``,
+and finds the runs the kernels walk: conditions of one feature and of one
+16-feature tile, and trees of one depth.  A ``predict`` call checks its
+arrays once (``BoundKernels.over``) and then makes one kernel call per stage
+and block, passing the matrix's layout to the binarizer.
 
 The first ``Evaluator`` of a process compiles the package's C source with
 the system C compiler into a private temporary directory, loads it through
@@ -33,7 +36,7 @@ import time
 
 import numpy as np
 
-from .model import LeafBank, LeafPrecision
+from .model import LeafBank, LeafPrecision, run_bounds
 from .quantize import FeatureMatrix, Layout
 
 log = logging.getLogger("obtree")
@@ -48,84 +51,62 @@ NAME = "avx512"
 
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
-_BINARIZE_ARGS = [_ptr, _ptr, _i64, _i64, _i64, _ptr]
-_FOLD_ARGS = [_ptr, _ptr, _i64, _ptr]
+_FOLD = [_ptr, _ptr, _i64, _ptr]
+# The argument types of each kernel of native.c; each returns void.
+KERNEL_ARGS = {"obtree_binarize": [_ptr, _ptr, _i64, _i64, _i64, _ptr],
+               "obtree_fold_binary16": _FOLD, "obtree_fold_binary64": _FOLD}
 
 
 class _Model(ctypes.Structure):
     """``obtree_model`` of ``native.c``: a model as the kernels read it."""
 
     _fields_ = [
-        ("cond_feature", _ptr), ("runs", _ptr), ("offsets", _ptr), ("depth_runs", _ptr),
-        ("tree_cond", _ptr), ("cond_border", _ptr), ("planes", _ptr), ("n_cond", _i64),
-        ("n_features", _i64), ("n_runs", _i64), ("feature_major", _i64),
+        ("cond_feature", _ptr), ("feature_runs", _ptr), ("tile_runs", _ptr), ("offsets", _ptr),
+        ("depth_runs", _ptr), ("tree_cond", _ptr), ("cond_border", _ptr), ("planes", _ptr),
+        ("n_cond", _i64), ("n_features", _i64), ("n_feature_runs", _i64), ("n_tile_runs", _i64),
         ("n_depth_runs", _i64), ("scale", ctypes.c_double), ("bias", ctypes.c_double),
     ]
 
 
-class Kernels:
-    """The loaded library: the binarization kernel and one fold kernel per
-    leaf precision.  A missing symbol raises AttributeError naming it."""
-
-    def __init__(self, lib: ctypes.CDLL):
-        self._lib = lib
-        self._binarize = lib.obtree_binarize
-        self._binarize.argtypes = _BINARIZE_ARGS
-        self._binarize.restype = None
-        self._fold = {
-            LeafPrecision.BINARY16: lib.obtree_fold_binary16,
-            LeafPrecision.BINARY64: lib.obtree_fold_binary64,
-        }
-        for fn in self._fold.values():
-            fn.argtypes = _FOLD_ARGS
-            fn.restype = None
-
-    def bind(self, tables, bank: LeafBank, groups: int) -> BoundKernels:
-        return BoundKernels(self._binarize, self._fold[bank.precision], tables, bank, groups)
-
-
 class BoundKernels:
-    """The binarization kernel and the fold kernel of one leaf precision,
-    bound to a model's ``ModelTables`` and leaf bank, for blocks of at most
-    ``groups`` 64-object groups.  One ``obtree_model`` per input layout is
-    built here, with every pointer into the tables and the bank; it reads
-    those arrays for as long as this object holds them."""
+    """The binarization kernel and the fold kernel of the bank's leaf
+    precision, from the loaded library ``lib``, bound to a model's
+    ``ModelTables`` and leaf bank, for blocks of at most ``groups`` 64-object
+    groups.  The runs the kernels walk are found here, and one
+    ``obtree_model`` is built with every pointer into them, the tables and
+    the bank; it reads those arrays for as long as this object holds them."""
 
-    def __init__(self, binarize, fold, tables, bank: LeafBank, groups: int):
-        for array, dtype in (
-            (tables.cond_feature, np.intp), (tables.cond_border, np.float32),
-            (tables.tree_cond, np.int32), (tables.depth_runs, np.int64),
-            (tables.feature_runs, np.int64), (tables.tile_runs, np.int64),
-            (bank.offsets, np.int64), (bank.planes, np.uint8),
-        ):
+    def __init__(self, lib: ctypes.CDLL, tables, bank: LeafBank, groups: int):
+        for array, dtype in ((tables.cond_feature, np.intp), (tables.cond_border, np.float32),
+                             (tables.tree_cond, np.int32), (bank.offsets, np.int64),
+                             (bank.planes, np.uint8)):
             _require(array, dtype)
-        # The fold reads a condition row and a table for each of the bank's trees.
-        if tables.tree_cond.shape != (bank.n_trees, 8) or tables.depth_runs[-1] != bank.n_trees:
-            raise ValueError(f"native kernels: a bank of {bank.n_trees} trees for tables of "
-                             f"{tables.tree_cond.shape[0]}")
-        self._binarize, self._fold, self._groups = binarize, fold, groups
-        self._held = (tables, bank)
-        self._n_cond = tables.cond_border.size
-        self._n_features = tables.model.n_features
+        # The fold walks the bank's tables with the tables' condition rows.
+        depths = tables.model.depths
+        if not np.array_equal(np.diff(bank.offsets), np.left_shift(1, depths)):
+            raise ValueError(f"native kernels: a bank of {bank.n_trees} trees, not of the "
+                             f"{tables.n_trees} trees of the tables and their depths")
+        self._binarize, self._groups = lib.obtree_binarize, groups
+        self._fold = getattr(lib, f"obtree_fold_{bank.precision.value}")
         self._sum_bytes = 64 * (8 if bank.precision is LeafPrecision.BINARY64 else 4)
-        # One struct per input layout, indexed by "is feature-major".
-        self._models = tuple(
-            _Model(
-                tables.cond_feature.ctypes.data, runs.ctypes.data, bank.offsets.ctypes.data,
-                tables.depth_runs.ctypes.data, tables.tree_cond.ctypes.data,
-                tables.cond_border.ctypes.data, bank.planes.ctypes.data, self._n_cond,
-                self._n_features, runs.size - 1, feature_major, tables.depth_runs.size - 1,
-                tables.model.scale, tables.model.bias,
-            )
-            for feature_major, runs in ((False, tables.tile_runs), (True, tables.feature_runs))
+        feature_runs = run_bounds(tables.cond_feature)
+        tile_runs = run_bounds(tables.cond_feature >> 4)
+        depth_runs = run_bounds(depths)
+        self._held = (tables, bank, feature_runs, tile_runs, depth_runs)
+        self._model = _Model(
+            tables.cond_feature.ctypes.data, feature_runs.ctypes.data, tile_runs.ctypes.data,
+            bank.offsets.ctypes.data, depth_runs.ctypes.data, tables.tree_cond.ctypes.data,
+            tables.cond_border.ctypes.data, bank.planes.ctypes.data, tables.cond_border.size,
+            tables.model.n_features, feature_runs.size - 1, tile_runs.size - 1, depth_runs.size - 1,
+            tables.model.scale, tables.model.bias,
         )
-        self._addresses = tuple(ctypes.addressof(m) for m in self._models)
+        self._address = ctypes.addressof(self._model)
 
     def scratch_bytes(self, n: int) -> int:
         """The bytes a call over ``n`` objects uses besides its input and
         scores: the masks ``over`` allocates, and the fold kernel's sums of
         those groups, which it keeps on the C stack."""
-        return min(self._groups, -(-n // 64)) * (8 * self._n_cond + self._sum_bytes)
+        return min(self._groups, -(-n // 64)) * (8 * self._model.n_cond + self._sum_bytes)
 
     def over(self, matrix: FeatureMatrix, out: np.ndarray) -> tuple:
         """``(masks, binarize, fold)`` for one ``predict`` call over
@@ -133,42 +114,43 @@ class BoundKernels:
 
         ``masks`` is a new (groups x conditions) uint64 array, with no more
         groups than the batch fills.
-        ``binarize(matrix, begin, end, masks)``, as ``quantize_block`` calls
-        it, writes the condition masks of objects [begin, end) into its
-        first rows: bit o of ``masks[g, c]`` holds condition ``c`` for
-        object ``begin + 64 * g + o``.  The bits past ``end`` in the last
-        group written are clear; later groups are not written.  Then
+        ``binarize(begin, end)`` writes the condition masks of objects
+        [begin, end) of ``matrix`` into the first rows of ``masks``: bit o
+        of ``masks[g, c]`` holds condition ``c`` for object
+        ``begin + 64 * g + o``.  The bits past ``end`` in the last group
+        written are clear; later groups are not written.  Then
         ``fold(begin, end)`` sums every tree's leaf, in tree order, for each
         of those objects and writes ``scale * sum + bias`` into
-        ``out[begin:end]``, and nothing else.  The closures hold this
+        ``out[begin:end]``, and nothing else.  Each refuses a range that
+        ``masks`` or the batch does not hold.  The closures hold this
         object and the arrays whose addresses they pass.
         """
         values = matrix.values
         _require(values, np.float32)
         _require(out, np.float64)
-        n = matrix.n_objects
-        if not (values.size == n * matrix.n_features and matrix.n_features == self._n_features
+        n, n_features = matrix.n_objects, self._model.n_features
+        if not (values.size == n * matrix.n_features and matrix.n_features == n_features
                 and out.size == n):
             raise ValueError(
                 f"a {n} x {matrix.n_features} matrix and {out.size} scores "
-                f"for {self._n_features} features"
+                f"for {n_features} features"
             )
-        masks = np.empty((min(self._groups, -(-n // 64)), self._n_cond), dtype=np.uint64)
+        masks = np.empty((min(self._groups, -(-n // 64)), self._model.n_cond), dtype=np.uint64)
         feature_major = matrix.layout is Layout.FEATURE_MAJOR
-        model = self._addresses[feature_major]
-        row_length = n if feature_major else self._n_features
-        values_at, masks_at, out_at = _address(values), _address(masks), _address(out)
+        row_length = n if feature_major else n_features
+        stride = 4 if feature_major else 4 * n_features  # bytes from one object to the next
+        model, values_at, masks_at, out_at = (self._address, _address(values), _address(masks),
+                                              _address(out))
         span = 64 * len(masks)
         # The kernels read and write through raw addresses: each closure
-        # holds this object (its structs, tables and bank) and the arrays.
+        # holds this object (its struct, runs, tables and bank) and the arrays.
         held = (self, values, masks, out)
 
-        def binarize(given: FeatureMatrix, begin: int, end: int, out_masks: np.ndarray) -> None:
-            if given is not matrix or out_masks is not masks:
-                raise ValueError("the native binarizer is bound to another matrix or masks")
+        def binarize(begin: int, end: int) -> None:
             if not 0 <= begin <= end <= min(n, begin + span):
                 raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
-            held[0]._binarize(model, values_at, row_length, begin, end - begin, masks_at)
+            held[0]._binarize(model, values_at + begin * stride, feature_major, row_length,
+                              end - begin, masks_at)
 
         def fold(begin: int, end: int) -> None:
             if not 0 <= begin <= end <= min(n, begin + span):
@@ -206,8 +188,9 @@ def _build() -> ctypes.CDLL:
         return ctypes.CDLL(lib)
 
 
-def load_kernels() -> Kernels | None:
-    """Build and load the kernels, or None with the reason logged."""
+def load_kernels() -> ctypes.CDLL | None:
+    """Build and load the library, its kernels' argument types set, or None
+    with the reason logged."""
     started = time.perf_counter()
     try:
         lib = _build()
@@ -224,19 +207,19 @@ def load_kernels() -> Kernels | None:
         log.warning("numpy backend: cannot build or load native.c: %s", exc)
         return None
     try:
-        loaded = Kernels(lib)
-        lib.obtree_cpu_flags.argtypes = []
-        lib.obtree_cpu_flags.restype = ctypes.c_int
+        for name, args in KERNEL_ARGS.items():
+            kernel = getattr(lib, name)
+            kernel.argtypes, kernel.restype = args, None
+        found = lib.obtree_cpu_flags()  # an int, as ctypes calls by default
     except AttributeError as exc:
         log.warning("numpy backend: the built native.c lacks a symbol: %s", exc)
         return None
-    found = lib.obtree_cpu_flags()
     missing = [flag for k, flag in enumerate(CPU_FLAGS) if not found >> k & 1]
     if missing:
         log.warning("numpy backend: the CPU lacks %s", ", ".join(missing))
         return None
     log.info("%s backend: native.c built in %.2f s", NAME, time.perf_counter() - started)
-    return loaded
+    return lib
 
 
 # Built once per process, on the first call.

@@ -31,6 +31,8 @@ def evaluate_scalar(
     and the sums are converted to binary64 once at the end, mirroring the
     half-precision pipeline.
     """
+    if not isinstance(leaf_precision, LeafPrecision):
+        raise TypeError(f"leaf_precision: {leaf_precision!r} is not a LeafPrecision")
     require_valid(model)
     if matrix.n_features != model.n_features:
         raise ValueError(

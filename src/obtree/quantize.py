@@ -107,7 +107,7 @@ def quantize_block(
     object_range: tuple[int, int],
     tables: ModelTables,
     out: np.ndarray,
-    binarize: Callable[[FeatureMatrix, int, int, np.ndarray], None] | None = None,
+    binarize: Callable[[int, int], None] | None = None,
 ) -> None:
     """Stage 1 for objects [begin, end) of the batch, into ``out``.
 
@@ -116,15 +116,15 @@ def quantize_block(
       ``o`` of row ``c`` gets 1 where condition ``c`` holds for object
       ``begin + o``, else 0; the columns past the live objects get 0, so a
       partial block's padding fails every split.
-    * ``binarize`` the model's binarization kernel (``avx512``,
-      ``native.BoundKernels.over``): ``out`` is the (groups x conditions)
-      uint64 array of condition masks that that method describes.
+    * ``binarize(begin, end)`` the binarization kernel bound to ``matrix``
+      and ``out`` (``avx512``, ``native.BoundKernels.over``): ``out`` is the
+      (groups x conditions) uint64 array of masks that that method describes.
     """
     begin, end = object_range
     if not 0 <= begin <= end <= matrix.n_objects:
         raise ValueError(f"object range [{begin}, {end}) outside batch of {matrix.n_objects}")
     if binarize is not None:
-        binarize(matrix, begin, end, out)
+        binarize(begin, end)
         return
     live = end - begin
     features, borders = tables.cond_feature, tables.cond_border

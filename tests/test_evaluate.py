@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +91,19 @@ class TestEvalConfig:
         assert cfg.strategy is LeafStrategy.NAIVE
         assert cfg.tail_policy is EvalConfig.tail_policy is TailPolicy.SCALAR_TAIL
         assert list(TailPolicy) == [TailPolicy.SCALAR_TAIL]
+
+    @pytest.mark.parametrize("strategy", ["permute16", LeafPrecision.BINARY16, None])
+    def test_strategy_of_another_type_is_refused(self, strategy):
+        with pytest.raises(TypeError, match=re.escape(
+                f"strategy: {strategy!r} is not a LeafStrategy")):
+            EvalConfig(strategy)
+
+    @pytest.mark.parametrize("config", [LeafStrategy.PERMUTE16, "permute16"])
+    def test_evaluator_refuses_a_config_of_another_type(self, config):
+        model = walk_model([2])
+        with pytest.raises(TypeError, match=re.escape(f"config: {config!r} is not an EvalConfig")):
+            Evaluator(model, config)
+        assert Evaluator(model, None).config == EvalConfig()
 
 
 class TestEvaluateBasics:
@@ -411,7 +426,8 @@ def walk_model(depths=_WALK_DEPTHS, scale=1.0, bias=0.0) -> ObliviousModel:
 
 class TestTreeWalk:
     """The trees as both backends walk them: one condition row per tree
-    (``tree_cond``) and runs of equal depth (``depth_runs``)."""
+    (``tree_cond``), and for the native fold runs of equal depth (the bound
+    struct's ``depth_runs``)."""
 
     @pytest.mark.parametrize("depths, sentinel", [
         (_WALK_DEPTHS, True), ([3, 1, 3], True), ([2, 2], False), ([], False),
@@ -437,11 +453,26 @@ class TestTreeWalk:
             assert row[deepest:].tolist() == [-1] * (8 - deepest)
 
     def test_depth_runs_are_the_run_bounds_of_the_depths(self):
-        tables = ModelTables(walk_model())
-        assert tables.depth_runs.dtype == np.int64
-        assert tables.depth_runs.tolist() == run_bounds(np.array(_WALK_DEPTHS)).tolist()
-        assert tables.depth_runs.tolist() == [0, 2, 5, 6, 7, 9, 10, 11]
-        assert ModelTables(walk_model([])).depth_runs.tolist() == [0]
+        """The runs the kernels bound to a model walk, read back through the
+        struct's pointers: trees of one depth, and conditions of one feature
+        and of one 16-feature tile."""
+        if Evaluator(walk_model()).backend == "numpy":
+            pytest.skip("no avx512 backend on this host")
+
+        def bound_runs(depths):
+            model = Evaluator(walk_model(depths))._native._model
+            return {name: np.ctypeslib.as_array(
+                (ctypes.c_int64 * (getattr(model, f"n_{name}") + 1)).from_address(
+                    getattr(model, name))).tolist()
+                for name in ("depth_runs", "feature_runs", "tile_runs")}
+
+        runs = bound_runs(_WALK_DEPTHS)
+        assert runs["depth_runs"] == run_bounds(np.array(_WALK_DEPTHS)).tolist()
+        assert runs["depth_runs"] == [0, 2, 5, 6, 7, 9, 10, 11]
+        cond_feature = ModelTables(walk_model()).cond_feature
+        assert runs["feature_runs"] == run_bounds(cond_feature).tolist()
+        assert runs["tile_runs"] == [0, cond_feature.size]
+        assert bound_runs([])["depth_runs"] == [0]
 
     @pytest.mark.parametrize("precision", list(LeafPrecision))
     def test_runs_of_mixed_depths_match_oracle(self, each_backend, precision):

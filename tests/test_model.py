@@ -403,6 +403,14 @@ def test_nonfinite_leaf_found_past_the_first_copy_of_tables():
 
 
 class TestLeafBank:
+    @pytest.mark.parametrize("precision", ["binary64", LeafStrategy.NAIVE, None])
+    def test_precision_of_another_type_is_refused(self, precision):
+        """Anything but a ``LeafPrecision`` is refused by name, not built as binary16."""
+        model = make_model([[0.5]], [make_tree([(0, 0)], [1.0, 2.0])])
+        with pytest.raises(TypeError, match=re.escape(
+                f"precision: {precision!r} is not a LeafPrecision")):
+            build_leaf_bank(model, precision)
+
     def test_binary16_exact_value(self):
         tree = make_tree([(0, 0)], [1.0, 1.0])
         bank = build_leaf_bank(make_model([[0.5]], [tree]), LeafPrecision.BINARY16)

@@ -6,6 +6,7 @@ import ctypes
 import importlib.resources
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -109,7 +110,7 @@ def test_build_or_isa_failure_falls_back_to_numpy(patch, reason, monkeypatch, ca
 @pytest.mark.parametrize("symbol",
                          ["obtree_binarize", "obtree_fold_binary16", "obtree_fold_binary64"])
 def test_library_lacking_a_kernel_falls_back_naming_it(symbol, monkeypatch, caplog, tmp_path):
-    """Each kernel ``Kernels`` binds, when missing, sends every precision to numpy."""
+    """Each kernel ``load_kernels`` sets up, when missing, sends every precision to numpy."""
     if shutil.which(native.COMPILER) is None:
         pytest.skip("no C compiler")
     source = tmp_path / "native.c"
@@ -199,8 +200,8 @@ def test_fold_writes_the_scores_of_its_range_only(precision):
         for begin, end in ((0, 1), (0, 63), (0, 64), (5, 70), (64, 192), (199, 200)):
             sentinel = rng.integers(0, 256, 200 * 8, dtype=np.uint8).view(np.float64)
             out = sentinel.copy()
-            masks, binarize, fold = evaluator._native.over(matrix, out)
-            binarize(matrix, begin, end, masks)
+            _, binarize, fold = evaluator._native.over(matrix, out)
+            binarize(begin, end)
             fold(begin, end)
             sums = np.zeros(end - begin, dtype=dtype)
             for leaf in leaves:
@@ -236,7 +237,8 @@ def test_blocks_write_the_scores_of_the_batch_only(precision):
             pytest.skip("no avx512 backend on this host")
         oracle = evaluate_scalar(model, source, precision).view(np.uint64)
         for groups in (2, 4):
-            bound = native.kernels().bind(evaluator.tables, evaluator.bank, groups)
+            bound = native.BoundKernels(native.kernels(), evaluator.tables, evaluator.bank,
+                                        groups)
             for n in _BATCH_SIZES:
                 prefix = FeatureMatrix(source.values[:n], Layout.OBJECT_MAJOR)
                 for matrix in (prefix, prefix.transposed()):
@@ -246,7 +248,7 @@ def test_blocks_write_the_scores_of_the_batch_only(precision):
                     masks, binarize, fold = bound.over(matrix, out)
                     assert masks.shape[0] == min(groups, -(-n // 64))
                     for begin, end in plan_blocks(n, 64 * groups):
-                        binarize(matrix, begin, end, masks)
+                        binarize(begin, end)
                         fold(begin, end)
                     context = (scale, bias, groups, n, matrix.layout)
                     assert np.array_equal(out.view(np.uint64), oracle[:n]), context
@@ -258,19 +260,28 @@ def test_blocks_write_the_scores_of_the_batch_only(precision):
                         assert np.array_equal(scores, oracle[:n]), context
 
 
-# Besides its arrays, a numpy predict's traced peak holds a few KB of Python
+# Besides its arrays, a predict's traced peak holds a few KB of Python
 # objects, which scratch_bytes does not count.
 _PYTHON_OBJECTS = 8192
 
 
-def traced_peak(evaluator: Evaluator, matrix: FeatureMatrix) -> int:
-    """The tracemalloc peak of ``evaluator.predict(matrix)``, less its scores."""
+def traced_peak(evaluator: Evaluator, matrix: FeatureMatrix, stats: EvalStats | None = None) -> int:
+    """The tracemalloc peak of ``evaluator.predict(matrix, stats)``, less its scores."""
     tracemalloc.start()
     try:
-        scores = evaluator.predict(matrix)
+        scores = evaluator.predict(matrix, stats)
         return tracemalloc.get_traced_memory()[1] - scores.nbytes
     finally:
         tracemalloc.stop()
+
+
+def with_inf(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
+    """``matrix`` with about 2% of its values set to +inf or -inf."""
+    values = matrix.values.copy()
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(values.size, values.size // 50, replace=False)
+    values.reshape(-1)[cells] = np.where(rng.random(cells.size) < 0.5, np.inf, -np.inf)
+    return FeatureMatrix(values, matrix.layout)
 
 
 @pytest.mark.parametrize("n", _BATCH_SIZES)
@@ -279,9 +290,13 @@ def test_stats_report_the_call_without_changing_its_bits(each_backend, n):
     reports one block per ``plan_blocks`` block, stage times within the
     call's, and the scratch: on ``avx512`` of ``min(2, ceil(n / 64))``
     groups, their masks and their fold sums; on numpy at least the traced
-    peak of a call, less its Python objects, and at most twice that peak."""
+    peak of a call, less its Python objects, and at most twice that peak;
+    on both, plus the largest block's boolean temporary of the input counts.
+    On both, with NaN and inf in the input, the traced peak of a call with
+    stats is at most the scratch plus the call's Python objects."""
     model = two_tree_model(6)
-    matrix = generate_feature_matrix(n, 3, seed=n, nan_fraction=0.05)
+    matrix = with_inf(generate_feature_matrix(n, 3, seed=n, nan_fraction=0.05), seed=n)
+    counts = min(n, EvalConfig.block_size) * 3
     for strategy in (LeafStrategy.NAIVE, LeafStrategy.PERMUTE16):
         oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
         for evaluator in each_backend(model, EvalConfig(strategy)):
@@ -295,13 +310,34 @@ def test_stats_report_the_call_without_changing_its_bits(each_backend, n):
             assert stats.blocks == len(plan_blocks(n, EvalConfig.block_size))
             assert 0.0 <= stats.stage1_s and 0.0 <= stats.fold_s
             assert stats.stage1_s + stats.fold_s <= elapsed
+            assert (stats.nan_inputs, stats.inf_inputs) == (
+                np.isnan(matrix.values).sum(), np.isinf(matrix.values).sum())
+            assert traced_peak(evaluator, matrix, EvalStats()) <= (
+                stats.scratch_bytes + _PYTHON_OBJECTS)
             if evaluator.backend == "numpy":
                 peak = traced_peak(evaluator, matrix)
-                assert peak - _PYTHON_OBJECTS <= stats.scratch_bytes <= 2 * peak
+                assert peak - _PYTHON_OBJECTS <= stats.scratch_bytes - counts <= 2 * peak
                 continue
             sums = 64 * (8 if strategy.precision is LeafPrecision.BINARY64 else 4)
             groups = min(2, -(-n // 64))
-            assert stats.scratch_bytes == groups * (8 * evaluator.tables.cond_border.size + sums)
+            assert stats.scratch_bytes - counts == groups * (
+                8 * evaluator.tables.cond_border.size + sums)
+
+
+def test_input_counts_take_one_block_of_scratch(each_backend):
+    """On a 1024 x 500 batch with NaN and inf, the counts of a call with
+    stats hold one block's boolean temporary at a time, 64 KB, not the
+    whole matrix's 512 KB: the call's traced peak stays within its scratch
+    plus its Python objects."""
+    model = generate_synthetic_model(SyntheticSpec(500, 8, 40, 6, seed=5))
+    source = with_inf(generate_feature_matrix(1024, 500, seed=7, nan_fraction=0.01), seed=7)
+    for matrix in (source, source.transposed()):
+        for evaluator in each_backend(model, EvalConfig(LeafStrategy.PERMUTE16)):
+            stats = EvalStats()
+            evaluator.predict(matrix, stats)
+            assert stats.nan_inputs > 0 and stats.inf_inputs > 0
+            peak = traced_peak(evaluator, matrix, EvalStats())
+            assert peak <= stats.scratch_bytes + _PYTHON_OBJECTS, (evaluator.backend, peak)
 
 
 @pytest.mark.parametrize("strategy", [LeafStrategy.NAIVE, LeafStrategy.PERMUTE16])
@@ -340,27 +376,56 @@ def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypa
 
 
 def test_bound_closures_refuse_other_arrays_and_ranges():
-    """A call's ``binarize`` writes only the masks of the matrix it was made
-    for, and both closures only the objects those masks and the batch hold."""
-    kernels = native.kernels()
-    if kernels is None:
+    """Both closures of a call write only the objects its masks and the
+    batch hold."""
+    lib = native.kernels()
+    if lib is None:
         pytest.skip("no native kernels on this host")
     model = two_tree_model(6)
     evaluator = Evaluator(model)
     matrix = generate_feature_matrix(200, model.n_features, seed=2)
-    masks, binarize, fold = kernels.bind(evaluator.tables, evaluator.bank, 2).over(
+    _, binarize, fold = native.BoundKernels(lib, evaluator.tables, evaluator.bank, 2).over(
         matrix, np.zeros(200))
-    other = generate_feature_matrix(200, model.n_features, seed=2)
-    for given, out in ((other, masks), (matrix, masks.copy())):
-        with pytest.raises(ValueError, match="bound to another matrix or masks"):
-            binarize(given, 0, 64, out)
-    for call in (lambda b, e: binarize(matrix, b, e, masks), fold):
+    for call in (binarize, fold):
         with pytest.raises(ValueError, match="outside the masks or the batch"):
             call(0, 129)
         with pytest.raises(ValueError, match="outside the masks or the batch"):
             call(128, 201)
-    binarize(matrix, 128, 200, masks)
+    binarize(128, 200)
     fold(128, 200)
+
+
+def c_declarators(declaration: str) -> list[tuple[str, str]]:
+    """(name, kind) of each name a C declaration declares: kind ``pointer``, or its type."""
+    base, names = declaration.replace("const", "").split(None, 1)
+    return [(name.strip(" *\n"), "pointer" if "*" in name else base) for name in names.split(",")]
+
+
+_CTYPES_KINDS = {ctypes.c_void_p: "pointer", ctypes.c_int64: "int64_t",
+                 ctypes.c_double: "double"}
+
+
+def test_ctypes_mirrors_match_the_c_source():
+    """``native._Model`` lists the fields of ``obtree_model`` in order, with
+    their names and kinds, and ``native.KERNEL_ARGS`` the parameters of each
+    kernel ``native.c`` exports: a mismatch reads the wrong fields or
+    arguments without an error."""
+    source = (PACKAGE / "native.c").read_text(encoding="utf-8")
+    body = re.search(r"typedef struct \{(.*?)\} obtree_model;", source, re.S).group(1)
+    fields = [field for declaration in filter(str.strip, body.split(";"))
+              for field in c_declarators(declaration)]
+    assert fields == [(name, _CTYPES_KINDS[kind]) for name, kind in native._Model._fields_]
+
+    exported = {}
+    for returns, name, params in re.findall(
+            r"^(?:KERNEL )?(\w+) (obtree_\w+)\(([^)]*)\)", source, re.M):
+        kinds = [c_declarators(p)[0][1] for p in params.split(",") if p.strip() != "void"]
+        exported[name] = (returns, kinds)
+    assert exported.pop("obtree_cpu_flags") == ("int", [])
+    assert exported == {
+        name: ("void", [_CTYPES_KINDS[arg] for arg in args])
+        for name, args in native.KERNEL_ARGS.items()
+    }
 
 
 def test_c_source_builds_without_warnings(tmp_path):
@@ -413,11 +478,7 @@ def test_block_fold_rejects_objects_outside_its_block():
         with pytest.raises(ValueError, match="outside"):
             fold(begin, end)
         with pytest.raises(ValueError, match="outside"):
-            binarize(matrix, begin, end, masks)
-    with pytest.raises(ValueError, match="another matrix or masks"):
-        binarize(matrix.transposed(), 0, 10, masks)
-    with pytest.raises(ValueError, match="another matrix or masks"):
-        binarize(matrix, 0, 10, masks.copy())
+            binarize(begin, end)
     with pytest.raises(ValueError, match="C-contiguous"):
         evaluator._native.over(matrix, np.zeros(300, dtype=np.float32))
     with pytest.raises(ValueError, match="for 3 features"):
@@ -427,14 +488,17 @@ def test_block_fold_rejects_objects_outside_its_block():
 
 
 def test_binding_rejects_a_bank_of_other_trees():
+    """A bank of fewer trees, or of as many trees of other depths."""
     evaluator = Evaluator(two_tree_model(2))
     if evaluator.backend == "numpy":
         pytest.skip("no avx512 backend on this host")
-    other = Evaluator(ObliviousModel(evaluator.model.float_features,
+    fewer = Evaluator(ObliviousModel(evaluator.model.float_features,
                                      evaluator.model.trees[:1], 1.0, 0.0))
-    for tables, bank in ((evaluator.tables, other.bank), (other.tables, evaluator.bank)):
-        with pytest.raises(ValueError, match="a bank of"):
-            native.kernels().bind(tables, bank, 2)
+    deeper = Evaluator(two_tree_model(3))
+    for other in (fewer, deeper):
+        for tables, bank in ((evaluator.tables, other.bank), (other.tables, evaluator.bank)):
+            with pytest.raises(ValueError, match="a bank of"):
+                native.BoundKernels(native.kernels(), tables, bank, 2)
 
 
 # Run in a child process, so that a read past the guard fails this test with
@@ -471,7 +535,7 @@ _GUARDED_READS_CHECK = textwrap.dedent(
             evaluator = Evaluator(tables, EvalConfig(strategy=strategy))
             assert evaluator.backend == "avx512", evaluator.backend
             assert planes.ctypes.data + size == start + page
-            assert all(m.planes == planes.ctypes.data for m in evaluator._native._models)
+            assert evaluator._native._model.planes == planes.ctypes.data
             matrix = generate_feature_matrix(200, 3, seed=depth)
             got = evaluator.predict(matrix).view(np.uint64)
             oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
@@ -539,16 +603,17 @@ _HELD_ARRAYS_CHECK = textwrap.dedent(
         def closures():
             tables = ModelTables(model)
             out = np.empty(matrix.n_objects)
-            bound = native.kernels().bind(tables, tables.bank(precision), EvalConfig.block_size // 64)
-            masks, binarize, fold = bound.over(matrix, out)
-            return out, masks, binarize, fold
+            bound = native.BoundKernels(native.kernels(), tables, tables.bank(precision),
+                                        EvalConfig.block_size // 64)
+            _, binarize, fold = bound.over(matrix, out)
+            return out, binarize, fold
 
-        # The tables, the bank and the bound kernels are dropped here.
-        out, masks, binarize, fold = closures()
+        # The tables, the bank, the runs and the bound kernels are dropped here.
+        out, binarize, fold = closures()
         gc.collect()
         junk = np.full(20_000_000 // 8, np.nan)
         for begin, end in plan_blocks(matrix.n_objects, EvalConfig.block_size):
-            binarize(matrix, begin, end, masks)
+            binarize(begin, end)
             fold(begin, end)
         del junk
         assert np.array_equal(out.view(np.uint64), oracle), precision
@@ -558,8 +623,9 @@ _HELD_ARRAYS_CHECK = textwrap.dedent(
 
 
 def test_kernel_closures_keep_the_model_alive():
-    """The closures of ``BoundKernels.over`` hold the model's struct, tables
-    and bank, so they score correctly after every other reference is gone."""
+    """The closures of ``BoundKernels.over`` hold the model's struct, runs,
+    tables, bank and masks, so they score correctly after every other
+    reference is gone."""
     if Evaluator(two_tree_model(1)).backend == "numpy":
         pytest.skip("no avx512 backend on this host")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ from obtree import (
 )
 from obtree.model import build_leaf_bank
 from obtree.oracle import binary16_leaves
+
+
+@pytest.mark.parametrize("precision", ["binary64", LeafStrategy.NAIVE, None])
+def test_precision_of_another_type_is_refused(precision):
+    """Anything but a ``LeafPrecision`` is refused by name, not read as binary16."""
+    model = generate_synthetic_model(SyntheticSpec(3, 4, 2, 2, seed=1))
+    matrix = generate_feature_matrix(5, 3, seed=1)
+    with pytest.raises(TypeError, match=re.escape(
+            f"leaf_precision: {precision!r} is not a LeafPrecision")):
+        evaluate_scalar(model, matrix, precision)
 
 
 def test_zero_tree_model_gives_bias():

@@ -425,16 +425,17 @@ class TestBinarizerMatchesBorderCompares:
         """The native binarizer: bit o of group g's mask of condition c is
         ``np.greater`` of the condition's feature value and border, and clear
         past the live objects."""
-        kernels = native.kernels()
-        if kernels is None:
+        lib = native.kernels()
+        if lib is None:
             pytest.skip("no native binarizer on this host")
         model, raw, matrix, block_size = case
         tables = ModelTables(model)
         features, borders = checked_conditions(model, tables)
-        bank = tables.bank(LeafPrecision.BINARY64)
+        # One binding serves both layouts.
+        bound = native.BoundKernels(lib, tables, tables.bank(LeafPrecision.BINARY64),
+                                    block_size // 64)
         for layout in (matrix, matrix.transposed()):
-            sums = np.zeros(matrix.n_objects)
-            masks, binarize, _ = kernels.bind(tables, bank, block_size // 64).over(layout, sums)
+            masks, binarize, _ = bound.over(layout, np.zeros(matrix.n_objects))
             for begin, end in plan_blocks(matrix.n_objects, block_size):
                 masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)  # a dirty buffer
                 quantize_block(layout, (begin, end), tables, masks, binarize)

@@ -378,7 +378,7 @@ def test_built_compact_and_split_object_models_are_equal(built):
     tables = [ModelTables(model) for model in models]
     for model, table in zip(models[1:], tables[1:]):
         assert model == built and model.trees == built.trees
-        for name in ("cond_feature", "cond_border", "tree_cond", "depth_runs"):
+        for name in ("cond_feature", "cond_border", "tree_cond"):
             got, expected = getattr(table, name), getattr(tables[0], name)
             assert got.dtype == expected.dtype and got.shape == expected.shape, name
             assert got.tobytes() == expected.tobytes(), name
