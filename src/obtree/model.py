@@ -117,7 +117,11 @@ class ObliviousModel:
     _validated: bool = field(default=False, repr=False)
 
     def __init__(self, float_features, trees, scale, bias):
-        trees = tuple(trees)
+        float_features, trees = tuple(float_features), tuple(trees)
+        for i, ff in enumerate(float_features):
+            if ff.borders.ndim != 1:
+                raise ValueError(
+                    f"float_features[{i}]: borders must be 1-D, got shape {ff.borders.shape}")
         for t, tree in enumerate(trees):
             if tree.leaf_values.ndim != 1:
                 raise ValueError(

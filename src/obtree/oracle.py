@@ -26,6 +26,9 @@ def evaluate_scalar(
 ) -> np.ndarray:
     """Per-object prediction by direct tree traversal on raw feature values.
 
+    The trees are walked in the model's split and leaf arrays
+    (``tree_bounds``), so no ``ObliviousTree`` is built.
+
     With BINARY16 leaf precision each leaf is converted here
     (``binary16_leaves``), widened to binary32 and accumulated in binary32,
     and the sums are converted to binary64 once at the end, mirroring the
@@ -42,15 +45,15 @@ def evaluate_scalar(
     wide = leaf_precision is LeafPrecision.BINARY64
     acc = np.zeros(n, dtype=np.float64 if wide else np.float32)
     leaves = model.leaves if wide else binary16_leaves(model.leaves).astype(np.float32)
-    offsets = model.leaf_offsets
+    features, ordinals = model.split_features.tolist(), model.split_ordinals.tolist()
 
-    for t, tree in enumerate(model.trees):
+    for _, s0, s1, l0, l1 in model.tree_bounds():
         index = np.zeros(n, dtype=np.uint8)
-        for d, split in enumerate(tree.splits):
-            border = model.float_features[split.feature_index].borders[split.border_ordinal]
-            values = matrix.feature_values(split.feature_index, 0, n)
+        for d, (feature, ordinal) in enumerate(zip(features[s0:s1], ordinals[s0:s1])):
+            border = model.float_features[feature].borders[ordinal]
+            values = matrix.feature_values(feature, 0, n)
             index |= (values > border).view(np.uint8) << np.uint8(d)
-        acc += leaves[offsets[t] : offsets[t + 1]][index]
+        acc += leaves[l0:l1][index]
 
     return acc.astype(np.float64) * model.scale + model.bias
 
@@ -106,6 +109,8 @@ def deviation_metrics(a: np.ndarray, b: np.ndarray) -> DeviationMetrics:
 
 def classification_flip_count(a: np.ndarray, b: np.ndarray, threshold: float) -> int:
     """Objects whose predicted class differs between two score vectors."""
+    if math.isnan(threshold):
+        raise ValueError(f"threshold is {threshold}, not a number to compare scores with")
     a, b = _finite_scores(a, b)
     if a.shape != b.shape:
         raise ValueError("prediction vectors must be the same length")

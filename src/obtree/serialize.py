@@ -15,12 +15,10 @@ the feature and the border ordinal of each level:
       "bias_hex": "0000000000000000"
     }
 
-The list forms are still read, bit for bit: ``borders_hex`` and
-``leaves_hex`` each a list of one-value strings (``["3f000000",
-"3f800000"]``), and a tree's splits as ``"splits": [{"feature": 0,
-"border": 1}, ...]`` in place of ``features`` and ``ordinals``.  In every
-form an error names a bad value by its index, as in
-``trees[0].leaves_hex[1]`` or ``trees[0].features[1]``.
+This is the one form read.  An error names the first field not in it, as
+in ``trees[0]: missing required field 'features'``, and a bad value by its
+index in its field, as in ``trees[0].leaves_hex[1]`` or
+``trees[0].features[1]``.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ def f64_to_hex(value: float) -> str:
 
 def _hex_bytes(text: str, digits: int, where: str) -> bytes:
     raw = b""
-    if isinstance(text, str) and len(text) == digits:
+    if len(text) == digits:
         try:
             raw = bytes.fromhex(text)
         except ValueError:
@@ -67,51 +65,38 @@ def of_types(items, kinds: set) -> bool:
     return set(map(type, items)) <= kinds
 
 
-def _hex_text(field: str | list, digits: int) -> str | None:
-    """A hex field's values' digits back to back, or None if the field is a
-    string of a length that is no whole number of values, or a list with an
-    item that is not a string of one value's length."""
-    if type(field) is str:
-        return field if len(field) % digits == 0 else None
-    if of_types(field, {str}) and set(map(len, field)) <= {digits}:
-        return "".join(field)
-    return None
-
-
-def _refuse_hex(field: str | list, digits: int, where: str) -> None:
-    """Raise naming the first value of a hex field that is not ``digits`` hex digits."""
-    if isinstance(field, str):
-        if len(field) % digits:
-            raise ModelFormatError(
-                f"{where}: {len(field)} hex digits are not a whole number of "
-                f"{digits}-digit values")
-        field = [field[j : j + digits] for j in range(0, len(field), digits)]
-    for j, text in enumerate(field):
-        _hex_bytes(text, digits, f"{where}[{j}]")
+def _refuse_hex(text: str, digits: int, where: str) -> None:
+    """Raise naming why a hex string is not ``digits``-digit values: its
+    length, or its first value that is not ``digits`` hex digits."""
+    if len(text) % digits:
+        raise ModelFormatError(
+            f"{where}: {len(text)} hex digits are not a whole number of {digits}-digit values")
+    for j in range(0, len(text), digits):
+        _hex_bytes(text[j : j + digits], digits, f"{where}[{j // digits}]")
     raise ModelFormatError(f"{where}: not hex digits")
 
 
-def _hex_values(fields: list, dtype: str, where: str) -> tuple[np.ndarray, list[int]]:
-    """All values of hex fields of big-endian ``dtype`` values, in native byte
-    order, and each field's count of them.
+def _hex_values(texts: list[str], dtype: str, where: str) -> tuple[np.ndarray, list[int]]:
+    """All values of hex strings of big-endian ``dtype`` values, in native
+    byte order, and each string's count of them.
 
-    Each field is decoded into its place in one buffer, byte-swapped in
+    Each string is decoded into its place in one buffer, byte-swapped in
     place after.  A memoryview slice takes only bytes of its own length, so
     text that bytes.fromhex shortened by skipping whitespace is refused too.
-    The first field that is not the hex digits of whole values raises
-    naming its first bad value (``_refuse_hex``); ``where`` has ``{}`` for
-    the field's index.
+    The first string that is not the hex digits of whole values raises
+    naming why (``_refuse_hex``); ``where`` has ``{}`` for its index.
     """
     digits = 2 * np.dtype(dtype).itemsize
-    texts = [_hex_text(field, digits) for field in fields]
-    ends = list(accumulate((len(text or "") // 2 for text in texts), initial=0))
+    ends = list(accumulate((len(text) // 2 for text in texts), initial=0))
     buffer = bytearray(ends[-1])
     view = memoryview(buffer)
     for i, text in enumerate(texts):
+        if len(text) % digits:
+            _refuse_hex(text, digits, where.format(i))
         try:
             view[ends[i] : ends[i + 1]] = bytes.fromhex(text)
-        except (TypeError, ValueError):  # no text (None), or not hex digits
-            _refuse_hex(fields[i], digits, where.format(i))
+        except ValueError:  # not hex digits, or too few bytes: whitespace skipped
+            _refuse_hex(text, digits, where.format(i))
     values = np.frombuffer(buffer, dtype=dtype)
     counts = [2 * (end - start) // digits for start, end in zip(ends, ends[1:])]
     return values.byteswap(inplace=True).view(values.dtype.newbyteorder()), counts
@@ -145,7 +130,7 @@ def serialize_model(model: ObliviousModel) -> str:
     return json.dumps(model_to_document(model))
 
 
-def _expect(obj: Any, key: str, kind: type | tuple[type, ...], where: str) -> Any:
+def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: expected an object")
     if key not in obj:
@@ -154,58 +139,36 @@ def _expect(obj: Any, key: str, kind: type | tuple[type, ...], where: str) -> An
     if kind is int and isinstance(value, bool):
         raise ModelFormatError(f"{where}.{key}: expected an integer")
     if not isinstance(value, kind):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        raise ModelFormatError(f"{where}.{key}: expected {' or '.join(k.__name__ for k in kinds)}")
+        raise ModelFormatError(f"{where}.{key}: expected {kind.__name__}")
     return value
-
-
-def _tree_fields(entry: Any, where: str) -> tuple[int, list, list, str | list]:
-    """One tree's depth, split features, split ordinals and leaves field.
-
-    The fields are checked in document order.  A tree in the list form of
-    splits, one object per split, has its splits checked one by one and
-    converted into the two lists here.
-    """
-    depth = _expect(entry, "depth", int, where)
-    if "splits" in entry:
-        splits = _expect(entry, "splits", list, where)
-        leaves = _expect(entry, "leaves_hex", (str, list), where)
-        features, ordinals = [], []
-        for s, split in enumerate(splits):
-            swhere = f"{where}.splits[{s}]"
-            features.append(_expect(split, "feature", int, swhere))
-            ordinals.append(_expect(split, "border", int, swhere))
-    else:
-        features = _expect(entry, "features", list, where)
-        ordinals = _expect(entry, "ordinals", list, where)
-        leaves = _expect(entry, "leaves_hex", (str, list), where)
-        if len(ordinals) != len(features):
-            raise ModelFormatError(
-                f"{where}: {len(features)} features but {len(ordinals)} ordinals")
-    return depth, features, ordinals, leaves
 
 
 def _tree_arrays(entries: list) -> dict:
     """A document's trees as ``ObliviousModel._from_arrays`` takes them.
 
-    Each tree's fields are checked tree by tree (``_tree_fields``), then the
-    integers of all trees' splits, then the leaves (``_hex_values``).
+    Each tree's fields are checked tree by tree in document order, then
+    the integers of all trees' splits, then the leaves (``_hex_values``).
     """
-    depths, split_counts, features, ordinals, leaf_fields = [], [], [], [], []
+    depths, split_counts, features, ordinals, leaf_texts = [], [], [], [], []
     for t, entry in enumerate(entries):
-        depth, tree_features, tree_ordinals, leaves = _tree_fields(entry, f"trees[{t}]")
-        depths.append(depth)
+        where = f"trees[{t}]"
+        depths.append(_expect(entry, "depth", int, where))
+        tree_features = _expect(entry, "features", list, where)
+        tree_ordinals = _expect(entry, "ordinals", list, where)
+        leaf_texts.append(_expect(entry, "leaves_hex", str, where))
+        if len(tree_ordinals) != len(tree_features):
+            raise ModelFormatError(
+                f"{where}: {len(tree_features)} features but {len(tree_ordinals)} ordinals")
         split_counts.append(len(tree_features))
         features += tree_features
         ordinals += tree_ordinals
-        leaf_fields.append(leaves)
     for name, values in (("features", features), ("ordinals", ordinals)):
         if not of_types(values, {int}):
             j = next(j for j, value in enumerate(values) if type(value) is not int)
             starts = list(accumulate(split_counts, initial=0))
             t = bisect_right(starts, j) - 1
             raise ModelFormatError(f"trees[{t}].{name}[{j - starts[t]}]: expected an integer")
-    leaves, leaf_counts = _hex_values(leaf_fields, ">f8", "trees[{}].leaves_hex")
+    leaves, leaf_counts = _hex_values(leaf_texts, ">f8", "trees[{}].leaves_hex")
     return {"depths": depths, "split_counts": split_counts, "split_features": features,
             "split_ordinals": ordinals, "leaf_counts": leaf_counts, "leaves": leaves}
 
@@ -216,11 +179,11 @@ def model_from_document(doc: Any) -> ObliviousModel:
     scale = hex_to_f64(_expect(doc, "scale_hex", str, "document"), "document.scale_hex")
     bias = hex_to_f64(_expect(doc, "bias_hex", str, "document"), "document.bias_hex")
 
-    indices, border_fields = [], []
+    indices, border_texts = [], []
     for i, entry in enumerate(features):
         indices.append(_expect(entry, "index", int, f"float_features[{i}]"))
-        border_fields.append(_expect(entry, "borders_hex", (str, list), f"float_features[{i}]"))
-    borders, counts = _hex_values(border_fields, ">f4", "float_features[{}].borders_hex")
+        border_texts.append(_expect(entry, "borders_hex", str, f"float_features[{i}]"))
+    borders, counts = _hex_values(border_texts, ">f4", "float_features[{}].borders_hex")
     float_features = [
         FloatFeatureBorders(index, borders[first : first + n])
         for index, first, n in zip(indices, accumulate(counts, initial=0), counts)

@@ -369,6 +369,19 @@ class TestCli:
         assert code == 0
         assert strict_json(out.read_text())["model"] == f"file:{path}"
 
+    def test_list_form_model_file_is_a_usage_error(self, tmp_path, capsys):
+        from obtree import save_model
+
+        path = tmp_path / "tiny.json"
+        save_model(generate_synthetic_model(TINY), str(path))
+        doc = json.loads(path.read_text())
+        doc["trees"][0]["leaves_hex"] = [doc["trees"][0]["leaves_hex"][:16]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["--model", str(path), "--batch", "16", "--reps", "3", "--quiet"])
+        assert exc.value.code == 2
+        assert "trees[0].leaves_hex: expected str" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["file", "synthetic"])
     def test_report_states_the_load_time(self, source, tmp_path):
         from obtree import save_model

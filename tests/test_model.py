@@ -231,6 +231,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             make_model([[0.5]], [make_tree([(0, 0)], [0.0, 1.0]), tree])
 
+    def test_borders_must_be_1d(self):
+        # Unchecked, validate_model fails with numpy's broadcast error.
+        features = [FloatFeatureBorders(0, [0.5]), FloatFeatureBorders(1, [[0.1, 0.2], [0.3, 0.4]])]
+        message = r"float_features\[1\]: borders must be 1-D, got shape \(2, 2\)"
+        with pytest.raises(ValueError, match=message):
+            ObliviousModel(features, [], scale=1.0, bias=0.0)
+
+    def test_feature_out_of_position_rejected(self):
+        features = [FloatFeatureBorders(1, [0.5]), FloatFeatureBorders(0, [0.5])]
+        assert validate_model(ObliviousModel(features, [], scale=1.0, bias=0.0)) == [
+            "float_features[0]: feature index 1 does not match position 0",
+            "float_features[1]: feature index 0 does not match position 1",
+        ]
+
     @pytest.mark.parametrize("field, value, problem", [
         ("feature", 2**63, "trees[1].splits[1]: feature index 9223372036854775808 out of range"),
         ("ordinal", -(2**70), f"trees[1].splits[1]: border ordinal {-(2**70)} out of range"),

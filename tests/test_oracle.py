@@ -22,11 +22,13 @@ from obtree import (
     SplitCondition,
     SyntheticSpec,
     classification_flip_count,
+    deserialize_model,
     deviation_metrics,
     evaluate,
     evaluate_scalar,
     generate_feature_matrix,
     generate_synthetic_model,
+    serialize_model,
 )
 from obtree.model import build_leaf_bank
 from obtree.oracle import binary16_leaves
@@ -40,6 +42,17 @@ def test_precision_of_another_type_is_refused(precision):
     with pytest.raises(TypeError, match=re.escape(
             f"leaf_precision: {precision!r} is not a LeafPrecision")):
         evaluate_scalar(model, matrix, precision)
+
+
+def test_oracle_walks_a_loaded_model_without_building_its_trees():
+    model = generate_synthetic_model(SyntheticSpec(3, 4, 5, 3, seed=2))
+    loaded = deserialize_model(serialize_model(model))
+    matrix = generate_feature_matrix(17, 3, seed=2)
+    for precision in LeafPrecision:
+        scores = evaluate_scalar(loaded, matrix, precision)
+        assert "trees" not in vars(loaded)  # the cached ObliviousTree objects
+        expected = evaluate_scalar(model, matrix, precision)
+        assert scores.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_zero_tree_model_gives_bias():
@@ -149,6 +162,13 @@ class TestClassificationFlips:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             classification_flip_count(np.zeros(1), np.zeros(2), 0.0)
+
+    def test_nan_threshold_named(self):
+        # Unchecked, every score is a flip against itself: NaN != NaN.
+        v = np.array([1.0, -2.0])
+        for threshold in (math.nan, np.float64("nan")):
+            with pytest.raises(ValueError, match=r"^threshold is nan"):
+                classification_flip_count(v, v, threshold)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_named(self, bad):

@@ -28,12 +28,11 @@ from obtree import (
 )
 from obtree.model import MAX_DEPTH
 
-HAND_WRITTEN_DEPTH1 = """
+COMPACT_DEPTH1 = """
 {
- "float_features": [{"index": 0, "borders_hex": ["3f000000"]}],
- "trees": [{"depth": 1,
-            "splits": [{"feature": 0, "border": 0}],
-            "leaves_hex": ["bff0000000000000", "4000000000000000"]}],
+ "float_features": [{"index": 0, "borders_hex": "3f000000"}],
+ "trees": [{"depth": 1, "features": [0], "ordinals": [0],
+            "leaves_hex": "bff00000000000004000000000000000"}],
  "scale_hex": "3ff0000000000000",
  "bias_hex": "0000000000000000"
 }
@@ -70,7 +69,7 @@ def test_round_trip_preserves_odd_float_bits():
 
 
 def test_hand_written_depth1_document():
-    model = deserialize_model(HAND_WRITTEN_DEPTH1)
+    model = deserialize_model(COMPACT_DEPTH1)
     assert validate_model(model) == []
     assert model.trees[0].leaf_values.size == 2
     assert model.trees[0].leaf_values[0] == -1.0
@@ -79,94 +78,84 @@ def test_hand_written_depth1_document():
 
 
 def test_missing_scale_field():
-    doc = json.loads(HAND_WRITTEN_DEPTH1)
+    doc = json.loads(COMPACT_DEPTH1)
     del doc["scale_hex"]
     with pytest.raises(ModelFormatError, match="scale_hex"):
         deserialize_model(json.dumps(doc))
 
 
 def test_missing_split_field_names_location():
-    doc = json.loads(HAND_WRITTEN_DEPTH1)
-    del doc["trees"][0]["splits"][0]["border"]
-    with pytest.raises(ModelFormatError, match=r"trees\[0\].splits\[0\]"):
+    doc = json.loads(COMPACT_DEPTH1)
+    del doc["trees"][0]["ordinals"]
+    with pytest.raises(ModelFormatError, match=r"^trees\[0\]: missing required field 'ordinals'$"):
         deserialize_model(json.dumps(doc))
 
+
 def test_bad_hex_width_rejected():
-    doc = json.loads(HAND_WRITTEN_DEPTH1)
-    doc["trees"][0]["leaves_hex"][0] = "3f00"
-    with pytest.raises(ModelFormatError, match="16 hex digits"):
+    doc = json.loads(COMPACT_DEPTH1)
+    doc["trees"][0]["leaves_hex"] = "3f00"
+    with pytest.raises(ModelFormatError, match="4 hex digits are not a whole number of 16-digit"):
         deserialize_model(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
-    "section, key, index, text, where",
+    "section, key, index, text, message",
     [
-        ("float_features", "borders_hex", 0, "3f 0000 ", r"float_features\[0\]\.borders_hex\[0\]"),
-        ("trees", "leaves_hex", 1, "4000 0000 000000", r"trees\[0\]\.leaves_hex\[1\]"),
-        ("float_features", "borders_hex", 0, "3f00 0000", r"float_features\[0\]\.borders_hex\[0\]"),
+        ("float_features", "borders_hex", 0, "3f 0000 ",
+         r"float_features\[0\]\.borders_hex\[0\]: expected 8 hex digits"),
+        ("trees", "leaves_hex", 1, "4000 0000 000000",
+         r"trees\[0\]\.leaves_hex\[1\]: expected 16 hex digits"),
+        ("float_features", "borders_hex", 0, "3f00 0000",
+         r"float_features\[0\]\.borders_hex: 9 hex digits are not a whole number"),
     ],
 )
-def test_hex_with_whitespace_rejected(section, key, index, text, where):
-    # Spaces are not hex digits, whether the field has the length of a
-    # value's digits or holds all of them.
-    doc = json.loads(HAND_WRITTEN_DEPTH1)
-    doc[section][0][key][index] = text
-    with pytest.raises(ModelFormatError, match=where + ": expected (8|16) hex digits"):
+def test_hex_with_whitespace_rejected(section, key, index, text, message):
+    # Spaces are not hex digits, whether a value's text has the length of
+    # its digits or holds all of them and a space more.
+    doc = json.loads(COMPACT_DEPTH1)
+    digits = 8 if key == "borders_hex" else 16
+    field = doc[section][0][key]
+    doc[section][0][key] = field[: index * digits] + text + field[(index + 1) * digits :]
+    with pytest.raises(ModelFormatError, match=message):
         deserialize_model(json.dumps(doc))
 
 
-COMPACT_DEPTH1 = """
-{
- "float_features": [{"index": 0, "borders_hex": "3f000000"}],
- "trees": [{"depth": 1, "features": [0], "ordinals": [0],
-            "leaves_hex": "bff00000000000004000000000000000"}],
- "scale_hex": "3ff0000000000000",
- "bias_hex": "0000000000000000"
-}
-"""
-
-
-def _list_form(text: str, trees=slice(None)) -> str:
-    """A compact document with every feature's and the chosen trees' hex
-    strings split into lists of one-value strings, and the chosen trees'
-    split lists rewritten as one object per split."""
-    doc = json.loads(text)
-    tables = [(f, "borders_hex", 8) for f in doc["float_features"]]
-    tables += [(t, "leaves_hex", 16) for t in doc["trees"][trees]]
-    for owner, key, digits in tables:
-        owner[key] = [owner[key][j : j + digits] for j in range(0, len(owner[key]), digits)]
-    for tree in doc["trees"][trees]:
-        _split_objects(tree)
-    return json.dumps(doc)
-
-
-def _split_objects(tree: dict) -> None:
-    """Rewrite a compact tree's split lists as one object per split."""
-    tree["splits"] = [{"feature": f, "border": o}
-                      for f, o in zip(tree.pop("features"), tree.pop("ordinals"))]
-
-
 def test_serialize_writes_one_hex_string_per_table():
-    model = deserialize_model(HAND_WRITTEN_DEPTH1)
+    model = deserialize_model(COMPACT_DEPTH1)
     assert json.loads(serialize_model(model)) == json.loads(COMPACT_DEPTH1)
-    assert json.loads(_list_form(COMPACT_DEPTH1)) == json.loads(HAND_WRITTEN_DEPTH1)
 
 
-def test_list_and_compact_forms_load_the_same_model():
-    # Odd bit patterns included: -0.0 and subnormal leaves, a -0.0 border.
-    tree = generate_synthetic_model(SyntheticSpec(1, 1, 1, 1, seed=3)).trees[0]
-    odd = type(tree)(depth=1, splits=tree.splits, leaf_values=np.array([-0.0, 5e-324]))
-    for i in range(20):
-        spec = SyntheticSpec(1 + i % 4, 1 + i % 7, i % 6, 1 + i % 8, seed=i)
-        model = generate_synthetic_model(spec)
-        model = type(model)(float_features=model.float_features, trees=model.trees + (odd,),
-                            scale=model.scale, bias=-0.0)
-        text = serialize_model(model)
-        assert deserialize_model(text) == model
-        assert deserialize_model(_list_form(text)) == model
-        assert deserialize_model(_list_form(text, slice(None, None, 2))) == model
-        restored = deserialize_model(_list_form(text)).trees[-1].leaf_values
-        assert restored.view(np.uint64).tolist() == [1 << 63, 1]
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("float_features", "borders_hex", ["3f000000"],
+         "float_features[0].borders_hex: expected str"),
+        ("trees", "leaves_hex", ["bff0000000000000", "4000000000000000"],
+         "trees[0].leaves_hex: expected str"),
+        ("trees", "splits", [{"feature": 0, "border": 0}],
+         "trees[0]: missing required field 'features'"),
+    ],
+)
+def test_list_forms_are_refused_naming_the_field(section, key, value, message):
+    # The forms of earlier documents: a hex field as a list of one-value
+    # strings, and a tree's splits as one object per split.
+    doc = json.loads(COMPACT_DEPTH1)
+    doc[section][0][key] = value
+    if key == "splits":
+        del doc[section][0]["features"], doc[section][0]["ordinals"]
+    with pytest.raises(ModelFormatError) as exc:
+        deserialize_model(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_feature_index_out_of_position_is_named():
+    doc = json.loads(COMPACT_DEPTH1)
+    doc["float_features"][0]["index"] = 1
+    with pytest.raises(ModelFormatError) as exc:
+        deserialize_model(json.dumps(doc))
+    assert str(exc.value) == (
+        "document parses but model is invalid: "
+        "float_features[0]: feature index 1 does not match position 0")
 
 
 @pytest.mark.parametrize(
@@ -205,26 +194,20 @@ def test_hex_field_of_another_json_type_is_rejected(section, key, value):
     doc[section][0][key] = value
     with pytest.raises(ModelFormatError) as exc:
         deserialize_model(json.dumps(doc))
-    assert str(exc.value) == f"{section}[0].{key}: expected str or list"
+    assert str(exc.value) == f"{section}[0].{key}: expected str"
 
 
 def test_first_bad_tree_field_is_named_in_document_order():
-    # A tree's fields are checked depth, splits (or features and ordinals),
-    # leaves_hex, then each split object, then the leaves' length, and the
-    # trees in order, as one tree at a time would be.
+    # A tree's fields are checked depth, features, ordinals, leaves_hex,
+    # then the leaves' length, and the trees in order, as one tree at a
+    # time would be.
     text = serialize_model(generate_synthetic_model(SyntheticSpec(2, 3, 3, 2, seed=5)))
-    for form, missing, message in [
-        ("objects", "border", "trees[1].splits[1]: missing required field 'border'"),
-        ("compact", "ordinals", "trees[1]: missing required field 'ordinals'"),
-    ]:
+    for missing in ("features", "ordinals"):
+        message = f"trees[1]: missing required field {missing!r}"
         doc = json.loads(text)
         doc["trees"][2]["depth"] = True
         doc["trees"][1]["leaves_hex"] = doc["trees"][1]["leaves_hex"][:-1]
-        if form == "objects":
-            _split_objects(doc["trees"][1])
-            del doc["trees"][1]["splits"][1][missing]
-        else:
-            del doc["trees"][1][missing]
+        del doc["trees"][1][missing]
         with pytest.raises(ModelFormatError) as exc:
             deserialize_model(json.dumps(doc))
         assert str(exc.value) == message
@@ -236,8 +219,8 @@ def test_non_json_input():
 
 
 def test_invalid_model_surfaces_validation_errors():
-    doc = json.loads(HAND_WRITTEN_DEPTH1)
-    doc["trees"][0]["splits"][0]["border"] = 1  # only one border exists
+    doc = json.loads(COMPACT_DEPTH1)
+    doc["trees"][0]["ordinals"][0] = 1  # only one border exists
     with pytest.raises(ModelFormatError, match="border ordinal out of range"):
         deserialize_model(json.dumps(doc))
 
@@ -268,13 +251,11 @@ def _field_owners(path: tuple) -> tuple[str, ...]:
     Parse errors name the field itself; validation errors name the feature,
     tree or split that holds it, and ``scale``/``bias`` by their value names.
     A split's item is named in full: ``features[s]`` or ``ordinals[s]`` by a
-    parse error, ``splits[s]`` by validation and in the list form.
+    parse error, ``splits[s]`` by validation.
     """
     if len(path) == 1:
         return (path[0].removesuffix("_hex"),)
     owner = f"{path[0]}[{path[1]}]"
-    if len(path) >= 4 and path[2] == "splits":
-        return (f"{owner}.splits[{path[3]}]",)
     if len(path) == 4 and path[2] in ("features", "ordinals"):
         return (f"{owner}.{path[2]}[{path[3]}]", f"{owner}.splits[{path[3]}]")
     return (owner,)
@@ -301,8 +282,7 @@ _INTS = st.sampled_from([-1, 0, 1, 2, 8, 9, 254, 255, 2**31, -(2**63)]) | st.int
 
 @st.composite
 def mutated_documents(draw):
-    """A valid document, compact or in the list forms, with one field
-    mutated, and that field's path."""
+    """A valid document with one field mutated, and that field's path."""
     spec = SyntheticSpec(
         n_features=draw(st.integers(1, 3)),
         borders_per_feature=draw(st.integers(1, 4)),
@@ -311,7 +291,7 @@ def mutated_documents(draw):
         seed=draw(st.integers(0, 1000)),
     )
     text = serialize_model(generate_synthetic_model(spec))
-    doc = json.loads(_list_form(text) if draw(st.booleans()) else text)
+    doc = json.loads(text)
     container_path, key = draw(st.sampled_from(list(_paths(doc))))
     container = doc
     for step in container_path:
@@ -368,22 +348,18 @@ def mixed_depth_models(draw):
 @settings(max_examples=60, deadline=None)
 @given(mixed_depth_models())
 def test_built_compact_and_split_object_models_are_equal(built):
-    # The model the constructor builds, the one loaded from its compact
-    # document and the one loaded from that document in the list forms
-    # (one object per split, one string per hex value) are the same model,
-    # down to the arrays the evaluator derives from them.
-    text = serialize_model(built)
-    assert "splits" not in json.loads(text)["trees"][0]
-    models = [built, deserialize_model(text), deserialize_model(_list_form(text))]
-    tables = [ModelTables(model) for model in models]
-    for model, table in zip(models[1:], tables[1:]):
-        assert model == built and model.trees == built.trees
-        for name in ("cond_feature", "cond_border", "tree_cond"):
-            got, expected = getattr(table, name), getattr(tables[0], name)
-            assert got.dtype == expected.dtype and got.shape == expected.shape, name
-            assert got.tobytes() == expected.tobytes(), name
-        for precision in LeafPrecision:
-            got, expected = table.bank(precision), tables[0].bank(precision)
-            for name in ("values", "planes"):
-                assert getattr(got, name).dtype == getattr(expected, name).dtype, name
-                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    # The model the constructor builds from split condition objects and the
+    # one loaded from its compact document are the same model, down to the
+    # arrays the evaluator derives from them.
+    model = deserialize_model(serialize_model(built))
+    assert model == built and model.trees == built.trees
+    table, expected_table = ModelTables(model), ModelTables(built)
+    for name in ("cond_feature", "cond_border", "tree_cond"):
+        got, expected = getattr(table, name), getattr(expected_table, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+    for precision in LeafPrecision:
+        got, expected = table.bank(precision), expected_table.bank(precision)
+        for name in ("values", "planes"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
