@@ -43,7 +43,6 @@ from .quantize import (
     FeatureMatrix,
     Layout,
     quantize_block,
-    quantize_value,
 )
 from .serialize import (
     ModelFormatError,
@@ -52,7 +51,7 @@ from .serialize import (
     save_model,
     serialize_model,
 )
-from .synthetic import SyntheticSpec, Xoshiro256StarStar, generate_feature_matrix, generate_synthetic_model
+from .synthetic import SyntheticSpec, generate_feature_matrix, generate_synthetic_model
 
 __version__ = "0.1.0"
 
@@ -75,7 +74,6 @@ __all__ = [
     "SyntheticSpec",
     "TailPlan",
     "TailPolicy",
-    "Xoshiro256StarStar",
     "apply_tail_policy",
     "build_leaf_bank",
     "classification_flip_count",
@@ -89,7 +87,6 @@ __all__ = [
     "permute_group_count",
     "plan_blocks",
     "quantize_block",
-    "quantize_value",
     "save_model",
     "serialize_model",
     "validate_model",

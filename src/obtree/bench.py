@@ -425,6 +425,8 @@ def build_cases(args) -> list[BenchCase]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.data_seed < 0:
+        parser.error(f"--data-seed must be non-negative, got {args.data_seed}")
     log = (lambda msg: None) if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     # --out was opened while parsing, so an unwritable path fails before any case runs.
     with args.out or contextlib.nullcontext(sys.stdout) as out:

@@ -399,6 +399,10 @@ class Evaluator:
 
         With ``stats``, the call fills it in; without, it reads no clock.
         """
+        if not isinstance(matrix, FeatureMatrix):
+            raise TypeError(f"matrix must be a FeatureMatrix, got {type(matrix).__name__}")
+        if not (stats is None or isinstance(stats, EvalStats)):
+            raise TypeError(f"stats must be an EvalStats or None, got {type(stats).__name__}")
         model = self.tables.model
         if matrix.n_features != model.n_features:
             raise ValueError(

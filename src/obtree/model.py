@@ -231,9 +231,8 @@ def border_row_errors(borders: np.ndarray) -> list[str]:
     A row is the feature's sorted thresholds: a NaN border, which no value
     exceeds, or a repeated or descending one marks a malformed model.  The
     limit of 254 borders keeps every ordinal, and every count of borders a
-    value exceeds (``quantize_value``), below 255: ``ModelTables`` keys its
-    never-true sentinel condition with ordinal 255 (``feature * 256 +
-    ordinal``).
+    value exceeds, below 255: ``ModelTables`` keys its never-true sentinel
+    condition with ordinal 255 (``feature * 256 + ordinal``).
     """
     errors = []
     if borders.size > MAX_BORDERS:

@@ -13,17 +13,13 @@ exceeded.  They differ only in where the bits go:
 * ``avx512`` runs the model's bound binarization kernel
   (``native.BoundKernels``, ``obtree_binarize`` in ``native.c``), which
   writes one 64-bit mask per (64-object group, condition).
-
-``quantize_value``, the count of borders a value exceeds, is the scalar
-reference of the border semantics: for strictly ascending borders ``b``, a
-value ``v`` exceeds ``b[o]`` exactly when that count exceeds ``o``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -85,21 +81,6 @@ class FeatureMatrix:
             Layout.FEATURE_MAJOR if self.layout is Layout.OBJECT_MAJOR else Layout.OBJECT_MAJOR
         )
         return FeatureMatrix(self.values.T.copy(), other)
-
-
-def quantize_value(value: float, borders: Sequence[float]) -> int:
-    """Count of borders strictly below ``value``; NaN maps to 0.
-
-    Scalar reference kernel.  Borders are ascending, so the scan may stop at
-    the first border that is not crossed.
-    """
-    count = 0
-    for b in borders:
-        if value > b:
-            count += 1
-        else:
-            break
-    return count
 
 
 def quantize_block(

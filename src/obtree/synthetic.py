@@ -1,13 +1,17 @@
 """Seeded synthetic models and feature batches for tests and benchmarks.
 
-Randomness comes from xoshiro256** seeded through SplitMix64, both fixed
-64-bit algorithms implemented here, so a given seed produces bit-identical
-models on every platform and Python version.  Bounded integers use the
-multiply-shift mapping (x * n) >> 64.
+Every number comes from the raw 64-bit words of numpy's PCG64 seeded by
+``np.random.PCG64(seed)`` (``random_raw``), whose stream numpy keeps fixed
+across releases and platforms, through this module's own fixed maps: a unit
+float is ``(x >> 11) * 2**-53``, in [0, 1) with 53 random bits, and an
+integer below ``n`` is ``x % n``, biased by under ``n / 2**64``.  So a given
+seed gives bit-identical models and batches everywhere.  Each array is drawn
+whole, in the order the functions below state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,57 +19,16 @@ import numpy as np
 from .model import MAX_BORDERS, MAX_DEPTH, FloatFeatureBorders, ObliviousModel
 from .quantize import FeatureMatrix, Layout
 
-_MASK64 = (1 << 64) - 1
+
+def _stream(seed: int) -> np.random.PCG64:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.PCG64(seed)
 
 
-def _splitmix64(state: int):
-    state &= _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
-class Xoshiro256StarStar:
-    """xoshiro256** with SplitMix64 state expansion from a single seed."""
-
-    __slots__ = ("_s",)
-
-    def __init__(self, seed: int):
-        gen = _splitmix64(seed)
-        self._s = [next(gen) for _ in range(4)]
-        if not any(self._s):
-            self._s[0] = 1  # the all-zero state is the one forbidden state
-
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
-
-    def unit(self) -> float:
-        """float64 in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + self.unit() * (hi - lo)
-
-    def below(self, n: int) -> int:
-        """Integer in [0, n)."""
-        return (self.next_u64() * n) >> 64
+def _unit(words: np.ndarray) -> np.ndarray:
+    """float64 in [0, 1) from the top 53 bits of each word."""
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -77,11 +40,27 @@ class SyntheticSpec:
     seed: int
 
 
+def _distinct_border_rows(stream: np.random.PCG64, rows: int, count: int) -> np.ndarray:
+    """(rows x count) ascending binary32 unit draws, distinct within each row.
+
+    Where two draws of a row round to one binary32 value, the later one of
+    each such pair is drawn again, until no row repeats a value.
+    """
+    borders = np.sort(_unit(stream.random_raw((rows, count))).astype(np.float32), axis=1)
+    while (repeats := np.nonzero(borders[:, 1:] == borders[:, :-1]))[0].size:
+        row, col = repeats
+        borders[row, col + 1] = _unit(stream.random_raw(row.size)).astype(np.float32)
+        borders.sort(axis=1)
+    return borders
+
+
 def generate_synthetic_model(spec: SyntheticSpec) -> ObliviousModel:
     """Deterministic random model: same spec and seed give the same bits.
 
-    Borders are distinct ascending binary32 draws from (0, 1); splits are
-    uniform over (feature, border) pairs; leaves are uniform in (-1, 1).
+    Drawn in this order: each feature's borders, unit draws rounded to
+    binary32, distinct and ascending; each split's (feature, ordinal) pair,
+    uniform, tree by tree; the leaves, uniform in [-1, 1); then scale in
+    [0.5, 1.5) and bias in [-0.5, 0.5).
     """
     if spec.n_features < 1:
         raise ValueError("n_features must be at least 1")
@@ -92,28 +71,18 @@ def generate_synthetic_model(spec: SyntheticSpec) -> ObliviousModel:
     if not 1 <= spec.depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
 
-    rng = Xoshiro256StarStar(spec.seed)
-
-    float_features = []
-    for f in range(spec.n_features):
-        seen: set[float] = set()
-        while len(seen) < spec.borders_per_feature:
-            seen.add(float(np.float32(rng.unit())))
-        borders = np.array(sorted(seen), dtype=np.float32)
-        float_features.append(FloatFeatureBorders(feature_index=f, borders=borders))
-
-    # Each tree draws its splits' (feature, ordinal) pairs, then its leaves.
-    features, ordinals, leaves = [], [], []
-    for _ in range(spec.n_trees):
-        for _ in range(spec.depth):
-            features.append(rng.below(spec.n_features))
-            ordinals.append(rng.below(spec.borders_per_feature))
-        leaves += [rng.uniform(-1.0, 1.0) for _ in range(1 << spec.depth)]
+    stream = _stream(spec.seed)
+    borders = _distinct_border_rows(stream, spec.n_features, spec.borders_per_feature)
+    pairs = stream.random_raw((spec.n_trees * spec.depth, 2))
+    leaves = _unit(stream.random_raw(spec.n_trees << spec.depth)) * 2.0 - 1.0
+    scale, bias = _unit(stream.random_raw(2)) + (0.5, -0.5)
     return ObliviousModel._from_arrays(
-        float_features, scale=rng.uniform(0.5, 1.5), bias=rng.uniform(-0.5, 0.5),
+        [FloatFeatureBorders(f, row) for f, row in enumerate(borders)],
+        scale=scale, bias=bias,
         depths=[spec.depth] * spec.n_trees, split_counts=[spec.depth] * spec.n_trees,
-        split_features=features, split_ordinals=ordinals,
-        leaf_counts=[1 << spec.depth] * spec.n_trees, leaves=np.array(leaves, dtype=np.float64),
+        split_features=(pairs[:, 0] % np.uint64(spec.n_features)).tolist(),
+        split_ordinals=(pairs[:, 1] % np.uint64(spec.borders_per_feature)).tolist(),
+        leaf_counts=[1 << spec.depth] * spec.n_trees, leaves=leaves,
     )
 
 
@@ -127,25 +96,31 @@ def generate_feature_matrix(
     nan_fraction: float = 0.0,
     inf_fraction: float = 0.0,
 ) -> FeatureMatrix:
-    """Deterministic batch of float32 features spanning the border range.
+    """Deterministic batch of binary32 features, uniform in [lo, hi) and
+    rounded to nearest.
 
-    Optional NaN and +/-inf sprinkles exercise the quantizer's special-value
+    Each value is drawn, object by object; then one roll per value, in the
+    same order, makes it NaN below ``nan_fraction``, +inf or -inf on the two
+    halves of the ``inf_fraction`` above that, and leaves it as drawn
+    otherwise.  The special values exercise the quantizer's NaN and infinity
     policy end to end.
     """
-    rng = Xoshiro256StarStar(seed)
-    special = nan_fraction + inf_fraction
-    flat = np.empty(n_objects * n_features, dtype=np.float32)
-    for i in range(flat.size):
-        if special > 0.0:
-            roll = rng.unit()
-            if roll < nan_fraction:
-                flat[i] = np.nan
-                continue
-            if roll < special:
-                flat[i] = np.inf if rng.unit() < 0.5 else -np.inf
-                continue
-        flat[i] = rng.uniform(lo, hi)
-    grid = flat.reshape(n_objects, n_features)
+    for name, fraction in (("nan_fraction", nan_fraction), ("inf_fraction", inf_fraction)):
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {fraction}")
+    if nan_fraction + inf_fraction > 1.0:
+        raise ValueError(
+            f"nan_fraction + inf_fraction must not exceed 1, got {nan_fraction} + {inf_fraction}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"lo and hi must be finite with lo < hi, got lo={lo}, hi={hi}")
+
+    stream = _stream(seed)
+    size = n_objects * n_features
+    values = lo + _unit(stream.random_raw(size)) * (hi - lo)
+    roll = _unit(stream.random_raw(size))
+    edges = (nan_fraction, nan_fraction + inf_fraction / 2, nan_fraction + inf_fraction)
+    values = np.select([roll < edge for edge in edges], [np.nan, np.inf, -np.inf], values)
+    grid = values.astype(np.float32).reshape(n_objects, n_features)
     if layout is Layout.OBJECT_MAJOR:
         return FeatureMatrix(grid, Layout.OBJECT_MAJOR)
     return FeatureMatrix(grid.T.copy(), Layout.FEATURE_MAJOR)

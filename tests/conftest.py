@@ -1,4 +1,5 @@
-"""Fixtures shared by the test modules: the stages 1-3 backends."""
+"""Fixtures and helpers shared by the test modules: the stages 1-3 backends,
+and the scalar border count that stage 1 is checked against."""
 
 from __future__ import annotations
 
@@ -36,3 +37,19 @@ def each_backend():
 def numpy_backend(monkeypatch):
     """Pins the test to the numpy backend."""
     force_numpy(monkeypatch)
+
+
+def quantize_value(value: float, borders) -> int:
+    """Count of borders strictly below ``value``; NaN maps to 0.
+
+    The scalar reference of the border semantics: for strictly ascending
+    borders ``b``, a value ``v`` exceeds ``b[o]`` exactly when that count
+    exceeds ``o``.  So the scan may stop at the first border not crossed.
+    """
+    count = 0
+    for b in borders:
+        if value > b:
+            count += 1
+        else:
+            break
+    return count

@@ -30,7 +30,6 @@ from obtree import (
     SplitCondition,
     SyntheticSpec,
     TailPolicy,
-    Xoshiro256StarStar,
     apply_tail_policy,
     deserialize_model,
     deviation_metrics,
@@ -39,11 +38,13 @@ from obtree import (
     evaluate_scalar,
     generate_feature_matrix,
     generate_synthetic_model,
-    quantize_value,
     serialize_model,
 )
 from obtree.bench import build_cases, format_json, run_matrix
 from obtree.evaluate import ModelTables
+from obtree.model import MAX_DEPTH
+
+from conftest import quantize_value
 
 BATCH_SIZES = (1, 7, 31, 32, 33, 100, 128, 257)
 
@@ -55,20 +56,18 @@ def bits_differ(a: np.ndarray, b: np.ndarray) -> bool:
     return not np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def corpus_spec(index: int, rng: Xoshiro256StarStar) -> SyntheticSpec:
-    return SyntheticSpec(
-        n_features=1 + rng.below(50),
-        borders_per_feature=1 + rng.below(64),
-        n_trees=1 + rng.below(200),
-        depth=1 + rng.below(8),
-        seed=31_000 + index,
-    )
+def corpus_specs(count: int = 100) -> list[SyntheticSpec]:
+    """Shapes uniform over 1-50 features, 1-64 borders, 1-200 trees and depth 1-8."""
+    rng = np.random.default_rng(90125)
+    shapes = zip(*(rng.integers(1, high + 1, count).tolist() for high in (50, 64, 200, 8)))
+    return [SyntheticSpec(*shape, seed=31_000 + index) for index, shape in enumerate(shapes)]
 
 
 @dataclass
 class SweepOutcome:
     elapsed_s: float = 0.0
     n_models: int = 0
+    depths: set = field(default_factory=set)
     n_evals: int = 0
     backends: set = field(default_factory=set)
     # (model, batch, layout, backend, strategy) of each evaluation differing in any bit.
@@ -80,11 +79,9 @@ class SweepOutcome:
 @pytest.fixture(scope="module")
 def corpus_sweep(each_backend) -> SweepOutcome:
     outcome = SweepOutcome()
-    shape_rng = Xoshiro256StarStar(90125)
     started = time.perf_counter()
 
-    for index in range(100):
-        spec = corpus_spec(index, shape_rng)
+    for index, spec in enumerate(corpus_specs()):
         model = generate_synthetic_model(spec)
         tables = ModelTables(model)
         evaluators = [(cfg, ev) for cfg in CONFIG_MATRIX for ev in each_backend(tables, cfg)]
@@ -125,6 +122,7 @@ def corpus_sweep(each_backend) -> SweepOutcome:
         bound = abs(model.scale) * model.n_trees * bank.max_abs_leaf * 2.0**-10
         outcome.fp16_checks.append((index, metrics.max_abs, bound, metrics))
         outcome.n_models += 1
+        outcome.depths.add(spec.depth)
 
     outcome.elapsed_s = time.perf_counter() - started
     return outcome
@@ -133,26 +131,25 @@ def corpus_sweep(each_backend) -> SweepOutcome:
 def test_criterion_01_quantization_oracle():
     # 10,000 randomized (value, borders) cases, including NaN, infinities
     # and exact-border hits, against brute-force border counting.  Budget: 1 s.
-    rng = Xoshiro256StarStar(40001)
+    rng = np.random.default_rng(40001)
     pools = []
-    for p in range(50):
-        count = 254 if p < 3 else 1 + rng.below(64)
-        seen: set[float] = set()
-        while len(seen) < count:
-            seen.add(float(np.float32(rng.uniform(-2.0, 2.0))))
-        pools.append(sorted(seen))
+    for count in [254] * 3 + rng.integers(1, 65, 47).tolist():
+        distinct = np.unique(rng.uniform(-2.0, 2.0, 2 * count).astype(np.float32))
+        pools.append(np.sort(rng.choice(distinct, count, replace=False)).tolist())
+    picks, rolls = rng.integers(0, len(pools), 10_000).tolist(), rng.integers(0, 10, 10_000).tolist()
+    hits = rng.random(10_000).tolist()
+    draws = rng.uniform(-3.0, 3.0, 10_000).astype(np.float32).tolist()
     specials = (math.nan, math.inf, -math.inf)
 
     started = time.perf_counter()
     for i in range(10_000):
-        borders = pools[rng.below(len(pools))]
-        roll = rng.below(10)
-        if roll == 0:
+        borders = pools[picks[i]]
+        if rolls[i] == 0:
             value = specials[i % 3]
-        elif roll == 1:
-            value = borders[rng.below(len(borders))]  # exact border hit
+        elif rolls[i] == 1:
+            value = borders[int(hits[i] * len(borders))]  # exact border hit
         else:
-            value = float(np.float32(rng.uniform(-3.0, 3.0)))
+            value = draws[i]
         assert quantize_value(value, borders) == sum(1 for b in borders if value > b)
     elapsed = time.perf_counter() - started
 
@@ -185,6 +182,7 @@ def test_criterion_02_depth3_index_fixture():
 def test_criterion_03_end_to_end_equivalence(corpus_sweep: SweepOutcome):
     expected_evals = 100 * len(BATCH_SIZES) * len(CONFIG_MATRIX) * 2 * len(corpus_sweep.backends)
     assert corpus_sweep.n_models == 100
+    assert corpus_sweep.depths == set(range(1, MAX_DEPTH + 1)), sorted(corpus_sweep.depths)
     assert corpus_sweep.n_evals == expected_evals
     assert corpus_sweep.oracle_mismatches == [], corpus_sweep.oracle_mismatches[:5]
     assert corpus_sweep.elapsed_s < 300.0, f"sweep took {corpus_sweep.elapsed_s:.0f}s"
@@ -227,24 +225,20 @@ def test_criterion_06_classification_flip_parity():
     # A two-class model whose score margin dwarfs the fp16 bound: every
     # tree's sign is keyed to the root condition (feature 0 above its
     # median border), with mild magnitude noise on the leaves.
-    rng = Xoshiro256StarStar(60606)
+    rng = np.random.default_rng(60606)
     n_trees, depth = 80, 5
     features = tuple(
         FloatFeatureBorders(i, np.array([0.25, 0.5, 0.75], dtype=np.float32)) for i in range(6)
     )
+    split_features = rng.integers(1, 6, (n_trees, depth - 1)).tolist()
+    split_ordinals = rng.integers(0, 3, (n_trees, depth - 1)).tolist()
+    signs = np.where(np.arange(1 << depth) & 1, 1.0, -1.0)
+    leaves = signs * (1.0 + 0.02 * rng.uniform(-1.0, 1.0, (n_trees, 1 << depth)))
     trees = []
-    for _ in range(n_trees):
+    for t in range(n_trees):
         splits = [SplitCondition(0, 1)]  # root: feature 0 > 0.5
-        splits += [
-            SplitCondition(1 + rng.below(5), rng.below(3)) for _ in range(depth - 1)
-        ]
-        leaves = np.array(
-            [
-                (1.0 if j & 1 else -1.0) * (1.0 + 0.02 * rng.uniform(-1.0, 1.0))
-                for j in range(1 << depth)
-            ]
-        )
-        trees.append(ObliviousTree(depth=depth, splits=tuple(splits), leaf_values=leaves))
+        splits += map(SplitCondition, split_features[t], split_ordinals[t])
+        trees.append(ObliviousTree(depth=depth, splits=tuple(splits), leaf_values=leaves[t]))
     model = ObliviousModel(float_features=features, trees=tuple(trees), scale=1.0, bias=0.0)
 
     matrix = generate_feature_matrix(500, 6, seed=123, lo=0.0, hi=1.0)
@@ -267,16 +261,12 @@ def test_criterion_06_classification_flip_parity():
 
 
 def test_criterion_07_model_round_trip():
-    rng = Xoshiro256StarStar(70707)
-    for i in range(1000):
-        spec = SyntheticSpec(
-            n_features=1 + rng.below(6),
-            borders_per_feature=1 + rng.below(10),
-            n_trees=rng.below(8),
-            depth=1 + rng.below(4),
-            seed=50_000 + i,
-        )
-        model = generate_synthetic_model(spec)
+    # Shapes uniform over 1-6 features, 1-10 borders, 0-7 trees and depth 1-4.
+    rng = np.random.default_rng(70707)
+    shapes = zip(*(rng.integers(low, high + 1, 1000).tolist()
+                   for low, high in ((1, 6), (1, 10), (0, 7), (1, 4))))
+    for i, shape in enumerate(shapes):
+        model = generate_synthetic_model(SyntheticSpec(*shape, seed=50_000 + i))
         restored = deserialize_model(serialize_model(model))
         assert restored == model, f"round trip diverged for model {i}"
     print("\nACCEPTANCE 7 PASS: 1000 serialize/deserialize round trips bit-exact")

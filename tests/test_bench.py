@@ -354,6 +354,18 @@ class TestCli:
             main(["--synthetic", "4,5", "--quiet"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--synthetic", "4,3,5,3,-1"], "seed must be non-negative, got -1"),
+         (["--synthetic", "4,3,5,3,1", "--data-seed", "-1"],
+          "--data-seed must be non-negative, got -1")],
+    )
+    def test_negative_seed_is_usage_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, "--batch", "8", "--reps", "3", "--quiet"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_model_file_source(self, tmp_path):
         from obtree import save_model
 

@@ -171,6 +171,23 @@ class TestEvaluateBasics:
         with pytest.raises(ValueError, match="invalid model"):
             Evaluator(bad)
 
+    @pytest.mark.parametrize("kind", ["matrix", "stats"])
+    def test_argument_of_another_type_refused_before_any_stage(self, each_backend, monkeypatch,
+                                                               kind):
+        module = importlib.import_module("obtree.evaluate")
+        blocks = []
+        monkeypatch.setattr(module, "quantize_block", lambda *args: blocks.append(args))
+        model = corpus_model(7)
+        matrix = generate_feature_matrix(3, model.n_features, seed=1)
+        args, message = {
+            "matrix": ((matrix.values,), "matrix must be a FeatureMatrix, got ndarray"),
+            "stats": ((matrix, object()), "stats must be an EvalStats or None, got object"),
+        }[kind]
+        for evaluator in each_backend(model):
+            with pytest.raises(TypeError, match=message):
+                evaluator.predict(*args)
+        assert blocks == []
+
 
 class TestInvariances:
     def setup_method(self):

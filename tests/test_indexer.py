@@ -22,14 +22,14 @@ from obtree import (
     ObliviousTree,
     SplitCondition,
     SyntheticSpec,
-    Xoshiro256StarStar,
     evaluate,
     evaluate_scalar,
     generate_synthetic_model,
     quantize_block,
-    quantize_value,
 )
 from obtree.evaluate import _leaf_index_panel
+
+from conftest import quantize_value
 
 # These tests read the numpy stages' index panels, and the index the numpy
 # fold assembles; the native kernels are held to the oracle elsewhere.
@@ -78,11 +78,8 @@ def test_all_conditions_false_gives_zero():
 
 def random_case(seed, n_objects=90, n_features=7, borders=9, depth=6):
     model = generate_synthetic_model(SyntheticSpec(n_features, borders, 1, depth, seed=seed))
-    rng = Xoshiro256StarStar(seed + 1000)
-    raw = np.array(
-        [[rng.uniform(-0.2, 1.2) for _ in range(n_features)] for _ in range(n_objects)],
-        dtype=np.float32,
-    )
+    rng = np.random.default_rng(seed + 1000)
+    raw = rng.uniform(-0.2, 1.2, (n_objects, n_features)).astype(np.float32)
     matrix = FeatureMatrix(raw, Layout.OBJECT_MAJOR)
     border_list = [ff.borders for ff in model.float_features]
     return model, matrix, border_list, raw
@@ -142,8 +139,7 @@ def test_condition_bits_match_byte_comparison():
 
 
 def test_live_indices_below_leaf_count_and_padding_zero():
-    for seed in range(4):
-        depth = 1 + Xoshiro256StarStar(seed).below(8)
+    for seed, depth in enumerate(np.random.default_rng(0).integers(1, 9, 4).tolist()):
         model, matrix, _, _ = random_case(seed + 50, n_objects=45, depth=depth)
         tree = model.trees[0]
         assert leaf_indices(model.float_features, tree.splits, matrix).max() < (1 << depth)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 
 import obtree.model
 import obtree.serialize
+import obtree.synthetic
 from obtree import (
     EvalConfig,
     Evaluator,
@@ -28,10 +34,10 @@ from obtree import (
     ObliviousTree,
     SplitCondition,
     SyntheticSpec,
-    Xoshiro256StarStar,
     build_leaf_bank,
     deserialize_model,
     evaluate_scalar,
+    generate_feature_matrix,
     generate_synthetic_model,
     serialize_model,
     validate_model,
@@ -549,31 +555,43 @@ class TestLeafBank:
 
 
 # ---------------------------------------------------------------------------
-# PRNG and generator
+# Synthetic generator
 
 
-class TestXoshiro:
-    def test_first_outputs_from_known_state(self):
-        # Hand-derived from the xoshiro256** update rule with state (1, 2, 3, 4):
-        # out1 = rotl(2*5, 7) * 9 = 1280 * 9; s1 then becomes 0, so out2 = 0.
-        rng = Xoshiro256StarStar(0)
-        rng._s = [1, 2, 3, 4]
-        assert rng.next_u64() == 11520
-        assert rng.next_u64() == 0
+class TestKnownAnswers:
+    """The synthetic draws pinned by hash: a change to numpy's PCG64 stream
+    or to the generator's maps fails these by name."""
 
-    def test_same_seed_same_stream(self):
-        a = Xoshiro256StarStar(99)
-        b = Xoshiro256StarStar(99)
-        assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
+    def test_model_document_sha256(self):
+        document = serialize_model(generate_synthetic_model(SyntheticSpec(3, 4, 5, 3, seed=7)))
+        assert hashlib.sha256(document.encode()).hexdigest() == (
+            "a2f5f5cdcf286b790b3610c6a09cfb20205478bf5faf246d9970b1bd6a6c3b17")
 
-    def test_unit_range(self):
-        rng = Xoshiro256StarStar(5)
-        values = [rng.unit() for _ in range(1000)]
-        assert all(0.0 <= v < 1.0 for v in values)
+    def test_feature_matrix_sha256(self):
+        values = generate_feature_matrix(6, 4, seed=11, nan_fraction=0.25, inf_fraction=0.25).values
+        assert np.isnan(values).any() and np.isfinite(values).any()
+        assert np.isposinf(values).any() and np.isneginf(values).any()
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "1e35c81f07c005a71f52b3fc108edb7a9846f7e6478d377b3ff211e9ecd8bb3e")
 
-    def test_below_range(self):
-        rng = Xoshiro256StarStar(5)
-        assert all(0 <= rng.below(7) < 7 for _ in range(1000))
+    def test_fresh_processes_draw_the_same_bytes(self):
+        # A larger draw than the pinned ones, with specials, feature-major.
+        script = (
+            "import hashlib, obtree as ot\n"
+            "doc = ot.serialize_model(ot.generate_synthetic_model(ot.SyntheticSpec(20, 30, 40, 6, 3)))\n"
+            "m = ot.generate_feature_matrix(100, 20, 4, ot.Layout.FEATURE_MAJOR,"
+            " nan_fraction=0.1, inf_fraction=0.1)\n"
+            "print(hashlib.sha256(doc.encode() + m.values.tobytes()).hexdigest())\n"
+        )
+        source = str(Path(obtree.model.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+        digests = [subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True, timeout=60).stdout.strip()
+                   for _ in range(2)]
+        doc = serialize_model(generate_synthetic_model(SyntheticSpec(20, 30, 40, 6, 3)))
+        m = generate_feature_matrix(100, 20, 4, Layout.FEATURE_MAJOR,
+                                    nan_fraction=0.1, inf_fraction=0.1)
+        assert digests == [hashlib.sha256(doc.encode() + m.values.tobytes()).hexdigest()] * 2
 
 
 class TestGenerator:
@@ -600,16 +618,69 @@ class TestGenerator:
         assert all(t.depth == 6 for t in model.trees)
 
     def test_every_output_validates(self):
-        rng = Xoshiro256StarStar(777)
-        for i in range(25):
-            spec = SyntheticSpec(
-                n_features=1 + rng.below(20),
-                borders_per_feature=1 + rng.below(40),
-                n_trees=rng.below(30),
-                depth=1 + rng.below(8),
-                seed=i,
-            )
-            assert validate_model(generate_synthetic_model(spec)) == []
+        # Shapes uniform over 1-20 features, 1-40 borders, 0-29 trees and depth 1-8.
+        rng = np.random.default_rng(777)
+        shapes = zip(*(rng.integers(low, high + 1, 25).tolist()
+                       for low, high in ((1, 20), (1, 40), (0, 29), (1, 8))))
+        for i, shape in enumerate(shapes):
+            assert validate_model(generate_synthetic_model(SyntheticSpec(*shape, seed=i))) == []
+
+    def test_draws_fill_their_ranges(self):
+        model = generate_synthetic_model(SyntheticSpec(3, 4, 300, 4, seed=5))
+        # 1200 splits over 12 (feature, ordinal) pairs: about 100 each.
+        pairs = np.bincount(model.split_features * 4 + model.split_ordinals, minlength=12)
+        assert pairs.size == 12 and pairs.min() > 60 and pairs.max() < 140, pairs
+        assert -1.0 <= model.leaves.min() < -0.99 and 0.99 < model.leaves.max() < 1.0
+        borders = np.concatenate([ff.borders for ff in model.float_features])
+        assert borders.min() >= 0.0 and borders.max() <= 1.0
+        affine = np.array([(m.scale, m.bias) for m in (
+            generate_synthetic_model(SyntheticSpec(1, 1, 0, 1, seed)) for seed in range(200))])
+        assert 0.5 <= affine[:, 0].min() < 0.55 and 1.45 < affine[:, 0].max() < 1.5
+        assert -0.5 <= affine[:, 1].min() < -0.45 and 0.45 < affine[:, 1].max() < 0.5
+
+    def test_repeated_border_draws_are_drawn_again(self):
+        # Two of row 0's draws give one binary32 value: the later one is
+        # drawn again, and again while it still repeats a value of its row.
+        batches = [[[0.5, 0.25, 0.5], [0.125, 0.625, 0.375]], [0.5], [0.75]]
+
+        class Stream:
+            def random_raw(self, size):
+                units = np.array(batches.pop(0)) * 2.0**53
+                return (units.astype(np.uint64) << np.uint64(11)).reshape(size)
+
+        borders = obtree.synthetic._distinct_border_rows(Stream(), 2, 3)
+        assert borders.dtype == np.float32 and batches == []
+        assert borders.tolist() == [[0.25, 0.5, 0.75], [0.125, 0.375, 0.625]]
+
+    def test_special_value_rates(self):
+        values = generate_feature_matrix(20_000, 5, seed=1, nan_fraction=0.2, inf_fraction=0.3).values
+        rates = [np.isnan(values).mean(), np.isposinf(values).mean(), np.isneginf(values).mean()]
+        assert np.allclose(rates, [0.2, 0.15, 0.15], atol=0.01), rates
+        finite = values[np.isfinite(values)]
+        assert -0.25 <= finite.min() < -0.24 and 1.24 < finite.max() <= 1.25
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"nan_fraction": 1.5}, "nan_fraction must be in [0, 1], got 1.5"),
+            ({"nan_fraction": math.nan}, "nan_fraction must be in [0, 1], got nan"),
+            ({"inf_fraction": -0.1}, "inf_fraction must be in [0, 1], got -0.1"),
+            ({"nan_fraction": -0.5, "inf_fraction": 0.7}, "nan_fraction must be in [0, 1]"),
+            ({"nan_fraction": 0.6, "inf_fraction": 0.5}, "nan_fraction + inf_fraction must not"),
+            ({"lo": 1.0, "hi": 1.0}, "lo and hi must be finite with lo < hi"),
+            ({"lo": 2.0, "hi": 1.0}, "lo and hi must be finite with lo < hi"),
+            ({"lo": -math.inf}, "lo and hi must be finite"),
+            ({"hi": math.nan}, "lo and hi must be finite"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_feature_matrix_refuses_bad_arguments(self, arguments, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_feature_matrix(4, 3, **{"seed": 1, **arguments})
+
+    def test_negative_model_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            generate_synthetic_model(SyntheticSpec(1, 1, 1, 1, seed=-1))
 
     @pytest.mark.parametrize(
         "spec",

@@ -21,14 +21,14 @@ from obtree import (
     ObliviousTree,
     SplitCondition,
     SyntheticSpec,
-    Xoshiro256StarStar,
     generate_synthetic_model,
     plan_blocks,
     quantize_block,
-    quantize_value,
     native,
 )
 from obtree.quantize import CONDITION_CHUNK
+
+from conftest import quantize_value
 
 
 def crossed_border_count(value: float, borders) -> int:
@@ -36,12 +36,9 @@ def crossed_border_count(value: float, borders) -> int:
     return sum(1 for b in borders if value > b)
 
 
-def random_borders(rng: Xoshiro256StarStar, max_count: int = 64) -> np.ndarray:
-    seen = set()
-    count = 1 + rng.below(max_count)
-    while len(seen) < count:
-        seen.add(float(np.float32(rng.uniform(-2.0, 2.0))))
-    return np.array(sorted(seen), dtype=np.float32)
+def random_borders(rng: np.random.Generator, max_count: int = 64) -> np.ndarray:
+    """1 to ``max_count`` distinct ascending binary32 borders in [-2, 2)."""
+    return np.unique(rng.uniform(-2.0, 2.0, rng.integers(1, max_count + 1)).astype(np.float32))
 
 
 class TestQuantizeValue:
@@ -64,28 +61,26 @@ class TestQuantizeValue:
         assert quantize_value(5.0, np.array([], dtype=np.float32)) == 0
 
     def test_matches_brute_force_on_random_cases(self):
-        rng = Xoshiro256StarStar(31)
+        rng = np.random.default_rng(31)
         for _ in range(30):
             borders = random_borders(rng)
-            values = [rng.uniform(-3.0, 3.0) for _ in range(40)]
-            values += [float(borders[rng.below(borders.size)]) for _ in range(10)]
+            values = rng.uniform(-3.0, 3.0, 40).tolist() + rng.choice(borders, 10).tolist()
             values += [math.nan, math.inf, -math.inf]
             for v in values:
                 assert quantize_value(v, borders) == crossed_border_count(v, borders)
 
     def test_monotone_in_value(self):
-        rng = Xoshiro256StarStar(77)
+        rng = np.random.default_rng(77)
         borders = random_borders(rng)
-        values = sorted(rng.uniform(-3.0, 3.0) for _ in range(100))
+        values = sorted(rng.uniform(-3.0, 3.0, 100).tolist())
         quantiles = [quantize_value(v, borders) for v in values]
         assert quantiles == sorted(quantiles)
 
     def test_split_inversion(self):
         # (quantile(v) > k) must equal (v > borders[k]) for every ordinal k.
-        rng = Xoshiro256StarStar(15)
+        rng = np.random.default_rng(15)
         borders = random_borders(rng)
-        for _ in range(200):
-            v = rng.uniform(-3.0, 3.0)
+        for v in rng.uniform(-3.0, 3.0, 200).tolist():
             q = quantize_value(v, borders)
             for k in range(borders.size):
                 assert (q > k) == (v > float(borders[k]))
@@ -127,10 +122,7 @@ class TestQuantizeBlock:
         # 4800 conditions: the panel is written in several chunks.
         model = generate_synthetic_model(SyntheticSpec(200, 24, 0, 1, seed=12))
         borders = [ff.borders for ff in model.float_features]
-        rng = Xoshiro256StarStar(13)
-        raw = np.array(
-            [[rng.uniform(-0.5, 1.5) for _ in range(200)] for _ in range(50)], dtype=np.float32
-        )
+        raw = np.random.default_rng(13).uniform(-0.5, 1.5, (50, 200)).astype(np.float32)
         raw[3, 7] = np.nan
         raw[10, 0] = np.inf
         matrix = FeatureMatrix(raw, Layout.OBJECT_MAJOR)
@@ -144,8 +136,7 @@ class TestQuantizeBlock:
     def test_layout_equivalence(self):
         model = generate_synthetic_model(SyntheticSpec(6, 10, 0, 1, seed=8))
         borders = [ff.borders for ff in model.float_features]
-        rng = Xoshiro256StarStar(2)
-        raw = np.array([[rng.uniform(0, 1) for _ in range(6)] for _ in range(33)], dtype=np.float32)
+        raw = np.random.default_rng(2).uniform(0.0, 1.0, (33, 6)).astype(np.float32)
         om = FeatureMatrix(raw, Layout.OBJECT_MAJOR)
         fm = om.transposed()
         assert fm.layout is Layout.FEATURE_MAJOR

@@ -18,7 +18,6 @@ from obtree import (
     ObliviousTree,
     SplitCondition,
     SyntheticSpec,
-    Xoshiro256StarStar,
     deserialize_model,
     generate_synthetic_model,
     load_model,
@@ -40,16 +39,12 @@ COMPACT_DEPTH1 = """
 
 
 def test_round_trip_random_models():
-    rng = Xoshiro256StarStar(2024)
-    for i in range(40):
-        spec = SyntheticSpec(
-            n_features=1 + rng.below(8),
-            borders_per_feature=1 + rng.below(12),
-            n_trees=rng.below(12),
-            depth=1 + rng.below(6),
-            seed=i,
-        )
-        model = generate_synthetic_model(spec)
+    # Shapes uniform over 1-8 features, 1-12 borders, 0-11 trees and depth 1-6.
+    rng = np.random.default_rng(2024)
+    shapes = zip(*(rng.integers(low, high + 1, 40).tolist()
+                   for low, high in ((1, 8), (1, 12), (0, 11), (1, 6))))
+    for i, shape in enumerate(shapes):
+        model = generate_synthetic_model(SyntheticSpec(*shape, seed=i))
         assert deserialize_model(serialize_model(model)) == model
 
 
