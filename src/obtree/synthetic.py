@@ -47,11 +47,12 @@ def _distinct_border_rows(stream: np.random.PCG64, rows: int, count: int) -> np.
     each such pair is drawn again, until no row repeats a value.
     """
     borders = np.sort(_unit(stream.random_raw((rows, count))).astype(np.float32), axis=1)
-    while (repeats := np.nonzero(borders[:, 1:] == borders[:, :-1]))[0].size:
-        row, col = repeats
+    while True:
+        row, col = np.nonzero(borders[:, 1:] == borders[:, :-1])
+        if not row.size:
+            return borders
         borders[row, col + 1] = _unit(stream.random_raw(row.size)).astype(np.float32)
         borders.sort(axis=1)
-    return borders
 
 
 def generate_synthetic_model(spec: SyntheticSpec) -> ObliviousModel:

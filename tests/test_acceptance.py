@@ -56,10 +56,10 @@ def bits_differ(a: np.ndarray, b: np.ndarray) -> bool:
     return not np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def corpus_specs(count: int = 100) -> list[SyntheticSpec]:
-    """Shapes uniform over 1-50 features, 1-64 borders, 1-200 trees and depth 1-8."""
+def corpus_specs() -> list[SyntheticSpec]:
+    """100 shapes uniform over 1-50 features, 1-64 borders, 1-200 trees and depth 1-8."""
     rng = np.random.default_rng(90125)
-    shapes = zip(*(rng.integers(1, high + 1, count).tolist() for high in (50, 64, 200, 8)))
+    shapes = zip(*(rng.integers(1, high + 1, 100).tolist() for high in (50, 64, 200, 8)))
     return [SyntheticSpec(*shape, seed=31_000 + index) for index, shape in enumerate(shapes)]
 
 
