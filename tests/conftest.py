@@ -1,11 +1,13 @@
 """Fixtures and helpers shared by the test modules: the stages 1-3 backends,
-and the scalar border count that stage 1 is checked against."""
+the scalar border count that stage 1 is checked against, and random model
+shapes."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from obtree import native
+from obtree import SyntheticSpec, native
 from obtree.evaluate import Evaluator
 
 
@@ -53,3 +55,11 @@ def quantize_value(value: float, borders) -> int:
         else:
             break
     return count
+
+
+def random_specs(seed: int, count: int, highs, lows=(1, 1, 0, 1), first_seed: int = 0):
+    """``count`` specs whose (features, borders, trees, depth) are uniform over
+    ``lows`` to ``highs`` inclusive, with seeds ``first_seed`` and up."""
+    rng = np.random.default_rng(seed)
+    shapes = zip(*(rng.integers(low, high + 1, count).tolist() for low, high in zip(lows, highs)))
+    return [SyntheticSpec(*shape, seed=first_seed + i) for i, shape in enumerate(shapes)]

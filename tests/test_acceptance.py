@@ -28,7 +28,6 @@ from obtree import (
     ObliviousModel,
     ObliviousTree,
     SplitCondition,
-    SyntheticSpec,
     TailPolicy,
     apply_tail_policy,
     deserialize_model,
@@ -44,7 +43,7 @@ from obtree.bench import build_cases, format_json, run_matrix
 from obtree.evaluate import ModelTables
 from obtree.model import MAX_DEPTH
 
-from conftest import quantize_value
+from conftest import quantize_value, random_specs
 
 BATCH_SIZES = (1, 7, 31, 32, 33, 100, 128, 257)
 
@@ -54,13 +53,6 @@ CONFIG_MATRIX = [EvalConfig(strategy) for strategy in LeafStrategy]
 def bits_differ(a: np.ndarray, b: np.ndarray) -> bool:
     """True unless the score vectors are equal bit for bit (NaN included)."""
     return not np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-def corpus_specs() -> list[SyntheticSpec]:
-    """100 shapes uniform over 1-50 features, 1-64 borders, 1-200 trees and depth 1-8."""
-    rng = np.random.default_rng(90125)
-    shapes = zip(*(rng.integers(1, high + 1, 100).tolist() for high in (50, 64, 200, 8)))
-    return [SyntheticSpec(*shape, seed=31_000 + index) for index, shape in enumerate(shapes)]
 
 
 @dataclass
@@ -81,7 +73,9 @@ def corpus_sweep(each_backend) -> SweepOutcome:
     outcome = SweepOutcome()
     started = time.perf_counter()
 
-    for index, spec in enumerate(corpus_specs()):
+    # 1-50 features, 1-64 borders, 1-200 trees and depth 1-8.
+    corpus = random_specs(90125, 100, (50, 64, 200, 8), lows=(1, 1, 1, 1), first_seed=31_000)
+    for index, spec in enumerate(corpus):
         model = generate_synthetic_model(spec)
         tables = ModelTables(model)
         evaluators = [(cfg, ev) for cfg in CONFIG_MATRIX for ev in each_backend(tables, cfg)]
@@ -261,12 +255,8 @@ def test_criterion_06_classification_flip_parity():
 
 
 def test_criterion_07_model_round_trip():
-    # Shapes uniform over 1-6 features, 1-10 borders, 0-7 trees and depth 1-4.
-    rng = np.random.default_rng(70707)
-    shapes = zip(*(rng.integers(low, high + 1, 1000).tolist()
-                   for low, high in ((1, 6), (1, 10), (0, 7), (1, 4))))
-    for i, shape in enumerate(shapes):
-        model = generate_synthetic_model(SyntheticSpec(*shape, seed=50_000 + i))
+    for i, spec in enumerate(random_specs(70707, 1000, (6, 10, 7, 4), first_seed=50_000)):
+        model = generate_synthetic_model(spec)
         restored = deserialize_model(serialize_model(model))
         assert restored == model, f"round trip diverged for model {i}"
     print("\nACCEPTANCE 7 PASS: 1000 serialize/deserialize round trips bit-exact")

@@ -44,6 +44,8 @@ from obtree import (
 )
 from obtree.model import HALF_MAX, MAX_DEPTH
 
+from conftest import random_specs
+
 
 def make_model(borders_lists, trees, scale=1.0, bias=0.0):
     features = tuple(
@@ -618,12 +620,8 @@ class TestGenerator:
         assert all(t.depth == 6 for t in model.trees)
 
     def test_every_output_validates(self):
-        # Shapes uniform over 1-20 features, 1-40 borders, 0-29 trees and depth 1-8.
-        rng = np.random.default_rng(777)
-        shapes = zip(*(rng.integers(low, high + 1, 25).tolist()
-                       for low, high in ((1, 20), (1, 40), (0, 29), (1, 8))))
-        for i, shape in enumerate(shapes):
-            assert validate_model(generate_synthetic_model(SyntheticSpec(*shape, seed=i))) == []
+        for spec in random_specs(777, 25, (20, 40, 29, 8)):
+            assert validate_model(generate_synthetic_model(spec)) == []
 
     def test_draws_fill_their_ranges(self):
         model = generate_synthetic_model(SyntheticSpec(3, 4, 300, 4, seed=5))

@@ -27,6 +27,8 @@ from obtree import (
 )
 from obtree.model import MAX_DEPTH
 
+from conftest import random_specs
+
 COMPACT_DEPTH1 = """
 {
  "float_features": [{"index": 0, "borders_hex": "3f000000"}],
@@ -39,12 +41,8 @@ COMPACT_DEPTH1 = """
 
 
 def test_round_trip_random_models():
-    # Shapes uniform over 1-8 features, 1-12 borders, 0-11 trees and depth 1-6.
-    rng = np.random.default_rng(2024)
-    shapes = zip(*(rng.integers(low, high + 1, 40).tolist()
-                   for low, high in ((1, 8), (1, 12), (0, 11), (1, 6))))
-    for i, shape in enumerate(shapes):
-        model = generate_synthetic_model(SyntheticSpec(*shape, seed=i))
+    for spec in random_specs(2024, 40, (8, 12, 11, 6)):
+        model = generate_synthetic_model(spec)
         assert deserialize_model(serialize_model(model)) == model
 
 
