@@ -11,8 +11,14 @@
  * feature.  A vector holds 16 objects of one feature: feature-major input is
  * read 16 objects per load, for each feature that has a condition;
  * object-major input 16 objects x 16 features per tile, as 16 row loads
- * transposed in registers, for each tile that holds a condition.  Loads are masked at the last feature tile and the last
- * objects, so nothing past the matrix is read.
+ * transposed in registers, for each tile that holds a condition.  Loads are
+ * masked at the last feature tile and the last objects, so nothing past the
+ * matrix is read.  A whole 128-object block reads each such row or tile
+ * once for both groups: all 8 of its 16-object quarters are loaded (and
+ * transposed) into an 8 KB array on the stack, then each condition makes 8
+ * compares and stores each one's 16 bits straight from its mask register
+ * into its quarter of the group's mask.  The groups of a partial block are
+ * read one at a time.
  *
  * The two fold kernels walk those masks in groups of 64 objects, one object
  * per byte lane of a 512-bit vector.  The trees come in runs of equal depth
@@ -119,70 +125,116 @@ static int live_quarters(int64_t live, int64_t g)
     return n >= 64 ? 4 : (int)(n + 15) / 16;
 }
 
-/* The mask of a condition on feature f0 + i, with the given border, for the
- * group's first `quarters` 16-object quarters, whose values are v and whose
- * live objects are `objects`.  Whole groups pass the constant 4: unrolled,
- * their compares ran about 20% faster than under a variable count. */
-KERNEL static inline __attribute__((always_inline)) uint64_t condition_mask(
-    __m512 v[4][16], const __mmask16 *objects, int quarters, int64_t i, float border)
-{
-    uint64_t bits = 0;
-    for (int j = 0; j < quarters; j++)
-        bits |= (uint64_t)_mm512_mask_cmp_ps_mask(objects[j], v[j][i], _mm512_set1_ps(border),
-                                                  _CMP_GT_OQ) << 16 * j;
-    return bits;
-}
-
-/* obtree_binarize for one layout, a constant where this is inlined.  A block
- * reads a short run of each of many rows, too many streams for the hardware
+/* v[i]: feature f0 + i of the 16 objects from object o on, of which
+ * `objects` are live.  Feature-major input fills v[0] only.  A block reads a
+ * short run of each of many rows, too many streams for the hardware
  * prefetcher: feature-major rows are fetched PREFETCH_ROWS features ahead,
  * object-major rows two 16-feature tiles ahead. */
+KERNEL static inline __attribute__((always_inline)) void load_quarter(
+    const obtree_model *m, const float *values, int feature_major, int64_t row_length,
+    int64_t f0, int64_t o, __mmask16 objects, __m512 v[16])
+{
+    if (feature_major) {
+        const float *src = values + f0 * row_length + o;
+        if (f0 + PREFETCH_ROWS < m->n_features)
+            _mm_prefetch((const char *)(src + PREFETCH_ROWS * row_length), _MM_HINT_T0);
+        v[0] = _mm512_maskz_loadu_ps(objects, src);
+        return;
+    }
+    __mmask16 features = first16(m->n_features - f0);
+    for (int i = 0; i < 16; i++)
+        if (objects >> i & 1)
+            _mm_prefetch((const char *)(values + (o + i) * row_length + f0 + 32), _MM_HINT_T0);
+    for (int i = 0; i < 16; i++)
+        v[i] = objects >> i & 1 ? _mm512_maskz_loadu_ps(features, values + (o + i) * row_length + f0)
+                                : _mm512_setzero_ps();
+    transpose16(v);
+}
+
+/* Stores a compare's 16 bits as quarter j of *mask, straight from the mask
+ * register: gcc 12 merges adjacent _store_mask16 calls into shifts and ors
+ * of general registers, which cost more than the compares. */
+KERNEL static inline __attribute__((always_inline)) void store_quarter(
+    uint64_t *mask, int j, __mmask16 bits)
+{
+    __asm__("kmovw %1, %0" : "=m"(((uint16_t *)mask)[j]) : "k"(bits));
+}
+
+/* The masks of conditions [c0, c1), each on feature f0 + i, for `quarters`
+ * 16-object quarters from group 0 of out on, whose values are v and whose
+ * live objects are `objects`: quarter j is quarter j % 4 of group j / 4.
+ * `quarters` is a constant: whole groups (4 or 8 quarters) store each
+ * compare's 16 bits, and a partial group (1-3) packs its compares into one
+ * 64-bit mask, clear past them; unrolled, the compares ran about 20% faster
+ * than under a variable count. */
+KERNEL static inline __attribute__((always_inline)) void write_masks(
+    const obtree_model *m, int64_t c0, int64_t c1, int64_t f0, __m512 v[8][16],
+    const __mmask16 *objects, int quarters, uint64_t *out)
+{
+    /* Locals, which the stores cannot alias: read through m, each is
+     * loaded again after every store. */
+    const int64_t *cond_feature = m->cond_feature;
+    const float *cond_border = m->cond_border;
+    int64_t n_cond = m->n_cond;
+    for (int64_t c = c0; c < c1; c++) {
+        __m512 border = _mm512_set1_ps(cond_border[c]);
+        int64_t i = cond_feature[c] - f0;
+        if (quarters % 4 == 0) {
+            for (int j = 0; j < quarters; j++)
+                store_quarter(out + j / 4 * n_cond + c, j % 4,
+                              _mm512_mask_cmp_ps_mask(objects[j], v[j][i], border, _CMP_GT_OQ));
+        } else {
+            uint64_t bits = 0;
+            for (int j = 0; j < quarters; j++)
+                bits |= (uint64_t)_mm512_mask_cmp_ps_mask(objects[j], v[j][i], border, _CMP_GT_OQ)
+                        << 16 * j;
+            out[c] = bits;
+        }
+    }
+}
+
+/* obtree_binarize for one layout, a constant where this is inlined.  Each
+ * run of conditions (one feature's, or one 16-feature tile's) is read once
+ * per 128 objects: a pair of whole groups loads and transposes its 8
+ * quarters, then makes 8 compares per condition.  The groups past the last
+ * whole pair are read one at a time. */
 KERNEL static inline __attribute__((always_inline)) void binarize(
     const obtree_model *m, const float *values, int feature_major, int64_t row_length,
     int64_t live, uint64_t *masks)
 {
     const int64_t *cond_feature = m->cond_feature;
     const int64_t *runs = feature_major ? m->feature_runs : m->tile_runs;
-    const float *cond_border = m->cond_border;
-    int64_t n_cond = m->n_cond, n_features = m->n_features;
+    int64_t n_cond = m->n_cond;
     int64_t n_runs = feature_major ? m->n_feature_runs : m->n_tile_runs;
-    /* v[j][i]: feature f0 + i of the group's objects 16j .. 16j + 15. */
-    __m512 v[4][16];
+    static const __mmask16 all[8] = {0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF,
+                                     0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF};
+    /* v[j][i]: feature f0 + i of objects 16j .. 16j + 15 of the groups read. */
+    __m512 v[8][16];
     for (int64_t r = 0; r < n_runs; r++) {
         int64_t c0 = runs[r], c1 = runs[r + 1];
         int64_t f0 = feature_major ? cond_feature[c0] : cond_feature[c0] & ~(int64_t)15;
-        for (int64_t g = 0; 64 * g < live; g++) {
+        int64_t g = 0;
+        for (; 64 * g + 128 <= live; g += 2) {
+            for (int j = 0; j < 8; j++)
+                load_quarter(m, values, feature_major, row_length, f0, 64 * g + 16 * j, all[j],
+                             v[j]);
+            write_masks(m, c0, c1, f0, v, all, 8, masks + g * n_cond);
+        }
+        for (; 64 * g < live; g++) {
             int quarters = live_quarters(live, g);
             __mmask16 objects[4];
             for (int j = 0; j < quarters; j++) {
-                int64_t o = 64 * g + 16 * j;
-                objects[j] = first16(live - o);
-                if (feature_major) {
-                    const float *src = values + f0 * row_length + o;
-                    if (f0 + PREFETCH_ROWS < n_features)
-                        _mm_prefetch((const char *)(src + PREFETCH_ROWS * row_length), _MM_HINT_T0);
-                    v[j][0] = _mm512_maskz_loadu_ps(objects[j], src);
-                } else {
-                    __mmask16 features = first16(n_features - f0);
-                    for (int i = 0; i < 16; i++)
-                        if (objects[j] >> i & 1)
-                            _mm_prefetch((const char *)(values + (o + i) * row_length + f0 + 32),
-                                         _MM_HINT_T0);
-                    for (int i = 0; i < 16; i++)
-                        v[j][i] = objects[j] >> i & 1
-                            ? _mm512_maskz_loadu_ps(features, values + (o + i) * row_length + f0)
-                            : _mm512_setzero_ps();
-                    transpose16(v[j]);
-                }
+                objects[j] = first16(live - 64 * g - 16 * j);
+                load_quarter(m, values, feature_major, row_length, f0, 64 * g + 16 * j,
+                             objects[j], v[j]);
             }
             uint64_t *out = masks + g * n_cond;
-            if (quarters == 4)
-                for (int64_t c = c0; c < c1; c++)
-                    out[c] = condition_mask(v, objects, 4, cond_feature[c] - f0, cond_border[c]);
-            else
-                for (int64_t c = c0; c < c1; c++)
-                    out[c] = condition_mask(v, objects, quarters, cond_feature[c] - f0,
-                                            cond_border[c]);
+            switch (quarters) {
+            case 4: write_masks(m, c0, c1, f0, v, objects, 4, out); break;
+            case 3: write_masks(m, c0, c1, f0, v, objects, 3, out); break;
+            case 2: write_masks(m, c0, c1, f0, v, objects, 2, out); break;
+            default: write_masks(m, c0, c1, f0, v, objects, 1, out); break;
+            }
         }
     }
 }

@@ -106,6 +106,11 @@ def generate_feature_matrix(
     otherwise.  The special values exercise the quantizer's NaN and infinity
     policy end to end.
     """
+    for name, count in (("n_objects", n_objects), ("n_features", n_features)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise TypeError(f"{name} must be an int, got {type(count).__name__}")
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative, got {count}")
     for name, fraction in (("nan_fraction", nan_fraction), ("inf_fraction", inf_fraction)):
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {fraction}")

@@ -676,6 +676,28 @@ class TestGenerator:
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_feature_matrix(4, 3, **{"seed": 1, **arguments})
 
+    @pytest.mark.parametrize(
+        "shape, error, message",
+        [
+            ((-2, -3), ValueError, "n_objects must be non-negative, got -2"),
+            ((-1, 3), ValueError, "n_objects must be non-negative, got -1"),
+            ((4, -1), ValueError, "n_features must be non-negative, got -1"),
+            ((2.5, 3), TypeError, "n_objects must be an int, got float"),
+            ((4, 3.0), TypeError, "n_features must be an int, got float"),
+            ((True, 3), TypeError, "n_objects must be an int, got bool"),
+            ((4, np.True_), TypeError, "n_features must be an int, got bool"),
+        ],
+    )
+    def test_feature_matrix_refuses_bad_shapes(self, shape, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            generate_feature_matrix(*shape, seed=1)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0), (np.int64(2), np.uint8(3))])
+    def test_feature_matrix_takes_zero_and_numpy_integer_shapes(self, shape):
+        for layout in Layout:
+            matrix = generate_feature_matrix(*shape, seed=1, layout=layout)
+            assert (matrix.n_objects, matrix.n_features) == shape
+
     def test_negative_model_seed_refused(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             generate_synthetic_model(SyntheticSpec(1, 1, 1, 1, seed=-1))

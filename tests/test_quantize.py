@@ -275,7 +275,9 @@ def quantize_cases(draw):
     max_count = draw(st.sampled_from([(1 << steps) - 1 for steps in range(8)] + [254]))
     n_features = draw(st.sampled_from([1, 2, 15, 16, 17]))
     rows = draw(st.lists(border_rows(max_count), min_size=n_features, max_size=n_features))
-    n_objects = draw(st.integers(1, 40) | st.integers(250, 300))
+    # 65-128 objects: with blocks of 128, a whole first group and a second
+    # group of 1 to 4 quarters, the last one partial or whole.
+    n_objects = draw(st.integers(1, 40) | st.integers(65, 128) | st.integers(250, 300))
     block_size = draw(st.integers(1, 16) | st.sampled_from([64, 128, 512]))
     layout = draw(st.sampled_from(Layout))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -433,3 +435,38 @@ class TestBinarizerMatchesBorderCompares:
                 groups = -(-(end - begin) // 64)
                 expected = expected_masks(raw[begin:end], borders, features)
                 assert np.array_equal(masks[:groups], expected), (layout.layout, begin, end)
+
+
+def test_every_block_length_in_both_layouts():
+    """The native binarizer on one block of every length from 1 to 128, in
+    both layouts: 21 features (a partial last tile of 5), negative borders,
+    values equal to a border and NaN.  Past the live objects a zero fed to
+    an unmasked compare exceeds the negative borders, so every bit there
+    must be clear, over a dirty buffer."""
+    lib = native.kernels()
+    if lib is None:
+        pytest.skip("no native binarizer on this host")
+    rng = np.random.default_rng(21)
+    rows = [np.sort(rng.choice(np.arange(-8, 8, dtype=np.float32) / 4, size=3, replace=False))
+            for _ in range(21)]
+    trees = tuple(ObliviousTree(1, (SplitCondition(f, o),), np.zeros(2))
+                  for f, row in enumerate(rows) for o in range(row.size))
+    model = ObliviousModel(tuple(FloatFeatureBorders(f, row) for f, row in enumerate(rows)),
+                           trees, scale=1.0, bias=0.0)
+    tables = ModelTables(model)
+    features, borders = checked_conditions(model, tables)
+    assert (borders < 0).sum() >= 21
+    pool = np.concatenate([np.arange(-10, 10, dtype=np.float32) / 4, [np.nan]]).astype(np.float32)
+    raw = rng.choice(pool, size=(128, 21))
+    bound = native.BoundKernels(lib, tables, tables.bank(LeafPrecision.BINARY64), 2)
+    for live in range(1, 129):
+        for matrix in (FeatureMatrix(raw[:live], Layout.OBJECT_MAJOR),
+                       FeatureMatrix(np.ascontiguousarray(raw[:live].T), Layout.FEATURE_MAJOR)):
+            masks, binarize, _ = bound.over(matrix, np.zeros(live))
+            masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)
+            binarize(0, live)
+            assert masks.shape == (-(-live // 64), borders.size)
+            expected = expected_masks(raw[:live], borders, features)
+            assert np.array_equal(masks, expected), (matrix.layout, live)
+            if live % 64:
+                assert not (masks[-1] >> np.uint64(live % 64)).any(), (matrix.layout, live)
