@@ -108,7 +108,7 @@ class BenchReport:
 
 
 # The vector ISA extensions among the CPU's flags.
-_ISA_FLAG = re.compile(r"(avx|sse|ssse)\w*|fma|f16c|bmi\d?")
+_ISA_FLAG = re.compile(r"(avx|sse|ssse)\w*|fma|f16c|gfni|bmi\d?")
 
 
 def _cpu_isa_flags(cpuinfo: str = "/proc/cpuinfo") -> str:
@@ -184,7 +184,7 @@ def _time_case(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple[int, Callab
     return inner, sample
 
 
-STAGE_CALLS = 5
+STAGE_CALLS = 31
 
 
 def _stage_columns(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple[float, float, int]:

@@ -25,17 +25,27 @@
  * (obtree_model.depth_runs), and each run is walked by code for its depth,
  * chosen once per run.  Tree by tree, the tree's table, held as byte planes
  * (LeafBank.planes: byte b of every leaf, back to back), is loaded into
- * registers once; then, group by group, the tree's leaf index is built in a
- * zmm by masked byte adds of 1 << level where the level's condition holds
- * (the tree's row of ModelTables.tree_cond names each level's condition),
- * its leaves are selected from the loaded planes and added into per-object
- * sums, so every object sums its leaves in tree order.  plane_select looks
+ * registers once; then, group by group, its leaves are selected from the
+ * loaded planes by the group's leaf indices and added into per-object sums,
+ * so every object sums its leaves in tree order.  A group's leaf indices,
+ * one byte per object, are built from the tree's row of
+ * ModelTables.tree_cond (each level's condition number, loaded once per tree
+ * as a ymm): one masked vpgatherdq reads the group's masks of the tree's
+ * levels, one vpermb transposes their 8 x 8 bytes, and one GF2P8AFFINEQB
+ * bit-transposes each 8 x 8 block, so bit k of byte o is level k's condition
+ * for object o (leaf_indices).  On Sapphire Rapids the selects' vpermb
+ * and vpermt2b run on port 5 only, and so does a kmovq from memory to a mask
+ * register: an index built by one kmovq and one masked byte add per level
+ * put `depth` more uops on that port per group, where this build puts one,
+ * its vpermb.  Within a run the indices are built a tree ahead, while the
+ * tree before selects, which hides the gather's latency.  plane_select looks
  * one byte of all 64 objects' leaves up in one plane: vpermb for depth <= 6
  * (the plane loaded under a mask, so nothing past the table is read),
- * vpermt2b over 128 bytes for depth 7, and two vpermt2b blended by level
- * 7's condition for depth 8.  Unpacks interleave the planes into leaves:
- * 8 planes and 24 unpacks give binary64 leaves and sums; 2 planes and 2
- * unpacks give binary16 leaves, which vcvtph2ps widens to binary32 sums.
+ * vpermt2b over 128 bytes for depth 7, and two vpermt2b blended by bit 7 of
+ * the index, level 7's condition, for depth 8.  Unpacks interleave the
+ * planes into leaves: 8 planes and 24 unpacks give binary64 leaves and sums;
+ * 2 planes and 2 unpacks give binary16 leaves, which vcvtph2ps widens to
+ * binary32 sums.
  * The sums start at zero; each live object's score, (double)sum * scale +
  * bias, is written straight to the output, and nothing past `live` is.
  *
@@ -67,20 +77,21 @@ typedef struct {
     double scale, bias;
 } obtree_model;
 
-#define KERNEL __attribute__((target("avx512f,avx512bw,avx512vbmi,f16c")))
+#define KERNEL __attribute__((target("avx512f,avx512bw,avx512vbmi,gfni,f16c")))
 
 /* 64-object groups the fold sums at once: their sums, MAX_GROUPS x 64 x 8
  * bytes, are a fixed array on the stack. */
 #define MAX_GROUPS 2
 
-/* Bit 0: avx512f, bit 1: avx512bw, bit 2: f16c, bit 3: avx512vbmi. */
+/* Bit 0: avx512f, bit 1: avx512bw, bit 2: f16c, bit 3: avx512vbmi, bit 4: gfni. */
 int obtree_cpu_flags(void)
 {
     __builtin_cpu_init();
     return (__builtin_cpu_supports("avx512f") ? 1 : 0)
          | (__builtin_cpu_supports("avx512bw") ? 2 : 0)
          | (__builtin_cpu_supports("f16c") ? 4 : 0)
-         | (__builtin_cpu_supports("avx512vbmi") ? 8 : 0);
+         | (__builtin_cpu_supports("avx512vbmi") ? 8 : 0)
+         | (__builtin_cpu_supports("gfni") ? 16 : 0);
 }
 
 /* In-place transpose of 16 vectors of 16 floats. */
@@ -251,16 +262,28 @@ KERNEL void obtree_binarize(const obtree_model *m, const float *values, int64_t 
         binarize(m, values, 0, row_length, live, masks);
 }
 
-/* Bits 0 .. levels-1 of the leaf index of a group's objects, one per byte
- * lane: bit[k] = 1 << k is added in the lanes where level k's condition
- * holds. */
-KERNEL static inline __attribute__((always_inline)) __m512i leaf_index(
-    const uint64_t *masks, const int32_t *cond, int levels, const __m512i *bit)
+/* Qword j of the transpose below: byte m is 8 * (7 - m) + j. */
+#define TRANSPOSE_ROW(j) (0x0008101820283038LL + (j) * 0x0101010101010101LL)
+
+/* The leaf indices of a group's 64 objects, one per byte lane, for a tree
+ * of `depth` levels whose condition numbers are cond (its tree_cond row):
+ * bit k of byte o is level k's condition for object o.  One gather reads
+ * the group's masks of the tree's levels into qwords 0 .. depth-1, the
+ * rest left zero and not read; byte j of qword k then holds level k for
+ * objects 8j .. 8j + 7.  One vpermb moves byte 8k + j to byte 8j + 7 - k,
+ * and one GF2P8AFFINEQB of the bytes 1 << i (as data) by that matrix sets
+ * bit k of byte 8j + i to bit i of byte 8j + 7 - k: the bit-transpose of
+ * each 8 x 8 block. */
+KERNEL static inline __attribute__((always_inline)) __m512i leaf_indices(
+    const uint64_t *group, __m256i cond, int depth)
 {
-    __m512i idx = _mm512_setzero_si512();
-    for (int k = 0; k < levels; k++)
-        idx = _mm512_mask_add_epi8(idx, _cvtu64_mask64(masks[cond[k]]), idx, bit[k]);
-    return idx;
+    const __m512i transpose = _mm512_set_epi64(
+        TRANSPOSE_ROW(7), TRANSPOSE_ROW(6), TRANSPOSE_ROW(5), TRANSPOSE_ROW(4),
+        TRANSPOSE_ROW(3), TRANSPOSE_ROW(2), TRANSPOSE_ROW(1), TRANSPOSE_ROW(0));
+    __m512i levels = _mm512_mask_i32gather_epi64(_mm512_setzero_si512(),
+                                                 (__mmask8)((1u << depth) - 1), cond, group, 8);
+    return _mm512_gf2p8affine_epi64_epi8(_mm512_set1_epi64(0x8040201008040201LL),
+                                         _mm512_permutexvar_epi8(transpose, levels), 0);
 }
 
 /* A byte plane of 2**depth bytes at p as the vectors plane_select reads:
@@ -331,24 +354,36 @@ KERNEL static void lane_order(int width, uint8_t order[64])
 
 /* Adds the leaves of trees [t0, t1), all of one depth, to the sums of
  * `groups` 64-object groups, for fold_groups() below.  Each tree's `width`
- * byte planes are loaded once, then serve the selects of every group. */
+ * byte planes are loaded once, then serve the selects of every group.  The
+ * leaf indices run a tree ahead: the run's first tree's are built before
+ * the loop, and each tree but the run's last builds the next one's, so no
+ * tree_cond row past the run is read. */
 KERNEL static inline __attribute__((always_inline)) void fold_run(
     const obtree_model *m, int64_t t0, int64_t t1, int depth, const uint64_t *masks,
-    int64_t groups, int width, const __m512i *bit, char *sum)
+    int64_t groups, int width, char *sum)
 {
     const uint8_t *tree = m->planes + width * m->offsets[t0];
+    const int32_t *tree_cond = m->tree_cond;
+    int64_t n_cond = m->n_cond;
+    __m512i idx[MAX_GROUPS];
+    __m256i cond = _mm256_loadu_si256((const __m256i *)(tree_cond + 8 * t0));
+    for (int64_t g = 0; g < groups; g++)
+        idx[g] = leaf_indices(masks + g * n_cond, cond, depth);
     for (int64_t t = t0; t < t1; t++, tree += width << depth) {
-        const int32_t *cond = m->tree_cond + 8 * t;
         __m512i plane[8][4];
         for (int b = 0; b < width; b++)
             load_plane(tree + (b << depth), depth, plane[b]);
+        int next = t + 1 < t1;
+        if (next)
+            cond = _mm256_loadu_si256((const __m256i *)(tree_cond + 8 * (t + 1)));
         for (int64_t g = 0; g < groups; g++) {
-            const uint64_t *group = masks + g * m->n_cond;
-            __m512i idx = leaf_index(group, cond, depth < 7 ? depth : 7, bit);
-            __mmask64 level7 = _cvtu64_mask64(depth == 8 ? group[cond[7]] : 0);
+            __m512i index = idx[g];
+            if (next)
+                idx[g] = leaf_indices(masks + g * n_cond, cond, depth);
+            __mmask64 level7 = depth == 8 ? _mm512_movepi8_mask(index) : 0;
             __m512i x[8];
             for (int b = 0; b < width; b++)
-                x[b] = plane_select(plane[b], depth, idx, level7);
+                x[b] = plane_select(plane[b], depth, index, level7);
             interleave(x, width);
             char *s = sum + 64 * g * (width == 8 ? 8 : 4);
             if (width == 8)
@@ -373,7 +408,7 @@ KERNEL static inline __attribute__((always_inline)) void fold_run(
  * of group g is that of object 64g + order[j]. */
 KERNEL static inline __attribute__((always_inline)) void fold_groups(
     const obtree_model *m, const uint64_t *masks, int64_t live, int width,
-    const uint8_t *order, const __m512i *bit, double *out)
+    const uint8_t *order, double *out)
 {
     const int64_t *depth_runs = m->depth_runs, *offsets = m->offsets;
     int64_t groups = (live + 63) / 64;
@@ -385,7 +420,7 @@ KERNEL static inline __attribute__((always_inline)) void fold_groups(
         /* A constant depth in each fold_run: about 10% faster than one loop
          * over a variable depth. */
         switch (__builtin_ctzll((unsigned long long)(offsets[t0 + 1] - offsets[t0]))) {
-#define DEPTH(d) case d: fold_run(m, t0, t1, d, masks, groups, width, bit, sum); break;
+#define DEPTH(d) case d: fold_run(m, t0, t1, d, masks, groups, width, sum); break;
         DEPTH(1) DEPTH(2) DEPTH(3) DEPTH(4) DEPTH(5) DEPTH(6) DEPTH(7) DEPTH(8)
 #undef DEPTH
         }
@@ -407,14 +442,11 @@ KERNEL static inline __attribute__((always_inline)) void fold(
     const obtree_model *m, const uint64_t *masks, int64_t live, int width, double *out)
 {
     uint8_t order[64];
-    __m512i bit[7];
     lane_order(width, order);
-    for (int k = 0; k < 7; k++)
-        bit[k] = _mm512_set1_epi8((char)(1 << k));
     for (int64_t begin = 0; begin < live; begin += 64 * MAX_GROUPS)
         fold_groups(m, masks + begin / 64 * m->n_cond,
                     live - begin < 64 * MAX_GROUPS ? live - begin : 64 * MAX_GROUPS, width,
-                    order, bit, out + begin);
+                    order, out + begin);
 }
 
 KERNEL void obtree_fold_binary16(const obtree_model *m, const uint64_t *masks, int64_t live,

@@ -18,9 +18,10 @@ the system C compiler into a private temporary directory, loads it through
 ``ctypes`` and deletes the directory; the loaded library stays mapped for
 the life of the process.  Without a compiler, after a failed build, when the
 library lacks one of the kernels, or on a CPU that lacks any of
-``CPU_FLAGS`` (AVX-512 CPUs without VBMI, such as Skylake-SP and Cascade
-Lake, among them), ``kernels()`` returns None, the engine runs its numpy stages
-instead, and the reason is logged as a warning on the ``obtree`` logger.
+``CPU_FLAGS`` (AVX-512 CPUs without VBMI or GFNI, such as Skylake-SP and
+Cascade Lake, among them), ``kernels()`` returns None, the engine runs its
+numpy stages instead, and the reason is logged as a warning on the
+``obtree`` logger.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ COMPILER = "gcc"
 # No -march=native and no -ffast-math: the kernels name their ISA in a target
 # attribute, and bit identity needs every add rounded on its own.
 CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-CPU_FLAGS = ("avx512f", "avx512bw", "f16c", "avx512vbmi")  # bit k of obtree_cpu_flags()
+CPU_FLAGS = ("avx512f", "avx512bw", "f16c", "avx512vbmi", "gfni")  # bit k of obtree_cpu_flags()
 BUILD_TIMEOUT_S = 120
 NAME = "avx512"
 

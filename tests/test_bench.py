@@ -119,7 +119,7 @@ class TestRunMatrix:
         model = generate_synthetic_model(TINY)
         report = run_matrix(model, [tiny_case()])
         assert report.metadata["backend"] == Evaluator(model).backend
-        assert report.metadata["cpu_flags_checked"] == "avx512f,avx512bw,f16c,avx512vbmi"
+        assert report.metadata["cpu_flags_checked"] == "avx512f,avx512bw,f16c,avx512vbmi,gfni"
         assert report.metadata["block_size"] == EvalConfig.block_size == 128
         clock = time.get_clock_info("process_time")
         assert report.metadata["clock"] == (
@@ -136,10 +136,10 @@ class TestRunMatrix:
         cpuinfo = tmp_path / "cpuinfo"
         cpuinfo.write_text(
             "processor\t: 0\nflags\t\t: fpu sse sse2 ssse3 sse4_2 fma f16c avx avx2 bmi2 "
-            "avx512f avx512_fp16 aes\nflags\t\t: avx512bw\n"
+            "avx512f avx512_fp16 gfni aes\nflags\t\t: avx512bw\n"
         )
         assert bench._cpu_isa_flags(str(cpuinfo)) == (
-            "sse,sse2,ssse3,sse4_2,fma,f16c,avx,avx2,bmi2,avx512f,avx512_fp16"
+            "sse,sse2,ssse3,sse4_2,fma,f16c,avx,avx2,bmi2,avx512f,avx512_fp16,gfni"
         )
         assert bench._cpu_isa_flags(str(tmp_path / "missing")) == "unreadable"
 
@@ -227,8 +227,9 @@ class TestRunMatrix:
                 k = len(calls)
                 stats.stage1_s, stats.fold_s, stats.scratch_bytes = k * 1.0, 10.0 - k, 100 * k
 
-        assert bench._stage_columns(Recording(), None) == (3.0, 7.0, 300)
-        assert len(calls) == bench.STAGE_CALLS == 5
+        middle = (bench.STAGE_CALLS + 1) // 2
+        assert bench._stage_columns(Recording(), None) == (middle, 10.0 - middle, 100 * middle)
+        assert len(calls) == bench.STAGE_CALLS == 31
         assert all(isinstance(stats, EvalStats) for stats in calls)
 
 

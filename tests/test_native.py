@@ -131,12 +131,15 @@ def test_library_lacking_a_kernel_falls_back_naming_it(symbol, monkeypatch, capl
     assert any(symbol in message for message in warnings), warnings
 
 
-def test_cpu_without_vbmi_falls_back_naming_it(monkeypatch, caplog, tmp_path):
-    """A CPU with AVX-512 but without VBMI (Skylake-SP, Cascade Lake) runs numpy."""
+@pytest.mark.parametrize("flag, bit", [("avx512vbmi", 8), ("gfni", 16)],
+                         ids=["avx512vbmi", "gfni"])
+def test_cpu_without_vbmi_or_gfni_falls_back_naming_it(flag, bit, monkeypatch, caplog, tmp_path):
+    """A CPU with AVX-512 but without VBMI (Skylake-SP, Cascade Lake), or
+    without GFNI, runs numpy."""
     if shutil.which(native.COMPILER) is None:
         pytest.skip("no C compiler")
     source = tmp_path / "native.c"
-    checked = '(__builtin_cpu_supports("avx512vbmi") ? 8 : 0)'
+    checked = f'(__builtin_cpu_supports("{flag}") ? {bit} : 0)'
     text = (PACKAGE / "native.c").read_text(encoding="utf-8")
     assert checked in text
     source.write_text(text.replace(checked, "0"), encoding="utf-8")
@@ -152,7 +155,7 @@ def test_cpu_without_vbmi_falls_back_naming_it(monkeypatch, caplog, tmp_path):
         evaluator = Evaluator(model)
     assert evaluator.backend == "numpy"
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert any("lacks avx512vbmi" in message for message in warnings), warnings
+    assert any(f"lacks {flag}" in message for message in warnings), warnings
     matrix = generate_feature_matrix(70, model.n_features, seed=2)
     assert np.array_equal(evaluator.predict(matrix).view(np.uint64),
                           evaluate_scalar(model, matrix).view(np.uint64))
@@ -258,6 +261,48 @@ def test_blocks_write_the_scores_of_the_batch_only(precision):
                     if groups == 2:
                         scores = evaluator.predict(matrix).view(np.uint64)
                         assert np.array_equal(scores, oracle[:n]), context
+
+
+def trees_of_depths(depths) -> ObliviousModel:
+    """A model of one tree per entry of ``depths``, over 12 features of 9
+    borders each, so that a tree's conditions lie far apart in a group's masks."""
+    borders = np.linspace(-0.2, 1.2, 9, dtype=np.float32)  # inside the batches' values
+    features = tuple(FloatFeatureBorders(i, borders) for i in range(12))
+    rng = np.random.default_rng(len(depths))
+    trees = tuple(
+        ObliviousTree(depth, tuple(SplitCondition(int(rng.integers(12)), int(rng.integers(9)))
+                                   for _ in range(depth)), rng.normal(0.0, 3.0, 1 << depth))
+        for depth in depths
+    )
+    return ObliviousModel(features, trees, scale=0.75, bias=-0.5)
+
+
+# The fold builds a tree's leaf indices while the tree before it in its run
+# of equal depth selects: each run's first tree is built ahead of the run,
+# its last builds none.  Runs of 5 trees of every depth, runs of length 1,
+# runs of 2-3, and a model of one tree.
+_RUNS = {
+    **{f"depth{d}": (d,) * 5 for d in range(1, 9)},
+    "runs-of-1": (3, 8, 1, 7, 2, 6, 4, 5, 8, 1, 8),
+    "runs-of-2-3": (5, 5, 8, 8, 8, 2, 2, 7, 7, 7, 1, 1, 6, 6, 6, 8, 8),
+    "one-tree": (8,),
+}
+
+
+@pytest.mark.parametrize("depths", list(_RUNS.values()), ids=list(_RUNS))
+@pytest.mark.parametrize("strategy", [LeafStrategy.NAIVE, LeafStrategy.PERMUTE16],
+                         ids=["binary64", "binary16"])
+def test_fold_runs_of_every_length_match_the_oracle(depths, strategy):
+    """Each tree's leaf indices, built a tree ahead within its run, give the
+    oracle's bits on batches around the 64-object group and the block."""
+    model = trees_of_depths(depths)
+    evaluator = Evaluator(model, EvalConfig(strategy))
+    if evaluator.backend == "numpy":
+        pytest.skip("no avx512 backend on this host")
+    for n in (1, 63, 64, 65, 128, 129):
+        matrix = generate_feature_matrix(n, 12, seed=n, nan_fraction=0.05)
+        oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
+        assert np.array_equal(evaluator.predict(matrix).view(np.uint64), oracle), n
 
 
 # Besides its arrays, a predict's traced peak holds a few KB of Python
