@@ -34,11 +34,11 @@
  * levels, one vpermb transposes their 8 x 8 bytes, and one GF2P8AFFINEQB
  * bit-transposes each 8 x 8 block, so bit k of byte o is level k's condition
  * for object o (leaf_indices).  On Sapphire Rapids the selects' vpermb
- * and vpermt2b run on port 5 only, and so does a kmovq from memory to a mask
- * register: an index built by one kmovq and one masked byte add per level
- * put `depth` more uops on that port per group, where this build puts one,
- * its vpermb.  Within a run the indices are built a tree ahead, while the
- * tree before selects, which hides the gather's latency.  plane_select looks
+ * and vpermt2b run on port 5 only, as does a kmovq from memory to a mask
+ * register: this build puts one uop per group on that port, its vpermb,
+ * where masked byte adds of each level's mask would put `depth` kmovq.
+ * Within a run the indices are built a tree ahead, while the tree before
+ * selects, which hides the gather's latency.  plane_select looks
  * one byte of all 64 objects' leaves up in one plane: vpermb for depth <= 6
  * (the plane loaded under a mask, so nothing past the table is read),
  * vpermt2b over 128 bytes for depth 7, and two vpermt2b blended by bit 7 of
