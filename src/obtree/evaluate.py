@@ -14,8 +14,9 @@ run in one of two backends chosen when an ``Evaluator`` is made
   binary32 values, and the fold kernels read those masks group by group and
   write the finished scores.  They read each tree's conditions from its row
   of ``ModelTables.tree_cond`` and load each tree's byte planes once for all
-  the groups they fold.  Everything else they read about the model, such as
-  its runs of trees of equal depth, ``native.BoundKernels`` finds;
+  the groups they fold.  Those planes, a byte transpose of the leaf bank,
+  and everything else they read about the model, such as its runs of trees
+  of equal depth, ``native.BoundKernels`` builds;
 * ``numpy``: array operations.  Stage 1 writes a (conditions x objects)
   panel of 0/1 bytes; stages 2-3 gather its rows into a (trees x objects)
   panel covering a block's live objects rounded up to a multiple of 8, so
@@ -38,9 +39,9 @@ The three leaf-load strategies name the paper's AVX2/AVX-512 load
 mechanics.  A strategy selects only its leaf precision: ``naive`` and
 ``permute64`` run the same program on the binary64 bank, ``permute16`` on
 the binary16 bank, widened to binary32.  The ``avx512`` backend selects both
-from the bank's byte planes by ``vpermb``/``vpermt2b``.  The strategy is the
-only setting of ``EvalConfig``; the block size and the tail policy (whole
-groups, then a scalar remainder) are its constants.  The tail plan changes
+by ``vpermb``/``vpermt2b`` from byte planes that it builds from the bank.
+The strategy is the only setting of ``EvalConfig``; the block size and the
+tail policy (whole groups, then a scalar remainder) are its constants.  The tail plan changes
 neither what runs nor the bits.
 """
 

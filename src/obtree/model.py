@@ -360,19 +360,13 @@ class LeafBank:
 
     ``values`` is a single flat array with no padding; tree ``t`` owns its
     ``2**depth`` leaves at ``values[offsets[t] : offsets[t + 1]]``.
-    ``planes`` (uint8) holds the same tables as byte planes, for the native
-    fold kernels: each tree's bytes keep their place in ``values``' bytes,
-    but byte ``b`` of its leaf ``i`` moves to ``b * 2**depth + i`` within
-    them (``byte_planes``).
     ``saturation_count`` counts binary16 conversions clamped to +/-65504.
     """
 
     precision: LeafPrecision
     values: np.ndarray
     offsets: np.ndarray   # int64, n_trees + 1 entries: where each table starts, then the end
-    max_abs_leaf: float
     saturation_count: int
-    planes: np.ndarray
 
     def table(self, tree_index: int) -> np.ndarray:
         return self.values[self.offsets[tree_index] : self.offsets[tree_index + 1]]
@@ -380,30 +374,6 @@ class LeafBank:
     @property
     def n_trees(self) -> int:
         return self.offsets.size - 1
-
-
-def run_bounds(keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal ``keys`` starts, then ``keys.size``, as int64."""
-    return np.append(np.flatnonzero(np.diff(keys, prepend=-1)), keys.size).astype(np.int64)
-
-
-def byte_planes(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The leaf tables ``values[offsets[t] : offsets[t + 1]]`` as byte planes.
-
-    Each table of ``n`` leaves of ``B`` bytes becomes its ``B`` x ``n``
-    byte transpose, in the same place: plane ``b`` holds byte ``b`` of every
-    leaf.  Each run of equal-size tables is transposed in one operation.
-    """
-    width = values.itemsize
-    raw = values.view(np.uint8)
-    planes = np.empty_like(raw)
-    runs = run_bounds(np.diff(offsets))
-    for first, end in zip(runs[:-1], runs[1:]):
-        trees, n = end - first, offsets[first + 1] - offsets[first]
-        lo, hi = offsets[first] * width, offsets[end] * width
-        planes[lo:hi].reshape(trees, width, n)[...] = (
-            raw[lo:hi].reshape(trees, n, width).swapaxes(1, 2))
-    return planes
 
 
 def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank:
@@ -419,8 +389,7 @@ def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank
     if not isinstance(precision, LeafPrecision):
         raise TypeError(f"precision: {precision!r} is not a LeafPrecision")
     require_valid(model)
-    leaves, offsets = model.leaves, model.leaf_offsets
-    max_abs = float(max(-leaves.min(initial=0.0), leaves.max(initial=0.0)))
+    leaves = model.leaves
     saturated = 0
     if precision is LeafPrecision.BINARY64:
         values = leaves
@@ -428,7 +397,7 @@ def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank
         with np.errstate(over="ignore"):
             values = leaves.astype(np.float16)
         overflow = np.isinf(values)
-        saturated = int(overflow.sum())
+        saturated = int(np.count_nonzero(overflow))
         values[overflow] = np.where(leaves[overflow] > 0, HALF_MAX, -HALF_MAX)
         if saturated:
             log.warning(
@@ -436,11 +405,5 @@ def build_leaf_bank(model: ObliviousModel, precision: LeafPrecision) -> LeafBank
                 leaves.size, HALF_MAX,
             )
 
-    return LeafBank(
-        precision=precision,
-        values=_readonly(values),
-        offsets=offsets,
-        max_abs_leaf=max_abs,
-        saturation_count=saturated,
-        planes=_readonly(byte_planes(values, offsets)),
-    )
+    return LeafBank(precision=precision, values=_readonly(values), offsets=model.leaf_offsets,
+                    saturation_count=saturated)

@@ -24,11 +24,11 @@
  * per byte lane of a 512-bit vector.  The trees come in runs of equal depth
  * (obtree_model.depth_runs), and each run is walked by code for its depth,
  * chosen once per run.  Tree by tree, the tree's table, held as byte planes
- * (LeafBank.planes: byte b of every leaf, back to back), is loaded into
- * registers once; then, group by group, its leaves are selected from the
- * loaded planes by the group's leaf indices and added into per-object sums,
- * so every object sums its leaves in tree order.  A group's leaf indices,
- * one byte per object, are built from the tree's row of
+ * (built by native.BoundKernels from the leaf bank: byte b of every leaf,
+ * back to back), is loaded into registers once; then, group by group, its
+ * leaves are selected from the loaded planes by the group's leaf indices and
+ * added into per-object sums, so every object sums its leaves in tree order.
+ * A group's leaf indices, one byte per object, are built from the tree's row of
  * ModelTables.tree_cond (each level's condition number, loaded once per tree
  * as a ymm): one masked vpgatherdq reads the group's masks of the tree's
  * levels, one vpermb transposes their 8 x 8 bytes, and one GF2P8AFFINEQB

@@ -4,14 +4,15 @@ Stage 1 is one binarization kernel: it tests every distinct split
 condition of the model on a block's raw binary32 values, one compare per
 condition and 16 objects, into one 64-bit mask per 64-object group and
 condition.  Stages 2-3 are one fold kernel per leaf precision, which reads
-those masks and selects each tree's leaves from its byte planes
-(``LeafBank.planes``) by ``vpermb``/``vpermt2b``, one select per leaf byte
-for 64 objects, and writes each object's score, ``scale * sum + bias``.
-``BoundKernels`` binds both to a model as one C struct, ``obtree_model``,
-and finds the runs the kernels walk: conditions of one feature and of one
-16-feature tile, and trees of one depth.  A ``predict`` call checks its
-arrays once (``BoundKernels.over``) and then makes one kernel call per stage
-and block, passing the matrix's layout to the binarizer.
+those masks and selects each tree's leaves from its byte planes by
+``vpermb``/``vpermt2b``, one select per leaf byte for 64 objects, and writes
+each object's score, ``scale * sum + bias``.  ``BoundKernels`` binds both to
+a model as one C struct, ``obtree_model``, and builds what only the kernels
+read: the leaf bank's byte planes (``byte_planes``), and the runs the
+kernels walk: conditions of one feature and of one 16-feature tile, and
+trees of one depth.  A ``predict`` call checks its arrays once
+(``BoundKernels.over``) and then makes one kernel call per stage and block,
+passing the matrix's layout to the binarizer.
 
 The first ``Evaluator`` of a process compiles the package's C source with
 the system C compiler into a private temporary directory, loads it through
@@ -37,7 +38,7 @@ import time
 
 import numpy as np
 
-from .model import LeafBank, LeafPrecision, run_bounds
+from .model import LeafBank, LeafPrecision
 from .quantize import FeatureMatrix, Layout
 
 log = logging.getLogger("obtree")
@@ -69,18 +70,43 @@ class _Model(ctypes.Structure):
     ]
 
 
+def run_bounds(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal ``keys`` starts, then ``keys.size``, as int64."""
+    return np.append(np.flatnonzero(np.diff(keys, prepend=-1)), keys.size).astype(np.int64)
+
+
+def byte_planes(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The leaf tables ``values[offsets[t] : offsets[t + 1]]`` as byte planes.
+
+    Each table of ``n`` leaves of ``B`` bytes becomes its ``B`` x ``n``
+    byte transpose, in the same place: plane ``b`` holds byte ``b`` of every
+    leaf.  Each run of equal-size tables is transposed in one operation.
+    """
+    width = values.itemsize
+    raw = values.view(np.uint8)
+    planes = np.empty_like(raw)
+    runs = run_bounds(np.diff(offsets))
+    for first, end in zip(runs[:-1], runs[1:]):
+        trees, n = end - first, offsets[first + 1] - offsets[first]
+        lo, hi = offsets[first] * width, offsets[end] * width
+        planes[lo:hi].reshape(trees, width, n)[...] = (
+            raw[lo:hi].reshape(trees, n, width).swapaxes(1, 2))
+    return planes
+
+
 class BoundKernels:
     """The binarization kernel and the fold kernel of the bank's leaf
     precision, from the loaded library ``lib``, bound to a model's
     ``ModelTables`` and leaf bank, for blocks of at most ``groups`` 64-object
-    groups.  The runs the kernels walk are found here, and one
-    ``obtree_model`` is built with every pointer into them, the tables and
-    the bank; it reads those arrays for as long as this object holds them."""
+    groups.  The bank's byte planes and the runs the kernels walk are built
+    here, and one ``obtree_model`` is built with every pointer into them and
+    the tables; it reads those arrays for as long as this object holds them."""
 
     def __init__(self, lib: ctypes.CDLL, tables, bank: LeafBank, groups: int):
+        binary64 = bank.precision is LeafPrecision.BINARY64
         for array, dtype in ((tables.cond_feature, np.intp), (tables.cond_border, np.float32),
                              (tables.tree_cond, np.int32), (bank.offsets, np.int64),
-                             (bank.planes, np.uint8)):
+                             (bank.values, np.float64 if binary64 else np.float16)):
             _require(array, np.dtype(dtype))
         # The fold walks the bank's tables with the tables' condition rows.
         depths = tables.model.depths
@@ -89,15 +115,16 @@ class BoundKernels:
                              f"{tables.n_trees} trees of the tables and their depths")
         self._binarize, self._groups = lib.obtree_binarize, groups
         self._fold = getattr(lib, f"obtree_fold_{bank.precision.value}")
-        self._sum_bytes = 64 * (8 if bank.precision is LeafPrecision.BINARY64 else 4)
+        self._sum_bytes = 64 * (8 if binary64 else 4)
+        planes = byte_planes(bank.values, bank.offsets)
         feature_runs = run_bounds(tables.cond_feature)
         tile_runs = run_bounds(tables.cond_feature >> 4)
         depth_runs = run_bounds(depths)
-        self._held = (tables, bank, feature_runs, tile_runs, depth_runs)
+        self._held = (tables, bank, planes, feature_runs, tile_runs, depth_runs)
         self._model = _Model(
             tables.cond_feature.ctypes.data, feature_runs.ctypes.data, tile_runs.ctypes.data,
             bank.offsets.ctypes.data, depth_runs.ctypes.data, tables.tree_cond.ctypes.data,
-            tables.cond_border.ctypes.data, bank.planes.ctypes.data, tables.cond_border.size,
+            tables.cond_border.ctypes.data, planes.ctypes.data, tables.cond_border.size,
             tables.model.n_features, feature_runs.size - 1, tile_runs.size - 1, depth_runs.size - 1,
             tables.model.scale, tables.model.bias,
         )
@@ -145,8 +172,8 @@ class BoundKernels:
                                               _address(out))
         span = 64 * len(masks)
         # The kernels read and write through raw addresses: each closure
-        # holds them, this object (its struct, runs, tables and bank) and the
-        # arrays.
+        # holds them, this object (its struct, planes, runs, tables and
+        # bank) and the arrays.
         held = (self._binarize, self._fold, self, values, masks, out)
 
         def binarize(begin: int, end: int) -> None:

@@ -91,7 +91,7 @@ def generate_feature_matrix(
     n_objects: int,
     n_features: int,
     seed: int,
-    layout: Layout = Layout.OBJECT_MAJOR,
+    layout: Layout | str = Layout.OBJECT_MAJOR,
     lo: float = -0.25,
     hi: float = 1.25,
     nan_fraction: float = 0.0,
@@ -104,7 +104,7 @@ def generate_feature_matrix(
     same order, makes it NaN below ``nan_fraction``, +inf or -inf on the two
     halves of the ``inf_fraction`` above that, and leaves it as drawn
     otherwise.  The special values exercise the quantizer's NaN and infinity
-    policy end to end.
+    policy end to end.  ``layout`` is a ``Layout`` or its value string.
     """
     for name, count in (("n_objects", n_objects), ("n_features", n_features)):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
@@ -119,6 +119,7 @@ def generate_feature_matrix(
             f"nan_fraction + inf_fraction must not exceed 1, got {nan_fraction} + {inf_fraction}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"lo and hi must be finite with lo < hi, got lo={lo}, hi={hi}")
+    layout = Layout(layout)
 
     stream = _stream(seed)
     size = n_objects * n_features

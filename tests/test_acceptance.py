@@ -112,8 +112,7 @@ def corpus_sweep(each_backend) -> SweepOutcome:
         preds64 = evaluate(model, big, EvalConfig(strategy=LeafStrategy.NAIVE))
         preds16 = evaluate(model, big, EvalConfig(strategy=LeafStrategy.PERMUTE16))
         metrics = deviation_metrics(preds64, preds16)
-        bank = tables.bank(LeafPrecision.BINARY16)
-        bound = abs(model.scale) * model.n_trees * bank.max_abs_leaf * 2.0**-10
+        bound = abs(model.scale) * model.n_trees * np.abs(model.leaves).max() * 2.0**-10
         outcome.fp16_checks.append((index, metrics.max_abs, bound, metrics))
         outcome.n_models += 1
         outcome.depths.add(spec.depth)
@@ -239,10 +238,7 @@ def test_criterion_06_classification_flip_parity():
     preds64 = evaluate(model, matrix, EvalConfig(strategy=LeafStrategy.NAIVE))
     preds16 = evaluate(model, matrix, EvalConfig(strategy=LeafStrategy.PERMUTE16))
 
-    from obtree import build_leaf_bank
-
-    bank = build_leaf_bank(model, LeafPrecision.BINARY16)
-    bound = abs(model.scale) * n_trees * bank.max_abs_leaf * 2.0**-10
+    bound = abs(model.scale) * n_trees * np.abs(model.leaves).max() * 2.0**-10
     margin = float(np.min(np.abs(preds64)))
     assert (preds64 > 0).any() and (preds64 < 0).any()  # both classes present
     assert margin >= 10.0 * bound, (margin, bound)

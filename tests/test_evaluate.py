@@ -31,7 +31,8 @@ from obtree import (
     plan_blocks,
 )
 from obtree.evaluate import _ROW_ORDER_REDUCE, Evaluator, ModelTables, _widen_binary16
-from obtree.model import ObliviousModel, ObliviousTree, FloatFeatureBorders, run_bounds
+from obtree.model import ObliviousModel, ObliviousTree, FloatFeatureBorders
+from obtree.native import run_bounds
 
 
 def corpus_model(seed, n_features=10, borders=12, trees=40, depth=6):

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -459,23 +460,6 @@ class TestLeafBank:
         assert bank.saturation_count == 0
         assert caplog.records == []
 
-    @pytest.mark.parametrize("precision", list(LeafPrecision))
-    def test_byte_planes_transpose_each_table(self, precision):
-        # Runs of every depth from 1 to 8, runs of one tree, and a depth that
-        # recurs after other depths.
-        depths = [1, 1, 2, 3, 3, 3, 4, 5, 6, 6, 7, 8, 8, 5, 8, 7, 1]
-        rng = np.random.default_rng(7)
-        trees = [make_tree([(0, 0)] * d, rng.normal(0.0, 4.0, 1 << d)) for d in depths]
-        bank = build_leaf_bank(make_model([[0.5]], trees), precision)
-        width = bank.values.itemsize
-        assert bank.planes.dtype == np.uint8 and bank.planes.size == bank.values.nbytes
-        assert not bank.planes.flags.writeable
-        for t, d in enumerate(depths):
-            table = bank.table(t)
-            expected = table.view(np.uint8).reshape(1 << d, width).T.reshape(-1)
-            got = bank.planes[bank.offsets[t] * width : bank.offsets[t + 1] * width]
-            assert np.array_equal(got, expected), (precision, t, d)
-
     def test_binary16_nearest_within_half_ulp(self):
         tree = make_tree([(0, 0)], [0.1, 0.2])
         bank = build_leaf_bank(make_model([[0.5]], [tree]), LeafPrecision.BINARY16)
@@ -534,11 +518,10 @@ class TestLeafBank:
                 assert tree.leaf_values.size == end - first
         reference = build_leaf_bank(built, precision)
         bank = build_leaf_bank(loaded, precision)
-        for name in ("values", "offsets", "planes"):
+        for name in ("values", "offsets"):
             assert getattr(bank, name).tobytes() == getattr(reference, name).tobytes(), name
         assert bank.values.dtype == reference.values.dtype
-        assert (bank.max_abs_leaf, bank.saturation_count) == (
-            reference.max_abs_leaf, reference.saturation_count)
+        assert bank.saturation_count == reference.saturation_count
         assert reference.saturation_count > 0 or precision is LeafPrecision.BINARY64
         assert not bank.values.flags.writeable
         # A binary64 bank is the model's leaf array itself, not a copy; the
@@ -546,10 +529,25 @@ class TestLeafBank:
         assert np.shares_memory(bank.values, loaded.leaves) == (precision is LeafPrecision.BINARY64)
         assert not any(np.shares_memory(built.leaves, tree.leaf_values) for tree in trees)
 
-    def test_max_abs_leaf(self):
-        trees = [make_tree([(0, 0)], [1.0, -9.5]), make_tree([(0, 0)], [3.0, 2.0])]
-        bank = build_leaf_bank(make_model([[0.5]], trees), LeafPrecision.BINARY64)
-        assert bank.max_abs_leaf == 9.5
+    @pytest.mark.parametrize("precision", list(LeafPrecision))
+    def test_bank_allocates_only_its_values(self, precision):
+        # 102,400 leaves.  A binary64 bank is the model's leaf array itself;
+        # a binary16 bank allocates its values and the overflow mask, one
+        # byte per leaf.
+        model = generate_synthetic_model(SyntheticSpec(4, 8, 400, 8, seed=9))
+        assert validate_model(model) == []
+        tracemalloc.start()
+        try:
+            bank = build_leaf_bank(model, precision)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 16_384
+        if precision is LeafPrecision.BINARY64:
+            assert bank.values is model.leaves
+            assert peak < slack, peak
+        else:
+            assert peak < bank.values.nbytes + model.leaves.size + slack, peak
 
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError, match="invalid model"):
@@ -694,9 +692,12 @@ class TestGenerator:
 
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0), (np.int64(2), np.uint8(3))])
     def test_feature_matrix_takes_zero_and_numpy_integer_shapes(self, shape):
-        for layout in Layout:
+        for layout in [*Layout, "object-major", "feature-major"]:
             matrix = generate_feature_matrix(*shape, seed=1, layout=layout)
             assert (matrix.n_objects, matrix.n_features) == shape
+            assert matrix.layout is Layout(layout)
+        with pytest.raises(ValueError, match="'bogus' is not a valid Layout"):
+            generate_feature_matrix(*shape, seed=1, layout="bogus")
 
     def test_negative_model_seed_refused(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):

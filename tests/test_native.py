@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import importlib.resources
 import logging
 import os
@@ -30,6 +31,7 @@ from obtree import (
     ObliviousTree,
     SplitCondition,
     SyntheticSpec,
+    build_leaf_bank,
     evaluate_scalar,
     generate_feature_matrix,
     generate_synthetic_model,
@@ -533,7 +535,8 @@ def test_block_fold_rejects_objects_outside_its_block():
 
 
 def test_binding_rejects_a_bank_of_other_trees():
-    """A bank of fewer trees, or of as many trees of other depths."""
+    """A bank of fewer trees, or of as many trees of other depths, or whose
+    values the fold kernels cannot read."""
     evaluator = Evaluator(two_tree_model(2))
     if evaluator.backend == "numpy":
         pytest.skip("no avx512 backend on this host")
@@ -544,43 +547,74 @@ def test_binding_rejects_a_bank_of_other_trees():
         for tables, bank in ((evaluator.tables, other.bank), (other.tables, evaluator.bank)):
             with pytest.raises(ValueError, match="a bank of"):
                 native.BoundKernels(native.kernels(), tables, bank, 2)
+    # Values in another precision's dtype, or not contiguous.
+    bank = evaluator.bank
+    for values in (bank.values.astype(np.float16), np.repeat(bank.values, 2)[::2]):
+        with pytest.raises(ValueError, match="is not a C-contiguous float64 array"):
+            native.BoundKernels(native.kernels(), evaluator.tables,
+                                dataclasses.replace(bank, values=values), 2)
+
+
+@pytest.mark.parametrize("precision", list(LeafPrecision))
+def test_byte_planes_transpose_each_table(precision):
+    # Runs of every depth from 1 to 8, runs of one tree, and a depth that
+    # recurs after other depths.
+    depths = [1, 1, 2, 3, 3, 3, 4, 5, 6, 6, 7, 8, 8, 5, 8, 7, 1]
+    rng = np.random.default_rng(7)
+    trees = [ObliviousTree(d, (SplitCondition(0, 0),) * d, rng.normal(0.0, 4.0, 1 << d))
+             for d in depths]
+    features = (FloatFeatureBorders(0, np.array([0.5], dtype=np.float32)),)
+    bank = build_leaf_bank(ObliviousModel(features, trees, 1.0, 0.0), precision)
+    planes = native.byte_planes(bank.values, bank.offsets)
+    width = bank.values.itemsize
+    assert planes.dtype == np.uint8 and planes.size == bank.values.nbytes
+    for t, d in enumerate(depths):
+        table = bank.table(t)
+        expected = table.view(np.uint8).reshape(1 << d, width).T.reshape(-1)
+        got = planes[bank.offsets[t] * width : bank.offsets[t + 1] * width]
+        assert np.array_equal(got, expected), (precision, t, d)
 
 
 # Run in a child process, so that a read past the guard fails this test with
 # SIGSEGV instead of ending the test session.
 _GUARDED_READS_CHECK = textwrap.dedent(
     """
-    import ctypes, dataclasses, mmap, sys
+    import ctypes, mmap, sys
     import numpy as np
     from obtree import (
         EvalConfig, FeatureMatrix, LeafStrategy, SyntheticSpec, evaluate_scalar,
-        generate_feature_matrix, generate_synthetic_model,
+        generate_feature_matrix, generate_synthetic_model, native,
     )
-    from obtree.evaluate import Evaluator, ModelTables
+    from obtree.evaluate import Evaluator
     sys.path.insert(0, sys.argv[1])
     from test_native import two_tree_model
 
     libc = ctypes.CDLL(None, use_errno=True)
     libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
     page = mmap.PAGESIZE
+    build_planes, placed = native.byte_planes, []
+
+    def guarded_planes(values, offsets):
+        # The last byte of the byte planes, which the fold kernels read, is
+        # the last byte before a page that cannot be read.
+        built = build_planes(values, offsets)
+        pages = -(-built.size // page)
+        region = mmap.mmap(-1, (pages + 1) * page)
+        start = ctypes.addressof(ctypes.c_char.from_buffer(region))
+        assert libc.mprotect(start + pages * page, page, 0) == 0, ctypes.get_errno()
+        planes = np.frombuffer(region, np.uint8, built.size, pages * page - built.size)
+        planes[:] = built
+        assert planes.ctypes.data + built.size == start + pages * page
+        placed.append(planes)
+        return planes
+
+    native.byte_planes = guarded_planes
     for strategy in (LeafStrategy.PERMUTE16, LeafStrategy.NAIVE):
         for depth in range(1, 9):
             model = two_tree_model(depth)
-            tables = ModelTables(model)
-            bank = tables.bank(strategy.precision)
-            # The last byte of the byte planes, which the fold kernels read,
-            # is the last byte before a page that cannot be read.
-            region = mmap.mmap(-1, 2 * page)
-            start = ctypes.addressof(ctypes.c_char.from_buffer(region))
-            assert libc.mprotect(start + page, page, 0) == 0, ctypes.get_errno()
-            size = bank.planes.nbytes
-            planes = np.frombuffer(region, np.uint8, size, page - size)
-            planes[:] = bank.planes
-            tables._banks[strategy.precision] = dataclasses.replace(bank, planes=planes)
-            evaluator = Evaluator(tables, EvalConfig(strategy=strategy))
+            evaluator = Evaluator(model, EvalConfig(strategy=strategy))
             assert evaluator.backend == "avx512", evaluator.backend
-            assert planes.ctypes.data + size == start + page
-            assert evaluator._native._model.planes == planes.ctypes.data
+            assert evaluator._native._model.planes == placed[-1].ctypes.data
             matrix = generate_feature_matrix(200, 3, seed=depth)
             got = evaluator.predict(matrix).view(np.uint64)
             oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
@@ -606,6 +640,7 @@ _GUARDED_READS_CHECK = textwrap.dedent(
             assert guarded.values.ctypes.data + size == start + pages * page
             evaluator = Evaluator(model)
             assert evaluator.backend == "avx512", evaluator.backend
+            assert evaluator._native._model.planes == placed[-1].ctypes.data
             got = evaluator.predict(guarded).view(np.uint64)
             assert np.array_equal(got, oracle), (n, matrix.layout)
     print("ok")
