@@ -94,6 +94,7 @@ class CaseResult:
     stage1_s: float | None = None
     fold_s: float | None = None
     scratch_bytes: int | None = None
+    fold_groups: int | None = None
 
 
 @dataclass
@@ -187,14 +188,15 @@ def _time_case(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple[int, Callab
 STAGE_CALLS = 31
 
 
-def _stage_columns(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple[float, float, int]:
-    """Median ``stage1_s``, ``fold_s`` and ``scratch_bytes`` of ``STAGE_CALLS``
-    calls of ``predict(matrix, stats)``, none of them inside a timing sample."""
+def _stage_columns(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple[float, float, int, int]:
+    """Median ``stage1_s``, ``fold_s``, ``scratch_bytes`` and ``fold_groups``
+    of ``STAGE_CALLS`` calls of ``predict(matrix, stats)``, none of them
+    inside a timing sample."""
     calls = [EvalStats() for _ in range(STAGE_CALLS)]
     for stats in calls:
         evaluator.predict(matrix, stats)
     return tuple(statistics.median(getattr(s, name) for s in calls)
-                 for name in ("stage1_s", "fold_s", "scratch_bytes"))
+                 for name in ("stage1_s", "fold_s", "scratch_bytes", "fold_groups"))
 
 
 def run_matrix(
@@ -259,7 +261,8 @@ def run_matrix(
     for row, evaluator, matrix, _, samples in timed:
         row.mean_s = statistics.fmean(samples)
         row.std_s = statistics.stdev(samples)
-        row.stage1_s, row.fold_s, row.scratch_bytes = _stage_columns(evaluator, matrix)
+        row.stage1_s, row.fold_s, row.scratch_bytes, row.fold_groups = _stage_columns(
+            evaluator, matrix)
 
     # First matching row wins if the id appears more than once.
     base_time = next(r for r in rows if r.case.case_id == baseline_id).mean_s
@@ -303,6 +306,7 @@ def format_json(report: BenchReport) -> str:
         "stage1_ms": ms(row.stage1_s),
         "fold_ms": ms(row.fold_s),
         "scratch_bytes": row.scratch_bytes,
+        "fold_groups": row.fold_groups,
         "verified": row.verified,
     } for row in report.rows]
     return json.dumps({**report.metadata, "cases": cases}, indent=1, allow_nan=False) + "\n"

@@ -1,20 +1,22 @@
 """Orchestration of the three-stage pipeline over blocks and batches.
 
 A batch is split into cache-sized blocks; for each block the split
-conditions are evaluated (stage 1, ``quantize_block``), then every tree's
-leaf index is computed and its leaf value fetched and folded into the
-block's per-object sums, which start at zero, and the scale/bias transform
-writes the block's scores into the call's float64 result.  All three stages
+conditions are evaluated (stage 1, ``quantize_block``).  Then, for each
+pass of one or more whole blocks, every tree's leaf index is computed and
+its leaf value fetched and folded into the pass's per-object sums, which
+start at zero, and the scale/bias transform writes the pass's scores into
+the call's float64 result.  All three stages
 run in one of two backends chosen when an ``Evaluator`` is made
 (``Evaluator.backend``); stages 2 and 3 run fused:
 
-* ``avx512``: the kernels of ``native.c`` (see ``obtree.native``), one call
-  per stage and block: the binarization kernel writes one 64-bit mask per
+* ``avx512``: the kernels of ``native.c`` (see ``obtree.native``): the
+  binarization kernel, one call per block, writes one 64-bit mask per
   (64-object group, distinct split condition) straight from the block's
-  binary32 values, and the fold kernels read those masks group by group and
+  binary32 values into the block's slot of a pass of up to 16 groups, and
+  the fold kernels, one call per pass, read those masks group by group and
   write the finished scores.  They read each tree's conditions from its row
   of ``ModelTables.tree_cond`` and load each tree's byte planes once for all
-  the groups they fold.  Those planes, a byte transpose of the leaf bank,
+  the groups of the pass.  Those planes, a byte transpose of the leaf bank,
   and everything else they read about the model, such as its runs of trees
   of equal depth, ``native.BoundKernels`` builds;
 * ``numpy``: array operations.  Stage 1 writes a (conditions x objects)
@@ -31,9 +33,9 @@ Both test each distinct split condition of the model once per block (or
 group), by the one compare ``value > cond_border[c]`` (``obtree.quantize``).
 Both sum each object's leaves in tree order, so results are bit-identical
 across backends and do not depend on the block plan or the input layout.
-Given an ``EvalStats``, ``predict`` times the two stages of each block and
-reports them with its scratch memory and its NaN and +/-inf inputs; without
-one it reads no clock and counts nothing.
+Given an ``EvalStats``, ``predict`` times stage 1 of each block and the
+fold of each pass and reports them with its scratch memory and its NaN and
++/-inf inputs; without one it reads no clock and counts nothing.
 
 The three leaf-load strategies name the paper's AVX2/AVX-512 load
 mechanics.  A strategy selects only its leaf precision: ``naive`` and
@@ -146,11 +148,10 @@ def plan_blocks(n_objects: int, block_size: int) -> list[tuple[int, int]]:
 class EvalConfig:
     strategy: LeafStrategy = LeafStrategy.NAIVE
 
-    # Objects per block.  At 256 or more the per-call condition panel or
-    # masks, which grow with the block, raise every benchmark workload's
-    # predict peak memory; at 64, deep-ensemble runs about 30% slower,
-    # streaming its leaf bank twice as often.  The fold kernels sum
-    # at most 128 objects at once (MAX_GROUPS in native.c).
+    # Objects per block of stage 1.  At 256 or more the numpy backend's
+    # per-call condition panel, which grows with the block, raises every
+    # benchmark workload's predict peak memory.  The avx512 fold runs once
+    # per pass of one to eight blocks (native.BoundKernels.groups).
     block_size: ClassVar[int] = 128
     tail_policy: ClassVar[TailPolicy] = TailPolicy.SCALAR_TAIL
 
@@ -339,11 +340,14 @@ class EvalStats:
     """What one ``Evaluator.predict`` call did, filled in by the call.
 
     ``blocks`` counts the blocks of ``EvalConfig.block_size`` objects the
-    call ran.  ``stage1_s`` is the time spent in stage 1 (``quantize_block``)
-    and ``fold_s`` in stages 2-3 and finalize, each summed over the blocks
-    with ``time.perf_counter``.  ``scratch_bytes`` is the per-call memory
-    besides the input and the scores: on ``avx512`` the condition masks and
-    the fold kernel's sums on the C stack; on numpy the arrays that the
+    call ran, and ``fold_groups`` the 64-object groups of each fold pass:
+    ``native.BoundKernels.groups`` on ``avx512``, one block's on numpy.
+    ``stage1_s`` is the time spent in stage 1 (``quantize_block``) and
+    ``fold_s`` in stages 2-3 and finalize, each summed over the blocks with
+    ``time.perf_counter``.  ``scratch_bytes`` is the per-call memory
+    besides the input and the scores: on ``avx512`` the condition masks of
+    the pass's groups that the call fills and the fold kernel's sums of
+    them on the C stack; on numpy the arrays that the
     largest block's stages 1-3 allocate, summed; on both, the temporary of
     the input counts.
     ``saturated_leaves`` is the leaf bank's count of binary16 leaves clamped
@@ -356,6 +360,7 @@ class EvalStats:
     backend: str = ""
     objects: int = 0
     blocks: int = 0
+    fold_groups: int = 0
     stage1_s: float = 0.0
     fold_s: float = 0.0
     scratch_bytes: int = 0
@@ -415,16 +420,19 @@ class Evaluator:
         if self._native is None:
             n_cond = tables.cond_border.size
             cols = -(-min(n, size) // _PANEL_COLUMNS) * _PANEL_COLUMNS
-            panels, binarize = np.empty(n_cond * cols, dtype=np.uint8), None
+            panels, binarize, pass_size = np.empty(n_cond * cols, dtype=np.uint8), None, size
 
             def fold(begin: int, end: int) -> None:
                 _fold_block_segment(self.tables, self.bank, block, out, begin, end)
         else:
             block, binarize, fold = self._native.over(matrix, out)
+            pass_size = 64 * self._native.groups
 
         stage1_s = fold_s = 0.0
         nonfinite = nan = 0
-        # The blocks of plan_blocks(n, size), without building its list.
+        # The blocks of plan_blocks(n, size), without building its list; a
+        # pass of `pass_size` objects, whole blocks, folds once it fills or
+        # the batch ends.
         for begin in range(0, n, size):
             end = min(begin + size, n)
             if binarize is None:
@@ -435,7 +443,8 @@ class Evaluator:
             started = time.perf_counter() if timed else 0.0
             quantize_block(matrix, (begin, end), tables, block, binarize)
             quantized = time.perf_counter() if timed else 0.0
-            fold(begin, end)
+            if end == n or end % pass_size == 0:
+                fold(begin - begin % pass_size, end)
             if timed:
                 stage1_s += quantized - started
                 fold_s += time.perf_counter() - quantized
@@ -446,8 +455,12 @@ class Evaluator:
                 found = values.size - int(np.count_nonzero(np.isfinite(values)))
                 nonfinite += found
                 nan += int(np.count_nonzero(np.isnan(values))) if found else 0
+        if binarize is not None:
+            # A call that raised gives nothing back: the next call allocates.
+            self._native.release(block)
         if timed:
             stats.backend, stats.objects, stats.blocks = self.backend, n, -(-n // size)
+            stats.fold_groups = pass_size // 64
             stats.stage1_s, stats.fold_s = stage1_s, fold_s
             stats.saturated_leaves = self.bank.saturation_count
             stats.nan_inputs, stats.inf_inputs = nan, nonfinite - nan

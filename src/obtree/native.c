@@ -21,7 +21,10 @@
  * read one at a time.
  *
  * The two fold kernels walk those masks in groups of 64 objects, one object
- * per byte lane of a 512-bit vector.  The trees come in runs of equal depth
+ * per byte lane of a 512-bit vector, up to MAX_GROUPS (16) groups per walk
+ * of the bank: native.BoundKernels hands them a pass of up to 8 blocks'
+ * masks at once where those fit its mask budget, so each tree's fixed cost
+ * is spread over 1024 objects, not 128.  The trees come in runs of equal depth
  * (obtree_model.depth_runs), and each run is walked by code for its depth,
  * chosen once per run.  Tree by tree, the tree's table, held as byte planes
  * (built by native.BoundKernels from the leaf bank: byte b of every leaf,
@@ -79,9 +82,11 @@ typedef struct {
 
 #define KERNEL __attribute__((target("avx512f,avx512bw,avx512vbmi,gfni,f16c")))
 
-/* 64-object groups the fold sums at once: their sums, MAX_GROUPS x 64 x 8
- * bytes, are a fixed array on the stack. */
-#define MAX_GROUPS 2
+/* 64-object groups the fold sums at once, a pass of native.PASS_GROUPS:
+ * their sums, MAX_GROUPS x 64 x 8 bytes (8 KB), are a fixed array on the
+ * stack.  On Sapphire Rapids (gcc 12) a call of 2 groups ran no slower
+ * than under a limit of 2. */
+#define MAX_GROUPS 16
 
 /* Bit 0: avx512f, bit 1: avx512bw, bit 2: f16c, bit 3: avx512vbmi, bit 4: gfni. */
 int obtree_cpu_flags(void)

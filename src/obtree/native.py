@@ -11,8 +11,11 @@ a model as one C struct, ``obtree_model``, and builds what only the kernels
 read: the leaf bank's byte planes (``byte_planes``), and the runs the
 kernels walk: conditions of one feature and of one 16-feature tile, and
 trees of one depth.  A ``predict`` call checks its arrays once
-(``BoundKernels.over``) and then makes one kernel call per stage and block,
-passing the matrix's layout to the binarizer.
+(``BoundKernels.over``), then binarizes block by block into the slots of
+one pass of up to ``PASS_GROUPS`` groups and folds each pass in one call,
+so the fold walks the bank once per pass.  A pass holds 16 groups (1024
+objects) where their masks fit ``MASK_BUDGET``, and one block's groups
+otherwise.
 
 The first ``Evaluator`` of a process compiles the package's C source with
 the system C compiler into a private temporary directory, loads it through
@@ -59,6 +62,17 @@ KERNEL_ARGS = {"obtree_binarize": [_ptr, _ptr, _i64, _i64, _i64, _ptr],
                "obtree_fold_binary16": _FOLD, "obtree_fold_binary64": _FOLD}
 
 
+# The groups of a fold pass (MAX_GROUPS of native.c) where their masks take at
+# most MASK_BUDGET bytes.  The gain comes from spreading each tree's fixed
+# cost over more groups, and stops where the masks outgrow the cache: on a
+# Sapphire Rapids VM (2 MB L2), 1024 objects of the deep shape (1,024
+# conditions, 128 KB of masks) ran x0.49 (binary64) and x0.73 (binary16) of
+# their time in 2-group passes, and of desk (5,501 conditions, 688 KB) x1.03
+# and x1.10.
+PASS_GROUPS = 16
+MASK_BUDGET = 256 * 1024
+
+
 class _Model(ctypes.Structure):
     """``obtree_model`` of ``native.c``: a model as the kernels read it."""
 
@@ -97,10 +111,14 @@ def byte_planes(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 class BoundKernels:
     """The binarization kernel and the fold kernel of the bank's leaf
     precision, from the loaded library ``lib``, bound to a model's
-    ``ModelTables`` and leaf bank, for blocks of at most ``groups`` 64-object
-    groups.  The bank's byte planes and the runs the kernels walk are built
-    here, and one ``obtree_model`` is built with every pointer into them and
-    the tables; it reads those arrays for as long as this object holds them."""
+    ``ModelTables`` and leaf bank, for blocks of ``groups`` 64-object groups.
+
+    ``groups`` (the attribute) is the groups of a fold pass, by one rule:
+    ``PASS_GROUPS`` where their masks fit ``MASK_BUDGET``, else the block's
+    ``groups``.  The bank's byte planes, the runs the kernels walk and one
+    pass's mask buffer are built here, and one ``obtree_model`` is built
+    with every pointer into them and the tables; it reads those arrays for
+    as long as this object holds them."""
 
     def __init__(self, lib: ctypes.CDLL, tables, bank: LeafBank, groups: int):
         binary64 = bank.precision is LeafPrecision.BINARY64
@@ -113,7 +131,12 @@ class BoundKernels:
         if not np.array_equal(np.diff(bank.offsets), np.left_shift(1, depths)):
             raise ValueError(f"native kernels: a bank of {bank.n_trees} trees, not of the "
                              f"{tables.n_trees} trees of the tables and their depths")
-        self._binarize, self._groups = lib.obtree_binarize, groups
+        n_cond = tables.cond_border.size
+        self.groups = PASS_GROUPS if PASS_GROUPS * 8 * n_cond <= MASK_BUDGET else groups
+        # The held mask buffer: a call takes it and gives it back (release);
+        # a concurrent call finds the list empty and allocates its own.
+        self._spare = [np.empty((self.groups, n_cond), _U64)]
+        self._binarize = lib.obtree_binarize
         self._fold = getattr(lib, f"obtree_fold_{bank.precision.value}")
         self._sum_bytes = 64 * (8 if binary64 else 4)
         planes = byte_planes(bank.values, bank.offsets)
@@ -124,70 +147,86 @@ class BoundKernels:
         self._model = _Model(
             tables.cond_feature.ctypes.data, feature_runs.ctypes.data, tile_runs.ctypes.data,
             bank.offsets.ctypes.data, depth_runs.ctypes.data, tables.tree_cond.ctypes.data,
-            tables.cond_border.ctypes.data, planes.ctypes.data, tables.cond_border.size,
+            tables.cond_border.ctypes.data, planes.ctypes.data, n_cond,
             tables.model.n_features, feature_runs.size - 1, tile_runs.size - 1, depth_runs.size - 1,
             tables.model.scale, tables.model.bias,
         )
         self._address = ctypes.addressof(self._model)
-        self._n_cond, self._n_features = self._model.n_cond, self._model.n_features
+        self._n_cond, self._n_features = n_cond, self._model.n_features
 
     def scratch_bytes(self, n: int) -> int:
         """The bytes a call over ``n`` objects uses besides its input and
-        scores: the masks ``over`` allocates, and the fold kernel's sums of
-        those groups, which it keeps on the C stack."""
-        return min(self._groups, -(-n // 64)) * (8 * self._n_cond + self._sum_bytes)
+        scores: the masks of the pass's groups it fills, and the fold
+        kernel's sums of those groups, which it keeps on the C stack."""
+        return min(self.groups, -(-n // 64)) * (8 * self._n_cond + self._sum_bytes)
 
     def over(self, matrix: FeatureMatrix, out: np.ndarray) -> tuple:
         """``(masks, binarize, fold)`` for one ``predict`` call over
-        ``matrix`` into the float64 scores ``out``, block by block.
+        ``matrix`` into the float64 scores ``out``, pass by pass.
 
-        ``masks`` is a new (groups x conditions) uint64 array, with no more
-        groups than the batch fills.
+        ``masks`` is the held (``groups`` x conditions) uint64 buffer, or a
+        new one while another call holds it; give it back with ``release``
+        once the call is done.  A range [begin, end) of objects takes the
+        rows of ``masks`` from ``row = begin // 64 % groups`` on, so the
+        blocks of a pass (``64 * groups`` objects from a multiple of that
+        on) fill its rows in turn.
         ``binarize(begin, end)`` writes the condition masks of objects
-        [begin, end) of ``matrix`` into the first rows of ``masks``: bit o
-        of ``masks[g, c]`` holds condition ``c`` for object
+        [begin, end) of ``matrix`` into those rows: bit o of
+        ``masks[row + g, c]`` holds condition ``c`` for object
         ``begin + 64 * g + o``.  The bits past ``end`` in the last group
-        written are clear; later groups are not written.  Then
-        ``fold(begin, end)`` sums every tree's leaf, in tree order, for each
-        of those objects and writes ``scale * sum + bias`` into
-        ``out[begin:end]``, and nothing else.  Each refuses a range that
-        ``masks`` or the batch does not hold.  The closures hold this
-        object and the arrays whose addresses they pass.
+        written are clear; other rows are not written.  Then
+        ``fold(begin, end)`` reads the rows of such a range, which may
+        span the blocks binarized before it, sums every tree's leaf, in
+        tree order, for each of its objects and writes ``scale * sum +
+        bias`` into ``out[begin:end]``, and nothing else.  Each refuses a
+        range outside the batch or past the last row of ``masks``.  The
+        closures hold this object and the arrays whose addresses they pass.
         """
         values = matrix.values
         _require(values, _F32)
         _require(out, _F64)
-        n, n_features, n_cond = matrix.n_objects, self._n_features, self._n_cond
+        n, n_features, n_cond, groups = (matrix.n_objects, self._n_features, self._n_cond,
+                                         self.groups)
         if not (values.size == n * matrix.n_features and matrix.n_features == n_features
                 and out.size == n):
             raise ValueError(
                 f"a {n} x {matrix.n_features} matrix and {out.size} scores "
                 f"for {n_features} features"
             )
-        masks = np.empty((min(self._groups, -(-n // 64)), n_cond), _U64)
+        try:
+            masks = self._spare.pop()
+        except IndexError:
+            masks = np.empty((groups, n_cond), _U64)
         feature_major = matrix.layout is _FEATURE_MAJOR
         row_length = n if feature_major else n_features
         stride = 4 if feature_major else 4 * n_features  # bytes from one object to the next
         model, values_at, masks_at, out_at = (self._address, _address(values), _address(masks),
                                               _address(out))
-        span = 64 * len(masks)
+        span, row_bytes = 64 * groups, 8 * n_cond
         # The kernels read and write through raw addresses: each closure
         # holds them, this object (its struct, planes, runs, tables and
         # bank) and the arrays.
         held = (self._binarize, self._fold, self, values, masks, out)
 
         def binarize(begin: int, end: int) -> None:
-            if not (0 <= begin <= end <= n and end - begin <= span):
+            row = begin // 64 % groups
+            if not (0 <= begin <= end <= n and 64 * row + end - begin <= span):
                 raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
             held[0](model, values_at + begin * stride, feature_major, row_length, end - begin,
-                    masks_at)
+                    masks_at + row * row_bytes)
 
         def fold(begin: int, end: int) -> None:
-            if not (0 <= begin <= end <= n and end - begin <= span):
+            row = begin // 64 % groups
+            if not (0 <= begin <= end <= n and 64 * row + end - begin <= span):
                 raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
-            held[1](model, masks_at, end - begin, out_at + 8 * begin)
+            held[1](model, masks_at + row * row_bytes, end - begin, out_at + 8 * begin)
 
         return masks, binarize, fold
+
+    def release(self, masks: np.ndarray) -> None:
+        """Hands the ``masks`` of a finished ``over`` call back for the next
+        call; that call's closures must not be called again."""
+        self._spare.append(masks)
 
 
 def _address(array: np.ndarray) -> int:

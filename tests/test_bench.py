@@ -226,9 +226,11 @@ class TestRunMatrix:
                 calls.append(stats)
                 k = len(calls)
                 stats.stage1_s, stats.fold_s, stats.scratch_bytes = k * 1.0, 10.0 - k, 100 * k
+                stats.fold_groups = 16
 
         middle = (bench.STAGE_CALLS + 1) // 2
-        assert bench._stage_columns(Recording(), None) == (middle, 10.0 - middle, 100 * middle)
+        assert bench._stage_columns(Recording(), None) == (
+            middle, 10.0 - middle, 100 * middle, 16)
         assert len(calls) == bench.STAGE_CALLS == 31
         assert all(isinstance(stats, EvalStats) for stats in calls)
 
@@ -240,7 +242,7 @@ class TestFormat:
             case.case_id,
             [
                 CaseResult(case, True, mean_s=0.0021, std_s=0.0001, d=0.0, inner=2,
-                           stage1_s=0.0005, fold_s=0.00125, scratch_bytes=4096),
+                           stage1_s=0.0005, fold_s=0.00125, scratch_bytes=4096, fold_groups=16),
                 CaseResult(BenchCase(EvalConfig(), Layout.OBJECT_MAJOR, 100, 3), False),
             ],
             {"baseline": case.case_id},
@@ -250,11 +252,13 @@ class TestFormat:
             '   "case_id": "permute16-fm-n40",\n   "strategy": "permute16",\n'
             '   "layout": "feature-major",\n   "batch": 40,\n   "reps": 3,\n   "inner": 2,\n'
             '   "mean_ms": 2.1,\n   "std_ms": 0.1,\n   "d": 0.0,\n   "stage1_ms": 0.5,\n'
-            '   "fold_ms": 1.25,\n   "scratch_bytes": 4096,\n   "verified": true\n  },\n  {\n'
+            '   "fold_ms": 1.25,\n   "scratch_bytes": 4096,\n   "fold_groups": 16,\n'
+            '   "verified": true\n  },\n  {\n'
             '   "case_id": "naive-om-n100",\n   "strategy": "naive",\n'
             '   "layout": "object-major",\n   "batch": 100,\n   "reps": 3,\n   "inner": 0,\n'
             '   "mean_ms": null,\n   "std_ms": null,\n   "d": null,\n   "stage1_ms": null,\n'
-            '   "fold_ms": null,\n   "scratch_bytes": null,\n   "verified": false\n  }\n ]\n}\n'
+            '   "fold_ms": null,\n   "scratch_bytes": null,\n   "fold_groups": null,\n'
+            '   "verified": false\n  }\n ]\n}\n'
         )
 
     def test_a_record_with_nan_is_refused(self):
@@ -428,9 +432,10 @@ class TestCli:
         for case in record["cases"]:
             assert set(case) == {"case_id", "strategy", "layout", "batch", "reps", "inner",
                                  "mean_ms", "std_ms", "d", "stage1_ms", "fold_ms",
-                                 "scratch_bytes", "verified"}
+                                 "scratch_bytes", "fold_groups", "verified"}
             assert case["verified"] is True and case["mean_ms"] > 0 and case["reps"] == 3
             assert case["stage1_ms"] >= 0 and case["fold_ms"] >= 0 and case["scratch_bytes"] >= 0
+            assert case["fold_groups"] in (EvalConfig.block_size // 64, 16)
             assert case["case_id"].startswith(case["strategy"] + "-")
         assert record["cases"][0]["d"] == 0.0
 
@@ -444,7 +449,7 @@ class TestCli:
         (case,) = strict_json(out.read_text())["cases"]
         assert case["verified"] is False
         assert [case[key] for key in ("mean_ms", "std_ms", "d", "stage1_ms", "fold_ms",
-                                      "scratch_bytes")] == [None] * 6
+                                      "scratch_bytes", "fold_groups")] == [None] * 7
 
     def test_failed_baseline_leaves_every_d_null(self, monkeypatch, capsys):
         # A verified case once kept d at NaN, which json.dumps wrote as NaN.

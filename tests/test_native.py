@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -220,49 +221,82 @@ def test_fold_writes_the_scores_of_its_range_only(precision):
                 (scale, bias, begin, end)
 
 
-# Batch sizes around the 64-object group and the 128-object block.
-_BATCH_SIZES = [0, 1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000]
+def wide_mixed_depth_trees() -> tuple:
+    """260 features of 8 borders and trees of every depth the fold handles,
+    whose splits use every (feature, border) pair once: 2,080 conditions and
+    the sentinel, past the 2,048 whose 16-group masks fit the budget."""
+    borders = np.linspace(-1.0, 1.0, 8, dtype=np.float32)
+    features = tuple(FloatFeatureBorders(i, borders) for i in range(260))
+    rng = np.random.default_rng(6)
+    pairs = rng.permutation(260 * 8)
+    cycle = (8, 1, 6, 7, 3, 8, 5, 2, 4)
+    trees, first = [], 0
+    while first < pairs.size:
+        depth = min(cycle[len(trees) % len(cycle)], pairs.size - first)
+        splits = tuple(SplitCondition(int(k) // 8, int(k) % 8) for k in pairs[first:first + depth])
+        trees.append(ObliviousTree(depth, splits, rng.normal(0.0, 3.0, 1 << depth)))
+        first += depth
+    return features, tuple(trees)
+
+
+def run_passes(bound: native.BoundKernels, binarize, fold, n: int, block: int) -> None:
+    """As ``predict`` runs them: binarize each block of ``block`` objects and
+    fold each pass of ``bound.groups`` groups once it fills or the batch ends."""
+    span = 64 * bound.groups
+    for begin, end in plan_blocks(n, block):
+        binarize(begin, end)
+        if end == n or end % span == 0:
+            fold(begin - begin % span, end)
+
+
+# Batch sizes around the 64-object group, the 128-object block and the
+# 1024-object pass of 16 groups.
+_BATCH_SIZES = [0, 1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000,
+                1023, 1024, 1025, 2047, 2048, 2049]
 
 
 @pytest.mark.parametrize("precision", [LeafPrecision.BINARY64, LeafPrecision.BINARY16],
                          ids=["binary64", "binary16"])
 def test_blocks_write_the_scores_of_the_batch_only(precision):
-    """Block by block, as ``predict`` runs them, the kernels write the
-    oracle's scores into ``out[0:n]``, bit for bit, in both layouts, and no
-    byte around ``out``.  Blocks of 4 groups make each fold kernel call fold
-    two chunks of MAX_GROUPS (2) groups."""
+    """Block by block and pass by pass, as ``predict`` runs them, the kernels
+    write the oracle's scores into ``out[0:n]``, bit for bit, in both
+    layouts, and no byte around ``out``: on mixed-depth trees whose masks the
+    rule folds 16 groups at a time, and on wider ones it folds a block's
+    groups at a time, for blocks of 2 and of 4 groups."""
     strategy = LeafStrategy.NAIVE if precision is LeafPrecision.BINARY64 else LeafStrategy.PERMUTE16
-    features, trees = mixed_depth_trees()
     rng = np.random.default_rng(5)
-    source = generate_feature_matrix(max(_BATCH_SIZES), 3, seed=6, nan_fraction=0.05)
-    for scale, bias in _EDGE_SCALES:
-        model = ObliviousModel(features, trees, scale, bias)
-        evaluator = Evaluator(model, EvalConfig(strategy))
-        if evaluator.backend == "numpy":
-            pytest.skip("no avx512 backend on this host")
-        oracle = evaluate_scalar(model, source, precision).view(np.uint64)
-        for groups in (2, 4):
-            bound = native.BoundKernels(native.kernels(), evaluator.tables, evaluator.bank,
-                                        groups)
-            for n in _BATCH_SIZES:
-                prefix = FeatureMatrix(source.values[:n], Layout.OBJECT_MAJOR)
-                for matrix in (prefix, prefix.transposed()):
-                    sentinel = rng.integers(0, 256, (n + 16) * 8, dtype=np.uint8).view(np.float64)
-                    buffer = sentinel.copy()
-                    out = buffer[8:8 + n]
-                    masks, binarize, fold = bound.over(matrix, out)
-                    assert masks.shape[0] == min(groups, -(-n // 64))
-                    for begin, end in plan_blocks(n, 64 * groups):
-                        binarize(begin, end)
-                        fold(begin, end)
-                    context = (scale, bias, groups, n, matrix.layout)
-                    assert np.array_equal(out.view(np.uint64), oracle[:n]), context
-                    expected = sentinel.copy()
-                    expected[8:8 + n] = out
-                    assert np.array_equal(buffer.view(np.uint8), expected.view(np.uint8)), context
-                    if groups == 2:
-                        scores = evaluator.predict(matrix).view(np.uint64)
-                        assert np.array_equal(scores, oracle[:n]), context
+    for features, trees in (mixed_depth_trees(), wide_mixed_depth_trees()):
+        source = generate_feature_matrix(max(_BATCH_SIZES), len(features), seed=6,
+                                         nan_fraction=0.05)
+        narrow = len(features) == 3
+        for scale, bias in _EDGE_SCALES:
+            model = ObliviousModel(features, trees, scale, bias)
+            evaluator = Evaluator(model, EvalConfig(strategy))
+            if evaluator.backend == "numpy":
+                pytest.skip("no avx512 backend on this host")
+            oracle = evaluate_scalar(model, source, precision).view(np.uint64)
+            for groups in (2, 4):
+                bound = native.BoundKernels(native.kernels(), evaluator.tables, evaluator.bank,
+                                            groups)
+                assert bound.groups == (native.PASS_GROUPS if narrow else groups)
+                for n in _BATCH_SIZES:
+                    prefix = FeatureMatrix(source.values[:n], Layout.OBJECT_MAJOR)
+                    for matrix in (prefix, prefix.transposed()):
+                        sentinel = rng.integers(0, 256, (n + 16) * 8, dtype=np.uint8).view(np.float64)
+                        buffer = sentinel.copy()
+                        out = buffer[8:8 + n]
+                        masks, binarize, fold = bound.over(matrix, out)
+                        assert masks.shape == (bound.groups, evaluator.tables.cond_border.size)
+                        run_passes(bound, binarize, fold, n, 64 * groups)
+                        context = (scale, bias, groups, n, matrix.layout)
+                        assert np.array_equal(out.view(np.uint64), oracle[:n]), context
+                        expected = sentinel.copy()
+                        expected[8:8 + n] = out
+                        assert np.array_equal(buffer.view(np.uint8), expected.view(np.uint8)), \
+                            context
+                        if groups == 2:
+                            scores = evaluator.predict(matrix).view(np.uint64)
+                            assert np.array_equal(scores, oracle[:n]), context
 
 
 def trees_of_depths(depths) -> ObliviousModel:
@@ -334,9 +368,10 @@ def with_inf(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
 @pytest.mark.parametrize("n", _BATCH_SIZES)
 def test_stats_report_the_call_without_changing_its_bits(each_backend, n):
     """``predict(matrix, stats)`` gives the bits of ``predict(matrix)`` and
-    reports one block per ``plan_blocks`` block, stage times within the
-    call's, and the scratch: on ``avx512`` of ``min(2, ceil(n / 64))``
-    groups, their masks and their fold sums; on numpy at least the traced
+    reports one block per ``plan_blocks`` block, the groups of a fold pass,
+    stage times within the call's, and the scratch: on ``avx512`` of the
+    pass's first ``ceil(n / 64)`` groups, their masks and their fold sums,
+    which the held mask buffer keeps out of the traced peak; on numpy at least the traced
     peak of a call, less its Python objects, and at most twice that peak;
     on both, plus the largest block's boolean temporary of the input counts.
     On both, with NaN and inf in the input, the traced peak of a call with
@@ -355,6 +390,8 @@ def test_stats_report_the_call_without_changing_its_bits(each_backend, n):
             assert np.array_equal(evaluator.predict(matrix).view(np.uint64), oracle)
             assert (stats.backend, stats.objects) == (evaluator.backend, n)
             assert stats.blocks == len(plan_blocks(n, EvalConfig.block_size))
+            assert stats.fold_groups == (EvalConfig.block_size // 64 if evaluator._native is None
+                                         else evaluator._native.groups)
             assert 0.0 <= stats.stage1_s and 0.0 <= stats.fold_s
             assert stats.stage1_s + stats.fold_s <= elapsed
             assert (stats.nan_inputs, stats.inf_inputs) == (
@@ -366,7 +403,8 @@ def test_stats_report_the_call_without_changing_its_bits(each_backend, n):
                 assert peak - _PYTHON_OBJECTS <= stats.scratch_bytes - counts <= 2 * peak
                 continue
             sums = 64 * (8 if strategy.precision is LeafPrecision.BINARY64 else 4)
-            groups = min(2, -(-n // 64))
+            assert stats.fold_groups == native.PASS_GROUPS
+            groups = min(native.PASS_GROUPS, -(-n // 64))
             assert stats.scratch_bytes - counts == groups * (
                 8 * evaluator.tables.cond_border.size + sums)
 
@@ -424,22 +462,23 @@ def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypa
 
 def test_bound_closures_refuse_other_arrays_and_ranges():
     """Both closures of a call write only the objects its masks and the
-    batch hold."""
+    batch hold: a range starts at its first object's row of a 16-group pass
+    and may not run past the pass's last row."""
     lib = native.kernels()
     if lib is None:
         pytest.skip("no native kernels on this host")
     model = two_tree_model(6)
     evaluator = Evaluator(model)
-    matrix = generate_feature_matrix(200, model.n_features, seed=2)
-    _, binarize, fold = native.BoundKernels(lib, evaluator.tables, evaluator.bank, 2).over(
-        matrix, np.zeros(200))
+    matrix = generate_feature_matrix(1100, model.n_features, seed=2)
+    bound = native.BoundKernels(lib, evaluator.tables, evaluator.bank, 2)
+    assert bound.groups == native.PASS_GROUPS
+    _, binarize, fold = bound.over(matrix, np.zeros(1100))
     for call in (binarize, fold):
-        with pytest.raises(ValueError, match="outside the masks or the batch"):
-            call(0, 129)
-        with pytest.raises(ValueError, match="outside the masks or the batch"):
-            call(128, 201)
-    binarize(128, 200)
-    fold(128, 200)
+        for begin, end in ((0, 1025), (960, 1089), (1000, 1100), (1024, 1101)):
+            with pytest.raises(ValueError, match="outside the masks or the batch"):
+                call(begin, end)
+    binarize(1024, 1100)
+    fold(1024, 1100)
 
 
 def c_declarators(declaration: str) -> list[tuple[str, str]]:
@@ -506,19 +545,39 @@ def test_c_source_ships_as_package_data():
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 1000])
 def test_mask_buffer_holds_only_the_groups_a_block_fills(n):
+    """A call gets the held buffer of one pass; its blocks write only the
+    rows of the groups they fill, and ``predict`` gives the buffer back."""
     evaluator = Evaluator(two_tree_model(2))
     if evaluator.backend == "numpy":
         pytest.skip("no avx512 backend on this host")
+    bound = evaluator._native
     matrix = generate_feature_matrix(n, 3, seed=n)
-    masks, _, _ = evaluator._native.over(matrix, np.empty(n))
-    assert masks.shape == (min(2, -(-n // 64)), evaluator.tables.cond_border.size)
+    (held,) = bound._spare
+    masks, binarize, _ = bound.over(matrix, np.empty(n))
+    assert masks is held and bound._spare == []
+    assert masks.shape == (native.PASS_GROUPS, evaluator.tables.cond_border.size)
+    # While this call holds it, another call gets a buffer of its own.
+    other, _, _ = bound.over(matrix, np.empty(n))
+    assert other is not held and other.shape == held.shape
+    masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)
+    for begin, end in plan_blocks(n, EvalConfig.block_size):
+        binarize(begin, end)
+    filled = -(-n // 64)
+    assert (masks[filled:] == np.uint64(0xA5A5A5A5A5A5A5A5)).all()
+    assert not (masks[:filled] == np.uint64(0xA5A5A5A5A5A5A5A5)).all(axis=1).any()
+    bound.release(masks)
+    evaluator.predict(matrix)
+    assert bound._spare == [held] and bound._spare[0] is held
 
 
 def test_block_fold_rejects_objects_outside_its_block():
-    evaluator = Evaluator(two_tree_model(2))
+    """Where the rule folds one block's 2 groups at a time, a range may not
+    run past them."""
+    features, trees = wide_mixed_depth_trees()
+    evaluator = Evaluator(ObliviousModel(features, trees, 1.0, 0.0))
     if evaluator.backend == "numpy":
         pytest.skip("no avx512 backend on this host")
-    matrix = generate_feature_matrix(300, 3, seed=1)
+    matrix = generate_feature_matrix(300, 260, seed=1)
     masks, binarize, fold = evaluator._native.over(matrix, np.zeros(300))
     assert masks.shape == (2, evaluator.tables.cond_border.size)
     for begin, end in ((0, 129), (256, 301)):
@@ -528,10 +587,69 @@ def test_block_fold_rejects_objects_outside_its_block():
             binarize(begin, end)
     with pytest.raises(ValueError, match="C-contiguous"):
         evaluator._native.over(matrix, np.zeros(300, dtype=np.float32))
-    with pytest.raises(ValueError, match="for 3 features"):
+    with pytest.raises(ValueError, match="for 260 features"):
         evaluator._native.over(matrix, np.zeros(299))
-    with pytest.raises(ValueError, match="for 3 features"):
-        evaluator._native.over(generate_feature_matrix(300, 4, seed=1), np.zeros(300))
+    with pytest.raises(ValueError, match="for 260 features"):
+        evaluator._native.over(generate_feature_matrix(300, 261, seed=1), np.zeros(300))
+
+
+def depth1_model(n_cond: int) -> ObliviousModel:
+    """``n_cond`` depth-1 trees over features of 8 borders, one tree per
+    distinct condition: a model of exactly ``n_cond`` conditions."""
+    borders = np.linspace(-1.0, 1.0, 8, dtype=np.float32)
+    features = tuple(FloatFeatureBorders(i, borders) for i in range(-(-n_cond // 8)))
+    trees = tuple(ObliviousTree(1, (SplitCondition(k // 8, k % 8),), np.array([0.5, -0.25]))
+                  for k in range(n_cond))
+    return ObliviousModel(features, trees, 1.0, 0.0)
+
+
+def test_pass_takes_16_groups_while_their_masks_fit_the_budget():
+    """The rule: 16 groups where 16 x 8 bytes x conditions fit 256 KB, that
+    is up to 2,048 conditions, else the block's groups; and ``predict``
+    reports the pass it ran."""
+    lib = native.kernels()
+    if lib is None:
+        pytest.skip("no native kernels on this host")
+    assert native.PASS_GROUPS * 8 * 2048 == native.MASK_BUDGET
+    for n_cond, groups in ((1, 16), (2048, 16), (2049, 2)):
+        tables = Evaluator(depth1_model(n_cond), EvalConfig(LeafStrategy.PERMUTE16)).tables
+        assert tables.cond_border.size == n_cond
+        bound = native.BoundKernels(lib, tables, tables.bank(LeafPrecision.BINARY16), 2)
+        assert bound.groups == groups, n_cond
+        assert [buffer.shape for buffer in bound._spare] == [(groups, n_cond)]
+        stats = EvalStats()
+        Evaluator(tables, EvalConfig(LeafStrategy.PERMUTE16)).predict(
+            generate_feature_matrix(10, tables.model.n_features, seed=1), stats)
+        assert stats.fold_groups == groups, n_cond
+
+
+def test_concurrent_predicts_on_one_evaluator_match_the_oracle():
+    """Two threads call ``predict`` on one ``Evaluator`` at once, many
+    times: ctypes releases the GIL in the kernels, so the calls overlap, and
+    a call that finds the held mask buffer taken must use its own."""
+    model = generate_synthetic_model(SyntheticSpec(16, 16, 300, 8, seed=4))
+    matrices = [generate_feature_matrix(1500, 16, seed=k, nan_fraction=0.01) for k in (1, 2)]
+    for strategy in (LeafStrategy.PERMUTE16, LeafStrategy.NAIVE):
+        evaluator = Evaluator(model, EvalConfig(strategy))
+        if evaluator.backend == "numpy":
+            pytest.skip("no avx512 backend on this host")
+        assert evaluator._native.groups == native.PASS_GROUPS
+        oracles = [evaluate_scalar(model, m, strategy.precision).view(np.uint64) for m in matrices]
+        start, wrong = threading.Barrier(2), []
+
+        def predict_many(k: int) -> None:
+            start.wait()
+            for _ in range(100):
+                if not np.array_equal(evaluator.predict(matrices[k]).view(np.uint64), oracles[k]):
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=predict_many, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert wrong == [], strategy
+        assert 1 <= len(evaluator._native._spare) <= 2
 
 
 def test_binding_rejects_a_bank_of_other_trees():

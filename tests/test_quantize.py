@@ -417,7 +417,8 @@ class TestBinarizerMatchesBorderCompares:
     def test_every_mask_bit_equals_the_border_compare(self, case):
         """The native binarizer: bit o of group g's mask of condition c is
         ``np.greater`` of the condition's feature value and border, and clear
-        past the live objects."""
+        past the live objects; each block's groups are its rows of the pass,
+        from row ``begin // 64 % groups`` on."""
         lib = native.kernels()
         if lib is None:
             pytest.skip("no native binarizer on this host")
@@ -432,9 +433,9 @@ class TestBinarizerMatchesBorderCompares:
             for begin, end in plan_blocks(matrix.n_objects, block_size):
                 masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)  # a dirty buffer
                 quantize_block(layout, (begin, end), tables, masks, binarize)
-                groups = -(-(end - begin) // 64)
+                row, groups = begin // 64 % bound.groups, -(-(end - begin) // 64)
                 expected = expected_masks(raw[begin:end], borders, features)
-                assert np.array_equal(masks[:groups], expected), (layout.layout, begin, end)
+                assert np.array_equal(masks[row:row + groups], expected), (layout.layout, begin, end)
 
 
 def test_every_block_length_in_both_layouts():
@@ -442,7 +443,7 @@ def test_every_block_length_in_both_layouts():
     both layouts: 21 features (a partial last tile of 5), negative borders,
     values equal to a border and NaN.  Past the live objects a zero fed to
     an unmasked compare exceeds the negative borders, so every bit there
-    must be clear, over a dirty buffer."""
+    must be clear, over a dirty buffer, and the pass's later rows unwritten."""
     lib = native.kernels()
     if lib is None:
         pytest.skip("no native binarizer on this host")
@@ -465,8 +466,10 @@ def test_every_block_length_in_both_layouts():
             masks, binarize, _ = bound.over(matrix, np.zeros(live))
             masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)
             binarize(0, live)
-            assert masks.shape == (-(-live // 64), borders.size)
+            groups = -(-live // 64)
+            assert masks.shape == (bound.groups, borders.size)
             expected = expected_masks(raw[:live], borders, features)
-            assert np.array_equal(masks, expected), (matrix.layout, live)
+            assert np.array_equal(masks[:groups], expected), (matrix.layout, live)
+            assert (masks[groups:] == np.uint64(0xA5A5A5A5A5A5A5A5)).all(), (matrix.layout, live)
             if live % 64:
-                assert not (masks[-1] >> np.uint64(live % 64)).any(), (matrix.layout, live)
+                assert not (masks[groups - 1] >> np.uint64(live % 64)).any(), (matrix.layout, live)
