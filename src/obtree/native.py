@@ -208,18 +208,18 @@ class BoundKernels:
         # bank) and the arrays.
         held = (self._binarize, self._fold, self, values, masks, out)
 
-        def binarize(begin: int, end: int) -> None:
+        def rows_at(begin: int, end: int) -> int:
             row = begin // 64 % groups
             if not (0 <= begin <= end <= n and 64 * row + end - begin <= span):
                 raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
-            held[0](model, values_at + begin * stride, feature_major, row_length, end - begin,
-                    masks_at + row * row_bytes)
+            return masks_at + row * row_bytes
+
+        def binarize(begin: int, end: int) -> None:
+            rows = rows_at(begin, end)
+            held[0](model, values_at + begin * stride, feature_major, row_length, end - begin, rows)
 
         def fold(begin: int, end: int) -> None:
-            row = begin // 64 % groups
-            if not (0 <= begin <= end <= n and 64 * row + end - begin <= span):
-                raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
-            held[1](model, masks_at + row * row_bytes, end - begin, out_at + 8 * begin)
+            held[1](model, rows_at(begin, end), end - begin, out_at + 8 * begin)
 
         return masks, binarize, fold
 
