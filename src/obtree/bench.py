@@ -13,8 +13,11 @@ its warmup run, before the first case is timed, and the repetitions run
 round-robin, one sample of every case per round, so that a slower host for
 part of the run slows every case alike.  Each case carries its
 relative deviation d = (time - base_time) / base_time against a designated
-baseline case.  After the timed rounds, each verified case makes
-``STAGE_CALLS`` more calls with ``EvalStats`` for its stage columns.
+baseline case, and the median of host probes (``host_probe``) taken next to
+its samples, so that records from separate processes can be compared.
+After the timed rounds, each verified case makes ``STAGE_CALLS`` more calls
+with ``EvalStats`` for its stage columns and their median wall time,
+``call_ms``: ``call_ms - stage1_ms - fold_ms`` is the call's own glue.
 Absolute times and speedups are hardware facts about the machine running
 the bench; they are reported, never asserted.
 
@@ -90,11 +93,15 @@ class CaseResult:
     std_s: float | None = None
     d: float | None = None
     inner: int = 0  # evaluations per timing sample (coarse-clock batching)
-    # Medians of STAGE_CALLS untimed predict calls' EvalStats.
+    # Medians of STAGE_CALLS untimed predict calls' EvalStats, and of their
+    # wall times.
     stage1_s: float | None = None
     fold_s: float | None = None
     scratch_bytes: int | None = None
     fold_groups: int | None = None
+    call_s: float | None = None
+    # Median host probe next to the timing samples.
+    host_probe_s: float | None = None
 
 
 @dataclass
@@ -185,18 +192,36 @@ def _time_case(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple[int, Callab
     return inner, sample
 
 
+# Additions of the host probe: the loop of perfbench's probe, so that both
+# records read the host in one unit (0.17-0.24 ms on a shared 2-vCPU
+# Sapphire Rapids VM).
+PROBE_LOOPS = 5_000
+
+
+def host_probe() -> float:
+    """Wall seconds of a fixed pure-Python loop: how fast this CPU runs now."""
+    started = time.perf_counter()
+    total = 0
+    for i in range(PROBE_LOOPS):
+        total += i
+    return time.perf_counter() - started
+
+
 STAGE_CALLS = 31
 
 
-def _stage_columns(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple[float, float, int, int]:
+def _stage_columns(evaluator: Evaluator, matrix: FeatureMatrix) -> tuple:
     """Median ``stage1_s``, ``fold_s``, ``scratch_bytes`` and ``fold_groups``
     of ``STAGE_CALLS`` calls of ``predict(matrix, stats)``, none of them
-    inside a timing sample."""
-    calls = [EvalStats() for _ in range(STAGE_CALLS)]
+    inside a timing sample, and the median wall seconds of those calls."""
+    calls, walls = [EvalStats() for _ in range(STAGE_CALLS)], []
     for stats in calls:
+        started = time.perf_counter()
         evaluator.predict(matrix, stats)
-    return tuple(statistics.median(getattr(s, name) for s in calls)
-                 for name in ("stage1_s", "fold_s", "scratch_bytes", "fold_groups"))
+        walls.append(time.perf_counter() - started)
+    return (*(statistics.median(getattr(s, name) for s in calls)
+              for name in ("stage1_s", "fold_s", "scratch_bytes", "fold_groups")),
+            statistics.median(walls))
 
 
 def run_matrix(
@@ -250,19 +275,22 @@ def run_matrix(
         if row.verified:
             matrix = inputs(case.batch_size, case.layout)
             row.inner, sample = _time_case(evaluator, matrix)
-            timed.append((row, evaluator, matrix, sample, []))
+            timed.append((row, evaluator, matrix, sample, [], []))
     rounds = max((row.case.repetitions for row, *_ in timed), default=0)
     if log and timed:
         log(f"timing {len(timed)} cases round-robin, {rounds} rounds ...")
     for r in range(rounds):
-        for row, _, _, sample, samples in timed:
+        for row, _, _, sample, samples, probes in timed:
             if r < row.case.repetitions:
+                before = host_probe()
                 samples.append(sample())
-    for row, evaluator, matrix, _, samples in timed:
+                probes.append((before + host_probe()) / 2)
+    for row, evaluator, matrix, _, samples, probes in timed:
         row.mean_s = statistics.fmean(samples)
         row.std_s = statistics.stdev(samples)
-        row.stage1_s, row.fold_s, row.scratch_bytes, row.fold_groups = _stage_columns(
-            evaluator, matrix)
+        row.host_probe_s = statistics.median(probes)
+        (row.stage1_s, row.fold_s, row.scratch_bytes, row.fold_groups,
+         row.call_s) = _stage_columns(evaluator, matrix)
 
     # First matching row wins if the id appears more than once.
     base_time = next(r for r in rows if r.case.case_id == baseline_id).mean_s
@@ -307,6 +335,8 @@ def format_json(report: BenchReport) -> str:
         "fold_ms": ms(row.fold_s),
         "scratch_bytes": row.scratch_bytes,
         "fold_groups": row.fold_groups,
+        "call_ms": ms(row.call_s),
+        "host_probe_us": None if row.host_probe_s is None else row.host_probe_s * 1e6,
         "verified": row.verified,
     } for row in report.rows]
     return json.dumps({**report.metadata, "cases": cases}, indent=1, allow_nan=False) + "\n"
@@ -317,15 +347,21 @@ def format_json(report: BenchReport) -> str:
 
 
 def _parse_batch(text: str) -> list[int]:
-    match = re.fullmatch(r"(\d+)(?:\.\.(\d+)(?::(\d+))?)?", text)
-    if not match:
-        raise argparse.ArgumentTypeError("batch must look like n, a..b or a..b:step")
-    lo = int(match.group(1))
-    hi = int(match.group(2) or lo)
-    step = int(match.group(3) or 1)
-    if lo < 1 or hi < lo or step < 1:
-        raise argparse.ArgumentTypeError("batch sizes must satisfy 1 <= a <= b, step >= 1")
-    return list(range(lo, hi + 1, step))
+    """Batch sizes from a comma-separated list of sizes n and ranges a..b
+    or a..b:step."""
+    sizes = []
+    for part in text.split(","):
+        match = re.fullmatch(r"(\d+)(?:\.\.(\d+)(?::(\d+))?)?", part)
+        if not match:
+            raise argparse.ArgumentTypeError("batch must look like n, a..b or a..b:step, "
+                                             "or a comma-separated list of them")
+        lo = int(match.group(1))
+        hi = int(match.group(2) or lo)
+        step = int(match.group(3) or 1)
+        if lo < 1 or hi < lo or step < 1:
+            raise argparse.ArgumentTypeError("batch sizes must satisfy 1 <= a <= b, step >= 1")
+        sizes += range(lo, hi + 1, step)
+    return sizes
 
 
 def _parse_synthetic(text: str) -> SyntheticSpec:
@@ -371,8 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch",
         type=_parse_batch,
         default=[1024],
-        metavar="N|A..B[:STEP]",
-        help="batch size, or a range of batch sizes to sweep (default: 1024)",
+        metavar="N|A..B[:STEP][,...]",
+        help="batch size, or a comma-separated list of sizes and ranges to sweep "
+             "(default: 1024)",
     )
     parser.add_argument("--reps", type=int, default=DEFAULT_REPS, help="timed repetitions per case")
     parser.add_argument("--baseline", metavar="CASE_ID", help="case id d is measured against")

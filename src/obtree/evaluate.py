@@ -16,9 +16,10 @@ run in one of two backends chosen when an ``Evaluator`` is made
   the fold kernels, one call per pass, read those masks group by group and
   write the finished scores.  They read each tree's conditions from its row
   of ``ModelTables.tree_cond`` and load each tree's byte planes once for all
-  the groups of the pass.  Those planes, a byte transpose of the leaf bank,
-  and everything else they read about the model, such as its runs of trees
-  of equal depth, ``native.BoundKernels`` builds;
+  the groups of the pass; a nearly empty last group gathers its binary64
+  leaves from the bank instead.  Those planes, a byte transpose of the leaf
+  bank, and everything else they read about the model, such as its runs of
+  trees of equal depth, ``native.BoundKernels`` builds;
 * ``numpy``: array operations.  Stage 1 writes a (conditions x objects)
   panel of 0/1 bytes; stages 2-3 gather its rows into a (trees x objects)
   panel covering a block's live objects rounded up to a multiple of 8, so
@@ -33,9 +34,13 @@ Both test each distinct split condition of the model once per block (or
 group), by the one compare ``value > cond_border[c]`` (``obtree.quantize``).
 Both sum each object's leaves in tree order, so results are bit-identical
 across backends and do not depend on the block plan or the input layout.
-Given an ``EvalStats``, ``predict`` times stage 1 of each block and the
-fold of each pass and reports them with its scratch memory and its NaN and
-+/-inf inputs; without one it reads no clock and counts nothing.
+A ``predict`` call binds its backend's stages to its matrix and scores once
+(``native.Call``, or ``_NumpyCall``), then runs one loop for both: each
+block's stage 1 through ``quantize_block`` with the call's ``binarize``,
+and the call's ``fold`` once a pass fills or the batch ends.  Given an
+``EvalStats``, ``predict`` wraps those two in timers, which also count the
+block's NaN and +/-inf inputs, and reports its scratch memory; without one
+it reads no clock and counts nothing.
 
 The three leaf-load strategies name the paper's AVX2/AVX-512 load
 mechanics.  A strategy selects only its leaf precision: ``naive`` and
@@ -59,7 +64,7 @@ import numpy as np
 from . import native
 from .model import (MAX_DEPTH, LeafBank, LeafPrecision, ObliviousModel, build_leaf_bank,
                     require_valid)
-from .quantize import CONDITION_CHUNK, FeatureMatrix, quantize_block
+from .quantize import CONDITION_CHUNK, FeatureMatrix, quantize_block, quantize_panel
 
 
 PERMUTE64_LANES = 8    # binary64 lanes in one 512-bit vector
@@ -342,9 +347,10 @@ class EvalStats:
     ``blocks`` counts the blocks of ``EvalConfig.block_size`` objects the
     call ran, and ``fold_groups`` the 64-object groups of each fold pass:
     ``native.BoundKernels.groups`` on ``avx512``, one block's on numpy.
-    ``stage1_s`` is the time spent in stage 1 (``quantize_block``) and
-    ``fold_s`` in stages 2-3 and finalize, each summed over the blocks with
-    ``time.perf_counter``.  ``scratch_bytes`` is the per-call memory
+    ``stage1_s`` is the time spent in stage 1 (each block's binarizer,
+    called by ``quantize_block``) and ``fold_s`` in stages 2-3 and finalize
+    (each pass's fold), each summed with ``time.perf_counter``; the rest of
+    the call is its own glue.  ``scratch_bytes`` is the per-call memory
     besides the input and the scores: on ``avx512`` the condition masks of
     the pass's groups that the call fills and the fold kernel's sums of
     them on the C stack; on numpy the arrays that the
@@ -354,7 +360,7 @@ class EvalStats:
     to +/-65504 (``LeafBank.saturation_count``), 0 for binary64.
     ``nan_inputs`` and ``inf_inputs`` count the NaN and the +/-inf values of
     the call's matrix, whether or not a split tests their feature, a block's
-    count of values at a time (one boolean temporary), after its stages.
+    count of values at a time (one boolean temporary), after its stage 1.
     """
 
     backend: str = ""
@@ -367,6 +373,64 @@ class EvalStats:
     saturated_leaves: int = 0
     nan_inputs: int = 0
     inf_inputs: int = 0
+
+
+class _NumpyCall:
+    """One ``predict`` call on the numpy stages, with ``native.Call``'s
+    attributes: ``binarize`` writes a block's condition panel, a contiguous
+    view of ``masks`` of its live columns rounded up to whole 64-bit words,
+    and ``fold`` folds that block into the scores ``out``; a pass is one
+    block."""
+
+    span = EvalConfig.block_size
+
+    def __init__(self, evaluator: Evaluator, matrix: FeatureMatrix):
+        n = matrix.n_objects
+        self.out = np.empty(n)
+        self._tables, self._bank, self._matrix = evaluator.tables, evaluator.bank, matrix
+        self._n_cond = evaluator.tables.cond_border.size
+        self.masks = np.empty(self._n_cond * self._width(min(n, self.span)), dtype=np.uint8)
+        self._block = None  # the panel of the block binarized last
+
+    @staticmethod
+    def _width(live: int) -> int:
+        return -(-live // _PANEL_COLUMNS) * _PANEL_COLUMNS
+
+    def binarize(self, begin: int, end: int) -> None:
+        width = self._width(end - begin)
+        self._block = self.masks[: self._n_cond * width].reshape(self._n_cond, width)
+        quantize_panel(self._matrix, begin, end, self._tables, self._block)
+
+    def fold(self, begin: int, end: int) -> None:
+        _fold_block_segment(self._tables, self._bank, self._block, self.out, begin, end)
+
+
+def _timed(binarize, fold, matrix: FeatureMatrix, stats: EvalStats) -> tuple:
+    """``binarize`` and ``fold`` timed into ``stats``, which they first
+    clear: ``stage1_s`` and ``fold_s``, and the NaN and +/-inf values of
+    each block that ``binarize`` writes, counted after it."""
+    stats.stage1_s = stats.fold_s = 0.0
+    stats.nan_inputs = stats.inf_inputs = 0
+    # A block's values as a flat slice in either layout: never a strided
+    # view, which numpy buffers.
+    flat, n_features = matrix.values.reshape(-1), matrix.n_features
+
+    def timed_binarize(begin: int, end: int) -> None:
+        started = time.perf_counter()
+        binarize(begin, end)
+        stats.stage1_s += time.perf_counter() - started
+        values = flat[begin * n_features : end * n_features]
+        nonfinite = values.size - int(np.count_nonzero(np.isfinite(values)))
+        nan = int(np.count_nonzero(np.isnan(values))) if nonfinite else 0
+        stats.nan_inputs += nan
+        stats.inf_inputs += nonfinite - nan
+
+    def timed_fold(begin: int, end: int) -> None:
+        started = time.perf_counter()
+        fold(begin, end)
+        stats.fold_s += time.perf_counter() - started
+
+    return timed_binarize, timed_fold
 
 
 class Evaluator:
@@ -409,64 +473,33 @@ class Evaluator:
             raise TypeError(f"matrix must be a FeatureMatrix, got {type(matrix).__name__}")
         if not (stats is None or isinstance(stats, EvalStats)):
             raise TypeError(f"stats must be an EvalStats or None, got {type(stats).__name__}")
-        model = self.tables.model
-        if matrix.n_features != model.n_features:
-            raise ValueError(
-                f"matrix has {matrix.n_features} features, model expects {model.n_features}"
-            )
-        n = matrix.n_objects
-        out = np.empty(n, dtype=np.float64)
-        size, tables, timed = EvalConfig.block_size, self.tables, stats is not None
-        if self._native is None:
-            n_cond = tables.cond_border.size
-            cols = -(-min(n, size) // _PANEL_COLUMNS) * _PANEL_COLUMNS
-            panels, binarize, pass_size = np.empty(n_cond * cols, dtype=np.uint8), None, size
-
-            def fold(begin: int, end: int) -> None:
-                _fold_block_segment(self.tables, self.bank, block, out, begin, end)
-        else:
-            block, binarize, fold = self._native.over(matrix, out)
-            pass_size = 64 * self._native.groups
-
-        stage1_s = fold_s = 0.0
-        nonfinite = nan = 0
+        n_features = self.tables.model.n_features
+        if matrix.n_features != n_features:
+            raise ValueError(f"matrix has {matrix.n_features} features, model expects {n_features}")
+        bound = self._native
+        call = _NumpyCall(self, matrix) if bound is None else bound.call(matrix)
+        masks, binarize, fold, span = call.masks, call.binarize, call.fold, call.span
+        if stats is not None:
+            binarize, fold = _timed(binarize, fold, matrix, stats)
+        n, size, tables = matrix.n_objects, EvalConfig.block_size, self.tables
         # The blocks of plan_blocks(n, size), without building its list; a
-        # pass of `pass_size` objects, whole blocks, folds once it fills or
-        # the batch ends.
+        # pass of `span` objects, whole blocks, folds once it fills or the
+        # batch ends.
         for begin in range(0, n, size):
-            end = min(begin + size, n)
-            if binarize is None:
-                # Each block's panel is a contiguous view of its live columns
-                # rounded up to whole 64-bit words.
-                width = -(-(end - begin) // _PANEL_COLUMNS) * _PANEL_COLUMNS
-                block = panels[: n_cond * width].reshape(n_cond, width)
-            started = time.perf_counter() if timed else 0.0
-            quantize_block(matrix, (begin, end), tables, block, binarize)
-            quantized = time.perf_counter() if timed else 0.0
-            if end == n or end % pass_size == 0:
-                fold(begin - begin % pass_size, end)
-            if timed:
-                stage1_s += quantized - started
-                fold_s += time.perf_counter() - quantized
-                # A block's count of values at a time, as a flat slice in
-                # either layout: never a strided view, which numpy buffers.
-                values = matrix.values.reshape(-1)[begin * model.n_features :
-                                                   end * model.n_features]
-                found = values.size - int(np.count_nonzero(np.isfinite(values)))
-                nonfinite += found
-                nan += int(np.count_nonzero(np.isnan(values))) if found else 0
-        if binarize is not None:
-            # A call that raised gives nothing back: the next call allocates.
-            self._native.release(block)
-        if timed:
+            end = begin + size if n - begin > size else n
+            quantize_block(matrix, (begin, end), tables, masks, binarize)
+            if end == n or end % span == 0:
+                fold(begin - begin % span, end)
+        out = call.out
+        if bound is not None:
+            # A call that raised gives nothing back: the next call makes its own.
+            bound.release(call)
+        if stats is not None:
             stats.backend, stats.objects, stats.blocks = self.backend, n, -(-n // size)
-            stats.fold_groups = pass_size // 64
-            stats.stage1_s, stats.fold_s = stage1_s, fold_s
+            stats.fold_groups = span // 64
             stats.saturated_leaves = self.bank.saturation_count
-            stats.nan_inputs, stats.inf_inputs = nan, nonfinite - nan
-            stats.scratch_bytes = min(n, size) * model.n_features + (
-                self._numpy_scratch_bytes(n) if self._native is None
-                else self._native.scratch_bytes(n))
+            stats.scratch_bytes = min(n, size) * n_features + (
+                self._numpy_scratch_bytes(n) if bound is None else bound.scratch_bytes(n))
         return out
 
     def _numpy_scratch_bytes(self, n: int) -> int:

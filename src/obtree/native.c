@@ -18,7 +18,9 @@
  * transposed) into an 8 KB array on the stack, then each condition makes 8
  * compares and stores each one's 16 bits straight from its mask register
  * into its quarter of the group's mask.  The groups of a partial block are
- * read one at a time.
+ * read one at a time; a partial group (1-3 live quarters) clears each of
+ * its masks with one 64-bit store, then stores its live quarters' 16 bits
+ * the same way.
  *
  * The two fold kernels walk those masks in groups of 64 objects, one object
  * per byte lane of a 512-bit vector, up to MAX_GROUPS (16) groups per walk
@@ -49,6 +51,14 @@
  * planes into leaves: 8 planes and 24 unpacks give binary64 leaves and sums;
  * 2 planes and 2 unpacks give binary16 leaves, which vcvtph2ps widens to
  * binary32 sums.
+ * A nearly empty group loads its leaves otherwise: only the last group of a
+ * pass can hold fewer than 64 objects, and where its live objects are at
+ * most obtree_model.gather_limit, a count set by the model's depths
+ * (native.GATHER_LIMITS), its binary64 leaves are gathered from the bank's
+ * values (obtree_model.values), 8 objects per vpgatherqpd, and summed in
+ * tree order as the selected ones are.  A pass of that one group then
+ * loads no plane: one object at depth 8 folded x0.18 of its time from the
+ * planes.  Binary16 leaves are never gathered.
  * The sums start at zero; each live object's score, (double)sum * scale +
  * bias, is written straight to the output, and nothing past `live` is.
  *
@@ -70,13 +80,17 @@
  * t's condition of each level; levels past its depth hold a condition that
  * never holds, and are not read here.  Run r of trees, [depth_runs[r],
  * depth_runs[r + 1]), is a run of equal depth.  Tree t's leaves are the
- * `width` byte planes of 2**depth bytes at planes + width * offsets[t]. */
+ * `width` byte planes of 2**depth bytes at planes + width * offsets[t], and
+ * the leaf bank's values from values + width * offsets[t] bytes on.  A
+ * pass's last group gathers its binary64 leaves from there where it holds
+ * at most gather_limit objects (native.GATHER_LIMITS). */
 typedef struct {
     const int64_t *cond_feature, *feature_runs, *tile_runs, *offsets, *depth_runs;
     const int32_t *tree_cond;
     const float *cond_border;
     const uint8_t *planes;
-    int64_t n_cond, n_features, n_feature_runs, n_tile_runs, n_depth_runs;
+    const void *values;
+    int64_t n_cond, n_features, n_feature_runs, n_tile_runs, n_depth_runs, gather_limit;
     double scale, bias;
 } obtree_model;
 
@@ -167,22 +181,28 @@ KERNEL static inline __attribute__((always_inline)) void load_quarter(
     transpose16(v);
 }
 
+/* A 16-bit quarter of a mask, which may alias the 64-bit mask it is part of. */
+typedef uint16_t __attribute__((may_alias)) quarter16;
+
 /* Stores a compare's 16 bits as quarter j of *mask, straight from the mask
  * register: gcc 12 merges adjacent _store_mask16 calls into shifts and ors
  * of general registers, which cost more than the compares. */
 KERNEL static inline __attribute__((always_inline)) void store_quarter(
     uint64_t *mask, int j, __mmask16 bits)
 {
-    __asm__("kmovw %1, %0" : "=m"(((uint16_t *)mask)[j]) : "k"(bits));
+    __asm__("kmovw %1, %0" : "=m"(((quarter16 *)mask)[j]) : "k"(bits));
 }
 
 /* The masks of conditions [c0, c1), each on feature f0 + i, for `quarters`
  * 16-object quarters from group 0 of out on, whose values are v and whose
  * live objects are `objects`: quarter j is quarter j % 4 of group j / 4.
- * `quarters` is a constant: whole groups (4 or 8 quarters) store each
- * compare's 16 bits, and a partial group (1-3) packs its compares into one
- * 64-bit mask, clear past them; unrolled, the compares ran about 20% faster
- * than under a variable count. */
+ * `quarters` is a constant: each compare's 16 bits are stored straight
+ * from its mask register, and a partial group (1-3 quarters) first clears
+ * its whole 64-bit mask with one store, so the bits past its quarters are
+ * clear; unrolled, the compares ran about 20% faster than under a variable
+ * count.  Moving a partial group's compares to general registers, shifted
+ * and or-ed into one 64-bit store, made stage 1 about 4% slower on blocks
+ * of 1-48 objects (Sapphire Rapids, gcc 12). */
 KERNEL static inline __attribute__((always_inline)) void write_masks(
     const obtree_model *m, int64_t c0, int64_t c1, int64_t f0, __m512 v[8][16],
     const __mmask16 *objects, int quarters, uint64_t *out)
@@ -195,17 +215,11 @@ KERNEL static inline __attribute__((always_inline)) void write_masks(
     for (int64_t c = c0; c < c1; c++) {
         __m512 border = _mm512_set1_ps(cond_border[c]);
         int64_t i = cond_feature[c] - f0;
-        if (quarters % 4 == 0) {
-            for (int j = 0; j < quarters; j++)
-                store_quarter(out + j / 4 * n_cond + c, j % 4,
-                              _mm512_mask_cmp_ps_mask(objects[j], v[j][i], border, _CMP_GT_OQ));
-        } else {
-            uint64_t bits = 0;
-            for (int j = 0; j < quarters; j++)
-                bits |= (uint64_t)_mm512_mask_cmp_ps_mask(objects[j], v[j][i], border, _CMP_GT_OQ)
-                        << 16 * j;
-            out[c] = bits;
-        }
+        if (quarters % 4)
+            out[c] = 0;
+        for (int j = 0; j < quarters; j++)
+            store_quarter(out + j / 4 * n_cond + c, j % 4,
+                          _mm512_mask_cmp_ps_mask(objects[j], v[j][i], border, _CMP_GT_OQ));
     }
 }
 
@@ -255,16 +269,20 @@ KERNEL static inline __attribute__((always_inline)) void binarize(
     }
 }
 
-/* The condition masks of a block's `live` objects, ceil(live / 64) groups of
- * m->n_cond.  Object o of the block has feature f at values[o * row_length + f],
- * or at values[f * row_length + o] where feature_major is set. */
-KERNEL void obtree_binarize(const obtree_model *m, const float *values, int64_t feature_major,
-                            int64_t row_length, int64_t live, uint64_t *masks)
+/* The condition masks of a block's objects, ceil(live / 64) groups of
+ * m->n_cond, from the block's first value `first` to the first value of
+ * the object past it, `end`: a range of pointers, which ctypes passes
+ * faster than an int64 count.  Object o of the block has feature f at
+ * first[o * row_length + f], up to end = first + live * row_length, or,
+ * where feature_major is set, at first[f * row_length + o], up to end =
+ * first + live. */
+KERNEL void obtree_binarize(const obtree_model *m, const float *first, const float *end,
+                            int64_t feature_major, int64_t row_length, uint64_t *masks)
 {
     if (feature_major)
-        binarize(m, values, 1, row_length, live, masks);
+        binarize(m, first, 1, row_length, end - first, masks);
     else
-        binarize(m, values, 0, row_length, live, masks);
+        binarize(m, first, 0, row_length, (end - first) / row_length, masks);
 }
 
 /* Qword j of the transpose below: byte m is 8 * (7 - m) + j. */
@@ -357,19 +375,37 @@ KERNEL static void lane_order(int width, uint8_t order[64])
         order[j] = bytes[width * j];
 }
 
+/* Adds to the binary64 sums s of one group, in object order, the leaves of
+ * its first `live` objects (and of the rest of their 8) from one tree's
+ * table at `leaves`, by its leaf indices `index`: 8 leaves per
+ * vpgatherqpd. */
+KERNEL static inline __attribute__((always_inline)) void gather_leaves(
+    const double *leaves, __m512i index, int64_t live, char *s)
+{
+    uint8_t bytes[64];
+    _mm512_storeu_si512(bytes, index);
+    for (int64_t o = 0; o < live; o += 8) {
+        __m512i at = _mm512_cvtepu8_epi64(_mm_loadl_epi64((const __m128i *)(bytes + o)));
+        _mm512_storeu_pd(s + 8 * o, _mm512_add_pd(_mm512_loadu_pd(s + 8 * o),
+                                                  _mm512_i64gather_pd(at, leaves, 8)));
+    }
+}
+
 /* Adds the leaves of trees [t0, t1), all of one depth, to the sums of
  * `groups` 64-object groups, for fold_groups() below.  Each tree's `width`
- * byte planes are loaded once, then serve the selects of every group.  The
+ * byte planes are loaded once, then serve the selects of every group but,
+ * where `gathered` is not 0, the last, whose first `gathered` objects'
+ * leaves are gathered from the bank's values instead (gather_leaves).  The
  * leaf indices run a tree ahead: the run's first tree's are built before
  * the loop, and each tree but the run's last builds the next one's, so no
  * tree_cond row past the run is read. */
 KERNEL static inline __attribute__((always_inline)) void fold_run(
     const obtree_model *m, int64_t t0, int64_t t1, int depth, const uint64_t *masks,
-    int64_t groups, int width, char *sum)
+    int64_t groups, int64_t gathered, int width, char *sum)
 {
     const uint8_t *tree = m->planes + width * m->offsets[t0];
     const int32_t *tree_cond = m->tree_cond;
-    int64_t n_cond = m->n_cond;
+    int64_t n_cond = m->n_cond, selected = gathered ? groups - 1 : groups;
     __m512i idx[MAX_GROUPS];
     __m256i cond = _mm256_loadu_si256((const __m256i *)(tree_cond + 8 * t0));
     for (int64_t g = 0; g < groups; g++)
@@ -381,7 +417,7 @@ KERNEL static inline __attribute__((always_inline)) void fold_run(
         int next = t + 1 < t1;
         if (next)
             cond = _mm256_loadu_si256((const __m256i *)(tree_cond + 8 * (t + 1)));
-        for (int64_t g = 0; g < groups; g++) {
+        for (int64_t g = 0; g < selected; g++) {
             __m512i index = idx[g];
             if (next)
                 idx[g] = leaf_indices(masks + g * n_cond, cond, depth);
@@ -403,35 +439,72 @@ KERNEL static inline __attribute__((always_inline)) void fold_run(
                                                                _mm512_cvtph_ps(h)));
                 }
         }
+        if (gathered) {
+            __m512i index = idx[selected];
+            if (next)
+                idx[selected] = leaf_indices(masks + selected * n_cond, cond, depth);
+            gather_leaves((const double *)m->values + m->offsets[t], index, gathered,
+                          sum + 64 * 8 * selected);
+        }
+    }
+}
+
+/* fold_run() for a pass of one group that gathers its first `live`
+ * objects' binary64 leaves: it loads no plane. */
+KERNEL static inline __attribute__((always_inline)) void gather_run(
+    const obtree_model *m, int64_t t0, int64_t t1, int depth, const uint64_t *group,
+    int64_t live, char *sum)
+{
+    const int32_t *tree_cond = m->tree_cond;
+    __m512i index = leaf_indices(group, _mm256_loadu_si256((const __m256i *)(tree_cond + 8 * t0)),
+                                 depth);
+    for (int64_t t = t0; t < t1; t++) {
+        __m512i now = index;
+        if (t + 1 < t1)
+            index = leaf_indices(
+                group, _mm256_loadu_si256((const __m256i *)(tree_cond + 8 * (t + 1))), depth);
+        gather_leaves((const double *)m->values + m->offsets[t], now, live, sum);
     }
 }
 
 /* The scores of `live` objects, at most 64 * MAX_GROUPS, from their masks,
  * into out[0 .. live).  `width` is the leaf's bytes, a constant where this
  * is inlined: 8 for binary64 leaves and sums, 2 for binary16 leaves, which
- * vcvtph2ps widens to binary32 sums.  The sums are held in lane order: sum j
- * of group g is that of object 64g + order[j]. */
+ * vcvtph2ps widens to binary32 sums.  Only the last group can hold fewer
+ * than 64 live objects; it gathers its binary64 leaves where those are at
+ * most m->gather_limit.  The sums are held in lane order: sum j of group g
+ * is that of object 64g + order[j]; a gathering group's in object order. */
 KERNEL static inline __attribute__((always_inline)) void fold_groups(
     const obtree_model *m, const uint64_t *masks, int64_t live, int width,
     const uint8_t *order, double *out)
 {
     const int64_t *depth_runs = m->depth_runs, *offsets = m->offsets;
-    int64_t groups = (live + 63) / 64;
+    int64_t groups = (live + 63) / 64, last = live - 64 * (groups - 1);
+    int64_t gathered = width == 8 && last <= m->gather_limit ? last : 0;
     int item = width == 8 ? 8 : 4;
     char sum[MAX_GROUPS * 64 * 8];
     memset(sum, 0, (size_t)(groups * 64 * item));
     for (int64_t r = 0; r < m->n_depth_runs; r++) {
         int64_t t0 = depth_runs[r], t1 = depth_runs[r + 1];
-        /* A constant depth in each fold_run: about 10% faster than one loop
-         * over a variable depth. */
+        /* A constant depth in each fold_run (about 10% faster than one loop
+         * over a variable depth), and a constant 0 where no group gathers,
+         * which leaves the gather out of its loop. */
         switch (__builtin_ctzll((unsigned long long)(offsets[t0 + 1] - offsets[t0]))) {
-#define DEPTH(d) case d: fold_run(m, t0, t1, d, masks, groups, width, sum); break;
+#define DEPTH(d)                                                                          \
+    case d:                                                                               \
+        if (!gathered)                                                                    \
+            fold_run(m, t0, t1, d, masks, groups, 0, width, sum);                         \
+        else if (groups > 1)                                                              \
+            fold_run(m, t0, t1, d, masks, groups, gathered, width, sum);                  \
+        else                                                                              \
+            gather_run(m, t0, t1, d, masks, gathered, sum);                               \
+        break;
         DEPTH(1) DEPTH(2) DEPTH(3) DEPTH(4) DEPTH(5) DEPTH(6) DEPTH(7) DEPTH(8)
 #undef DEPTH
         }
     }
     for (int64_t i = 0; i < groups * 64; i++) {
-        int64_t o = i - i % 64 + order[i % 64];
+        int64_t o = gathered && i >= 64 * (groups - 1) ? i : i - i % 64 + order[i % 64];
         union { double d; float f; } s;
         if (o < live) {
             memcpy(&s, sum + i * item, item);
@@ -440,9 +513,9 @@ KERNEL static inline __attribute__((always_inline)) void fold_groups(
     }
 }
 
-/* The fold kernels: the scores of `live` objects from the masks of
- * obtree_binarize, ceil(live / 64) groups, into out[0 .. live), folded
- * MAX_GROUPS groups at a time. */
+/* The fold kernels: the scores of the objects out[0 .. end - out) from their
+ * masks, a group of m->n_cond for each 64 of them, folded MAX_GROUPS groups
+ * at a time. */
 KERNEL static inline __attribute__((always_inline)) void fold(
     const obtree_model *m, const uint64_t *masks, int64_t live, int width, double *out)
 {
@@ -454,14 +527,14 @@ KERNEL static inline __attribute__((always_inline)) void fold(
                     order, out + begin);
 }
 
-KERNEL void obtree_fold_binary16(const obtree_model *m, const uint64_t *masks, int64_t live,
-                                 double *out)
+KERNEL void obtree_fold_binary16(const obtree_model *m, const uint64_t *masks, double *out,
+                                 double *end)
 {
-    fold(m, masks, live, 2, out);
+    fold(m, masks, end - out, 2, out);
 }
 
-KERNEL void obtree_fold_binary64(const obtree_model *m, const uint64_t *masks, int64_t live,
-                                 double *out)
+KERNEL void obtree_fold_binary64(const obtree_model *m, const uint64_t *masks, double *out,
+                                 double *end)
 {
-    fold(m, masks, live, 8, out);
+    fold(m, masks, end - out, 8, out);
 }

@@ -6,16 +6,18 @@ condition and 16 objects, into one 64-bit mask per 64-object group and
 condition.  Stages 2-3 are one fold kernel per leaf precision, which reads
 those masks and selects each tree's leaves from its byte planes by
 ``vpermb``/``vpermt2b``, one select per leaf byte for 64 objects, and writes
-each object's score, ``scale * sum + bias``.  ``BoundKernels`` binds both to
+each object's score, ``scale * sum + bias``; a pass's nearly empty last
+group gathers its binary64 leaves from the bank's values instead (where it
+holds at most ``GATHER_LIMITS`` objects).  ``BoundKernels`` binds both to
 a model as one C struct, ``obtree_model``, and builds what only the kernels
 read: the leaf bank's byte planes (``byte_planes``), and the runs the
 kernels walk: conditions of one feature and of one 16-feature tile, and
-trees of one depth.  A ``predict`` call checks its arrays once
-(``BoundKernels.over``), then binarizes block by block into the slots of
-one pass of up to ``PASS_GROUPS`` groups and folds each pass in one call,
-so the fold walks the bank once per pass.  A pass holds 16 groups (1024
-objects) where their masks fit ``MASK_BUDGET``, and one block's groups
-otherwise.
+trees of one depth.  A ``predict`` call checks its matrix and binds the
+kernels to it once (``BoundKernels.call``, a ``Call``), then binarizes
+block by block into the slots of one pass of up to ``PASS_GROUPS`` groups
+and folds each pass in one call, so the fold walks the bank once per pass.
+A pass holds 16 groups (1024 objects) where their masks fit
+``MASK_BUDGET``, and one block's groups otherwise.
 
 The first ``Evaluator`` of a process compiles the package's C source with
 the system C compiler into a private temporary directory, loads it through
@@ -56,9 +58,11 @@ NAME = "avx512"
 
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
-_FOLD = [_ptr, _ptr, _i64, _ptr]
-# The argument types of each kernel of native.c; each returns void.
-KERNEL_ARGS = {"obtree_binarize": [_ptr, _ptr, _i64, _i64, _i64, _ptr],
+_FOLD = [_ptr, _ptr, _ptr, _ptr]
+# The argument types of each kernel of native.c; each returns void.  ctypes
+# converts a pointer argument about 0.1 us faster than an int64 one
+# (CPython 3.11), so the kernels take ranges of objects as pointers.
+KERNEL_ARGS = {"obtree_binarize": [_ptr, _ptr, _ptr, _i64, _i64, _ptr],
                "obtree_fold_binary16": _FOLD, "obtree_fold_binary64": _FOLD}
 
 
@@ -73,14 +77,33 @@ PASS_GROUPS = 16
 MASK_BUDGET = 256 * 1024
 
 
+# By tree depth (0-8), the most live objects of a pass's last group whose
+# binary64 leaves the fold gathers from the bank's values, not selects from
+# the byte planes.  A model of several depths takes the least of its depths'
+# counts, so that no run of its trees gathers where it folds slower, and the
+# group's sums keep one order for the whole fold.  On a 2-vCPU Sapphire
+# Rapids VM, 1000 trees of one depth over 32 features, a group of this many
+# objects folded gathered in x0.71-0.82 of its time from the planes alone in
+# its pass at depths 1-6, x0.43 at depth 7 and x0.18 at depth 8; as the last
+# of two groups, where the planes are loaded for the other anyway, in
+# x0.73-0.96 at depths 1-7 and x0.95-1.07 at depth 8 (two sessions).  Alone
+# it gathered faster up to 24-40 objects at depths 1-7 and up to 63 at depth
+# 8, but as the last of two groups only up to 2-4 at depths 7-8, where the
+# bank's values and planes outgrow the 2 MB L2.  Binary16 leaves, gathered
+# 16 to a vpgatherdd and widened, folded x1.2-1.3 slower alone at every count
+# and depth, so they never gather.
+GATHER_LIMITS = (0, 24, 24, 24, 24, 16, 16, 4, 2)
+
+
 class _Model(ctypes.Structure):
     """``obtree_model`` of ``native.c``: a model as the kernels read it."""
 
     _fields_ = [
         ("cond_feature", _ptr), ("feature_runs", _ptr), ("tile_runs", _ptr), ("offsets", _ptr),
         ("depth_runs", _ptr), ("tree_cond", _ptr), ("cond_border", _ptr), ("planes", _ptr),
-        ("n_cond", _i64), ("n_features", _i64), ("n_feature_runs", _i64), ("n_tile_runs", _i64),
-        ("n_depth_runs", _i64), ("scale", ctypes.c_double), ("bias", ctypes.c_double),
+        ("values", _ptr), ("n_cond", _i64), ("n_features", _i64), ("n_feature_runs", _i64),
+        ("n_tile_runs", _i64), ("n_depth_runs", _i64), ("gather_limit", _i64),
+        ("scale", ctypes.c_double), ("bias", ctypes.c_double),
     ]
 
 
@@ -133,9 +156,6 @@ class BoundKernels:
                              f"{tables.n_trees} trees of the tables and their depths")
         n_cond = tables.cond_border.size
         self.groups = PASS_GROUPS if PASS_GROUPS * 8 * n_cond <= MASK_BUDGET else groups
-        # The held mask buffer: a call takes it and gives it back (release);
-        # a concurrent call finds the list empty and allocates its own.
-        self._spare = [np.empty((self.groups, n_cond), _U64)]
         self._binarize = lib.obtree_binarize
         self._fold = getattr(lib, f"obtree_fold_{bank.precision.value}")
         self._sum_bytes = 64 * (8 if binary64 else 4)
@@ -147,12 +167,17 @@ class BoundKernels:
         self._model = _Model(
             tables.cond_feature.ctypes.data, feature_runs.ctypes.data, tile_runs.ctypes.data,
             bank.offsets.ctypes.data, depth_runs.ctypes.data, tables.tree_cond.ctypes.data,
-            tables.cond_border.ctypes.data, planes.ctypes.data, n_cond,
+            tables.cond_border.ctypes.data, planes.ctypes.data, bank.values.ctypes.data, n_cond,
             tables.model.n_features, feature_runs.size - 1, tile_runs.size - 1, depth_runs.size - 1,
+            min((GATHER_LIMITS[d] for d in depths[depth_runs[:-1]]), default=0) if binary64 else 0,
             tables.model.scale, tables.model.bias,
         )
         self._address = ctypes.addressof(self._model)
         self._n_cond, self._n_features = n_cond, self._model.n_features
+        # The held call and its mask buffer: a call takes it and gives it
+        # back (release); a concurrent call finds the list empty and makes
+        # its own.
+        self._spare = [Call(self)]
 
     def scratch_bytes(self, n: int) -> int:
         """The bytes a call over ``n`` objects uses besides its input and
@@ -160,83 +185,97 @@ class BoundKernels:
         kernel's sums of those groups, which it keeps on the C stack."""
         return min(self.groups, -(-n // 64)) * (8 * self._n_cond + self._sum_bytes)
 
-    def over(self, matrix: FeatureMatrix, out: np.ndarray) -> tuple:
-        """``(masks, binarize, fold)`` for one ``predict`` call over
-        ``matrix`` into the float64 scores ``out``, pass by pass.
-
-        ``masks`` is the held (``groups`` x conditions) uint64 buffer, or a
-        new one while another call holds it; give it back with ``release``
-        once the call is done.  A range [begin, end) of objects takes the
-        rows of ``masks`` from ``row = begin // 64 % groups`` on, so the
-        blocks of a pass (``64 * groups`` objects from a multiple of that
-        on) fill its rows in turn.
-        ``binarize(begin, end)`` writes the condition masks of objects
-        [begin, end) of ``matrix`` into those rows: bit o of
-        ``masks[row + g, c]`` holds condition ``c`` for object
-        ``begin + 64 * g + o``.  The bits past ``end`` in the last group
-        written are clear; other rows are not written.  Then
-        ``fold(begin, end)`` reads the rows of such a range, which may
-        span the blocks binarized before it, sums every tree's leaf, in
-        tree order, for each of its objects and writes ``scale * sum +
-        bias`` into ``out[begin:end]``, and nothing else.  Each refuses a
-        range outside the batch or past the last row of ``masks``.  The
-        closures hold this object and the arrays whose addresses they pass.
-        """
+    def call(self, matrix: FeatureMatrix) -> Call:
+        """One ``predict`` call over ``matrix``: a ``Call`` bound to it and
+        to its new float64 scores, ``Call.out``.  Give it back with
+        ``release`` once the call is done.  Refuses a matrix whose values
+        are not a C-contiguous binary32 array of its objects and of the
+        model's features."""
         values = matrix.values
         _require(values, _F32)
-        _require(out, _F64)
-        n, n_features, n_cond, groups = (matrix.n_objects, self._n_features, self._n_cond,
-                                         self.groups)
-        if not (values.size == n * matrix.n_features and matrix.n_features == n_features
-                and out.size == n):
-            raise ValueError(
-                f"a {n} x {matrix.n_features} matrix and {out.size} scores "
-                f"for {n_features} features"
-            )
+        n, n_features = matrix.n_objects, matrix.n_features
+        if not (values.size == n * n_features and n_features == self._n_features):
+            raise ValueError(f"a {n} x {n_features} matrix for {self._n_features} features")
         try:
-            masks = self._spare.pop()
+            call = self._spare.pop()
         except IndexError:
-            masks = np.empty((groups, n_cond), _U64)
-        feature_major = matrix.layout is _FEATURE_MAJOR
-        row_length = n if feature_major else n_features
-        stride = 4 if feature_major else 4 * n_features  # bytes from one object to the next
-        model, values_at, masks_at, out_at = (self._address, _address(values), _address(masks),
-                                              _address(out))
-        span, row_bytes = 64 * groups, 8 * n_cond
-        # The kernels read and write through raw addresses: each closure
-        # holds them, this object (its struct, planes, runs, tables and
-        # bank) and the arrays.
-        held = (self._binarize, self._fold, self, values, masks, out)
+            call = Call(self)
+        call.out = out = np.empty(n)
+        call._out_at, call._values, call._values_at = _address(out), values, _address(values)
+        call._n = n
+        if matrix.layout is _FEATURE_MAJOR:
+            call._feature_major, call._row_length, call._stride = 1, n, 4
+        else:
+            call._feature_major, call._row_length, call._stride = 0, n_features, 4 * n_features
+        return call
 
-        def rows_at(begin: int, end: int) -> int:
-            row = begin // 64 % groups
-            if not (0 <= begin <= end <= n and 64 * row + end - begin <= span):
-                raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
-            return masks_at + row * row_bytes
+    def release(self, call: Call) -> None:
+        """Takes back a finished ``call`` and its mask buffer for the next
+        call, and drops its matrix and scores; it must not be called again."""
+        call.out = call._values = None
+        self._spare.append(call)
 
-        def binarize(begin: int, end: int) -> None:
-            rows = rows_at(begin, end)
-            held[0](model, values_at + begin * stride, feature_major, row_length, end - begin, rows)
 
-        def fold(begin: int, end: int) -> None:
-            held[1](model, rows_at(begin, end), end - begin, out_at + 8 * begin)
+class Call:
+    """One ``predict`` call's binding of the kernels (``BoundKernels.call``):
+    the matrix, the scores ``out`` and ``masks``, the held (``groups`` x
+    conditions) uint64 buffer of one pass, or a new one while another call
+    holds it.  It holds the arrays whose addresses it passes, and the
+    ``BoundKernels`` (its struct, planes, runs, tables and bank).
 
-        return masks, binarize, fold
+    A range [begin, end) of objects takes the rows of ``masks`` from
+    ``row = begin // 64 % groups`` on, so the blocks of a pass (``64 *
+    groups`` objects from a multiple of that on) fill its rows in turn;
+    ``span`` is that pass's objects.  Each method refuses a range outside
+    the batch or past the last row of ``masks``."""
 
-    def release(self, masks: np.ndarray) -> None:
-        """Hands the ``masks`` of a finished ``over`` call back for the next
-        call; that call's closures must not be called again."""
-        self._spare.append(masks)
+    __slots__ = ("masks", "out", "span", "_kernels", "_model", "_binarize", "_fold", "_groups",
+                 "_masks_at", "_row_bytes", "_out_at", "_values", "_values_at", "_n",
+                 "_feature_major", "_row_length", "_stride")
+
+    def __init__(self, kernels: BoundKernels):
+        groups, n_cond = kernels.groups, kernels._n_cond
+        self.masks = np.empty((groups, n_cond), _U64)
+        self.span, self._groups, self._row_bytes = 64 * groups, groups, 8 * n_cond
+        self._kernels, self._model = kernels, kernels._address
+        self._binarize, self._fold = kernels._binarize, kernels._fold
+        self._masks_at = _address(self.masks)
+
+    def _rows(self, begin: int, end: int) -> int:
+        row = begin // 64 % self._groups
+        if not (0 <= begin <= end <= self._n and 64 * row + end - begin <= self.span):
+            raise ValueError(f"objects [{begin}, {end}) outside the masks or the batch")
+        return self._masks_at + row * self._row_bytes
+
+    def binarize(self, begin: int, end: int) -> None:
+        """Writes the condition masks of objects [begin, end) of the matrix
+        into their rows: bit o of ``masks[row + g, c]`` holds condition
+        ``c`` for object ``begin + 64 * g + o``.  The bits past ``end`` in
+        the last group written are clear; other rows are not written."""
+        rows, at, stride = self._rows(begin, end), self._values_at, self._stride
+        self._binarize(self._model, at + begin * stride, at + end * stride, self._feature_major,
+                       self._row_length, rows)
+
+    def fold(self, begin: int, end: int) -> None:
+        """Reads the rows of such a range, which may span the blocks
+        binarized before it, sums every tree's leaf, in tree order, for each
+        of its objects and writes ``scale * sum + bias`` into
+        ``out[begin:end]``, and nothing else."""
+        at = self._out_at
+        self._fold(self._model, self._rows(begin, end), at + 8 * begin, at + 8 * end)
 
 
 def _address(array: np.ndarray) -> int:
     """The address of a C-contiguous array's data.  ``from_buffer`` takes it
-    about 5x faster than ``array.ctypes.data`` (CPython 3.11, numpy 2.4), but
+    about 4x faster than ``array.ctypes.data`` (CPython 3.11, numpy 2.4), but
     only from a writable array of at least one byte."""
     try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+        return _addressof(_from_buffer(array))
     except (TypeError, ValueError):
         return array.ctypes.data
+
+
+_addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 
 
 # Compared against a dtype object, not a type, ``!=`` is about 2x faster;

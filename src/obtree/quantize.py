@@ -97,16 +97,26 @@ def quantize_block(
       ``o`` of row ``c`` gets 1 where condition ``c`` holds for object
       ``begin + o``, else 0; the columns past the live objects get 0, so a
       partial block's padding fails every split.
-    * ``binarize(begin, end)`` the binarization kernel bound to ``matrix``
-      and ``out`` (``avx512``, ``native.BoundKernels.over``): ``out`` is the
-      (groups x conditions) uint64 array of masks that that method describes.
+    * ``binarize(begin, end)`` a backend's stage 1 bound to ``matrix`` and
+      to ``out``, the buffer it writes, for one ``predict`` call: on
+      ``avx512`` ``native.Call.binarize``, whose ``out`` is the (groups x
+      conditions) uint64 array of masks that that class describes; on numpy
+      the call's own panel, which it fills as above (``quantize_panel``).
     """
     begin, end = object_range
     if not 0 <= begin <= end <= matrix.n_objects:
         raise ValueError(f"object range [{begin}, {end}) outside batch of {matrix.n_objects}")
-    if binarize is not None:
+    if binarize is None:
+        quantize_panel(matrix, begin, end, tables, out)
+    else:
         binarize(begin, end)
-        return
+
+
+def quantize_panel(
+    matrix: FeatureMatrix, begin: int, end: int, tables: ModelTables, out: np.ndarray
+) -> None:
+    """The numpy stage 1 of ``quantize_block`` for objects [begin, end), a
+    range within the batch, into the uint8 panel ``out``."""
     live = end - begin
     features, borders = tables.cond_feature, tables.cond_border
     if out.dtype != np.uint8:

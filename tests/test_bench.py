@@ -217,6 +217,26 @@ class TestRunMatrix:
         for row in report.rows:
             assert row.stage1_s >= 0 and row.fold_s >= 0 and row.scratch_bytes >= 0
             assert row.stage1_s + row.fold_s > 0
+            assert row.call_s >= row.stage1_s + row.fold_s
+
+    def test_record_states_each_calls_glue_and_the_host_speed(self, capsys):
+        """``call_ms``, the median wall time of the stats calls, is at least
+        their stages' medians together: ``call_ms - stage1_ms - fold_ms`` is
+        the call's glue.  ``host_probe_us`` is the median probe of the
+        case's samples, in the unit of a single probe."""
+        code = main(["--synthetic", "4,5,6,3,77", "--batch", "1,64", "--reps", "5",
+                     "--strategy", "naive", "--layout", "both", "--quiet"])
+        assert code == 0
+        cases = strict_json(capsys.readouterr().out)["cases"]
+        assert len(cases) == 4
+        for case in cases:
+            assert case["call_ms"] >= case["stage1_ms"] + case["fold_ms"] > 0, case
+            assert 0 < case["host_probe_us"] < 1e6, case
+
+    def test_host_probe_times_its_fixed_loop(self):
+        readings = [bench.host_probe() for _ in range(5)]
+        assert bench.PROBE_LOOPS == 5_000
+        assert all(0 < reading < 1.0 for reading in readings)
 
     def test_stage_columns_are_medians_of_calls_with_stats(self):
         calls = []
@@ -229,8 +249,9 @@ class TestRunMatrix:
                 stats.fold_groups = 16
 
         middle = (bench.STAGE_CALLS + 1) // 2
-        assert bench._stage_columns(Recording(), None) == (
-            middle, 10.0 - middle, 100 * middle, 16)
+        *stages, call_s = bench._stage_columns(Recording(), None)
+        assert stages == [middle, 10.0 - middle, 100 * middle, 16]
+        assert call_s > 0
         assert len(calls) == bench.STAGE_CALLS == 31
         assert all(isinstance(stats, EvalStats) for stats in calls)
 
@@ -242,7 +263,8 @@ class TestFormat:
             case.case_id,
             [
                 CaseResult(case, True, mean_s=0.0021, std_s=0.0001, d=0.0, inner=2,
-                           stage1_s=0.0005, fold_s=0.00125, scratch_bytes=4096, fold_groups=16),
+                           stage1_s=0.0005, fold_s=0.00125, scratch_bytes=4096, fold_groups=16,
+                           call_s=0.002, host_probe_s=0.00025),
                 CaseResult(BenchCase(EvalConfig(), Layout.OBJECT_MAJOR, 100, 3), False),
             ],
             {"baseline": case.case_id},
@@ -253,11 +275,13 @@ class TestFormat:
             '   "layout": "feature-major",\n   "batch": 40,\n   "reps": 3,\n   "inner": 2,\n'
             '   "mean_ms": 2.1,\n   "std_ms": 0.1,\n   "d": 0.0,\n   "stage1_ms": 0.5,\n'
             '   "fold_ms": 1.25,\n   "scratch_bytes": 4096,\n   "fold_groups": 16,\n'
+            '   "call_ms": 2.0,\n   "host_probe_us": 250.0,\n'
             '   "verified": true\n  },\n  {\n'
             '   "case_id": "naive-om-n100",\n   "strategy": "naive",\n'
             '   "layout": "object-major",\n   "batch": 100,\n   "reps": 3,\n   "inner": 0,\n'
             '   "mean_ms": null,\n   "std_ms": null,\n   "d": null,\n   "stage1_ms": null,\n'
             '   "fold_ms": null,\n   "scratch_bytes": null,\n   "fold_groups": null,\n'
+            '   "call_ms": null,\n   "host_probe_us": null,\n'
             '   "verified": false\n  }\n ]\n}\n'
         )
 
@@ -310,12 +334,14 @@ class TestParseBatch:
     @pytest.mark.parametrize(
         "text, sizes",
         [("1", [1]), ("1024", [1024]), ("1..4", [1, 2, 3, 4]), ("1..33:16", [1, 17, 33]),
-         ("5..5", [5]), ("1..1024:7", list(range(1, 1025, 7)))],
+         ("5..5", [5]), ("1..1024:7", list(range(1, 1025, 7))), ("1,8,64", [1, 8, 64]),
+         ("1..3,1024", [1, 2, 3, 1024])],
     )
     def test_accepted(self, text, sizes):
         assert _parse_batch(text) == sizes
 
-    @pytest.mark.parametrize("text", ["0", "0..4", "4..1", "1..4:0", "-1", "1..", "x", "1:2"])
+    @pytest.mark.parametrize("text", ["0", "0..4", "4..1", "1..4:0", "-1", "1..", "x", "1:2",
+                                      "1,", ",1", "1,,2", "1,0"])
     def test_rejected(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_batch(text)
@@ -432,7 +458,8 @@ class TestCli:
         for case in record["cases"]:
             assert set(case) == {"case_id", "strategy", "layout", "batch", "reps", "inner",
                                  "mean_ms", "std_ms", "d", "stage1_ms", "fold_ms",
-                                 "scratch_bytes", "fold_groups", "verified"}
+                                 "scratch_bytes", "fold_groups", "call_ms", "host_probe_us",
+                                 "verified"}
             assert case["verified"] is True and case["mean_ms"] > 0 and case["reps"] == 3
             assert case["stage1_ms"] >= 0 and case["fold_ms"] >= 0 and case["scratch_bytes"] >= 0
             assert case["fold_groups"] in (EvalConfig.block_size // 64, 16)
@@ -449,7 +476,8 @@ class TestCli:
         (case,) = strict_json(out.read_text())["cases"]
         assert case["verified"] is False
         assert [case[key] for key in ("mean_ms", "std_ms", "d", "stage1_ms", "fold_ms",
-                                      "scratch_bytes", "fold_groups")] == [None] * 7
+                                      "scratch_bytes", "fold_groups", "call_ms",
+                                      "host_probe_us")] == [None] * 9
 
     def test_failed_baseline_leaves_every_d_null(self, monkeypatch, capsys):
         # A verified case once kept d at NaN, which json.dumps wrote as NaN.

@@ -182,6 +182,16 @@ def mixed_depth_trees() -> tuple:
     return features, trees
 
 
+def call_into(bound: native.BoundKernels, matrix: FeatureMatrix, out: np.ndarray) -> native.Call:
+    """A call of ``bound`` over ``matrix`` whose kernels write the scores
+    into ``out``, a float64 window of a larger buffer, in place of the array
+    the call allocated: so that a test sees every byte around the scores."""
+    call = bound.call(matrix)
+    assert out.dtype == np.float64 and out.flags.c_contiguous and out.size == call.out.size
+    call.out, call._out_at = out, out.ctypes.data
+    return call
+
+
 @pytest.mark.parametrize("precision", [LeafPrecision.BINARY64, LeafPrecision.BINARY16],
                          ids=["binary64", "binary16"])
 def test_fold_writes_the_scores_of_its_range_only(precision):
@@ -206,9 +216,9 @@ def test_fold_writes_the_scores_of_its_range_only(precision):
         for begin, end in ((0, 1), (0, 63), (0, 64), (5, 70), (64, 192), (199, 200)):
             sentinel = rng.integers(0, 256, 200 * 8, dtype=np.uint8).view(np.float64)
             out = sentinel.copy()
-            _, binarize, fold = evaluator._native.over(matrix, out)
-            binarize(begin, end)
-            fold(begin, end)
+            call = call_into(evaluator._native, matrix, out)
+            call.binarize(begin, end)
+            call.fold(begin, end)
             sums = np.zeros(end - begin, dtype=dtype)
             for leaf in leaves:
                 sums += leaf[begin:end]
@@ -285,9 +295,10 @@ def test_blocks_write_the_scores_of_the_batch_only(precision):
                         sentinel = rng.integers(0, 256, (n + 16) * 8, dtype=np.uint8).view(np.float64)
                         buffer = sentinel.copy()
                         out = buffer[8:8 + n]
-                        masks, binarize, fold = bound.over(matrix, out)
-                        assert masks.shape == (bound.groups, evaluator.tables.cond_border.size)
-                        run_passes(bound, binarize, fold, n, 64 * groups)
+                        call = call_into(bound, matrix, out)
+                        assert call.masks.shape == (bound.groups,
+                                                    evaluator.tables.cond_border.size)
+                        run_passes(bound, call.binarize, call.fold, n, 64 * groups)
                         context = (scale, bias, groups, n, matrix.layout)
                         assert np.array_equal(out.view(np.uint64), oracle[:n]), context
                         expected = sentinel.copy()
@@ -330,15 +341,108 @@ _RUNS = {
                          ids=["binary64", "binary16"])
 def test_fold_runs_of_every_length_match_the_oracle(depths, strategy):
     """Each tree's leaf indices, built a tree ahead within its run, give the
-    oracle's bits on batches around the 64-object group and the block."""
+    oracle's bits on batches around the 64-object group and the block, and
+    on last groups around the binary64 gather counts, alone in their pass
+    and after a whole group."""
     model = trees_of_depths(depths)
     evaluator = Evaluator(model, EvalConfig(strategy))
     if evaluator.backend == "numpy":
         pytest.skip("no avx512 backend on this host")
-    for n in (1, 63, 64, 65, 128, 129):
+    for n in (1, 2, 3, 4, 5, 16, 17, 24, 25, 63, 64, 65, 67, 69, 80, 81, 88, 89, 128, 129):
         matrix = generate_feature_matrix(n, 12, seed=n, nan_fraction=0.05)
         oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
         assert np.array_equal(evaluator.predict(matrix).view(np.uint64), oracle), n
+
+
+def gather_limits(precision: LeafPrecision) -> tuple[int, ...]:
+    """The fold's gather rule: by tree depth (0-8), the most live objects
+    of a group whose leaves it gathers from the bank's values, not selects
+    from the byte planes.  Binary16 never gathers."""
+    return native.GATHER_LIMITS if precision is LeafPrecision.BINARY64 else (0,) * 9
+
+
+def test_a_model_gathers_up_to_the_least_count_of_its_depths():
+    assert len(native.GATHER_LIMITS) == 9 and native.GATHER_LIMITS[0] == 0
+    assert all(1 <= limit < 64 for limit in native.GATHER_LIMITS[1:])
+    if native.kernels() is None:
+        pytest.skip("no native kernels on this host")
+    for depths, limit in (((6,), 16), ((8,), 2), ((3, 5, 3), 16), ((1, 8, 5), 2), ((), 0)):
+        for strategy in (LeafStrategy.NAIVE, LeafStrategy.PERMUTE16):
+            bound = Evaluator(trees_of_depths(depths), EvalConfig(strategy))._native
+            expected = limit if strategy is LeafStrategy.NAIVE else 0
+            assert bound._model.gather_limit == expected, (depths, strategy)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+@pytest.mark.parametrize("strategy", [LeafStrategy.NAIVE, LeafStrategy.PERMUTE16],
+                         ids=["binary64", "binary16"])
+def test_every_live_count_matches_the_oracle(depth, strategy):
+    """Every live count of the last group, 1 to 64, alone in its pass (1-64
+    objects) and after a whole group (65-128), and batches of 1025 and 1089
+    objects, whose last pass ends in a group of one object, at each depth:
+    the oracle's bits in both layouts, with NaN and +/-inf inputs."""
+    model = trees_of_depths((depth,) * 6)
+    evaluator = Evaluator(model, EvalConfig(strategy))
+    if evaluator.backend == "numpy":
+        pytest.skip("no avx512 backend on this host")
+    source = with_inf(generate_feature_matrix(1089, 12, seed=depth, nan_fraction=0.05), depth)
+    oracle = evaluate_scalar(model, source, strategy.precision).view(np.uint64)
+    for n in [*range(1, 129), 1025, 1089]:
+        prefix = FeatureMatrix(source.values[:n], Layout.OBJECT_MAJOR)
+        for matrix in (prefix, prefix.transposed()):
+            scores = evaluator.predict(matrix).view(np.uint64)
+            assert np.array_equal(scores, oracle[:n]), (n, matrix.layout)
+
+
+def poisoned_kernels(evaluator: Evaluator, poison: str) -> native.BoundKernels:
+    """The kernels bound to a copy of ``evaluator``'s bank whose ``values``,
+    or whose byte planes, are then overwritten with NaN: a group that loads
+    its leaves from them scores NaN."""
+    bank = dataclasses.replace(evaluator.bank, values=evaluator.bank.values.copy())
+    bound = native.BoundKernels(native.kernels(), evaluator.tables, bank, 2)
+    if poison == "values":
+        bank.values[:] = np.nan
+    else:
+        (planes,) = [held for held in bound._held if isinstance(held, np.ndarray)
+                     and held.ctypes.data == bound._model.planes]
+        planes[:] = 0xFF  # every leaf's bytes: NaN in either precision
+    return bound
+
+
+@pytest.mark.parametrize("strategy", [LeafStrategy.NAIVE, LeafStrategy.PERMUTE16],
+                         ids=["binary64", "binary16"])
+def test_last_group_gathers_at_most_the_rules_count(strategy):
+    """At each depth, a pass's last group gathers its leaves from the bank's
+    values where it holds at most the rule's count of objects, and selects
+    them from the byte planes where it holds one more, alone in its pass or
+    after whole groups; every other group selects.  Which load each group
+    got shows by poisoning one source: its objects score NaN, and the
+    others keep the oracle's bits."""
+    precision = strategy.precision
+    limits = gather_limits(precision)
+    for depth in range(1, 9):
+        model = trees_of_depths((depth,) * 6)
+        evaluator = Evaluator(model, EvalConfig(strategy))
+        if evaluator.backend == "numpy":
+            pytest.skip("no avx512 backend on this host")
+        source = generate_feature_matrix(1089, 12, seed=depth)
+        oracle = evaluate_scalar(model, source, precision).view(np.uint64)
+        limit = limits[depth]
+        sizes = {limit, limit + 1, 64 + limit, 64 + limit + 1, 1025, 1089} - {0, 64}
+        poisoned = {poison: poisoned_kernels(evaluator, poison) for poison in ("values", "planes")}
+        assert poisoned["values"].groups == native.PASS_GROUPS
+        for n in sorted(sizes):
+            last = (n - 1) // 64 * 64  # the first object of the last group
+            gathered = np.zeros(n, dtype=bool)
+            gathered[last:] = n - last <= limit
+            matrix = FeatureMatrix(source.values[:n], Layout.OBJECT_MAJOR)
+            for poison, bound in poisoned.items():
+                evaluator._native = bound
+                scores = evaluator.predict(matrix)
+                loaded = gathered if poison == "values" else ~gathered
+                context = (depth, n, poison)
+                assert np.isnan(scores[loaded]).all(), context
+                assert np.array_equal(scores[~loaded].view(np.uint64), oracle[:n][~loaded]), context
 
 
 # Besides its arrays, a predict's traced peak holds a few KB of Python
@@ -354,6 +458,32 @@ def traced_peak(evaluator: Evaluator, matrix: FeatureMatrix, stats: EvalStats | 
         return tracemalloc.get_traced_memory()[1] - scores.nbytes
     finally:
         tracemalloc.stop()
+
+
+# The Python objects of a predict call without stats, besides its scores'
+# data: the scores' array, the ctypes views that give the matrix's and the
+# scores' addresses, and the bound methods it calls.  A call read 900-924
+# bytes with CPython 3.11 and numpy 2.4; with the closures and tuples it
+# made before, 1,928.
+_CALL_OBJECTS = 1024
+
+
+@pytest.mark.parametrize("strategy", [LeafStrategy.NAIVE, LeafStrategy.PERMUTE16],
+                         ids=["binary64", "binary16"])
+def test_a_small_predict_allocates_only_its_scores(strategy):
+    """A one-object and a 64-object call on avx512 peak at the scores'
+    bytes and a few objects of its own, in both layouts: the mask buffer is
+    held from bind time, and a call makes no other array."""
+    model = generate_synthetic_model(SyntheticSpec(50, 16, 100, 6, seed=3))
+    evaluator = Evaluator(model, EvalConfig(strategy))
+    if evaluator.backend == "numpy":
+        pytest.skip("no avx512 backend on this host")
+    for n in (1, 64):
+        source = generate_feature_matrix(n, 50, seed=n)
+        for matrix in (source, source.transposed()):
+            evaluator.predict(matrix)
+            peak = traced_peak(evaluator, matrix)
+            assert peak <= _CALL_OBJECTS, (n, matrix.layout, peak)
 
 
 def with_inf(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
@@ -450,7 +580,7 @@ def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypa
     def refuse(self, *args):
         raise AssertionError("native binarizer called")
 
-    monkeypatch.setattr(native.BoundKernels, "over", refuse)
+    monkeypatch.setattr(native.BoundKernels, "call", refuse)
     forced = evaluators[-1]
     assert forced.backend == "numpy"
     oracle = evaluate_scalar(model, matrix).view(np.uint64)
@@ -461,9 +591,10 @@ def test_numpy_evaluator_never_calls_the_native_quantizer(each_backend, monkeypa
 
 
 def test_bound_closures_refuse_other_arrays_and_ranges():
-    """Both closures of a call write only the objects its masks and the
-    batch hold: a range starts at its first object's row of a 16-group pass
-    and may not run past the pass's last row."""
+    """Both kernels of a call (``Call.binarize`` and ``Call.fold``) write
+    only the objects its masks and the batch hold: a range starts at its
+    first object's row of a 16-group pass and may not run past the pass's
+    last row."""
     lib = native.kernels()
     if lib is None:
         pytest.skip("no native kernels on this host")
@@ -472,13 +603,13 @@ def test_bound_closures_refuse_other_arrays_and_ranges():
     matrix = generate_feature_matrix(1100, model.n_features, seed=2)
     bound = native.BoundKernels(lib, evaluator.tables, evaluator.bank, 2)
     assert bound.groups == native.PASS_GROUPS
-    _, binarize, fold = bound.over(matrix, np.zeros(1100))
-    for call in (binarize, fold):
+    call = bound.call(matrix)
+    for kernel in (call.binarize, call.fold):
         for begin, end in ((0, 1025), (960, 1089), (1000, 1100), (1024, 1101)):
             with pytest.raises(ValueError, match="outside the masks or the batch"):
-                call(begin, end)
-    binarize(1024, 1100)
-    fold(1024, 1100)
+                kernel(begin, end)
+    call.binarize(1024, 1100)
+    call.fold(1024, 1100)
 
 
 def c_declarators(declaration: str) -> list[tuple[str, str]]:
@@ -553,21 +684,23 @@ def test_mask_buffer_holds_only_the_groups_a_block_fills(n):
     bound = evaluator._native
     matrix = generate_feature_matrix(n, 3, seed=n)
     (held,) = bound._spare
-    masks, binarize, _ = bound.over(matrix, np.empty(n))
-    assert masks is held and bound._spare == []
+    masks = held.masks
+    call = bound.call(matrix)
+    assert call is held and bound._spare == []
     assert masks.shape == (native.PASS_GROUPS, evaluator.tables.cond_border.size)
     # While this call holds it, another call gets a buffer of its own.
-    other, _, _ = bound.over(matrix, np.empty(n))
-    assert other is not held and other.shape == held.shape
+    other = bound.call(matrix)
+    assert other is not held and other.masks is not masks and other.masks.shape == masks.shape
     masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)
     for begin, end in plan_blocks(n, EvalConfig.block_size):
-        binarize(begin, end)
+        call.binarize(begin, end)
     filled = -(-n // 64)
     assert (masks[filled:] == np.uint64(0xA5A5A5A5A5A5A5A5)).all()
     assert not (masks[:filled] == np.uint64(0xA5A5A5A5A5A5A5A5)).all(axis=1).any()
-    bound.release(masks)
+    bound.release(call)
+    assert call.out is None and call._values is None
     evaluator.predict(matrix)
-    assert bound._spare == [held] and bound._spare[0] is held
+    assert bound._spare == [held] and bound._spare[0].masks is masks
 
 
 def test_block_fold_rejects_objects_outside_its_block():
@@ -578,19 +711,25 @@ def test_block_fold_rejects_objects_outside_its_block():
     if evaluator.backend == "numpy":
         pytest.skip("no avx512 backend on this host")
     matrix = generate_feature_matrix(300, 260, seed=1)
-    masks, binarize, fold = evaluator._native.over(matrix, np.zeros(300))
-    assert masks.shape == (2, evaluator.tables.cond_border.size)
+    call = evaluator._native.call(matrix)
+    assert call.masks.shape == (2, evaluator.tables.cond_border.size)
     for begin, end in ((0, 129), (256, 301)):
         with pytest.raises(ValueError, match="outside"):
-            fold(begin, end)
+            call.fold(begin, end)
         with pytest.raises(ValueError, match="outside"):
-            binarize(begin, end)
+            call.binarize(begin, end)
+    # A call binds only a C-contiguous binary32 matrix of its objects and
+    # of the model's features.
+    strided = FeatureMatrix(np.zeros((300, 520), dtype=np.float32), Layout.OBJECT_MAJOR)
+    strided.values, strided.n_features = strided.values[:, ::2], 260
     with pytest.raises(ValueError, match="C-contiguous"):
-        evaluator._native.over(matrix, np.zeros(300, dtype=np.float32))
+        evaluator._native.call(strided)
+    short = generate_feature_matrix(300, 260, seed=1)
+    short.n_objects = 301
     with pytest.raises(ValueError, match="for 260 features"):
-        evaluator._native.over(matrix, np.zeros(299))
+        evaluator._native.call(short)
     with pytest.raises(ValueError, match="for 260 features"):
-        evaluator._native.over(generate_feature_matrix(300, 261, seed=1), np.zeros(300))
+        evaluator._native.call(generate_feature_matrix(300, 261, seed=1))
 
 
 def depth1_model(n_cond: int) -> ObliviousModel:
@@ -616,7 +755,7 @@ def test_pass_takes_16_groups_while_their_masks_fit_the_budget():
         assert tables.cond_border.size == n_cond
         bound = native.BoundKernels(lib, tables, tables.bank(LeafPrecision.BINARY16), 2)
         assert bound.groups == groups, n_cond
-        assert [buffer.shape for buffer in bound._spare] == [(groups, n_cond)]
+        assert [call.masks.shape for call in bound._spare] == [(groups, n_cond)]
         stats = EvalStats()
         Evaluator(tables, EvalConfig(LeafStrategy.PERMUTE16)).predict(
             generate_feature_matrix(10, tables.model.n_features, seed=1), stats)
@@ -697,7 +836,7 @@ def test_byte_planes_transpose_each_table(precision):
 # SIGSEGV instead of ending the test session.
 _GUARDED_READS_CHECK = textwrap.dedent(
     """
-    import ctypes, mmap, sys
+    import ctypes, dataclasses, mmap, sys
     import numpy as np
     from obtree import (
         EvalConfig, FeatureMatrix, LeafStrategy, SyntheticSpec, evaluate_scalar,
@@ -726,6 +865,18 @@ _GUARDED_READS_CHECK = textwrap.dedent(
         placed.append(planes)
         return planes
 
+    def guarded_values(values):
+        # A copy of the bank's values whose last byte, which a gathering
+        # fold may read, is the last byte before a page that cannot be read.
+        pages = -(-values.nbytes // page)
+        region = mmap.mmap(-1, (pages + 1) * page)
+        start = ctypes.addressof(ctypes.c_char.from_buffer(region))
+        assert libc.mprotect(start + pages * page, page, 0) == 0, ctypes.get_errno()
+        copy = np.frombuffer(region, values.dtype, values.size, pages * page - values.nbytes)
+        copy[:] = values
+        placed.append(copy)
+        return copy
+
     native.byte_planes = guarded_planes
     for strategy in (LeafStrategy.PERMUTE16, LeafStrategy.NAIVE):
         for depth in range(1, 9):
@@ -737,6 +888,14 @@ _GUARDED_READS_CHECK = textwrap.dedent(
             got = evaluator.predict(matrix).view(np.uint64)
             oracle = evaluate_scalar(model, matrix, strategy.precision).view(np.uint64)
             assert np.array_equal(got, oracle), (strategy, depth)
+            # Groups of 1 and 2 objects gather their leaves at every depth.
+            bank = dataclasses.replace(evaluator.bank, values=guarded_values(evaluator.bank.values))
+            evaluator._native = native.BoundKernels(native.kernels(), evaluator.tables, bank, 2)
+            assert evaluator._native._model.values == bank.values.ctypes.data
+            for n in (1, 2, 65, 66):
+                few = FeatureMatrix(matrix.values[:n], matrix.layout)
+                got = evaluator.predict(few).view(np.uint64)
+                assert np.array_equal(got, oracle[:n]), (strategy, depth, n)
 
     # A matrix whose last value is the last before an unreadable page, in
     # both layouts, with a feature count that ends in a partial 16-feature
@@ -800,11 +959,10 @@ _HELD_ARRAYS_CHECK = textwrap.dedent(
 
         def closures():
             tables = ModelTables(model)
-            out = np.empty(matrix.n_objects)
             bound = native.BoundKernels(native.kernels(), tables, tables.bank(precision),
                                         EvalConfig.block_size // 64)
-            _, binarize, fold = bound.over(matrix, out)
-            return out, binarize, fold
+            call = bound.call(matrix)
+            return call.out, call.binarize, call.fold
 
         # The tables, the bank, the runs and the bound kernels are dropped here.
         out, binarize, fold = closures()
@@ -821,9 +979,9 @@ _HELD_ARRAYS_CHECK = textwrap.dedent(
 
 
 def test_kernel_closures_keep_the_model_alive():
-    """The closures of ``BoundKernels.over`` hold the model's struct, runs,
-    tables, bank and masks, so they score correctly after every other
-    reference is gone."""
+    """The methods of a ``BoundKernels.call`` hold the model's struct, runs,
+    tables, bank, masks and scores, so they score correctly after every
+    other reference is gone."""
     if Evaluator(two_tree_model(1)).backend == "numpy":
         pytest.skip("no avx512 backend on this host")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))

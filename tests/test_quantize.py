@@ -429,7 +429,8 @@ class TestBinarizerMatchesBorderCompares:
         bound = native.BoundKernels(lib, tables, tables.bank(LeafPrecision.BINARY64),
                                     block_size // 64)
         for layout in (matrix, matrix.transposed()):
-            masks, binarize, _ = bound.over(layout, np.zeros(matrix.n_objects))
+            call = bound.call(layout)
+            masks, binarize = call.masks, call.binarize
             for begin, end in plan_blocks(matrix.n_objects, block_size):
                 masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)  # a dirty buffer
                 quantize_block(layout, (begin, end), tables, masks, binarize)
@@ -463,7 +464,8 @@ def test_every_block_length_in_both_layouts():
     for live in range(1, 129):
         for matrix in (FeatureMatrix(raw[:live], Layout.OBJECT_MAJOR),
                        FeatureMatrix(np.ascontiguousarray(raw[:live].T), Layout.FEATURE_MAJOR)):
-            masks, binarize, _ = bound.over(matrix, np.zeros(live))
+            call = bound.call(matrix)
+            masks, binarize = call.masks, call.binarize
             masks[:] = np.uint64(0xA5A5A5A5A5A5A5A5)
             binarize(0, live)
             groups = -(-live // 64)
