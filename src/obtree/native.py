@@ -174,6 +174,7 @@ class BoundKernels:
         )
         self._address = ctypes.addressof(self._model)
         self._n_cond, self._n_features = n_cond, self._model.n_features
+        self._object_bytes = 4 * self._n_features  # an object-major matrix's row
         # The held call and its mask buffer: a call takes it and gives it
         # back (release); a concurrent call finds the list empty and makes
         # its own.
@@ -206,13 +207,15 @@ class BoundKernels:
         if matrix.layout is _FEATURE_MAJOR:
             call._feature_major, call._row_length, call._stride = 1, n, 4
         else:
-            call._feature_major, call._row_length, call._stride = 0, n_features, 4 * n_features
+            call._feature_major, call._row_length, call._stride = 0, n_features, self._object_bytes
         return call
 
     def release(self, call: Call) -> None:
         """Takes back a finished ``call`` and its mask buffer for the next
-        call, and drops its matrix and scores; it must not be called again."""
+        call, and drops its matrix, its scores and their addresses, so that
+        no object of the call outlives it; it must not be called again."""
         call.out = call._values = None
+        call._out_at = call._values_at = call._n = 0
         self._spare.append(call)
 
 
@@ -280,7 +283,7 @@ _addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 
 # Compared against a dtype object, not a type, ``!=`` is about 2x faster;
 # an enum member read from the class costs about 0.1 us.
-_F32, _F64, _U64 = np.dtype(np.float32), np.dtype(np.float64), np.dtype(np.uint64)
+_F32, _U64 = np.dtype(np.float32), np.dtype(np.uint64)
 _FEATURE_MAJOR = Layout.FEATURE_MAJOR
 
 
