@@ -17,7 +17,8 @@ baseline case, and the median of host probes (``host_probe``) taken next to
 its samples, so that records from separate processes can be compared.
 After the timed rounds, each verified case makes ``STAGE_CALLS`` more calls
 with ``EvalStats`` for its stage columns and their median wall time,
-``call_ms``: ``call_ms - stage1_ms - fold_ms`` is the call's own glue.
+``call_ms``: ``call_ms - stage1_ms - fold_ms`` is the call's own glue,
+with the timers and input counts of its ``EvalStats``.
 Absolute times and speedups are hardware facts about the machine running
 the bench; they are reported, never asserted.
 

@@ -60,8 +60,10 @@ _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
 _FOLD = [_ptr, _ptr, _ptr, _ptr]
 # The argument types of each kernel of native.c; each returns void.  ctypes
-# converts a pointer argument about 0.1 us faster than an int64 one
-# (CPython 3.11), so the kernels take ranges of objects as pointers.
+# converts an int to a pointer argument about 0.13 us faster than to an int64
+# one (CPython 3.11), so the kernels take ranges of objects as pointers, and
+# a call passes the int64 arguments it can take from the model as c_int64
+# objects, which ctypes passes as they are.
 KERNEL_ARGS = {"obtree_binarize": [_ptr, _ptr, _ptr, _i64, _i64, _ptr],
                "obtree_fold_binary16": _FOLD, "obtree_fold_binary64": _FOLD}
 
@@ -174,7 +176,8 @@ class BoundKernels:
         )
         self._address = ctypes.addressof(self._model)
         self._n_cond, self._n_features = n_cond, self._model.n_features
-        self._object_bytes = 4 * self._n_features  # an object-major matrix's row
+        # An object-major matrix's row: its length and its bytes.
+        self._object_row, self._object_bytes = _i64(self._n_features), 4 * self._n_features
         # The held call and its mask buffer: a call takes it and gives it
         # back (release); a concurrent call finds the list empty and makes
         # its own.
@@ -205,16 +208,17 @@ class BoundKernels:
         call._out_at, call._values, call._values_at = _address(out), values, _address(values)
         call._n = n
         if matrix.layout is _FEATURE_MAJOR:
-            call._feature_major, call._row_length, call._stride = 1, n, 4
+            call._feature_major, call._row_length, call._stride = _TRUE, n, 4
         else:
-            call._feature_major, call._row_length, call._stride = 0, n_features, self._object_bytes
+            call._feature_major, call._row_length, call._stride = (
+                _FALSE, self._object_row, self._object_bytes)
         return call
 
     def release(self, call: Call) -> None:
         """Takes back a finished ``call`` and its mask buffer for the next
         call, and drops its matrix, its scores and their addresses, so that
         no object of the call outlives it; it must not be called again."""
-        call.out = call._values = None
+        call.out = call._values = call._row_length = None
         call._out_at = call._values_at = call._n = 0
         self._spare.append(call)
 
@@ -284,6 +288,7 @@ _addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 # Compared against a dtype object, not a type, ``!=`` is about 2x faster;
 # an enum member read from the class costs about 0.1 us.
 _F32, _U64 = np.dtype(np.float32), np.dtype(np.uint64)
+_FALSE, _TRUE = _i64(0), _i64(1)
 _FEATURE_MAJOR = Layout.FEATURE_MAJOR
 
 

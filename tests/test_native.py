@@ -462,9 +462,9 @@ def traced_peak(evaluator: Evaluator, matrix: FeatureMatrix, stats: EvalStats | 
 
 # The Python objects of a predict call without stats, besides its scores'
 # data: the scores' array, the ctypes views that give the matrix's and the
-# scores' addresses, and the bound methods it calls.  A call read 900-924
-# bytes with CPython 3.11 and numpy 2.4; with the closures and tuples it
-# made before, 1,928.
+# scores' addresses, and the bound methods it calls.  A call read 900 bytes
+# in either layout with CPython 3.11 and numpy 2.4; with the closures and
+# tuples it made before, 1,928.
 _CALL_OBJECTS = 1024
 
 
