@@ -66,6 +66,7 @@ _FOLD = [_ptr, _ptr, _ptr, _ptr]
 # objects, which ctypes passes as they are.
 KERNEL_ARGS = {"obtree_binarize": [_ptr, _ptr, _ptr, _i64, _i64, _ptr],
                "obtree_fold_binary16": _FOLD, "obtree_fold_binary64": _FOLD}
+_FALSE, _TRUE = _i64(0), _i64(1)  # obtree_binarize's feature_major
 
 
 # The groups of a fold pass (MAX_GROUPS of native.c) where their masks take at
@@ -288,7 +289,6 @@ _addressof, _from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
 # Compared against a dtype object, not a type, ``!=`` is about 2x faster;
 # an enum member read from the class costs about 0.1 us.
 _F32, _U64 = np.dtype(np.float32), np.dtype(np.uint64)
-_FALSE, _TRUE = _i64(0), _i64(1)
 _FEATURE_MAJOR = Layout.FEATURE_MAJOR
 
 
